@@ -338,7 +338,7 @@ def _build_rep(built: BuiltMonoid, build: str):
         n = built.monoid.elements[0].n
         if sum(lam) != n:
             raise SpecError(f"{fmt_label(lam)} is not a partition of {n}")
-        return specht_rep(lam).rep, built.monoid
+        return specht_rep(lam, group=built.monoid).rep, built.monoid
     if parts[0] == "induce" and len(parts) == 3:
         if built.kind not in ("I", "SGL"):
             raise SpecError("induction needs an inverse monoid spec (I: or SGL:)")
@@ -363,8 +363,9 @@ def _build_rep(built: BuiltMonoid, build: str):
 
 
 def cmd_rep(built: BuiltMonoid, build: str, out_path, out) -> int:
+    # the Representation constructor has proved the homomorphism law on
+    # these immutable matrices, which are the ones written below
     rep, carrier_monoid = _build_rep(built, build)
-    rep.verify()  # re-proved immediately before writing
     payload = serialize_representation(
         rep, monoid_label=built.spec, element_text=element_text
     )

@@ -526,6 +526,11 @@ def _group_irreps(monoid: FiniteMonoid, e: int, group: FiniteMonoid):
         yield from _sym_irreps(
             monoid, group, labels, lambda s: dict(s.pairs)
         )
+    elif isinstance(el, Permutation):
+        labels = tuple(range(1, el.n + 1))
+        yield from _sym_irreps(
+            monoid, group, labels, lambda s: {x: s.apply(x) for x in labels}
+        )
     elif isinstance(el, SGLElement):
         ctx = el.context
         a = el.lattice_element()

@@ -8,11 +8,19 @@ first.  All element types are immutable values.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 
 import numpy as np
 
-DEFAULT_CLOSURE_CAP = 100_000
+# Dense Cayley tables hold int32 cells; a table of |S|^2 cells may not take
+# more than this many bytes.  T_5 (39 MB) fits, I_6 (710 MB) does not.
+TABLE_BYTES_BUDGET = 256 * 2**20
+DEFAULT_CLOSURE_CAP = math.isqrt(TABLE_BYTES_BUDGET // np.dtype(np.int32).itemsize)
+
+# image-row tables are filled in blocks of about this many cells, so the
+# temporaries of one block stay small next to the table
+TABLE_BLOCK_CELLS = 4096
 
 # associativity is checked on all triples up to this size, sampled above it
 FULL_ASSOC_CHECK_LIMIT = 200
@@ -23,7 +31,8 @@ class DegreeMismatchError(ValueError):
 
 
 class ClosureCapError(RuntimeError):
-    """Raised when a closure run exceeds its element cap."""
+    """Raised when a closure run exceeds its element cap, or a Cayley table
+    would exceed the table byte budget."""
 
 
 class ElementParseError(ValueError):
@@ -103,6 +112,13 @@ class PartialBijection:
     def is_idempotent(self) -> bool:
         return all(d == i for d, i in self.pairs)
 
+    def image_row(self) -> tuple:
+        """(0, s(1), ..., s(n)) with 0 where s is undefined; see _image_table."""
+        row = [0] * (self.n + 1)
+        for d, i in self.pairs:
+            row[d] = i
+        return tuple(row)
+
     def identity_element(self) -> "PartialBijection":
         return PartialBijection.identity(self.n)
 
@@ -175,6 +191,10 @@ class Transformation:
 
     def is_idempotent(self) -> bool:
         return all(self.images[y - 1] == y for y in self.images)
+
+    def image_row(self) -> tuple:
+        """(0, s(1), ..., s(n)); see _image_table."""
+        return (0,) + self.images
 
     def identity_element(self) -> "Transformation":
         return type(self).identity(self.n)
@@ -292,12 +312,9 @@ class FiniteMonoid:
         return tuple(i for i in range(len(self)) if self.table[i, i] == i)
 
     def is_group(self) -> bool:
-        e = self.identity_index
-        n = len(self)
-        return all(
-            any(self.table[s, t] == e and self.table[t, s] == e for t in range(n))
-            for s in range(n)
-        )
+        """Whether every element has a two-sided inverse."""
+        unit = self.table == self.identity_index
+        return bool((unit & unit.T).any(axis=1).all())
 
     def generating_set(self) -> tuple:
         """Generator indices; computed greedily if none were recorded."""
@@ -328,41 +345,101 @@ class FiniteMonoid:
         return reached
 
     @classmethod
-    def from_elements(cls, elements, multiply=None, identity=None, generators=None) -> "FiniteMonoid":
-        """Build a monoid from an explicit closed element set."""
-        if multiply is None:
-            multiply = lambda a, b: a * b
+    def from_elements(cls, elements, identity=None, generators=None) -> "FiniteMonoid":
+        """Build a monoid from an explicit closed element set.
+
+        Partial bijections, transformations and permutations of one degree
+        are multiplied as image rows in numpy (_image_table); other element
+        types (pairs over a lattice, product tuples) by Python `a * b`.
+        """
         if identity is None:
             identity = elements[0].identity_element()
         ordered = sorted(set(elements) | {identity}, key=canonical_key)
+        check_table_budget(len(ordered))
         index = {e: k for k, e in enumerate(ordered)}
-        n = len(ordered)
-        table = np.empty((n, n), dtype=np.int32)
-        for i, a in enumerate(ordered):
-            row = table[i]
-            for j, b in enumerate(ordered):
-                try:
-                    row[j] = index[multiply(a, b)]
-                except KeyError:
-                    raise ValueError("element set is not multiplicatively closed") from None
+        rows = _image_rows(ordered)
+        if rows is not None:
+            table = _image_table(rows)
+        else:
+            table = np.empty((len(ordered), len(ordered)), dtype=np.int32)
+            for i, a in enumerate(ordered):
+                row = table[i]
+                for j, b in enumerate(ordered):
+                    try:
+                        row[j] = index[a * b]
+                    except KeyError:
+                        raise ValueError("element set is not multiplicatively closed") from None
         gen_idx = None
         if generators is not None:
             gen_idx = tuple(index[g] for g in generators)
         return cls(ordered, table, index[identity], gen_idx)
 
 
-def closure(generators, multiply=None, identity=None, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteMonoid:
+def check_table_budget(size: int) -> None:
+    """Raise ClosureCapError if a size x size int32 table exceeds the budget."""
+    need = size * size * np.dtype(np.int32).itemsize
+    if need > TABLE_BYTES_BUDGET:
+        raise ClosureCapError(
+            f"a Cayley table of {size} elements needs {need / 2**20:.1f} MiB, "
+            f"over the {TABLE_BYTES_BUDGET / 2**20:.0f} MiB table budget"
+        )
+
+
+def _image_rows(elements):
+    """The image rows of the elements as an int array, or None when they are
+    not all partial bijections, or all transformations, of one degree."""
+    n = getattr(elements[0], "n", None)
+    for kind in (PartialBijection, Transformation):
+        if all(isinstance(x, kind) and x.n == n for x in elements):
+            return np.array([x.image_row() for x in elements], dtype=np.intp)
+    return None
+
+
+def _image_table(rows: np.ndarray) -> np.ndarray:
+    """Cayley table of distinct image rows: table[i, j] indexes rows[i] * rows[j].
+
+    An image row of degree n has slot 0 = 0 and slot x = s(x), or 0 where s
+    is undefined, so the row of s * t is the row of s indexed by the row of t.
+    Each product row is looked up by searchsorted over the sorted rows, as
+    big-endian fixed-width bytes viewed as np.void: that order is exact and
+    lexicographic at every degree.  Raises ValueError when a product is not
+    among the rows.
+    """
+    size, width = rows.shape
+    n = width - 1
+    cell = np.dtype(">u1" if n < 2**8 else ">u2" if n < 2**16 else ">u4")
+    packed = rows.astype(cell)
+    key = np.dtype((np.void, n * cell.itemsize))
+    images = rows[:, 1:]
+
+    def keys(block):
+        return np.ascontiguousarray(block).reshape(-1, n).view(key).ravel()
+
+    own = keys(packed[:, 1:])
+    order = np.argsort(own, kind="stable")
+    sorted_keys = own[order]
+    table = np.empty((size, size), dtype=np.int32)
+    step = max(1, TABLE_BLOCK_CELLS // size)
+    for i in range(0, size, step):
+        products = keys(np.take(packed[i:i + step], images, axis=1))
+        pos = np.minimum(np.searchsorted(sorted_keys, products), size - 1)
+        if not np.array_equal(sorted_keys[pos], products):
+            raise ValueError("element set is not multiplicatively closed")
+        table[i:i + step] = order[pos].reshape(-1, size)
+    return table
+
+
+def closure(generators, identity=None, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteMonoid:
     """Breadth-first product closure of a generator list.
 
     The result is deterministic: elements are re-sorted into canonical order
     before the dense table is built, so two runs on the same generators give
-    identical monoids.
+    identical monoids.  The default cap is the largest order whose table fits
+    TABLE_BYTES_BUDGET.
     """
     generators = list(generators)
     if not generators:
         raise ValueError("need at least one generator")
-    if multiply is None:
-        multiply = lambda a, b: a * b
     if identity is None:
         identity = generators[0].identity_element()
     seen = {identity}
@@ -375,14 +452,14 @@ def closure(generators, multiply=None, identity=None, cap: int = DEFAULT_CLOSURE
         nxt = []
         for a in frontier:
             for g in generators:
-                p = multiply(a, g)
+                p = a * g
                 if p not in seen:
                     seen.add(p)
                     nxt.append(p)
                     if len(seen) > cap:
                         raise ClosureCapError(f"closure exceeded cap of {cap} elements")
         frontier = nxt
-    return FiniteMonoid.from_elements(sorted(seen, key=canonical_key), multiply, identity, generators)
+    return FiniteMonoid.from_elements(sorted(seen, key=canonical_key), identity, generators)
 
 
 def product_monoid(*factors: FiniteMonoid) -> FiniteMonoid:

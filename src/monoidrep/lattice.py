@@ -22,6 +22,7 @@ from .elements import (
     FiniteMonoid,
     PartialBijection,
     Permutation,
+    check_table_budget,
     symmetric_group,
 )
 
@@ -160,17 +161,13 @@ def stabilizers(action: GroupAction, a: int) -> StabilizerPair:
     return StabilizerPair(full, pointwise)
 
 
-def _inverses(group: FiniteMonoid):
-    e = group.identity_index
-    inv = {}
-    for g in range(len(group)):
-        for h in range(len(group)):
-            if group.mul(g, h) == e and group.mul(h, g) == e:
-                inv[g] = h
-                break
-        else:
-            raise ValueError("not a group")
-    return inv
+def _inverses(group: FiniteMonoid) -> tuple:
+    """inv[g] is the index of g's inverse."""
+    unit = group.table == group.identity_index
+    both = unit & unit.T
+    if not both.any(axis=1).all():
+        raise ValueError("not a group")
+    return tuple(int(h) for h in both.argmax(axis=1))
 
 
 # -- built-in lattices -------------------------------------------------------
@@ -308,9 +305,7 @@ class SGLContext:
         self.group = action.group
         self.lattice = action.lattice
         ng, nl = len(self.group), len(self.lattice)
-        self.ginv = np.array(
-            [_inverses(self.group)[g] for g in range(ng)], dtype=np.int32
-        )
+        self.ginv = np.array(_inverses(self.group), dtype=np.int32)
         self.pointwise = []
         for a in range(nl):
             below = self.lattice.down_set(a)
@@ -409,6 +404,7 @@ def sgl_monoid(action: GroupAction):
     ctx = sgl_context(action)
     elements = sorted(ctx.all_elements(), key=lambda e: e.key())
     n = len(elements)
+    check_table_budget(n)
     nl, ng = len(ctx.lattice), len(ctx.group)
     eidx = np.full((nl, ng), -1, dtype=np.int32)
     for k, e in enumerate(elements):
@@ -497,9 +493,7 @@ def maximal_subgroup_at(action: GroupAction, a: int) -> FiniteMonoid:
     members = sorted(
         {ctx.canonical(g, a) for g in stab.full}, key=lambda e: e.key()
     )
-    return FiniteMonoid.from_elements(
-        members, identity=ctx.idempotent(a), multiply=lambda x, y: x * y
-    )
+    return FiniteMonoid.from_elements(members, identity=ctx.idempotent(a))
 
 
 def subsets_to_partial_bijection(element: SGLElement) -> PartialBijection:

@@ -1,5 +1,7 @@
 import io
+import math
 import pathlib
+import time
 
 import pytest
 
@@ -7,11 +9,14 @@ from monoidrep.cli import (
     EXIT_CAP,
     EXIT_OK,
     EXIT_PARSE,
+    _build_rep,
     fmt_label,
+    parse_and_build,
     parse_label,
     run,
 )
-from monoidrep.linrep import parse_representation_payload
+from monoidrep.linrep import Representation, parse_representation_payload
+from monoidrep.specht import partitions
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -97,6 +102,16 @@ class TestSpecParsing:
         code, _ = invoke(["order", f"gens:{path}"])
         assert code == EXIT_CAP
 
+    @pytest.mark.parametrize("spec,mib", [("I:6", "677.5"), ("T:6", "8303.8")])
+    def test_table_budget_exit_3(self, spec, mib, capsys):
+        # the dense tables would take 0.7 GB and 8.7 GB; both are refused
+        # before the table is allocated
+        start = time.monotonic()
+        code, _ = invoke(["order", spec])
+        assert code == EXIT_CAP
+        assert time.monotonic() - start < 20
+        assert f"needs {mib} MiB, over the 256 MiB table budget" in capsys.readouterr().err
+
 
 class TestEggboxOptions:
     def test_graph_format(self):
@@ -131,6 +146,16 @@ class TestIrrepsCommand:
         assert "sum_dim_sq: 34" in text
         assert "check_roundtrips: 7/7" in text
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_symmetric_group_catalog(self, n):
+        code, text = invoke(["irreps", f"S:{n}", "--check"])
+        assert code == EXIT_OK
+        count = len(partitions(n))
+        assert f"entries: {count}" in text
+        assert f"sum_dim_sq: {math.factorial(n)}" in text
+        assert "check_complete: yes" in text
+        assert f"check_roundtrips: {count}/{count}" in text
+
     def test_roundtrip_failure_exits_4(self, monkeypatch):
         import monoidrep.cli as cli
         monkeypatch.setattr(cli, "cm_roundtrip_check", lambda m, e: False)
@@ -160,6 +185,20 @@ class TestRepCommand:
     def test_specht_bad_partition(self):
         code, _ = invoke(["rep", "S:4", "--build", "specht:(2,1)"])
         assert code == EXIT_PARSE
+
+    def test_specht_uses_the_spec_group(self):
+        built = parse_and_build("S:4")
+        rep, carrier = _build_rep(built, "specht:(2,1,1)")
+        assert rep.monoid is built.monoid
+        assert carrier is built.monoid
+
+    def test_rep_verifies_once(self, monkeypatch):
+        calls = []
+        verify = Representation.verify
+        monkeypatch.setattr(Representation, "verify", lambda self: calls.append(1) or verify(self))
+        code, _ = invoke(["rep", "S:3", "--build", "specht:(2,1)"])
+        assert code == EXIT_OK
+        assert len(calls) == 1
 
     def test_reduce_build(self):
         code, text = invoke(["rep", "I:3", "--build", "reduce:mapping:J2"])

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import monoidrep.elements as elements_module
 from monoidrep.elements import (
+    DEFAULT_CLOSURE_CAP,
+    TABLE_BYTES_BUDGET,
     ClosureCapError,
     DegreeMismatchError,
     ElementParseError,
@@ -12,6 +16,9 @@ from monoidrep.elements import (
     Permutation,
     Transformation,
     all_partial_bijections,
+    all_permutations,
+    all_transformations,
+    canonical_key,
     closure,
     cycle_link_format,
     cycle_link_parse,
@@ -28,6 +35,36 @@ def pb(n, *pairs):
 
 def in_order_formula(n):
     return sum(math.comb(n, m) ** 2 * math.factorial(m) for m in range(n + 1))
+
+
+def reference_build(elements, identity, generators=None):
+    """The element-by-element build: one Python product per table cell."""
+    ordered = sorted(set(elements) | {identity}, key=canonical_key)
+    index = {e: k for k, e in enumerate(ordered)}
+    table = np.array([[index[a * b] for b in ordered] for a in ordered], dtype=np.int32)
+    gens = None if generators is None else tuple(index[g] for g in generators)
+    return tuple(ordered), table, index[identity], gens
+
+
+def reference_closure(generators):
+    """Breadth-first closure by Python products, with the identity."""
+    seen = {generators[0].identity_element()}
+    frontier = list(seen)
+    while frontier:
+        frontier = [p for p in {a * g for a in frontier for g in generators} if p not in seen]
+        seen.update(frontier)
+    return seen
+
+
+def assert_matches_reference(m, generators=None):
+    elements, table, identity, gens = reference_build(
+        m.elements, m.elements[m.identity_index], generators
+    )
+    assert m.elements == elements
+    assert m.table.dtype == np.int32
+    assert np.array_equal(m.table, table)
+    assert m.identity_index == identity
+    assert m.generator_indices == gens
 
 
 class TestPartialBijection:
@@ -210,6 +247,127 @@ class TestFiniteMonoid:
         keys = [e.key() for e in els]
         assert keys == sorted(keys)
         assert els[0] == PartialBijection.zero(3)
+
+
+# the generator-file shapes of the benchmark's structure workload
+T_FILE_GENS = [Transformation([2, 3, 4, 5, 1]), Transformation([1, 1, 3, 4, 5])]
+I_FILE_GENS = ["(1,2,3,4,5)", "[1,2,3,4](5)", "[1,2]"]
+
+
+class TestImageTable:
+    @pytest.mark.parametrize("family,n", [
+        *[(all_permutations, n) for n in range(1, 6)],
+        *[(all_partial_bijections, n) for n in range(1, 5)],
+        *[(all_transformations, n) for n in range(1, 5)],
+    ])
+    def test_full_monoids_match_elementwise_build(self, family, n):
+        els = family(n)
+        gens = els[-3:]
+        m = FiniteMonoid.from_elements(els, generators=gens)
+        assert m.elements == tuple(els)
+        assert_matches_reference(m, gens)
+
+    @pytest.mark.parametrize("gens", [
+        T_FILE_GENS,
+        [cycle_link_parse(t, 5) for t in I_FILE_GENS],
+    ], ids=["t_file", "i_file"])
+    def test_generator_files_match_elementwise_build(self, gens):
+        m = closure(gens)
+        assert set(m.elements) == reference_closure(gens)
+        assert_matches_reference(m, gens)
+
+    @pytest.mark.parametrize("gens,order", [
+        ([Permutation.from_cycle(300, range(1, 301))], 300),
+        ([PartialBijection(300, [(x, x + 1) for x in range(1, 300)])], 301),
+        ([Transformation([1] * 300), Transformation([257] * 300)], 3),
+    ], ids=["cycle", "shift", "constants_equal_mod_256"])
+    def test_two_byte_cells(self, gens, order):
+        # degree 300 packs each image into two big-endian bytes
+        m = closure(gens)
+        assert len(m) == order
+        rng = np.random.default_rng(0)
+        for i, j in rng.integers(0, len(m), size=(2000, 2)):
+            assert m.elements[m.table[i, j]] == m.elements[i] * m.elements[j]
+
+    def test_non_closed_set_raises(self):
+        with pytest.raises(ValueError, match="not multiplicatively closed"):
+            FiniteMonoid.from_elements([Transformation([2, 3, 1])])
+
+    def test_is_group(self):
+        assert symmetric_group(4).is_group()
+        assert not symmetric_inverse_monoid(2).is_group()
+        assert not full_transformation_monoid(2).is_group()
+
+
+def _permutation(n):
+    return st.permutations(range(1, n + 1))
+
+
+def _element(kind, n):
+    if kind == "S":
+        return _permutation(n).map(Permutation)
+    if kind == "T":
+        return st.lists(st.integers(1, n), min_size=n, max_size=n).map(Transformation)
+    return st.tuples(_permutation(n), st.lists(st.booleans(), min_size=n, max_size=n)).map(
+        lambda pk: PartialBijection(n, [(x, y) for x, y, k in zip(range(1, n + 1), *pk) if k])
+    )
+
+
+@st.composite
+def _generator_sets(draw):
+    kind = draw(st.sampled_from("SIT"))
+    if draw(st.booleans()):
+        # one generator of a large degree closes to a small cyclic monoid
+        return [draw(_element(kind, draw(st.integers(16, 24))))]
+    n = draw(st.integers(1, 5))
+    return draw(st.lists(_element(kind, n), min_size=1, max_size=3))
+
+
+class TestImageTableProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(gens=_generator_sets(), seed=st.integers(0, 2**32 - 1))
+    def test_closure_table_is_the_product_table(self, gens, seed):
+        m = closure(gens)
+        size = len(m)
+        if size <= 100:
+            cells = [(i, j) for i in range(size) for j in range(size)]
+        else:
+            cells = np.random.default_rng(seed).integers(0, size, size=(5000, 2))
+        for i, j in cells:
+            assert m.elements[m.table[i, j]] == m.elements[i] * m.elements[j]
+        assert m.elements[m.identity_index] == gens[0].identity_element()
+        assert tuple(m.elements[g] for g in m.generator_indices) == tuple(gens)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from("SIT"), n=st.integers(1, 3))
+    def test_subsets_build_or_raise(self, data, kind, n):
+        universe = {"S": all_permutations, "I": all_partial_bijections,
+                    "T": all_transformations}[kind](n)
+        subset = data.draw(st.lists(st.sampled_from(universe), min_size=1, unique=True))
+        members = set(subset) | {subset[0].identity_element()}
+        if all(a * b in members for a in members for b in members):
+            assert_matches_reference(FiniteMonoid.from_elements(subset))
+        else:
+            with pytest.raises(ValueError, match="not multiplicatively closed"):
+                FiniteMonoid.from_elements(subset)
+
+
+class TestTableBudget:
+    def test_default_cap_is_the_largest_order_within_budget(self):
+        cell = np.dtype(np.int32).itemsize
+        assert DEFAULT_CLOSURE_CAP ** 2 * cell <= TABLE_BYTES_BUDGET
+        assert (DEFAULT_CLOSURE_CAP + 1) ** 2 * cell > TABLE_BYTES_BUDGET
+
+    def test_budget_sizes(self):
+        cell = np.dtype(np.int32).itemsize
+        assert 3125 ** 2 * cell <= TABLE_BYTES_BUDGET  # T_5
+        assert in_order_formula(6) ** 2 * cell > TABLE_BYTES_BUDGET  # I_6
+
+    def test_over_budget_raises_before_building(self, monkeypatch):
+        monkeypatch.setattr(elements_module, "TABLE_BYTES_BUDGET", 24 ** 2 * 4 - 1)
+        monkeypatch.setattr(elements_module, "_image_table", None)  # never reached
+        with pytest.raises(ClosureCapError, match="table budget"):
+            FiniteMonoid.from_elements(all_permutations(4))
 
 
 class TestCycleLink:

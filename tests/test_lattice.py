@@ -3,10 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from monoidrep.elements import Permutation, symmetric_inverse_monoid
+import monoidrep.elements as elements_module
+from monoidrep.elements import (
+    ClosureCapError,
+    Permutation,
+    symmetric_group,
+    symmetric_inverse_monoid,
+)
 from monoidrep.green import green_structure, maximal_subgroup
 from monoidrep.lattice import (
     LatticeError,
+    _inverses,
     sgl_context,
     make_lattice,
     maximal_subgroup_at,
@@ -134,6 +141,17 @@ class TestStabilizers:
             assert len(st.pointwise) == 1
 
 
+class TestInverses:
+    def test_symmetric_group(self):
+        group = symmetric_group(4)
+        inv = _inverses(group)
+        assert [group.elements[h] for h in inv] == [g.inverse() for g in group.elements]
+
+    def test_not_a_group(self):
+        with pytest.raises(ValueError, match="not a group"):
+            _inverses(symmetric_inverse_monoid(2))
+
+
 class TestCanonicalForm:
     def test_collapse_at_small_subset(self, subsets3):
         lat, action = subsets3
@@ -219,6 +237,12 @@ class TestPairArithmetic:
         m2, _ = sgl_monoid(action)
         assert [e.key() for e in m1.elements] == [e.key() for e in m2.elements]
         assert np.array_equal(m1.table, m2.table)
+
+    def test_table_budget(self, subsets3, monkeypatch):
+        # |I_3| = 34 pairs; a budget one byte short of their table refuses it
+        monkeypatch.setattr(elements_module, "TABLE_BYTES_BUDGET", 34 ** 2 * 4 - 1)
+        with pytest.raises(ClosureCapError, match="table budget"):
+            sgl_monoid(subsets3[1])
 
 
 class TestOrder:
