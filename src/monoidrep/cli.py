@@ -112,7 +112,10 @@ def _build_from_file(spec_text: str, path: str) -> BuiltMonoid:
             body = ln.strip()
             if not (body.startswith("[") and body.endswith("]")):
                 raise SpecError(f"bad transformation {ln!r}")
-            gens.append(Transformation(int(tok) for tok in body[1:-1].split(",")))
+            t = Transformation(int(tok) for tok in body[1:-1].split(","))
+            if t.n != n:
+                raise SpecError(f"{ln!r} has degree {t.n}, not the header's {n}")
+            gens.append(t)
         else:
             pb = cycle_link_parse(ln, n)
             if kind == "S" and pb.rank != n:

@@ -28,21 +28,20 @@ from .green import (
 from .lattice import SGLElement
 from .linrep import (
     Matrix,
-    ONE,
     Representation,
     Subspace,
     ZERO,
     char_equal,
     commutant_dim,
+    commutation_rows,
+    find_proper_invariant,
     iso_test,
-    one_dim_invariant_lines,
     quotient_rep,
     restrict_rep,
     rref,
-    spin,
     trivial_rep,
 )
-from .specht import compositions, partitions, specht_rep, young_tensor
+from .specht import compositions, partitions, young_tensor
 
 
 class ApexError(RuntimeError):
@@ -318,17 +317,8 @@ def _solve_affine(rows, rhs, ncols):
 def _equivariant_projection(rep: Representation, sub: Subspace):
     """p in Hom_S(V, V) with image sub and p restricted to sub the identity."""
     d = rep.dim
-    rows, rhs = [], []
-    for g in rep.monoid.generating_set():
-        a = rep.matrices[g].rows
-        for i in range(d):
-            for j in range(d):
-                coef = [ZERO] * (d * d)
-                for k in range(d):
-                    coef[i * d + k] += a[k][j]
-                    coef[k * d + j] -= a[i][k]
-                rows.append(coef)
-                rhs.append(ZERO)
+    rows = commutation_rows(rep, rep)
+    rhs = [ZERO] * len(rows)
     for u in sub.basis:
         for i in range(d):
             coef = [ZERO] * (d * d)
@@ -336,9 +326,8 @@ def _equivariant_projection(rep: Representation, sub: Subspace):
                 coef[i * d + k] = u[k]
             rows.append(coef)
             rhs.append(u[i])
-    functionals = rref(Matrix(sub.basis)).kernel if sub.dim else None
-    if functionals is not None:
-        for f in functionals.basis:
+    if sub.dim:
+        for f in rref(Matrix(sub.basis)).kernel.basis:
             for j in range(d):
                 coef = [ZERO] * (d * d)
                 for i in range(d):
@@ -349,37 +338,6 @@ def _equivariant_projection(rep: Representation, sub: Subspace):
     if sol is None:
         return None
     return Matrix([sol[r * d:(r + 1) * d] for r in range(d)])
-
-
-def _find_proper_invariant(rep: Representation, seed_order: str):
-    d = rep.dim
-    if d == 1:
-        return None
-    lines = []
-    for _, space in one_dim_invariant_lines(rep):
-        for v in space.basis:
-            lines.append(Subspace.from_vectors(d, [v]))
-    ident = Matrix.identity(d)
-    seeds = []
-    for m in rep.matrices:
-        for lam in (-ONE, ZERO, ONE):
-            seeds.extend(rref(m - ident.scale(lam)).kernel.basis)
-    seeds.extend(ident.rows)
-    if seed_order == "reversed":
-        lines.reverse()
-        seeds.reverse()
-    elif seed_order != "standard":
-        raise ValueError(f"unknown seed order {seed_order!r}")
-    for line in lines:
-        if 0 < line.dim < d:
-            return line
-    for seed in seeds:
-        if all(x == 0 for x in seed):
-            continue
-        sub = spin(rep, [seed])
-        if 0 < sub.dim < d:
-            return sub
-    return None
 
 
 def decompose(rep: Representation, *, catalog=None, seed_order: str = "standard"):
@@ -394,7 +352,7 @@ def decompose(rep: Representation, *, catalog=None, seed_order: str = "standard"
     factors = []
 
     def split(v):
-        sub = _find_proper_invariant(v, seed_order)
+        sub = find_proper_invariant(v, seed_order)
         if sub is None:
             if commutant_dim(v) != 1:
                 raise RuntimeError(
@@ -457,29 +415,14 @@ def _as_position_perm(mapping, labels) -> Permutation:
     return Permutation(images)
 
 
-def _sym_irreps(monoid, group, labels, to_label_map):
-    """Specht irreducibles of a subgroup isomorphic to Sym(labels).
+def _young_irreps(group, blocks, to_label_map):
+    """Irreducibles of a subgroup isomorphic to a product of block symmetric
+    groups: outer tensors of per-block Specht representations.
 
     to_label_map(element) gives the {label: label} bijection realized by a
     subgroup element; the transported matrices are re-verified, so a wrong
     recognizer cannot slip through.
     """
-    m = len(labels)
-    perms = {}
-    for el in group.elements:
-        perms[el] = _as_position_perm(to_label_map(el), labels)
-    if len(set(perms.values())) != len(group) or len(group) != factorial(m):
-        raise CatalogError("subgroup is not the full symmetric group on its labels")
-    for lam in partitions(m):
-        sd = specht_rep(lam, labels)
-        sym = sd.rep.monoid
-        mats = [sd.rep.matrices[sym.index(perms[el])] for el in group.elements]
-        yield lam, Representation(group, mats)
-
-
-def _young_irreps(monoid, group, blocks, to_label_map):
-    """Irreducibles of a subgroup isomorphic to a product of block symmetric
-    groups: outer tensors of per-block Specht representations."""
     sizes = [len(b) for b in blocks]
     if len(group) != prod(factorial(s) for s in sizes):
         raise CatalogError("subgroup does not match the Young product of its blocks")
@@ -496,8 +439,7 @@ def _young_irreps(monoid, group, blocks, to_label_map):
         raise CatalogError("blockwise decomposition of the subgroup is not faithful")
     for shapes in _shape_tuples(sizes):
         rep, _ = young_tensor(shapes, blocks)
-        prod_monoid = rep.monoid
-        mats = [rep.matrices[prod_monoid.index(decomp[el])] for el in group.elements]
+        mats = [rep.matrices[rep.monoid.index(decomp[el])] for el in group.elements]
         yield tuple(shapes), Representation(group, mats)
 
 
@@ -514,58 +456,54 @@ def _group_irreps(monoid: FiniteMonoid, e: int, group: FiniteMonoid):
     """(label, verified Representation over the subgroup) for every
     irreducible of the recognized subgroup structure.
 
-    Zero classes (empty domain, empty lattice element) carry the trivial
-    group and contribute the single empty-label entry.
+    A symmetric group is the one-block case of a Young product; its
+    irreducibles are labelled by the bare shape.  Zero classes (empty domain,
+    empty lattice element) carry the trivial group and contribute the single
+    empty-label entry.
     """
     el = monoid.elements[e]
+    symmetric = True  # one block, labelled by the bare shape
     if isinstance(el, PartialBijection):
-        labels = el.domain
-        if not labels:
-            yield (), trivial_rep(group)
-            return
-        yield from _sym_irreps(
-            monoid, group, labels, lambda s: dict(s.pairs)
-        )
+        blocks = [el.domain]
+        label_map = lambda s: dict(s.pairs)
     elif isinstance(el, Permutation):
         labels = tuple(range(1, el.n + 1))
-        yield from _sym_irreps(
-            monoid, group, labels, lambda s: {x: s.apply(x) for x in labels}
-        )
+        blocks = [labels]
+        label_map = lambda s: {x: s.apply(x) for x in labels}
     elif isinstance(el, SGLElement):
-        ctx = el.context
         a = el.lattice_element()
-        kind = getattr(ctx.lattice, "kind", None)
+        kind = getattr(el.context.lattice, "kind", None)
         if a == ():
             if len(group) != 1:
                 raise CatalogError("zero class with a nontrivial subgroup")
             yield (), trivial_rep(group)
             return
-
-        def label_map(x):
-            g = x.group_element()
-            return {p: g.apply(p) for p in pts}
-
         if kind == "subsets":
-            pts = a
-            if not pts:
-                yield (), trivial_rep(group)
-                return
-            yield from _sym_irreps(monoid, group, a, label_map)
+            blocks = [a]
         elif kind in ("ordered_partitions_zero", "set_partitions"):
             blocks = [tuple(b) for b in a]
-            pts = tuple(x for b in blocks for x in b)
+            symmetric = False
             if len(group) == 1 and prod(factorial(len(b)) for b in blocks) != 1:
                 # the definitional subgroup collapsed below its block
                 # structure (partition lattice); serve its one irreducible
                 yield (), trivial_rep(group)
                 return
-            yield from _young_irreps(monoid, group, blocks, label_map)
         else:
             raise CatalogError(f"unrecognized lattice kind {kind!r}")
+        pts = tuple(x for b in blocks for x in b)
+
+        def label_map(x):
+            g = x.group_element()
+            return {p: g.apply(p) for p in pts}
     else:
         raise CatalogError(
             f"unrecognized maximal subgroup structure at element type {type(el).__name__}"
         )
+    if not blocks[0]:
+        yield (), trivial_rep(group)
+        return
+    for shapes, rep in _young_irreps(group, blocks, label_map):
+        yield (shapes[0] if symmetric else shapes), rep
 
 
 def _apex_label(monoid: FiniteMonoid, classes: GreenClasses, j: int) -> str:

@@ -429,19 +429,9 @@ def _image_table(rows: np.ndarray) -> np.ndarray:
     return table
 
 
-def closure(generators, identity=None, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteMonoid:
-    """Breadth-first product closure of a generator list.
-
-    The result is deterministic: elements are re-sorted into canonical order
-    before the dense table is built, so two runs on the same generators give
-    identical monoids.  The default cap is the largest order whose table fits
-    TABLE_BYTES_BUDGET.
-    """
-    generators = list(generators)
-    if not generators:
-        raise ValueError("need at least one generator")
-    if identity is None:
-        identity = generators[0].identity_element()
+def closure_elements(generators, identity, cap: int) -> set:
+    """The set of all products of the generators, identity included, found
+    breadth-first; raises ClosureCapError once it outgrows cap."""
     seen = {identity}
     frontier = [identity]
     for g in generators:
@@ -459,6 +449,23 @@ def closure(generators, identity=None, cap: int = DEFAULT_CLOSURE_CAP) -> Finite
                     if len(seen) > cap:
                         raise ClosureCapError(f"closure exceeded cap of {cap} elements")
         frontier = nxt
+    return seen
+
+
+def closure(generators, identity=None, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteMonoid:
+    """Breadth-first product closure of a generator list.
+
+    The result is deterministic: elements are re-sorted into canonical order
+    before the dense table is built, so two runs on the same generators give
+    identical monoids.  The default cap is the largest order whose table fits
+    TABLE_BYTES_BUDGET.
+    """
+    generators = list(generators)
+    if not generators:
+        raise ValueError("need at least one generator")
+    if identity is None:
+        identity = generators[0].identity_element()
+    seen = closure_elements(generators, identity, cap)
     return FiniteMonoid.from_elements(sorted(seen, key=canonical_key), identity, generators)
 
 

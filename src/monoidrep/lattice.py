@@ -19,10 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elements import (
+    ClosureCapError,
     FiniteMonoid,
     PartialBijection,
     Permutation,
     check_table_budget,
+    closure_elements,
     symmetric_group,
 )
 
@@ -429,12 +431,17 @@ def sgl_monoid(action: GroupAction):
 
 
 def _sgl_generators(ctx: SGLContext):
-    """Units' generators plus one idempotent per lattice element."""
+    """Units' generators plus one idempotent per G-orbit of lattice elements.
+
+    The units g_top and the orbit representatives' idempotents generate every
+    other idempotent, since e_{g.a} = g_top * e_a * (g^-1)_top; sgl_order
+    proves that the closure is the whole pair set.
+    """
     gens = []
     for g in ctx.group.generating_set():
         gens.append(ctx.canonical(g, ctx.lattice.top))
-    for a in range(len(ctx.lattice)):
-        gens.append(ctx.idempotent(a))
+    for orbit in ctx.action.orbits():
+        gens.append(ctx.idempotent(orbit[0]))
     return gens
 
 
@@ -452,9 +459,10 @@ class SGLOrderReport:
 def sgl_order(action: GroupAction) -> SGLOrderReport:
     """Order both by the stabilizer-index formula and by product closure.
 
-    The enumeration side closes the units' generators together with the
-    idempotents under products, then checks the closure reproduces exactly
-    the canonical pair set; the formula side never feeds into it.
+    The enumeration side closes the recorded generators (the units'
+    generators and one idempotent per orbit) under products, then checks the
+    closure reproduces exactly the canonical pair set.  The formula total
+    only caps that search and is compared with its result.
     """
     ctx = sgl_context(action)
     ng = len(ctx.group)
@@ -464,19 +472,12 @@ def sgl_order(action: GroupAction) -> SGLOrderReport:
     )
     formula = sum(c for _, c in breakdown)
 
-    gens = _sgl_generators(ctx)
-    seen = {ctx.idempotent(ctx.lattice.top)}
-    seen.update(gens)
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                p = x * g
-                if p not in seen:
-                    seen.add(p)
-                    nxt.append(p)
-        frontier = nxt
+    try:
+        seen = closure_elements(_sgl_generators(ctx), ctx.idempotent(ctx.lattice.top), formula)
+    except ClosureCapError:
+        raise RuntimeError(
+            f"order formula {formula} disagrees with enumeration, which exceeds it"
+        ) from None
     if seen != set(ctx.all_elements()):
         raise RuntimeError("closure disagrees with the canonical pair enumeration")
     if formula != len(seen):

@@ -308,13 +308,6 @@ def rref(matrix: Matrix) -> RrefResult:
     return RrefResult(echelon, rank, pivots, kernel, image)
 
 
-def solve_linear_system(rows, ncols):
-    """Solution space of the homogeneous system given by coefficient rows."""
-    if not rows:
-        return Subspace.full(ncols)
-    return rref(Matrix(rows)).kernel
-
-
 # -- representations ---------------------------------------------------------
 
 class Representation:
@@ -482,20 +475,44 @@ def direct_sum(a: Representation, b: Representation) -> Representation:
     return Representation(a.monoid, mats)
 
 
+def commutation_rows(rep_v: Representation, rep_u: Representation) -> list:
+    """Coefficient rows of X phi_V(g) = phi_U(g) X over the generators g.
+
+    X is du x dv, flattened row-major (vec X[i*dv + k] = X[i][k]).  In that
+    flattening vec(XA − BX) = (I⊗Aᵀ − B⊗I)·vec X, with I of size du on the
+    left and dv on the right, so each generator contributes the du*dv rows of
+    that matrix for A = phi_V(g), B = phi_U(g).  Generators suffice: X that
+    commutes past phi(s) and phi(t) commutes past phi(s t) = phi(s) phi(t).
+    """
+    if rep_v.monoid is not rep_u.monoid and rep_v.monoid.elements != rep_u.monoid.elements:
+        raise ValueError("representations are over different monoids")
+    dv, du = rep_v.dim, rep_u.dim
+    rows = []
+    for g in rep_v.monoid.generating_set():
+        a = rep_v.matrices[g].rows  # dv x dv
+        b = rep_u.matrices[g].rows  # du x du
+        for i in range(du):
+            for j in range(dv):
+                coef = [ZERO] * (du * dv)
+                for k in range(dv):
+                    coef[i * dv + k] += a[k][j]
+                for k in range(du):
+                    coef[k * dv + j] -= b[i][k]
+                rows.append(tuple(coef))
+    return rows
+
+
+def intertwiner_space(rep_v: Representation, rep_u: Representation) -> Subspace:
+    """Matrices X with X phi_V(s) = phi_U(s) X, flattened row-major."""
+    rows = commutation_rows(rep_v, rep_u)
+    if not rows:
+        return Subspace.full(rep_u.dim * rep_v.dim)
+    return rref(Matrix(rows)).kernel
+
+
 def commutant_dim(rep: Representation) -> int:
     """Dimension of {X : X phi(s) = phi(s) X for all s}."""
-    d = rep.dim
-    rows = []
-    for g in rep.monoid.generating_set():
-        a = rep.matrices[g].rows
-        for i in range(d):
-            for j in range(d):
-                coef = [ZERO] * (d * d)
-                for k in range(d):
-                    coef[i * d + k] += a[k][j]
-                    coef[k * d + j] -= a[i][k]
-                rows.append(tuple(coef))
-    return solve_linear_system(rows, d * d).dim
+    return intertwiner_space(rep, rep).dim
 
 
 def one_dim_invariant_lines(rep: Representation, generators=None):
@@ -536,13 +553,46 @@ def one_dim_invariant_lines(rep: Representation, generators=None):
     return tuple(found)
 
 
+def find_proper_invariant(rep: Representation, seed_order: str = "standard"):
+    """A proper nonzero invariant subspace, or None when the search finds none.
+
+    The candidates are the invariant lines carried by one_dim_invariant_lines,
+    then the spans spun from seed vectors: the eigenvectors of every phi(s)
+    for the eigenvalues -1, 0 and 1, then the standard basis.  seed_order
+    "reversed" tries both lists back to front.  None proves nothing by itself.
+    """
+    if seed_order not in ("standard", "reversed"):
+        raise ValueError(f"unknown seed order {seed_order!r}")
+    d = rep.dim
+    if d == 1:
+        return None
+    lines = [v for _, space in one_dim_invariant_lines(rep) for v in space.basis]
+    if lines:
+        return Subspace.from_vectors(d, [lines[-1] if seed_order == "reversed" else lines[0]])
+    ident = Matrix.identity(d)
+    seeds = []
+    for m in rep.matrices:
+        for lam in (-ONE, ZERO, ONE):
+            seeds.extend(rref(m - ident.scale(lam)).kernel.basis)
+    seeds.extend(ident.rows)
+    if seed_order == "reversed":
+        seeds.reverse()
+    for seed in seeds:
+        if all(x == 0 for x in seed):
+            continue
+        sub = spin(rep, [seed])
+        if 0 < sub.dim < d:
+            return sub
+    return None
+
+
 def is_irreducible(rep: Representation, certificate: str, *, certified_semisimple: bool = False):
     """Yes/no/undetermined irreducibility, per the chosen certificate.
 
     "semisimple" uses commutant dimension 1 and demands the caller's
     semisimplicity certificate; "search" hunts for a proper invariant
-    subspace through eigenline search and a spin seed family, returning a
-    witness on success and "undetermined" otherwise.
+    subspace with find_proper_invariant, returning a witness on success and
+    "undetermined" otherwise.
     """
     if certificate == "semisimple":
         if not certified_semisimple:
@@ -554,44 +604,8 @@ def is_irreducible(rep: Representation, certificate: str, *, certified_semisimpl
         raise ValueError(f"unknown certificate {certificate!r}")
     if rep.dim == 1:
         return ("yes", None)
-    for _, space in one_dim_invariant_lines(rep):
-        if 0 < space.dim:
-            line = Subspace.from_vectors(rep.dim, [space.basis[0]])
-            if line.dim < rep.dim:
-                return ("no", line)
-    seeds = list(Matrix.identity(rep.dim).rows)
-    ident = Matrix.identity(rep.dim)
-    for m in rep.matrices:
-        for lam in (-ONE, ZERO, ONE):
-            seeds.extend(rref(m - ident.scale(lam)).kernel.basis)
-    proper_found = False
-    for seed in seeds:
-        if all(x == 0 for x in seed):
-            continue
-        sub = spin(rep, [seed])
-        if 0 < sub.dim < rep.dim:
-            return ("no", sub)
-    return ("undetermined", None)
-
-
-def intertwiner_space(rep_v: Representation, rep_u: Representation) -> Subspace:
-    """Matrices X with X phi_V(s) = phi_U(s) X, flattened row-major."""
-    if rep_v.monoid is not rep_u.monoid and rep_v.monoid.elements != rep_u.monoid.elements:
-        raise ValueError("representations are over different monoids")
-    dv, du = rep_v.dim, rep_u.dim
-    rows = []
-    for g in rep_v.monoid.generating_set():
-        a = rep_v.matrices[g].rows  # dv x dv
-        b = rep_u.matrices[g].rows  # du x du
-        for i in range(du):
-            for j in range(dv):
-                coef = [ZERO] * (du * dv)
-                for k in range(dv):
-                    coef[i * dv + k] += a[k][j]
-                for k in range(du):
-                    coef[k * dv + j] -= b[i][k]
-                rows.append(tuple(coef))
-    return solve_linear_system(rows, du * dv)
+    sub = find_proper_invariant(rep)
+    return ("undetermined", None) if sub is None else ("no", sub)
 
 
 def _unflatten(vec, nrows, ncols) -> Matrix:

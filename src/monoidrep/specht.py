@@ -178,11 +178,22 @@ def _label_action(perm: Permutation, labels):
     return {labels[i]: labels[perm.apply(i + 1) - 1] for i in range(len(labels))}
 
 
+def _symmetric_group(m: int) -> FiniteMonoid:
+    """S_m, built once per process and shared by the Specht and tabloid
+    modules on m labels."""
+    if m not in _SYMMETRIC_GROUPS:
+        _SYMMETRIC_GROUPS[m] = symmetric_group(m)
+    return _SYMMETRIC_GROUPS[m]
+
+
+_SYMMETRIC_GROUPS = {}
+
+
 def tabloid_module(shape, labels, group: FiniteMonoid = None) -> Representation:
     """Permutation representation on the tabloid basis."""
     shape, labels = _check_shape(shape, labels)
     if group is None:
-        group = symmetric_group(len(labels))
+        group = _symmetric_group(len(labels))
     basis = tabloids(shape, labels)
     index = {t: k for k, t in enumerate(basis)}
     mats = []
@@ -210,7 +221,8 @@ def specht_rep(shape, labels=None, group: FiniteMonoid = None) -> SpechtData:
     """The Specht representation: the span of all polytabloids of the shape.
 
     The dimension is checked against a direct standard-tableaux enumeration.
-    Results are cached per (shape, labels); the data is immutable.
+    Results are cached per (shape, labels); the data is immutable.  Without
+    a group, S_m is built once per process and shared across shapes.
     """
     shape = tuple(shape)
     if labels is None:
@@ -220,7 +232,7 @@ def specht_rep(shape, labels=None, group: FiniteMonoid = None) -> SpechtData:
     if cache_key in _SPECHT_CACHE:
         return _SPECHT_CACHE[cache_key]
     if group is None:
-        group = symmetric_group(len(labels))
+        group = _symmetric_group(len(labels))
     basis = tabloids(shape, labels)
     index = {t: k for k, t in enumerate(basis)}
     vectors = tuple(polytabloid(t, index) for t in tableaux(shape, labels))

@@ -2,6 +2,7 @@ import io
 import math
 import pathlib
 import time
+from collections import Counter
 
 import pytest
 
@@ -15,6 +16,8 @@ from monoidrep.cli import (
     parse_label,
     run,
 )
+from monoidrep import specht
+from monoidrep.elements import FiniteMonoid, Permutation
 from monoidrep.linrep import Representation, parse_representation_payload
 from monoidrep.specht import partitions
 
@@ -78,6 +81,16 @@ class TestSpecParsing:
         code, text = invoke(["order", f"gens:{path}"])
         assert code == EXIT_OK
         assert "order: 27" in text
+
+    def test_gens_file_transformation_degree_exit_2(self, tmp_path):
+        # every transformation must have the header's degree
+        path = tmp_path / "gens.txt"
+        path.write_text("T 5\n[2,1,3]\n[1,1,3]\n")
+        code, _ = invoke(["order", f"gens:{path}"])
+        assert code == EXIT_PARSE
+        path.write_text("T 3\n[2,1,3]\n[1,1,3,4]\n")
+        code, _ = invoke(["order", f"gens:{path}"])
+        assert code == EXIT_PARSE
 
     def test_gens_file_bad_element_exit_2(self, tmp_path):
         path = tmp_path / "gens.txt"
@@ -199,6 +212,27 @@ class TestRepCommand:
         code, _ = invoke(["rep", "S:3", "--build", "specht:(2,1)"])
         assert code == EXIT_OK
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("spec,builds", [
+        ("S:4", {24: 2}),  # the spec, then S_4 once for all five shapes
+        ("I:4", {1: 1, 2: 1, 6: 1, 24: 1}),  # one S_m per subgroup degree
+    ])
+    def test_specht_builds_each_symmetric_group_once(self, monkeypatch, spec, builds):
+        monkeypatch.setattr(specht, "_SPECHT_CACHE", {})
+        monkeypatch.setattr(specht, "_SYMMETRIC_GROUPS", {})
+        sizes = []
+        build = FiniteMonoid.from_elements.__func__
+
+        def counted(cls, *args, **kwargs):
+            m = build(cls, *args, **kwargs)
+            if isinstance(m.elements[0], Permutation):
+                sizes.append(len(m))
+            return m
+
+        monkeypatch.setattr(FiniteMonoid, "from_elements", classmethod(counted))
+        code, _ = invoke(["irreps", spec, "--check"])
+        assert code == EXIT_OK
+        assert Counter(sizes) == builds
 
     def test_reduce_build(self):
         code, text = invoke(["rep", "I:3", "--build", "reduce:mapping:J2"])

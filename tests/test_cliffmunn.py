@@ -19,6 +19,9 @@ from monoidrep.linrep import (
     char_equal,
     commutant_dim,
     direct_sum,
+    find_proper_invariant,
+    is_invariant,
+    is_irreducible,
     iso_test,
     mapping_rep,
     mapping_rep_by_kind,
@@ -31,6 +34,7 @@ from monoidrep.linrep import (
 from monoidrep.specht import partitions, specht_rep, tabloid_module
 from monoidrep.cliffmunn import (
     ApexError,
+    _equivariant_projection,
     CatalogError,
     annihilator,
     apex,
@@ -403,6 +407,49 @@ class TestDecompose:
         entries = decompose(i3_map, catalog=i3_catalog)
         assert len(entries) == 1
         assert entries[0].dim == 3
+
+
+class TestEquivariantProjection:
+    @pytest.mark.parametrize(
+        "case", ["s3_fixed_line", "s3_sum_zero", "refl_double", "i3_plus_trivial"]
+    )
+    def test_projection_laws(self, case, i3, i3_map):
+        if case.startswith("s3"):
+            rep = mapping_rep_by_kind("Sn", 3)
+            vecs = [(1, 1, 1)] if case == "s3_fixed_line" else [(1, -1, 0), (0, 1, -1)]
+            sub = Subspace.from_vectors(3, vecs)
+        elif case == "refl_double":
+            refl = specht_rep((2, 1)).rep
+            rep = direct_sum(refl, refl)
+            sub = find_proper_invariant(rep)
+        else:
+            rep = direct_sum(i3_map, trivial_rep(i3))
+            sub = Subspace.from_vectors(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)])
+        p = _equivariant_projection(rep, sub)
+        assert p is not None
+        assert p * p == p
+        assert all(p * m == m * p for m in rep.matrices)  # every element, not just generators
+        assert rref(p).image == sub
+        assert all(p.apply(u) == u for u in sub.basis)
+
+
+class TestInvariantSearch:
+    def test_no_invariant_line_but_a_proper_subspace(self):
+        refl = specht_rep((2, 1)).rep
+        rep = direct_sum(refl, refl)
+        assert one_dim_invariant_lines(rep) == ()
+        verdict, witness = is_irreducible(rep, "search")
+        assert verdict == "no"
+        assert 0 < witness.dim < 4
+        assert is_invariant(rep, witness)
+
+    def test_decompose_under_both_seed_orders(self):
+        refl = specht_rep((2, 1)).rep
+        rep = direct_sum(refl, refl)
+        for order in ("standard", "reversed"):
+            factors = decompose(rep, seed_order=order)
+            assert [f.dim for f in factors] == [2, 2]
+            assert all(char_equal(f.character(), refl.character()) for f in factors)
 
 
 class TestEquation22Property:

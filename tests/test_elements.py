@@ -20,6 +20,7 @@ from monoidrep.elements import (
     all_transformations,
     canonical_key,
     closure,
+    closure_elements,
     cycle_link_format,
     cycle_link_parse,
     full_transformation_monoid,
@@ -199,6 +200,18 @@ class TestClosure:
         ]
         with pytest.raises(ClosureCapError):
             closure(gens, cap=50)
+
+    def test_closure_elements_is_the_closure_set(self):
+        gens = [
+            Permutation.from_cycle(3, (1, 2)).to_partial_bijection(),
+            Permutation.from_cycle(3, (1, 2, 3)).to_partial_bijection(),
+            PartialBijection.partial_identity(3, [1, 2]),
+        ]
+        identity = PartialBijection.identity(3)
+        seen = closure_elements(gens, identity, cap=34)
+        assert seen == reference_closure(gens) == set(closure(gens).elements)
+        with pytest.raises(ClosureCapError):
+            closure_elements(gens, identity, cap=33)
 
     def test_recorded_generators_generate(self):
         for m in (symmetric_inverse_monoid(3), full_transformation_monoid(3), symmetric_group(4)):

@@ -13,6 +13,7 @@ from monoidrep.elements import (
 from monoidrep.green import green_structure, maximal_subgroup
 from monoidrep.lattice import (
     LatticeError,
+    SGLElement,
     _inverses,
     sgl_context,
     make_lattice,
@@ -269,6 +270,35 @@ class TestOrder:
         _, action = make_lattice("ordered_partitions_zero", n)
         report = sgl_order(action)
         assert report.formula_total == report.enumerated_total == expected
+
+
+    def test_formula_overrun_stops_the_closure(self, monkeypatch):
+        # forged stabilizers make the formula count one coset per lattice
+        # element (8 for subsets of [3], against 34 pairs): the closure stops
+        # once it passes that cap, and the overrun is reported
+        _, action = make_lattice("subsets", 3)
+        ctx = sgl_context(action)
+        ctx.pointwise = [tuple(range(len(ctx.group)))] * len(ctx.lattice)
+        products = []
+        mul = SGLElement.__mul__
+        monkeypatch.setattr(SGLElement, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+        with pytest.raises(RuntimeError, match="disagrees"):
+            sgl_order(action)
+        assert len(products) < len(ctx.all_elements())
+
+
+class TestGenerators:
+    @pytest.mark.parametrize("kind,count", [
+        ("ordered_partitions_zero", 11),
+        ("set_partitions", 7),
+        ("subsets", 7),
+    ])
+    def test_one_idempotent_per_orbit(self, kind, count):
+        # S_4's two generators, plus one idempotent per orbit of the action
+        _, action = make_lattice(kind, 4)
+        monoid, _ = sgl_monoid(action)
+        assert len(monoid.generator_indices) == count == 2 + len(action.orbits())
+        assert len(monoid._generated_by(list(monoid.generator_indices))) == len(monoid)
 
 
 class TestGreenCompatibility:
