@@ -41,7 +41,7 @@ from .lattice import (
     sgl_order,
 )
 from .linrep import mapping_rep, serialize_representation
-from .specht import specht_rep
+from .specht import partitions, specht_rep
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -339,7 +339,7 @@ def _build_rep(built: BuiltMonoid, build: str):
             raise SpecError("specht representations live over S:n specs")
         lam = parse_label(parts[1])
         n = built.monoid.elements[0].n
-        if sum(lam) != n:
+        if lam not in partitions(n):
             raise SpecError(f"{fmt_label(lam)} is not a partition of {n}")
         return specht_rep(lam, group=built.monoid).rep, built.monoid
     if parts[0] == "induce" and len(parts) == 3:

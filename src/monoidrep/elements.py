@@ -18,12 +18,10 @@ import numpy as np
 TABLE_BYTES_BUDGET = 256 * 2**20
 DEFAULT_CLOSURE_CAP = math.isqrt(TABLE_BYTES_BUDGET // np.dtype(np.int32).itemsize)
 
-# image-row tables are filled in blocks of about this many cells, so the
-# temporaries of one block stay small next to the table
+# image-row tables are filled, and associativity is checked, in blocks of
+# about this many cells, so the temporaries of one block stay small next to
+# the table
 TABLE_BLOCK_CELLS = 4096
-
-# associativity is checked on all triples up to this size, sampled above it
-FULL_ASSOC_CHECK_LIMIT = 200
 
 
 class DegreeMismatchError(ValueError):
@@ -265,7 +263,8 @@ class FiniteMonoid:
     """An enumerated finite monoid with a dense, index-valued Cayley table.
 
     Elements are stored in canonical order; table[i, j] is the index of
-    elements[i] * elements[j].
+    elements[i] * elements[j].  Recorded generator indices must generate the
+    monoid.
     """
 
     def __init__(self, elements, table, identity_index: int, generator_indices=None, *, validate=True):
@@ -289,15 +288,25 @@ class FiniteMonoid:
         idx = np.arange(n, dtype=np.int32)
         if not (np.array_equal(self.table[e], idx) and np.array_equal(self.table[:, e], idx)):
             raise ValueError("identity laws fail")
-        t = self.table
-        if n <= FULL_ASSOC_CHECK_LIMIT:
-            if not np.array_equal(t[t, :], t[:, t]):
-                raise ValueError("associativity fails")
+        if self.generator_indices is None:
+            gens = self._greedy_generators()
         else:
-            rng = np.random.default_rng(0)
-            i, j, k = rng.integers(0, n, size=(3, 20_000))
-            if not np.array_equal(t[t[i, j], k], t[i, t[j, k]]):
-                raise ValueError("associativity fails on sampled triples")
+            gens = self.generator_indices
+            if len(self._generated_by(gens)) != n:
+                raise ValueError("recorded generators do not generate the monoid")
+        # Light's test (Clifford & Preston I, 1.2): (x*a)*y = x*(a*y) for every
+        # generator a and all x, y.  The elements a passing it include the
+        # identity and the generators, and they are closed under products:
+        # for a, b passing, (x*ab)*y = ((x*a)*b)*y = (x*a)*(b*y)
+        # = x*(a*(b*y)) = x*((ab)*y).  So every element passes.
+        t = self.table
+        gens = np.asarray(gens, dtype=np.intp)
+        right = t[gens]  # right[k, y] = a_k*y
+        step = max(1, TABLE_BLOCK_CELLS // (n * len(gens) or 1))
+        for i in range(0, n, step):
+            block = t[i:i + step]
+            if not np.array_equal(t[block[:, gens]], np.take(block, right, axis=1)):
+                raise ValueError("associativity fails")
 
     def __len__(self):
         return len(self.elements)
@@ -318,17 +327,19 @@ class FiniteMonoid:
 
     def generating_set(self) -> tuple:
         """Generator indices; computed greedily if none were recorded."""
-        if self.generator_indices is not None:
-            return self.generator_indices
+        if self.generator_indices is None:
+            self.generator_indices = self._greedy_generators()
+        return self.generator_indices
+
+    def _greedy_generators(self) -> tuple:
+        """Add the least element not yet reached until every element is."""
         gens = []
         reached = self._generated_by(gens)
         n = len(self)
         while len(reached) < n:
-            new = min(i for i in range(n) if i not in reached)
-            gens.append(new)
+            gens.append(min(i for i in range(n) if i not in reached))
             reached = self._generated_by(gens)
-        self.generator_indices = tuple(gens)
-        return self.generator_indices
+        return tuple(gens)
 
     def _generated_by(self, gens):
         reached = {self.identity_index}
@@ -533,38 +544,36 @@ def all_permutations(n: int):
 
 def symmetric_inverse_monoid(n: int) -> FiniteMonoid:
     """I_n, fully enumerated, with a standard small generating set recorded."""
-    m = FiniteMonoid.from_elements(all_partial_bijections(n))
     gens = {PartialBijection.partial_identity(n, range(1, n))}
     if n >= 2:
         gens.add(Permutation.from_cycle(n, (1, 2)).to_partial_bijection())
         gens.add(Permutation.from_cycle(n, range(1, n + 1)).to_partial_bijection())
-    m.generator_indices = tuple(sorted(m.index(g) for g in gens))
-    return m
+    return FiniteMonoid.from_elements(
+        all_partial_bijections(n), generators=sorted(gens, key=canonical_key)
+    )
 
 
 def full_transformation_monoid(n: int) -> FiniteMonoid:
     """T_n, fully enumerated."""
-    m = FiniteMonoid.from_elements(all_transformations(n))
-    gens = set()
-    if n >= 2:
-        gens.add(Permutation.from_cycle(n, (1, 2)))
-        gens.add(Permutation.from_cycle(n, range(1, n + 1)))
-        gens.add(Transformation([1, 1] + list(range(3, n + 1))))
-    else:
-        gens.add(Transformation.identity(1))
-    m.generator_indices = tuple(sorted(m.index(Transformation(g.images)) for g in gens))
-    return m
+    gens = {Transformation.identity(1)} if n < 2 else {
+        Permutation.from_cycle(n, (1, 2)),
+        Permutation.from_cycle(n, range(1, n + 1)),
+        Transformation([1, 1] + list(range(3, n + 1))),
+    }
+    return FiniteMonoid.from_elements(
+        all_transformations(n), generators=sorted(gens, key=canonical_key)
+    )
 
 
 def symmetric_group(n: int) -> FiniteMonoid:
     """S_n as a FiniteMonoid of Permutations."""
-    m = FiniteMonoid.from_elements(all_permutations(n))
     gens = {Permutation.identity(n)} if n < 2 else {
         Permutation.from_cycle(n, (1, 2)),
         Permutation.from_cycle(n, range(1, n + 1)),
     }
-    m.generator_indices = tuple(sorted(m.index(g) for g in gens))
-    return m
+    return FiniteMonoid.from_elements(
+        all_permutations(n), generators=sorted(gens, key=canonical_key)
+    )
 
 
 # -- cycle-link text form for partial bijections ----------------------------

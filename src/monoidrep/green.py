@@ -87,9 +87,9 @@ def green_structure(monoid: FiniteMonoid):
     t = monoid.table
 
     lmem = np.zeros((n, n), dtype=bool)  # lmem[s, x]: x in Ss
-    lmem[np.tile(np.arange(n), n), t.ravel()] = True
+    lmem[np.arange(n)[None, :], t] = True
     rmem = np.zeros((n, n), dtype=bool)  # rmem[s, x]: x in sS
-    rmem[np.repeat(np.arange(n), n), t.ravel()] = True
+    rmem[np.arange(n)[:, None], t] = True
 
     lkeys = [row.tobytes() for row in np.packbits(lmem, axis=1)]
     rkeys = [row.tobytes() for row in np.packbits(rmem, axis=1)]

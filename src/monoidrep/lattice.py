@@ -114,12 +114,17 @@ class GroupAction:
         idx = np.arange(nl, dtype=np.int32)
         if not np.array_equal(self.table[group.identity_index], idx):
             raise LatticeError("identity does not act trivially")
-        for g in range(ng):
-            for h in range(ng):
-                if not np.array_equal(self.table[group.mul(g, h)], self.table[g][self.table[h]]):
-                    raise LatticeError("action is not a homomorphism")
+        # (g*h).a = g.(h.a) for all g and a holds for every h once it holds
+        # for the generators h: if it holds for h and k, then
+        # act(g*(h*k)) = act((g*h)*k) = act(g*h)act(k) = act(g)act(h)act(k)
+        # = act(g)act(h*k).  So every act(g) is a product of the generators'
+        # permutations, and poset automorphisms are closed under composition.
+        gens = group.generating_set()
+        for h in gens:
+            if not np.array_equal(self.table[group.table[:, h]], self.table[:, self.table[h]]):
+                raise LatticeError("action is not a homomorphism")
         leq = lattice.leq
-        for g in range(ng):
+        for g in gens:
             perm = self.table[g]
             if not np.array_equal(leq[np.ix_(perm, perm)], leq):
                 raise LatticeError("some group element is not a poset automorphism")
@@ -423,11 +428,8 @@ def sgl_monoid(action: GroupAction):
         r = ctx.rep_table[c, gtab[garr[i], garr]]
         table[i] = eidx[c, r]
     identity = int(eidx[ctx.lattice.top, ctx.group.identity_index])
-    monoid = FiniteMonoid(elements, table, identity, None)
-    monoid.generator_indices = tuple(
-        sorted(monoid.index(g) for g in _sgl_generators(ctx))
-    )
-    return monoid, ctx
+    gens = sorted(int(eidx[g.a, g.g]) for g in _sgl_generators(ctx))
+    return FiniteMonoid(elements, table, identity, gens), ctx
 
 
 def _sgl_generators(ctx: SGLContext):
@@ -435,14 +437,15 @@ def _sgl_generators(ctx: SGLContext):
 
     The units g_top and the orbit representatives' idempotents generate every
     other idempotent, since e_{g.a} = g_top * e_a * (g^-1)_top; sgl_order
-    proves that the closure is the whole pair set.
+    proves that the closure is the whole pair set.  The identity is left out:
+    it is the idempotent of the top's orbit {top}, and g_top for any g that
+    acts trivially.
     """
-    gens = []
-    for g in ctx.group.generating_set():
-        gens.append(ctx.canonical(g, ctx.lattice.top))
-    for orbit in ctx.action.orbits():
-        gens.append(ctx.idempotent(orbit[0]))
-    return gens
+    top = ctx.lattice.top
+    one = ctx.idempotent(top)
+    units = [ctx.canonical(g, top) for g in ctx.group.generating_set()]
+    idempotents = [ctx.idempotent(orbit[0]) for orbit in ctx.action.orbits()]
+    return [x for x in units + idempotents if x != one]
 
 
 @dataclass(frozen=True)

@@ -199,6 +199,11 @@ class TestRepCommand:
         code, _ = invoke(["rep", "S:4", "--build", "specht:(2,1)"])
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize("shape", ["(1,2)", "(2,1,0)", "(3,-1)", "((2),(1))"])
+    def test_specht_non_partition_shape_exit_2(self, shape):
+        code, _ = invoke(["rep", "S:3", "--build", f"specht:{shape}"])
+        assert code == EXIT_PARSE
+
     def test_specht_uses_the_spec_group(self):
         built = parse_and_build("S:4")
         rep, carrier = _build_rep(built, "specht:(2,1,1)")

@@ -44,7 +44,6 @@ from monoidrep.cliffmunn import (
     decompose,
     induce,
     induce_raw,
-    induce_sgl,
     monoid_green,
     reduce_rep,
     renner_permutohedron_catalog,
@@ -285,24 +284,13 @@ def subsets3():
 
 
 class TestInduceSGL:
-    def test_matches_generic_induce_elementwise(self, subsets3):
-        lat, action, monoid, ctx = subsets3
-        classes, _ = monoid_green(monoid)
-        for aval in [(1,), (1, 2), (1, 2, 3)]:
-            a = lat.index(aval)
-            e = monoid.index(ctx.idempotent(a))
-            g = maximal_subgroup(monoid, classes, e)
-            fast = induce_sgl(monoid, ctx, a, trivial_rep(g))
-            slow = induce(monoid, e, trivial_rep(g))
-            assert fast.matrices == slow.matrices
-
     def test_partial_reflection_through_pairs(self, subsets3, i3_map):
         lat, action, monoid, ctx = subsets3
         classes, _ = monoid_green(monoid)
         a = lat.index((1,))
         e = monoid.index(ctx.idempotent(a))
         g = maximal_subgroup(monoid, classes, e)
-        rep = induce_sgl(monoid, ctx, a, trivial_rep(g))
+        rep = induce(monoid, e, trivial_rep(g))
         assert sorted(rep.character()) == sorted(i3_map.character())
 
     def test_low_elements_act_as_zero(self, subsets3):
@@ -311,7 +299,7 @@ class TestInduceSGL:
         a = lat.index((1, 2))
         e = monoid.index(ctx.idempotent(a))
         g = maximal_subgroup(monoid, classes, e)
-        rep = induce_sgl(monoid, ctx, a, trivial_rep(g))
+        rep = induce(monoid, e, trivial_rep(g))
         for k, el in enumerate(monoid.elements):
             if len(el.lattice_element()) < 2:
                 assert rep.matrices[k].is_zero()
@@ -322,7 +310,7 @@ class TestInduceSGL:
         a = lat.index((1,))
         e = monoid.index(ctx.idempotent(a))
         g = maximal_subgroup(monoid, classes, e)
-        rep = induce_sgl(monoid, ctx, a, trivial_rep(g))
+        rep = induce(monoid, e, trivial_rep(g))
         idc = monoid.index(ctx.idempotent(lat.index((1, 3))))
         mat = rep.matrices[idc]
         # fixes the {1}- and {3}-blocks, kills the {2}-block

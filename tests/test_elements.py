@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -262,6 +263,59 @@ class TestFiniteMonoid:
         assert els[0] == PartialBijection.zero(3)
 
 
+def all_triples_associative(table):
+    """The exhaustive oracle: (x*y)*z = x*(y*z) on all n^3 triples."""
+    return np.array_equal(table[table, :], table[:, table])
+
+
+def sampled_triples_associative(table):
+    """The check once used above 200 elements: 20 000 random triples, seed 0."""
+    i, j, k = np.random.default_rng(0).integers(0, len(table), size=(3, 20_000))
+    return np.array_equal(table[table[i, j], k], table[i, table[j, k]])
+
+
+SMALL_MONOIDS = [
+    symmetric_group(3),
+    symmetric_inverse_monoid(2),
+    symmetric_inverse_monoid(3),
+    full_transformation_monoid(2),
+    full_transformation_monoid(3),
+]
+
+
+class TestMonoidLaws:
+    def test_corruption_missed_by_sampled_triples_is_rejected(self):
+        m = symmetric_inverse_monoid(4)  # 209 elements
+        n, e = len(m), m.identity_index
+        for p, q in itertools.product(range(n), repeat=2):
+            bad = m.table.copy()
+            bad[p, q] = (bad[p, q] + 1) % n
+            if e not in (p, q) and sampled_triples_associative(bad):
+                break
+        assert sampled_triples_associative(bad)
+        assert not all_triples_associative(bad)
+        with pytest.raises(ValueError, match="associativity fails"):
+            FiniteMonoid(m.elements, bad, e, m.generator_indices)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), m=st.sampled_from(SMALL_MONOIDS))
+    def test_single_cell_corruption_is_caught_by_both_checks(self, data, m):
+        n, e = len(m), m.identity_index
+        others = [k for k in range(n) if k != e]
+        p, q = data.draw(st.sampled_from(others)), data.draw(st.sampled_from(others))
+        bad = m.table.copy()
+        bad[p, q] = data.draw(st.sampled_from([k for k in range(n) if k != bad[p, q]]))
+        assert not all_triples_associative(bad)
+        with pytest.raises(ValueError, match="associativity fails"):
+            FiniteMonoid(m.elements, bad, e)
+
+    def test_recorded_generators_must_generate(self):
+        m = symmetric_inverse_monoid(3)
+        units = [k for k, s in enumerate(m.elements) if s.rank == 3]
+        with pytest.raises(ValueError, match="do not generate"):
+            FiniteMonoid(m.elements, m.table, m.identity_index, units)
+
+
 # the generator-file shapes of the benchmark's structure workload
 T_FILE_GENS = [Transformation([2, 3, 4, 5, 1]), Transformation([1, 1, 3, 4, 5])]
 I_FILE_GENS = ["(1,2,3,4,5)", "[1,2,3,4](5)", "[1,2]"]
@@ -275,7 +329,7 @@ class TestImageTable:
     ])
     def test_full_monoids_match_elementwise_build(self, family, n):
         els = family(n)
-        gens = els[-3:]
+        gens = els[::-1]  # recorded generators must generate the monoid
         m = FiniteMonoid.from_elements(els, generators=gens)
         assert m.elements == tuple(els)
         assert_matches_reference(m, gens)

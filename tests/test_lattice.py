@@ -12,6 +12,7 @@ from monoidrep.elements import (
 )
 from monoidrep.green import green_structure, maximal_subgroup
 from monoidrep.lattice import (
+    GroupAction,
     LatticeError,
     SGLElement,
     _inverses,
@@ -289,16 +290,40 @@ class TestOrder:
 
 class TestGenerators:
     @pytest.mark.parametrize("kind,count", [
-        ("ordered_partitions_zero", 11),
-        ("set_partitions", 7),
-        ("subsets", 7),
+        ("ordered_partitions_zero", 10),
+        ("set_partitions", 6),
+        ("subsets", 6),
     ])
     def test_one_idempotent_per_orbit(self, kind, count):
         # S_4's two generators, plus one idempotent per orbit of the action
+        # other than the top's {top}, whose idempotent is the identity
         _, action = make_lattice(kind, 4)
         monoid, _ = sgl_monoid(action)
-        assert len(monoid.generator_indices) == count == 2 + len(action.orbits())
+        assert len(monoid.generator_indices) == count == 1 + len(action.orbits())
         assert len(monoid._generated_by(list(monoid.generator_indices))) == len(monoid)
+
+    @pytest.mark.parametrize("kind", ["subsets", "set_partitions", "ordered_partitions_zero"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_identity_is_not_a_generator(self, kind, n):
+        # at n = 2, S_2 fixes every set partition, so its swap at the top is
+        # the identity too
+        _, action = make_lattice(kind, n)
+        monoid, _ = sgl_monoid(action)
+        assert monoid.identity_index not in monoid.generator_indices
+
+
+class TestGroupAction:
+    def test_rejects_corruption_at_a_non_generator(self):
+        lat, action = make_lattice("subsets", 3)
+        group = action.group
+        g = next(
+            k for k in range(len(group))
+            if k != group.identity_index and k not in group.generating_set()
+        )
+        table = action.table.copy()
+        table[g, [1, 2]] = table[g, [2, 1]]
+        with pytest.raises(LatticeError, match="not a homomorphism"):
+            GroupAction(group, lat, table)
 
 
 class TestGreenCompatibility:

@@ -3,11 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monoidrep.elements import (
     PartialBijection,
     Transformation,
+    full_transformation_monoid,
     symmetric_group,
+    symmetric_inverse_monoid,
 )
 from monoidrep.linrep import (
     Matrix,
@@ -21,6 +24,7 @@ from monoidrep.linrep import (
     intertwiner_space,
     is_irreducible,
     iso_test,
+    mapping_rep,
     mapping_rep_by_kind,
     one_dim_invariant_lines,
     outer_tensor,
@@ -118,6 +122,71 @@ class TestMappingReps:
         mats[s3_map.monoid.identity_index] = Matrix.identity(3).scale(2)
         with pytest.raises(VerificationError):
             Representation(s3_map.monoid, mats)
+
+
+def all_pairs_homomorphism(monoid, mats):
+    """The exhaustive oracle: rho(1) = I and rho(s)rho(t) = rho(s*t) on all pairs."""
+    n = len(monoid)
+    return mats[monoid.identity_index].is_identity() and all(
+        mats[i] * mats[j] == mats[monoid.mul(i, j)] for i in range(n) for j in range(n)
+    )
+
+
+SMALL_REPS = [
+    mapping_rep(symmetric_inverse_monoid(3)),
+    mapping_rep(full_transformation_monoid(3)),
+    specht_rep((2, 1)).rep,
+]
+
+
+def with_entry(m, r, c, value):
+    rows = [list(row) for row in m.rows]
+    rows[r][c] = value
+    return Matrix(rows)
+
+
+class TestVerification:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), rep=st.sampled_from(SMALL_REPS))
+    def test_single_entry_corruption_is_caught_by_both_checks(self, data, rep):
+        k = data.draw(st.integers(0, len(rep.monoid) - 1))
+        r, c = data.draw(st.integers(0, rep.dim - 1)), data.draw(st.integers(0, rep.dim - 1))
+        delta = data.draw(st.fractions(-3, 3).filter(bool))
+        mats = list(rep.matrices)
+        mats[k] = with_entry(mats[k], r, c, mats[k].rows[r][c] + delta)
+        assert not all_pairs_homomorphism(rep.monoid, mats)
+        with pytest.raises(VerificationError):
+            Representation(rep.monoid, mats)
+
+    def test_every_generator_is_checked(self):
+        # rho is 1 on every coset {s, s*t} of the first generator t but one,
+        # and 0 there: rho(s)rho(t) = rho(s*t) for every s, yet rho fails on
+        # the other generator
+        m = symmetric_group(3)
+        t = m.generating_set()[0]
+        c = next(k for k in range(len(m)) if k not in (m.identity_index, t))
+        mats = [Matrix([[0 if k in (c, m.mul(c, t)) else 1]]) for k in range(len(m))]
+        assert all(mats[s] * mats[t] == mats[m.mul(s, t)] for s in range(len(m)))
+        assert not all_pairs_homomorphism(m, mats)
+        with pytest.raises(VerificationError):
+            Representation(m, mats)
+
+    def test_entries_beyond_int64(self, s3_map):
+        d = Matrix([[2**70, 0, 0], [0, 1, 0], [0, 0, 1]])
+        d_inv = Matrix([[F(1, 2**70), 0, 0], [0, 1, 0], [0, 0, 1]])
+        mats = [d * m * d_inv for m in s3_map.matrices]
+        assert max(abs(x) for m in mats for row in m.rows for x in row) == 2**70
+        rep = Representation(s3_map.monoid, mats)
+        assert all_pairs_homomorphism(rep.monoid, rep.matrices)
+        k, r, c = next(
+            (k, r, c) for k, m in enumerate(mats) for r in range(3) for c in range(3)
+            if m.rows[r][c] == 2**70
+        )
+        bad = list(mats)
+        bad[k] = with_entry(mats[k], r, c, mats[k].rows[r][c] + 1)
+        assert not all_pairs_homomorphism(rep.monoid, bad)
+        with pytest.raises(VerificationError):
+            Representation(s3_map.monoid, bad)
 
 
 class TestSpin:
