@@ -13,7 +13,7 @@ yields the full irreducible catalog.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .linrep import (
     Matrix,
     Representation,
     Subspace,
-    ZERO,
     char_equal,
     commutant_dim,
     commutation_rows,
@@ -87,11 +86,7 @@ def reduce_rep(big: Representation, e: int) -> ReducedRep:
     group = maximal_subgroup(monoid, classes, e)
     if carrier.dim == 0:
         return ReducedRep(e, carrier, group, None)
-    mats = []
-    for el in group.elements:
-        m = big.matrices[monoid.index(el)]
-        cols = [carrier.coords(m.apply(v)) for v in carrier.basis]
-        mats.append(Matrix(list(zip(*cols))))
+    mats = [carrier.restrict(big.matrices[monoid.index(el)]) for el in group.elements]
     return ReducedRep(e, carrier, group, Representation(group, mats))
 
 
@@ -162,11 +157,13 @@ def induce_raw(monoid: FiniteMonoid, e: int, group_rep: Representation,
     k, dv = len(trans.reps), group_rep.dim
     dim = k * dv
     e_l = classes.lclass_of[e]
+    den = lcm(*(m.den for m in group_rep.matrices))
+    blocks = [m.num * (den // m.den) for m in group_rep.matrices]  # over one den
     block_map = []
     mats = []
     for t in range(len(monoid)):
         entries = []
-        rows = [[ZERO] * dim for _ in range(dim)]
+        num = np.zeros((dim, dim), dtype=object)
         for i, s_i in enumerate(trans.reps):
             p = int(monoid.table[t, s_i])
             if classes.lclass_of[p] != e_l:
@@ -174,14 +171,9 @@ def induce_raw(monoid: FiniteMonoid, e: int, group_rep: Representation,
                 continue
             j, g = hclass_decompose(monoid, classes, trans, p)
             entries.append((j, local[g]))
-            block = group_rep.matrices[local[g]].rows
-            for r in range(dv):
-                target = rows[j * dv + r]
-                source = block[r]
-                for c in range(dv):
-                    target[i * dv + c] = source[c]
+            num[j * dv:(j + 1) * dv, i * dv:(i + 1) * dv] = blocks[local[g]]
         block_map.append(tuple(entries))
-        mats.append(Matrix(rows))
+        mats.append(Matrix.from_numerators(num, den))
     rep = Representation(monoid, mats)
     return InducedRaw(monoid, e, trans.reps, group, group_rep, rep, tuple(block_map))
 
@@ -190,10 +182,9 @@ def annihilator(raw: InducedRaw) -> Subspace:
     """Vectors killed by every element of the R-class of e."""
     classes, _ = monoid_green(raw.monoid)
     r_members = classes.rclasses[classes.rclass_of[raw.idempotent]]
-    stacked = []
-    for s in r_members:
-        stacked.extend(raw.rep.matrices[s].rows)
-    return rref(Matrix(stacked)).kernel
+    # each block of rows scaled by its denominator: the kernel is unchanged
+    stacked = np.vstack([raw.rep.matrices[s].num for s in r_members])
+    return Subspace.span(raw.rep.dim, stacked).orthogonal_complement()
 
 
 def induce(monoid: FiniteMonoid, e: int, group_rep: Representation) -> Representation:
@@ -263,42 +254,30 @@ def semisimple_predicate(monoid: FiniteMonoid, characteristic: int = 0) -> Semis
 
 # -- decomposition -----------------------------------------------------------
 
-def _solve_affine(rows, rhs, ncols):
-    """One solution of an inhomogeneous linear system, or None."""
-    aug = [tuple(row) + (r,) for row, r in zip(rows, rhs)]
-    result = rref(Matrix(aug))
-    sol = [ZERO] * ncols
-    for row, p in zip(result.echelon.rows, result.pivots):
-        if p == ncols:
-            return None
-        sol[p] = row[ncols]
-    return tuple(sol)
-
-
 def _equivariant_projection(rep: Representation, sub: Subspace):
-    """p in Hom_S(V, V) with image sub and p restricted to sub the identity."""
+    """p in Hom_S(V, V) with image sub and p restricted to sub the identity.
+
+    One augmented system [rows | rhs] in vec p (row-major): p commutes with
+    every phi(g); p u = u for the basis rows u of sub, one row kron(e_i, u)
+    per coordinate i; and f p = 0 for the rows f of sub's orthogonal
+    complement, one row kron(f, e_j) per coordinate j.  Its least solution
+    (free unknowns 0) is read off the echelon form; None if it has none.
+    """
     d = rep.dim
-    rows = commutation_rows(rep, rep)
-    rhs = [ZERO] * len(rows)
-    for u in sub.basis:
-        for i in range(d):
-            coef = [ZERO] * (d * d)
-            for k in range(d):
-                coef[i * d + k] = u[k]
-            rows.append(coef)
-            rhs.append(u[i])
-    if sub.dim:
-        for f in rref(Matrix(sub.basis)).kernel.basis:
-            for j in range(d):
-                coef = [ZERO] * (d * d)
-                for i in range(d):
-                    coef[i * d + j] = f[i]
-                rows.append(coef)
-                rhs.append(ZERO)
-    sol = _solve_affine(rows, rhs, d * d)
-    if sol is None:
+    ident = np.eye(d, dtype=object)
+    u, f = sub.num, sub.orthogonal_complement().num
+    comm = commutation_rows(rep, rep)
+    aug = np.vstack([
+        np.hstack([comm, np.zeros((len(comm), 1), dtype=object)]),
+        np.hstack([np.kron(ident, u), u.T.reshape(-1, 1)]),
+        np.hstack([np.kron(f, ident), np.zeros((d * len(f), 1), dtype=object)]),
+    ])
+    solved = Subspace.span(d * d + 1, aug)
+    if d * d in solved.pivots:
         return None
-    return Matrix([sol[r * d:(r + 1) * d] for r in range(d)])
+    sol = np.zeros(d * d, dtype=object)
+    sol[list(solved.pivots)] = solved.num[:, -1]
+    return Matrix.from_numerators(sol.reshape(d, d), solved.den)
 
 
 def decompose(rep: Representation, *, catalog=None, seed_order: str = "standard"):
@@ -572,9 +551,9 @@ def renner_permutohedron_catalog(n: int, with_catalog: bool = None):
     """Catalog for the ordered-partition pair monoid plus its J-poset report.
 
     The full catalog is built for n <= 3 by default; at n = 4 the monoid has
-    1801 elements and 23 entries of dimension up to 24, which take about
-    half a minute, so only the structural report is produced unless a
-    catalog is forced.
+    1801 elements and 23 entries of dimension up to 24, which take tens of
+    seconds, so only the structural report is produced unless a catalog is
+    forced.
     """
     from .lattice import make_lattice, sgl_monoid
 

@@ -267,7 +267,7 @@ class FiniteMonoid:
     monoid.
     """
 
-    def __init__(self, elements, table, identity_index: int, generator_indices=None, *, validate=True):
+    def __init__(self, elements, table, identity_index: int, generator_indices=None):
         self.elements = tuple(elements)
         self.table = np.asarray(table, dtype=np.int32)
         self.identity_index = int(identity_index)
@@ -275,8 +275,7 @@ class FiniteMonoid:
         self._index = {e: k for k, e in enumerate(self.elements)}
         if len(self._index) != len(self.elements):
             raise ValueError("duplicate elements")
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         n = len(self.elements)

@@ -314,20 +314,13 @@ class SGLContext:
         ng, nl = len(self.group), len(self.lattice)
         self.ginv = np.array(_inverses(self.group), dtype=np.int32)
         self.pointwise = []
-        for a in range(nl):
-            below = self.lattice.down_set(a)
-            self.pointwise.append(
-                tuple(
-                    g for g in range(ng)
-                    if all(action.table[g, c] == c for c in below)
-                )
-            )
         # rep_table[a, g] = least member of the coset g * pointwise(a)
         self.rep_table = np.empty((nl, ng), dtype=np.int32)
         for a in range(nl):
-            ks = self.pointwise[a]
-            for g in range(ng):
-                self.rep_table[a, g] = min(self.group.mul(g, k) for k in ks)
+            below = list(self.lattice.down_set(a))
+            ks = np.flatnonzero((action.table[:, below] == below).all(axis=1))
+            self.pointwise.append(tuple(ks.tolist()))
+            self.rep_table[a] = self.group.table[:, ks].min(axis=1)
 
     def canonical(self, g: int, a: int) -> "SGLElement":
         return SGLElement(self, int(self.rep_table[a, g]), a)

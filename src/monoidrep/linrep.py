@@ -1,252 +1,303 @@
 """Exact rational linear algebra and verified monoid representations.
 
-Scalars are fractions.Fraction throughout; no floating point is involved
-anywhere.  A Representation stores one matrix per monoid element and its
-constructor proves the homomorphism law on every pair of elements from its
-instances on the generators, with one exact numpy check per generator over
-the integer numerators of the matrices (as Python ints).
+Every exact matrix is stored one way: an object-dtype numpy array of Python
+int numerators over one positive denominator, in lowest terms, so that
+equality and hashing are exact and canonical.  A subspace is its reduced
+echelon basis in the same form.  One fraction-free Gauss-Jordan kernel
+serves every elimination, and no floating point is involved anywhere.
+Fractions appear only at the edges: matrices and vectors are accepted as
+anything Fraction() accepts, and read back through the rows and basis views.
+
+A Representation stores one matrix per monoid element and its constructor
+proves the homomorphism law on every pair of elements from its instances on
+the generators, with one exact numpy check per generator over the numerators.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import gcd, lcm
 
 import numpy as np
 
 from .elements import FiniteMonoid, product_monoid
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class VerificationError(RuntimeError):
     """A representation failed its homomorphism re-verification."""
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _numerators(rows):
+    """Rows of anything Fraction() accepts, as (integer array, common denominator)."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    ncols = len(rows[0]) if rows else 0
+    if any(len(r) != ncols for r in rows):
+        raise ValueError("ragged rows")
+    den = lcm(1, *(x.denominator for r in rows for x in r))
+    num = [[x.numerator * (den // x.denominator) for x in r] for r in rows]
+    return np.array(num, dtype=object).reshape(len(rows), ncols), den
+
+
+def _lowest(num, den):
+    """num / den with the common factor of every entry and den divided out."""
+    g = gcd(den, *num.flat)
+    if g > 1:
+        num, den = num // g, den // g
+    num.flags.writeable = False
+    return num, den
 
 
 class Matrix:
-    """An immutable exact-rational matrix."""
+    """An immutable exact-rational matrix: num / den in lowest terms."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("num", "den")
 
     def __init__(self, rows):
-        rows = tuple(tuple(_frac(x) for x in row) for row in rows)
-        if rows and any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", rows)
+        self._set(*_numerators(rows))
+
+    @classmethod
+    def from_numerators(cls, num, den: int = 1) -> "Matrix":
+        """The matrix num / den for an integer array num and a positive den."""
+        m = cls.__new__(cls)
+        m._set(np.asarray(num, dtype=object), den)
+        return m
+
+    def _set(self, num, den):
+        num, den = _lowest(num, den)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return cls.from_numerators(np.eye(n, dtype=object))
 
-    @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls([[ZERO] * ncols for _ in range(nrows)])
+    @property
+    def rows(self) -> tuple:
+        """The entries as a tuple of Fraction rows."""
+        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.num)
 
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return self.num.shape[0]
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+        return self.num.shape[1]
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        cols = list(zip(*other.rows))
-        return Matrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
-        )
+        return Matrix.from_numerators(self.num @ other.num, self.den * other.den)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        return Matrix([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
+        if self.num.shape != other.num.shape:
+            raise ValueError("shape mismatch")
+        return Matrix.from_numerators(self.num * other.den + other.num * self.den,
+                                      self.den * other.den)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return Matrix([[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
+        return self + other.scale(-1)
 
     def scale(self, c) -> "Matrix":
-        c = _frac(c)
-        return Matrix([[c * a for a in row] for row in self.rows])
-
-    def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self.rows)))
+        c = Fraction(c)
+        return Matrix.from_numerators(self.num * c.numerator, self.den * c.denominator)
 
     def trace(self) -> Fraction:
-        return sum((self.rows[i][i] for i in range(min(self.nrows, self.ncols))), ZERO)
+        return Fraction(int(np.trace(self.num)), self.den)
 
     def apply(self, vector) -> tuple:
         """The matrix acting on a column vector, returned as a tuple."""
-        if len(vector) != self.ncols:
+        num, den = _numerators([vector])
+        if num.shape[1] != self.ncols:
             raise ValueError("vector length mismatch")
-        return tuple(sum((a * x for a, x in zip(row, vector)), ZERO) for row in self.rows)
+        return tuple(Fraction(x, self.den * den) for x in self.num @ num[0])
 
     def is_identity(self) -> bool:
-        return self.nrows == self.ncols and all(
-            self.rows[i][j] == (ONE if i == j else ZERO)
-            for i in range(self.nrows) for j in range(self.ncols)
-        )
+        return (self.den == 1 and self.nrows == self.ncols
+                and np.array_equal(self.num, np.eye(self.nrows, dtype=object)))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.rows for x in row)
-
-    def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.rows)
+        return not self.num.any()
 
     def det(self) -> Fraction:
+        """det(N / d) = det(N) / d^n, with det(N) by Bareiss elimination."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        rows = [list(r) for r in self.rows]
-        n = self.nrows
-        out = ONE
-        for col in range(n):
-            piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
-            if piv is None:
-                return ZERO
-            if piv != col:
-                rows[col], rows[piv] = rows[piv], rows[col]
-                out = -out
-            out *= rows[col][col]
-            inv = ONE / rows[col][col]
-            for r in range(col + 1, n):
-                f = rows[r][col] * inv
-                if f:
-                    rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-        return out
-
-    def int_form(self):
-        """(integer rows, common denominator) with the fraction cleared."""
-        den = 1
-        for row in self.rows:
-            for x in row:
-                den = lcm(den, x.denominator)
-        return [[int(x * den) for x in row] for row in self.rows], den
+        return Fraction(_bareiss(self.num), self.den ** self.nrows)
 
     def __eq__(self, other):
-        return isinstance(other, Matrix) and self.rows == other.rows
+        return (isinstance(other, Matrix) and self.den == other.den
+                and self.num.shape == other.num.shape and np.array_equal(self.num, other.num))
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.den, self.num.shape, tuple(self.num.flat)))
 
     def __repr__(self):
         return f"Matrix({[[str(x) for x in row] for row in self.rows]})"
 
 
+def _bareiss(num) -> int:
+    """Determinant of a square integer array by fraction-free elimination
+    (Bareiss, Math. Comp. 22, 1968): each step's division by the previous
+    pivot is exact, and the last pivot is the determinant up to sign."""
+    a = np.array(num, dtype=object)
+    sign, prev = 1, 1
+    for k in range(len(a)):
+        nz = np.flatnonzero(a[k:, k])
+        if not len(nz):
+            return 0
+        if nz[0]:
+            a[[k, k + nz[0]]] = a[[k + nz[0], k]]
+            sign = -sign
+        a[k + 1:, k + 1:] = (a[k + 1:, k + 1:] * a[k, k]
+                             - np.outer(a[k + 1:, k], a[k, k + 1:])) // prev
+        prev = a[k, k]
+    return sign * prev
+
+
 def kron(a: Matrix, b: Matrix) -> Matrix:
-    rows = []
-    for ra in a.rows:
-        for rb in b.rows:
-            rows.append([x * y for x in ra for y in rb])
-    return Matrix(rows)
+    return Matrix.from_numerators(np.kron(a.num, b.num), a.den * b.den)
 
 
 # -- echelon forms and subspaces ---------------------------------------------
 
-@dataclass(frozen=True)
-class RrefResult:
-    echelon: Matrix
-    rank: int
-    pivots: tuple
-    kernel: "Subspace"
-    image: "Subspace"
-
-
 def _rref_rows(rows):
-    """Reduced row echelon form of a list of tuples; returns (rows, pivots)."""
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0]) if rows else 0
+    """Reduced row echelon form of a nonempty list of integer rows.
+
+    Fraction-free Gauss-Jordan: clearing column c from row i replaces it by
+    p*row_i - row_i[c]*row_r (p > 0 the pivot entry of row r), and each
+    changed row is divided by the gcd of its entries.  Only the rows with a
+    nonzero in the pivot column change, which keeps sparse systems cheap.
+    Returns (rows, pivots): one primitive integer row per pivot, with a
+    positive pivot entry and zeros in every other pivot column; dividing each
+    row by its pivot entry gives the rational reduced echelon form.
+    """
+    a = _primitive(np.array(rows, dtype=object))
+    nrows, ncols = a.shape
     pivots = []
     r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
+        nz = np.flatnonzero(a[r:, c])
+        if not len(nz):
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        if nz[0]:
+            a[[r, r + nz[0]]] = a[[r + nz[0], r]]
+        if a[r, c] < 0:
+            a[r] = -a[r]
+        hits = np.flatnonzero(a[:, c])
+        hits = hits[hits != r]
+        if len(hits):
+            a[hits] = _primitive(a[hits] * a[r, c] - np.outer(a[hits, c], a[r]))
         pivots.append(c)
         r += 1
-        if r == len(rows):
+        if r == nrows:
             break
-    return [tuple(row) for row in rows[:r]], tuple(pivots)
+    return a[:r], tuple(pivots)
+
+
+def _primitive(rows):
+    """Each integer row divided by the gcd of its entries; zero rows stay."""
+    g = np.gcd.reduce(rows, axis=1)
+    return rows // np.where(g == 0, 1, g)[:, None]
 
 
 class Subspace:
-    """A subspace of Q^n held as a reduced-echelon basis; equal iff identical."""
+    """A subspace of Q^n held as its reduced echelon basis num / den, in
+    lowest terms; two subspaces are equal iff these are identical."""
 
-    __slots__ = ("ambient", "basis", "pivots")
+    __slots__ = ("ambient", "num", "den", "pivots")
 
-    def __init__(self, ambient: int, basis, pivots):
+    def __init__(self, ambient: int, num, den: int, pivots):
         object.__setattr__(self, "ambient", int(ambient))
-        object.__setattr__(self, "basis", tuple(tuple(v) for v in basis))
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "pivots", tuple(pivots))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
     @classmethod
+    def span(cls, ambient: int, rows) -> "Subspace":
+        """The span of integer row vectors of length ambient."""
+        if not len(rows):
+            return cls.zero(ambient)
+        ech, pivots = _rref_rows(list(rows))
+        lead = ech[np.arange(len(pivots)), list(pivots)]
+        den = lcm(1, *lead)  # each row over its pivot entry, over one den
+        num, den = _lowest(ech * (den // lead)[:, None], den)
+        return cls(ambient, num, den, pivots)
+
+    @classmethod
     def from_vectors(cls, ambient: int, vectors) -> "Subspace":
-        vectors = [tuple(_frac(x) for x in v) for v in vectors]
-        for v in vectors:
-            if len(v) != ambient:
-                raise ValueError("vector has wrong length")
-        if not vectors:
-            return cls(ambient, (), ())
-        rows, pivots = _rref_rows(vectors)
-        return cls(ambient, rows, pivots)
+        num, _ = _numerators(vectors)
+        if len(num) and num.shape[1] != ambient:
+            raise ValueError("vector has wrong length")
+        return cls.span(ambient, num)
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
-        return cls(ambient, (), ())
+        return cls(ambient, np.zeros((0, ambient), dtype=object), 1, ())
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
-        return cls.from_vectors(ambient, Matrix.identity(ambient).rows)
+        return cls(ambient, np.eye(ambient, dtype=object), 1, range(ambient))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.pivots)
 
-    def reduce(self, vector) -> tuple:
-        """Remainder of a vector after clearing pivot coordinates."""
-        v = list(_frac(x) for x in vector)
-        for row, p in zip(self.basis, self.pivots):
-            f = v[p]
-            if f:
-                v = [x - f * y for x, y in zip(v, row)]
-        return tuple(v)
+    @property
+    def basis(self) -> tuple:
+        """The echelon basis as a tuple of Fraction vectors."""
+        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.num)
+
+    def reduce(self, rows):
+        """den * (v - v[pivots] B) for each integer row v: the remainder of v
+        after clearing its pivot coordinates, zero exactly on the subspace.
+        The echelon basis B has unit pivot columns, so one product clears all."""
+        return rows * self.den - rows[:, list(self.pivots)] @ self.num
 
     def contains(self, vector) -> bool:
-        return all(x == 0 for x in self.reduce(vector))
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis)
+        return not self.reduce(_numerators([vector])[0]).any()
 
     def coords(self, vector) -> tuple:
         """Coordinates in the echelon basis; the vector must lie inside."""
-        v = tuple(_frac(x) for x in vector)
-        cs = tuple(v[p] for p in self.pivots)
-        if not self.contains(v):
+        if not self.contains(vector):
             raise ValueError("vector is not in the subspace")
-        return cs
+        return tuple(Fraction(vector[p]) for p in self.pivots)
 
-    def add_vectors(self, vectors) -> "Subspace":
-        return Subspace.from_vectors(self.ambient, list(self.basis) + list(vectors))
+    def restrict(self, matrix: Matrix) -> Matrix:
+        """The action of a matrix on this subspace, in echelon coordinates.
+
+        The basis rows b_j have unit pivot columns, so a vector w of the
+        subspace has coordinates w[pivots], and the action is
+        R = M[pivots, :] B^T.  The subspace is invariant exactly when
+        M B^T = B^T R; otherwise this raises ValueError.
+        """
+        bt = self.num.T
+        image = matrix.num @ bt  # M B^T, over matrix.den * den
+        r = image[list(self.pivots)]
+        if (image * self.den != bt @ r).any():  # B^T R is over matrix.den * den^2
+            raise ValueError("subspace is not invariant")
+        return Matrix.from_numerators(r, matrix.den * self.den)
+
+    def orthogonal_complement(self) -> "Subspace":
+        """The vectors x with b . x = 0 for every basis vector b.
+
+        One vector per free column f: x[f] = den, x[p_i] = -num[i, f].
+        """
+        free = [c for c in range(self.ambient) if c not in self.pivots]
+        vecs = np.zeros((len(free), self.ambient), dtype=object)
+        vecs[np.arange(len(free)), free] = self.den
+        vecs[:, list(self.pivots)] = -self.num[:, free].T
+        return Subspace.span(self.ambient, vecs)
 
     def intersection(self, other: "Subspace") -> "Subspace":
         """Zassenhaus-style intersection via the kernel of [A^T | -B^T]."""
@@ -254,54 +305,51 @@ class Subspace:
             raise ValueError("ambient mismatch")
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.ambient)
-        rows = []
-        for i in range(self.ambient):
-            rows.append(
-                tuple(v[i] for v in self.basis) + tuple(-w[i] for w in other.basis)
-            )
-        ker = rref(Matrix(rows)).kernel
-        vecs = []
-        for sol in ker.basis:
-            coeffs = sol[: self.dim]
-            vec = [ZERO] * self.ambient
-            for c, b in zip(coeffs, self.basis):
-                for k in range(self.ambient):
-                    vec[k] += c * b[k]
-            vecs.append(tuple(vec))
-        return Subspace.from_vectors(self.ambient, vecs)
+        both = Subspace.span(self.dim + other.dim, np.hstack([self.num.T, -other.num.T]))
+        ker = both.orthogonal_complement()
+        return Subspace.span(self.ambient, ker.num[:, :self.dim] @ self.num)
 
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and self.ambient == other.ambient
-            and self.basis == other.basis
+            and self.den == other.den
+            and self.num.shape == other.num.shape
+            and np.array_equal(self.num, other.num)
         )
 
     def __hash__(self):
-        return hash((self.ambient, self.basis))
+        return hash((self.ambient, self.den, tuple(self.num.flat)))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of {self.ambient})"
 
 
+class RrefResult:
+    """The reduced row echelon form of a matrix, with its rank and pivots;
+    the kernel and the image are computed on first use."""
+
+    def __init__(self, matrix: Matrix):
+        self.matrix = matrix
+        self.row_space = Subspace.span(matrix.ncols, matrix.num)
+        self.rank = self.row_space.dim
+        self.pivots = self.row_space.pivots
+
+    @property
+    def echelon(self) -> Matrix:
+        return Matrix.from_numerators(self.row_space.num, self.row_space.den)
+
+    @cached_property
+    def kernel(self) -> Subspace:
+        return self.row_space.orthogonal_complement()
+
+    @cached_property
+    def image(self) -> Subspace:
+        return Subspace.span(self.matrix.nrows, self.matrix.num.T)
+
+
 def rref(matrix: Matrix) -> RrefResult:
-    rows, pivots = _rref_rows(matrix.rows)
-    rank = len(rows)
-    ncols = matrix.ncols
-    free = [c for c in range(ncols) if c not in pivots]
-    kernel_vecs = []
-    for f in free:
-        v = [ZERO] * ncols
-        v[f] = ONE
-        for row, p in zip(rows, pivots):
-            v[p] = -row[f]
-        kernel_vecs.append(tuple(v))
-    kernel = Subspace.from_vectors(ncols, kernel_vecs)
-    image = Subspace.from_vectors(
-        matrix.nrows, [matrix.column(j) for j in range(ncols)]
-    )
-    echelon = Matrix(rows) if rows else Matrix.zero(0, ncols)
-    return RrefResult(echelon, rank, pivots, kernel, image)
+    return RrefResult(matrix)
 
 
 # -- representations ---------------------------------------------------------
@@ -309,7 +357,7 @@ def rref(matrix: Matrix) -> RrefResult:
 class Representation:
     """A verified monoid homomorphism into exact rational matrices."""
 
-    def __init__(self, monoid: FiniteMonoid, matrices, *, verify: bool = True):
+    def __init__(self, monoid: FiniteMonoid, matrices):
         self.monoid = monoid
         self.matrices = tuple(matrices)
         if len(self.matrices) != len(monoid):
@@ -320,8 +368,7 @@ class Representation:
         self.dim = self.matrices[0].nrows
         if self.dim == 0:
             raise ValueError("null representations are excluded by convention")
-        if verify:
-            self.verify()
+        self.verify()
 
     def verify(self):
         """Prove rho(s)rho(t) = rho(s*t) for all s, t from rho(1) = I and
@@ -333,9 +380,8 @@ class Representation:
         """
         if not self.matrices[self.monoid.identity_index].is_identity():
             raise VerificationError("identity does not map to the identity matrix")
-        forms = [m.int_form() for m in self.matrices]
-        nums = np.array([rows for rows, _ in forms], dtype=object)
-        dens = np.array([den for _, den in forms], dtype=object)
+        nums = np.stack([m.num for m in self.matrices])
+        dens = np.array([m.den for m in self.matrices], dtype=object)
         for a in self.monoid.generating_set():
             right = self.monoid.table[:, a]
             # rho(s)rho(a) = rho(s*a), both sides times their denominators
@@ -367,18 +413,15 @@ def mapping_rep(monoid: FiniteMonoid) -> Representation:
     Partial bijections send v_i to v_{s(i)} when defined and kill it
     otherwise; transformations and permutations always send v_i to v_{s(i)}.
     """
-    sample = monoid.elements[0]
-    n = sample.n
+    n = monoid.elements[0].n
     mats = []
     for el in monoid.elements:
-        cols = []
+        num = np.zeros((n, n), dtype=object)
         for i in range(1, n + 1):
             img = el.apply(i)
-            col = [ZERO] * n
             if img is not None:
-                col[img - 1] = ONE
-            cols.append(col)
-        mats.append(Matrix(list(zip(*cols))))
+                num[img - 1, i - 1] = 1
+        mats.append(Matrix.from_numerators(num))
     return Representation(monoid, mats)
 
 
@@ -402,33 +445,26 @@ def trivial_rep(monoid: FiniteMonoid) -> Representation:
 def spin(rep: Representation, seeds) -> Subspace:
     """The least invariant subspace containing the seed vectors."""
     sub = Subspace.from_vectors(rep.dim, seeds)
-    gens = [rep.matrices[g] for g in rep.monoid.generating_set()]
-    while True:
-        new = []
-        for v in sub.basis:
-            for m in gens:
-                w = m.apply(v)
-                if not sub.contains(w):
-                    new.append(w)
-        if not new:
-            return sub
-        sub = sub.add_vectors(new)
+    gens = [rep.matrices[g].num.T for g in rep.monoid.generating_set()]
+    while gens:
+        images = np.vstack([sub.num @ g for g in gens])  # rows (phi(g) v)^T
+        new = images[(sub.reduce(images) != 0).any(axis=1)]
+        if not len(new):
+            break
+        sub = Subspace.span(rep.dim, np.vstack([sub.num, new]))
+    return sub
 
 
 def is_invariant(rep: Representation, sub: Subspace) -> bool:
-    gens = [rep.matrices[g] for g in rep.monoid.generating_set()]
-    return all(sub.contains(m.apply(v)) for v in sub.basis for m in gens)
+    return not any(
+        sub.reduce(sub.num @ rep.matrices[g].num.T).any()
+        for g in rep.monoid.generating_set()
+    )
 
 
 def restrict_rep(rep: Representation, sub: Subspace) -> Representation:
     """The action on an invariant subspace, in its echelon-basis coordinates."""
-    if not is_invariant(rep, sub):
-        raise ValueError("subspace is not invariant")
-    mats = []
-    for m in rep.matrices:
-        cols = [sub.coords(m.apply(v)) for v in sub.basis]
-        mats.append(Matrix(list(zip(*cols))))
-    return Representation(rep.monoid, mats)
+    return Representation(rep.monoid, [sub.restrict(m) for m in rep.matrices])
 
 
 def quotient_rep(rep: Representation, sub: Subspace) -> Representation:
@@ -440,61 +476,49 @@ def quotient_rep(rep: Representation, sub: Subspace) -> Representation:
     comp = [c for c in range(rep.dim) if c not in sub.pivots]
     mats = []
     for m in rep.matrices:
-        cols = []
-        for q in comp:
-            w = sub.reduce(m.column(q))
-            cols.append([w[c] for c in comp])
-        mats.append(Matrix(list(zip(*cols))))
+        reduced = sub.reduce(m.num.T).T  # the columns of phi(s), reduced
+        mats.append(Matrix.from_numerators(reduced[np.ix_(comp, comp)], m.den * sub.den))
     return Representation(rep.monoid, mats)
 
 
 def direct_sum(a: Representation, b: Representation) -> Representation:
     if a.monoid is not b.monoid and a.monoid.elements != b.monoid.elements:
         raise ValueError("representations are over different monoids")
-    mats = []
-    for ma, mb in zip(a.matrices, b.matrices):
-        rows = []
-        for r in ma.rows:
-            rows.append(list(r) + [ZERO] * b.dim)
-        for r in mb.rows:
-            rows.append([ZERO] * a.dim + list(r))
-        mats.append(Matrix(rows))
+    upper = np.zeros((a.dim, b.dim), dtype=object)
+    mats = [
+        Matrix.from_numerators(
+            np.block([[ma.num * mb.den, upper], [upper.T, mb.num * ma.den]]), ma.den * mb.den
+        )
+        for ma, mb in zip(a.matrices, b.matrices)
+    ]
     return Representation(a.monoid, mats)
 
 
-def commutation_rows(rep_v: Representation, rep_u: Representation) -> list:
-    """Coefficient rows of X phi_V(g) = phi_U(g) X over the generators g.
+def commutation_rows(rep_v: Representation, rep_u: Representation):
+    """Integer coefficient rows of X phi_V(g) = phi_U(g) X over the generators g.
 
     X is du x dv, flattened row-major (vec X[i*dv + k] = X[i][k]).  In that
     flattening vec(XA − BX) = (I⊗Aᵀ − B⊗I)·vec X, with I of size du on the
     left and dv on the right, so each generator contributes the du*dv rows of
-    that matrix for A = phi_V(g), B = phi_U(g).  Generators suffice: X that
-    commutes past phi(s) and phi(t) commutes past phi(s t) = phi(s) phi(t).
+    that matrix for A = phi_V(g), B = phi_U(g), times both denominators.
+    Generators suffice: X that commutes past phi(s) and phi(t) commutes past
+    phi(s t) = phi(s) phi(t).
     """
     if rep_v.monoid is not rep_u.monoid and rep_v.monoid.elements != rep_u.monoid.elements:
         raise ValueError("representations are over different monoids")
     dv, du = rep_v.dim, rep_u.dim
-    rows = []
+    iu, iv = np.eye(du, dtype=object), np.eye(dv, dtype=object)
+    rows = [np.zeros((0, du * dv), dtype=object)]
     for g in rep_v.monoid.generating_set():
-        a = rep_v.matrices[g].rows  # dv x dv
-        b = rep_u.matrices[g].rows  # du x du
-        for i in range(du):
-            for j in range(dv):
-                coef = [ZERO] * (du * dv)
-                for k in range(dv):
-                    coef[i * dv + k] += a[k][j]
-                for k in range(du):
-                    coef[k * dv + j] -= b[i][k]
-                rows.append(tuple(coef))
-    return rows
+        a, b = rep_v.matrices[g], rep_u.matrices[g]
+        rows.append(np.kron(iu, a.num.T) * b.den - np.kron(b.num, iv) * a.den)
+    return np.vstack(rows)
 
 
 def intertwiner_space(rep_v: Representation, rep_u: Representation) -> Subspace:
     """Matrices X with X phi_V(s) = phi_U(s) X, flattened row-major."""
     rows = commutation_rows(rep_v, rep_u)
-    if not rows:
-        return Subspace.full(rep_u.dim * rep_v.dim)
-    return rref(Matrix(rows)).kernel
+    return Subspace.span(rows.shape[1], rows).orthogonal_complement()
 
 
 def commutant_dim(rep: Representation) -> int:
@@ -502,7 +526,7 @@ def commutant_dim(rep: Representation) -> int:
     return intertwiner_space(rep, rep).dim
 
 
-def one_dim_invariant_lines(rep: Representation, generators=None):
+def one_dim_invariant_lines(rep: Representation):
     """All simultaneous eigenvector subspaces with monoid-consistent scalars.
 
     A line spanned by v is invariant iff every generator g acts on v by a
@@ -512,18 +536,16 @@ def one_dim_invariant_lines(rep: Representation, generators=None):
     (scalar assignment, eigenspace) pairs with nonzero eigenspace; the union
     of the eigenspaces carries every invariant line.
     """
-    if generators is None:
-        generators = rep.monoid.generating_set()
-    gens = [rep.matrices[g] for g in generators]
+    gens = [rep.matrices[g] for g in rep.monoid.generating_set()]
     ident = Matrix.identity(rep.dim)
     cands = []
     for m in gens:
         if rref(m).rank == rep.dim:
-            cands.append((ONE, -ONE))
+            cands.append((1, -1))
         elif m * m == m:
-            cands.append((ZERO, ONE))
+            cands.append((0, 1))
         else:
-            cands.append((ZERO, ONE, -ONE))
+            cands.append((0, 1, -1))
     found = []
 
     def descend(k, space, scalars):
@@ -553,20 +575,18 @@ def find_proper_invariant(rep: Representation, seed_order: str = "standard"):
     d = rep.dim
     if d == 1:
         return None
-    lines = [v for _, space in one_dim_invariant_lines(rep) for v in space.basis]
+    lines = [v for _, space in one_dim_invariant_lines(rep) for v in space.num]
     if lines:
-        return Subspace.from_vectors(d, [lines[-1] if seed_order == "reversed" else lines[0]])
+        return Subspace.span(d, [lines[-1] if seed_order == "reversed" else lines[0]])
     ident = Matrix.identity(d)
     seeds = []
     for m in rep.matrices:
-        for lam in (-ONE, ZERO, ONE):
-            seeds.extend(rref(m - ident.scale(lam)).kernel.basis)
-    seeds.extend(ident.rows)
+        for lam in (-1, 0, 1):
+            seeds.extend(rref(m - ident.scale(lam)).kernel.num)
+    seeds.extend(ident.num)
     if seed_order == "reversed":
         seeds.reverse()
     for seed in seeds:
-        if all(x == 0 for x in seed):
-            continue
         sub = spin(rep, [seed])
         if 0 < sub.dim < d:
             return sub
@@ -595,10 +615,6 @@ def is_irreducible(rep: Representation, certificate: str, *, certified_semisimpl
     return ("undetermined", None) if sub is None else ("no", sub)
 
 
-def _unflatten(vec, nrows, ncols) -> Matrix:
-    return Matrix([vec[r * ncols:(r + 1) * ncols] for r in range(nrows)])
-
-
 def iso_test(rep_v: Representation, rep_u: Representation, *, certified_semisimple: bool = False):
     """("iso", witness) / ("not_iso", None) / ("undetermined", None)."""
     if rep_v.dim != rep_u.dim:
@@ -607,18 +623,13 @@ def iso_test(rep_v: Representation, rep_u: Representation, *, certified_semisimp
         return ("not_iso", None)
     hom = intertwiner_space(rep_v, rep_u)
     d = rep_v.dim
-    for v in hom.basis:
-        x = _unflatten(v, d, d)
+    small = hom.dim and 5 ** hom.dim <= 4000
+    coeffs = itertools.product((-2, -1, 0, 1, 2), repeat=hom.dim) if small else ()
+    combos = (np.array(c, dtype=object) @ hom.num for c in coeffs if any(c))
+    for vec in itertools.chain(hom.num, combos):
+        x = Matrix.from_numerators(vec.reshape(d, d), hom.den)
         if rref(x).rank == d:
             return ("iso", x)
-    if hom.dim and 5 ** hom.dim <= 4000:
-        for coeffs in itertools.product((-2, -1, 0, 1, 2), repeat=hom.dim):
-            if all(c == 0 for c in coeffs):
-                continue
-            vec = [sum(Fraction(c) * b[k] for c, b in zip(coeffs, hom.basis)) for k in range(d * d)]
-            x = _unflatten(vec, d, d)
-            if rref(x).rank == d:
-                return ("iso", x)
     if certified_semisimple:
         return ("iso", None)
     return ("undetermined", None)
@@ -630,15 +641,13 @@ def exterior_power(rep: Representation, p: int) -> Representation:
     if not 0 <= p <= d:
         raise ValueError(f"exterior power degree must be in 0..{d}")
     basis = list(itertools.combinations(range(d), p))
-    mats = []
-    for m in rep.matrices:
-        rows = []
-        for isub in basis:
-            row = []
-            for jsub in basis:
-                row.append(Matrix([[m.rows[i][j] for j in jsub] for i in isub]).det())
-            rows.append(row)
-        mats.append(Matrix(rows))
+    mats = [
+        Matrix.from_numerators(
+            [[_bareiss(m.num[np.ix_(isub, jsub)]) for jsub in basis] for isub in basis],
+            m.den ** p,
+        )
+        for m in rep.matrices
+    ]
     return Representation(rep.monoid, mats)
 
 

@@ -15,15 +15,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .elements import FiniteMonoid, Permutation, symmetric_group
-from .linrep import (
-    Matrix,
-    ONE,
-    Representation,
-    Subspace,
-    ZERO,
-    outer_tensor,
-)
+from .linrep import Matrix, Representation, Subspace, outer_tensor
 
 
 def partitions(n: int) -> tuple:
@@ -166,7 +161,7 @@ def column_group(tableau) -> tuple:
 
 def polytabloid(tableau, tabloid_index) -> tuple:
     """The signed column-group sum of {T}, as a vector over the tabloid basis."""
-    vec = [ZERO] * len(tabloid_index)
+    vec = [0] * len(tabloid_index)
     for sign, mapping in column_group(tableau):
         moved = tabloid_of(tuple(tuple(mapping.get(x, x) for x in row) for row in tableau))
         vec[tabloid_index[moved]] += sign
@@ -189,22 +184,26 @@ def _symmetric_group(m: int) -> FiniteMonoid:
 _SYMMETRIC_GROUPS = {}
 
 
+def _tabloid_matrices(basis, labels, group: FiniteMonoid) -> list:
+    """The permutation matrix of every group element on the tabloid basis."""
+    index = {t: k for k, t in enumerate(basis)}
+    mats = []
+    for g in group.elements:
+        mapping = _label_action(g, labels)
+        moved = [index[tabloid_of(tuple(tuple(mapping[x] for x in row) for row in t))]
+                 for t in basis]
+        num = np.zeros((len(basis), len(basis)), dtype=object)
+        num[moved, range(len(basis))] = 1
+        mats.append(Matrix.from_numerators(num))
+    return mats
+
+
 def tabloid_module(shape, labels, group: FiniteMonoid = None) -> Representation:
     """Permutation representation on the tabloid basis."""
     shape, labels = _check_shape(shape, labels)
     if group is None:
         group = _symmetric_group(len(labels))
-    basis = tabloids(shape, labels)
-    index = {t: k for k, t in enumerate(basis)}
-    mats = []
-    for g in group.elements:
-        mapping = _label_action(g, labels)
-        rows = [[ZERO] * len(basis) for _ in basis]
-        for k, t in enumerate(basis):
-            moved = tabloid_of(tuple(tuple(mapping[x] for x in row) for row in t))
-            rows[index[moved]][k] = ONE
-        mats.append(Matrix(rows))
-    return Representation(group, mats)
+    return Representation(group, _tabloid_matrices(tabloids(shape, labels), labels, group))
 
 
 @dataclass(frozen=True)
@@ -236,26 +235,14 @@ def specht_rep(shape, labels=None, group: FiniteMonoid = None) -> SpechtData:
     basis = tabloids(shape, labels)
     index = {t: k for k, t in enumerate(basis)}
     vectors = tuple(polytabloid(t, index) for t in tableaux(shape, labels))
-    sub = Subspace.from_vectors(len(basis), vectors)
+    sub = Subspace.span(len(basis), vectors)
     expected = standard_tableaux_count(shape)
     if sub.dim != expected:
         raise RuntimeError(
             f"polytabloid span has dimension {sub.dim}, but {expected} standard tableaux"
         )
-    mats = []
-    for g in group.elements:
-        mapping = _label_action(g, labels)
-        cols = []
-        for b in sub.basis:
-            image = [ZERO] * len(basis)
-            for k, t in enumerate(basis):
-                if b[k] == 0:
-                    continue
-                moved = tabloid_of(tuple(tuple(mapping[x] for x in row) for row in t))
-                image[index[moved]] += b[k]
-            cols.append(sub.coords(image))
-        mats.append(Matrix(list(zip(*cols))))
-    rep = Representation(group, mats)
+    perms = _tabloid_matrices(basis, labels, group)
+    rep = Representation(group, [sub.restrict(m) for m in perms])  # the module restricted
     data = SpechtData(shape, labels, basis, vectors, sub, rep)
     if cache_key is not None:
         _SPECHT_CACHE[cache_key] = data

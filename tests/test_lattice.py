@@ -14,6 +14,7 @@ from monoidrep.green import green_structure, maximal_subgroup
 from monoidrep.lattice import (
     GroupAction,
     LatticeError,
+    SGLContext,
     SGLElement,
     _inverses,
     sgl_context,
@@ -286,6 +287,24 @@ class TestOrder:
         with pytest.raises(RuntimeError, match="disagrees"):
             sgl_order(action)
         assert len(products) < len(ctx.all_elements())
+
+
+class TestSGLContext:
+    @pytest.mark.parametrize("kind", ["subsets", "set_partitions", "ordered_partitions_zero"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_tables_match_elementwise_reference(self, kind, n):
+        # the pointwise stabilizer of each down-set, and the least member of
+        # every coset g * pointwise(a), one group product at a time
+        _, action = make_lattice(kind, n)
+        ctx = SGLContext(action)
+        group, lat = action.group, action.lattice
+        for a in range(len(lat)):
+            below = lat.down_set(a)
+            ks = tuple(g for g in range(len(group))
+                       if all(action.table[g, c] == c for c in below))
+            assert ctx.pointwise[a] == ks
+            assert ctx.rep_table[a].tolist() == [
+                min(group.mul(g, k) for k in ks) for g in range(len(group))]
 
 
 class TestGenerators:

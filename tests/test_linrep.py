@@ -1,12 +1,15 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from monoidrep.elements import (
     PartialBijection,
+    Permutation,
     Transformation,
     full_transformation_monoid,
     symmetric_group,
@@ -450,3 +453,195 @@ class TestSerialization:
         text = serialize_representation(refl, monoid_label="S:3")
         _, _, mats = parse_representation_payload(text)
         assert tuple(mats) == refl.matrices
+
+
+# -- Fraction oracles: Gauss-Jordan, product and determinant over Fraction rows
+
+def oracle_rref(rows):
+    """Reduced row echelon form over Fractions: (rows, pivots)."""
+    rows = [[F(x) for x in row] for row in rows]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
+
+
+def oracle_kernel(rows, ncols):
+    """Echelon basis of {x : rows . x = 0}."""
+    ech, pivots = oracle_rref(rows)
+    vecs = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = [F(0)] * ncols
+            v[f] = F(1)
+            for row, p in zip(ech, pivots):
+                v[p] = -row[f]
+            vecs.append(v)
+    return oracle_rref(vecs)[0]
+
+
+def oracle_product(a, b):
+    cols = list(zip(*b))
+    return [[sum((x * y for x, y in zip(row, col)), F(0)) for col in cols] for row in a]
+
+
+def oracle_det(rows):
+    rows = [[F(x) for x in row] for row in rows]
+    n = len(rows)
+    out = F(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if piv is None:
+            return F(0)
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            out = -out
+        out *= rows[col][col]
+        for r in range(col + 1, n):
+            f = rows[r][col] / rows[col][col]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    return out
+
+
+def oracle_intersection(a, b, n):
+    """Echelon basis of span(a) ∩ span(b): the kernel of [A^T | -B^T]."""
+    if not a or not b:
+        return ()
+    rows = [[v[i] for v in a] + [-w[i] for w in b] for i in range(n)]
+    vecs = [
+        [sum((c * v[k] for c, v in zip(sol[:len(a)], a)), F(0)) for k in range(n)]
+        for sol in oracle_kernel(rows, len(a) + len(b))
+    ]
+    return oracle_rref(vecs)[0]
+
+
+entries = st.one_of(st.just(0), st.fractions(min_value=-4, max_value=4, max_denominator=4))
+
+
+def rational_rows(nrows, ncols):
+    return st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                    min_size=nrows, max_size=nrows)
+
+
+def as_fractions(rows):
+    return tuple(tuple(F(x) for x in row) for row in rows)
+
+
+class TestExactKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 4), k=st.integers(1, 4), m=st.integers(1, 4))
+    def test_product_and_sum_match_oracle(self, data, n, k, m):
+        a = data.draw(rational_rows(n, k))
+        a2 = data.draw(rational_rows(n, k))
+        b = data.draw(rational_rows(k, m))
+        assert Matrix(a) * Matrix(b) == Matrix(oracle_product(a, b))
+        assert (Matrix(a) * Matrix(b)).rows == as_fractions(oracle_product(a, b))
+        assert (Matrix(a) + Matrix(a2)).rows == as_fractions(
+            [[F(x) + F(y) for x, y in zip(r, s)] for r, s in zip(a, a2)])
+        assert (Matrix(a) - Matrix(a2)).rows == as_fractions(
+            [[F(x) - F(y) for x, y in zip(r, s)] for r, s in zip(a, a2)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 5))
+    def test_det_matches_oracle(self, data, n):
+        a = data.draw(rational_rows(n, n))
+        assert Matrix(a).det() == oracle_det(a)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 5), m=st.integers(1, 5))
+    def test_rref_kernel_image_match_oracle(self, data, n, m):
+        a = data.draw(rational_rows(n, m))
+        r = rref(Matrix(a))
+        ech, pivots = oracle_rref(a)
+        assert r.echelon.rows == ech
+        assert r.pivots == pivots and r.rank == len(pivots)
+        assert r.kernel.basis == oracle_kernel(a, m)
+        assert r.image.basis == oracle_rref(list(zip(*a)))[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 5))
+    def test_intersection_matches_oracle(self, data, n):
+        a = data.draw(rational_rows(data.draw(st.integers(0, n)), n))
+        b = data.draw(rational_rows(data.draw(st.integers(0, n)), n))
+        u, w = Subspace.from_vectors(n, a), Subspace.from_vectors(n, b)
+        assert u.basis == oracle_rref(a)[0]
+        assert u.intersection(w).basis == oracle_intersection(u.basis, w.basis, n)
+
+    def test_equal_matrices_are_identical(self):
+        half = Matrix([[F(2, 4), 1]])
+        assert half == Matrix([[F(1, 2), F(2, 2)]])
+        assert hash(half) == hash(Matrix([[F(1, 2), F(2, 2)]]))
+        doubled = Matrix([[2, 4]]).scale(F(1, 4))
+        assert doubled == half and hash(doubled) == hash(half)
+        assert (doubled.den, list(doubled.num.flat)) == (2, [1, 2])
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 4), m=st.integers(1, 4),
+           k=st.integers(-6, 6).filter(bool))
+    def test_lowest_terms_are_canonical(self, data, n, m, k):
+        a = Matrix(data.draw(rational_rows(n, m)))
+        scaled = a * Matrix.identity(m).scale(k) * Matrix.identity(m).scale(F(1, k))
+        for b in (a.scale(k).scale(F(1, k)), scaled, Matrix(a.rows)):
+            assert b == a and hash(b) == hash(a)
+            assert b.den == a.den and np.array_equal(b.num, a.num)
+        assert math.gcd(a.den, *a.num.flat) == 1 and a.den > 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 4), kind=st.sampled_from(["random", "image", "kernel"]))
+    def test_restrict_acts_on_invariant_subspaces_only(self, data, n, kind):
+        m = Matrix(data.draw(rational_rows(n, n)))
+        if kind == "random":
+            sub = Subspace.from_vectors(n, data.draw(rational_rows(data.draw(st.integers(0, n)), n)))
+        else:
+            sub = getattr(rref(m), kind)
+        basis = [list(b) for b in sub.basis]
+        images = [m.apply(b) for b in basis]
+        invariant = len(oracle_rref(basis + images)[1]) == sub.dim
+        if not invariant:
+            with pytest.raises(ValueError):
+                sub.restrict(m)
+            return
+        r = sub.restrict(m)
+        bt = [list(col) for col in zip(*basis)] if basis else [[] for _ in range(n)]
+        assert oracle_product(bt, r.rows) == oracle_product(m.rows, bt)
+
+    def test_restrict_rejects_a_line_moved_off_itself(self, s3_map):
+        line = Subspace.from_vectors(3, [(1, 0, 0)])
+        swap = s3_map.matrix_of(Permutation([2, 1, 3]))
+        with pytest.raises(ValueError, match="not invariant"):
+            line.restrict(swap)
+        with pytest.raises(ValueError, match="not invariant"):
+            restrict_rep(s3_map, line)
+
+
+class TestVerifyDenominators:
+    def test_mixed_denominators_verify(self, s3_map):
+        d = Matrix([[2, 0, 0], [0, 1, 0], [0, 0, 1]])
+        d_inv = Matrix([[F(1, 2), 0, 0], [0, 1, 0], [0, 0, 1]])
+        mats = [d * m * d_inv for m in s3_map.matrices]
+        assert len({m.den for m in mats}) == 2
+        rep = Representation(s3_map.monoid, mats)
+        assert all_pairs_homomorphism(rep.monoid, rep.matrices)
+
+    def test_rescaled_numerators_are_rejected(self, s3_map):
+        # same numerators over a different denominator: not a homomorphism
+        e = s3_map.monoid.identity_index
+        mats = [m if k == e else m.scale(F(1, 2)) for k, m in enumerate(s3_map.matrices)]
+        assert not all_pairs_homomorphism(s3_map.monoid, mats)
+        with pytest.raises(VerificationError):
+            Representation(s3_map.monoid, mats)
