@@ -1,8 +1,8 @@
 """Command-line front end: structure and representation reports.
 
 Reports written to stdout are deterministic byte-for-byte for fixed inputs;
-timing goes to stderr.  Exit codes: 0 success, 2 parse/usage error,
-3 resource cap exceeded, 4 internal verification failure.
+timing goes to stderr.  Exit codes: 0 success, 2 parse/usage error
+or an unusable path, 3 resource cap exceeded, 4 internal verification failure.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 from .cliffmunn import (
     CatalogError,
+    apex_labels,
     cm_catalog,
     cm_roundtrip_check,
-    monoid_green,
     reduce_rep,
 )
 from .elements import (
@@ -32,7 +32,7 @@ from .elements import (
     symmetric_group,
     symmetric_inverse_monoid,
 )
-from .green import eggbox
+from .green import eggbox, monoid_green
 from .lattice import (
     SGLElement,
     make_lattice,
@@ -165,7 +165,7 @@ def fmt_label(label) -> str:
 
 
 def parse_label(text: str):
-    """Inverse of fmt_label on well-formed input."""
+    """Inverse of fmt_label; unbalanced parentheses are a SpecError."""
     text = text.strip()
     if not (text.startswith("(") and text.endswith(")")):
         raise SpecError(f"bad label {text!r}")
@@ -183,10 +183,14 @@ def parse_label(text: str):
                 depth += 1
             elif ch == ")":
                 depth -= 1
+                if depth < 0:
+                    raise SpecError(f"unbalanced parentheses in label {text!r}")
                 if depth == 0:
                     parts.append(parse_label(inner[start:k + 1]))
             elif depth == 0 and ch not in ", ":
                 raise SpecError(f"bad label {text!r}")
+        if depth:
+            raise SpecError(f"unbalanced parentheses in label {text!r}")
         return tuple(parts)
     try:
         return tuple(int(tok) for tok in inner.split(","))
@@ -194,18 +198,8 @@ def parse_label(text: str):
         raise SpecError(f"bad label {text!r}") from None
 
 
-def jclass_labels(built: BuiltMonoid):
-    """Deterministic display label per J-class id."""
-    from .cliffmunn import _apex_label
-
-    classes, _ = monoid_green(built.monoid)
-    return [
-        _apex_label(built.monoid, classes, j) for j in range(len(classes.jclasses))
-    ]
-
-
 def resolve_jclass(built: BuiltMonoid, text: str) -> int:
-    labels = jclass_labels(built)
+    labels = apex_labels(built.monoid)
     if text in labels:
         return labels.index(text)
     if text == "constants" and built.kind == "T":
@@ -267,14 +261,15 @@ def _eggbox_lines(built: BuiltMonoid, j: int, labels):
 def cmd_eggbox(built: BuiltMonoid, jtext, fmt, out) -> int:
     monoid = built.monoid
     classes, poset = monoid_green(monoid)
-    labels = jclass_labels(built)
+    labels = apex_labels(monoid)
     wanted = range(len(labels)) if jtext is None else [resolve_jclass(built, jtext)]
     lines = [f"command: eggbox", f"spec: {built.spec}", f"format: {fmt}",
              f"jclasses: {len(labels)}"]
     if fmt == "graph":
         for j in range(len(labels)):
             size = len(classes.jclasses[j])
-            sub = _subgroup_order(monoid, classes, j)
+            idems = classes.jclass_idempotents[j]
+            sub = len(classes.hclasses[classes.hclass_of[idems[0]]]) if idems else 0
             lines.append(f"node {labels[j]} size={size} subgroup={sub}")
         for low, high in poset.covers():
             lines.append(f"edge {labels[low]} {labels[high]}")
@@ -286,13 +281,6 @@ def cmd_eggbox(built: BuiltMonoid, jtext, fmt, out) -> int:
             lines.extend(_eggbox_lines(built, j, labels))
     print("\n".join(lines), file=out)
     return EXIT_OK
-
-
-def _subgroup_order(monoid, classes, j) -> int:
-    idems = [i for i in classes.jclasses[j] if monoid.table[i, i] == i]
-    if not idems:
-        return 0
-    return len(classes.hclasses[classes.hclass_of[idems[0]]])
 
 
 def cmd_irreps(built: BuiltMonoid, check: bool, out) -> int:
@@ -356,9 +344,10 @@ def _build_rep(built: BuiltMonoid, build: str):
         if built.kind == "SGL":
             raise SpecError("reduce:mapping needs an S:, I: or T: spec")
         j = resolve_jclass(built, parts[2])
-        classes, _ = monoid_green(built.monoid)
-        idems = [i for i in classes.jclasses[j] if built.monoid.table[i, i] == i]
-        red = reduce_rep(mapping_rep(built.monoid), min(idems))
+        idems = monoid_green(built.monoid)[0].jclass_idempotents[j]
+        if not idems:  # a generator file may close to a non-regular monoid
+            raise SpecError(f"J-class {parts[2]} holds no idempotent to reduce at")
+        red = reduce_rep(mapping_rep(built.monoid), idems[0])
         if red.rep is None:
             raise SpecError(f"the reduction at J-class {parts[2]} is zero")
         return red.rep, red.group
@@ -440,7 +429,9 @@ def run(argv, out=None) -> int:
         if args.command == "rep":
             return cmd_rep(built, args.build, args.out, out)
         raise AssertionError(f"unhandled command {args.command}")
-    except (SpecError, ElementParseError, FileNotFoundError, CatalogError) as exc:
+    except (SpecError, ElementParseError, OSError, CatalogError) as exc:
+        # OSError: a user-named path (generator file, --out) is missing,
+        # a directory or unreadable
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ClosureCapError as exc:

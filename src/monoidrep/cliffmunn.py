@@ -18,13 +18,7 @@ from math import factorial, lcm, prod
 import numpy as np
 
 from .elements import FiniteMonoid, PartialBijection, Permutation, Transformation
-from .green import (
-    GreenClasses,
-    green_structure,
-    hclass_decompose,
-    maximal_subgroup,
-    transversal,
-)
+from .green import lclass_coordinates, maximal_subgroup, monoid_green, transversal
 from .lattice import SGLElement
 from .linrep import (
     Matrix,
@@ -51,15 +45,6 @@ class CatalogError(RuntimeError):
     """Catalog construction hit an unrecognized or inconsistent structure."""
 
 
-def monoid_green(monoid: FiniteMonoid):
-    """Green structure of a monoid, cached on the monoid object."""
-    cached = getattr(monoid, "_green_cache", None)
-    if cached is None:
-        cached = green_structure(monoid)
-        monoid._green_cache = cached
-    return cached
-
-
 # -- reduction ---------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -78,12 +63,9 @@ class ReducedRep:
 
 def reduce_rep(big: Representation, e: int) -> ReducedRep:
     monoid = big.monoid
-    if monoid.table[e, e] != e:
-        raise ValueError("e is not idempotent")
     classes, _ = monoid_green(monoid)
-    phi_e = big.matrices[e]
-    carrier = rref(phi_e).image
-    group = maximal_subgroup(monoid, classes, e)
+    group = maximal_subgroup(monoid, classes, e)  # raises unless e is idempotent
+    carrier = rref(big.matrices[e]).image
     if carrier.dim == 0:
         return ReducedRep(e, carrier, group, None)
     mats = [carrier.restrict(big.matrices[monoid.index(el)]) for el in group.elements]
@@ -95,8 +77,7 @@ def support_jclasses(big: Representation) -> tuple:
     monoid = big.monoid
     classes, _ = monoid_green(monoid)
     support = []
-    for j, members in enumerate(classes.jclasses):
-        idems = [i for i in members if monoid.table[i, i] == i]
+    for j, idems in enumerate(classes.jclass_idempotents):
         if not idems:
             raise ApexError(f"J-class {j} carries no idempotent; monoid not regular")
         flags = {big.matrices[i].is_zero() for i in idems}
@@ -116,15 +97,12 @@ def apex(big: Representation):
     monoid = big.monoid
     _, poset = monoid_green(monoid)
     support = support_jclasses(big)
-    sup = set(support)
-    for j in support:
-        for k in range(poset.count):
-            if poset.leq[j, k] and k not in sup:
-                raise ApexError("support is not upward closed")
-    minima = [
-        j for j in support
-        if not any(k != j and poset.leq[k, j] for k in support)
-    ]
+    inside = np.zeros(poset.count, dtype=bool)
+    inside[list(support)] = True
+    if (poset.leq[inside] & ~inside).any():
+        raise ApexError("support is not upward closed")
+    below = poset.leq[np.ix_(inside, inside)] & ~np.eye(len(support), dtype=bool)
+    minima = [j for j, lower in zip(support, below.any(axis=0)) if not lower]
     if len(minima) != 1:
         raise ApexError(
             f"support has {len(minima)} minimal classes; representation is not irreducible"
@@ -144,7 +122,7 @@ class InducedRaw:
     group: FiniteMonoid
     group_rep: Representation
     rep: Representation
-    block_map: tuple  # block_map[t][i] = (j, local group index) or None
+    block_map: tuple  # (J, G) int arrays (|S|, k): t s_i = s_J g_G; -1 off L_e
 
 
 def induce_raw(monoid: FiniteMonoid, e: int, group_rep: Representation,
@@ -153,29 +131,23 @@ def induce_raw(monoid: FiniteMonoid, e: int, group_rep: Representation,
     if trans is None:
         trans = transversal(monoid, classes, e)
     group = group_rep.monoid
-    local = {monoid.index(el): k for k, el in enumerate(group.elements)}
+    block, local = lclass_coordinates(monoid, classes, trans)
+    # position in G_e (ascending) -> index in the group rep's own element order
+    ge = classes.hclasses[classes.hclass_of[e]]
+    to_group = np.array([group.index(monoid.elements[g]) for g in ge])
+    products = monoid.table[:, list(trans.reps)]  # products[t, i] = t s_i
+    big_j = block[products]
+    big_g = np.where(big_j >= 0, to_group[local[products]], -1)
     k, dv = len(trans.reps), group_rep.dim
-    dim = k * dv
-    e_l = classes.lclass_of[e]
     den = lcm(*(m.den for m in group_rep.matrices))
-    blocks = [m.num * (den // m.den) for m in group_rep.matrices]  # over one den
-    block_map = []
-    mats = []
-    for t in range(len(monoid)):
-        entries = []
-        num = np.zeros((dim, dim), dtype=object)
-        for i, s_i in enumerate(trans.reps):
-            p = int(monoid.table[t, s_i])
-            if classes.lclass_of[p] != e_l:
-                entries.append(None)
-                continue
-            j, g = hclass_decompose(monoid, classes, trans, p)
-            entries.append((j, local[g]))
-            num[j * dv:(j + 1) * dv, i * dv:(i + 1) * dv] = blocks[local[g]]
-        block_map.append(tuple(entries))
-        mats.append(Matrix.from_numerators(num, den))
-    rep = Representation(monoid, mats)
-    return InducedRaw(monoid, e, trans.reps, group, group_rep, rep, tuple(block_map))
+    blocks = np.array([m.num * (den // m.den) for m in group_rep.matrices])  # over one den
+    # block (J, i) of phi(t) is rho(G): rows J*dv.., columns i*dv..
+    num = np.zeros((len(monoid), k, dv, k, dv), dtype=object)
+    t, i = np.nonzero(big_j >= 0)
+    num[t, big_j[t, i], :, i, :] = blocks[big_g[t, i]]
+    num = num.reshape(len(monoid), k * dv, k * dv)
+    rep = Representation(monoid, [Matrix.from_numerators(x, den) for x in num])
+    return InducedRaw(monoid, e, trans.reps, group, group_rep, rep, (big_j, big_g))
 
 
 def annihilator(raw: InducedRaw) -> Subspace:
@@ -205,50 +177,50 @@ class SemisimpleReport:
 
 def semisimple_predicate(monoid: FiniteMonoid, characteristic: int = 0) -> SemisimpleReport:
     """Maschke for groups, the subgroup-order divisibility test for inverse
-    monoids, and an honest "unknown" for other regular monoids."""
+    monoids, and an honest "unknown" for other regular monoids.
+
+    Regular and inverse are read off where the idempotents sit; D = J in a
+    finite monoid.  If a = a x a, then a x is an idempotent R-related to a,
+    and a D-class holding one regular element is regular throughout (Howie,
+    Prop. 2.3.1).  So the monoid is regular iff every J-class holds an
+    idempotent.  A monoid is inverse, each element having exactly one
+    inverse, iff every L-class and every R-class holds exactly one idempotent
+    (Howie, Thm 5.1.1).  An inverse monoid with one idempotent is a group.
+    """
     if characteristic < 0 or characteristic == 1:
         raise ValueError("characteristic must be 0 or a prime")
-    t = monoid.table
-    n = len(monoid)
-    idx = np.arange(n)
-    counts = np.empty(n, dtype=np.int64)
-    for s in range(n):
-        sts = t[t[s, :], s] == s
-        tst = t[t[:, s], idx] == idx
-        counts[s] = int(np.sum(sts & tst))
-    if (counts == 0).any():
+    classes, _ = monoid_green(monoid)
+    if not all(classes.jclass_idempotents):
         return SemisimpleReport("unknown", "monoid is not regular")
-    if (counts == 1).all():
-        num_idem = len(monoid.idempotent_indices())
-        if num_idem == 1:
-            order = n
-            if characteristic == 0 or order % characteristic:
-                return SemisimpleReport(
-                    "semisimple", f"group of order {order}, characteristic does not divide it"
-                )
+    idems = np.asarray(monoid.idempotent_indices())
+    per_l = np.bincount(np.asarray(classes.lclass_of)[idems], minlength=len(classes.lclasses))
+    per_r = np.bincount(np.asarray(classes.rclass_of)[idems], minlength=len(classes.rclasses))
+    if (per_l != 1).any() or (per_r != 1).any():
+        return SemisimpleReport(
+            "unknown", "regular but not inverse: no general semisimplicity criterion applies"
+        )
+    if len(idems) == 1:
+        order = len(monoid)
+        if characteristic == 0 or order % characteristic:
             return SemisimpleReport(
-                "not_semisimple", f"characteristic {characteristic} divides the group order {order}"
-            )
-        classes, _ = monoid_green(monoid)
-        orders = sorted({
-            len(classes.hclasses[classes.hclass_of[e]])
-            for e in monoid.idempotent_indices()
-        })
-        if characteristic == 0:
-            return SemisimpleReport(
-                "semisimple", f"inverse monoid, subgroup orders {orders}, characteristic 0"
-            )
-        bad = [o for o in orders if o % characteristic == 0]
-        if bad:
-            return SemisimpleReport(
-                "not_semisimple",
-                f"characteristic {characteristic} divides subgroup order {bad[0]}",
+                "semisimple", f"group of order {order}, characteristic does not divide it"
             )
         return SemisimpleReport(
-            "semisimple", f"inverse monoid, characteristic divides no subgroup order"
+            "not_semisimple", f"characteristic {characteristic} divides the group order {order}"
+        )
+    orders = sorted({len(classes.hclasses[classes.hclass_of[e]]) for e in idems})
+    if characteristic == 0:
+        return SemisimpleReport(
+            "semisimple", f"inverse monoid, subgroup orders {orders}, characteristic 0"
+        )
+    bad = [o for o in orders if o % characteristic == 0]
+    if bad:
+        return SemisimpleReport(
+            "not_semisimple",
+            f"characteristic {characteristic} divides subgroup order {bad[0]}",
         )
     return SemisimpleReport(
-        "unknown", "regular but not inverse: no general semisimplicity criterion applies"
+        "semisimple", f"inverse monoid, characteristic divides no subgroup order"
     )
 
 
@@ -446,23 +418,27 @@ def _group_irreps(monoid: FiniteMonoid, e: int, group: FiniteMonoid):
         yield (shapes[0] if symmetric else shapes), rep
 
 
-def _apex_label(monoid: FiniteMonoid, classes: GreenClasses, j: int) -> str:
-    el = monoid.elements[classes.jclasses[j][0]]
-    if isinstance(el, (PartialBijection, Transformation)):
-        return f"J{el.rank}"
-    if isinstance(el, SGLElement):
-        a = el.lattice_element()
-        kind = getattr(el.context.lattice, "kind", None)
-        if kind == "subsets":
-            return f"J{len(a)}"
-        if a == ():
-            return "0"
-        if kind == "set_partitions":
-            sizes = tuple(sorted((len(b) for b in a), reverse=True))
+def apex_labels(monoid: FiniteMonoid) -> tuple:
+    """The display label of every J-class, by J-class id: J<rank> for S, I
+    and T, J<size> for subset pairs, the block sizes for partition pairs."""
+    classes, _ = monoid_green(monoid)
+    labels = []
+    for j, members in enumerate(classes.jclasses):
+        el = monoid.elements[members[0]]
+        if isinstance(el, (PartialBijection, Transformation)):
+            labels.append(f"J{el.rank}")
+        elif not isinstance(el, SGLElement):
+            labels.append(f"J{j}")
+        elif el.context.lattice.kind == "subsets":
+            labels.append(f"J{len(el.lattice_element())}")
+        elif el.lattice_element() == ():
+            labels.append("0")
         else:
-            sizes = tuple(len(b) for b in a)
-        return "(" + ",".join(str(s) for s in sizes) + ")"
-    return f"J{j}"
+            sizes = [len(b) for b in el.lattice_element()]
+            if el.context.lattice.kind == "set_partitions":
+                sizes.sort(reverse=True)
+            labels.append("(" + ",".join(str(x) for x in sizes) + ")")
+    return tuple(labels)
 
 
 def cm_catalog(monoid: FiniteMonoid) -> tuple:
@@ -476,18 +452,17 @@ def cm_catalog(monoid: FiniteMonoid) -> tuple:
         )
     classes, _ = monoid_green(monoid)
     cert = semisimple_predicate(monoid, 0)
+    labels = apex_labels(monoid)
     entries = []
-    for j in range(len(classes.jclasses)):
-        idems = [i for i in classes.jclasses[j] if monoid.table[i, i] == i]
+    for j, idems in enumerate(classes.jclass_idempotents):
         if not idems:
             raise CatalogError(f"J-class {j} has no idempotent")
-        e = min(idems)
+        e = idems[0]
         group = maximal_subgroup(monoid, classes, e)
-        label_j = _apex_label(monoid, classes, j)
         for label, group_rep in _group_irreps(monoid, e, group):
             rep = induce(monoid, e, group_rep)
             entries.append(
-                CatalogEntry(j, label_j, label, e, group, group_rep, rep)
+                CatalogEntry(j, labels[j], label, e, group, group_rep, rep)
             )
     chars = [en.rep.character() for en in entries]
     for i in range(len(entries)):
@@ -576,12 +551,8 @@ def renner_permutohedron_catalog(n: int, with_catalog: bool = None):
             for j2, t2 in enumerate(types):
                 if bool(poset.leq[j1, j2]) != composition_leq(t1, t2):
                     poset_ok = False
-    young_ok = True
-    for j, t in enumerate(types):
-        idems = [i for i in classes.jclasses[j] if monoid.table[i, i] == i]
-        group = maximal_subgroup(monoid, classes, min(idems))
-        expected_order = prod(factorial(p) for p in t) if t else 1
-        if len(group) != expected_order:
-            young_ok = False
+    orders = [len(maximal_subgroup(monoid, classes, idems[0]))
+              for idems in classes.jclass_idempotents]
+    young_ok = orders == [prod(factorial(p) for p in t) for t in types]
     report = RennerReport(n, len(monoid), tuple(types), poset_ok, young_ok)
     return monoid, catalog, report

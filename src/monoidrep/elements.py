@@ -317,7 +317,9 @@ class FiniteMonoid:
         return self._index[element]
 
     def idempotent_indices(self) -> tuple:
-        return tuple(i for i in range(len(self)) if self.table[i, i] == i)
+        """Indices i with i*i = i, ascending: one pass over the table diagonal."""
+        diag = np.diagonal(self.table)
+        return tuple(np.flatnonzero(diag == np.arange(len(self))).tolist())
 
     def is_group(self) -> bool:
         """Whether every element has a two-sided inverse."""

@@ -1,9 +1,16 @@
-"""Green's relations L, R, H, J on an enumerated finite monoid.
+"""Green's relations L, R, H, J on an enumerated finite monoid, and the
+Green data that reduction, induction and the catalogs read.
 
 Classes are compared through principal-ideal membership bitsets (one table
 sweep per element).  Class ids are assigned in order of least contained
 element, so all derived structure is deterministic.  Since the monoids here
 are finite, D coincides with J and is not represented separately.
+
+green_structure also records the idempotents of every J-class, from one
+pass over the table diagonal.  lclass_coordinates writes each t in L_e as
+s_i * g over a transversal {s_i} and the maximal subgroup G_e (the
+Schuetzenberger coordinates induction reads) as two integer arrays.
+monoid_green caches the structure on the monoid, so it is computed once.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ class GreenClasses:
     rclasses: tuple
     hclasses: tuple
     jclasses: tuple
+    jclass_idempotents: tuple  # ascending idempotent indices, one tuple per J-class
 
 
 @dataclass(frozen=True)
@@ -36,18 +44,11 @@ class JPoset:
     maximum: int
 
     def covers(self):
-        """Hasse diagram edges (lower, upper)."""
-        out = []
-        for i in range(self.count):
-            for j in range(self.count):
-                if i == j or not self.leq[i, j]:
-                    continue
-                if not any(
-                    self.leq[i, k] and self.leq[k, j] and k not in (i, j)
-                    for k in range(self.count)
-                ):
-                    out.append((i, j))
-        return tuple(out)
+        """Hasse diagram edges (lower, upper) in row-major order: the strict
+        relations i < j with no k such that i < k < j."""
+        strict = (self.leq & ~np.eye(self.count, dtype=bool)).astype(np.int64)
+        cover = (strict > 0) & ~(strict @ strict > 0)
+        return tuple((int(i), int(j)) for i, j in np.argwhere(cover))
 
 
 @dataclass(frozen=True)
@@ -97,24 +98,20 @@ def green_structure(monoid: FiniteMonoid):
     rclass_of, rclasses = _classify(rkeys)
     hclass_of, hclasses = _classify(list(zip(lclass_of, rclass_of)))
 
-    # J = <L, R> via union-find over elements
-    parent = list(range(n))
+    # J = D = L o R = R o L: the D-class of x is the union of the R-classes
+    # met by L_x, and L_x meets every R-class in it, so the least R-class id
+    # met by L_x is the same for all of D_x and names it
+    least_r = np.full(len(lclasses), n)
+    np.minimum.at(least_r, np.asarray(lclass_of), np.asarray(rclass_of))
+    jclass_of, jclasses = _classify(least_r[np.asarray(lclass_of)].tolist())
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for members in lclasses + rclasses:
-        root = find(members[0])
-        for m in members[1:]:
-            parent[find(m)] = root
-    jclass_of, jclasses = _classify([find(i) for i in range(n)])
+    jclass_idempotents = [[] for _ in jclasses]
+    for i in monoid.idempotent_indices():  # ascending, so each list is too
+        jclass_idempotents[jclass_of[i]].append(i)
 
     classes = GreenClasses(
-        lclass_of, rclass_of, hclass_of, jclass_of,
-        lclasses, rclasses, hclasses, jclasses,
+        lclass_of, rclass_of, hclass_of, jclass_of, lclasses, rclasses, hclasses,
+        jclasses, tuple(map(tuple, jclass_idempotents)),
     )
 
     # J-order from two-sided principal ideal containment, one ideal per class
@@ -124,18 +121,25 @@ def green_structure(monoid: FiniteMonoid):
     for k, r in enumerate(reps):
         left = np.unique(t[:, r])  # the set Sr
         ideal[k, t[left, :].ravel()] = True  # SrS
-    leq = np.zeros((count, count), dtype=bool)
-    for i in range(count):
-        for j in range(count):
-            leq[i, j] = ideal[j, reps[i]]
-    for i in range(count):
-        for j in range(count):
-            if i != j and leq[i, j] and leq[j, i]:
-                raise RuntimeError("J-order is not antisymmetric: ideal computation bug")
+    leq = np.ascontiguousarray(ideal[:, reps].T)  # leq[i, j]: rep i lies in S rep_j S
+    # J_i <= J_j and J_j <= J_i give equal principal ideals S r S, that is
+    # J-related reps, so i = j; a pair i != j proves the ideals wrong
+    if (leq & leq.T & ~np.eye(count, dtype=bool)).any():
+        raise RuntimeError("J-order is not antisymmetric: ideal computation bug")
     poset = JPoset(count, leq, jclass_of[monoid.identity_index])
+    # every s = 1 s 1 lies in the ideal of the identity
     if not leq[:, poset.maximum].all():
         raise RuntimeError("units' class is not the maximum of the J-order")
     return classes, poset
+
+
+def monoid_green(monoid: FiniteMonoid):
+    """Green structure of a monoid, cached on the monoid object."""
+    cached = getattr(monoid, "_green_cache", None)
+    if cached is None:
+        cached = green_structure(monoid)
+        monoid._green_cache = cached
+    return cached
 
 
 def idempotents(monoid: FiniteMonoid) -> tuple:
@@ -146,41 +150,37 @@ def eggbox(monoid: FiniteMonoid, classes: GreenClasses, jclass: int) -> Eggbox:
     if not 0 <= jclass < len(classes.jclasses):
         raise ValueError(f"no J-class {jclass}")
     members = classes.jclasses[jclass]
-    rows = sorted({classes.rclass_of[m] for m in members}, key=lambda c: classes.rclasses[c][0])
-    cols = sorted({classes.lclass_of[m] for m in members}, key=lambda c: classes.lclasses[c][0])
-    cell = {(classes.rclass_of[m], classes.lclass_of[m]): [] for m in members}
-    for m in members:
-        cell[(classes.rclass_of[m], classes.lclass_of[m])].append(m)
-    grid, idem = [], []
-    for r in rows:
-        grow, irow = [], []
-        for c in cols:
-            box = tuple(sorted(cell.get((r, c), ())))
-            if not box:
-                raise RuntimeError("empty eggbox cell: monoid is not regular")
-            grow.append(box)
-            irow.append(any(monoid.table[m, m] == m for m in box))
-        grid.append(tuple(grow))
-        idem.append(tuple(irow))
-    return Eggbox(jclass, tuple(rows), tuple(cols), tuple(grid), tuple(idem))
+    # class ids follow least members, so sorting ids orders rows and columns
+    rows = tuple(sorted({classes.rclass_of[m] for m in members}))
+    cols = tuple(sorted({classes.lclass_of[m] for m in members}))
+    cell = {
+        (classes.rclass_of[m], classes.lclass_of[m]): classes.hclasses[classes.hclass_of[m]]
+        for m in members
+    }
+    # D = L o R, and D = J in a finite monoid, so every L-class of a J-class
+    # meets every R-class of it, regular or not
+    if len(cell) != len(rows) * len(cols):
+        raise RuntimeError("empty eggbox cell: Green classes computed wrongly")
+    grid = tuple(tuple(cell[r, c] for c in cols) for r in rows)
+    idempotents_here = set(classes.jclass_idempotents[jclass])
+    idem = tuple(tuple(not idempotents_here.isdisjoint(box) for box in row) for row in grid)
+    return Eggbox(jclass, rows, cols, grid, idem)
 
 
 def maximal_subgroup(monoid: FiniteMonoid, classes: GreenClasses, e: int) -> FiniteMonoid:
     """The H-class of the idempotent e as a group with identity e."""
     if monoid.table[e, e] != e:
         raise ValueError("e is not idempotent")
-    h = classes.hclass_of[e]
-    members = classes.hclasses[h]
-    local = {m: k for k, m in enumerate(members)}
-    size = len(members)
-    table = np.empty((size, size), dtype=np.int32)
-    for i, a in enumerate(members):
-        for j, b in enumerate(members):
-            p = int(monoid.table[a, b])
-            if p not in local:
-                raise RuntimeError("H-class of an idempotent is not closed")
-            table[i, j] = local[p]
-    group = FiniteMonoid([monoid.elements[m] for m in members], table, local[e])
+    members = np.asarray(classes.hclasses[classes.hclass_of[e]], dtype=np.intp)
+    position = np.full(len(monoid), -1, dtype=np.int32)
+    position[members] = np.arange(len(members))
+    table = position[monoid.table[np.ix_(members, members)]]
+    # Green's theorem (Howie 2.2.5): the H-class of an idempotent is closed
+    # under products and is a group with identity e; a product landing
+    # outside it, or a failed group axiom below, proves the classes wrong
+    if (table < 0).any():
+        raise RuntimeError("H-class of an idempotent is not closed")
+    group = FiniteMonoid([monoid.elements[m] for m in members], table, position[e])
     if not group.is_group():
         raise RuntimeError("H-class of e fails the group axioms")
     return group
@@ -189,14 +189,42 @@ def maximal_subgroup(monoid: FiniteMonoid, classes: GreenClasses, e: int) -> Fin
 def transversal(monoid: FiniteMonoid, classes: GreenClasses, e: int) -> Transversal:
     if monoid.table[e, e] != e:
         raise ValueError("e is not idempotent")
-    le_members = classes.lclasses[classes.lclass_of[e]]
-    by_h = {}
-    for m in le_members:
-        by_h.setdefault(classes.hclass_of[m], []).append(m)
-    e_h = classes.hclass_of[e]
-    hs = sorted(by_h, key=lambda h: min(by_h[h]))
-    reps = tuple(e if h == e_h else min(by_h[h]) for h in hs)
-    return Transversal(e, reps, tuple(hs))
+    reps = {}  # H-class id -> representative, in order of least member
+    for m in classes.lclasses[classes.lclass_of[e]]:  # ascending
+        reps.setdefault(classes.hclass_of[m], m)
+    reps[classes.hclass_of[e]] = e
+    return Transversal(e, tuple(reps.values()), tuple(reps))
+
+
+def lclass_coordinates(monoid: FiniteMonoid, classes: GreenClasses, trans: Transversal):
+    """Int arrays block, local over all elements with
+    t = reps[block[t]] * G_e[local[t]] for t in L_e and -1 elsewhere, where
+    G_e lists the H-class of e ascending, in maximal_subgroup's order.
+
+    Green's lemma (Howie 2.2.1, dual form) makes the products s_i * g a
+    tiling of L_e.  From s_i L e, s_i = u e for some u, and left translation
+    by u is a bijection R_e -> R_{s_i} that preserves L-classes, so it maps
+    H_e = G_e onto H_{s_i}; on G_e it is g -> u g = u e g = s_i g.  With one
+    s_i per H-class of L_e, the k |G_e| products list L_e exactly once each,
+    so every (i, g) exists and is unique.  The check below confirms it, and
+    rejects a transversal with two representatives in one H-class or a
+    missing one.
+    """
+    e = trans.idempotent
+    le = classes.lclass_of[e]
+    if any(classes.lclass_of[s] != le for s in trans.reps):
+        raise ValueError("transversal representative outside the L-class of e")
+    reps = np.asarray(trans.reps, dtype=np.intp)
+    ge = np.asarray(classes.hclasses[classes.hclass_of[e]], dtype=np.intp)
+    products = monoid.table[np.ix_(reps, ge)]  # products[i, g] = s_i * g
+    if not np.array_equal(np.sort(products, axis=None), classes.lclasses[le]):
+        raise ValueError("the products s_i * g do not list L_e once each: "
+                         "not one representative per H-class")
+    block = np.full(len(monoid), -1, dtype=np.intp)
+    local = np.full(len(monoid), -1, dtype=np.intp)
+    block[products] = np.arange(len(reps))[:, None]
+    local[products] = np.arange(len(ge))[None, :]
+    return block, local
 
 
 def hclass_decompose(monoid: FiniteMonoid, classes: GreenClasses, trans: Transversal, t: int):
@@ -204,14 +232,8 @@ def hclass_decompose(monoid: FiniteMonoid, classes: GreenClasses, trans: Transve
     e = trans.idempotent
     if classes.lclass_of[t] != classes.lclass_of[e]:
         raise ValueError("element is not in the L-class of e")
-    h = classes.hclass_of[t]
-    i = trans.hclass_ids.index(h)
-    s_i = trans.reps[i]
-    ge = classes.hclasses[classes.hclass_of[e]]
-    hits = [g for g in ge if monoid.table[s_i, g] == t]
-    if len(hits) != 1:
-        raise RuntimeError(f"decomposition not unique: {len(hits)} witnesses")
-    return i, hits[0]
+    block, local = lclass_coordinates(monoid, classes, trans)
+    return int(block[t]), classes.hclasses[classes.hclass_of[e]][local[t]]
 
 
 def jclass_subgroup_iso(monoid: FiniteMonoid, classes: GreenClasses, e: int, f: int, s: int):

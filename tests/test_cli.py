@@ -10,6 +10,7 @@ from monoidrep.cli import (
     EXIT_CAP,
     EXIT_OK,
     EXIT_PARSE,
+    SpecError,
     _build_rep,
     fmt_label,
     parse_and_build,
@@ -17,6 +18,7 @@ from monoidrep.cli import (
     run,
 )
 from monoidrep import specht
+from monoidrep.cliffmunn import cm_catalog
 from monoidrep.elements import FiniteMonoid, Permutation
 from monoidrep.linrep import Representation, parse_representation_payload
 from monoidrep.specht import partitions
@@ -101,6 +103,26 @@ class TestSpecParsing:
     def test_missing_file_exit_2(self):
         code, _ = invoke(["order", "gens:/nonexistent/file.txt"])
         assert code == EXIT_PARSE
+
+    def test_directory_as_generator_file_exit_2(self, tmp_path, capsys):
+        code, _ = invoke(["order", f"gens:{tmp_path}"])
+        assert code == EXIT_PARSE
+        assert "Is a directory" in capsys.readouterr().err
+
+    def test_directory_as_out_path_exit_2(self, tmp_path, capsys):
+        code, text = invoke(["rep", "I:2", "--build", "mapping", "--out", str(tmp_path)])
+        assert code == EXIT_PARSE
+        assert text == ""
+        assert "Is a directory" in capsys.readouterr().err
+
+    def test_reduce_at_a_class_without_idempotent_exit_2(self, tmp_path, capsys):
+        # {1, a, 0} with a = [1 -> 2]: the class of a holds no idempotent
+        path = tmp_path / "gens.txt"
+        path.write_text("I 2\n[1,2]\n")
+        code, text = invoke(["rep", f"gens:{path}", "--build", "reduce:mapping:J1"])
+        assert code == EXIT_PARSE
+        assert text == ""
+        assert "holds no idempotent" in capsys.readouterr().err
 
     def test_closure_cap_exit_3(self, tmp_path):
         # I_7 has 130922 elements, beyond the default closure cap; note the
@@ -266,3 +288,22 @@ class TestLabelCodec:
     ])
     def test_roundtrip(self, label):
         assert parse_label(fmt_label(label)) == label
+
+    @pytest.mark.parametrize("text", [
+        "((2)", "((1),(2)))", "((1)))", "(((1))", "((1),)(2))", "((1)),((2))",
+    ])
+    def test_unbalanced_parentheses_raise(self, text):
+        with pytest.raises(SpecError):
+            parse_label(text)
+
+    def test_unbalanced_label_in_a_build_exits_2(self):
+        code, text = invoke(["rep", "I:3", "--build", "induce:J0:((2)"])
+        assert code == EXIT_PARSE
+        assert text == ""
+
+    @pytest.mark.parametrize("spec", ["I:4", "SGL:ordperm:3"])
+    def test_roundtrip_over_catalog_labels(self, spec):
+        labels = {en.label for en in cm_catalog(parse_and_build(spec).monoid)}
+        assert len(labels) > 1
+        for label in labels:
+            assert parse_label(fmt_label(label)) == label

@@ -7,6 +7,7 @@ import pytest
 from monoidrep.elements import (
     PartialBijection,
     Transformation,
+    closure,
     full_transformation_monoid,
     symmetric_group,
     symmetric_inverse_monoid,
@@ -47,6 +48,7 @@ from monoidrep.cliffmunn import (
     monoid_green,
     reduce_rep,
     renner_permutohedron_catalog,
+    SemisimpleReport,
     semisimple_predicate,
     support_jclasses,
 )
@@ -337,6 +339,12 @@ class TestSemisimplePredicate:
         report = semisimple_predicate(t3, 0)
         assert report.status == "unknown"
         assert "inverse" in report.reason
+
+    def test_not_regular(self):
+        # {1, a, 0} with a = [1 -> 2]: a x a = 0 for every x, so a has no inverse
+        m = closure([PartialBijection(2, [(1, 2)])])
+        assert len(m) == 3
+        assert semisimple_predicate(m, 0) == SemisimpleReport("unknown", "monoid is not regular")
 
     def test_rejects_bad_characteristic(self, i3):
         with pytest.raises(ValueError):

@@ -1,21 +1,31 @@
-import pytest
+from functools import lru_cache
 
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from monoidrep.cliffmunn import semisimple_predicate, SemisimpleReport
 from monoidrep.elements import (
     PartialBijection,
     Transformation,
+    closure,
     full_transformation_monoid,
     symmetric_group,
     symmetric_inverse_monoid,
 )
 from monoidrep.green import (
+    Transversal,
     eggbox,
     green_structure,
     hclass_decompose,
     idempotents,
     jclass_subgroup_iso,
+    lclass_coordinates,
     maximal_subgroup,
+    monoid_green,
     transversal,
 )
+from monoidrep.lattice import make_lattice, sgl_monoid
 
 
 @pytest.fixture(scope="module")
@@ -274,3 +284,174 @@ class TestSubgroupIso:
         z = m.index(PartialBijection.zero(3))
         with pytest.raises(ValueError):
             jclass_subgroup_iso(m, classes, e, z, e)
+
+
+# -- the Green layer against brute force, on random small monoids -------------
+
+def _element(kind, n):
+    if kind == "T":
+        return st.lists(st.integers(1, n), min_size=n, max_size=n).map(Transformation)
+    return st.tuples(
+        st.permutations(range(1, n + 1)), st.lists(st.booleans(), min_size=n, max_size=n)
+    ).map(lambda pk: PartialBijection(n, [(x, y) for x, y, k in zip(range(1, n + 1), *pk) if k]))
+
+
+@lru_cache(maxsize=None)
+def pair_monoid(kind):
+    return sgl_monoid(make_lattice(kind, 3)[1])[0]
+
+
+@st.composite
+def small_monoids(draw):
+    """Closures of 1-3 random I or T generators of degree <= 4, or one of the
+    three pair monoids at degree 3."""
+    if draw(st.integers(0, 4)) == 0:
+        return pair_monoid(
+            draw(st.sampled_from(["subsets", "set_partitions", "ordered_partitions_zero"]))
+        )
+    kind, n = draw(st.sampled_from("IT")), draw(st.integers(1, 4))
+    return closure(draw(st.lists(_element(kind, n), min_size=1, max_size=3)))
+
+
+def reference_covers(poset):
+    """The Hasse edges by the triple loop over all middle classes."""
+    return tuple(
+        (i, j)
+        for i in range(poset.count) for j in range(poset.count)
+        if i != j and poset.leq[i, j] and not any(
+            poset.leq[i, k] and poset.leq[k, j] and k not in (i, j)
+            for k in range(poset.count)
+        )
+    )
+
+
+def reference_semisimple_predicate(monoid, characteristic):
+    """The status from each element's number of inverses, counted over all
+    pairs: none for some element means not regular, exactly one for every
+    element means inverse."""
+    t = monoid.table
+    n = len(monoid)
+    idx = np.arange(n)
+    counts = np.array([
+        np.sum((t[t[s, :], s] == s) & (t[t[:, s], idx] == idx)) for s in range(n)
+    ])
+    if (counts == 0).any():
+        return SemisimpleReport("unknown", "monoid is not regular")
+    if not (counts == 1).all():
+        return SemisimpleReport(
+            "unknown", "regular but not inverse: no general semisimplicity criterion applies"
+        )
+    idems = monoid.idempotent_indices()
+    if len(idems) == 1:
+        if characteristic == 0 or n % characteristic:
+            return SemisimpleReport(
+                "semisimple", f"group of order {n}, characteristic does not divide it"
+            )
+        return SemisimpleReport(
+            "not_semisimple", f"characteristic {characteristic} divides the group order {n}"
+        )
+    classes, _ = monoid_green(monoid)
+    orders = sorted({len(classes.hclasses[classes.hclass_of[e]]) for e in idems})
+    if characteristic == 0:
+        return SemisimpleReport(
+            "semisimple", f"inverse monoid, subgroup orders {orders}, characteristic 0"
+        )
+    bad = [o for o in orders if o % characteristic == 0]
+    if bad:
+        return SemisimpleReport(
+            "not_semisimple", f"characteristic {characteristic} divides subgroup order {bad[0]}"
+        )
+    return SemisimpleReport("semisimple", "inverse monoid, characteristic divides no subgroup order")
+
+
+class TestGreenLayer:
+    @settings(max_examples=60, deadline=None)
+    @given(m=small_monoids())
+    def test_jclass_idempotents_match_brute_force(self, m):
+        classes, _ = monoid_green(m)
+        expected = tuple(
+            tuple(i for i in members if m.table[i, i] == i) for members in classes.jclasses
+        )
+        assert classes.jclass_idempotents == expected
+        assert m.idempotent_indices() == tuple(i for i in range(len(m)) if m.table[i, i] == i)
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=small_monoids())
+    def test_jclasses_are_the_equal_two_sided_ideals(self, m):
+        classes, _ = monoid_green(m)
+        t = m.table
+        ideals = np.zeros((len(m), len(m)), dtype=bool)
+        for x in range(len(m)):
+            ideals[x, t[t[:, x], :]] = True  # S x S
+        for x in range(len(m)):
+            same = np.flatnonzero((ideals == ideals[x]).all(axis=1))
+            assert tuple(same) == classes.jclasses[classes.jclass_of[x]]
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=small_monoids())
+    def test_lclass_coordinates_match_brute_force(self, m):
+        classes, _ = monoid_green(m)
+        for e in m.idempotent_indices():
+            tr = transversal(m, classes, e)
+            block, local = lclass_coordinates(m, classes, tr)
+            ge = classes.hclasses[classes.hclass_of[e]]
+            le = classes.lclasses[classes.lclass_of[e]]
+            for t in le:
+                hits = [
+                    (i, k) for i, s in enumerate(tr.reps) for k, g in enumerate(ge)
+                    if m.table[s, g] == t
+                ]
+                assert hits == [(block[t], local[t])]
+                assert hclass_decompose(m, classes, tr, t) == (block[t], ge[local[t]])
+            outside = np.setdiff1d(np.arange(len(m)), le)
+            assert (block[outside] == -1).all() and (local[outside] == -1).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=small_monoids(), data=st.data())
+    def test_bad_transversals_raise(self, m, data):
+        classes, _ = monoid_green(m)
+        e = data.draw(st.sampled_from(m.idempotent_indices()))
+        tr = transversal(m, classes, e)
+        le = set(classes.lclasses[classes.lclass_of[e]])
+        i = data.draw(st.integers(0, len(tr.reps) - 1))
+        outside = [x for x in range(len(m)) if x not in le]
+        if outside:
+            reps = list(tr.reps)
+            reps[i] = data.draw(st.sampled_from(outside))
+            with pytest.raises(ValueError, match="outside the L-class"):
+                lclass_coordinates(m, classes, Transversal(e, tuple(reps), tr.hclass_ids))
+        if len(tr.reps) > 1:
+            # a member of another representative's H-class in place of s_i
+            j = data.draw(st.sampled_from([j for j in range(len(tr.reps)) if j != i]))
+            reps = list(tr.reps)
+            reps[i] = data.draw(st.sampled_from(classes.hclasses[classes.hclass_of[tr.reps[j]]]))
+            with pytest.raises(ValueError, match="once each"):
+                lclass_coordinates(m, classes, Transversal(e, tuple(reps), tr.hclass_ids))
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=small_monoids())
+    def test_covers_match_the_triple_loop(self, m):
+        _, poset = monoid_green(m)
+        assert poset.covers() == reference_covers(poset)
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=small_monoids(), characteristic=st.sampled_from([0, 2, 3, 5]))
+    def test_semisimple_predicate_matches_inverse_counts(self, m, characteristic):
+        assert semisimple_predicate(m, characteristic) == reference_semisimple_predicate(
+            m, characteristic
+        )
+
+    @pytest.mark.parametrize("gens", [
+        [Transformation([1, 2, 1]), Transformation([1, 2, 2])],  # one R-class, two L-classes
+        [Transformation([1, 1, 1]), Transformation([2, 2, 2])],  # one L-class, two R-classes
+    ], ids=["r_class_of_two_idempotents", "l_class_of_two_idempotents"])
+    def test_one_idempotent_per_class_on_one_side_is_not_inverse(self, gens):
+        m = closure(gens)
+        report = semisimple_predicate(m, 0)
+        assert report.reason.startswith("regular but not inverse")
+        assert report == reference_semisimple_predicate(m, 0)
+
+    @pytest.mark.parametrize("kind", ["subsets", "set_partitions", "ordered_partitions_zero"])
+    def test_pair_monoid_covers(self, kind):
+        _, poset = monoid_green(pair_monoid(kind))
+        assert poset.covers() == reference_covers(poset)
