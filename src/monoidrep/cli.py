@@ -17,6 +17,8 @@ from .cliffmunn import (
     apex_labels,
     cm_catalog,
     cm_roundtrip_check,
+    induce,
+    jclass_irreps,
     reduce_rep,
 )
 from .elements import (
@@ -224,8 +226,7 @@ def cmd_order(built: BuiltMonoid, out) -> int:
         for value, count in report.breakdown:
             lines.append(f"  {lattice_text(built.lattice_kind, value)}: {count}")
         if built.lattice_kind == "set_partitions":
-            n = built.context.group.elements[0].n
-            p = partition_lattice_report(n)
+            p = partition_lattice_report(built.context.action, report)
             lines.append(f"young_index_total: {p.young_formula_value}")
             lines.append(
                 f"young_index_agreement: {'yes' if p.matches_young_formula else 'no'}"
@@ -335,10 +336,9 @@ def _build_rep(built: BuiltMonoid, build: str):
             raise SpecError("induction needs an inverse monoid spec (I: or SGL:)")
         j = resolve_jclass(built, parts[1])
         label = parse_label(parts[2])
-        catalog = cm_catalog(built.monoid)
-        for en in catalog:
-            if en.apex == j and (en.label == label or en.label == (label,)):
-                return en.rep, built.monoid
+        for e, _, found, group_rep in jclass_irreps(built.monoid, j):
+            if found == label or found == (label,):
+                return induce(built.monoid, e, group_rep), built.monoid
         raise SpecError(f"no irreducible {parts[2]} at J-class {parts[1]}")
     if parts[0] == "reduce" and len(parts) == 3 and parts[1] == "mapping":
         if built.kind == "SGL":

@@ -13,7 +13,7 @@ yields the full irreducible catalog.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, lcm, prod
+from math import factorial, gcd, prod
 
 import numpy as np
 
@@ -65,11 +65,12 @@ def reduce_rep(big: Representation, e: int) -> ReducedRep:
     monoid = big.monoid
     classes, _ = monoid_green(monoid)
     group = maximal_subgroup(monoid, classes, e)  # raises unless e is idempotent
-    carrier = rref(big.matrices[e]).image
+    carrier = rref(Matrix.from_numerators(big.num[e], big.den)).image
     if carrier.dim == 0:
         return ReducedRep(e, carrier, group, None)
-    mats = [carrier.restrict(big.matrices[monoid.index(el)]) for el in group.elements]
-    return ReducedRep(e, carrier, group, Representation(group, mats))
+    members = list(classes.hclasses[classes.hclass_of[e]])  # the group's elements, in order
+    num, den = carrier.restrict(big.num[members])
+    return ReducedRep(e, carrier, group, Representation.from_numerators(group, num, big.den * den))
 
 
 def support_jclasses(big: Representation) -> tuple:
@@ -80,7 +81,7 @@ def support_jclasses(big: Representation) -> tuple:
     for j, idems in enumerate(classes.jclass_idempotents):
         if not idems:
             raise ApexError(f"J-class {j} carries no idempotent; monoid not regular")
-        flags = {big.matrices[i].is_zero() for i in idems}
+        flags = {not big.num[i].any() for i in idems}
         if len(flags) != 1:
             raise ApexError(f"idempotents of J-class {j} disagree about eV = 0")
         if not flags.pop():
@@ -139,23 +140,20 @@ def induce_raw(monoid: FiniteMonoid, e: int, group_rep: Representation,
     big_j = block[products]
     big_g = np.where(big_j >= 0, to_group[local[products]], -1)
     k, dv = len(trans.reps), group_rep.dim
-    den = lcm(*(m.den for m in group_rep.matrices))
-    blocks = np.array([m.num * (den // m.den) for m in group_rep.matrices])  # over one den
     # block (J, i) of phi(t) is rho(G): rows J*dv.., columns i*dv..
     num = np.zeros((len(monoid), k, dv, k, dv), dtype=object)
     t, i = np.nonzero(big_j >= 0)
-    num[t, big_j[t, i], :, i, :] = blocks[big_g[t, i]]
+    num[t, big_j[t, i], :, i, :] = group_rep.num[big_g[t, i]]
     num = num.reshape(len(monoid), k * dv, k * dv)
-    rep = Representation(monoid, [Matrix.from_numerators(x, den) for x in num])
+    rep = Representation.from_numerators(monoid, num, group_rep.den)
     return InducedRaw(monoid, e, trans.reps, group, group_rep, rep, (big_j, big_g))
 
 
 def annihilator(raw: InducedRaw) -> Subspace:
     """Vectors killed by every element of the R-class of e."""
     classes, _ = monoid_green(raw.monoid)
-    r_members = classes.rclasses[classes.rclass_of[raw.idempotent]]
-    # each block of rows scaled by its denominator: the kernel is unchanged
-    stacked = np.vstack([raw.rep.matrices[s].num for s in r_members])
+    r_members = list(classes.rclasses[classes.rclass_of[raw.idempotent]])
+    stacked = raw.rep.num[r_members].reshape(-1, raw.rep.dim)  # every row of every phi(s)
     return Subspace.span(raw.rep.dim, stacked).orthogonal_complement()
 
 
@@ -351,8 +349,8 @@ def _young_irreps(group, blocks, to_label_map):
         raise CatalogError("blockwise decomposition of the subgroup is not faithful")
     for shapes in _shape_tuples(sizes):
         rep, _ = young_tensor(shapes, blocks)
-        mats = [rep.matrices[rep.monoid.index(decomp[el])] for el in group.elements]
-        yield tuple(shapes), Representation(group, mats)
+        num = rep.num[[rep.monoid.index(decomp[el]) for el in group.elements]]
+        yield tuple(shapes), Representation.from_numerators(group, num, rep.den)
 
 
 def _shape_tuples(sizes):
@@ -441,6 +439,19 @@ def apex_labels(monoid: FiniteMonoid) -> tuple:
     return tuple(labels)
 
 
+def jclass_irreps(monoid: FiniteMonoid, j: int):
+    """(idempotent e, maximal subgroup G_e, label, irreducible of G_e) for the
+    recognized subgroup at J-class j: inducing each gives its catalog entry."""
+    classes, _ = monoid_green(monoid)
+    idems = classes.jclass_idempotents[j]
+    if not idems:
+        raise CatalogError(f"J-class {j} has no idempotent")
+    e = idems[0]
+    group = maximal_subgroup(monoid, classes, e)
+    for label, group_rep in _group_irreps(monoid, e, group):
+        yield e, group, label, group_rep
+
+
 def cm_catalog(monoid: FiniteMonoid) -> tuple:
     """One catalog entry per (J-class, subgroup irreducible), for inverse
     monoids with recognized subgroup structure."""
@@ -450,27 +461,20 @@ def cm_catalog(monoid: FiniteMonoid) -> tuple:
             "the catalog construction covers inverse monoids; full transformation "
             "monoids are not semisimple and have no catalog here"
         )
-    classes, _ = monoid_green(monoid)
     cert = semisimple_predicate(monoid, 0)
     labels = apex_labels(monoid)
     entries = []
-    for j, idems in enumerate(classes.jclass_idempotents):
-        if not idems:
-            raise CatalogError(f"J-class {j} has no idempotent")
-        e = idems[0]
-        group = maximal_subgroup(monoid, classes, e)
-        for label, group_rep in _group_irreps(monoid, e, group):
+    for j, apex_label in enumerate(labels):
+        for e, group, label, group_rep in jclass_irreps(monoid, j):
             rep = induce(monoid, e, group_rep)
-            entries.append(
-                CatalogEntry(j, labels[j], label, e, group, group_rep, rep)
-            )
-    chars = [en.rep.character() for en in entries]
-    for i in range(len(entries)):
-        for k in range(i + 1, len(entries)):
-            if char_equal(chars[i], chars[k]):
-                raise CatalogError(
-                    f"catalog entries {i} and {k} have equal characters"
-                )
+            entries.append(CatalogEntry(j, apex_label, label, e, group, group_rep, rep))
+    seen = {}  # a character traces / den, in lowest terms -> its first entry
+    for i, en in enumerate(entries):
+        traces = np.trace(en.rep.num, axis1=1, axis2=2)
+        g = gcd(en.rep.den, *traces)
+        k = seen.setdefault((en.rep.den // g, tuple(traces // g)), i)
+        if k != i:
+            raise CatalogError(f"catalog entries {k} and {i} have equal characters")
     if cert.status == "semisimple":
         total = sum(en.dim ** 2 for en in entries)
         if total != len(monoid):

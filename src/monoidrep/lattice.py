@@ -180,7 +180,9 @@ def _inverses(group: FiniteMonoid) -> tuple:
 # -- built-in lattices -------------------------------------------------------
 
 def make_lattice(kind: str, n: int):
-    """One of the built-in lattices with its symmetric-group action."""
+    """One of the built-in lattices with its symmetric-group action; refused
+    (ClosureCapError) before its O(N^2) order when its pair monoid would
+    overflow the table budget."""
     if n < 1 or n > DESK_DEGREE_CAP:
         raise LatticeError(f"degree must be in 1..{DESK_DEGREE_CAP}")
     if kind == "subsets":
@@ -189,44 +191,21 @@ def make_lattice(kind: str, n: int):
                 itertools.combinations(range(1, n + 1), m) for m in range(n + 1)
             )
         )
-        nl = len(elements)
-        leq = np.zeros((nl, nl), dtype=bool)
-        for i, a in enumerate(elements):
-            sa = set(a)
-            for j, b in enumerate(elements):
-                leq[i, j] = sa <= set(b)
-        lat = FiniteLattice(elements, leq)
-        # subsets get their meets and joins from intersection and union
-        for i, a in enumerate(elements):
-            for j, b in enumerate(elements):
-                if lat.elements[lat.meet[i, j]] != tuple(sorted(set(a) & set(b))):
-                    raise LatticeError("meet disagrees with intersection")
-                if lat.elements[lat.join[i, j]] != tuple(sorted(set(a) | set(b))):
-                    raise LatticeError("join disagrees with union")
+        leq = lambda a, b: set(a) <= set(b)
 
         def image(g: Permutation, a):
             return tuple(sorted(g.apply(x) for x in a))
 
     elif kind == "set_partitions":
         elements = sorted(_set_partitions(n))
-        nl = len(elements)
-        leq = np.zeros((nl, nl), dtype=bool)
-        for i, a in enumerate(elements):
-            for j, b in enumerate(elements):
-                leq[i, j] = _refines(a, b)
-        lat = FiniteLattice(elements, leq)
+        leq = _refines
 
         def image(g: Permutation, a):
             return tuple(sorted(tuple(sorted(g.apply(x) for x in block)) for block in a))
 
     elif kind == "ordered_partitions_zero":
         elements = [()] + sorted(_ordered_partitions(n))
-        nl = len(elements)
-        leq = np.zeros((nl, nl), dtype=bool)
-        for i, a in enumerate(elements):
-            for j, b in enumerate(elements):
-                leq[i, j] = _ordered_leq(a, b)
-        lat = FiniteLattice(elements, leq)
+        leq = _ordered_leq
 
         def image(g: Permutation, a):
             return tuple(tuple(sorted(g.apply(x) for x in block)) for block in a)
@@ -234,13 +213,48 @@ def make_lattice(kind: str, n: int):
     else:
         raise LatticeError(f"unknown lattice kind {kind!r}; expected one of {LATTICE_KINDS}")
 
-    lat.kind = kind
     group = symmetric_group(n)
-    table = np.empty((len(group), len(lat)), dtype=np.int32)
-    for gi, g in enumerate(group.elements):
-        for ai, a in enumerate(lat.elements):
-            table[gi, ai] = lat.index(image(g, a))
+    bound = _pair_order_bound(elements, group, image)
+    try:
+        check_table_budget(bound)
+    except ClosureCapError as exc:
+        raise ClosureCapError(f"the pair monoid has at least {bound} elements: {exc}") from None
+    lat = FiniteLattice(elements, [[leq(a, b) for b in elements] for a in elements])
+    lat.kind = kind
+    if kind == "subsets":
+        # subsets get their meets and joins from intersection and union
+        for i, a in enumerate(elements):
+            for j, b in enumerate(elements):
+                if lat.elements[lat.meet[i, j]] != tuple(sorted(set(a) & set(b))):
+                    raise LatticeError("meet disagrees with intersection")
+                if lat.elements[lat.join[i, j]] != tuple(sorted(set(a) | set(b))):
+                    raise LatticeError("join disagrees with union")
+    table = [[lat.index(image(g, a)) for a in elements] for g in group.elements]
     return lat, GroupAction(group, lat, table)
+
+
+def _pair_order_bound(elements, group: FiniteMonoid, image) -> int:
+    """The sum of |O|^2 over the orbits O of the group on the lattice: a lower
+    bound on the order of the pair monoid.
+
+    The monoid holds one pair g_a per coset of K_a, the pointwise stabilizer
+    of the down-set of a, so its order is the sum over a of [G : K_a].  K_a
+    fixes a, which lies in its own down-set, so K_a is inside Stab(a) and
+    [G : K_a] >= [G : Stab(a)] = |G.a|; summing |O| over the |O| elements of
+    each orbit O gives the bound.  The orbits are found breadth first over
+    the group's generators.
+    """
+    gens = [group.elements[g] for g in group.generating_set()]
+    seen, total = set(), 0
+    for a in elements:
+        if a not in seen:
+            orbit, frontier = {a}, {a}
+            while frontier:
+                frontier = {image(g, x) for x in frontier for g in gens} - orbit
+                orbit |= frontier
+            seen |= orbit
+            total += len(orbit) ** 2
+    return total
 
 
 def _set_partitions(n):
@@ -528,11 +542,9 @@ class PartitionLatticeReport:
         return lines
 
 
-def partition_lattice_report(n: int) -> PartitionLatticeReport:
-    lat, action = make_lattice("set_partitions", n)
-    report = sgl_order(action)
-    young = 0
-    for blocks in lat.elements:
-        sizes = sorted((len(b) for b in blocks), reverse=True)
-        young += math.factorial(n) // math.prod(math.factorial(s) for s in sizes)
-    return PartitionLatticeReport(n, report.formula_total, young)
+def partition_lattice_report(action: GroupAction, order: SGLOrderReport) -> PartitionLatticeReport:
+    """The report of a set-partition action from its sgl_order result."""
+    n = action.group.elements[0].n
+    young = sum(math.factorial(n) // math.prod(math.factorial(len(b)) for b in blocks)
+                for blocks in action.lattice.elements)
+    return PartitionLatticeReport(n, order.formula_total, young)

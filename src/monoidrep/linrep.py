@@ -8,9 +8,11 @@ serves every elimination, and no floating point is involved anywhere.
 Fractions appear only at the edges: matrices and vectors are accepted as
 anything Fraction() accepts, and read back through the rows and basis views.
 
-A Representation stores one matrix per monoid element and its constructor
-proves the homomorphism law on every pair of elements from its instances on
-the generators, with one exact numpy check per generator over the numerators.
+A Representation is one stack of numerators, shape (|S|, d, d), over one
+denominator: the same encoding with a leading element axis, so every builder
+and reader makes one numpy pass over all elements.  Its constructor proves
+the homomorphism law on every pair of elements from its instances on the
+generators, with one exact numpy check per generator over the numerators.
 """
 
 from __future__ import annotations
@@ -109,22 +111,12 @@ class Matrix:
         c = Fraction(c)
         return Matrix.from_numerators(self.num * c.numerator, self.den * c.denominator)
 
-    def trace(self) -> Fraction:
-        return Fraction(int(np.trace(self.num)), self.den)
-
     def apply(self, vector) -> tuple:
         """The matrix acting on a column vector, returned as a tuple."""
         num, den = _numerators([vector])
         if num.shape[1] != self.ncols:
             raise ValueError("vector length mismatch")
         return tuple(Fraction(x, self.den * den) for x in self.num @ num[0])
-
-    def is_identity(self) -> bool:
-        return (self.den == 1 and self.nrows == self.ncols
-                and np.array_equal(self.num, np.eye(self.nrows, dtype=object)))
-
-    def is_zero(self) -> bool:
-        return not self.num.any()
 
     def det(self) -> Fraction:
         """det(N / d) = det(N) / d^n, with det(N) by Bareiss elimination."""
@@ -160,10 +152,6 @@ def _bareiss(num) -> int:
                              - np.outer(a[k + 1:, k], a[k, k + 1:])) // prev
         prev = a[k, k]
     return sign * prev
-
-
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    return Matrix.from_numerators(np.kron(a.num, b.num), a.den * b.den)
 
 
 # -- echelon forms and subspaces ---------------------------------------------
@@ -259,10 +247,11 @@ class Subspace:
         return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.num)
 
     def reduce(self, rows):
-        """den * (v - v[pivots] B) for each integer row v: the remainder of v
-        after clearing its pivot coordinates, zero exactly on the subspace.
-        The echelon basis B has unit pivot columns, so one product clears all."""
-        return rows * self.den - rows[:, list(self.pivots)] @ self.num
+        """den * (v - v[pivots] B) for each integer row v (the last axis): the
+        remainder of v after clearing its pivot coordinates, zero exactly on
+        the subspace.  The echelon basis B has unit pivot columns, so one
+        product clears all."""
+        return rows * self.den - rows[..., list(self.pivots)] @ self.num
 
     def contains(self, vector) -> bool:
         return not self.reduce(_numerators([vector])[0]).any()
@@ -273,20 +262,23 @@ class Subspace:
             raise ValueError("vector is not in the subspace")
         return tuple(Fraction(vector[p]) for p in self.pivots)
 
-    def restrict(self, matrix: Matrix) -> Matrix:
-        """The action of a matrix on this subspace, in echelon coordinates.
+    def restrict(self, num):
+        """The action of integer matrices M (any leading shape) on this
+        subspace, in echelon coordinates, as (numerators, den).
 
         The basis rows b_j have unit pivot columns, so a vector w of the
         subspace has coordinates w[pivots], and the action is
-        R = M[pivots, :] B^T.  The subspace is invariant exactly when
-        M B^T = B^T R; otherwise this raises ValueError.
+        R = M[pivots, :] B^T (so M / d acts as R's numerators over d * den).
+        The subspace is invariant exactly when M B^T = B^T R for every M;
+        otherwise this raises ValueError.
         """
         bt = self.num.T
-        image = matrix.num @ bt  # M B^T, over matrix.den * den
-        r = image[list(self.pivots)]
-        if (image * self.den != bt @ r).any():  # B^T R is over matrix.den * den^2
+        image = num @ bt  # M B^T, over den
+        r = image[..., list(self.pivots), :]
+        image *= self.den  # now over den^2, as B^T R is
+        if (image != bt @ r).any():
             raise ValueError("subspace is not invariant")
-        return Matrix.from_numerators(r, matrix.den * self.den)
+        return r, self.den
 
     def orthogonal_complement(self) -> "Subspace":
         """The vectors x with b . x = 0 for every basis vector b.
@@ -355,19 +347,35 @@ def rref(matrix: Matrix) -> RrefResult:
 # -- representations ---------------------------------------------------------
 
 class Representation:
-    """A verified monoid homomorphism into exact rational matrices."""
+    """A verified monoid homomorphism into exact rational matrices:
+    rho(s) = num[s] / den, with num a read-only object-dtype stack of Python
+    ints and den positive, in lowest terms with all of num."""
 
     def __init__(self, monoid: FiniteMonoid, matrices):
-        self.monoid = monoid
-        self.matrices = tuple(matrices)
-        if len(self.matrices) != len(monoid):
-            raise ValueError("need one matrix per monoid element")
-        dims = {(m.nrows, m.ncols) for m in self.matrices}
-        if len(dims) != 1 or len(set(next(iter(dims)))) != 1:
+        """From one Matrix per element, brought over one denominator."""
+        matrices = tuple(matrices)
+        if len({m.num.shape for m in matrices}) > 1:
             raise ValueError("matrices must be square and of equal size")
-        self.dim = self.matrices[0].nrows
-        if self.dim == 0:
+        den = lcm(*(m.den for m in matrices))
+        self._set(monoid, np.array([m.num * (den // m.den) for m in matrices], dtype=object), den)
+
+    @classmethod
+    def from_numerators(cls, monoid: FiniteMonoid, num, den: int = 1) -> "Representation":
+        """s -> num[s] / den, for an integer stack num of shape (|S|, d, d)."""
+        rep = cls.__new__(cls)
+        rep._set(monoid, np.asarray(num, dtype=object), den)
+        return rep
+
+    def _set(self, monoid, num, den):
+        if num.ndim != 3 or len(num) != len(monoid):
+            raise ValueError("need one matrix per monoid element")
+        if num.shape[1] != num.shape[2]:
+            raise ValueError("matrices must be square and of equal size")
+        if num.shape[1] == 0:
             raise ValueError("null representations are excluded by convention")
+        self.monoid = monoid
+        self.num, self.den = _lowest(num, int(den))
+        self.dim = num.shape[1]
         self.verify()
 
     def verify(self):
@@ -378,26 +386,25 @@ class Representation:
         is rho(1) = I, and if t = t'*a, then rho(s*t) = rho((s*t')*a)
         = rho(s*t')rho(a) = rho(s)rho(t')rho(a) = rho(s)rho(t).
         """
-        if not self.matrices[self.monoid.identity_index].is_identity():
+        num, den, monoid = self.num, self.den, self.monoid
+        if not np.array_equal(num[monoid.identity_index], np.eye(self.dim, dtype=object) * den):
             raise VerificationError("identity does not map to the identity matrix")
-        nums = np.stack([m.num for m in self.matrices])
-        dens = np.array([m.den for m in self.matrices], dtype=object)
-        for a in self.monoid.generating_set():
-            right = self.monoid.table[:, a]
-            # rho(s)rho(a) = rho(s*a), both sides times their denominators
-            lhs = np.matmul(nums, nums[a]) * dens[right][:, None, None]
-            rhs = nums[right] * (dens * dens[a])[:, None, None]
-            bad = (lhs != rhs).any(axis=(1, 2))
+        for a in monoid.generating_set():
+            # rho(s)rho(a) = rho(s*a), both sides times den^2
+            bad = (np.matmul(num, num[a]) != num[monoid.table[:, a]] * den).any(axis=(1, 2))
             if bad.any():
-                raise VerificationError(
-                    f"homomorphism fails at pair ({int(bad.argmax())}, {a})"
-                )
+                raise VerificationError(f"homomorphism fails at pair ({int(bad.argmax())}, {a})")
+
+    @property
+    def matrices(self) -> tuple:
+        """rho(s) for every element index s, as Matrix objects."""
+        return tuple(Matrix.from_numerators(m, self.den) for m in self.num)
 
     def matrix_of(self, element) -> Matrix:
-        return self.matrices[self.monoid.index(element)]
+        return Matrix.from_numerators(self.num[self.monoid.index(element)], self.den)
 
     def character(self) -> tuple:
-        return tuple(m.trace() for m in self.matrices)
+        return tuple(Fraction(t, self.den) for t in np.trace(self.num, axis1=1, axis2=2))
 
     def __repr__(self):
         return f"Representation(dim={self.dim}, |S|={len(self.monoid)})"
@@ -413,16 +420,12 @@ def mapping_rep(monoid: FiniteMonoid) -> Representation:
     Partial bijections send v_i to v_{s(i)} when defined and kill it
     otherwise; transformations and permutations always send v_i to v_{s(i)}.
     """
-    n = monoid.elements[0].n
-    mats = []
-    for el in monoid.elements:
-        num = np.zeros((n, n), dtype=object)
-        for i in range(1, n + 1):
-            img = el.apply(i)
-            if img is not None:
-                num[img - 1, i - 1] = 1
-        mats.append(Matrix.from_numerators(num))
-    return Representation(monoid, mats)
+    rows = np.array([el.image_row() for el in monoid.elements])  # (0, s(1), .., s(n))
+    n = rows.shape[1] - 1
+    s, i = np.nonzero(rows[:, 1:])
+    num = np.zeros((len(rows), n, n), dtype=object)
+    num[s, rows[s, i + 1] - 1, i] = 1
+    return Representation.from_numerators(monoid, num)
 
 
 def mapping_rep_by_kind(kind: str, n: int) -> Representation:
@@ -439,13 +442,13 @@ def mapping_rep_by_kind(kind: str, n: int) -> Representation:
 
 
 def trivial_rep(monoid: FiniteMonoid) -> Representation:
-    return Representation(monoid, [Matrix.identity(1)] * len(monoid))
+    return Representation.from_numerators(monoid, np.ones((len(monoid), 1, 1), dtype=object))
 
 
 def spin(rep: Representation, seeds) -> Subspace:
     """The least invariant subspace containing the seed vectors."""
     sub = Subspace.from_vectors(rep.dim, seeds)
-    gens = [rep.matrices[g].num.T for g in rep.monoid.generating_set()]
+    gens = [rep.num[g].T for g in rep.monoid.generating_set()]
     while gens:
         images = np.vstack([sub.num @ g for g in gens])  # rows (phi(g) v)^T
         new = images[(sub.reduce(images) != 0).any(axis=1)]
@@ -457,14 +460,15 @@ def spin(rep: Representation, seeds) -> Subspace:
 
 def is_invariant(rep: Representation, sub: Subspace) -> bool:
     return not any(
-        sub.reduce(sub.num @ rep.matrices[g].num.T).any()
+        sub.reduce(sub.num @ rep.num[g].T).any()
         for g in rep.monoid.generating_set()
     )
 
 
 def restrict_rep(rep: Representation, sub: Subspace) -> Representation:
     """The action on an invariant subspace, in its echelon-basis coordinates."""
-    return Representation(rep.monoid, [sub.restrict(m) for m in rep.matrices])
+    num, den = sub.restrict(rep.num)
+    return Representation.from_numerators(rep.monoid, num, rep.den * den)
 
 
 def quotient_rep(rep: Representation, sub: Subspace) -> Representation:
@@ -474,24 +478,19 @@ def quotient_rep(rep: Representation, sub: Subspace) -> Representation:
     if sub.dim == rep.dim:
         raise ValueError("quotient by the whole space would be a null representation")
     comp = [c for c in range(rep.dim) if c not in sub.pivots]
-    mats = []
-    for m in rep.matrices:
-        reduced = sub.reduce(m.num.T).T  # the columns of phi(s), reduced
-        mats.append(Matrix.from_numerators(reduced[np.ix_(comp, comp)], m.den * sub.den))
-    return Representation(rep.monoid, mats)
+    cols = sub.reduce(np.swapaxes(rep.num, 1, 2))  # cols[s, c]: column c of phi(s), reduced
+    num = np.swapaxes(cols[:, comp][:, :, comp], 1, 2)
+    return Representation.from_numerators(rep.monoid, num, rep.den * sub.den)
 
 
 def direct_sum(a: Representation, b: Representation) -> Representation:
     if a.monoid is not b.monoid and a.monoid.elements != b.monoid.elements:
         raise ValueError("representations are over different monoids")
-    upper = np.zeros((a.dim, b.dim), dtype=object)
-    mats = [
-        Matrix.from_numerators(
-            np.block([[ma.num * mb.den, upper], [upper.T, mb.num * ma.den]]), ma.den * mb.den
-        )
-        for ma, mb in zip(a.matrices, b.matrices)
-    ]
-    return Representation(a.monoid, mats)
+    d = a.dim + b.dim
+    num = np.zeros((len(a.num), d, d), dtype=object)
+    num[:, :a.dim, :a.dim] = a.num * b.den
+    num[:, a.dim:, a.dim:] = b.num * a.den
+    return Representation.from_numerators(a.monoid, num, a.den * b.den)
 
 
 def commutation_rows(rep_v: Representation, rep_u: Representation):
@@ -510,8 +509,7 @@ def commutation_rows(rep_v: Representation, rep_u: Representation):
     iu, iv = np.eye(du, dtype=object), np.eye(dv, dtype=object)
     rows = [np.zeros((0, du * dv), dtype=object)]
     for g in rep_v.monoid.generating_set():
-        a, b = rep_v.matrices[g], rep_u.matrices[g]
-        rows.append(np.kron(iu, a.num.T) * b.den - np.kron(b.num, iv) * a.den)
+        rows.append(np.kron(iu, rep_v.num[g].T) * rep_u.den - np.kron(rep_u.num[g], iv) * rep_v.den)
     return np.vstack(rows)
 
 
@@ -536,7 +534,7 @@ def one_dim_invariant_lines(rep: Representation):
     (scalar assignment, eigenspace) pairs with nonzero eigenspace; the union
     of the eigenspaces carries every invariant line.
     """
-    gens = [rep.matrices[g] for g in rep.monoid.generating_set()]
+    gens = [Matrix.from_numerators(rep.num[g], rep.den) for g in rep.monoid.generating_set()]
     ident = Matrix.identity(rep.dim)
     cands = []
     for m in gens:
@@ -578,12 +576,12 @@ def find_proper_invariant(rep: Representation, seed_order: str = "standard"):
     lines = [v for _, space in one_dim_invariant_lines(rep) for v in space.num]
     if lines:
         return Subspace.span(d, [lines[-1] if seed_order == "reversed" else lines[0]])
-    ident = Matrix.identity(d)
+    ident = np.eye(d, dtype=object)
     seeds = []
-    for m in rep.matrices:
+    for m in rep.num:  # the kernel of phi(s) - lam I is that of num[s] - lam den I
         for lam in (-1, 0, 1):
-            seeds.extend(rref(m - ident.scale(lam)).kernel.num)
-    seeds.extend(ident.num)
+            seeds.extend(Subspace.span(d, m - ident * (lam * rep.den)).orthogonal_complement().num)
+    seeds.extend(ident)
     if seed_order == "reversed":
         seeds.reverse()
     for seed in seeds:
@@ -641,14 +639,8 @@ def exterior_power(rep: Representation, p: int) -> Representation:
     if not 0 <= p <= d:
         raise ValueError(f"exterior power degree must be in 0..{d}")
     basis = list(itertools.combinations(range(d), p))
-    mats = [
-        Matrix.from_numerators(
-            [[_bareiss(m.num[np.ix_(isub, jsub)]) for jsub in basis] for isub in basis],
-            m.den ** p,
-        )
-        for m in rep.matrices
-    ]
-    return Representation(rep.monoid, mats)
+    num = [[[_bareiss(m[np.ix_(i, j)]) for j in basis] for i in basis] for m in rep.num]
+    return Representation.from_numerators(rep.monoid, num, rep.den ** p)
 
 
 def outer_tensor(*reps: Representation) -> Representation:
@@ -656,20 +648,12 @@ def outer_tensor(*reps: Representation) -> Representation:
     if not reps:
         raise ValueError("need at least one factor")
     monoid = product_monoid(*(r.monoid for r in reps))
-    sizes = [len(r.monoid) for r in reps]
-    mats = []
-    for flat in range(len(monoid)):
-        coords = []
-        rem = flat
-        for s in reversed(sizes):
-            coords.append(rem % s)
-            rem //= s
-        coords.reverse()
-        m = reps[0].matrices[coords[0]]
-        for r, c in zip(reps[1:], coords[1:]):
-            m = kron(m, r.matrices[c])
-        mats.append(m)
-    return Representation(monoid, mats)
+    num, den = reps[0].num, reps[0].den
+    for r in reps[1:]:  # kron(A[s], B[t]), s major as in product_monoid's element order
+        n, d = len(num) * len(r.num), len(num[0]) * r.dim
+        num = (num[:, None, :, None, :, None] * r.num[None, :, None, :, None, :]).reshape(n, d, d)
+        den *= r.den
+    return Representation.from_numerators(monoid, num, den)
 
 
 # -- structured-text serialization -------------------------------------------
@@ -684,8 +668,8 @@ def serialize_representation(rep: Representation, *, monoid_label: str, element_
     ]
     for k, el in enumerate(rep.monoid.elements):
         lines.append(f"element {k} {element_text(el)}")
-        for row in rep.matrices[k].rows:
-            lines.append(" ".join(str(x) for x in row))
+        for row in rep.num[k]:
+            lines.append(" ".join(str(Fraction(x, rep.den)) for x in row))
     return "\n".join(lines) + "\n"
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elements import FiniteMonoid, Permutation, symmetric_group
-from .linrep import Matrix, Representation, Subspace, outer_tensor
+from .linrep import Representation, Subspace, outer_tensor
 
 
 def partitions(n: int) -> tuple:
@@ -184,18 +184,16 @@ def _symmetric_group(m: int) -> FiniteMonoid:
 _SYMMETRIC_GROUPS = {}
 
 
-def _tabloid_matrices(basis, labels, group: FiniteMonoid) -> list:
-    """The permutation matrix of every group element on the tabloid basis."""
+def _tabloid_matrices(basis, labels, group: FiniteMonoid):
+    """The permutation matrix of every group element on the tabloid basis, stacked."""
     index = {t: k for k, t in enumerate(basis)}
-    mats = []
-    for g in group.elements:
+    num = np.zeros((len(group), len(basis), len(basis)), dtype=object)
+    for s, g in enumerate(group.elements):
         mapping = _label_action(g, labels)
         moved = [index[tabloid_of(tuple(tuple(mapping[x] for x in row) for row in t))]
                  for t in basis]
-        num = np.zeros((len(basis), len(basis)), dtype=object)
-        num[moved, range(len(basis))] = 1
-        mats.append(Matrix.from_numerators(num))
-    return mats
+        num[s, moved, range(len(basis))] = 1
+    return num
 
 
 def tabloid_module(shape, labels, group: FiniteMonoid = None) -> Representation:
@@ -203,7 +201,8 @@ def tabloid_module(shape, labels, group: FiniteMonoid = None) -> Representation:
     shape, labels = _check_shape(shape, labels)
     if group is None:
         group = _symmetric_group(len(labels))
-    return Representation(group, _tabloid_matrices(tabloids(shape, labels), labels, group))
+    num = _tabloid_matrices(tabloids(shape, labels), labels, group)
+    return Representation.from_numerators(group, num)
 
 
 @dataclass(frozen=True)
@@ -241,8 +240,8 @@ def specht_rep(shape, labels=None, group: FiniteMonoid = None) -> SpechtData:
         raise RuntimeError(
             f"polytabloid span has dimension {sub.dim}, but {expected} standard tableaux"
         )
-    perms = _tabloid_matrices(basis, labels, group)
-    rep = Representation(group, [sub.restrict(m) for m in perms])  # the module restricted
+    num, den = sub.restrict(_tabloid_matrices(basis, labels, group))  # the module restricted
+    rep = Representation.from_numerators(group, num, den)
     data = SpechtData(shape, labels, basis, vectors, sub, rep)
     if cache_key is not None:
         _SPECHT_CACHE[cache_key] = data

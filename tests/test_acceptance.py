@@ -312,12 +312,14 @@ def test_criterion_10_jordan_holder_stability():
 
 
 def test_criterion_11_partition_lattice_discrepancy_flagged():
-    rep4 = partition_lattice_report(4)
+    _, action4 = make_lattice("set_partitions", 4)
+    rep4 = partition_lattice_report(action4, sgl_order(action4))
     assert rep4.definitional_order == 175  # formula == enumeration, by sgl_order
     assert rep4.young_formula_value == 131
     assert not rep4.matches_young_formula
     assert any("FLAG" in line for line in rep4.flag_lines())
-    rep3 = partition_lattice_report(3)
+    _, action3 = make_lattice("set_partitions", 3)
+    rep3 = partition_lattice_report(action3, sgl_order(action3))
     assert rep3.definitional_order == rep3.young_formula_value == 16
     buf = io.StringIO()
     assert cli_run(["order", "SGL:partitions:4"], out=buf) == 0

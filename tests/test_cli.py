@@ -17,8 +17,8 @@ from monoidrep.cli import (
     parse_label,
     run,
 )
-from monoidrep import specht
-from monoidrep.cliffmunn import cm_catalog
+from monoidrep import cli, lattice, specht
+from monoidrep.cliffmunn import cm_catalog, induce
 from monoidrep.elements import FiniteMonoid, Permutation
 from monoidrep.linrep import Representation, parse_representation_payload
 from monoidrep.specht import partitions
@@ -38,6 +38,8 @@ GOLDEN_CASES = {
     "rep_t3_mapping": ["rep", "T:3", "--build", "mapping"],
     "rep_s4_specht_211": ["rep", "S:4", "--build", "specht:(2,1,1)"],
     "rep_i3_induce_j1_1": ["rep", "I:3", "--build", "induce:J1:(1)"],
+    "rep_i3_reduce_mapping_j2": ["rep", "I:3", "--build", "reduce:mapping:J2"],
+    "rep_sgl_ordperm3_induce_12_1_2": ["rep", "SGL:ordperm:3", "--build", "induce:(1,2):((1),(2))"],
 }
 
 
@@ -137,15 +139,44 @@ class TestSpecParsing:
         code, _ = invoke(["order", f"gens:{path}"])
         assert code == EXIT_CAP
 
-    @pytest.mark.parametrize("spec,mib", [("I:6", "677.5"), ("T:6", "8303.8")])
+    @pytest.mark.parametrize("spec,mib", [
+        ("I:6", "677.5"), ("T:6", "8303.8"), ("SGL:ordperm:6", "8039484.3"),
+    ])
     def test_table_budget_exit_3(self, spec, mib, capsys):
-        # the dense tables would take 0.7 GB and 8.7 GB; both are refused
-        # before the table is allocated
+        # the dense tables would take 0.7 GB and 8.7 GB, and SGL:ordperm:6
+        # at least 8 TB; all are refused before the table is allocated
         start = time.monotonic()
         code, _ = invoke(["order", spec])
         assert code == EXIT_CAP
         assert time.monotonic() - start < 20
         assert f"needs {mib} MiB, over the 256 MiB table budget" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("spec,bound", [("SGL:ordperm:5", 32952), ("SGL:ordperm:6", 1451724)])
+    def test_pair_order_bound_exit_3(self, spec, bound, capsys):
+        # refused from the orbit sizes alone, before the lattice order is built
+        code, _ = invoke(["order", spec])
+        assert code == EXIT_CAP
+        assert f"the pair monoid has at least {bound} elements" in capsys.readouterr().err
+
+    def test_partition_order_builds_once(self, monkeypatch):
+        # the Young-index report reuses the lattice and the order report
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in ("make_lattice", "sgl_order"):
+            wrapper = counted(name, getattr(lattice, name))
+            monkeypatch.setattr(lattice, name, wrapper)
+            monkeypatch.setattr(cli, name, wrapper)
+        code, text = invoke(["order", "SGL:partitions:4"])
+        assert code == EXIT_OK
+        assert "young_index_total: 131" in text
+        assert calls == {"make_lattice": 1, "sgl_order": 1}
 
 
 class TestEggboxOptions:
@@ -272,13 +303,41 @@ class TestRepCommand:
         assert code == EXIT_OK
         assert "dim: 2" in text
 
+    def test_induce_builds_only_the_requested_entry(self, monkeypatch):
+        induced = []
+        monkeypatch.setattr(cli, "cm_catalog", None)  # the catalog is not built
+        monkeypatch.setattr(cli, "induce", lambda *args: induced.append(args) or induce(*args))
+        code, text = invoke(["rep", "I:4", "--build", "induce:J3:(2,1)"])
+        assert code == EXIT_OK
+        assert "dim: 8" in text
+        assert len(induced) == 1
+
+    @pytest.mark.parametrize("build,dim", [("induce:(4):(4)", 1), ("induce:(2,1,1):()", 6)])
+    def test_induce_at_a_recognized_partition_class(self, build, dim):
+        # SGL:partitions:4 has no catalog: its (2,2) class is not recognized
+        code, text = invoke(["rep", "SGL:partitions:4", "--build", build])
+        assert code == EXIT_OK
+        assert f"dim: {dim}" in text
+        assert "elements: 175" in text
+
+    def test_induce_at_an_unrecognized_partition_class_exit_2(self, capsys):
+        code, text = invoke(["rep", "SGL:partitions:4", "--build", "induce:(2,2):((2),(2))"])
+        assert code == EXIT_PARSE
+        assert text == ""
+        assert "does not match the Young product" in capsys.readouterr().err
+
+    def test_induce_unknown_label_exit_2(self, capsys):
+        code, _ = invoke(["rep", "I:3", "--build", "induce:J1:(2)"])
+        assert code == EXIT_PARSE
+        assert "no irreducible (2) at J-class J1" in capsys.readouterr().err
+
     def test_payload_roundtrip(self):
         code, text = invoke(["rep", "I:3", "--build", "induce:J1:(1)"])
         payload = text.split("payload:\n", 1)[1]
         header, labels, mats = parse_representation_payload(payload)
         assert header["elements"] == "34"
         assert labels[0] == "0"  # the zero map
-        assert mats[0].is_zero()
+        assert not mats[0].num.any()
 
 
 class TestLabelCodec:

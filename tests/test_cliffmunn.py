@@ -1,9 +1,12 @@
 from collections import Counter
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import monoidrep.cliffmunn as cliffmunn_module
 from monoidrep.elements import (
     PartialBijection,
     Transformation,
@@ -12,9 +15,10 @@ from monoidrep.elements import (
     symmetric_group,
     symmetric_inverse_monoid,
 )
-from monoidrep.green import maximal_subgroup, transversal, Transversal
+from monoidrep.green import lclass_coordinates, maximal_subgroup, transversal, Transversal
 from monoidrep.lattice import make_lattice, sgl_monoid
 from monoidrep.linrep import (
+    Matrix,
     Representation,
     Subspace,
     char_equal,
@@ -254,9 +258,9 @@ class TestInduceExamples:
         assert rep.dim == 2
         for k, el in enumerate(i3.elements):
             if el in units:
-                assert not rep.matrices[k].is_zero()
+                assert rep.matrices[k].num.any()
             else:
-                assert rep.matrices[k].is_zero()
+                assert not rep.matrices[k].num.any()
 
     def test_transversal_independence(self, i3):
         classes, _ = monoid_green(i3)
@@ -304,7 +308,7 @@ class TestInduceSGL:
         rep = induce(monoid, e, trivial_rep(g))
         for k, el in enumerate(monoid.elements):
             if len(el.lattice_element()) < 2:
-                assert rep.matrices[k].is_zero()
+                assert not rep.matrices[k].num.any()
 
     def test_higher_partial_identities_fix_blocks(self, subsets3):
         lat, action, monoid, ctx = subsets3
@@ -317,7 +321,7 @@ class TestInduceSGL:
         mat = rep.matrices[idc]
         # fixes the {1}- and {3}-blocks, kills the {2}-block
         diag = [mat.rows[i][i] for i in range(3)]
-        assert diag.count(F(1)) == 2 and not mat.is_zero()
+        assert diag.count(F(1)) == 2 and mat.num.any()
 
 
 class TestSemisimplePredicate:
@@ -574,3 +578,70 @@ class TestRenner:
         assert composition_leq((2, 1), (3,))
         assert composition_leq((), (2, 1))
         assert not composition_leq((2, 1), ())
+
+
+def oracle_induce_matrices(monoid, e, group_rep):
+    """The dense induction of the Matrix-list encoding: blocks over one common
+    denominator, split into one Matrix per element."""
+    classes, _ = monoid_green(monoid)
+    trans = transversal(monoid, classes, e)
+    group = group_rep.monoid
+    block, local = lclass_coordinates(monoid, classes, trans)
+    ge = classes.hclasses[classes.hclass_of[e]]
+    to_group = np.array([group.index(monoid.elements[g]) for g in ge])
+    products = monoid.table[:, list(trans.reps)]
+    big_j = block[products]
+    big_g = np.where(big_j >= 0, to_group[local[products]], -1)
+    k, dv = len(trans.reps), group_rep.dim
+    den = lcm(*(m.den for m in group_rep.matrices))
+    blocks = np.array([m.num * (den // m.den) for m in group_rep.matrices])
+    num = np.zeros((len(monoid), k, dv, k, dv), dtype=object)
+    t, i = np.nonzero(big_j >= 0)
+    num[t, big_j[t, i], :, i, :] = blocks[big_g[t, i]]
+    num = num.reshape(len(monoid), k * dv, k * dv)
+    return [Matrix.from_numerators(x, den) for x in num]
+
+
+def regular_rep(group, scale):
+    """The regular representation of a group, conjugated by diag(scale) so
+    that its matrices carry different denominators."""
+    n = len(group)
+    d = Matrix([[scale[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    d_inv = Matrix([[1 / scale[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    mats = []
+    for g in range(n):
+        perm = [[1 if group.table[g, h] == r else 0 for h in range(n)] for r in range(n)]
+        mats.append(d * Matrix(perm) * d_inv)
+    return Representation(group, mats)
+
+
+INDUCE_MONOIDS = [
+    symmetric_inverse_monoid(2),
+    symmetric_inverse_monoid(3),
+    sgl_monoid(make_lattice("subsets", 3)[1])[0],
+    sgl_monoid(make_lattice("ordered_partitions_zero", 3)[1])[0],
+]
+
+
+class TestInduceStack:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), monoid=st.sampled_from(INDUCE_MONOIDS))
+    def test_induce_raw_matches_the_dense_oracle(self, data, monoid):
+        e = data.draw(st.sampled_from(monoid.idempotent_indices()))
+        group = maximal_subgroup(monoid, monoid_green(monoid)[0], e)
+        scale = [data.draw(st.fractions(-3, 3, max_denominator=4).filter(bool))
+                 for _ in range(len(group))]
+        group_rep = regular_rep(group, scale)
+        raw = induce_raw(monoid, e, group_rep)
+        assert raw.rep.matrices == tuple(oracle_induce_matrices(monoid, e, group_rep))
+
+    def test_equal_characters_over_other_denominators_are_rejected(self, monkeypatch):
+        # the regular representation of S_2 and a conjugate of it over den 2
+        # share one character; the catalog compares them in lowest terms
+        def twice(monoid, e, group):
+            yield (1,), regular_rep(group, [1, 1])
+            yield (2,), regular_rep(group, [2, 1])
+
+        monkeypatch.setattr(cliffmunn_module, "_group_irreps", twice)
+        with pytest.raises(CatalogError, match="entries 0 and 1 have equal characters"):
+            cm_catalog(symmetric_group(2))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import monoidrep.elements as elements_module
+import monoidrep.lattice as lattice_module
 from monoidrep.elements import (
     ClosureCapError,
     Permutation,
@@ -404,17 +405,40 @@ class TestMaximalSubgroups:
             assert np.array_equal(by_quotient.table, by_green.table)
 
 
+def partition_report(n):
+    _, action = make_lattice("set_partitions", n)
+    return partition_lattice_report(action, sgl_order(action))
+
+
 class TestPartitionLatticeReport:
     def test_n3_no_conflict(self):
-        r = partition_lattice_report(3)
+        r = partition_report(3)
         assert r.definitional_order == 16
         assert r.young_formula_value == 16
         assert r.matches_young_formula
         assert not any("FLAG" in ln for ln in r.flag_lines())
 
     def test_n4_flagged(self):
-        r = partition_lattice_report(4)
+        r = partition_report(4)
         assert r.definitional_order == 175
         assert r.young_formula_value == 131
         assert not r.matches_young_formula
         assert any("FLAG" in ln for ln in r.flag_lines())
+
+
+class TestPairOrderBound:
+    @pytest.mark.parametrize("kind", ["subsets", "set_partitions", "ordered_partitions_zero"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_sum_of_squared_orbits_bounds_the_order(self, kind, n, monkeypatch):
+        bounds = []
+        compute = lattice_module._pair_order_bound
+        monkeypatch.setattr(lattice_module, "_pair_order_bound",
+                            lambda *args: bounds.append(compute(*args)) or bounds[-1])
+        _, action = make_lattice(kind, n)
+        assert bounds == [sum(len(orbit) ** 2 for orbit in action.orbits())]
+        assert bounds[0] <= sgl_order(action).formula_total == len(sgl_monoid(action)[0])
+
+    def test_refused_before_the_order_relation(self, monkeypatch):
+        monkeypatch.setattr(lattice_module, "_ordered_leq", None)  # never reached
+        with pytest.raises(ClosureCapError, match="at least 32952 elements"):
+            make_lattice("ordered_partitions_zero", 5)

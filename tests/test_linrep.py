@@ -107,7 +107,7 @@ class TestMappingReps:
         assert m.apply((1, -1, 0)) == (F(-1), F(1), F(0))
 
     def test_in_zero_map_is_zero_matrix(self, i3_map):
-        assert i3_map.matrix_of(PartialBijection.zero(3)).is_zero()
+        assert not i3_map.matrix_of(PartialBijection.zero(3)).num.any()
 
     def test_tn_constant_sends_u_to_nv1(self, t3_map):
         m = t3_map.matrix_of(Transformation([1, 1, 1]))
@@ -130,7 +130,7 @@ class TestMappingReps:
 def all_pairs_homomorphism(monoid, mats):
     """The exhaustive oracle: rho(1) = I and rho(s)rho(t) = rho(s*t) on all pairs."""
     n = len(monoid)
-    return mats[monoid.identity_index].is_identity() and all(
+    return mats[monoid.identity_index] == Matrix.identity(mats[0].nrows) and all(
         mats[i] * mats[j] == mats[monoid.mul(i, j)] for i in range(n) for j in range(n)
     )
 
@@ -614,9 +614,10 @@ class TestExactKernel:
         invariant = len(oracle_rref(basis + images)[1]) == sub.dim
         if not invariant:
             with pytest.raises(ValueError):
-                sub.restrict(m)
+                sub.restrict(m.num)
             return
-        r = sub.restrict(m)
+        num, den = sub.restrict(m.num)
+        r = Matrix.from_numerators(num, m.den * den)
         bt = [list(col) for col in zip(*basis)] if basis else [[] for _ in range(n)]
         assert oracle_product(bt, r.rows) == oracle_product(m.rows, bt)
 
@@ -624,7 +625,7 @@ class TestExactKernel:
         line = Subspace.from_vectors(3, [(1, 0, 0)])
         swap = s3_map.matrix_of(Permutation([2, 1, 3]))
         with pytest.raises(ValueError, match="not invariant"):
-            line.restrict(swap)
+            line.restrict(swap.num)
         with pytest.raises(ValueError, match="not invariant"):
             restrict_rep(s3_map, line)
 
@@ -645,3 +646,192 @@ class TestVerifyDenominators:
         assert not all_pairs_homomorphism(s3_map.monoid, mats)
         with pytest.raises(VerificationError):
             Representation(s3_map.monoid, mats)
+
+
+# -- the per-element builders of the Matrix-list encoding, kept as oracles ---
+
+def oracle_kron(a, b):
+    return Matrix.from_numerators(np.kron(a.num, b.num), a.den * b.den)
+
+
+def oracle_restrict(sub, m):
+    """One matrix acting on an invariant subspace, in echelon coordinates."""
+    bt = sub.num.T
+    image = m.num @ bt
+    r = image[list(sub.pivots)]
+    if (image * sub.den != bt @ r).any():
+        raise ValueError("subspace is not invariant")
+    return Matrix.from_numerators(r, m.den * sub.den)
+
+
+def oracle_restrict_rep(rep, sub):
+    return [oracle_restrict(sub, m) for m in rep.matrices]
+
+
+def oracle_quotient_rep(rep, sub):
+    comp = [c for c in range(rep.dim) if c not in sub.pivots]
+    mats = []
+    for m in rep.matrices:
+        cols = m.num.T
+        reduced = (cols * sub.den - cols[:, list(sub.pivots)] @ sub.num).T
+        mats.append(Matrix.from_numerators(reduced[np.ix_(comp, comp)], m.den * sub.den))
+    return mats
+
+
+def oracle_direct_sum(a, b):
+    upper = np.zeros((a.dim, b.dim), dtype=object)
+    return [
+        Matrix.from_numerators(
+            np.block([[ma.num * mb.den, upper], [upper.T, mb.num * ma.den]]), ma.den * mb.den
+        )
+        for ma, mb in zip(a.matrices, b.matrices)
+    ]
+
+
+def oracle_outer_tensor(*reps):
+    sizes = [len(r.monoid) for r in reps]
+    mats = []
+    for flat in range(math.prod(sizes)):
+        coords = []
+        rem = flat
+        for s in reversed(sizes):
+            coords.append(rem % s)
+            rem //= s
+        coords.reverse()
+        m = reps[0].matrices[coords[0]]
+        for r, c in zip(reps[1:], coords[1:]):
+            m = oracle_kron(m, r.matrices[c])
+        mats.append(m)
+    return mats
+
+
+def oracle_character(rep):
+    return tuple(Fraction(int(np.trace(m.num)), m.den) for m in rep.matrices)
+
+
+def unitriangular_inverse(u):
+    """(I + N)^-1 = I - N + N^2 - ... for a strictly upper triangular N."""
+    n = u.nrows
+    ident = Matrix.identity(n)
+    step = ident - u  # -N
+    inv, power = ident, ident
+    for _ in range(n):
+        power = power * step
+        inv = inv + power
+    return inv
+
+
+@st.composite
+def conjugators(draw, n):
+    """(P, P^-1) with P = D U: D diagonal, U unitriangular, rational entries."""
+    diag = [draw(st.fractions(-4, 4, max_denominator=5).filter(bool)) for _ in range(n)]
+    d = Matrix([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    d_inv = Matrix([[1 / diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    u = Matrix([
+        [1 if i == j else (draw(st.fractions(-2, 2, max_denominator=3)) if j > i else 0)
+         for j in range(n)]
+        for i in range(n)
+    ])
+    return d * u, unitriangular_inverse(u) * d_inv
+
+
+STACK_BASES = [
+    mapping_rep(symmetric_inverse_monoid(2)),
+    mapping_rep(symmetric_inverse_monoid(3)),
+    mapping_rep(full_transformation_monoid(2)),
+    mapping_rep(full_transformation_monoid(3)),
+    mapping_rep(symmetric_group(3)),
+    specht_rep((2, 1)).rep,
+    trivial_rep(symmetric_group(2)),
+]
+
+
+@st.composite
+def stack_reps(draw, bases=STACK_BASES):
+    """A small representation conjugated by a random rational matrix, so its
+    matrices carry different denominators."""
+    rep = draw(st.sampled_from(bases))
+    p, p_inv = draw(conjugators(rep.dim))
+    return Representation(rep.monoid, [p * m * p_inv for m in rep.matrices])
+
+
+class TestStackEncoding:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matrix_list_constructor_matches_numerators(self, data):
+        rep = data.draw(stack_reps())
+        assert rep.matrices == tuple(Matrix(m.rows) for m in rep.matrices)
+        assert math.gcd(rep.den, *rep.num.flat) == 1 and rep.den > 0
+        again = Representation.from_numerators(rep.monoid, rep.num * 3, rep.den * 3)
+        assert again.den == rep.den and np.array_equal(again.num, rep.num)
+        assert all(rep.matrix_of(el) == m for el, m in zip(rep.monoid.elements, rep.matrices))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_restrict_and_quotient_match_per_element_oracles(self, data):
+        a = data.draw(stack_reps())
+        rep = direct_sum(a, data.draw(stack_reps([r for r in STACK_BASES if r.monoid is a.monoid])))
+        seed = data.draw(rational_rows(1, a.dim).filter(lambda rows: any(rows[0])))
+        sub = spin(rep, [seed[0] + [0] * (rep.dim - a.dim)])  # inside the first summand
+        assert restrict_rep(rep, sub).matrices == tuple(oracle_restrict_rep(rep, sub))
+        assert quotient_rep(rep, sub).matrices == tuple(oracle_quotient_rep(rep, sub))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_restrict_raises_like_the_oracle(self, data):
+        rep = data.draw(stack_reps())
+        seed = data.draw(rational_rows(1, rep.dim).filter(lambda rows: any(rows[0])))
+        sub = Subspace.from_vectors(rep.dim, seed)
+        try:
+            expected = oracle_restrict_rep(rep, sub)
+        except ValueError:
+            with pytest.raises(ValueError, match="not invariant"):
+                restrict_rep(rep, sub)
+            return
+        assert restrict_rep(rep, sub).matrices == tuple(expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_direct_sum_and_character_match_per_element_oracles(self, data):
+        a = data.draw(stack_reps())
+        b = data.draw(stack_reps([r for r in STACK_BASES if r.monoid is a.monoid]))
+        total = direct_sum(a, b)
+        assert total.matrices == tuple(oracle_direct_sum(a, b))
+        assert total.character() == oracle_character(total)
+        assert a.character() == oracle_character(a)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_outer_tensor_matches_per_element_oracle(self, data):
+        groups = [r for r in STACK_BASES if len(r.monoid) <= 6]
+        reps = [data.draw(stack_reps(groups)) for _ in range(data.draw(st.integers(1, 3)))]
+        assert outer_tensor(*reps).matrices == tuple(oracle_outer_tensor(*reps))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_corrupting_one_numerator_or_den_is_judged_like_the_oracle(self, data):
+        rep = data.draw(stack_reps())
+        den = rep.den + data.draw(st.integers(1, 3))
+        with pytest.raises(VerificationError, match="identity"):
+            Representation.from_numerators(rep.monoid, rep.num, den)
+        k = data.draw(st.integers(0, len(rep.monoid) - 1))
+        r, c = data.draw(st.integers(0, rep.dim - 1)), data.draw(st.integers(0, rep.dim - 1))
+        num = np.array(rep.num)
+        num[k, r, c] += data.draw(st.integers(-3, 3).filter(bool))
+        if all_pairs_homomorphism(rep.monoid, [Matrix.from_numerators(m, rep.den) for m in num]):
+            Representation.from_numerators(rep.monoid, num, rep.den)  # e.g. trivial made sign
+        else:
+            with pytest.raises(VerificationError):
+                Representation.from_numerators(rep.monoid, num, rep.den)
+
+    def test_shapes_are_checked(self, s3_map):
+        with pytest.raises(ValueError, match="one matrix per monoid element"):
+            Representation.from_numerators(s3_map.monoid, s3_map.num[1:])
+        with pytest.raises(ValueError, match="square"):
+            Representation.from_numerators(s3_map.monoid, s3_map.num[:, :2, :])
+        with pytest.raises(ValueError, match="null"):
+            Representation.from_numerators(s3_map.monoid, s3_map.num[:, :0, :0])
+
+    def test_stack_is_read_only(self, s3_map):
+        with pytest.raises(ValueError):
+            s3_map.num[0, 0, 0] = 5
