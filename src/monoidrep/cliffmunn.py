@@ -13,7 +13,7 @@ yields the full irreducible catalog.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, gcd, prod
+from math import factorial, prod
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .linrep import (
     Matrix,
     Representation,
     Subspace,
-    char_equal,
     commutant_dim,
     commutation_rows,
     find_proper_invariant,
@@ -290,7 +289,8 @@ def decompose(rep: Representation, *, catalog=None, seed_order: str = "standard"
 
 
 def match_by_character(rep: Representation, catalog) -> "CatalogEntry":
-    hits = [en for en in catalog if char_equal(en.rep.character(), rep.character())]
+    key = rep.character_key()
+    hits = [en for en in catalog if en.rep.character_key() == key]
     if len(hits) != 1:
         raise CatalogError(f"{len(hits)} catalog entries share the factor's character")
     return hits[0]
@@ -468,11 +468,9 @@ def cm_catalog(monoid: FiniteMonoid) -> tuple:
         for e, group, label, group_rep in jclass_irreps(monoid, j):
             rep = induce(monoid, e, group_rep)
             entries.append(CatalogEntry(j, apex_label, label, e, group, group_rep, rep))
-    seen = {}  # a character traces / den, in lowest terms -> its first entry
+    seen = {}  # character key -> its first entry
     for i, en in enumerate(entries):
-        traces = np.trace(en.rep.num, axis1=1, axis2=2)
-        g = gcd(en.rep.den, *traces)
-        k = seen.setdefault((en.rep.den // g, tuple(traces // g)), i)
+        k = seen.setdefault(en.rep.character_key(), i)
         if k != i:
             raise CatalogError(f"catalog entries {k} and {i} have equal characters")
     if cert.status == "semisimple":

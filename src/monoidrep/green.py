@@ -1,10 +1,13 @@
 """Green's relations L, R, H, J on an enumerated finite monoid, and the
 Green data that reduction, induction and the catalogs read.
 
-Classes are compared through principal-ideal membership bitsets (one table
-sweep per element).  Class ids are assigned in order of least contained
-element, so all derived structure is deterministic.  Since the monoids here
-are finite, D coincides with J and is not represented separately.
+L- and R-classes are the strongly connected components of the left and
+right Cayley graphs of the monoid's generating set, and the J-order is
+reachability in the two-sided graph; green_structure holds the proof.  This
+needs O(|S| |A|) memory beside the table, for a generating set A.  Class ids
+are assigned in order of least contained element, so all derived structure
+is deterministic.  Since the monoids here are finite, D coincides with J and
+is not represented separately.
 
 green_structure also records the idempotents of every J-class, from one
 pass over the table diagonal.  lclass_coordinates writes each t in L_e as
@@ -83,19 +86,71 @@ def _classify(keys):
     return tuple(of), tuple(tuple(m) for m in members)
 
 
+def _strong_components(succ):
+    """Strongly connected components of the graph x -> succ[x], by Tarjan's
+    algorithm with an explicit stack in place of recursion.  Returns the
+    component of every node; components are numbered in the order Tarjan
+    closes them, which puts each after every component it reaches."""
+    n = len(succ)
+    order = [-1] * n  # visiting order, -1 while unvisited
+    low = [0] * n
+    comp = [-1] * n  # -1 while unassigned, that is, on the stack once visited
+    stack, count, visited = [], 0, 0
+    for root in range(n):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = visited
+        visited += 1
+        stack.append(root)
+        path = [(root, iter(succ[root]))]
+        while path:
+            v, edges = path[-1]
+            for w in edges:
+                if order[w] < 0:
+                    order[w] = low[w] = visited
+                    visited += 1
+                    stack.append(w)
+                    path.append((w, iter(succ[w])))
+                    break
+                if comp[w] < 0 and order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                path.pop()
+                if path and low[v] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[v]
+                if low[v] == order[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = count
+                        if w == v:
+                            break
+                    count += 1
+    return comp
+
+
 def green_structure(monoid: FiniteMonoid):
+    """Green classes and J-order from the Cayley graphs of a generating set.
+
+    Let A = monoid.generating_set().  It generates S as a monoid:
+    FiniteMonoid._validate proves this of recorded generators, and the
+    greedy set reaches every element by construction.  So every u in S is
+    a product a_1 ... a_k of generators (k = 0 for the identity), and xS =
+    {x a_1 ... a_k} is exactly the set of nodes reachable from x in the
+    right graph x -> x a.  Hence xS = yS, that is x R y, iff x and y reach
+    each other: R-classes are the strongly connected components of the
+    right graph.  Dually, Sx is the set reachable in the left graph
+    x -> a x, and L-classes are its components.  By associativity, S x S =
+    {u x v} is the set reachable from x in the two-sided graph with both
+    kinds of edge, so J_x <= J_y iff x is reachable from y there.
+    """
     n = len(monoid)
     t = monoid.table
+    gens = np.asarray(monoid.generating_set(), dtype=np.intp)
+    right = t[:, gens]  # right[x, k] = x * a_k
+    left = np.take(t, gens, axis=0).T  # left[x, k] = a_k * x
 
-    lmem = np.zeros((n, n), dtype=bool)  # lmem[s, x]: x in Ss
-    lmem[np.arange(n)[None, :], t] = True
-    rmem = np.zeros((n, n), dtype=bool)  # rmem[s, x]: x in sS
-    rmem[np.arange(n)[:, None], t] = True
-
-    lkeys = [row.tobytes() for row in np.packbits(lmem, axis=1)]
-    rkeys = [row.tobytes() for row in np.packbits(rmem, axis=1)]
-    lclass_of, lclasses = _classify(lkeys)
-    rclass_of, rclasses = _classify(rkeys)
+    lclass_of, lclasses = _classify(_strong_components(left.tolist()))
+    rclass_of, rclasses = _classify(_strong_components(right.tolist()))
     hclass_of, hclasses = _classify(list(zip(lclass_of, rclass_of)))
 
     # J = D = L o R = R o L: the D-class of x is the union of the R-classes
@@ -114,20 +169,32 @@ def green_structure(monoid: FiniteMonoid):
         jclasses, tuple(map(tuple, jclass_idempotents)),
     )
 
-    # J-order from two-sided principal ideal containment, one ideal per class
-    reps = [members[0] for members in jclasses]
-    count = len(reps)
-    ideal = np.zeros((count, n), dtype=bool)
-    for k, r in enumerate(reps):
-        left = np.unique(t[:, r])  # the set Sr
-        ideal[k, t[left, :].ravel()] = True  # SrS
-    leq = np.ascontiguousarray(ideal[:, reps].T)  # leq[i, j]: rep i lies in S rep_j S
-    # J_i <= J_j and J_j <= J_i give equal principal ideals S r S, that is
-    # J-related reps, so i = j; a pair i != j proves the ideals wrong
+    # J-order: the two-sided graph condensed to J-classes, edge[i, j] when
+    # some x in J_i has x a or a x in J_j, then closed under reachability
+    # one component at a time, each after every component it reaches
+    count = len(jclasses)
+    jof = np.asarray(jclass_of, dtype=np.intp)
+    edge = np.zeros((count, count), dtype=bool)
+    edge[jof[:, None], jof[right]] = True
+    edge[jof[:, None], jof[left]] = True
+    succ = [np.flatnonzero(row).tolist() for row in edge]
+    comp = _strong_components(succ)
+    groups = [[] for _ in range(max(comp, default=-1) + 1)]
+    for j, c in enumerate(comp):
+        groups[c].append(j)
+    below = np.zeros((count, count), dtype=bool)  # below[j, i]: J_i <= J_j
+    for group in groups:  # every class a group reaches is closed before it
+        row = below[[k for j in group for k in succ[j]]].any(axis=0)
+        row[group] = True
+        below[group] = row
+    leq = np.ascontiguousarray(below.T)  # leq[i, j]: J_i <= J_j
+    # J_i <= J_j and J_j <= J_i put i and j in one component of the
+    # two-sided graph, that is, make them J-related, so i = j; a pair i != j
+    # proves the classes wrong
     if (leq & leq.T & ~np.eye(count, dtype=bool)).any():
-        raise RuntimeError("J-order is not antisymmetric: ideal computation bug")
+        raise RuntimeError("J-order is not antisymmetric: Green classes computed wrongly")
     poset = JPoset(count, leq, jclass_of[monoid.identity_index])
-    # every s = 1 s 1 lies in the ideal of the identity
+    # every s = 1 s 1 is reachable from the identity
     if not leq[:, poset.maximum].all():
         raise RuntimeError("units' class is not the maximum of the J-order")
     return classes, poset

@@ -214,7 +214,12 @@ def make_lattice(kind: str, n: int):
         raise LatticeError(f"unknown lattice kind {kind!r}; expected one of {LATTICE_KINDS}")
 
     group = symmetric_group(n)
-    bound = _pair_order_bound(elements, group, image)
+    index = {a: k for k, a in enumerate(elements)}
+    gen_rows = np.array(
+        [[index[image(group.elements[g], a)] for a in elements] for g in group.generating_set()],
+        dtype=np.int32,
+    ).reshape(-1, len(elements))
+    bound = _pair_order_bound(gen_rows)
     try:
         check_table_budget(bound)
     except ClosureCapError as exc:
@@ -229,11 +234,32 @@ def make_lattice(kind: str, n: int):
                     raise LatticeError("meet disagrees with intersection")
                 if lat.elements[lat.join[i, j]] != tuple(sorted(set(a) | set(b))):
                     raise LatticeError("join disagrees with union")
-    table = [[lat.index(image(g, a)) for a in elements] for g in group.elements]
-    return lat, GroupAction(group, lat, table)
+    return lat, GroupAction(group, lat, _action_table(group, gen_rows))
 
 
-def _pair_order_bound(elements, group: FiniteMonoid, image) -> int:
+def _action_table(group: FiniteMonoid, gen_rows: np.ndarray) -> np.ndarray:
+    """The |G| x N action table from the generators' rows, by
+    row(g * a) = row(g)[row(a)], breadth first over the generators a from
+    the identity's row.  GroupAction checks the law on every row."""
+    steps = list(zip(group.generating_set(), gen_rows))
+    table = np.empty((len(group), gen_rows.shape[1]), dtype=np.int32)
+    table[group.identity_index] = np.arange(gen_rows.shape[1])
+    reached = {group.identity_index}
+    frontier = [group.identity_index]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for a, row in steps:
+                h = int(group.table[g, a])
+                if h not in reached:
+                    table[h] = table[g][row]
+                    reached.add(h)
+                    nxt.append(h)
+        frontier = nxt
+    return table
+
+
+def _pair_order_bound(gen_rows: np.ndarray) -> int:
     """The sum of |O|^2 over the orbits O of the group on the lattice: a lower
     bound on the order of the pair monoid.
 
@@ -242,15 +268,15 @@ def _pair_order_bound(elements, group: FiniteMonoid, image) -> int:
     fixes a, which lies in its own down-set, so K_a is inside Stab(a) and
     [G : K_a] >= [G : Stab(a)] = |G.a|; summing |O| over the |O| elements of
     each orbit O gives the bound.  The orbits are found breadth first over
-    the group's generators.
+    the generators' rows gen_rows[k, a] = a_k . a.
     """
-    gens = [group.elements[g] for g in group.generating_set()]
+    rows = gen_rows.tolist()
     seen, total = set(), 0
-    for a in elements:
+    for a in range(gen_rows.shape[1]):
         if a not in seen:
             orbit, frontier = {a}, {a}
             while frontier:
-                frontier = {image(g, x) for x in frontier for g in gens} - orbit
+                frontier = {row[x] for x in frontier for row in rows} - orbit
                 orbit |= frontier
             seen |= orbit
             total += len(orbit) ** 2
@@ -416,9 +442,12 @@ def sgl_canonical(context: SGLContext, g: Permutation, a: int) -> SGLElement:
 def sgl_monoid(action: GroupAction):
     """The full pair monoid as a FiniteMonoid, with a vectorized table."""
     ctx = sgl_context(action)
+    # one element per distinct coset representative in each row of
+    # rep_table, counted before any is built
+    reps = np.sort(ctx.rep_table, axis=1)
+    check_table_budget(len(reps) + int((reps[:, 1:] != reps[:, :-1]).sum()))
     elements = sorted(ctx.all_elements(), key=lambda e: e.key())
     n = len(elements)
-    check_table_budget(n)
     nl, ng = len(ctx.lattice), len(ctx.group)
     eidx = np.full((nl, ng), -1, dtype=np.int32)
     for k, e in enumerate(elements):

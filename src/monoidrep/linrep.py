@@ -406,6 +406,14 @@ class Representation:
     def character(self) -> tuple:
         return tuple(Fraction(t, self.den) for t in np.trace(self.num, axis1=1, axis2=2))
 
+    def character_key(self) -> tuple:
+        """The character as (den, integer traces) in lowest terms: equal keys
+        iff equal characters, since den / gcd(den, traces) is the least
+        common denominator of the traces / den."""
+        traces = np.trace(self.num, axis1=1, axis2=2)
+        g = gcd(self.den, *traces)
+        return self.den // g, tuple(traces // g)
+
     def __repr__(self):
         return f"Representation(dim={self.dim}, |S|={len(self.monoid)})"
 
@@ -617,7 +625,7 @@ def iso_test(rep_v: Representation, rep_u: Representation, *, certified_semisimp
     """("iso", witness) / ("not_iso", None) / ("undetermined", None)."""
     if rep_v.dim != rep_u.dim:
         return ("not_iso", None)
-    if not char_equal(rep_v.character(), rep_u.character()):
+    if rep_v.character_key() != rep_u.character_key():
         return ("not_iso", None)
     hom = intertwiner_space(rep_v, rep_u)
     d = rep_v.dim

@@ -40,6 +40,9 @@ GOLDEN_CASES = {
     "rep_i3_induce_j1_1": ["rep", "I:3", "--build", "induce:J1:(1)"],
     "rep_i3_reduce_mapping_j2": ["rep", "I:3", "--build", "reduce:mapping:J2"],
     "rep_sgl_ordperm3_induce_12_1_2": ["rep", "SGL:ordperm:3", "--build", "induce:(1,2):((1),(2))"],
+    "eggbox_sgl_ordperm4_graph": ["eggbox", "SGL:ordperm:4", "--format", "graph"],
+    # a non-regular closure in T_4: 7 J-classes, 3 without an idempotent
+    "eggbox_t4_nonregular_all": ["eggbox", "gens:tests/data/t4_nonregular.gens", "--all"],
 }
 
 
@@ -50,7 +53,8 @@ def invoke(argv):
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
-def test_golden(name):
+def test_golden(name, monkeypatch):
+    monkeypatch.chdir(GOLDEN_DIR.parent.parent)  # generator-file paths are repo-relative
     code, text = invoke(GOLDEN_CASES[name])
     assert code == EXIT_OK
     expected = (GOLDEN_DIR / f"{name}.txt").read_text()

@@ -505,6 +505,18 @@ class TestCatalogs:
         for en in i3_catalog:
             assert cm_roundtrip_check(i3, en)
 
+    def test_character_comparisons_use_the_key(self, i3, i3_map, monkeypatch):
+        # cm_catalog, the round trip's iso_test and match_by_character all
+        # compare lowest-terms trace keys, never Fraction characters
+        def no_fractions(rep):
+            raise AssertionError("Fraction character built")
+
+        monkeypatch.setattr(Representation, "character", no_fractions)
+        catalog = cm_catalog(i3)
+        for en in catalog:
+            assert cm_roundtrip_check(i3, en)
+        assert [en.dim for en in decompose(i3_map, catalog=catalog)] == [3]
+
     def test_roundtrips_i4(self):
         i4 = symmetric_inverse_monoid(4)
         for en in cm_catalog(i4):

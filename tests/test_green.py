@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from monoidrep.cliffmunn import semisimple_predicate, SemisimpleReport
 from monoidrep.elements import (
+    FiniteMonoid,
     PartialBijection,
     Transformation,
     closure,
@@ -14,6 +16,8 @@ from monoidrep.elements import (
     symmetric_inverse_monoid,
 )
 from monoidrep.green import (
+    GreenClasses,
+    JPoset,
     Transversal,
     eggbox,
     green_structure,
@@ -455,3 +459,96 @@ class TestGreenLayer:
     def test_pair_monoid_covers(self, kind):
         _, poset = monoid_green(pair_monoid(kind))
         assert poset.covers() == reference_covers(poset)
+
+
+# -- the Cayley-graph classes against principal-ideal bitsets ------------------
+
+def _classify_oracle(keys):
+    ids, of = {}, []
+    for key in keys:
+        of.append(ids.setdefault(key, len(ids)))
+    members = [[] for _ in ids]
+    for i, c in enumerate(of):
+        members[c].append(i)
+    return tuple(of), tuple(map(tuple, members))
+
+
+def reference_green_structure(m):
+    """Green classes and J-order from principal-ideal membership bitsets:
+    x L y iff Sx = Sy, x R y iff xS = yS, and J_i <= J_j iff the
+    representative of J_i lies in S r_j S, all read off the whole table."""
+    n, t = len(m), m.table
+    lmem = np.zeros((n, n), dtype=bool)  # lmem[s, x]: x in Ss
+    lmem[np.arange(n)[None, :], t] = True
+    rmem = np.zeros((n, n), dtype=bool)  # rmem[s, x]: x in sS
+    rmem[np.arange(n)[:, None], t] = True
+    lclass_of, lclasses = _classify_oracle(row.tobytes() for row in np.packbits(lmem, axis=1))
+    rclass_of, rclasses = _classify_oracle(row.tobytes() for row in np.packbits(rmem, axis=1))
+    hclass_of, hclasses = _classify_oracle(zip(lclass_of, rclass_of))
+    ideal = np.zeros((n, n), dtype=bool)  # ideal[s, x]: x in SsS
+    for s in range(n):
+        ideal[s, t[np.unique(t[:, s]), :].ravel()] = True
+    jclass_of, jclasses = _classify_oracle(row.tobytes() for row in np.packbits(ideal, axis=1))
+    idempotents_of = tuple(
+        tuple(x for x in members if t[x, x] == x) for members in jclasses
+    )
+    reps = [members[0] for members in jclasses]
+    leq = np.ascontiguousarray(ideal[np.ix_(reps, reps)].T)  # rep i in S rep_j S
+    classes = GreenClasses(lclass_of, rclass_of, hclass_of, jclass_of, lclasses, rclasses,
+                           hclasses, jclasses, idempotents_of)
+    return classes, JPoset(len(reps), leq, jclass_of[m.identity_index])
+
+
+@st.composite
+def monoids_with_or_without_generators(draw):
+    """A small monoid, half the time rebuilt without its recorded generators,
+    so that green_structure walks the greedy generating set."""
+    m = draw(small_monoids())
+    if draw(st.booleans()):
+        m = FiniteMonoid(m.elements, m.table, m.identity_index)
+    return m
+
+
+def assert_matches_oracle(m):
+    classes, poset = green_structure(m)
+    ref_classes, ref_poset = reference_green_structure(m)
+    assert classes == ref_classes
+    assert poset.count == ref_poset.count and poset.maximum == ref_poset.maximum
+    assert np.array_equal(poset.leq, ref_poset.leq)
+
+
+class TestCayleyGraphClasses:
+    @settings(max_examples=80, deadline=None)
+    @given(m=monoids_with_or_without_generators())
+    def test_classes_and_order_match_the_bitset_oracle(self, m):
+        assert_matches_oracle(m)
+
+    @pytest.mark.parametrize("kind", ["subsets", "set_partitions", "ordered_partitions_zero"])
+    def test_pair_monoids_match_the_bitset_oracle(self, kind):
+        assert_matches_oracle(pair_monoid(kind))
+
+    def test_monoid_without_recorded_generators(self):
+        t3 = full_transformation_monoid(3)
+        m = FiniteMonoid(t3.elements, t3.table, t3.identity_index)
+        assert m.generator_indices is None
+        assert_matches_oracle(m)
+        assert m.generator_indices is not None  # the greedy set, kept
+
+    def test_non_regular_jclasses_and_order(self):
+        # T_4 closure of [2,3,4,4] and [1,1,3,4]: 7 J-classes, 3 without an idempotent
+        m = closure([Transformation([2, 3, 4, 4]), Transformation([1, 1, 3, 4])])
+        classes, _ = green_structure(m)
+        assert len(classes.jclasses) == 7
+        assert sum(1 for idems in classes.jclass_idempotents if not idems) == 3
+        assert_matches_oracle(m)
+
+    def test_no_square_arrays_beside_the_table(self):
+        m = sgl_monoid(make_lattice("ordered_partitions_zero", 4)[1])[0]
+        assert len(m) == 1801
+        tracemalloc.start()
+        try:
+            green_structure(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m.table.nbytes / 4

@@ -346,6 +346,31 @@ class TestGroupAction:
             GroupAction(group, lat, table)
 
 
+def elementwise_image(kind, g, a):
+    """g . a for one permutation and one lattice element, from the kind's
+    description: subsets map pointwise, set partitions blockwise, and ordered
+    partitions blockwise in their block order (() stays ())."""
+    if kind == "subsets":
+        return tuple(sorted(g.apply(x) for x in a))
+    blocks = [tuple(sorted(g.apply(x) for x in block)) for block in a]
+    if kind == "set_partitions":
+        return tuple(sorted(blocks))
+    return tuple(blocks)
+
+
+class TestActionTable:
+    @pytest.mark.parametrize("kind", ["subsets", "set_partitions", "ordered_partitions_zero"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_the_elementwise_images(self, kind, n):
+        lat, action = make_lattice(kind, n)
+        expected = [
+            [lat.index(elementwise_image(kind, g, a)) for a in lat.elements]
+            for g in action.group.elements
+        ]
+        assert action.table.shape == (math.factorial(n), len(lat))
+        assert np.array_equal(action.table, np.array(expected).reshape(action.table.shape))
+
+
 class TestGreenCompatibility:
     @pytest.mark.parametrize("kind", ["subsets", "set_partitions", "ordered_partitions_zero"])
     def test_lr_classes_match_pair_structure(self, kind):

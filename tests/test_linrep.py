@@ -800,6 +800,17 @@ class TestStackEncoding:
         assert total.character() == oracle_character(total)
         assert a.character() == oracle_character(a)
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_character_key_decides_character_equality(self, data):
+        a = data.draw(stack_reps())
+        b = data.draw(stack_reps([r for r in STACK_BASES if r.monoid is a.monoid]))
+        assert (a.character_key() == b.character_key()) == (a.character() == b.character())
+        den, traces = a.character_key()
+        # lowest terms, although a.den may divide every trace but not every entry
+        assert math.gcd(den, *traces) == 1
+        assert tuple(Fraction(x, den) for x in traces) == a.character()
+
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_outer_tensor_matches_per_element_oracle(self, data):
