@@ -13,10 +13,17 @@ import re
 
 import numpy as np
 
-# Dense Cayley tables hold int32 cells; a table of |S|^2 cells may not take
-# more than this many bytes.  T_5 (39 MB) fits, I_6 (710 MB) does not.
+# Dense Cayley tables hold TABLE_DTYPE cells; a table of |S|^2 cells may not
+# take more than this many bytes.  T_5 (19.5 MB) fits, I_6 (355 MB) does not.
 TABLE_BYTES_BUDGET = 256 * 2**20
-DEFAULT_CLOSURE_CAP = math.isqrt(TABLE_BYTES_BUDGET // np.dtype(np.int32).itemsize)
+TABLE_DTYPE = np.dtype(np.uint16)
+DEFAULT_CLOSURE_CAP = math.isqrt(TABLE_BYTES_BUDGET // TABLE_DTYPE.itemsize)
+# Every table passes check_table_budget, so it has at most
+# DEFAULT_CLOSURE_CAP = isqrt(2^27) = 11585 elements, and every cell, an
+# index below that, fits the two-byte cell exactly.  Indexing with cells is
+# exact; a sum, difference or sentinel that may leave 0..n-1 is computed in
+# intp.
+assert DEFAULT_CLOSURE_CAP <= np.iinfo(TABLE_DTYPE).max + 1
 
 # image-row tables are filled, and associativity is checked, in blocks of
 # about this many cells, so the temporaries of one block stay small next to
@@ -263,32 +270,41 @@ class FiniteMonoid:
     """An enumerated finite monoid with a dense, index-valued Cayley table.
 
     Elements are stored in canonical order; table[i, j] is the index of
-    elements[i] * elements[j].  Recorded generator indices must generate the
+    elements[i] * elements[j], held as a TABLE_DTYPE (two-byte) cell.  The
+    table given may have any integer dtype: its cells are checked to lie in
+    0..n-1 before it is narrowed, and n is within the table budget, so the
+    narrowing is exact.  Recorded generator indices must generate the
     monoid.
     """
 
     def __init__(self, elements, table, identity_index: int, generator_indices=None):
         self.elements = tuple(elements)
-        self.table = np.asarray(table, dtype=np.int32)
+        n = len(self.elements)
+        check_table_budget(n)
+        table = np.asarray(table)
+        if table.shape != (n, n):
+            raise ValueError("table shape mismatch")
+        # on the table as given: a narrowing cast would wrap -1 or 65536 + k
+        # into a valid-looking index
+        if n and (table.min() < 0 or table.max() >= n):
+            raise ValueError("table not closed")
+        self.table = table.astype(TABLE_DTYPE, copy=False)
         self.identity_index = int(identity_index)
         self.generator_indices = tuple(generator_indices) if generator_indices is not None else None
+        self._greedy = None  # the greedy generating set, once _validate finds it
         self._index = {e: k for k, e in enumerate(self.elements)}
-        if len(self._index) != len(self.elements):
+        if len(self._index) != n:
             raise ValueError("duplicate elements")
         self._validate()
 
     def _validate(self):
         n = len(self.elements)
-        if self.table.shape != (n, n):
-            raise ValueError("table shape mismatch")
-        if n and (self.table.min() < 0 or self.table.max() >= n):
-            raise ValueError("table not closed")
         e = self.identity_index
-        idx = np.arange(n, dtype=np.int32)
+        idx = np.arange(n)
         if not (np.array_equal(self.table[e], idx) and np.array_equal(self.table[:, e], idx)):
             raise ValueError("identity laws fail")
         if self.generator_indices is None:
-            gens = self._greedy_generators()
+            gens = self._greedy = self._greedy_generators()
         else:
             gens = self.generator_indices
             if len(self._generated_by(gens)) != n:
@@ -329,7 +345,7 @@ class FiniteMonoid:
     def generating_set(self) -> tuple:
         """Generator indices; computed greedily if none were recorded."""
         if self.generator_indices is None:
-            self.generator_indices = self._greedy_generators()
+            self.generator_indices = self._greedy
         return self.generator_indices
 
     def _greedy_generators(self) -> tuple:
@@ -373,7 +389,7 @@ class FiniteMonoid:
         if rows is not None:
             table = _image_table(rows)
         else:
-            table = np.empty((len(ordered), len(ordered)), dtype=np.int32)
+            table = np.empty((len(ordered), len(ordered)), dtype=TABLE_DTYPE)
             for i, a in enumerate(ordered):
                 row = table[i]
                 for j, b in enumerate(ordered):
@@ -388,8 +404,8 @@ class FiniteMonoid:
 
 
 def check_table_budget(size: int) -> None:
-    """Raise ClosureCapError if a size x size int32 table exceeds the budget."""
-    need = size * size * np.dtype(np.int32).itemsize
+    """Raise ClosureCapError if a size x size Cayley table exceeds the budget."""
+    need = size * size * TABLE_DTYPE.itemsize
     if need > TABLE_BYTES_BUDGET:
         raise ClosureCapError(
             f"a Cayley table of {size} elements needs {need / 2**20:.1f} MiB, "
@@ -430,7 +446,7 @@ def _image_table(rows: np.ndarray) -> np.ndarray:
     own = keys(packed[:, 1:])
     order = np.argsort(own, kind="stable")
     sorted_keys = own[order]
-    table = np.empty((size, size), dtype=np.int32)
+    table = np.empty((size, size), dtype=TABLE_DTYPE)
     step = max(1, TABLE_BLOCK_CELLS // size)
     for i in range(0, size, step):
         products = keys(np.take(packed[i:i + step], images, axis=1))
@@ -482,10 +498,16 @@ def closure(generators, identity=None, cap: int = DEFAULT_CLOSURE_CAP) -> Finite
 
 
 def product_monoid(*factors: FiniteMonoid) -> FiniteMonoid:
-    """Direct product; elements are tuples, one coordinate per factor."""
+    """Direct product; elements are tuples, one coordinate per factor.
+
+    Flat index i has coordinate c_k(i) = (i // stride_k) % |M_k| in factor k,
+    and the product of i and j is the sum of stride_k * t_k[c_k(i), c_k(j)].
+    Each partial sum is the flat index of a tuple, below the order, so the
+    table is summed in its own two-byte cells exactly, a block of rows at a
+    time.
+    """
     if not factors:
         raise ValueError("need at least one factor")
-    elements = [tuple(t) for t in itertools.product(*(m.elements for m in factors))]
     sizes = [len(m) for m in factors]
     strides = []
     acc = 1
@@ -493,28 +515,29 @@ def product_monoid(*factors: FiniteMonoid) -> FiniteMonoid:
         strides.append(acc)
         acc *= s
     strides.reverse()
+    check_table_budget(acc)
+    elements = [tuple(t) for t in itertools.product(*(m.elements for m in factors))]
 
-    table = np.zeros((acc, acc), dtype=np.int64)
-    for m, stride in zip(factors, strides):
-        t = m.table.astype(np.int64) * stride
-        n = len(m)
-        reps_in = acc // (n * stride)
-        # index pattern: coordinate k of flat index i is (i // stride) % n
-        block = np.kron(
-            np.kron(np.ones((reps_in, reps_in), dtype=np.int64), t),
-            np.ones((stride, stride), dtype=np.int64),
-        )
-        table += block
+    flat = np.arange(acc)
+    coords = [(flat // stride) % n for stride, n in zip(strides, sizes)]
+    table = np.zeros((acc, acc), dtype=TABLE_DTYPE)
+    step = max(1, TABLE_BLOCK_CELLS // acc)
+    for i in range(0, acc, step):
+        rows = table[i:i + step]
+        for m, stride, c in zip(factors, strides, coords):
+            part = m.table[np.ix_(c[i:i + step], c)]
+            part *= stride
+            rows += part
     identity = sum(m.identity_index * s for m, s in zip(factors, strides))
     gens = None
     if all(m.generator_indices is not None for m in factors):
         gens = []
         for k, m in enumerate(factors):
             for g in m.generator_indices:
-                coords = [f.identity_index for f in factors]
-                coords[k] = g
-                gens.append(sum(c * s for c, s in zip(coords, strides)))
-    return FiniteMonoid(elements, table.astype(np.int32), identity, gens)
+                point = [f.identity_index for f in factors]
+                point[k] = g
+                gens.append(sum(c * s for c, s in zip(point, strides)))
+    return FiniteMonoid(elements, table, identity, gens)
 
 
 # -- enumerations of the running examples ----------------------------------

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import FiniteMonoid
+from .elements import TABLE_DTYPE, FiniteMonoid
 
 
 @dataclass(frozen=True)
@@ -239,14 +239,17 @@ def maximal_subgroup(monoid: FiniteMonoid, classes: GreenClasses, e: int) -> Fin
     if monoid.table[e, e] != e:
         raise ValueError("e is not idempotent")
     members = np.asarray(classes.hclasses[classes.hclass_of[e]], dtype=np.intp)
-    position = np.full(len(monoid), -1, dtype=np.int32)
-    position[members] = np.arange(len(members))
-    table = position[monoid.table[np.ix_(members, members)]]
+    products = monoid.table[np.ix_(members, members)]
+    inside = np.zeros(len(monoid), dtype=bool)
+    inside[members] = True
     # Green's theorem (Howie 2.2.5): the H-class of an idempotent is closed
     # under products and is a group with identity e; a product landing
     # outside it, or a failed group axiom below, proves the classes wrong
-    if (table < 0).any():
+    if not inside[products].all():
         raise RuntimeError("H-class of an idempotent is not closed")
+    position = np.zeros(len(monoid), dtype=TABLE_DTYPE)
+    position[members] = np.arange(len(members))
+    table = position[products]
     group = FiniteMonoid([monoid.elements[m] for m in members], table, position[e])
     if not group.is_group():
         raise RuntimeError("H-class of e fails the group axioms")

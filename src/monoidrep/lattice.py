@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elements import (
+    TABLE_DTYPE,
     ClosureCapError,
     FiniteMonoid,
     PartialBijection,
@@ -191,21 +192,18 @@ def make_lattice(kind: str, n: int):
                 itertools.combinations(range(1, n + 1), m) for m in range(n + 1)
             )
         )
-        leq = lambda a, b: set(a) <= set(b)
 
         def image(g: Permutation, a):
             return tuple(sorted(g.apply(x) for x in a))
 
     elif kind == "set_partitions":
         elements = sorted(_set_partitions(n))
-        leq = _refines
 
         def image(g: Permutation, a):
             return tuple(sorted(tuple(sorted(g.apply(x) for x in block)) for block in a))
 
     elif kind == "ordered_partitions_zero":
         elements = [()] + sorted(_ordered_partitions(n))
-        leq = _ordered_leq
 
         def image(g: Permutation, a):
             return tuple(tuple(sorted(g.apply(x) for x in block)) for block in a)
@@ -224,7 +222,7 @@ def make_lattice(kind: str, n: int):
         check_table_budget(bound)
     except ClosureCapError as exc:
         raise ClosureCapError(f"the pair monoid has at least {bound} elements: {exc}") from None
-    lat = FiniteLattice(elements, [[leq(a, b) for b in elements] for a in elements])
+    lat = FiniteLattice(elements, _order_relation(kind, elements, n))
     lat.kind = kind
     if kind == "subsets":
         # subsets get their meets and joins from intersection and union
@@ -313,23 +311,48 @@ def _ordered_partitions(n):
     return list(rec(points))
 
 
-def _refines(a, b):
-    return all(any(set(block) <= set(big) for big in b) for block in a)
+def _order_relation(kind: str, elements, n: int) -> np.ndarray:
+    """The order leq[a, b] of a built-in lattice, from one relation R_a on
+    the points per element a: a <= b iff R_a is inside R_b.
 
+    Subsets: R_a = {x : x in a}, and a <= b is a inside b by definition.
 
-def _ordered_leq(a, b):
-    """Both bullets of the ordered-partition order; () is the minimum."""
-    if a == ():
-        return True
-    if b == ():
-        return False
-    homes = []
-    for block in a:
-        target = [j for j, big in enumerate(b) if set(block) <= set(big)]
-        if not target:
-            return False
-        homes.append(target[0])
-    return all(homes[i] <= homes[i + 1] for i in range(len(homes) - 1))
+    Set partitions: R_a = {(x, y) : x and y in one block of a}, and a <= b
+    when every block of a lies inside a block of b.  If it does, x and y in
+    one block of a lie in one block of b.  Conversely, if R_a is inside
+    R_b, fix x in a block B of a and let B' be the block of b holding x:
+    every y in B has (x, y) in R_a, hence in R_b, so y is in B'.
+
+    Ordered partitions: R_a = {(x, y) : pos_a(x) <= pos_a(y)}, where
+    pos_a(x) is the position of the block of a holding x, and R_() is
+    empty.  The order puts () below everything; otherwise a <= b when every
+    block i of a lies inside a block h(i) of b and h is nondecreasing.
+    R_() is inside every R_b, and R_a holds (x, x) for a != (), so it is
+    not inside R_().  For a, b != (): if h exists and is nondecreasing,
+    then pos_b = h o pos_a, so pos_a(x) <= pos_a(y) gives
+    pos_b(x) <= pos_b(y).  Conversely, if R_a is inside R_b, then x and y
+    in one block of a have (x, y) and (y, x) in R_b, so pos_b(x) = pos_b(y):
+    the block lies inside one block of b, and h is defined.  For blocks
+    i < j of a, x in i and y in j give (x, y) in R_a, hence in R_b, so
+    h(i) = pos_b(x) <= pos_b(y) = h(j).
+    """
+    if kind == "subsets":
+        rel = np.zeros((len(elements), n), dtype=bool)
+        for k, a in enumerate(elements):
+            rel[k, [x - 1 for x in a]] = True
+    else:
+        # pos[k, x - 1] = the position of the block of element k holding x;
+        # set partitions compare positions for equality only
+        pos = np.zeros((len(elements), n), dtype=np.intp)
+        for k, a in enumerate(elements):
+            for i, block in enumerate(a):
+                pos[k, [x - 1 for x in block]] = i
+        compare = np.equal if kind == "set_partitions" else np.less_equal
+        rel = compare(pos[:, :, None], pos[:, None, :]).reshape(len(elements), -1)
+        rel[[k for k, a in enumerate(elements) if a == ()]] = False
+    # missing[a, b] counts the pairs of R_a that R_b lacks
+    missing = rel.astype(np.intp) @ (~rel).astype(np.intp).T
+    return missing == 0
 
 
 # -- the inverse monoid of pairs g_a ----------------------------------------
@@ -457,7 +480,9 @@ def sgl_monoid(action: GroupAction):
     act = ctx.action.table
     meet = ctx.lattice.meet
     gtab = ctx.group.table
-    table = np.empty((n, n), dtype=np.int32)
+    # a pair missing from eidx would be stored as -1, which the two-byte cell
+    # wraps to 65535 >= n, so FiniteMonoid still rejects it as not closed
+    table = np.empty((n, n), dtype=TABLE_DTYPE)
     hinv = ctx.ginv[garr]
     for i in range(n):
         c = meet[act[hinv, aarr[i]], aarr]

@@ -144,11 +144,12 @@ class TestSpecParsing:
         assert code == EXIT_CAP
 
     @pytest.mark.parametrize("spec,mib", [
-        ("I:6", "677.5"), ("T:6", "8303.8"), ("SGL:ordperm:6", "8039484.3"),
+        ("I:6", "338.8"), ("T:6", "4151.9"), ("SGL:ordperm:6", "4019742.1"),
     ])
     def test_table_budget_exit_3(self, spec, mib, capsys):
-        # the dense tables would take 0.7 GB and 8.7 GB, and SGL:ordperm:6
-        # at least 8 TB; all are refused before the table is allocated
+        # the dense two-byte tables would take 0.36 GB and 4.4 GB, and
+        # SGL:ordperm:6 at least 4 TB; all are refused before the table is
+        # allocated
         start = time.monotonic()
         code, _ = invoke(["order", spec])
         assert code == EXIT_CAP

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import monoidrep.elements as elements_module
 from monoidrep.elements import (
     DEFAULT_CLOSURE_CAP,
     TABLE_BYTES_BUDGET,
+    TABLE_DTYPE,
     ClosureCapError,
     DegreeMismatchError,
     ElementParseError,
@@ -29,6 +31,8 @@ from monoidrep.elements import (
     symmetric_group,
     symmetric_inverse_monoid,
 )
+from monoidrep.green import maximal_subgroup, monoid_green
+from monoidrep.lattice import make_lattice, maximal_subgroup_at, sgl_monoid
 
 
 def pb(n, *pairs):
@@ -63,7 +67,7 @@ def assert_matches_reference(m, generators=None):
         m.elements, m.elements[m.identity_index], generators
     )
     assert m.elements == elements
-    assert m.table.dtype == np.int32
+    assert m.table.dtype == TABLE_DTYPE
     assert np.array_equal(m.table, table)
     assert m.identity_index == identity
     assert m.generator_indices == gens
@@ -421,20 +425,114 @@ class TestImageTableProperties:
 
 class TestTableBudget:
     def test_default_cap_is_the_largest_order_within_budget(self):
-        cell = np.dtype(np.int32).itemsize
+        cell = TABLE_DTYPE.itemsize
         assert DEFAULT_CLOSURE_CAP ** 2 * cell <= TABLE_BYTES_BUDGET
         assert (DEFAULT_CLOSURE_CAP + 1) ** 2 * cell > TABLE_BYTES_BUDGET
 
     def test_budget_sizes(self):
-        cell = np.dtype(np.int32).itemsize
+        cell = TABLE_DTYPE.itemsize
         assert 3125 ** 2 * cell <= TABLE_BYTES_BUDGET  # T_5
         assert in_order_formula(6) ** 2 * cell > TABLE_BYTES_BUDGET  # I_6
 
     def test_over_budget_raises_before_building(self, monkeypatch):
-        monkeypatch.setattr(elements_module, "TABLE_BYTES_BUDGET", 24 ** 2 * 4 - 1)
+        monkeypatch.setattr(elements_module, "TABLE_BYTES_BUDGET", 24 ** 2 * TABLE_DTYPE.itemsize - 1)
         monkeypatch.setattr(elements_module, "_image_table", None)  # never reached
         with pytest.raises(ClosureCapError, match="table budget"):
             FiniteMonoid.from_elements(all_permutations(4))
+
+
+def product_reference(*factors):
+    """The product table cell by cell, from the factors' own tables."""
+    elements = list(itertools.product(*(range(len(m)) for m in factors)))
+    index = {t: k for k, t in enumerate(elements)}
+    return np.array([
+        [index[tuple(m.mul(x, y) for m, x, y in zip(factors, a, b))] for b in elements]
+        for a in elements
+    ])
+
+
+class TestProductMonoid:
+    def test_table_is_the_coordinatewise_product(self):
+        factors = (symmetric_inverse_monoid(2), full_transformation_monoid(2), symmetric_group(3))
+        p = product_monoid(*factors)
+        assert len(p) == 7 * 4 * 6
+        assert np.array_equal(p.table, product_reference(*factors))
+        e = p.elements[p.identity_index]
+        assert e == tuple(m.elements[m.identity_index] for m in factors)
+
+    def test_over_budget_raises_before_building(self, monkeypatch):
+        # |S_3 x S_2| = 12; a budget one byte short of its table refuses it
+        # before the elements are enumerated
+        factors = (symmetric_group(3), symmetric_group(2))
+        monkeypatch.setattr(elements_module, "TABLE_BYTES_BUDGET", 12 ** 2 * TABLE_DTYPE.itemsize - 1)
+        monkeypatch.setattr(elements_module, "itertools", None)  # never reached
+        with pytest.raises(ClosureCapError, match="table budget"):
+            product_monoid(*factors)
+
+
+def units_of(m):
+    return maximal_subgroup(m, monoid_green(m)[0], m.identity_index)
+
+
+class TestTwoByteCells:
+    def test_budget_admits_only_two_byte_indices(self):
+        assert TABLE_DTYPE == np.uint16
+        assert DEFAULT_CLOSURE_CAP == 11585 <= np.iinfo(TABLE_DTYPE).max + 1
+
+    @pytest.mark.parametrize("build", [
+        lambda: symmetric_group(4),
+        lambda: symmetric_inverse_monoid(3),
+        lambda: full_transformation_monoid(3),
+        lambda: closure(T_FILE_GENS),
+        lambda: closure([cycle_link_parse(t, 5) for t in I_FILE_GENS]),
+        lambda: product_monoid(symmetric_group(3), symmetric_inverse_monoid(2)),
+        lambda: sgl_monoid(make_lattice("ordered_partitions_zero", 3)[1])[0],
+        # pairs multiplied by Python products: the maximal subgroup at {2, 3}
+        lambda: maximal_subgroup_at(make_lattice("subsets", 3)[1], 6),
+        lambda: units_of(symmetric_inverse_monoid(3)),
+    ], ids=["S", "I", "T", "t_file", "i_file", "product", "pair_monoid",
+            "pair_subgroup", "maximal_subgroup"])
+    def test_every_builder_allocates_two_byte_cells(self, build):
+        m = build()
+        assert m.table.dtype == np.uint16
+        assert m.table.nbytes == 2 * len(m) ** 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), m=st.sampled_from(
+        [symmetric_group(3), symmetric_inverse_monoid(3), full_transformation_monoid(3)]))
+    def test_cells_outside_the_range_are_rejected_before_narrowing(self, data, m):
+        # 65536 + k and -1 would narrow to k and 65535 in two bytes
+        n = len(m)
+        bad = m.table.astype(np.int64)
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        bad[i, j] = data.draw(st.sampled_from([2**16 + int(m.table[i, j]), -1]))
+        with pytest.raises(ValueError, match="table not closed"):
+            FiniteMonoid(m.elements, bad, m.identity_index, m.generator_indices)
+
+    def test_full_transformation_monoid_peak_is_the_table(self):
+        tracemalloc.start()
+        try:
+            m = full_transformation_monoid(5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(m) == 3125
+        assert peak < 2.5 * len(m) ** 2
+
+
+class TestGreedyGenerators:
+    def test_validation_keeps_the_greedy_set(self, monkeypatch):
+        t4 = full_transformation_monoid(4)
+        calls = []
+        greedy = FiniteMonoid._greedy_generators
+        monkeypatch.setattr(FiniteMonoid, "_greedy_generators",
+                            lambda self: calls.append(1) or greedy(self))
+        m = FiniteMonoid(t4.elements, t4.table, t4.identity_index)
+        assert m.generator_indices is None
+        gens = m.generating_set()
+        assert m.generating_set() == gens == m.generator_indices
+        assert len(calls) == 1
+        assert len(m._generated_by(gens)) == len(m)
 
 
 class TestCycleLink:

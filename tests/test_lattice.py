@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,6 +46,26 @@ def fubini_number(n):
     for m in range(1, n + 1):
         a.append(sum(math.comb(m, k) * a[m - k] for k in range(1, m + 1)))
     return a[n]
+
+
+def refines(a, b):
+    """Oracle: every block of the partition a lies inside a block of b."""
+    return all(any(set(block) <= set(big) for big in b) for block in a)
+
+
+def ordered_leq(a, b):
+    """Oracle: both bullets of the ordered-partition order; () is the minimum."""
+    if a == ():
+        return True
+    if b == ():
+        return False
+    homes = []
+    for block in a:
+        target = [j for j, big in enumerate(b) if set(block) <= set(big)]
+        if not target:
+            return False
+        homes.append(target[0])
+    return all(homes[i] <= homes[i + 1] for i in range(len(homes) - 1))
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +143,40 @@ class TestMakeLattice:
                 for b in orbit:
                     if a != b:
                         assert not lat.leq[a, b]
+
+
+ORDER_ORACLES = {
+    "subsets": lambda a, b: set(a) <= set(b),
+    "set_partitions": refines,
+    "ordered_partitions_zero": ordered_leq,
+}
+
+
+def lattice_elements(kind, n):
+    """make_lattice's elements, enumerated without its degree and budget checks."""
+    if kind == "subsets":
+        return sorted(itertools.chain.from_iterable(
+            itertools.combinations(range(1, n + 1), m) for m in range(n + 1)))
+    if kind == "set_partitions":
+        return sorted(lattice_module._set_partitions(n))
+    return [()] + sorted(lattice_module._ordered_partitions(n))
+
+
+class TestOrderRelation:
+    @pytest.mark.parametrize("kind", list(ORDER_ORACLES))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_relation_inclusion_is_the_order(self, kind, n):
+        els = lattice_elements(kind, n)
+        leq = ORDER_ORACLES[kind]
+        expected = np.array([[leq(a, b) for b in els] for a in els])
+        assert np.array_equal(lattice_module._order_relation(kind, els, n), expected)
+
+    @pytest.mark.parametrize("kind", list(ORDER_ORACLES))
+    def test_make_lattice_order(self, kind):
+        lat, _ = make_lattice(kind, 4)
+        assert lat.elements == tuple(lattice_elements(kind, 4))
+        leq = ORDER_ORACLES[kind]
+        assert np.array_equal(lat.leq, [[leq(a, b) for b in lat.elements] for a in lat.elements])
 
 
 class TestStabilizers:
@@ -242,9 +298,21 @@ class TestPairArithmetic:
         assert [e.key() for e in m1.elements] == [e.key() for e in m2.elements]
         assert np.array_equal(m1.table, m2.table)
 
+    def test_table_peak_is_the_table(self):
+        _, action = make_lattice("ordered_partitions_zero", 4)
+        tracemalloc.start()
+        try:
+            m, _ = sgl_monoid(action)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(m) == 1801
+        assert peak < 2.5 * len(m) ** 2
+
     def test_table_budget(self, subsets3, monkeypatch):
         # |I_3| = 34 pairs; a budget one byte short of their table refuses it
-        monkeypatch.setattr(elements_module, "TABLE_BYTES_BUDGET", 34 ** 2 * 4 - 1)
+        monkeypatch.setattr(elements_module, "TABLE_BYTES_BUDGET",
+                            34 ** 2 * elements_module.TABLE_DTYPE.itemsize - 1)
         with pytest.raises(ClosureCapError, match="table budget"):
             sgl_monoid(subsets3[1])
 
@@ -464,6 +532,6 @@ class TestPairOrderBound:
         assert bounds[0] <= sgl_order(action).formula_total == len(sgl_monoid(action)[0])
 
     def test_refused_before_the_order_relation(self, monkeypatch):
-        monkeypatch.setattr(lattice_module, "_ordered_leq", None)  # never reached
+        monkeypatch.setattr(lattice_module, "_order_relation", None)  # never reached
         with pytest.raises(ClosureCapError, match="at least 32952 elements"):
             make_lattice("ordered_partitions_zero", 5)
