@@ -41,10 +41,11 @@ class LatticeError(ValueError):
 class FiniteLattice:
     """Elements in canonical order with order relation and meet/join tables.
 
-    Meets and joins are recovered from the order by down-set/up-set bitmask
-    intersection and validated exhaustively: meet(a, b) is accepted only if
-    its down-set is exactly down(a) & down(b), which is the greatest-lower-
-    bound property; dually for joins.
+    Meets and joins are read from the order matrix in numpy, one row at a
+    time, and validated exhaustively: meet(a, b) is the element of
+    down(a) & down(b) with the largest down-set, accepted only if that
+    down-set is the whole intersection, which is the greatest-lower-bound
+    property; dually for joins.
     """
 
     def __init__(self, elements, leq: np.ndarray):
@@ -65,32 +66,25 @@ class FiniteLattice:
         if not np.array_equal(reach, self.leq):
             raise LatticeError("order not transitive")
 
-        down = [int.from_bytes(np.packbits(self.leq[:, a]).tobytes(), "big") for a in range(n)]
-        up = [int.from_bytes(np.packbits(self.leq[a, :]).tobytes(), "big") for a in range(n)]
-        # a down-set determines its element, so glb(a, b) exists iff
-        # down(a) & down(b) is itself some element's down-set
-        down_of = {m: c for c, m in enumerate(down)}
-        up_of = {m: c for c, m in enumerate(up)}
         self.meet = np.empty((n, n), dtype=np.int32)
         self.join = np.empty((n, n), dtype=np.int32)
+        meets, joins = _BoundRows(self.leq), _BoundRows(self.leq.T)
         for a in range(n):
-            for b in range(n):
-                self.meet[a, b] = self._bound(down_of, down[a] & down[b], a, b, "meet")
-                self.join[a, b] = self._bound(up_of, up[a] & up[b], a, b, "join")
+            self.meet[a], no_meet = meets.row(a)
+            self.join[a], no_join = joins.row(a)
+            bad = no_meet | no_join
+            if bad.any():
+                b = int(bad.argmax())  # the first bad pair, as the pairs are listed row by row
+                kind = "meet" if no_meet[b] else "join"
+                raise LatticeError(
+                    f"no unique {kind} for elements {self.elements[a]!r} and {self.elements[b]!r}"
+                )
         bottoms = [a for a in range(n) if self.leq[a].all()]
         tops = [a for a in range(n) if self.leq[:, a].all()]
         if len(bottoms) != 1 or len(tops) != 1:
             raise LatticeError("lattice must have a unique top and bottom")
         self.bottom = bottoms[0]
         self.top = tops[0]
-
-    def _bound(self, mask_of, want, a, b, kind):
-        hit = mask_of.get(want)
-        if hit is None:
-            raise LatticeError(
-                f"no unique {kind} for elements {self.elements[a]!r} and {self.elements[b]!r}"
-            )
-        return hit
 
     def index(self, element) -> int:
         return self._index[element]
@@ -100,6 +94,32 @@ class FiniteLattice:
 
     def __len__(self):
         return len(self.elements)
+
+
+class _BoundRows:
+    """Greatest lower bounds read from an order matrix one row a at a time;
+    built on leq.T it gives least upper bounds.
+
+    Every lower bound c of a and b has down(c) inside down(a) & down(b), by
+    transitivity.  The glb exists iff that intersection is some element's
+    down-set; that element is then the lower bound with the largest
+    down-set, and the only one of the intersection's size (antisymmetry).
+    So row a scans only the columns of down(a), in order of decreasing
+    down-set size, takes the first lower bound of each b, and accepts it
+    when its down-set has the size of the intersection.
+    """
+
+    def __init__(self, leq):
+        self.size = leq.sum(axis=0)  # |down(c)|
+        self.order = np.argsort(-self.size, kind="stable")
+        self.below = leq.T[:, self.order]  # below[b, k]: order[k] <= b
+
+    def row(self, a):
+        """The candidate glb(a, b) for every b, and where it is no glb."""
+        cols = np.flatnonzero(self.below[a])
+        common = self.below[:, cols]  # [b, k]: order[cols[k]] <= a and <= b
+        best = self.order[cols[common.argmax(axis=1)]]
+        return best, self.size[best] != common.sum(axis=1)
 
 
 class GroupAction:
@@ -225,13 +245,14 @@ def make_lattice(kind: str, n: int):
     lat = FiniteLattice(elements, _order_relation(kind, elements, n))
     lat.kind = kind
     if kind == "subsets":
-        # subsets get their meets and joins from intersection and union
-        for i, a in enumerate(elements):
-            for j, b in enumerate(elements):
-                if lat.elements[lat.meet[i, j]] != tuple(sorted(set(a) & set(b))):
-                    raise LatticeError("meet disagrees with intersection")
-                if lat.elements[lat.join[i, j]] != tuple(sorted(set(a) | set(b))):
-                    raise LatticeError("join disagrees with union")
+        # subsets get their meets and joins from intersection and union, as bitmasks
+        masks = np.array([sum(1 << (x - 1) for x in a) for a in elements], dtype=np.int64)
+        at = np.empty(1 << n, dtype=np.int32)
+        at[masks] = np.arange(len(elements))
+        if not np.array_equal(lat.meet, at[masks[:, None] & masks]):
+            raise LatticeError("meet disagrees with intersection")
+        if not np.array_equal(lat.join, at[masks[:, None] | masks]):
+            raise LatticeError("join disagrees with union")
     return lat, GroupAction(group, lat, _action_table(group, gen_rows))
 
 

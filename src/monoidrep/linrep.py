@@ -677,8 +677,19 @@ def serialize_representation(rep: Representation, *, monoid_label: str, element_
     for k, el in enumerate(rep.monoid.elements):
         lines.append(f"element {k} {element_text(el)}")
         for row in rep.num[k]:
-            lines.append(" ".join(str(Fraction(x, rep.den)) for x in row))
+            lines.append(" ".join(_ratio_text(x, rep.den) for x in row))
     return "\n".join(lines) + "\n"
+
+
+def _ratio_text(x: int, den: int) -> str:
+    """str(Fraction(x, den)) for an integer x and a positive den, without
+    building the Fraction."""
+    if den == 1:
+        return str(x)
+    g = gcd(x, den)
+    if g == den:
+        return str(x // g)
+    return f"{x // g}/{den // g}"
 
 
 def parse_representation_payload(text: str):

@@ -5,19 +5,22 @@ serves both the plain symmetric-group case and relabelled copies living on
 blocks.  The group acting on a label set is realized as the symmetric group
 on positions of the sorted labels.
 
-A Specht representation is built exactly as the span of all polytabloids
-(the full, dependent family); the standard-tableaux count enters only as an
-independent dimension check.
+A Specht representation is built as the span of the f^lambda standard
+polytabloids, checked exactly (rank and invariance, with the proof in
+specht_rep), and every group element's matrix is read from it by one index
+gather over the tabloid positions; no tabloid matrix of a non-generator is
+built.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import factorial
 
 import numpy as np
 
-from .elements import FiniteMonoid, Permutation, symmetric_group
+from .elements import FiniteMonoid, symmetric_group
 from .linrep import Representation, Subspace, outer_tensor
 
 
@@ -112,18 +115,30 @@ def tabloids(shape, labels) -> tuple:
     return tuple(sorted(rec(labels, shape)))
 
 
-def tableaux(shape, labels) -> tuple:
-    """All row-wise fillings (tuples of row tuples, order inside rows kept)."""
+def standard_tableaux(shape, labels) -> tuple:
+    """All standard tableaux (rows and columns increasing), each a tuple of
+    row tuples, listed in lexicographic order.
+
+    The labels are placed in sorted order, each at the end of a row that is
+    shorter than its part and than the row above: the cell above is then
+    filled, with a smaller label, so rows and columns increase.
+    """
     shape, labels = _check_shape(shape, labels)
+    rows = [[] for _ in shape]
     out = []
-    for perm in itertools.permutations(labels):
-        rows = []
-        pos = 0
-        for part in shape:
-            rows.append(tuple(perm[pos:pos + part]))
-            pos += part
-        out.append(tuple(rows))
-    return tuple(out)
+
+    def rec(k):
+        if k == len(labels):
+            out.append(tuple(tuple(row) for row in rows))
+            return
+        for r, part in enumerate(shape):
+            if len(rows[r]) < part and (r == 0 or len(rows[r - 1]) > len(rows[r])):
+                rows[r].append(labels[k])
+                rec(k + 1)
+                rows[r].pop()
+
+    rec(0)
+    return tuple(sorted(out))
 
 
 def tabloid_of(tableau) -> tuple:
@@ -168,11 +183,6 @@ def polytabloid(tableau, tabloid_index) -> tuple:
     return tuple(vec)
 
 
-def _label_action(perm: Permutation, labels):
-    """The permutation transported from positions 1..m to the sorted labels."""
-    return {labels[i]: labels[perm.apply(i + 1) - 1] for i in range(len(labels))}
-
-
 def _symmetric_group(m: int) -> FiniteMonoid:
     """S_m, built once per process and shared by the Specht and tabloid
     modules on m labels."""
@@ -184,15 +194,53 @@ def _symmetric_group(m: int) -> FiniteMonoid:
 _SYMMETRIC_GROUPS = {}
 
 
-def _tabloid_matrices(basis, labels, group: FiniteMonoid):
-    """The permutation matrix of every group element on the tabloid basis, stacked."""
-    index = {t: k for k, t in enumerate(basis)}
-    num = np.zeros((len(group), len(basis), len(basis)), dtype=object)
-    for s, g in enumerate(group.elements):
-        mapping = _label_action(g, labels)
-        moved = [index[tabloid_of(tuple(tuple(mapping[x] for x in row) for row in t))]
-                 for t in basis]
-        num[s, moved, range(len(basis))] = 1
+def _row_codes(basis, labels) -> np.ndarray:
+    """Each tabloid as the row index of every label, labels in sorted order:
+    an (|M|, m) int array."""
+    column = {x: j for j, x in enumerate(labels)}
+    codes = np.empty((len(basis), len(labels)), dtype=np.int64)
+    for k, t in enumerate(basis):
+        for r, row in enumerate(t):
+            codes[k, [column[x] for x in row]] = r
+    return codes
+
+
+def _image_rows(group: FiniteMonoid, indices) -> np.ndarray:
+    """The 0-based image rows of the group elements at indices."""
+    rows = [group.elements[s].images for s in indices]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), -1) - 1
+
+
+def _tabloid_positions(codes, images, rows) -> np.ndarray:
+    """P[s, i] = the position of sigma_s^-1 . t_{rows[i]} in the tabloid basis,
+    for the permutations sigma_s with 0-based image rows images[s].
+
+    sigma . t puts sigma(x) in the row of x, so sigma^-1 . t puts y in the
+    row of sigma(y): its code is codes[k][images[s]], gathered for all s at
+    once, one label position at a time.  A code read as a base-r integer, for r rows, names its tabloid
+    uniquely; each is ranked against the sorted basis codes.
+    """
+    base, m = int(codes.max(initial=0)) + 1, codes.shape[1]
+    if base ** m >= 2 ** 63:
+        raise ValueError(f"tabloid codes of {m} labels in {base} rows overflow int64")
+    weights = base ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    keys = codes @ weights
+    order = np.argsort(keys)
+    chosen = codes[list(rows)]
+    moved = np.zeros((len(images), len(chosen)), dtype=np.int64)
+    for y in range(m):
+        moved += chosen[:, images[:, y]].T * weights[y]
+    return order[np.searchsorted(keys[order], moved)]
+
+
+def _tabloid_matrices(codes, images) -> np.ndarray:
+    """The permutation matrix of each image row on the tabloid basis, stacked:
+    M[s, a, b] = 1 exactly when sigma_s . t_b = t_a, that is when
+    t_b = sigma_s^-1 . t_a."""
+    pos = _tabloid_positions(codes, images, range(len(codes)))
+    count, size = pos.shape
+    num = np.zeros((count, size, size), dtype=object)
+    num[np.arange(count)[:, None], np.arange(size), pos] = 1
     return num
 
 
@@ -201,7 +249,8 @@ def tabloid_module(shape, labels, group: FiniteMonoid = None) -> Representation:
     shape, labels = _check_shape(shape, labels)
     if group is None:
         group = _symmetric_group(len(labels))
-    num = _tabloid_matrices(tabloids(shape, labels), labels, group)
+    codes = _row_codes(tabloids(shape, labels), labels)
+    num = _tabloid_matrices(codes, _image_rows(group, range(len(group))))
     return Representation.from_numerators(group, num)
 
 
@@ -210,15 +259,31 @@ class SpechtData:
     shape: tuple
     labels: tuple
     tabloids: tuple
-    polytabloid_vectors: tuple  # one per tableau, over the tabloid basis
     subspace: Subspace  # echelon basis inside the tabloid module
     rep: Representation  # the action in echelon coordinates
 
 
 def specht_rep(shape, labels=None, group: FiniteMonoid = None) -> SpechtData:
-    """The Specht representation: the span of all polytabloids of the shape.
+    """The Specht representation S^lambda, spanned by the standard polytabloids.
 
-    The dimension is checked against a direct standard-tableaux enumeration.
+    By the standard basis theorem (Sagan, The Symmetric Group, 2nd ed.,
+    Thm 2.5.2; James, LNM 682) the f^lambda standard polytabloids are a
+    basis of S^lambda.  The program checks this exactly instead of relying
+    on it.  Their span V must have rank standard_tableaux_count(shape), and
+    it must be invariant under the group's generators, checked by
+    Subspace.restrict on the generators' tabloid matrices only.  The group
+    has m! distinct permutations of the m label positions, so it is S_m,
+    and V is invariant under all of S_m.  V holds a polytabloid e_t, so it
+    holds every sigma . e_t = e_{sigma t}; every tableau of the shape is
+    some sigma t, so V contains S^lambda.  V is spanned by polytabloids, so
+    V = S^lambda.  Subspace is a reduced echelon form, so V is stored
+    exactly as the span of all polytabloids would be.
+
+    Tabloid matrices are permutations, so restrict's R = M[pivots, :] B^T
+    reads R[s][i, c] = B[c, pos(sigma_s^-1 . t_{p_i})]: one gather of B^T
+    at the positions of the pivot tabloids.  from_numerators still proves
+    the homomorphism law.
+
     Results are cached per (shape, labels); the data is immutable.  Without
     a group, S_m is built once per process and shared across shapes.
     """
@@ -231,18 +296,22 @@ def specht_rep(shape, labels=None, group: FiniteMonoid = None) -> SpechtData:
         return _SPECHT_CACHE[cache_key]
     if group is None:
         group = _symmetric_group(len(labels))
+    if len(group) != factorial(len(labels)):
+        raise ValueError(f"a Specht module needs all of S_{len(labels)}, not {len(group)} elements")
     basis = tabloids(shape, labels)
     index = {t: k for k, t in enumerate(basis)}
-    vectors = tuple(polytabloid(t, index) for t in tableaux(shape, labels))
-    sub = Subspace.span(len(basis), vectors)
+    sub = Subspace.span(len(basis), [polytabloid(t, index) for t in standard_tableaux(shape, labels)])
     expected = standard_tableaux_count(shape)
     if sub.dim != expected:
         raise RuntimeError(
             f"polytabloid span has dimension {sub.dim}, but {expected} standard tableaux"
         )
-    num, den = sub.restrict(_tabloid_matrices(basis, labels, group))  # the module restricted
-    rep = Representation.from_numerators(group, num, den)
-    data = SpechtData(shape, labels, basis, vectors, sub, rep)
+    codes = _row_codes(basis, labels)
+    # raises ValueError unless the span is invariant under the generators
+    sub.restrict(_tabloid_matrices(codes, _image_rows(group, group.generating_set())))
+    pos = _tabloid_positions(codes, _image_rows(group, range(len(group))), sub.pivots)
+    rep = Representation.from_numerators(group, sub.num.T[pos], sub.den)
+    data = SpechtData(shape, labels, basis, sub, rep)
     if cache_key is not None:
         _SPECHT_CACHE[cache_key] = data
     return data

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import monoidrep.elements as elements_module
 import monoidrep.lattice as lattice_module
@@ -15,6 +16,7 @@ from monoidrep.elements import (
 )
 from monoidrep.green import green_structure, maximal_subgroup
 from monoidrep.lattice import (
+    FiniteLattice,
     GroupAction,
     LatticeError,
     SGLContext,
@@ -177,6 +179,96 @@ class TestOrderRelation:
         assert lat.elements == tuple(lattice_elements(kind, 4))
         leq = ORDER_ORACLES[kind]
         assert np.array_equal(lat.leq, [[leq(a, b) for b in lat.elements] for a in lat.elements])
+
+
+def reference_bounds(elements, leq):
+    """Oracle: meet and join tables by down-set/up-set bitmask intersection,
+    one (a, b) pair at a time, meet before join; raises LatticeError on the
+    first pair without a unique bound."""
+    n = len(elements)
+    down = [int.from_bytes(np.packbits(leq[:, a]).tobytes(), "big") for a in range(n)]
+    up = [int.from_bytes(np.packbits(leq[a, :]).tobytes(), "big") for a in range(n)]
+    # a down-set determines its element, so glb(a, b) exists iff
+    # down(a) & down(b) is itself some element's down-set
+    down_of = {m: c for c, m in enumerate(down)}
+    up_of = {m: c for c, m in enumerate(up)}
+    meet = np.empty((n, n), dtype=np.int32)
+    join = np.empty((n, n), dtype=np.int32)
+    for a in range(n):
+        for b in range(n):
+            for table, mask_of, want, kind in ((meet, down_of, down[a] & down[b], "meet"),
+                                               (join, up_of, up[a] & up[b], "join")):
+                hit = mask_of.get(want)
+                if hit is None:
+                    raise LatticeError(
+                        f"no unique {kind} for elements {elements[a]!r} and {elements[b]!r}"
+                    )
+                table[a, b] = hit
+    return meet, join
+
+
+def transitive_closure(leq):
+    reach = leq.copy()
+    for k in range(len(reach)):
+        reach |= np.outer(reach[:, k], reach[k, :])
+    return reach
+
+
+class TestMeetsAndJoins:
+    @pytest.mark.parametrize("kind,n", [(kind, n) for kind in ORDER_ORACLES for n in (1, 2, 3, 4)]
+                             + [("subsets", 5), ("subsets", 6),
+                                ("set_partitions", 5), ("set_partitions", 6)])
+    def test_tables_match_the_pairwise_oracle(self, kind, n):
+        lat, _ = make_lattice(kind, n)
+        meet, join = reference_bounds(lat.elements, lat.leq)
+        assert np.array_equal(lat.meet, meet)
+        assert np.array_equal(lat.join, join)
+
+    def test_two_minimal_upper_bounds_have_no_join(self):
+        # 0 < a, b < c, d < 1: a and b have two minimal upper bounds
+        names = ("0", "a", "b", "c", "d", "1")
+        covers = [("0", "a"), ("0", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"),
+                  ("c", "1"), ("d", "1")]
+        leq = np.eye(len(names), dtype=bool)
+        for x, y in covers:
+            leq[names.index(x), names.index(y)] = True
+        leq = transitive_closure(leq)
+        message = "no unique join for elements 'a' and 'b'"
+        with pytest.raises(LatticeError, match=message):
+            reference_bounds(names, leq)
+        with pytest.raises(LatticeError, match=message):
+            FiniteLattice(names, leq)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 9), data=st.data())
+    def test_random_posets_agree_with_the_oracle(self, n, data):
+        # a random order: the transitive closure of random pairs i < j
+        edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+        leq = np.eye(n, dtype=bool)
+        for i, j in edges:
+            leq[min(i, j), max(i, j)] = True
+        if data.draw(st.booleans()):  # bounded: 0 is the bottom and n - 1 the top
+            leq[0, :] = leq[:, n - 1] = True
+        leq = transitive_closure(leq)
+        try:
+            meet, join = reference_bounds(tuple(range(n)), leq)
+        except LatticeError as exc:
+            with pytest.raises(LatticeError) as got:
+                FiniteLattice(range(n), leq)
+            assert str(got.value) == str(exc)
+            return
+        lat = FiniteLattice(range(n), leq)
+        assert np.array_equal(lat.meet, meet) and np.array_equal(lat.join, join)
+
+    def test_subsets_check_their_meets_against_intersection(self, monkeypatch):
+        class Swapped(FiniteLattice):
+            def __init__(self, elements, leq):
+                super().__init__(elements, leq)
+                self.meet, self.join = self.join, self.meet
+
+        monkeypatch.setattr(lattice_module, "FiniteLattice", Swapped)
+        with pytest.raises(LatticeError, match="meet disagrees with intersection"):
+            make_lattice("subsets", 2)
 
 
 class TestStabilizers:

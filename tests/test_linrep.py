@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from monoidrep.elements import (
     PartialBijection,
@@ -20,6 +20,7 @@ from monoidrep.linrep import (
     Representation,
     Subspace,
     VerificationError,
+    _ratio_text,
     char_equal,
     commutant_dim,
     direct_sum,
@@ -453,6 +454,27 @@ class TestSerialization:
         text = serialize_representation(refl, monoid_label="S:3")
         _, _, mats = parse_representation_payload(text)
         assert tuple(mats) == refl.matrices
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.one_of(st.just(0), st.integers(-2**80, 2**80)),
+           den=st.one_of(st.just(1), st.integers(1, 2**80)))
+    @example(x=0, den=7)
+    @example(x=-12, den=4)
+    @example(x=12, den=4)
+    @example(x=-6, den=4)
+    @example(x=2**80, den=2**79)
+    @example(x=-(2**80) + 1, den=3)
+    @example(x=-5, den=1)
+    def test_entry_text_is_the_fraction_text(self, x, den):
+        assert _ratio_text(x, den) == str(F(x, den))
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_payload_entries_are_the_fraction_texts(self, data):
+        rep = data.draw(stack_reps())
+        lines = serialize_representation(rep, monoid_label="X").splitlines()
+        entries = [ln for ln in lines if not ln.startswith(("monoid:", "elements:", "dim:", "element "))]
+        assert entries == [" ".join(str(F(x, rep.den)) for x in row) for m in rep.num for row in m]
 
 
 # -- Fraction oracles: Gauss-Jordan, product and determinant over Fraction rows

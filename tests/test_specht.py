@@ -1,10 +1,21 @@
+import itertools
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from monoidrep.elements import Permutation, symmetric_group
-from monoidrep.linrep import char_equal, commutant_dim, exterior_power, mapping_rep
+from monoidrep import specht
+from monoidrep.elements import FiniteMonoid, Permutation, symmetric_group
+from monoidrep.linrep import (
+    Representation,
+    Subspace,
+    char_equal,
+    commutant_dim,
+    exterior_power,
+    mapping_rep,
+)
 from monoidrep.specht import (
     column_group,
     compositions,
@@ -12,6 +23,7 @@ from monoidrep.specht import (
     partitions,
     polytabloid,
     specht_rep,
+    standard_tableaux,
     standard_tableaux_count,
     tabloid_module,
     tabloid_of,
@@ -189,3 +201,134 @@ class TestYoungTensor:
             young_tensor([(2,), (2,)], [(1, 2), (2, 3)])  # overlapping blocks
         with pytest.raises(ValueError):
             young_tensor([(3,)], [(1, 2)])  # size mismatch
+
+
+# -- the all-tableaux oracle: every polytabloid and the whole tabloid stack ----
+
+def all_fillings(shape, labels):
+    """Every row-wise filling of the shape by the labels: m! of them."""
+    for perm in itertools.permutations(sorted(labels)):
+        rows, pos = [], 0
+        for part in shape:
+            rows.append(tuple(perm[pos:pos + part]))
+            pos += part
+        yield tuple(rows)
+
+
+def is_standard(tableau):
+    rows_increase = all(list(row) == sorted(row) for row in tableau)
+    columns_increase = all(
+        tableau[r][c] < tableau[r + 1][c]
+        for r in range(len(tableau) - 1)
+        for c in range(len(tableau[r + 1]))
+    )
+    return rows_increase and columns_increase
+
+
+def reference_tabloid_matrices(basis, labels, group):
+    """The permutation matrix of every group element on the tabloid basis,
+    one element at a time, moving every label of every tabloid."""
+    index = {t: k for k, t in enumerate(basis)}
+    num = np.zeros((len(group), len(basis), len(basis)), dtype=object)
+    for s, g in enumerate(group.elements):
+        mapping = {labels[i]: labels[g.apply(i + 1) - 1] for i in range(len(labels))}
+        moved = [index[tabloid_of(tuple(tuple(mapping[x] for x in row) for row in t))]
+                 for t in basis]
+        num[s, moved, range(len(basis))] = 1
+    return num
+
+
+def reference_specht(shape, labels, group):
+    """The span of all m! polytabloids, restricted from the whole tabloid
+    stack: (subspace, representation)."""
+    basis = tabloids(shape, labels)
+    index = {t: k for k, t in enumerate(basis)}
+    sub = Subspace.span(len(basis), [polytabloid(t, index) for t in all_fillings(shape, labels)])
+    num, den = sub.restrict(reference_tabloid_matrices(basis, labels, group))
+    return sub, Representation.from_numerators(group, num, den)
+
+
+ORACLE_CASES = (
+    [(lam, tuple(range(1, n + 1))) for n in range(1, 6) for lam in partitions(n)]
+    + [((2, 1), (4, 7, 9)), ((2, 2, 1), (2, 3, 5, 8, 13)), ((3, 1), (10, 20, 30, 40)),
+       ((1, 1), (3, 6))]
+    # the five shapes of 6 with at most 30 tabloids
+    + [(lam, tuple(range(1, 7))) for lam in ((6,), (5, 1), (4, 2), (4, 1, 1), (3, 3))]
+)
+
+
+class TestStandardPolytabloids:
+    @pytest.mark.parametrize("shape,labels", ORACLE_CASES, ids=str)
+    def test_matches_the_all_tableaux_oracle(self, shape, labels):
+        data = specht_rep(shape, labels)
+        sub, rep = reference_specht(shape, labels, data.rep.monoid)
+        assert data.subspace == sub and data.subspace.pivots == sub.pivots
+        assert data.rep.den == rep.den
+        assert np.array_equal(data.rep.num, rep.num)
+        assert data.tabloids == tabloids(shape, labels)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_standard_tableaux_are_the_standard_fillings(self, n):
+        for labels in (tuple(range(1, n + 1)), tuple(3 * x + 1 for x in range(n))):
+            for lam in partitions(n):
+                expected = sorted(t for t in all_fillings(lam, labels) if is_standard(t))
+                got = standard_tableaux(lam, labels)
+                assert got == tuple(expected)
+                assert len(got) == standard_tableaux_count(lam)
+
+    @pytest.mark.parametrize("shape,labels", [((2, 1), (1, 2, 3)), ((3, 1, 1), (1, 2, 4, 6, 7)),
+                                              ((2, 2), (5, 6, 7, 8))], ids=str)
+    def test_tabloid_module_matches_the_per_element_oracle(self, shape, labels):
+        rep = tabloid_module(shape, labels)
+        expected = reference_tabloid_matrices(tabloids(shape, labels), labels, rep.monoid)
+        assert np.array_equal(rep.num, expected)
+
+    def test_uses_the_given_group(self):
+        group = symmetric_group(4)
+        data = specht_rep((2, 1, 1), group=group)
+        assert data.rep.monoid is group
+        assert np.array_equal(data.rep.num, specht_rep((2, 1, 1)).rep.num)
+
+    def test_refuses_a_proper_subgroup(self):
+        cyclic = FiniteMonoid.from_elements(
+            [Permutation([1, 2, 3]), Permutation([2, 3, 1]), Permutation([3, 1, 2])]
+        )
+        with pytest.raises(ValueError, match="needs all of S_3"):
+            specht_rep((2, 1), group=cyclic)
+
+    # A polytabloid e_t moved by delta * (one tabloid) leaves S^lambda, and the
+    # rank stays f^lambda: the moved vector is outside the span of the others.
+    # For f^lambda >= 2 the span then meets S^lambda in the other vectors, so it
+    # is invariant only if it contains the irreducible S^lambda, which it does
+    # not; for lambda = (1^n), n >= 3, the line is neither the sign nor the
+    # trivial line of the regular module.  So the invariance check must fire.
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_corrupted_polytabloid_is_rejected_before_the_gather(self, data):
+        n = data.draw(st.integers(3, 5))
+        shape = data.draw(st.sampled_from([lam for lam in partitions(n) if lam != (n,)]))
+        which = data.draw(st.integers(0, standard_tableaux_count(shape) - 1))
+        column = data.draw(st.integers(0, len(tabloids(shape, range(1, n + 1))) - 1))
+        delta = data.draw(st.integers(-3, 3).filter(bool))
+        group = specht._symmetric_group(n)
+        target = standard_tableaux(shape, tuple(range(1, n + 1)))[which]
+        real_polytabloid, real_positions = specht.polytabloid, specht._tabloid_positions
+        gathered = []
+
+        def corrupted(tableau, index):
+            vec = list(real_polytabloid(tableau, index))
+            if tableau == target:
+                vec[column] += delta
+            return tuple(vec)
+
+        def positions(codes, images, rows):
+            gathered.append(len(images))
+            return real_positions(codes, images, rows)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(specht, "_SPECHT_CACHE", {})
+            mp.setattr(specht, "polytabloid", corrupted)
+            mp.setattr(specht, "_tabloid_positions", positions)
+            with pytest.raises(ValueError, match="not invariant"):
+                specht_rep(shape)
+        assert gathered == [len(group.generating_set())]
