@@ -25,7 +25,7 @@ DEFAULT_CLOSURE_CAP = math.isqrt(TABLE_BYTES_BUDGET // TABLE_DTYPE.itemsize)
 # intp.
 assert DEFAULT_CLOSURE_CAP <= np.iinfo(TABLE_DTYPE).max + 1
 
-# image-row tables are filled, and associativity is checked, in blocks of
+# associativity is checked, and product tables are summed, in blocks of
 # about this many cells, so the temporaries of one block stay small next to
 # the table
 TABLE_BLOCK_CELLS = 4096
@@ -118,7 +118,8 @@ class PartialBijection:
         return all(d == i for d, i in self.pairs)
 
     def image_row(self) -> tuple:
-        """(0, s(1), ..., s(n)) with 0 where s is undefined; see _image_table."""
+        """(0, s(1), ..., s(n)) with 0 where s is undefined: the row of s * t is
+        this row indexed by t's."""
         row = [0] * (self.n + 1)
         for d, i in self.pairs:
             row[d] = i
@@ -198,7 +199,7 @@ class Transformation:
         return all(self.images[y - 1] == y for y in self.images)
 
     def image_row(self) -> tuple:
-        """(0, s(1), ..., s(n)); see _image_table."""
+        """(0, s(1), ..., s(n)): the row of s * t is this row indexed by t's."""
         return (0,) + self.images
 
     def identity_element(self) -> "Transformation":
@@ -374,32 +375,34 @@ class FiniteMonoid:
 
     @classmethod
     def from_elements(cls, elements, identity=None, generators=None) -> "FiniteMonoid":
-        """Build a monoid from an explicit closed element set.
+        """Build a monoid from an explicit closed element set, with |S| * |A|
+        element products for |A| recorded generators.
 
-        Partial bijections, transformations and permutations of one degree
-        are multiplied as image rows in numpy (_image_table); other element
-        types (pairs over a lattice, product tuples) by Python `a * b`.
+        left[k, x] indexes a_k * x, and the table is composed from these rows
+        (_compose_rows, where the closure check is proved).  With no recorded
+        generators every element is one, and the left rows are the table.
         """
         if identity is None:
             identity = elements[0].identity_element()
         ordered = sorted(set(elements) | {identity}, key=canonical_key)
         check_table_budget(len(ordered))
         index = {e: k for k, e in enumerate(ordered)}
-        rows = _image_rows(ordered)
-        if rows is not None:
-            table = _image_table(rows)
-        else:
-            table = np.empty((len(ordered), len(ordered)), dtype=TABLE_DTYPE)
-            for i, a in enumerate(ordered):
-                row = table[i]
-                for j, b in enumerate(ordered):
-                    try:
-                        row[j] = index[a * b]
-                    except KeyError:
-                        raise ValueError("element set is not multiplicatively closed") from None
-        gen_idx = None
-        if generators is not None:
-            gen_idx = tuple(index[g] for g in generators)
+        multipliers = ordered if generators is None else list(generators)
+        left = np.empty((len(multipliers), len(ordered)), dtype=TABLE_DTYPE)
+        try:
+            for row, a in zip(left, multipliers):
+                row[:] = [index[a * x] for x in ordered]
+            gen_idx = None if generators is None else tuple(index[g] for g in multipliers)
+        except KeyError:
+            raise ValueError("element set is not multiplicatively closed") from None
+        if generators is None:
+            return cls(ordered, left, index[identity])
+        # The identity's row is 0..n-1 when e * e = e and e * a_k = a_k: every
+        # x other than e is a_k * y for a generator a_k (_compose_rows checks
+        # that they generate), so e * x = (e * a_k) * y = x.
+        if identity * identity != identity or any(identity * g != g for g in multipliers):
+            raise ValueError("identity laws fail")
+        table = _compose_rows(left, left, index[identity], np.arange(len(ordered)))
         return cls(ordered, table, index[identity], gen_idx)
 
 
@@ -413,48 +416,45 @@ def check_table_budget(size: int) -> None:
         )
 
 
-def _image_rows(elements):
-    """The image rows of the elements as an int array, or None when they are
-    not all partial bijections, or all transformations, of one degree."""
-    n = getattr(elements[0], "n", None)
-    for kind in (PartialBijection, Transformation):
-        if all(isinstance(x, kind) and x.n == n for x in elements):
-            return np.array([x.image_row() for x in elements], dtype=np.intp)
-    return None
+def _compose_rows(succ, maps, root: int, root_row) -> np.ndarray:
+    """rows[u] = maps[k][rows[v]] along a breadth-first tree of the edges
+    v -> u = succ[k][v], from rows[root] = root_row.
 
-
-def _image_table(rows: np.ndarray) -> np.ndarray:
-    """Cayley table of distinct image rows: table[i, j] indexes rows[i] * rows[j].
-
-    An image row of degree n has slot 0 = 0 and slot x = s(x), or 0 where s
-    is undefined, so the row of s * t is the row of s indexed by the row of t.
-    Each product row is looked up by searchsorted over the sorted rows, as
-    big-endian fixed-width bytes viewed as np.void: that order is exact and
-    lexicographic at every degree.  Raises ValueError when a product is not
-    among the rows.
+    For a monoid S with identity e and generators a_k: succ[k][v] indexes
+    a_k * v, maps[k][y] indexes a_k * y (or the point a_k sends y to, for
+    an action), and root_row is the row of e.  Then rows[u] is the row of
+    u, and the proof has three steps.
+    - (a_k * v) * x = a_k * (v * x), because composition is associative, so
+      the row of a_k * v is maps[k] after the row of v.
+    - The generators reach every element: the tree reaches u exactly when
+      u = w * e for a word w in the generators, so a row left unreached
+      means they do not generate S, and that is raised.
+    - A set generated by its generators and closed under left
+      multiplication by them is closed under all products: x * y = w * y
+      is y followed by left products by generators.  So products a_k * x
+      that all lie in the set make it closed, and "not multiplicatively
+      closed" stays exact with |S| * |A| products.
     """
-    size, width = rows.shape
-    n = width - 1
-    cell = np.dtype(">u1" if n < 2**8 else ">u2" if n < 2**16 else ">u4")
-    packed = rows.astype(cell)
-    key = np.dtype((np.void, n * cell.itemsize))
-    images = rows[:, 1:]
-
-    def keys(block):
-        return np.ascontiguousarray(block).reshape(-1, n).view(key).ravel()
-
-    own = keys(packed[:, 1:])
-    order = np.argsort(own, kind="stable")
-    sorted_keys = own[order]
-    table = np.empty((size, size), dtype=TABLE_DTYPE)
-    step = max(1, TABLE_BLOCK_CELLS // size)
-    for i in range(0, size, step):
-        products = keys(np.take(packed[i:i + step], images, axis=1))
-        pos = np.minimum(np.searchsorted(sorted_keys, products), size - 1)
-        if not np.array_equal(sorted_keys[pos], products):
-            raise ValueError("element set is not multiplicatively closed")
-        table[i:i + step] = order[pos].reshape(-1, size)
-    return table
+    size = succ.shape[1]
+    rows = np.empty((size, len(root_row)), dtype=maps.dtype)
+    rows[root] = root_row
+    reached = [False] * size
+    reached[root] = True
+    frontier = [root]
+    steps = list(zip(succ.tolist(), maps))
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for step, row in steps:
+                u = step[v]
+                if not reached[u]:
+                    reached[u] = True
+                    np.take(row, rows[v], out=rows[u])
+                    nxt.append(u)
+        frontier = nxt
+    if not all(reached):
+        raise ValueError("recorded generators do not generate the monoid")
+    return rows
 
 
 def closure_elements(generators, identity, cap: int) -> set:
@@ -494,7 +494,7 @@ def closure(generators, identity=None, cap: int = DEFAULT_CLOSURE_CAP) -> Finite
     if identity is None:
         identity = generators[0].identity_element()
     seen = closure_elements(generators, identity, cap)
-    return FiniteMonoid.from_elements(sorted(seen, key=canonical_key), identity, generators)
+    return FiniteMonoid.from_elements(seen, identity, generators)
 
 
 def product_monoid(*factors: FiniteMonoid) -> FiniteMonoid:

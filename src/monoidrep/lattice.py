@@ -19,11 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elements import (
-    TABLE_DTYPE,
     ClosureCapError,
     FiniteMonoid,
     PartialBijection,
     Permutation,
+    _compose_rows,
+    canonical_key,
     check_table_budget,
     closure_elements,
     symmetric_group,
@@ -253,29 +254,12 @@ def make_lattice(kind: str, n: int):
             raise LatticeError("meet disagrees with intersection")
         if not np.array_equal(lat.join, at[masks[:, None] | masks]):
             raise LatticeError("join disagrees with union")
-    return lat, GroupAction(group, lat, _action_table(group, gen_rows))
-
-
-def _action_table(group: FiniteMonoid, gen_rows: np.ndarray) -> np.ndarray:
-    """The |G| x N action table from the generators' rows, by
-    row(g * a) = row(g)[row(a)], breadth first over the generators a from
-    the identity's row.  GroupAction checks the law on every row."""
-    steps = list(zip(group.generating_set(), gen_rows))
-    table = np.empty((len(group), gen_rows.shape[1]), dtype=np.int32)
-    table[group.identity_index] = np.arange(gen_rows.shape[1])
-    reached = {group.identity_index}
-    frontier = [group.identity_index]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for a, row in steps:
-                h = int(group.table[g, a])
-                if h not in reached:
-                    table[h] = table[g][row]
-                    reached.add(h)
-                    nxt.append(h)
-        frontier = nxt
-    return table
+    # the |G| x N action table, composed from the generators' rows;
+    # GroupAction checks the action law on every row
+    gens = list(group.generating_set())
+    table = _compose_rows(group.table[gens], gen_rows, group.identity_index,
+                          np.arange(len(elements), dtype=np.int32))
+    return lat, GroupAction(group, lat, table)
 
 
 def _pair_order_bound(gen_rows: np.ndarray) -> int:
@@ -484,34 +468,16 @@ def sgl_canonical(context: SGLContext, g: Permutation, a: int) -> SGLElement:
 
 
 def sgl_monoid(action: GroupAction):
-    """The full pair monoid as a FiniteMonoid, with a vectorized table."""
+    """The full pair monoid as a FiniteMonoid, built from its generators'
+    left products."""
     ctx = sgl_context(action)
     # one element per distinct coset representative in each row of
     # rep_table, counted before any is built
     reps = np.sort(ctx.rep_table, axis=1)
     check_table_budget(len(reps) + int((reps[:, 1:] != reps[:, :-1]).sum()))
-    elements = sorted(ctx.all_elements(), key=lambda e: e.key())
-    n = len(elements)
-    nl, ng = len(ctx.lattice), len(ctx.group)
-    eidx = np.full((nl, ng), -1, dtype=np.int32)
-    for k, e in enumerate(elements):
-        eidx[e.a, e.g] = k
-    garr = np.array([e.g for e in elements], dtype=np.int32)
-    aarr = np.array([e.a for e in elements], dtype=np.int32)
-    act = ctx.action.table
-    meet = ctx.lattice.meet
-    gtab = ctx.group.table
-    # a pair missing from eidx would be stored as -1, which the two-byte cell
-    # wraps to 65535 >= n, so FiniteMonoid still rejects it as not closed
-    table = np.empty((n, n), dtype=TABLE_DTYPE)
-    hinv = ctx.ginv[garr]
-    for i in range(n):
-        c = meet[act[hinv, aarr[i]], aarr]
-        r = ctx.rep_table[c, gtab[garr[i], garr]]
-        table[i] = eidx[c, r]
-    identity = int(eidx[ctx.lattice.top, ctx.group.identity_index])
-    gens = sorted(int(eidx[g.a, g.g]) for g in _sgl_generators(ctx))
-    return FiniteMonoid(elements, table, identity, gens), ctx
+    gens = sorted(_sgl_generators(ctx), key=canonical_key)
+    monoid = FiniteMonoid.from_elements(ctx.all_elements(), ctx.idempotent(ctx.lattice.top), gens)
+    return monoid, ctx
 
 
 def _sgl_generators(ctx: SGLContext):

@@ -46,6 +46,9 @@ GOLDEN_CASES = {
     "rep_s5_specht_221": ["rep", "S:5", "--build", "specht:(2,2,1)"],
     "irreps_s5_check": ["irreps", "S:5", "--check"],
     "irreps_s6": ["irreps", "S:6"],
+    # the largest transformation table, and 2471 pairs through sgl_monoid and sgl_order
+    "eggbox_t5_all": ["eggbox", "T:5", "--all"],
+    "order_sgl_partitions5": ["order", "SGL:partitions:5"],
 }
 
 

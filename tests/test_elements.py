@@ -364,6 +364,26 @@ class TestImageTable:
         with pytest.raises(ValueError, match="not multiplicatively closed"):
             FiniteMonoid.from_elements([Transformation([2, 3, 1])])
 
+    def test_non_generating_generators_raise(self):
+        # the units of I_3 are closed under products, but reach only themselves
+        units = [Permutation.from_cycle(3, (1, 2)).to_partial_bijection(),
+                 Permutation.from_cycle(3, (1, 2, 3)).to_partial_bijection()]
+        with pytest.raises(ValueError, match="do not generate"):
+            FiniteMonoid.from_elements(all_partial_bijections(3), generators=units)
+
+    def test_generator_outside_the_set_raises(self):
+        outside = Transformation([1, 1, 1])
+        with pytest.raises(ValueError, match="not multiplicatively closed"):
+            FiniteMonoid.from_elements(all_permutations(3), generators=[outside])
+
+    def test_false_identity_raises(self):
+        # the constant c1 is a right identity of the constants {c1, c2}, not an
+        # identity, and c2 = c2 * c1 reaches every element; c1 * c2 = c1 fails
+        # the identity laws before any row is composed
+        c1, c2 = Transformation([1, 1]), Transformation([2, 2])
+        with pytest.raises(ValueError, match="identity laws fail"):
+            FiniteMonoid.from_elements([c1, c2], identity=c1, generators=[c2])
+
     def test_is_group(self):
         assert symmetric_group(4).is_group()
         assert not symmetric_inverse_monoid(2).is_group()
@@ -436,9 +456,10 @@ class TestTableBudget:
 
     def test_over_budget_raises_before_building(self, monkeypatch):
         monkeypatch.setattr(elements_module, "TABLE_BYTES_BUDGET", 24 ** 2 * TABLE_DTYPE.itemsize - 1)
-        monkeypatch.setattr(elements_module, "_image_table", None)  # never reached
+        monkeypatch.setattr(elements_module, "_compose_rows", None)  # never reached
+        gens = [Permutation.from_cycle(4, (1, 2)), Permutation.from_cycle(4, range(1, 5))]
         with pytest.raises(ClosureCapError, match="table budget"):
-            FiniteMonoid.from_elements(all_permutations(4))
+            FiniteMonoid.from_elements(all_permutations(4), generators=gens)
 
 
 def product_reference(*factors):

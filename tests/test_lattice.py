@@ -22,6 +22,7 @@ from monoidrep.lattice import (
     SGLContext,
     SGLElement,
     _inverses,
+    _sgl_generators,
     sgl_context,
     make_lattice,
     maximal_subgroup_at,
@@ -529,6 +530,46 @@ class TestActionTable:
         ]
         assert action.table.shape == (math.factorial(n), len(lat))
         assert np.array_equal(action.table, np.array(expected).reshape(action.table.shape))
+
+
+def reference_pair_monoid(action):
+    """The pair monoid's table by the vectorized pair formula, one row at a
+    time: (g_a)(h_b) = (gh) at (h^-1 . a) meet b, reduced to its coset's
+    least representative, and looked up in an (a, g) -> index array."""
+    ctx = sgl_context(action)
+    elements = sorted(ctx.all_elements(), key=lambda e: e.key())
+    eidx = np.full((len(ctx.lattice), len(ctx.group)), -1, dtype=np.int32)
+    for k, e in enumerate(elements):
+        eidx[e.a, e.g] = k
+    garr = np.array([e.g for e in elements], dtype=np.int32)
+    aarr = np.array([e.a for e in elements], dtype=np.int32)
+    hinv = ctx.ginv[garr]
+    table = np.empty((len(elements), len(elements)), dtype=np.int32)
+    for i in range(len(elements)):
+        c = ctx.lattice.meet[action.table[hinv, aarr[i]], aarr]
+        r = ctx.rep_table[c, ctx.group.table[garr[i], garr]]
+        table[i] = eidx[c, r]
+    identity = int(eidx[ctx.lattice.top, ctx.group.identity_index])
+    gens = tuple(sorted(int(eidx[g.a, g.g]) for g in _sgl_generators(ctx)))
+    return tuple(elements), table, identity, gens
+
+
+class TestPairMonoidTable:
+    @pytest.mark.parametrize("kind,n", [
+        *[(kind, n) for kind in ("subsets", "set_partitions", "ordered_partitions_zero")
+          for n in range(1, 5)],
+        ("subsets", 5),
+        ("set_partitions", 5),
+    ])
+    def test_matches_the_pair_formula(self, kind, n):
+        _, action = make_lattice(kind, n)
+        monoid, _ = sgl_monoid(action)
+        elements, table, identity, gens = reference_pair_monoid(action)
+        assert table.min() >= 0  # the formula stays inside the pair set
+        assert monoid.elements == elements
+        assert np.array_equal(monoid.table, table)
+        assert monoid.identity_index == identity
+        assert monoid.generator_indices == gens
 
 
 class TestGreenCompatibility:
