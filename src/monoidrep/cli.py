@@ -8,9 +8,10 @@ or an unusable path, 3 resource cap exceeded, 4 internal verification failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cliffmunn import (
     CatalogError,
@@ -61,8 +62,7 @@ class SpecError(ValueError):
     pass
 
 
-@dataclass
-class BuiltMonoid:
+class BuiltMonoid(NamedTuple):
     spec: str
     kind: str  # "S" | "I" | "T" | "SGL" | "gens"
     monoid: FiniteMonoid
@@ -216,7 +216,7 @@ def resolve_jclass(built: BuiltMonoid, text: str) -> int:
 def cmd_order(built: BuiltMonoid, out) -> int:
     lines = [f"command: order", f"spec: {built.spec}", f"order: {len(built.monoid)}"]
     if built.kind == "SGL":
-        report = sgl_order(built.context.action)
+        report = sgl_order(built.context.action, built.monoid)
         lines += [
             f"formula: {report.formula_total}",
             f"enumerated: {report.enumerated_total}",
@@ -443,6 +443,11 @@ def run(argv, out=None) -> int:
 
 
 def main() -> None:
+    # The objects alive at entry (the interpreter, numpy, monoidrep) live
+    # until exit; frozen, they leave every later collection, the one at
+    # interpreter exit included.  Garbage made by the run is still
+    # collected.  Library users and test processes keep normal collection.
+    gc.freeze()
     start = time.monotonic()
     code = run(sys.argv[1:])
     print(f"# elapsed: {time.monotonic() - start:.3f}s", file=sys.stderr)

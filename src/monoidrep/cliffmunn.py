@@ -12,8 +12,8 @@ yields the full irreducible catalog.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial, prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +46,7 @@ class CatalogError(RuntimeError):
 
 # -- reduction ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ReducedRep:
+class ReducedRep(NamedTuple):
     """The carrier eV with its G_e-action; rep is None when eV = 0.
 
     The matrices are automatically invertible on the carrier: the verified
@@ -112,8 +111,7 @@ def apex(big: Representation):
 
 # -- induction ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InducedRaw:
+class InducedRaw(NamedTuple):
     """The block representation on |T| tagged copies of V, before quotienting."""
 
     monoid: FiniteMonoid
@@ -166,8 +164,7 @@ def induce(monoid: FiniteMonoid, e: int, group_rep: Representation) -> Represent
 
 # -- semisimplicity ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class SemisimpleReport:
+class SemisimpleReport(NamedTuple):
     status: str  # "semisimple" | "not_semisimple" | "unknown"
     reason: str
 
@@ -298,8 +295,7 @@ def match_by_character(rep: Representation, catalog) -> "CatalogEntry":
 
 # -- the Clifford-Munn catalogs ----------------------------------------------
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     apex: int
     apex_label: str
     label: tuple
@@ -515,8 +511,7 @@ def composition_leq(lam: tuple, mu: tuple) -> bool:
     return i == len(lam)
 
 
-@dataclass(frozen=True)
-class RennerReport:
+class RennerReport(NamedTuple):
     n: int
     order: int
     jclass_types: tuple  # composition (or ()) per J-class id

@@ -27,8 +27,9 @@ assert DEFAULT_CLOSURE_CAP <= np.iinfo(TABLE_DTYPE).max + 1
 
 # associativity is checked, and product tables are summed, in blocks of
 # about this many cells, so the temporaries of one block stay small next to
-# the table
-TABLE_BLOCK_CELLS = 4096
+# the table (128 KB of two-byte cells each) while a block still amortizes
+# numpy's per-call cost
+TABLE_BLOCK_CELLS = 65536
 
 
 class DegreeMismatchError(ValueError):
@@ -68,6 +69,16 @@ class PartialBijection:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "pairs", pairs)
 
+    @classmethod
+    def _unchecked(cls, n: int, pairs: tuple) -> "PartialBijection":
+        """An element from fields that already hold every invariant __init__
+        checks: int pairs of points in [n], the domain strictly increasing,
+        the images distinct.  For products only; see __mul__."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "n", n)
+        object.__setattr__(obj, "pairs", pairs)
+        return obj
+
     def __setattr__(self, name, value):
         raise AttributeError("PartialBijection is immutable")
 
@@ -106,9 +117,14 @@ class PartialBijection:
             return NotImplemented
         if self.n != other.n:
             raise DegreeMismatchError(f"degrees differ: {self.n} != {other.n}")
+        # Both factors passed __init__, so the product holds its invariants
+        # unchecked.  Its pairs (d, s(t(d))) follow other's pairs, so its
+        # domain is a subsequence of other's strictly increasing domain.
+        # Its images lie in self's image, inside [n], and are distinct:
+        # other's images t(d) are distinct and self is injective.
         lookup = dict(self.pairs)
-        new = [(d, lookup[i]) for d, i in other.pairs if i in lookup]
-        return PartialBijection(self.n, new)
+        new = tuple([(d, lookup[i]) for d, i in other.pairs if i in lookup])
+        return PartialBijection._unchecked(self.n, new)
 
     def inverse(self) -> "PartialBijection":
         """The semigroup inverse s*: dom s* = im s, with s s* s = s."""
@@ -163,6 +179,16 @@ class Transformation:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "images", images)
 
+    @classmethod
+    def _unchecked(cls, images: tuple) -> "Transformation":
+        """An element from an int image tuple that already holds every
+        invariant the constructor of cls checks.  For products only; see
+        __mul__."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "n", len(images))
+        object.__setattr__(obj, "images", images)
+        return obj
+
     def __setattr__(self, name, value):
         raise AttributeError("Transformation is immutable")
 
@@ -192,8 +218,12 @@ class Transformation:
             return NotImplemented
         if self.n != other.n:
             raise DegreeMismatchError(f"degrees differ: {self.n} != {other.n}")
+        # Both factors passed their constructors, so the product holds the
+        # invariants unchecked: its images self(y) lie in [n], and a
+        # composite of two bijections of [n] is a bijection.
         cls = Permutation if isinstance(self, Permutation) and isinstance(other, Permutation) else Transformation
-        return cls(self.images[y - 1] for y in other.images)
+        images = self.images
+        return cls._unchecked(tuple([images[y - 1] for y in other.images]))
 
     def is_idempotent(self) -> bool:
         return all(self.images[y - 1] == y for y in self.images)

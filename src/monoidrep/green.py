@@ -18,15 +18,14 @@ monoid_green caches the structure on the monoid, so it is computed once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .elements import TABLE_DTYPE, FiniteMonoid
 
 
-@dataclass(frozen=True)
-class GreenClasses:
+class GreenClasses(NamedTuple):
     lclass_of: tuple
     rclass_of: tuple
     hclass_of: tuple
@@ -38,8 +37,7 @@ class GreenClasses:
     jclass_idempotents: tuple  # ascending idempotent indices, one tuple per J-class
 
 
-@dataclass(frozen=True)
-class JPoset:
+class JPoset(NamedTuple):
     """Partial order on J-classes; leq[i, j] iff J_i <= J_j."""
 
     count: int
@@ -54,8 +52,7 @@ class JPoset:
         return tuple((int(i), int(j)) for i, j in np.argwhere(cover))
 
 
-@dataclass(frozen=True)
-class Eggbox:
+class Eggbox(NamedTuple):
     jclass: int
     row_rclasses: tuple
     col_lclasses: tuple
@@ -63,8 +60,7 @@ class Eggbox:
     idempotent_cells: tuple  # parallel bool grid
 
 
-@dataclass(frozen=True)
-class Transversal:
+class Transversal(NamedTuple):
     """One representative per H-class of L_e, with e representing its own."""
 
     idempotent: int

@@ -15,8 +15,8 @@ built.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import factorial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -254,8 +254,7 @@ def tabloid_module(shape, labels, group: FiniteMonoid = None) -> Representation:
     return Representation.from_numerators(group, num)
 
 
-@dataclass(frozen=True)
-class SpechtData:
+class SpechtData(NamedTuple):
     shape: tuple
     labels: tuple
     tabloids: tuple

@@ -1,6 +1,11 @@
+import gc
+import importlib
 import io
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import time
 from collections import Counter
 
@@ -17,7 +22,7 @@ from monoidrep.cli import (
     parse_label,
     run,
 )
-from monoidrep import cli, lattice, specht
+from monoidrep import cli, cliffmunn, green, lattice, specht
 from monoidrep.cliffmunn import cm_catalog, induce
 from monoidrep.elements import FiniteMonoid, Permutation
 from monoidrep.linrep import Representation, parse_representation_payload
@@ -377,3 +382,63 @@ class TestLabelCodec:
         assert len(labels) > 1
         for label in labels:
             assert parse_label(fmt_label(label)) == label
+
+
+LAYERS = ("elements", "lattice", "green", "specht", "linrep", "cliffmunn", "cli")
+
+RECORD_TYPES = (
+    green.GreenClasses, green.JPoset, green.Eggbox, green.Transversal,
+    cliffmunn.CatalogEntry, cliffmunn.InducedRaw, cliffmunn.ReducedRep,
+    cliffmunn.SemisimpleReport, cliffmunn.RennerReport,
+    lattice.StabilizerPair, lattice.SGLOrderReport, lattice.PartitionLatticeReport,
+    specht.SpechtData, cli.BuiltMonoid,
+)
+
+# Runs the CLI entry point in a fresh interpreter and reports, on stderr,
+# the freeze count at import and once main() has handed over to run().
+_ENTRY_PROBE = """
+import gc, sys
+import monoidrep.cli as cli
+print("at import", gc.get_freeze_count(), file=sys.stderr)
+run = cli.run
+def probe(argv, out=None):
+    print("in main", gc.get_freeze_count(), file=sys.stderr)
+    return run(argv, out)
+cli.run = probe
+sys.argv = ["monoidrep"] + sys.argv[1:]
+cli.main()
+"""
+
+
+class TestProcessCost:
+    @pytest.mark.parametrize("argv", [["order", "SGL:ordperm:3"], ["order", "I:0"]])
+    def test_main_freezes_the_import_heap(self, argv):
+        root = pathlib.Path(__file__).resolve().parent.parent
+        path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", _ENTRY_PROBE, *argv], cwd=root,
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": path})
+        counts = dict(line.rsplit(" ", 1) for line in proc.stderr.splitlines()
+                      if line.startswith(("at import ", "in main ")))
+        assert counts["at import"] == "0"
+        assert int(counts["in main"]) > 0
+        frozen = gc.get_freeze_count()
+        code, text = invoke(argv)
+        assert gc.get_freeze_count() == frozen  # run() itself leaves collection alone
+        assert (proc.returncode, proc.stdout) == (code, text)
+
+    def test_no_dataclasses_in_the_layers(self):
+        for name in LAYERS:
+            module = importlib.import_module(f"monoidrep.{name}")
+            for obj in vars(module).values():
+                if isinstance(obj, type) and obj.__module__ == module.__name__:
+                    assert not hasattr(obj, "__dataclass_fields__"), obj.__name__
+
+    @pytest.mark.parametrize("record", RECORD_TYPES, ids=lambda r: r.__name__)
+    def test_record_types_are_immutable(self, record):
+        value = record._make([None] * len(record._fields))
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, field, 1)
+        with pytest.raises(AttributeError):
+            value.extra = 1

@@ -414,6 +414,32 @@ def _generator_sets(draw):
     return draw(st.lists(_element(kind, n), min_size=1, max_size=3))
 
 
+class TestUncheckedProducts:
+    # a product is built without its constructor's checks; rebuilding it
+    # through the validating constructor raises on any broken invariant
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 8))
+    def test_full_map_product(self, data, n):
+        a, b = (data.draw(st.one_of(_element("S", n), _element("T", n))) for _ in range(2))
+        p = a * b
+        both = isinstance(a, Permutation) and isinstance(b, Permutation)
+        assert type(p) is (Permutation if both else Transformation)
+        assert type(p)(p.images) == p
+        assert p.n == n and all(type(x) is int for x in p.images)
+        assert p.images == tuple(a.apply(b.apply(x)) for x in range(1, n + 1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 8))
+    def test_partial_bijection_product(self, data, n):
+        a, b = (data.draw(_element("I", n)) for _ in range(2))
+        p = a * b
+        assert type(p) is PartialBijection
+        assert PartialBijection(p.n, p.pairs) == p
+        assert p.n == n and all(type(x) is int for pair in p.pairs for x in pair)
+        assert p.pairs == tuple((x, a.apply(b.apply(x))) for x in b.domain
+                                if a.apply(b.apply(x)) is not None)
+
+
 class TestImageTableProperties:
     @settings(max_examples=60, deadline=None)
     @given(gens=_generator_sets(), seed=st.integers(0, 2**32 - 1))

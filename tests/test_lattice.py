@@ -11,6 +11,7 @@ import monoidrep.lattice as lattice_module
 from monoidrep.elements import (
     ClosureCapError,
     Permutation,
+    closure_elements,
     symmetric_group,
     symmetric_inverse_monoid,
 )
@@ -436,19 +437,38 @@ class TestOrder:
         assert report.formula_total == report.enumerated_total == expected
 
 
-    def test_formula_overrun_stops_the_closure(self, monkeypatch):
+    def test_formula_disagreement_needs_no_products(self, monkeypatch):
         # forged stabilizers make the formula count one coset per lattice
-        # element (8 for subsets of [3], against 34 pairs): the closure stops
-        # once it passes that cap, and the overrun is reported
+        # element (8 for subsets of [3], against 34 pairs); the enumeration
+        # is the order of the pair monoid already built, so the disagreement
+        # is reported without a single pair product
         _, action = make_lattice("subsets", 3)
-        ctx = sgl_context(action)
+        monoid, ctx = sgl_monoid(action)
         ctx.pointwise = [tuple(range(len(ctx.group)))] * len(ctx.lattice)
         products = []
         mul = SGLElement.__mul__
         monkeypatch.setattr(SGLElement, "__mul__", lambda a, b: products.append(1) or mul(a, b))
-        with pytest.raises(RuntimeError, match="disagrees"):
-            sgl_order(action)
-        assert len(products) < len(ctx.all_elements())
+        with pytest.raises(RuntimeError, match="formula 8 disagrees with enumeration 34"):
+            sgl_order(action, monoid)
+        assert products == []
+
+    @pytest.mark.parametrize("kind", ["subsets", "set_partitions", "ordered_partitions_zero"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_enumeration_is_the_closure_of_the_generators(self, kind, n):
+        # the order sgl_order reads off the built monoid is the size of the
+        # recorded generators' product closure, found here breadth-first
+        _, action = make_lattice(kind, n)
+        monoid, ctx = sgl_monoid(action)
+        seen = closure_elements(_sgl_generators(ctx), ctx.idempotent(ctx.lattice.top),
+                                len(monoid))
+        assert seen == set(monoid.elements)
+        assert sgl_order(action, monoid).enumerated_total == len(seen)
+
+    def test_monoid_of_another_action_is_refused(self):
+        _, first = make_lattice("subsets", 2)
+        _, second = make_lattice("subsets", 2)
+        with pytest.raises(ValueError, match="not the pair monoid"):
+            sgl_order(first, sgl_monoid(second)[0])
 
 
 class TestSGLContext:
