@@ -40,7 +40,7 @@ class GreenClasses(NamedTuple):
 class JPoset(NamedTuple):
     """Partial order on J-classes; leq[i, j] iff J_i <= J_j."""
 
-    count: int
+    count: int  # the number of J-classes; shadows tuple.count
     leq: np.ndarray
     maximum: int
 
