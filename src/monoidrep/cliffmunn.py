@@ -27,7 +27,6 @@ from .linrep import (
     commutant_dim,
     commutation_rows,
     find_proper_invariant,
-    iso_test,
     quotient_rep,
     restrict_rep,
     rref,
@@ -480,14 +479,28 @@ def cm_catalog(monoid: FiniteMonoid) -> tuple:
 
 
 def cm_roundtrip_check(monoid: FiniteMonoid, entry: CatalogEntry) -> bool:
-    """reduce(induce(V)) iso V and induce(reduce(W)) iso W, by witness search."""
+    """reduce(induce(V)) iso V and induce(reduce(W)) iso W, decided by
+    characters; ValueError unless the monoid is certified semisimple.
+
+    In characteristic 0 the characters of the simple modules of a
+    semisimple algebra are linearly independent, so a module's character
+    determines the multiplicity of each simple summand, and two modules
+    with equal characters are isomorphic.  Down: V and reduce(W) are
+    modules of Q G_e, which is semisimple by Maschke.  Up: W and
+    induce(reduce(W)) are modules of Q S, semisimple by the certificate.
+    """
+    cert = semisimple_predicate(monoid)
+    if cert.status != "semisimple":
+        raise ValueError(f"round trips are decided by characters only for a "
+                         f"semisimple monoid: {cert.reason}")
     red = reduce_rep(entry.rep, entry.idempotent)
     if red.rep is None:
         return False
-    down_ok = iso_test(red.rep, entry.group_rep, certified_semisimple=True)[0] == "iso"
+    if red.rep.monoid.elements != entry.group_rep.monoid.elements:
+        raise ValueError("representations are over different monoids")
     back = induce(monoid, entry.idempotent, red.rep)
-    up_ok = iso_test(back, entry.rep, certified_semisimple=True)[0] == "iso"
-    return down_ok and up_ok
+    return all(v.dim == u.dim and v.character_key() == u.character_key()
+               for v, u in ((red.rep, entry.group_rep), (back, entry.rep)))
 
 
 # -- the permutohedron Renner monoid -----------------------------------------

@@ -305,7 +305,7 @@ class FiniteMonoid:
     table given may have any integer dtype: its cells are checked to lie in
     0..n-1 before it is narrowed, and n is within the table budget, so the
     narrowing is exact.  Recorded generator indices must generate the
-    monoid.
+    monoid; with none given, the greedy generating set is recorded.
     """
 
     def __init__(self, elements, table, identity_index: int, generator_indices=None):
@@ -322,7 +322,6 @@ class FiniteMonoid:
         self.table = table.astype(TABLE_DTYPE, copy=False)
         self.identity_index = int(identity_index)
         self.generator_indices = tuple(generator_indices) if generator_indices is not None else None
-        self._greedy = None  # the greedy generating set, once _validate finds it
         self._index = {e: k for k, e in enumerate(self.elements)}
         if len(self._index) != n:
             raise ValueError("duplicate elements")
@@ -335,18 +334,16 @@ class FiniteMonoid:
         if not (np.array_equal(self.table[e], idx) and np.array_equal(self.table[:, e], idx)):
             raise ValueError("identity laws fail")
         if self.generator_indices is None:
-            gens = self._greedy = self._greedy_generators()
-        else:
-            gens = self.generator_indices
-            if len(self._generated_by(gens)) != n:
-                raise ValueError("recorded generators do not generate the monoid")
+            self.generator_indices = self._greedy_generators()
+        elif len(self._generated_by(self.generator_indices)) != n:
+            raise ValueError("recorded generators do not generate the monoid")
         # Light's test (Clifford & Preston I, 1.2): (x*a)*y = x*(a*y) for every
         # generator a and all x, y.  The elements a passing it include the
         # identity and the generators, and they are closed under products:
         # for a, b passing, (x*ab)*y = ((x*a)*b)*y = (x*a)*(b*y)
         # = x*(a*(b*y)) = x*((ab)*y).  So every element passes.
         t = self.table
-        gens = np.asarray(gens, dtype=np.intp)
+        gens = np.asarray(self.generator_indices, dtype=np.intp)
         right = t[gens]  # right[k, y] = a_k*y
         step = max(1, TABLE_BLOCK_CELLS // (n * len(gens) or 1))
         for i in range(0, n, step):
@@ -374,9 +371,8 @@ class FiniteMonoid:
         return bool((unit & unit.T).any(axis=1).all())
 
     def generating_set(self) -> tuple:
-        """Generator indices; computed greedily if none were recorded."""
-        if self.generator_indices is None:
-            self.generator_indices = self._greedy
+        """The recorded generator indices, or the greedy set _validate
+        recorded when none were given."""
         return self.generator_indices
 
     def _greedy_generators(self) -> tuple:
@@ -385,55 +381,38 @@ class FiniteMonoid:
         reached = self._generated_by(gens)
         n = len(self)
         while len(reached) < n:
-            gens.append(min(i for i in range(n) if i not in reached))
+            gens.append(min(set(range(n)).difference(reached)))
             reached = self._generated_by(gens)
         return tuple(gens)
 
-    def _generated_by(self, gens):
-        reached = {self.identity_index}
-        frontier = [self.identity_index]
-        while frontier:
-            nxt = []
-            for i in frontier:
-                for g in gens:
-                    p = int(self.table[i, g])
-                    if p not in reached:
-                        reached.add(p)
-                        nxt.append(p)
-            frontier = nxt
-        return reached
+    def _generated_by(self, gens) -> list:
+        """The indices x * w for the words w in gens, from x = the identity,
+        breadth first over the generator columns."""
+        return _reach(self.table[:, list(gens)].T.tolist(), self.identity_index)[0]
 
     @classmethod
     def from_elements(cls, elements, identity=None, generators=None) -> "FiniteMonoid":
-        """Build a monoid from an explicit closed element set, with |S| * |A|
-        element products for |A| recorded generators.
-
-        left[k, x] indexes a_k * x, and the table is composed from these rows
-        (_compose_rows, where the closure check is proved).  With no recorded
-        generators every element is one, and the left rows are the table.
-        """
+        """Build a monoid from an explicit closed element set: by _closure
+        within the set, which must reach all of it, from recorded
+        generators; from all |S|^2 products without them."""
         if identity is None:
             identity = elements[0].identity_element()
-        ordered = sorted(set(elements) | {identity}, key=canonical_key)
-        check_table_budget(len(ordered))
+        members = set(elements) | {identity}
+        check_table_budget(len(members))
+        if generators is not None:
+            monoid = _closure(list(generators), identity, len(members), members)
+            if len(monoid) != len(members):
+                raise ValueError("recorded generators do not generate the monoid")
+            return monoid
+        ordered = sorted(members, key=canonical_key)
         index = {e: k for k, e in enumerate(ordered)}
-        multipliers = ordered if generators is None else list(generators)
-        left = np.empty((len(multipliers), len(ordered)), dtype=TABLE_DTYPE)
+        table = np.empty((len(ordered), len(ordered)), dtype=TABLE_DTYPE)
         try:
-            for row, a in zip(left, multipliers):
+            for row, a in zip(table, ordered):
                 row[:] = [index[a * x] for x in ordered]
-            gen_idx = None if generators is None else tuple(index[g] for g in multipliers)
         except KeyError:
             raise ValueError("element set is not multiplicatively closed") from None
-        if generators is None:
-            return cls(ordered, left, index[identity])
-        # The identity's row is 0..n-1 when e * e = e and e * a_k = a_k: every
-        # x other than e is a_k * y for a generator a_k (_compose_rows checks
-        # that they generate), so e * x = (e * a_k) * y = x.
-        if identity * identity != identity or any(identity * g != g for g in multipliers):
-            raise ValueError("identity laws fail")
-        table = _compose_rows(left, left, index[identity], np.arange(len(ordered)))
-        return cls(ordered, table, index[identity], gen_idx)
+        return cls(ordered, table, index[identity])
 
 
 def check_table_budget(size: int) -> None:
@@ -446,72 +425,89 @@ def check_table_budget(size: int) -> None:
         )
 
 
+def _reach(succ, root: int):
+    """The nodes reached from root along the edges v -> succ[k][v], in
+    breadth-first order, and the edge (v, k) that first reached each one
+    (None for root).  succ is a list of int lists, one per k."""
+    order, via = [root], [None]
+    seen = {root}
+    for v in order:  # order grows behind the loop: a queue
+        for k, step in enumerate(succ):
+            u = step[v]
+            if u not in seen:
+                seen.add(u)
+                order.append(u)
+                via.append((v, k))
+    return order, via
+
+
 def _compose_rows(succ, maps, root: int, root_row) -> np.ndarray:
-    """rows[u] = maps[k][rows[v]] along a breadth-first tree of the edges
-    v -> u = succ[k][v], from rows[root] = root_row.
+    """rows[u] = maps[k][rows[v]] along the breadth-first tree (_reach) of
+    the edges v -> u = succ[k][v], from rows[root] = root_row.
 
     For a monoid S with identity e and generators a_k: succ[k][v] indexes
     a_k * v, maps[k][y] indexes a_k * y (or the point a_k sends y to, for
     an action), and root_row is the row of e.  Then rows[u] is the row of
-    u, and the proof has three steps.
-    - (a_k * v) * x = a_k * (v * x), because composition is associative, so
-      the row of a_k * v is maps[k] after the row of v.
-    - The generators reach every element: the tree reaches u exactly when
-      u = w * e for a word w in the generators, so a row left unreached
-      means they do not generate S, and that is raised.
-    - A set generated by its generators and closed under left
-      multiplication by them is closed under all products: x * y = w * y
-      is y followed by left products by generators.  So products a_k * x
-      that all lie in the set make it closed, and "not multiplicatively
-      closed" stays exact with |S| * |A| products.
+    u: (a_k * v) * x = a_k * (v * x), because composition is associative,
+    so the row of a_k * v is maps[k] after the row of v.  The edges must
+    reach every node, as the generators of a monoid or group do.
     """
-    size = succ.shape[1]
-    rows = np.empty((size, len(root_row)), dtype=maps.dtype)
+    order, via = _reach(succ.tolist(), root)
+    rows = np.empty((len(order), len(root_row)), dtype=maps.dtype)
     rows[root] = root_row
-    reached = [False] * size
-    reached[root] = True
-    frontier = [root]
-    steps = list(zip(succ.tolist(), maps))
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for step, row in steps:
-                u = step[v]
-                if not reached[u]:
-                    reached[u] = True
-                    np.take(row, rows[v], out=rows[u])
-                    nxt.append(u)
-        frontier = nxt
-    if not all(reached):
-        raise ValueError("recorded generators do not generate the monoid")
+    for u, (v, k) in zip(order[1:], via[1:]):
+        np.take(maps[k], rows[v], out=rows[u])
     return rows
 
 
-def closure_elements(generators, identity, cap: int) -> set:
-    """The set of all products of the generators, identity included, found
-    breadth-first; raises ClosureCapError once it outgrows cap."""
-    seen = {identity}
-    frontier = [identity]
-    for g in generators:
-        if g not in seen:
-            seen.add(g)
-            frontier.append(g)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in generators:
-                p = a * g
-                if p not in seen:
-                    seen.add(p)
-                    nxt.append(p)
-                    if len(seen) > cap:
-                        raise ClosureCapError(f"closure exceeded cap of {cap} elements")
-        frontier = nxt
-    return seen
+def _closure(generators, identity, cap: int, within=None) -> FiniteMonoid:
+    """The monoid generated by the generators a_k, found breadth first from
+    the identity e by the |S| * |A| left products a_k * x, recorded in
+    left[k][x] as each x is found.  Raises ClosureCapError past cap
+    elements, and "not multiplicatively closed" for a product outside
+    within (when given).  The found set F is the closure, and the table is
+    exact:
+    - Every element of F is w * e for a word w in the generators, so F lies
+      in the closure.  F is closed under left products by the generators,
+      each of which was formed, so it is closed under all products:
+      x * y = w * y is y followed by left products.  So F is the closure,
+      and a closed within holds every product formed here.
+    - e * e = e and e * a_k = a_k are checked, so e is a left identity:
+      each x other than e is a_k * y for a found y, and
+      e * x = (e * a_k) * y = x.  a_k * e = a_k is read off left[k][e].
+    - _compose_rows gives every row of the table from the left rows.
+    The elements are sorted canonically, so the search order does not show.
+    """
+    found, index = [identity], {identity: 0}
+    left = [[] for _ in generators]
+    for x in found:  # found grows behind the loop: a queue
+        for row, a in zip(left, generators):
+            p = a * x
+            k = index.get(p)
+            if k is None:
+                if within is not None and p not in within:
+                    raise ValueError("element set is not multiplicatively closed")
+                if len(found) == cap:
+                    raise ClosureCapError(f"closure exceeded cap of {cap} elements")
+                k = index[p] = len(found)
+                found.append(p)
+            row.append(k)
+    if identity * identity != identity or any(
+            identity * a != a or found[row[0]] != a for row, a in zip(left, generators)):
+        raise ValueError("identity laws fail")
+    n = len(found)
+    check_table_budget(n)
+    order = sorted(range(n), key=lambda i: canonical_key(found[i]))
+    label = np.empty(n, dtype=np.intp)
+    label[order] = np.arange(n)
+    left = label[np.array(left, dtype=np.intp).reshape(-1, n)[:, order]].astype(TABLE_DTYPE)
+    e = int(label[0])
+    table = _compose_rows(left, left, e, np.arange(n))
+    return FiniteMonoid([found[i] for i in order], table, e, left[:, e].tolist())
 
 
 def closure(generators, identity=None, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteMonoid:
-    """Breadth-first product closure of a generator list.
+    """Breadth-first product closure of a generator list (_closure).
 
     The result is deterministic: elements are re-sorted into canonical order
     before the dense table is built, so two runs on the same generators give
@@ -523,8 +519,7 @@ def closure(generators, identity=None, cap: int = DEFAULT_CLOSURE_CAP) -> Finite
         raise ValueError("need at least one generator")
     if identity is None:
         identity = generators[0].identity_element()
-    seen = closure_elements(generators, identity, cap)
-    return FiniteMonoid.from_elements(seen, identity, generators)
+    return _closure(generators, identity, cap)
 
 
 def product_monoid(*factors: FiniteMonoid) -> FiniteMonoid:
@@ -559,14 +554,9 @@ def product_monoid(*factors: FiniteMonoid) -> FiniteMonoid:
             part *= stride
             rows += part
     identity = sum(m.identity_index * s for m, s in zip(factors, strides))
-    gens = None
-    if all(m.generator_indices is not None for m in factors):
-        gens = []
-        for k, m in enumerate(factors):
-            for g in m.generator_indices:
-                point = [f.identity_index for f in factors]
-                point[k] = g
-                gens.append(sum(c * s for c, s in zip(point, strides)))
+    # each factor's generators, the other coordinates at their identities
+    gens = [identity + (g - m.identity_index) * stride
+            for m, stride in zip(factors, strides) for g in m.generating_set()]
     return FiniteMonoid(elements, table, identity, gens)
 
 

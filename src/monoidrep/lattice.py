@@ -24,6 +24,7 @@ from .elements import (
     PartialBijection,
     Permutation,
     _compose_rows,
+    _reach,
     canonical_key,
     check_table_budget,
     symmetric_group,
@@ -268,18 +269,15 @@ def _pair_order_bound(gen_rows: np.ndarray) -> int:
     of the down-set of a, so its order is the sum over a of [G : K_a].  K_a
     fixes a, which lies in its own down-set, so K_a is inside Stab(a) and
     [G : K_a] >= [G : Stab(a)] = |G.a|; summing |O| over the |O| elements of
-    each orbit O gives the bound.  The orbits are found breadth first over
+    each orbit O gives the bound.  Each orbit is the set _reach finds over
     the generators' rows gen_rows[k, a] = a_k . a.
     """
     rows = gen_rows.tolist()
     seen, total = set(), 0
     for a in range(gen_rows.shape[1]):
         if a not in seen:
-            orbit, frontier = {a}, {a}
-            while frontier:
-                frontier = {row[x] for x in frontier for row in rows} - orbit
-                orbit |= frontier
-            seen |= orbit
+            orbit = _reach(rows, a)[0]
+            seen.update(orbit)
             total += len(orbit) ** 2
     return total
 
@@ -511,13 +509,9 @@ def sgl_order(action: GroupAction, monoid: FiniteMonoid = None) -> SGLOrderRepor
     builds (pass it as monoid, or it is built here).  That is the order of
     the closure of the recorded generators (the units' generators and one
     idempotent per orbit) under products.  from_elements built the monoid
-    on the canonical pair set P, identity included, and _compose_rows
-    proved two facts: P is closed under left products by the generators,
-    and the generators reach every element of P from the identity.  By the
-    second, P lies in the closure.  By the first, P is closed under all
-    products (x * y = w * y for a word w in the generators that reaches
-    x), so the closure, the least product-closed set holding the
-    generators and the identity, lies in P.  So the closure is P, and no
+    on the canonical pair set P, identity included, by elements._closure,
+    which refused every product outside P, reached all of P, and proves
+    that the set it reaches is the closure.  So the closure is P, and no
     product is needed here.  The formula total is compared with its order.
     """
     ctx = sgl_context(action)

@@ -48,6 +48,8 @@ GOLDEN_CASES = {
     "eggbox_sgl_ordperm4_graph": ["eggbox", "SGL:ordperm:4", "--format", "graph"],
     # a non-regular closure in T_4: 7 J-classes, 3 without an idempotent
     "eggbox_t4_nonregular_all": ["eggbox", "gens:tests/data/t4_nonregular.gens", "--all"],
+    # the benchmark's I-kind generator file: 631 elements, 6 J-classes
+    "eggbox_i5_file_all": ["eggbox", "gens:tests/data/i5_file.gens", "--all"],
     "rep_s5_specht_221": ["rep", "S:5", "--build", "specht:(2,2,1)"],
     "irreps_s5_check": ["irreps", "S:5", "--check"],
     "irreps_s6": ["irreps", "S:6"],

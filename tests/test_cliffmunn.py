@@ -40,6 +40,7 @@ from monoidrep.specht import partitions, specht_rep, tabloid_module
 from monoidrep.cliffmunn import (
     ApexError,
     _equivariant_projection,
+    CatalogEntry,
     CatalogError,
     annihilator,
     apex,
@@ -505,9 +506,33 @@ class TestCatalogs:
         for en in i3_catalog:
             assert cm_roundtrip_check(i3, en)
 
+    @pytest.mark.parametrize("build", [
+        lambda: symmetric_inverse_monoid(3),
+        lambda: sgl_monoid(make_lattice("subsets", 3)[1])[0],
+        lambda: sgl_monoid(make_lattice("ordered_partitions_zero", 3)[1])[0],
+    ], ids=["I3", "subsets3", "ordperm3"])
+    def test_roundtrip_refuses_every_swapped_group_rep(self, build):
+        # each entry holding another irreducible of its own subgroup, such
+        # as (1,1) in place of (2) at I_3's J2
+        monoid = build()
+        catalog = cm_catalog(monoid)
+        swapped = [a._replace(group_rep=b.group_rep) for a in catalog for b in catalog
+                   if a.apex == b.apex and a.label != b.label]
+        assert swapped
+        assert not any(cm_roundtrip_check(monoid, en) for en in swapped)
+
+    def test_roundtrip_needs_a_semisimple_certificate(self, t3):
+        # T_3 is regular but not inverse: its certificate is "unknown"
+        e = t3.identity_index
+        group = maximal_subgroup(t3, monoid_green(t3)[0], e)
+        group_rep = trivial_rep(group)
+        entry = CatalogEntry(0, "J3", (3,), e, group, group_rep, induce(t3, e, group_rep))
+        with pytest.raises(ValueError, match="semisimple monoid"):
+            cm_roundtrip_check(t3, entry)
+
     def test_character_comparisons_use_the_key(self, i3, i3_map, monkeypatch):
-        # cm_catalog, the round trip's iso_test and match_by_character all
-        # compare lowest-terms trace keys, never Fraction characters
+        # cm_catalog, the round trip and match_by_character all compare
+        # lowest-terms trace keys, never Fraction characters
         def no_fractions(rep):
             raise AssertionError("Fraction character built")
 

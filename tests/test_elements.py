@@ -23,7 +23,6 @@ from monoidrep.elements import (
     all_transformations,
     canonical_key,
     closure,
-    closure_elements,
     cycle_link_format,
     cycle_link_parse,
     full_transformation_monoid,
@@ -44,12 +43,23 @@ def in_order_formula(n):
 
 
 def reference_build(elements, identity, generators=None):
-    """The element-by-element build: one Python product per table cell."""
+    """The element-by-element build: one Python product per table cell.
+    With no generators given, the greedy set: the least element not yet
+    reached, added until the generated submonoid is everything."""
     ordered = sorted(set(elements) | {identity}, key=canonical_key)
     index = {e: k for k, e in enumerate(ordered)}
     table = np.array([[index[a * b] for b in ordered] for a in ordered], dtype=np.int32)
-    gens = None if generators is None else tuple(index[g] for g in generators)
-    return tuple(ordered), table, index[identity], gens
+    if generators is not None:
+        return tuple(ordered), table, index[identity], tuple(index[g] for g in generators)
+    gens, reached = [], {index[identity]}
+    while len(reached) < len(ordered):
+        gens.append(min(set(range(len(ordered))) - reached))
+        while True:
+            grown = reached | {int(table[x, g]) for x in reached for g in gens}
+            if grown == reached:
+                break
+            reached = grown
+    return tuple(ordered), table, index[identity], tuple(gens)
 
 
 def reference_closure(generators):
@@ -60,6 +70,21 @@ def reference_closure(generators):
         frontier = [p for p in {a * g for a in frontier for g in generators} if p not in seen]
         seen.update(frontier)
     return seen
+
+
+def generated_outcome(generators, members):
+    """What from_elements(members, generators=...) must do, found breadth
+    first from the identity by left products: the error it raises, or None
+    when the generators reach exactly the closed set members."""
+    reached = {generators[0].identity_element()}
+    frontier = list(reached)
+    while frontier:
+        products = {a * x for x in frontier for a in generators}
+        if not products <= members:
+            return "not multiplicatively closed"
+        frontier = list(products - reached)
+        reached.update(frontier)
+    return None if reached == members else "do not generate"
 
 
 def assert_matches_reference(m, generators=None):
@@ -206,17 +231,27 @@ class TestClosure:
         with pytest.raises(ClosureCapError):
             closure(gens, cap=50)
 
-    def test_closure_elements_is_the_closure_set(self):
+    def test_closure_is_the_closure_set(self):
         gens = [
             Permutation.from_cycle(3, (1, 2)).to_partial_bijection(),
             Permutation.from_cycle(3, (1, 2, 3)).to_partial_bijection(),
             PartialBijection.partial_identity(3, [1, 2]),
         ]
-        identity = PartialBijection.identity(3)
-        seen = closure_elements(gens, identity, cap=34)
-        assert seen == reference_closure(gens) == set(closure(gens).elements)
+        # the cap admits exactly the closure's 34 elements
+        assert set(closure(gens, cap=34).elements) == reference_closure(gens)
         with pytest.raises(ClosureCapError):
-            closure_elements(gens, identity, cap=33)
+            closure(gens, cap=33)
+
+    def test_i_file_closure_takes_one_left_product_per_element_and_generator(self, monkeypatch):
+        gens = [cycle_link_parse(t, 5) for t in I_FILE_GENS]
+        products = []
+        mul = PartialBijection.__mul__
+        monkeypatch.setattr(PartialBijection, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+        m = closure(gens)
+        # a_k * x for the 631 elements x and 3 generators a_k, then e * e
+        # and e * a_k
+        assert len(m) == 631
+        assert len(products) == 631 * 3 + 4
 
     def test_recorded_generators_generate(self):
         for m in (symmetric_inverse_monoid(3), full_transformation_monoid(3), symmetric_group(4)):
@@ -468,6 +503,38 @@ class TestImageTableProperties:
             with pytest.raises(ValueError, match="not multiplicatively closed"):
                 FiniteMonoid.from_elements(subset)
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from("SIT"), n=st.integers(1, 3))
+    def test_subsets_with_generators_build_or_raise(self, data, kind, n):
+        universe = {"S": all_permutations, "I": all_partial_bijections,
+                    "T": all_transformations}[kind](n)
+        gens = data.draw(st.lists(st.sampled_from(universe), min_size=1, max_size=4))
+        identity = universe[0].identity_element()
+        shape = data.draw(st.sampled_from(["random", "closure", "closure and more"]))
+        if shape == "random":
+            subset = data.draw(st.lists(st.sampled_from(universe), min_size=1, unique=True))
+        else:
+            subset = sorted(reference_closure(gens), key=canonical_key)
+            if shape == "closure and more":
+                subset += data.draw(st.lists(st.sampled_from(universe), min_size=1))
+        outcome = generated_outcome(gens, set(subset) | {identity})
+        if outcome is None:
+            assert_matches_reference(FiniteMonoid.from_elements(subset, generators=gens), gens)
+        else:
+            with pytest.raises(ValueError, match=outcome):
+                FiniteMonoid.from_elements(subset, generators=gens)
+
+    def test_unreached_elements_report_do_not_generate(self):
+        # {e, (1,2)} generated by (1,2), plus the unreached [1,2], whose
+        # products leave the set: unreached elements are reported first
+        swap = Permutation.from_cycle(2, (1, 2)).to_partial_bijection()
+        link = cycle_link_parse("[1,2]", 2)
+        members = [PartialBijection.identity(2), swap, link]
+        assert swap * link not in members
+        assert generated_outcome([swap], set(members)) == "do not generate"
+        with pytest.raises(ValueError, match="do not generate"):
+            FiniteMonoid.from_elements(members, generators=[swap])
+
 
 class TestTableBudget:
     def test_default_cap_is_the_largest_order_within_budget(self):
@@ -575,9 +642,9 @@ class TestGreedyGenerators:
         monkeypatch.setattr(FiniteMonoid, "_greedy_generators",
                             lambda self: calls.append(1) or greedy(self))
         m = FiniteMonoid(t4.elements, t4.table, t4.identity_index)
-        assert m.generator_indices is None
-        gens = m.generating_set()
-        assert m.generating_set() == gens == m.generator_indices
+        assert len(calls) == 1  # recorded at construction
+        gens = m.generator_indices
+        assert m.generating_set() == gens == m.generating_set()
         assert len(calls) == 1
         assert len(m._generated_by(gens)) == len(m)
 

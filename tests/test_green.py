@@ -530,9 +530,10 @@ class TestCayleyGraphClasses:
     def test_monoid_without_recorded_generators(self):
         t3 = full_transformation_monoid(3)
         m = FiniteMonoid(t3.elements, t3.table, t3.identity_index)
-        assert m.generator_indices is None
+        gens = m.generator_indices
+        assert gens is not None  # the greedy set, recorded at construction
         assert_matches_oracle(m)
-        assert m.generator_indices is not None  # the greedy set, kept
+        assert m.generator_indices == gens
 
     def test_non_regular_jclasses_and_order(self):
         # T_4 closure of [2,3,4,4] and [1,1,3,4]: 7 J-classes, 3 without an idempotent

@@ -11,7 +11,6 @@ import monoidrep.lattice as lattice_module
 from monoidrep.elements import (
     ClosureCapError,
     Permutation,
-    closure_elements,
     symmetric_group,
     symmetric_inverse_monoid,
 )
@@ -459,8 +458,12 @@ class TestOrder:
         # recorded generators' product closure, found here breadth-first
         _, action = make_lattice(kind, n)
         monoid, ctx = sgl_monoid(action)
-        seen = closure_elements(_sgl_generators(ctx), ctx.idempotent(ctx.lattice.top),
-                                len(monoid))
+        gens = _sgl_generators(ctx)
+        seen = {ctx.idempotent(ctx.lattice.top)}
+        frontier = list(seen)
+        while frontier:
+            frontier = [p for p in {x * g for x in frontier for g in gens} if p not in seen]
+            seen.update(frontier)
         assert seen == set(monoid.elements)
         assert sgl_order(action, monoid).enumerated_total == len(seen)
 
