@@ -13,38 +13,7 @@ import sys
 import time
 from typing import NamedTuple
 
-from .cliffmunn import (
-    CatalogError,
-    apex_labels,
-    cm_catalog,
-    cm_roundtrip_check,
-    induce,
-    jclass_irreps,
-    reduce_rep,
-)
-from .elements import (
-    ClosureCapError,
-    ElementParseError,
-    FiniteMonoid,
-    PartialBijection,
-    Transformation,
-    closure,
-    cycle_link_format,
-    cycle_link_parse,
-    full_transformation_monoid,
-    symmetric_group,
-    symmetric_inverse_monoid,
-)
-from .green import eggbox, monoid_green
-from .lattice import (
-    SGLElement,
-    make_lattice,
-    partition_lattice_report,
-    sgl_monoid,
-    sgl_order,
-)
-from .linrep import mapping_rep, serialize_representation
-from .specht import partitions, specht_rep
+from . import cliffmunn, elements, green, lattice, linrep, specht
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -65,7 +34,7 @@ class SpecError(ValueError):
 class BuiltMonoid(NamedTuple):
     spec: str
     kind: str  # "S" | "I" | "T" | "SGL" | "gens"
-    monoid: FiniteMonoid
+    monoid: elements.FiniteMonoid
     context: object = None  # SGLContext for SGL specs
     lattice_kind: str = None
 
@@ -80,17 +49,17 @@ def parse_and_build(spec_text: str) -> BuiltMonoid:
             if n > 6:
                 raise SpecError("degree capped at 6 for desk scale")
             builder = {
-                "S": symmetric_group,
-                "I": symmetric_inverse_monoid,
-                "T": full_transformation_monoid,
+                "S": elements.symmetric_group,
+                "I": elements.symmetric_inverse_monoid,
+                "T": elements.full_transformation_monoid,
             }[parts[0]]
             return BuiltMonoid(spec_text, parts[0], builder(n))
         if parts[0] == "SGL" and len(parts) == 3:
             if parts[1] not in _SGL_KINDS:
                 raise SpecError(f"unknown lattice kind {parts[1]!r}")
             n = int(parts[2])
-            _, action = make_lattice(_SGL_KINDS[parts[1]], n)
-            monoid, ctx = sgl_monoid(action)
+            _, action = lattice.make_lattice(_SGL_KINDS[parts[1]], n)
+            monoid, ctx = lattice.sgl_monoid(action)
             return BuiltMonoid(spec_text, "SGL", monoid, ctx, _SGL_KINDS[parts[1]])
         if parts[0] == "gens" and len(parts) >= 2:
             return _build_from_file(spec_text, spec_text.split(":", 1)[1])
@@ -114,18 +83,18 @@ def _build_from_file(spec_text: str, path: str) -> BuiltMonoid:
             body = ln.strip()
             if not (body.startswith("[") and body.endswith("]")):
                 raise SpecError(f"bad transformation {ln!r}")
-            t = Transformation(int(tok) for tok in body[1:-1].split(","))
+            t = elements.Transformation(int(tok) for tok in body[1:-1].split(","))
             if t.n != n:
                 raise SpecError(f"{ln!r} has degree {t.n}, not the header's {n}")
             gens.append(t)
         else:
-            pb = cycle_link_parse(ln, n)
+            pb = elements.cycle_link_parse(ln, n)
             if kind == "S" and pb.rank != n:
                 raise SpecError(f"{ln!r} is not a full permutation")
             gens.append(pb)
     if not gens:
         raise SpecError("no generators given")
-    return BuiltMonoid(spec_text, kind, closure(gens))
+    return BuiltMonoid(spec_text, kind, elements.closure(gens))
 
 
 # -- element and label text ---------------------------------------------------
@@ -142,12 +111,12 @@ def lattice_text(kind: str, value) -> str:
 
 
 def element_text(el) -> str:
-    if isinstance(el, PartialBijection):
-        return cycle_link_format(el)
-    if isinstance(el, Transformation):
+    if isinstance(el, elements.PartialBijection):
+        return elements.cycle_link_format(el)
+    if isinstance(el, elements.Transformation):
         return str(el)
-    if isinstance(el, SGLElement):
-        g = cycle_link_format(el.group_element().to_partial_bijection())
+    if isinstance(el, lattice.SGLElement):
+        g = elements.cycle_link_format(el.group_element().to_partial_bijection())
         kind = getattr(el.context.lattice, "kind", None)
         return f"{g}@{lattice_text(kind, el.lattice_element())}"
     return str(el)
@@ -201,7 +170,7 @@ def parse_label(text: str):
 
 
 def resolve_jclass(built: BuiltMonoid, text: str) -> int:
-    labels = apex_labels(built.monoid)
+    labels = green.apex_labels(built.monoid)
     if text in labels:
         return labels.index(text)
     if text == "constants" and built.kind == "T":
@@ -216,7 +185,7 @@ def resolve_jclass(built: BuiltMonoid, text: str) -> int:
 def cmd_order(built: BuiltMonoid, out) -> int:
     lines = [f"command: order", f"spec: {built.spec}", f"order: {len(built.monoid)}"]
     if built.kind == "SGL":
-        report = sgl_order(built.context.action, built.monoid)
+        report = lattice.sgl_order(built.context.action, built.monoid)
         lines += [
             f"formula: {report.formula_total}",
             f"enumerated: {report.enumerated_total}",
@@ -226,7 +195,7 @@ def cmd_order(built: BuiltMonoid, out) -> int:
         for value, count in report.breakdown:
             lines.append(f"  {lattice_text(built.lattice_kind, value)}: {count}")
         if built.lattice_kind == "set_partitions":
-            p = partition_lattice_report(built.context.action, report)
+            p = lattice.partition_lattice_report(built.context.action, report)
             lines.append(f"young_index_total: {p.young_formula_value}")
             lines.append(
                 f"young_index_agreement: {'yes' if p.matches_young_formula else 'no'}"
@@ -241,8 +210,8 @@ def cmd_order(built: BuiltMonoid, out) -> int:
 
 def _eggbox_lines(built: BuiltMonoid, j: int, labels):
     monoid = built.monoid
-    classes, _ = monoid_green(monoid)
-    box = eggbox(monoid, classes, j)
+    classes, _ = green.monoid_green(monoid)
+    box = green.eggbox(monoid, classes, j)
     size = len(classes.jclasses[j])
     subgroup = max(
         (len(cell) for row, irow in zip(box.grid, box.idempotent_cells)
@@ -261,8 +230,8 @@ def _eggbox_lines(built: BuiltMonoid, j: int, labels):
 
 def cmd_eggbox(built: BuiltMonoid, jtext, fmt, out) -> int:
     monoid = built.monoid
-    classes, poset = monoid_green(monoid)
-    labels = apex_labels(monoid)
+    classes, poset = green.monoid_green(monoid)
+    labels = green.apex_labels(monoid)
     wanted = range(len(labels)) if jtext is None else [resolve_jclass(built, jtext)]
     lines = [f"command: eggbox", f"spec: {built.spec}", f"format: {fmt}",
              f"jclasses: {len(labels)}"]
@@ -294,7 +263,7 @@ def cmd_irreps(built: BuiltMonoid, check: bool, out) -> int:
             file=sys.stderr,
         )
         return EXIT_PARSE
-    catalog = cm_catalog(built.monoid)
+    catalog = cliffmunn.cm_catalog(built.monoid)
     lines = [
         f"command: irreps",
         f"spec: {built.spec}",
@@ -308,7 +277,7 @@ def cmd_irreps(built: BuiltMonoid, check: bool, out) -> int:
     lines.append(f"order: {len(built.monoid)}")
     if check:
         lines.append(f"check_complete: {'yes' if total == len(built.monoid) else 'no'}")
-        passed = sum(1 for en in catalog if cm_roundtrip_check(built.monoid, en))
+        passed = sum(1 for en in catalog if cliffmunn.cm_roundtrip_check(built.monoid, en))
         lines.append(f"check_roundtrips: {passed}/{len(catalog)}")
         if total != len(built.monoid) or passed != len(catalog):
             print("\n".join(lines), file=out)
@@ -322,32 +291,32 @@ def _build_rep(built: BuiltMonoid, build: str):
     if parts[0] == "mapping" and len(parts) == 1:
         if built.kind == "SGL":
             raise SpecError("mapping representations exist for S:, I:, T: specs")
-        return mapping_rep(built.monoid), built.monoid
+        return linrep.mapping_rep(built.monoid), built.monoid
     if parts[0] == "specht" and len(parts) == 2:
         if built.kind != "S":
             raise SpecError("specht representations live over S:n specs")
         lam = parse_label(parts[1])
         n = built.monoid.elements[0].n
-        if lam not in partitions(n):
+        if lam not in specht.partitions(n):
             raise SpecError(f"{fmt_label(lam)} is not a partition of {n}")
-        return specht_rep(lam, group=built.monoid).rep, built.monoid
+        return specht.specht_rep(lam, group=built.monoid).rep, built.monoid
     if parts[0] == "induce" and len(parts) == 3:
         if built.kind not in ("I", "SGL"):
             raise SpecError("induction needs an inverse monoid spec (I: or SGL:)")
         j = resolve_jclass(built, parts[1])
         label = parse_label(parts[2])
-        for e, _, found, group_rep in jclass_irreps(built.monoid, j):
+        for e, _, found, group_rep in cliffmunn.jclass_irreps(built.monoid, j):
             if found == label or found == (label,):
-                return induce(built.monoid, e, group_rep), built.monoid
+                return cliffmunn.induce(built.monoid, e, group_rep), built.monoid
         raise SpecError(f"no irreducible {parts[2]} at J-class {parts[1]}")
     if parts[0] == "reduce" and len(parts) == 3 and parts[1] == "mapping":
         if built.kind == "SGL":
             raise SpecError("reduce:mapping needs an S:, I: or T: spec")
         j = resolve_jclass(built, parts[2])
-        idems = monoid_green(built.monoid)[0].jclass_idempotents[j]
+        idems = green.monoid_green(built.monoid)[0].jclass_idempotents[j]
         if not idems:  # a generator file may close to a non-regular monoid
             raise SpecError(f"J-class {parts[2]} holds no idempotent to reduce at")
-        red = reduce_rep(mapping_rep(built.monoid), idems[0])
+        red = cliffmunn.reduce_rep(linrep.mapping_rep(built.monoid), idems[0])
         if red.rep is None:
             raise SpecError(f"the reduction at J-class {parts[2]} is zero")
         return red.rep, red.group
@@ -358,7 +327,7 @@ def cmd_rep(built: BuiltMonoid, build: str, out_path, out) -> int:
     # the Representation constructor has proved the homomorphism law on
     # these immutable matrices, which are the ones written below
     rep, carrier_monoid = _build_rep(built, build)
-    payload = serialize_representation(
+    payload = linrep.serialize_representation(
         rep, monoid_label=built.spec, element_text=element_text
     )
     lines = [
@@ -429,24 +398,28 @@ def run(argv, out=None) -> int:
         if args.command == "rep":
             return cmd_rep(built, args.build, args.out, out)
         raise AssertionError(f"unhandled command {args.command}")
-    except (SpecError, ElementParseError, OSError, CatalogError) as exc:
-        # OSError: a user-named path (generator file, --out) is missing,
-        # a directory or unreadable
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ClosureCapError as exc:
+    except elements.ClosureCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except (SpecError, elements.ElementParseError, OSError, cliffmunn.CatalogError) as exc:
+        # OSError: a user-named path (generator file, --out) is missing,
+        # a directory or unreadable.  A clause is evaluated only when an
+        # exception reaches it, so naming cliffmunn here loads it on no
+        # successful run.
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except Exception as exc:  # verification failures are internal bugs
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
 
 
 def main() -> None:
-    # The objects alive at entry (the interpreter, numpy, monoidrep) live
-    # until exit; frozen, they leave every later collection, the one at
-    # interpreter exit included.  Garbage made by the run is still
-    # collected.  Library users and test processes keep normal collection.
+    # The objects alive at entry (the interpreter, numpy, the package,
+    # elements and cli) live until exit; frozen, they leave every later
+    # collection, the one at interpreter exit included.  The layers a
+    # command loads after entry (lattice, green, ...) are not frozen.
+    # Garbage made by the run is still collected.  Library users and test
+    # processes keep normal collection.
     gc.freeze()
     start = time.monotonic()
     code = run(sys.argv[1:])

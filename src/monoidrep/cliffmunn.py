@@ -18,7 +18,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .elements import FiniteMonoid, PartialBijection, Permutation, Transformation
-from .green import lclass_coordinates, maximal_subgroup, monoid_green, transversal
+from .green import (
+    apex_labels,
+    lclass_coordinates,
+    maximal_subgroup,
+    monoid_green,
+    transversal,
+)
 from .lattice import SGLElement
 from .linrep import (
     Matrix,
@@ -409,29 +415,6 @@ def _group_irreps(monoid: FiniteMonoid, e: int, group: FiniteMonoid):
         return
     for shapes, rep in _young_irreps(group, blocks, label_map):
         yield (shapes[0] if symmetric else shapes), rep
-
-
-def apex_labels(monoid: FiniteMonoid) -> tuple:
-    """The display label of every J-class, by J-class id: J<rank> for S, I
-    and T, J<size> for subset pairs, the block sizes for partition pairs."""
-    classes, _ = monoid_green(monoid)
-    labels = []
-    for j, members in enumerate(classes.jclasses):
-        el = monoid.elements[members[0]]
-        if isinstance(el, (PartialBijection, Transformation)):
-            labels.append(f"J{el.rank}")
-        elif not isinstance(el, SGLElement):
-            labels.append(f"J{j}")
-        elif el.context.lattice.kind == "subsets":
-            labels.append(f"J{len(el.lattice_element())}")
-        elif el.lattice_element() == ():
-            labels.append("0")
-        else:
-            sizes = [len(b) for b in el.lattice_element()]
-            if el.context.lattice.kind == "set_partitions":
-                sizes.sort(reverse=True)
-            labels.append("(" + ",".join(str(x) for x in sizes) + ")")
-    return tuple(labels)
 
 
 def jclass_irreps(monoid: FiniteMonoid, j: int):

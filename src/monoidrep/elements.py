@@ -397,7 +397,8 @@ class FiniteMonoid:
         generators; from all |S|^2 products without them."""
         if identity is None:
             identity = elements[0].identity_element()
-        members = set(elements) | {identity}
+        members = {e: e for e in elements}  # each element to the caller's object
+        identity = members.setdefault(identity, identity)
         check_table_budget(len(members))
         if generators is not None:
             monoid = _closure(list(generators), identity, len(members), members)
@@ -465,8 +466,9 @@ def _closure(generators, identity, cap: int, within=None) -> FiniteMonoid:
     the identity e by the |S| * |A| left products a_k * x, recorded in
     left[k][x] as each x is found.  Raises ClosureCapError past cap
     elements, and "not multiplicatively closed" for a product outside
-    within (when given).  The found set F is the closure, and the table is
-    exact:
+    within (when given: a dict from each element to the caller's object,
+    which is kept in place of the equal product).  The found set F is the
+    closure, and the table is exact:
     - Every element of F is w * e for a word w in the generators, so F lies
       in the closure.  F is closed under left products by the generators,
       each of which was formed, so it is closed under all products:
@@ -485,8 +487,10 @@ def _closure(generators, identity, cap: int, within=None) -> FiniteMonoid:
             p = a * x
             k = index.get(p)
             if k is None:
-                if within is not None and p not in within:
-                    raise ValueError("element set is not multiplicatively closed")
+                if within is not None:
+                    if p not in within:
+                        raise ValueError("element set is not multiplicatively closed")
+                    p = within[p]
                 if len(found) == cap:
                     raise ClosureCapError(f"closure exceeded cap of {cap} elements")
                 k = index[p] = len(found)

@@ -14,6 +14,8 @@ pass over the table diagonal.  lclass_coordinates writes each t in L_e as
 s_i * g over a transversal {s_i} and the maximal subgroup G_e (the
 Schuetzenberger coordinates induction reads) as two integer arrays.
 monoid_green caches the structure on the monoid, so it is computed once.
+apex_labels names each J-class for display (J<rank>, or block sizes for
+the pair monoids).
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .elements import TABLE_DTYPE, FiniteMonoid
+from .elements import TABLE_DTYPE, FiniteMonoid, PartialBijection, Transformation
+from .lattice import SGLElement
 
 
 class GreenClasses(NamedTuple):
@@ -207,6 +210,29 @@ def monoid_green(monoid: FiniteMonoid):
 
 def idempotents(monoid: FiniteMonoid) -> tuple:
     return monoid.idempotent_indices()
+
+
+def apex_labels(monoid: FiniteMonoid) -> tuple:
+    """The display label of every J-class, by J-class id: J<rank> for S, I
+    and T, J<size> for subset pairs, the block sizes for partition pairs."""
+    classes, _ = monoid_green(monoid)
+    labels = []
+    for j, members in enumerate(classes.jclasses):
+        el = monoid.elements[members[0]]
+        if isinstance(el, (PartialBijection, Transformation)):
+            labels.append(f"J{el.rank}")
+        elif not isinstance(el, SGLElement):
+            labels.append(f"J{j}")
+        elif el.context.lattice.kind == "subsets":
+            labels.append(f"J{len(el.lattice_element())}")
+        elif el.lattice_element() == ():
+            labels.append("0")
+        else:
+            sizes = [len(b) for b in el.lattice_element()]
+            if el.context.lattice.kind == "set_partitions":
+                sizes.sort(reverse=True)
+            labels.append("(" + ",".join(str(x) for x in sizes) + ")")
+    return tuple(labels)
 
 
 def eggbox(monoid: FiniteMonoid, classes: GreenClasses, jclass: int) -> Eggbox:

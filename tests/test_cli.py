@@ -1,6 +1,7 @@
 import gc
 import importlib
 import io
+import json
 import math
 import os
 import pathlib
@@ -11,6 +12,7 @@ from collections import Counter
 
 import pytest
 
+import monoidrep
 from monoidrep.cli import (
     EXIT_CAP,
     EXIT_OK,
@@ -190,7 +192,6 @@ class TestSpecParsing:
         for name in ("make_lattice", "sgl_order"):
             wrapper = counted(name, getattr(lattice, name))
             monkeypatch.setattr(lattice, name, wrapper)
-            monkeypatch.setattr(cli, name, wrapper)
         code, text = invoke(["order", "SGL:partitions:4"])
         assert code == EXIT_OK
         assert "young_index_total: 131" in text
@@ -241,8 +242,7 @@ class TestIrrepsCommand:
         assert f"check_roundtrips: {count}/{count}" in text
 
     def test_roundtrip_failure_exits_4(self, monkeypatch):
-        import monoidrep.cli as cli
-        monkeypatch.setattr(cli, "cm_roundtrip_check", lambda m, e: False)
+        monkeypatch.setattr(cliffmunn, "cm_roundtrip_check", lambda m, e: False)
         code, text = invoke(["irreps", "I:1", "--check"])
         assert code == 4
         assert "check_roundtrips: 0/2" in text
@@ -323,8 +323,8 @@ class TestRepCommand:
 
     def test_induce_builds_only_the_requested_entry(self, monkeypatch):
         induced = []
-        monkeypatch.setattr(cli, "cm_catalog", None)  # the catalog is not built
-        monkeypatch.setattr(cli, "induce", lambda *args: induced.append(args) or induce(*args))
+        monkeypatch.setattr(cliffmunn, "cm_catalog", None)  # the catalog is not built
+        monkeypatch.setattr(cliffmunn, "induce", lambda *args: induced.append(args) or induce(*args))
         code, text = invoke(["rep", "I:4", "--build", "induce:J3:(2,1)"])
         assert code == EXIT_OK
         assert "dim: 8" in text
@@ -412,14 +412,19 @@ cli.main()
 """
 
 
+def fresh_python(source: str, *argv) -> subprocess.CompletedProcess:
+    """Run source in a new interpreter that imports monoidrep from src/."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", source, *argv], cwd=root,
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
 class TestProcessCost:
     @pytest.mark.parametrize("argv", [["order", "SGL:ordperm:3"], ["order", "I:0"]])
     def test_main_freezes_the_import_heap(self, argv):
-        root = pathlib.Path(__file__).resolve().parent.parent
-        path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", _ENTRY_PROBE, *argv], cwd=root,
-                              capture_output=True, text=True, timeout=120,
-                              env={**os.environ, "PYTHONPATH": path})
+        proc = fresh_python(_ENTRY_PROBE, *argv)
         counts = dict(line.rsplit(" ", 1) for line in proc.stderr.splitlines()
                       if line.startswith(("at import ", "in main ")))
         assert counts["at import"] == "0"
@@ -444,3 +449,49 @@ class TestProcessCost:
                 setattr(value, field, 1)
         with pytest.raises(AttributeError):
             value.extra = 1
+
+
+LAZY_LAYERS = ("lattice", "green", "linrep", "specht", "cliffmunn")
+
+# Runs one command in a fresh interpreter and prints the lazy layers whose
+# code has run: a lazy module becomes a plain module when it loads, and
+# type() reads the class without loading it.
+_LOAD_PROBE = """
+import io, json, sys, types
+import monoidrep.cli as cli
+code = cli.run(sys.argv[1:], io.StringIO())
+ran = [name for name in %r if type(sys.modules["monoidrep." + name]) is types.ModuleType]
+print(json.dumps([code, ran, "fractions" in sys.modules]))
+""" % (LAZY_LAYERS,)
+
+
+class TestLayerLoading:
+    @pytest.mark.parametrize("argv,ran", [
+        (["order", "S:5"], []),
+        (["order", "SGL:ordperm:3"], ["lattice"]),
+        (["eggbox", "S:4"], ["lattice", "green"]),  # green labels SGL classes too
+        (["irreps", "I:3", "--check"], list(LAZY_LAYERS)),
+    ])
+    def test_a_command_runs_only_the_layers_it_calls(self, argv, ran):
+        proc = fresh_python(_LOAD_PROBE, *argv)
+        # fractions is imported by linrep alone
+        assert json.loads(proc.stdout) == [EXIT_OK, ran, "linrep" in ran], proc.stderr
+
+    def test_every_layer_is_registered_at_import(self):
+        # perfbench's tracer reads each layer's namespace right after
+        # `import monoidrep.cli`; vars() loads a lazy layer
+        probe = ("import sys, monoidrep.cli\n"
+                 "linrep = vars(sys.modules['monoidrep.linrep'])\n"
+                 "print('Representation' in linrep, 'verify' in vars(linrep['Representation']))")
+        proc = fresh_python(probe)
+        assert proc.stdout.split() == ["True", "True"], proc.stderr
+
+    def test_public_names_are_the_layers_objects(self):
+        for name in monoidrep.__all__:
+            layer = importlib.import_module(f"monoidrep.{monoidrep._LAYER_OF[name]}")
+            assert getattr(monoidrep, name) is getattr(layer, name), name
+        namespace = {}
+        exec("from monoidrep import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(monoidrep.__all__)
+        with pytest.raises(AttributeError):
+            monoidrep.no_such_name

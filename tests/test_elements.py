@@ -373,6 +373,17 @@ class TestImageTable:
         assert m.elements == tuple(els)
         assert_matches_reference(m, gens)
 
+    @pytest.mark.parametrize("family", [all_permutations, all_partial_bijections,
+                                        all_transformations])
+    def test_elements_are_the_callers_objects(self, family):
+        # products and generators equal to a member are stored as the member
+        els = family(3)
+        one = els[0].identity_element()
+        gens = [g * one for g in els[::-1]]  # equal copies, not the members
+        m = FiniteMonoid.from_elements(els, generators=gens)
+        mine = {e: e for e in els}
+        assert all(x is mine[x] for x in m.elements)
+
     @pytest.mark.parametrize("gens", [
         T_FILE_GENS,
         [cycle_link_parse(t, 5) for t in I_FILE_GENS],
