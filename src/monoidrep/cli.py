@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import math
 import sys
 import time
 from typing import NamedTuple
@@ -297,6 +298,10 @@ def _build_rep(built: BuiltMonoid, build: str):
             raise SpecError("specht representations live over S:n specs")
         lam = parse_label(parts[1])
         n = built.monoid.elements[0].n
+        if len(built.monoid) != math.factorial(n):
+            # a generator file may close to a proper subgroup
+            raise SpecError(f"a Specht module needs all of S_{n}; the spec closes "
+                            f"to {len(built.monoid)} elements")
         if lam not in specht.partitions(n):
             raise SpecError(f"{fmt_label(lam)} is not a partition of {n}")
         return specht.specht_rep(lam, group=built.monoid).rep, built.monoid

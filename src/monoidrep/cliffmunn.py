@@ -374,13 +374,9 @@ def _group_irreps(monoid: FiniteMonoid, e: int, group: FiniteMonoid):
     """
     el = monoid.elements[e]
     symmetric = True  # one block, labelled by the bare shape
-    if isinstance(el, PartialBijection):
-        blocks = [el.domain]
-        label_map = lambda s: dict(s.pairs)
-    elif isinstance(el, Permutation):
-        labels = tuple(range(1, el.n + 1))
-        blocks = [labels]
-        label_map = lambda s: {x: s.apply(x) for x in labels}
+    if isinstance(el, (PartialBijection, Permutation)):
+        blocks = [tuple(x for x, y in enumerate(el.images, 1) if y)]
+        label_map = lambda s: dict(enumerate(s.images, 1))
     elif isinstance(el, SGLElement):
         a = el.lattice_element()
         kind = getattr(el.context.lattice, "kind", None)

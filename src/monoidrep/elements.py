@@ -2,7 +2,8 @@
 
 Points are 1-based: a degree-n object acts on [n] = {1, ..., n}.
 Composition is right-to-left everywhere: (s * t)(x) = s(t(x)), i.e. t acts
-first.  All element types are immutable values.
+first.  All element types are immutable values.  Every element of S, I and T
+is one encoding, its image tuple: images[x-1] = s(x), 0 where s is undefined.
 """
 
 from __future__ import annotations
@@ -45,14 +46,69 @@ class ElementParseError(ValueError):
     """Raised on malformed element text."""
 
 
-class PartialBijection:
+class _PartialMap:
+    """A partial map of [n], stored as its image tuple: images[x-1] = s(x),
+    and 0 where s is undefined.  The one encoding of S, I and T elements;
+    equality and hashing are per family, so maps of different families with
+    the same images stay distinct."""
+
+    __slots__ = ("n", "images")
+
+    @classmethod
+    def _unchecked(cls, images: tuple) -> "_PartialMap":
+        """An element from an int image tuple that already holds every
+        invariant the constructor of cls checks.  For products and casts
+        only; see __mul__."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "n", len(images))
+        object.__setattr__(obj, "images", images)
+        return obj
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def rank(self) -> int:
+        """The size of the image."""
+        return len(set(self.images).difference((0,)))
+
+    def __mul__(self, other):
+        cls = type(self)
+        if type(other) is not cls:
+            if not (isinstance(self, Transformation) and isinstance(other, Transformation)):
+                return NotImplemented
+            cls = Transformation
+        if self.n != other.n:
+            raise DegreeMismatchError(f"degrees differ: {self.n} != {other.n}")
+        # Both factors passed their constructors, so the product holds the
+        # invariants of cls unchecked.  Its images row[t(x)] = s(t(x)) lie in
+        # [n], or are 0 where t(x) or s(t(x)) is undefined.  Two total maps
+        # compose to a total map, two bijections of [n] to a bijection, and
+        # two injective partial maps to an injective one, as its nonzero
+        # images are those of s at distinct points t(x).
+        row = (0,) + self.images
+        return cls._unchecked(tuple([row[y] for y in other.images]))
+
+    def is_idempotent(self) -> bool:
+        """Whether s fixes every point of its image, which is s * s = s: if
+        s(y) = y for every y = s(x), each s(x) lies in the domain and
+        s(s(x)) = s(x); if s * s = s, then s(y) = s(s(x)) = s(x) = y.  An
+        injective s that fixes its image is a partial identity."""
+        images = self.images
+        return all(images[y - 1] == y for y in images if y)
+
+    def identity_element(self) -> "_PartialMap":
+        return type(self).identity(self.n)
+
+
+class PartialBijection(_PartialMap):
     """A partial bijection of [n]: a bijection X -> Y with X, Y subsets of [n].
 
-    Stored as a sorted tuple of (point, image) pairs.  The empty domain gives
+    Its image tuple has distinct nonzero entries.  The empty domain gives
     the zero map, a valid element at every degree.
     """
 
-    __slots__ = ("n", "pairs")
+    __slots__ = ()
 
     def __init__(self, n: int, pairs):
         pairs = tuple((int(d), int(i)) for d, i in pairs)
@@ -66,21 +122,11 @@ class PartialBijection:
             raise ValueError("domain points must be strictly increasing")
         if len(set(img)) != len(img):
             raise ValueError("image points must be distinct")
+        images = [0] * n
+        for d, i in pairs:
+            images[d - 1] = i
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "pairs", pairs)
-
-    @classmethod
-    def _unchecked(cls, n: int, pairs: tuple) -> "PartialBijection":
-        """An element from fields that already hold every invariant __init__
-        checks: int pairs of points in [n], the domain strictly increasing,
-        the images distinct.  For products only; see __mul__."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "n", n)
-        object.__setattr__(obj, "pairs", pairs)
-        return obj
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PartialBijection is immutable")
+        object.__setattr__(self, "images", tuple(images))
 
     @classmethod
     def identity(cls, n: int) -> "PartialBijection":
@@ -95,67 +141,37 @@ class PartialBijection:
         return cls(n, [(x, x) for x in sorted(points)])
 
     @property
+    def pairs(self) -> tuple:
+        """The (x, s(x)) pairs, x ascending."""
+        return tuple((x, y) for x, y in enumerate(self.images, 1) if y)
+
+    @property
     def domain(self) -> tuple:
-        return tuple(d for d, _ in self.pairs)
+        return tuple(x for x, y in enumerate(self.images, 1) if y)
 
     @property
     def image(self) -> tuple:
-        return tuple(i for _, i in self.pairs)
-
-    @property
-    def rank(self) -> int:
-        return len(self.pairs)
+        """s(x) for x in the domain, ascending."""
+        return tuple(y for y in self.images if y)
 
     def apply(self, x: int):
-        for d, i in self.pairs:
-            if d == x:
-                return i
+        """s(x), or None where s is undefined."""
+        if 1 <= x <= self.n:
+            return self.images[x - 1] or None
         return None
-
-    def __mul__(self, other: "PartialBijection") -> "PartialBijection":
-        if not isinstance(other, PartialBijection):
-            return NotImplemented
-        if self.n != other.n:
-            raise DegreeMismatchError(f"degrees differ: {self.n} != {other.n}")
-        # Both factors passed __init__, so the product holds its invariants
-        # unchecked.  Its pairs (d, s(t(d))) follow other's pairs, so its
-        # domain is a subsequence of other's strictly increasing domain.
-        # Its images lie in self's image, inside [n], and are distinct:
-        # other's images t(d) are distinct and self is injective.
-        lookup = dict(self.pairs)
-        new = tuple([(d, lookup[i]) for d, i in other.pairs if i in lookup])
-        return PartialBijection._unchecked(self.n, new)
 
     def inverse(self) -> "PartialBijection":
         """The semigroup inverse s*: dom s* = im s, with s s* s = s."""
         return PartialBijection(self.n, sorted((i, d) for d, i in self.pairs))
 
-    def is_idempotent(self) -> bool:
-        return all(d == i for d, i in self.pairs)
-
-    def image_row(self) -> tuple:
-        """(0, s(1), ..., s(n)) with 0 where s is undefined: the row of s * t is
-        this row indexed by t's."""
-        row = [0] * (self.n + 1)
-        for d, i in self.pairs:
-            row[d] = i
-        return tuple(row)
-
-    def identity_element(self) -> "PartialBijection":
-        return PartialBijection.identity(self.n)
-
     def key(self):
         return (self.domain, self.image)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, PartialBijection)
-            and self.n == other.n
-            and self.pairs == other.pairs
-        )
+        return isinstance(other, PartialBijection) and self.images == other.images
 
     def __hash__(self):
-        return hash((PartialBijection, self.n, self.pairs))
+        return hash((PartialBijection, self.images))
 
     def __repr__(self):
         return f"PartialBijection({self.n}, {list(self.pairs)})"
@@ -164,10 +180,10 @@ class PartialBijection:
         return cycle_link_format(self)
 
 
-class Transformation:
-    """A full map [n] -> [n], stored as the image tuple (images[i-1] = s(i))."""
+class Transformation(_PartialMap):
+    """A full map [n] -> [n]: its image tuple has no 0."""
 
-    __slots__ = ("n", "images")
+    __slots__ = ()
 
     def __init__(self, images):
         images = tuple(int(x) for x in images)
@@ -180,28 +196,13 @@ class Transformation:
         object.__setattr__(self, "images", images)
 
     @classmethod
-    def _unchecked(cls, images: tuple) -> "Transformation":
-        """An element from an int image tuple that already holds every
-        invariant the constructor of cls checks.  For products only; see
-        __mul__."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "n", len(images))
-        object.__setattr__(obj, "images", images)
-        return obj
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Transformation is immutable")
-
-    @classmethod
     def identity(cls, n: int) -> "Transformation":
         return cls(range(1, n + 1))
 
     def apply(self, x: int) -> int:
+        if not 1 <= x <= self.n:
+            raise ValueError(f"point out of range 1..{self.n}: {x}")
         return self.images[x - 1]
-
-    @property
-    def rank(self) -> int:
-        return len(set(self.images))
 
     def image_set(self) -> tuple:
         return tuple(sorted(set(self.images)))
@@ -212,28 +213,6 @@ class Transformation:
         for x in range(1, self.n + 1):
             fibers.setdefault(self.images[x - 1], []).append(x)
         return tuple(sorted(tuple(f) for f in fibers.values()))
-
-    def __mul__(self, other: "Transformation") -> "Transformation":
-        if not isinstance(other, Transformation):
-            return NotImplemented
-        if self.n != other.n:
-            raise DegreeMismatchError(f"degrees differ: {self.n} != {other.n}")
-        # Both factors passed their constructors, so the product holds the
-        # invariants unchecked: its images self(y) lie in [n], and a
-        # composite of two bijections of [n] is a bijection.
-        cls = Permutation if isinstance(self, Permutation) and isinstance(other, Permutation) else Transformation
-        images = self.images
-        return cls._unchecked(tuple([images[y - 1] for y in other.images]))
-
-    def is_idempotent(self) -> bool:
-        return all(self.images[y - 1] == y for y in self.images)
-
-    def image_row(self) -> tuple:
-        """(0, s(1), ..., s(n)): the row of s * t is this row indexed by t's."""
-        return (0,) + self.images
-
-    def identity_element(self) -> "Transformation":
-        return type(self).identity(self.n)
 
     def key(self):
         return self.images
@@ -285,7 +264,8 @@ class Permutation(Transformation):
         return cls(images)
 
     def to_partial_bijection(self) -> PartialBijection:
-        return PartialBijection(self.n, [(x, self.images[x - 1]) for x in range(1, self.n + 1)])
+        # distinct images in [n], none 0: a partial bijection's invariants
+        return PartialBijection._unchecked(self.images)
 
 
 def canonical_key(x):
@@ -637,29 +617,29 @@ def cycle_link_format(s: PartialBijection) -> str:
     map formats as "0".  Points in neither the domain nor the image are
     omitted (the degree is carried separately).
     """
-    if not s.pairs:
+    images = s.images
+    if not any(images):
         return "0"
-    succ = dict(s.pairs)
-    dom = set(s.domain)
-    img = set(s.image)
+    img = set(images)
     cycles, links = [], []
     used = set()
-    for start in sorted(dom - img):  # link heads
-        chain = [start]
-        while chain[-1] in succ:
-            chain.append(succ[chain[-1]])
-        used.update(chain)
-        links.append(chain)
-    for x in sorted(dom - used):  # what remains decomposes into cycles
-        if x in used:
-            continue
-        cyc = [x]
-        while succ[cyc[-1]] != x:
-            cyc.append(succ[cyc[-1]])
-        used.update(cyc)
-        least = cyc.index(min(cyc))
-        cycles.append(cyc[least:] + cyc[:least])
-    cycles.sort(key=min)
+    for start in range(1, s.n + 1):  # link heads: in the domain, not the image
+        if images[start - 1] and start not in img:
+            chain = [start]
+            while images[chain[-1] - 1]:
+                chain.append(images[chain[-1] - 1])
+            used.update(chain)
+            links.append(chain)
+    # what remains of the domain decomposes into cycles; x is the least
+    # point of its cycle, since every smaller one was used, so the cycles
+    # come out rotated and sorted
+    for x in range(1, s.n + 1):
+        if images[x - 1] and x not in used:
+            cyc = [x]
+            while images[cyc[-1] - 1] != x:
+                cyc.append(images[cyc[-1] - 1])
+            used.update(cyc)
+            cycles.append(cyc)
     links.sort(key=min)
     parts = ["(" + ",".join(map(str, c)) + ")" for c in cycles]
     parts += ["[" + ",".join(map(str, c)) + "]" for c in links]

@@ -423,16 +423,16 @@ def char_equal(c1, c2) -> bool:
 
 
 def mapping_rep(monoid: FiniteMonoid) -> Representation:
-    """The coordinate-permuting action on v_1..v_n read off the element type.
+    """The coordinate-permuting action on v_1..v_n read off the image tuples.
 
     Partial bijections send v_i to v_{s(i)} when defined and kill it
     otherwise; transformations and permutations always send v_i to v_{s(i)}.
     """
-    rows = np.array([el.image_row() for el in monoid.elements])  # (0, s(1), .., s(n))
-    n = rows.shape[1] - 1
-    s, i = np.nonzero(rows[:, 1:])
+    rows = np.array([el.images for el in monoid.elements])  # s(1), .., s(n), 0 if undefined
+    n = rows.shape[1]
+    s, i = np.nonzero(rows)
     num = np.zeros((len(rows), n, n), dtype=object)
-    num[s, rows[s, i + 1] - 1, i] = 1
+    num[s, rows[s, i] - 1, i] = 1
     return Representation.from_numerators(monoid, num)
 
 
@@ -455,7 +455,11 @@ def trivial_rep(monoid: FiniteMonoid) -> Representation:
 
 def spin(rep: Representation, seeds) -> Subspace:
     """The least invariant subspace containing the seed vectors."""
-    sub = Subspace.from_vectors(rep.dim, seeds)
+    return _spin(rep, Subspace.from_vectors(rep.dim, seeds))
+
+
+def _spin(rep: Representation, sub: Subspace) -> Subspace:
+    """The least invariant subspace containing sub."""
     gens = [rep.num[g].T for g in rep.monoid.generating_set()]
     while gens:
         images = np.vstack([sub.num @ g for g in gens])  # rows (phi(g) v)^T
@@ -593,7 +597,7 @@ def find_proper_invariant(rep: Representation, seed_order: str = "standard"):
     if seed_order == "reversed":
         seeds.reverse()
     for seed in seeds:
-        sub = spin(rep, [seed])
+        sub = _spin(rep, Subspace.span(d, [seed]))
         if 0 < sub.dim < d:
             return sub
     return None

@@ -266,6 +266,29 @@ class TestRepCommand:
         code, _ = invoke(["rep", "T:3", "--build", "specht:(2,1)"])
         assert code == EXIT_PARSE
 
+    def test_specht_over_an_s_kind_generator_file(self, monkeypatch):
+        # S_3's generators close to full-rank partial bijections, which sort
+        # in the order of S:3, so the matrices are those of S:3
+        monkeypatch.chdir(GOLDEN_DIR.parent.parent)
+
+        def matrix_lines(text):
+            payload = text.split("payload:\n", 1)[1].splitlines()
+            return [ln for ln in payload[3:] if not ln.startswith("element ")]
+
+        code, text = invoke(["rep", "gens:tests/data/s3_file.gens", "--build", "specht:(2,1)"])
+        assert code == EXIT_OK
+        _, expected = invoke(["rep", "S:3", "--build", "specht:(2,1)"])
+        assert len(matrix_lines(text)) == 12
+        assert matrix_lines(text) == matrix_lines(expected)
+
+    def test_specht_over_a_proper_subgroup_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "gens.txt"
+        path.write_text("S 3\n(1,2)(3)\n")
+        code, text = invoke(["rep", f"gens:{path}", "--build", "specht:(2,1)"])
+        assert code == EXIT_PARSE
+        assert text == ""
+        assert "needs all of S_3; the spec closes to 2 elements" in capsys.readouterr().err
+
     def test_specht_bad_partition(self):
         code, _ = invoke(["rep", "S:4", "--build", "specht:(2,1)"])
         assert code == EXIT_PARSE

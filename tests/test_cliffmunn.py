@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import monoidrep.cliffmunn as cliffmunn_module
+import monoidrep.linrep as linrep_module
 from monoidrep.elements import (
     PartialBijection,
     Transformation,
@@ -443,6 +444,19 @@ class TestInvariantSearch:
         assert verdict == "no"
         assert 0 < witness.dim < 4
         assert is_invariant(rep, witness)
+
+    def test_seeds_skip_the_fraction_round_trip(self, monkeypatch):
+        # each integer seed is spun as it is, with no Fraction per entry
+        refl = specht_rep((2, 1)).rep
+        rep = direct_sum(refl, refl)
+        orders = ("standard", "reversed")
+        expected = [find_proper_invariant(rep, order) for order in orders]
+
+        def no_fractions(rows):
+            raise AssertionError("a seed went through _numerators")
+
+        monkeypatch.setattr(linrep_module, "_numerators", no_fractions)
+        assert [find_proper_invariant(rep, order) for order in orders] == expected
 
     def test_decompose_under_both_seed_orders(self):
         refl = specht_rep((2, 1)).rep

@@ -129,6 +129,10 @@ class TestPartialBijection:
         with pytest.raises(ValueError):
             PartialBijection(3, [(1, 4)])  # out of range
 
+    def test_apply_outside_the_domain_is_none(self):
+        s = pb(3, (1, 2), (3, 1))
+        assert [s.apply(x) for x in range(5)] == [None, 2, None, 1, None]
+
     def test_inverse_swap(self):
         assert pb(2, (1, 2)).inverse() == pb(2, (2, 1))
 
@@ -171,6 +175,15 @@ class TestTransformation:
         s = Transformation([3, 3, 1])
         assert s * Transformation.identity(3) == s
         assert Transformation.identity(3) * s == s
+
+    @pytest.mark.parametrize("point", [0, -1, 4])
+    def test_apply_outside_the_points_raises(self, point):
+        t = Transformation([2, 3, 1])
+        assert [t.apply(x) for x in (1, 2, 3)] == [2, 3, 1]
+        with pytest.raises(ValueError, match="out of range 1..3"):
+            t.apply(point)
+        with pytest.raises(ValueError, match="out of range 1..3"):
+            Permutation([2, 3, 1]).apply(point)
 
     def test_kernel(self):
         assert Transformation([1, 1, 3]).kernel() == ((1, 2), (3,))
@@ -460,6 +473,17 @@ def _generator_sets(draw):
     return draw(st.lists(_element(kind, n), min_size=1, max_size=3))
 
 
+def _reference_product(a, b):
+    """a * b composed without the image tuples' product: a dict of a's pairs
+    for partial bijections, the image lists for full maps."""
+    if isinstance(a, PartialBijection):
+        lookup = dict(a.pairs)
+        return PartialBijection(a.n, [(d, lookup[i]) for d, i in b.pairs if i in lookup])
+    images = [a.images[y - 1] for y in b.images]
+    both = isinstance(a, Permutation) and isinstance(b, Permutation)
+    return Permutation(images) if both else Transformation(images)
+
+
 class TestUncheckedProducts:
     # a product is built without its constructor's checks; rebuilding it
     # through the validating constructor raises on any broken invariant
@@ -484,6 +508,41 @@ class TestUncheckedProducts:
         assert p.n == n and all(type(x) is int for pair in p.pairs for x in pair)
         assert p.pairs == tuple((x, a.apply(b.apply(x))) for x in b.domain
                                 if a.apply(b.apply(x)) is not None)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from("SIT"), n=st.integers(1, 6))
+    def test_one_encoding(self, data, kind, n):
+        a, b = (data.draw(_element(kind, n)) for _ in range(2))
+        p = a * b
+        ref = _reference_product(a, b)
+        assert p == ref and type(p) is type(ref) and hash(p) == hash(ref)
+        assert a.is_idempotent() == (a * a == a)
+        image = {a.apply(x) for x in range(1, n + 1)} - {None}
+        assert a.rank == len(image)
+        if kind == "I":
+            assert PartialBijection(a.n, a.pairs) == a
+            assert a.domain == tuple(x for x in range(1, n + 1) if a.apply(x) is not None)
+            assert a.image == tuple(a.apply(x) for x in a.domain)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 6))
+    def test_families_stay_apart(self, data, n):
+        s = data.draw(_element("I", n))
+        p = data.draw(_element("S", n))
+        t = data.draw(st.one_of(_element("S", n), _element("T", n)))
+        for x, y in ((s, t), (t, s)):
+            with pytest.raises(TypeError):
+                x * y
+        assert PartialBijection.identity(n) != Permutation.identity(n)
+        assert Transformation.identity(n) == Permutation.identity(n)
+        assert Transformation(p.images) == p
+        assert hash(Transformation(p.images)) == hash(p)
+        q = p.to_partial_bijection()
+        checked = PartialBijection(n, [(x, p.apply(x)) for x in range(1, n + 1)])
+        assert type(q) is PartialBijection
+        assert q == checked and hash(q) == hash(checked)
+        assert q != p and p != q
+        assert PartialBijection(q.n, q.pairs) == q
 
 
 class TestImageTableProperties:
@@ -668,6 +727,11 @@ class TestCycleLink:
     def test_single_link_reversed(self):
         # j -> i with j > i keeps the arrow order in the bracket
         assert cycle_link_format(pb(3, (3, 1))) == "[3,1]"
+
+    def test_blocks_sorted_by_least_point(self):
+        # the link headed by 3 holds 1, so it precedes the one headed by 2
+        assert cycle_link_format(pb(4, (2, 4), (3, 1))) == "[3,1][2,4]"
+        assert cycle_link_format(pb(5, (1, 4), (2, 5), (3, 3), (4, 1))) == "(1,4)(3)[2,5]"
 
     def test_full_cycle(self):
         assert cycle_link_format(pb(3, (1, 2), (2, 3), (3, 1))) == "(1,2,3)"

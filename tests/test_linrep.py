@@ -21,6 +21,7 @@ from monoidrep.linrep import (
     Subspace,
     VerificationError,
     _ratio_text,
+    _spin,
     char_equal,
     commutant_dim,
     direct_sum,
@@ -201,6 +202,12 @@ class TestSpin:
     def test_in_any_seed_spins_to_everything(self, i3_map):
         for seed in [(1, 0, 0), (1, 1, 1), (F(1, 2), -1, 3)]:
             assert spin(i3_map, [seed]).dim == 3
+
+    def test_integer_entry_is_spin(self, i3_map, t3_map):
+        # find_proper_invariant spins its integer seeds through _spin
+        for rep in (i3_map, t3_map):
+            for seed in itertools.product((-1, 0, 2), repeat=3):
+                assert _spin(rep, Subspace.span(3, [seed])) == spin(rep, [seed])
 
     def test_tn_hyperplane(self, t3_map):
         w = spin(t3_map, [(1, -1, 0)])
