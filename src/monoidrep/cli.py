@@ -230,6 +230,8 @@ def _eggbox_lines(built: BuiltMonoid, j: int, labels):
 
 
 def cmd_eggbox(built: BuiltMonoid, jtext, fmt, out) -> int:
+    if fmt == "graph" and jtext is not None:
+        raise SpecError("--format graph prints the whole J-poset; it takes no --jclass")
     monoid = built.monoid
     classes, poset = green.monoid_green(monoid)
     labels = green.apex_labels(monoid)

@@ -4,6 +4,9 @@ Points are 1-based: a degree-n object acts on [n] = {1, ..., n}.
 Composition is right-to-left everywhere: (s * t)(x) = s(t(x)), i.e. t acts
 first.  All element types are immutable values.  Every element of S, I and T
 is one encoding, its image tuple: images[x-1] = s(x), 0 where s is undefined.
+A monoid closed from generators is held as its left Cayley graph, certified
+against the image rows of its elements; its dense table is composed only
+when something reads it.
 """
 
 from __future__ import annotations
@@ -99,6 +102,12 @@ class _PartialMap:
 
     def identity_element(self) -> "_PartialMap":
         return type(self).identity(self.n)
+
+    @staticmethod
+    def _faithful_rows(elements) -> np.ndarray:
+        """The image rows of the elements, which _closure certifies against:
+        mu(s) = s.images, and mu(s * t) = mu(s) o mu(t) is __mul__ itself."""
+        return np.array([s.images for s in elements], dtype=np.intp)
 
 
 class PartialBijection(_PartialMap):
@@ -278,14 +287,20 @@ def canonical_key(x):
 
 
 class FiniteMonoid:
-    """An enumerated finite monoid with a dense, index-valued Cayley table.
+    """An enumerated finite monoid: elements in canonical order, products by
+    index.
 
-    Elements are stored in canonical order; table[i, j] is the index of
-    elements[i] * elements[j], held as a TABLE_DTYPE (two-byte) cell.  The
-    table given may have any integer dtype: its cells are checked to lie in
-    0..n-1 before it is narrowed, and n is within the table budget, so the
-    narrowing is exact.  Recorded generator indices must generate the
-    monoid; with none given, the greedy generating set is recorded.
+    table[i, j] is the index of elements[i] * elements[j], held as a
+    TABLE_DTYPE (two-byte) cell.  A table given to the constructor may have
+    any integer dtype: its cells are checked to lie in 0..n-1 before it is
+    narrowed, and n is within the table budget, so the narrowing is exact;
+    it must pass Light's test.  Recorded generator indices must generate
+    the monoid; with none given, the greedy generating set is recorded.
+
+    A monoid built by _closure holds only its left Cayley graph: the
+    generators' left rows a_k * x.  Its table is composed from them on
+    first read and then kept.  products() reads the graph, so a monoid
+    whose table is never read never holds one.
     """
 
     def __init__(self, elements, table, identity_index: int, generator_indices=None):
@@ -299,13 +314,70 @@ class FiniteMonoid:
         # into a valid-looking index
         if n and (table.min() < 0 or table.max() >= n):
             raise ValueError("table not closed")
-        self.table = table.astype(TABLE_DTYPE, copy=False)
+        self._table = table.astype(TABLE_DTYPE, copy=False)
         self.identity_index = int(identity_index)
         self.generator_indices = tuple(generator_indices) if generator_indices is not None else None
         self._index = {e: k for k, e in enumerate(self.elements)}
         if len(self._index) != n:
             raise ValueError("duplicate elements")
         self._validate()
+
+    @classmethod
+    def _from_left_rows(cls, elements, left, identity_index: int) -> "FiniteMonoid":
+        """The monoid _closure found and certified: left[k][x] indexes a_k * x,
+        and a_k = a_k * e is left[k][e]."""
+        monoid = object.__new__(cls)
+        monoid.elements = tuple(elements)
+        monoid._table = None
+        monoid._left = left
+        monoid._tree = None
+        monoid.identity_index = identity_index
+        monoid.generator_indices = tuple(left[:, identity_index].tolist())
+        monoid._index = {e: k for k, e in enumerate(monoid.elements)}
+        return monoid
+
+    @property
+    def table(self) -> np.ndarray:
+        """The |S| x |S| Cayley table: as given, or composed from the left
+        rows by _compose_rows on first read and kept."""
+        if self._table is None:
+            n = len(self.elements)
+            self._table = _compose_rows(self._left, self._left, self.identity_index,
+                                        np.arange(n, dtype=TABLE_DTYPE))
+        return self._table
+
+    def products(self, xs, ys) -> np.ndarray:
+        """The indices of xs * ys, elementwise over the broadcast index
+        arrays.  From the table when one is held.  Otherwise each x is
+        a_k1 * (a_k2 * (... * e)) along the breadth-first tree of the left
+        rows, so x * y = a_k1 * (a_k2 * (... * y)) by associativity, and the
+        left rows are applied to y from the root's end of the word, one
+        tree level at a time: there are as many steps as the deepest x."""
+        xs, ys = np.broadcast_arrays(np.asarray(xs, dtype=np.intp), np.asarray(ys, dtype=np.intp))
+        if self._table is not None:
+            return self._table[xs, ys]
+        if self._tree is None:
+            # the tree _closure's own search found: the same breadth-first
+            # order over the same edges, under the canonical labels
+            order, via = _reach(self._left.tolist(), self.identity_index)
+            n, identity_row = len(order), len(self._left)
+            parent = np.full(n, self.identity_index, dtype=TABLE_DTYPE)
+            step = np.full(n, identity_row, dtype=TABLE_DTYPE)  # the root's step
+            parent[order[1:]], step[order[1:]] = np.array(via[1:], dtype=np.intp).reshape(-1, 2).T
+            self._tree = parent, step
+        parent, step = self._tree
+        steps, x = [], xs
+        while True:
+            k = step[x]
+            if (k == len(self._left)).all():
+                break
+            steps.append(k)
+            x = parent[x]
+        maps = np.vstack((self._left, np.arange(len(parent), dtype=TABLE_DTYPE)))
+        out = ys
+        for k in reversed(steps):
+            out = maps[k, out]
+        return out.astype(TABLE_DTYPE)
 
     def _validate(self):
         n = len(self.elements)
@@ -341,14 +413,23 @@ class FiniteMonoid:
         return self._index[element]
 
     def idempotent_indices(self) -> tuple:
-        """Indices i with i*i = i, ascending: one pass over the table diagonal."""
-        diag = np.diagonal(self.table)
-        return tuple(np.flatnonzero(diag == np.arange(len(self))).tolist())
+        """Indices i with i*i = i, ascending: the squares, by products."""
+        every = np.arange(len(self))
+        return tuple(np.flatnonzero(self.products(every, every) == every).tolist())
 
     def is_group(self) -> bool:
-        """Whether every element has a two-sided inverse."""
-        unit = self.table == self.identity_index
-        return bool((unit & unit.T).any(axis=1).all())
+        """Whether every element has a two-sided inverse: exactly when every
+        generator's left row is a permutation.  In a group every left
+        translation is a bijection.  Conversely, a generator a whose left
+        translation x -> a*x is injective has it bijective, S being finite,
+        so a*x = e for some x; then a*(x*a) = (a*x)*a = a = a*e, and
+        injectivity gives x*a = e, so a is a unit.  Units are closed under
+        products, (ab)^-1 = b^-1 a^-1, and the generators generate S, so
+        every element is a unit."""
+        every = np.arange(len(self))
+        gens = np.asarray(self.generating_set(), dtype=np.intp)
+        rows = self.products(gens[:, None], every)
+        return bool((np.sort(rows, axis=1) == every).all())
 
     def generating_set(self) -> tuple:
         """The recorded generator indices, or the greedy set _validate
@@ -368,7 +449,8 @@ class FiniteMonoid:
     def _generated_by(self, gens) -> list:
         """The indices x * w for the words w in gens, from x = the identity,
         breadth first over the generator columns."""
-        return _reach(self.table[:, list(gens)].T.tolist(), self.identity_index)[0]
+        columns = self.products(np.arange(len(self)), np.asarray(gens, dtype=np.intp)[:, None])
+        return _reach(columns.tolist(), self.identity_index)[0]
 
     @classmethod
     def from_elements(cls, elements, identity=None, generators=None) -> "FiniteMonoid":
@@ -447,18 +529,10 @@ def _closure(generators, identity, cap: int, within=None) -> FiniteMonoid:
     left[k][x] as each x is found.  Raises ClosureCapError past cap
     elements, and "not multiplicatively closed" for a product outside
     within (when given: a dict from each element to the caller's object,
-    which is kept in place of the equal product).  The found set F is the
-    closure, and the table is exact:
-    - Every element of F is w * e for a word w in the generators, so F lies
-      in the closure.  F is closed under left products by the generators,
-      each of which was formed, so it is closed under all products:
-      x * y = w * y is y followed by left products.  So F is the closure,
-      and a closed within holds every product formed here.
-    - e * e = e and e * a_k = a_k are checked, so e is a left identity:
-      each x other than e is a_k * y for a found y, and
-      e * x = (e * a_k) * y = x.  a_k * e = a_k is read off left[k][e].
-    - _compose_rows gives every row of the table from the left rows.
-    The elements are sorted canonically, so the search order does not show.
+    which is kept in place of the equal product).  The elements are sorted
+    canonically, so the search order does not show.  The monoid holds the
+    left rows, certified by _certify_left_rows; so the found set is the
+    closure, and its table, composed on demand, is the element product.
     """
     found, index = [identity], {identity: 0}
     left = [[] for _ in generators]
@@ -476,9 +550,6 @@ def _closure(generators, identity, cap: int, within=None) -> FiniteMonoid:
                 k = index[p] = len(found)
                 found.append(p)
             row.append(k)
-    if identity * identity != identity or any(
-            identity * a != a or found[row[0]] != a for row, a in zip(left, generators)):
-        raise ValueError("identity laws fail")
     n = len(found)
     check_table_budget(n)
     order = sorted(range(n), key=lambda i: canonical_key(found[i]))
@@ -486,15 +557,53 @@ def _closure(generators, identity, cap: int, within=None) -> FiniteMonoid:
     label[order] = np.arange(n)
     left = label[np.array(left, dtype=np.intp).reshape(-1, n)[:, order]].astype(TABLE_DTYPE)
     e = int(label[0])
-    table = _compose_rows(left, left, e, np.arange(n))
-    return FiniteMonoid([found[i] for i in order], table, e, left[:, e].tolist())
+    elements = [found[i] for i in order]
+    rows = type(identity)._faithful_rows(elements + list(generators))
+    rows = rows.astype(np.min_scalar_type(rows.shape[1]), copy=False)
+    _certify_left_rows(rows[:n], rows[n:], left, e)
+    return FiniteMonoid._from_left_rows(elements, left, e)
+
+
+def _certify_left_rows(rows, generator_rows, left, e: int) -> None:
+    """Raise ValueError unless the left rows are those of a monoid with
+    identity e, on the image rows mu(x) = rows[x] of the found set F.
+
+    Each element family gives mu (its _faithful_rows): a map into partial
+    maps of [m], 0 where undefined, that is injective and under which the
+    family's product is composition, mu(x * y) = mu(x) o mu(y).  Checked:
+    (i) mu(e) is the identity row; (ii) the rows of F are pairwise
+    distinct; (iii) mu(left[k][x]) = mu(a_k) o mu(x) for every k and x.
+    Let T be the table _compose_rows builds along the breadth-first tree:
+    T[e, y] = y, and T[x, y] = left[k][T[v, y]] for x = left[k][v].  By
+    induction on the depth of x, mu(T[x, y]) = mu(x) o mu(y): at x = e by
+    (i), and below, mu(T[x, y]) = mu(a_k) o mu(v) o mu(y) = mu(x) o mu(y)
+    by (iii) twice.  Composition is associative, with identity mu(e), so
+    by (ii) T is associative with identity e, and it is the element
+    product: mu(x * y) = mu(T[x, y]) and mu is injective.  So F is closed
+    under products and is the closure of the generators, and at x = e,
+    (iii) makes left[k][e] = a_k * e = a_k.  The cost is |A| |S| m
+    lookups, against Light's test's |A| |S|^2.
+    """
+    width = rows.shape[1]
+    if not np.array_equal(rows[e], np.arange(1, width + 1)):
+        raise ValueError("identity laws fail")
+    ranked = rows[np.lexsort(rows.T)]
+    if (ranked[1:] == ranked[:-1]).all(axis=1).any():
+        raise ValueError("two elements share an image row")
+    step = max(1, TABLE_BLOCK_CELLS // width)
+    for a, succ in zip(generator_rows, left):
+        composed = np.concatenate(([0], a)).astype(rows.dtype)
+        for i in range(0, len(rows), step):
+            if not np.array_equal(composed[rows[i:i + step]], rows[succ[i:i + step]]):
+                raise ValueError("a left product disagrees with the image rows")
 
 
 def closure(generators, identity=None, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteMonoid:
-    """Breadth-first product closure of a generator list (_closure).
+    """Breadth-first product closure of a generator list (_closure), whose
+    element family gives its faithful image rows (_faithful_rows).
 
     The result is deterministic: elements are re-sorted into canonical order
-    before the dense table is built, so two runs on the same generators give
+    before the left rows are stored, so two runs on the same generators give
     identical monoids.  The default cap is the largest order whose table fits
     TABLE_BYTES_BUDGET.
     """

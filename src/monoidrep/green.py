@@ -4,18 +4,18 @@ Green data that reduction, induction and the catalogs read.
 L- and R-classes are the strongly connected components of the left and
 right Cayley graphs of the monoid's generating set, and the J-order is
 reachability in the two-sided graph; green_structure holds the proof.  This
-needs O(|S| |A|) memory beside the table, for a generating set A.  Class ids
-are assigned in order of least contained element, so all derived structure
-is deterministic.  Since the monoids here are finite, D coincides with J and
-is not represented separately.
+needs O(|S| |A|) memory, for a generating set A: both graphs, and the
+squares that give the idempotents of every J-class, are read through the
+monoid's products(), so a monoid held as its left Cayley graph composes no
+table here.  Class ids are assigned in order of least contained element, so
+all derived structure is deterministic.  Since the monoids here are finite,
+D coincides with J and is not represented separately.
 
-green_structure also records the idempotents of every J-class, from one
-pass over the table diagonal.  lclass_coordinates writes each t in L_e as
-s_i * g over a transversal {s_i} and the maximal subgroup G_e (the
-Schuetzenberger coordinates induction reads) as two integer arrays.
-monoid_green caches the structure on the monoid, so it is computed once.
-apex_labels names each J-class for display (J<rank>, or block sizes for
-the pair monoids).
+lclass_coordinates writes each t in L_e as s_i * g over a transversal {s_i}
+and the maximal subgroup G_e (the Schuetzenberger coordinates induction
+reads) as two integer arrays.  monoid_green caches the structure on the
+monoid, so it is computed once.  apex_labels names each J-class for display
+(J<rank>, or block sizes for the pair monoids).
 """
 
 from __future__ import annotations
@@ -143,10 +143,10 @@ def green_structure(monoid: FiniteMonoid):
     kinds of edge, so J_x <= J_y iff x is reachable from y there.
     """
     n = len(monoid)
-    t = monoid.table
+    every = np.arange(n)
     gens = np.asarray(monoid.generating_set(), dtype=np.intp)
-    right = t[:, gens]  # right[x, k] = x * a_k
-    left = np.take(t, gens, axis=0).T  # left[x, k] = a_k * x
+    right = monoid.products(every[:, None], gens)  # right[x, k] = x * a_k
+    left = monoid.products(gens[:, None], every).T  # left[x, k] = a_k * x
 
     lclass_of, lclasses = _classify(_strong_components(left.tolist()))
     rclass_of, rclasses = _classify(_strong_components(right.tolist()))

@@ -414,6 +414,17 @@ class SGLElement:
         raise AttributeError("SGLElement is immutable")
 
     def __mul__(self, other: "SGLElement") -> "SGLElement":
+        """g_a h_b = (gh) at c = (h^-1.a) meet b: composition under the
+        faithful map mu(g_a): d -> g.d on the down-set of a (_faithful_rows).
+
+        The down-set lemma: mu(g_a) o mu(h_b) is defined at d iff d <= b and
+        h.d <= a, that is d <= h^-1.a, as h is a poset automorphism; so iff
+        d <= c, where it sends d to g.(h.d) = (gh).d.  That is mu((gh)_c),
+        and the coset representative acts as gh on the down-set of c.  mu
+        is injective on canonical pairs: the down-set of a has maximum a,
+        and g_a, h_a agree on it iff g^-1 h fixes it pointwise, that is iff
+        they lie in one coset, which has one representative.
+        """
         ctx = self.context
         if ctx is not other.context:
             raise ValueError("elements from different contexts")
@@ -434,6 +445,18 @@ class SGLElement:
     def identity_element(self) -> "SGLElement":
         ctx = self.context
         return ctx.canonical(ctx.group.identity_index, ctx.lattice.top)
+
+    @staticmethod
+    def _faithful_rows(elements) -> np.ndarray:
+        """mu(g_a) for each pair (see __mul__): point d + 1 goes to g.d + 1
+        for lattice indices d <= a, to 0 elsewhere."""
+        ctx = elements[0].context
+        g = np.array([x.g for x in elements], dtype=np.intp)
+        a = np.array([x.a for x in elements], dtype=np.intp)
+        rows = ctx.action.table[g]
+        rows += 1
+        rows *= ctx.lattice.leq[:, a].T
+        return rows
 
     def group_element(self) -> Permutation:
         return self.context.group.elements[self.g]

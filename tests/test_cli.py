@@ -58,6 +58,9 @@ GOLDEN_CASES = {
     # the largest transformation table, and 2471 pairs through sgl_monoid and sgl_order
     "eggbox_t5_all": ["eggbox", "T:5", "--all"],
     "order_sgl_partitions5": ["order", "SGL:partitions:5"],
+    # the benchmark's largest monoid, 1801 pairs, by both structure commands
+    "order_sgl_ordperm4": ["order", "SGL:ordperm:4"],
+    "eggbox_sgl_ordperm4_all": ["eggbox", "SGL:ordperm:4", "--all"],
 }
 
 
@@ -218,6 +221,13 @@ class TestEggboxOptions:
         code, text = invoke(["eggbox", "SGL:ordperm:3", "--jclass", "(2,1)"])
         assert code == EXIT_OK
         assert "jclass (2,1): size 18" in text
+
+    @pytest.mark.parametrize("jclass", ["J2", "J9"])
+    def test_jclass_with_graph_format_exit_2(self, jclass, capsys):
+        # the graph is the whole J-poset: a J-class, known or not, is refused
+        code, text = invoke(["eggbox", "I:3", "--jclass", jclass, "--format", "graph"])
+        assert (code, text) == (EXIT_PARSE, "")
+        assert capsys.readouterr().err.startswith("error: --format graph")
 
 
 class TestIrrepsCommand:
@@ -486,6 +496,47 @@ code = cli.run(sys.argv[1:], io.StringIO())
 ran = [name for name in %r if type(sys.modules["monoidrep." + name]) is types.ModuleType]
 print(json.dumps([code, ran, "fractions" in sys.modules]))
 """ % (LAZY_LAYERS,)
+
+
+# Runs one command in a fresh interpreter and prints the order of every
+# monoid whose table it composed, and whether numpy.ma was loaded.
+_TABLE_PROBE = """
+import io, json, sys
+import monoidrep.cli as cli
+from monoidrep.elements import FiniteMonoid
+composed, table = [], FiniteMonoid.table
+def read(monoid):
+    if monoid._table is None:
+        composed.append(len(monoid))
+    return table.fget(monoid)
+FiniteMonoid.table = property(read)
+code = cli.run(sys.argv[1:], io.StringIO())
+print(json.dumps([code, composed, "numpy.ma" in sys.modules]))
+"""
+
+
+class TestLeftCayleyGraph:
+    @pytest.mark.parametrize("spec,composed", [
+        # pair products read the table of the acting group S_4 (24 elements)
+        ("SGL:ordperm:4", [24]),
+        ("T:4", []),
+        ("S:6", []),
+        ("gens:tests/data/i5_file.gens", []),
+    ])
+    @pytest.mark.parametrize("argv", [["order"], ["eggbox", "--all"], ["eggbox", "--format", "graph"]],
+                             ids=["order", "eggbox_text", "eggbox_graph"])
+    def test_structure_commands_compose_no_monoid_table(self, spec, composed, argv):
+        proc = fresh_python(_TABLE_PROBE, argv[0], spec, *argv[1:])
+        assert json.loads(proc.stdout) == [EXIT_OK, composed, False], proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["irreps", "SGL:ordperm:3", "--check"],
+        ["rep", "S:4", "--build", "specht:(2,1,1)"],
+    ], ids=["irreps", "rep"])
+    def test_representation_commands_leave_numpy_ma_unloaded(self, argv):
+        proc = fresh_python(_TABLE_PROBE, *argv)
+        code, _, masked = json.loads(proc.stdout)
+        assert (code, masked) == (EXIT_OK, False), proc.stderr
 
 
 class TestLayerLoading:

@@ -22,6 +22,7 @@ from monoidrep.elements import (
     all_permutations,
     all_transformations,
     canonical_key,
+    _certify_left_rows,
     closure,
     cycle_link_format,
     cycle_link_parse,
@@ -31,7 +32,7 @@ from monoidrep.elements import (
     symmetric_inverse_monoid,
 )
 from monoidrep.green import maximal_subgroup, monoid_green
-from monoidrep.lattice import make_lattice, maximal_subgroup_at, sgl_monoid
+from monoidrep.lattice import LATTICE_KINDS, make_lattice, maximal_subgroup_at, sgl_monoid
 
 
 def pb(n, *pairs):
@@ -261,10 +262,10 @@ class TestClosure:
         mul = PartialBijection.__mul__
         monkeypatch.setattr(PartialBijection, "__mul__", lambda a, b: products.append(1) or mul(a, b))
         m = closure(gens)
-        # a_k * x for the 631 elements x and 3 generators a_k, then e * e
-        # and e * a_k
+        # a_k * x for the 631 elements x and 3 generators a_k; the identity
+        # laws are read off the image rows, with no product
         assert len(m) == 631
-        assert len(products) == 631 * 3 + 4
+        assert len(products) == 631 * 3
 
     def test_recorded_generators_generate(self):
         for m in (symmetric_inverse_monoid(3), full_transformation_monoid(3), symmetric_group(4)):
@@ -437,8 +438,8 @@ class TestImageTable:
 
     def test_false_identity_raises(self):
         # the constant c1 is a right identity of the constants {c1, c2}, not an
-        # identity, and c2 = c2 * c1 reaches every element; c1 * c2 = c1 fails
-        # the identity laws before any row is composed
+        # identity, and c2 = c2 * c1 reaches every element; the image row
+        # (1, 1) of c1 is not the identity row, so the identity laws fail
         c1, c2 = Transformation([1, 1]), Transformation([2, 2])
         with pytest.raises(ValueError, match="identity laws fail"):
             FiniteMonoid.from_elements([c1, c2], identity=c1, generators=[c2])
@@ -604,6 +605,161 @@ class TestImageTableProperties:
         assert generated_outcome([swap], set(members)) == "do not generate"
         with pytest.raises(ValueError, match="do not generate"):
             FiniteMonoid.from_elements(members, generators=[swap])
+
+
+def old_is_group(table, e):
+    """The former definition: every element has a two-sided inverse, read
+    from all |S|^2 cells."""
+    unit = table == e
+    return bool((unit & unit.T).any(axis=1).all())
+
+
+@st.composite
+def _small_generator_sets(draw):
+    kind = draw(st.sampled_from("SIT"))
+    n = draw(st.integers(1, 5))
+    return draw(st.lists(_element(kind, n), min_size=1, max_size=3))
+
+
+PAIR_SPECS = [(kind, n) for kind in LATTICE_KINDS for n in range(1, 5)]
+
+
+def pair_monoid(spec):
+    return sgl_monoid(make_lattice(*spec)[1])[0]
+
+
+def certificate_inputs(m):
+    """What _closure certifies m's left rows against: the image rows of the
+    elements and of the recorded generators, the left rows and e."""
+    gens = [m.elements[g] for g in m.generating_set()]
+    rows = type(m.elements[0])._faithful_rows(list(m.elements) + gens)
+    return rows[:len(m)], rows[len(m):], m._left.copy(), m.identity_index
+
+
+class TestLeftCayleyGraph:
+    """A closure-built monoid holds its left rows; products, idempotents and
+    the group test read them, and agree with the table composed later."""
+
+    @staticmethod
+    def assert_graph_matches_table(m, seed):
+        n = len(m)
+        every = np.arange(n)
+        gens = np.asarray(m.generating_set(), dtype=np.intp)
+        if n <= 60:
+            xs, ys = every[:, None], every[None, :]
+        else:
+            xs, ys = np.random.default_rng(seed).integers(0, n, size=(2, 4000))
+        assert m._table is None
+        pairs = m.products(xs, ys)
+        right = m.products(every[:, None], gens)
+        left = m.products(gens[:, None], every)
+        idempotents = m.idempotent_indices()
+        group = m.is_group()
+        assert m._table is None  # none of them composed the table
+        t = m.table
+        assert pairs.dtype == right.dtype == TABLE_DTYPE
+        assert np.array_equal(pairs, t[xs, ys])
+        assert np.array_equal(right, t[:, gens])
+        assert np.array_equal(left, t[gens])
+        assert idempotents == tuple(np.flatnonzero(np.diagonal(t) == every).tolist())
+        assert group == old_is_group(t, m.identity_index)
+
+    @settings(max_examples=80, deadline=None)
+    @given(gens=_small_generator_sets(), seed=st.integers(0, 2**32 - 1))
+    def test_generated_monoids(self, gens, seed):
+        self.assert_graph_matches_table(closure(gens), seed)
+
+    @pytest.mark.parametrize("spec", PAIR_SPECS, ids=lambda s: f"{s[0]}:{s[1]}")
+    def test_pair_monoids(self, spec):
+        self.assert_graph_matches_table(pair_monoid(spec), 0)
+
+    @pytest.mark.parametrize("build,group", [
+        (lambda: symmetric_group(4), True),
+        (lambda: symmetric_inverse_monoid(3), False),
+        (lambda: full_transformation_monoid(3), False),
+        (lambda: pair_monoid(("subsets", 2)), False),
+        (lambda: closure([PartialBijection.identity(3)]), True),
+        (lambda: units_of(symmetric_inverse_monoid(3)), True),  # a given table
+        (lambda: FiniteMonoid.from_elements(all_transformations(2)), False),
+    ], ids=["S", "I", "T", "pairs", "trivial", "units", "given_table"])
+    def test_is_group(self, build, group):
+        m = build()
+        assert m.is_group() is group
+        assert old_is_group(m.table, m.identity_index) is group
+
+
+class TestFaithfulCertificate:
+    """_certify_left_rows against corrupted inputs: each mutant raises."""
+
+    MONOIDS = [
+        lambda: symmetric_group(4),
+        lambda: symmetric_inverse_monoid(3),
+        lambda: full_transformation_monoid(3),
+        lambda: closure([cycle_link_parse(t, 5) for t in I_FILE_GENS]),
+        lambda: pair_monoid(("ordered_partitions_zero", 3)),
+        lambda: pair_monoid(("set_partitions", 3)),
+    ]
+    IDS = ["S4", "I3", "T3", "i_file", "ordperm3", "partitions3"]
+
+    @pytest.mark.parametrize("build", MONOIDS, ids=IDS)
+    def test_built_monoids_pass(self, build):
+        _certify_left_rows(*certificate_inputs(build()))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), which=st.integers(0, len(MONOIDS) - 1))
+    def test_one_corrupted_left_cell(self, data, which):
+        rows, gen_rows, left, e = certificate_inputs(self.MONOIDS[which]())
+        k = data.draw(st.integers(0, len(left) - 1))
+        x = data.draw(st.integers(0, left.shape[1] - 1))
+        left[k, x] = data.draw(st.sampled_from(
+            [z for z in range(left.shape[1]) if z != left[k, x]]))
+        with pytest.raises(ValueError, match="a left product disagrees"):
+            _certify_left_rows(rows, gen_rows, left, e)
+
+    @pytest.mark.parametrize("build", MONOIDS, ids=IDS)
+    def test_every_generator_is_checked(self, build):
+        # a corrupted cell of the last generator's row, not the first's
+        rows, gen_rows, left, e = certificate_inputs(build())
+        assert len(left) >= 2
+        left[-1, e] = left[0, e] if left[0, e] != left[-1, e] else (left[-1, e] + 1) % len(rows)
+        with pytest.raises(ValueError, match="a left product disagrees"):
+            _certify_left_rows(rows, gen_rows, left, e)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), which=st.integers(0, len(MONOIDS) - 1))
+    def test_two_elements_sharing_an_image_row(self, data, which):
+        rows, gen_rows, left, e = certificate_inputs(self.MONOIDS[which]())
+        others = [k for k in range(len(rows)) if k != e]
+        i = data.draw(st.sampled_from(others))
+        j = data.draw(st.sampled_from([k for k in range(len(rows)) if k != i]))
+        rows = rows.copy()
+        rows[i] = rows[j]
+        with pytest.raises(ValueError, match="share an image row"):
+            _certify_left_rows(rows, gen_rows, left, e)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), which=st.integers(0, len(MONOIDS) - 1))
+    def test_wrong_identity(self, data, which):
+        rows, gen_rows, left, e = certificate_inputs(self.MONOIDS[which]())
+        other = data.draw(st.sampled_from([k for k in range(len(rows)) if k != e]))
+        with pytest.raises(ValueError, match="identity laws fail"):
+            _certify_left_rows(rows, gen_rows, left, other)
+        rows = rows.copy()
+        rows[e] = rows[other]
+        with pytest.raises(ValueError, match="identity laws fail"):
+            _certify_left_rows(rows, gen_rows, left, e)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), spec=st.sampled_from([("ordered_partitions_zero", 3), ("subsets", 3)]))
+    def test_tables_given_to_the_constructor_keep_lights_test(self, data, spec):
+        m = pair_monoid(spec)
+        n, e = len(m), m.identity_index
+        others = [k for k in range(n) if k != e]
+        p, q = data.draw(st.sampled_from(others)), data.draw(st.sampled_from(others))
+        bad = m.table.copy()
+        bad[p, q] = data.draw(st.sampled_from([k for k in range(n) if k != bad[p, q]]))
+        with pytest.raises(ValueError, match="associativity fails"):
+            FiniteMonoid(m.elements, bad, e, m.generator_indices)
 
 
 class TestTableBudget:
