@@ -4,9 +4,10 @@ Points are 1-based: a degree-n object acts on [n] = {1, ..., n}.
 Composition is right-to-left everywhere: (s * t)(x) = s(t(x)), i.e. t acts
 first.  All element types are immutable values.  Every element of S, I and T
 is one encoding, its image tuple: images[x-1] = s(x), 0 where s is undefined.
-A monoid closed from generators is held as its left Cayley graph, certified
-against the image rows of its elements; its dense table is composed only
-when something reads it.
+Every monoid is held as its left Cayley graph: one closed from generators
+is certified against the image rows of its elements, and a direct product's
+is written from its factors'.  Its dense table is composed only when
+something reads it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ DEFAULT_CLOSURE_CAP = math.isqrt(TABLE_BYTES_BUDGET // TABLE_DTYPE.itemsize)
 # intp.
 assert DEFAULT_CLOSURE_CAP <= np.iinfo(TABLE_DTYPE).max + 1
 
-# associativity is checked, and product tables are summed, in blocks of
+# Light's test and the left-row certificate are checked in blocks of
 # about this many cells, so the temporaries of one block stay small next to
 # the table (128 KB of two-byte cells each) while a block still amortizes
 # numpy's per-call cost
@@ -290,17 +291,20 @@ class FiniteMonoid:
     """An enumerated finite monoid: elements in canonical order, products by
     index.
 
-    table[i, j] is the index of elements[i] * elements[j], held as a
-    TABLE_DTYPE (two-byte) cell.  A table given to the constructor may have
-    any integer dtype: its cells are checked to lie in 0..n-1 before it is
-    narrowed, and n is within the table budget, so the narrowing is exact;
-    it must pass Light's test.  Recorded generator indices must generate
-    the monoid; with none given, the greedy generating set is recorded.
-
-    A monoid built by _closure holds only its left Cayley graph: the
-    generators' left rows a_k * x.  Its table is composed from them on
-    first read and then kept.  products() reads the graph, so a monoid
+    Every monoid holds its left Cayley graph: the generators' left rows
+    a_k * x.  products() reads the graph, and the dense table, table[i, j]
+    the index of elements[i] * elements[j] in a TABLE_DTYPE (two-byte)
+    cell, is composed from it on first read and then kept.  So a monoid
     whose table is never read never holds one.
+
+    The program builds every monoid as a graph: _closure certifies the
+    rows it finds against the elements' image rows, and product_monoid
+    writes its rows from its factors'.  A table given to the constructor
+    may have any integer dtype: its cells are checked to lie in 0..n-1
+    before it is narrowed, and n is within the table budget, so the
+    narrowing is exact; it must pass Light's test, and its generators' rows
+    table[gens] become the graph.  Recorded generator indices must generate
+    the monoid; with none given, the greedy set is recorded.
     """
 
     def __init__(self, elements, table, identity_index: int, generator_indices=None):
@@ -321,11 +325,14 @@ class FiniteMonoid:
         if len(self._index) != n:
             raise ValueError("duplicate elements")
         self._validate()
+        self._left = self._table[np.asarray(self.generator_indices, dtype=np.intp)]
+        self._tree = None
 
     @classmethod
     def _from_left_rows(cls, elements, left, identity_index: int) -> "FiniteMonoid":
-        """The monoid _closure found and certified: left[k][x] indexes a_k * x,
-        and a_k = a_k * e is left[k][e]."""
+        """The monoid whose left rows are proved by the caller (_closure's
+        certificate, or product_monoid's construction): left[k][x] indexes
+        a_k * x, and a_k = a_k * e is left[k][e]."""
         monoid = object.__new__(cls)
         monoid.elements = tuple(elements)
         monoid._table = None
@@ -348,17 +355,15 @@ class FiniteMonoid:
 
     def products(self, xs, ys) -> np.ndarray:
         """The indices of xs * ys, elementwise over the broadcast index
-        arrays.  From the table when one is held.  Otherwise each x is
-        a_k1 * (a_k2 * (... * e)) along the breadth-first tree of the left
-        rows, so x * y = a_k1 * (a_k2 * (... * y)) by associativity, and the
-        left rows are applied to y from the root's end of the word, one
-        tree level at a time: there are as many steps as the deepest x."""
+        arrays.  Each x is a_k1 * (a_k2 * (... * e)) along the breadth-first
+        tree of the left rows, so x * y = a_k1 * (a_k2 * (... * y)) by
+        associativity, and the left rows are applied to y from the root's
+        end of the word, one tree level at a time: there are as many steps
+        as the deepest x."""
         xs, ys = np.broadcast_arrays(np.asarray(xs, dtype=np.intp), np.asarray(ys, dtype=np.intp))
-        if self._table is not None:
-            return self._table[xs, ys]
         if self._tree is None:
-            # the tree _closure's own search found: the same breadth-first
-            # order over the same edges, under the canonical labels
+            # the breadth-first tree of the left rows; for a closure-built
+            # monoid, the one its search found, under the canonical labels
             order, via = _reach(self._left.tolist(), self.identity_index)
             n, identity_row = len(order), len(self._left)
             parent = np.full(n, self.identity_index, dtype=TABLE_DTYPE)
@@ -382,19 +387,23 @@ class FiniteMonoid:
     def _validate(self):
         n = len(self.elements)
         e = self.identity_index
+        t = self._table
         idx = np.arange(n)
-        if not (np.array_equal(self.table[e], idx) and np.array_equal(self.table[:, e], idx)):
+        if not (np.array_equal(t[e], idx) and np.array_equal(t[:, e], idx)):
             raise ValueError("identity laws fail")
+
+        def column(g):  # column(g)[x] indexes x * g
+            return t[:, g].tolist()
+
         if self.generator_indices is None:
-            self.generator_indices = self._greedy_generators()
-        elif len(self._generated_by(self.generator_indices)) != n:
+            self.generator_indices = _greedy_generators(column, range(n), e)
+        elif len(_reach([column(g) for g in self.generator_indices], e)[0]) != n:
             raise ValueError("recorded generators do not generate the monoid")
         # Light's test (Clifford & Preston I, 1.2): (x*a)*y = x*(a*y) for every
         # generator a and all x, y.  The elements a passing it include the
         # identity and the generators, and they are closed under products:
         # for a, b passing, (x*ab)*y = ((x*a)*b)*y = (x*a)*(b*y)
         # = x*(a*(b*y)) = x*((ab)*y).  So every element passes.
-        t = self.table
         gens = np.asarray(self.generator_indices, dtype=np.intp)
         right = t[gens]  # right[k, y] = a_k*y
         step = max(1, TABLE_BLOCK_CELLS // (n * len(gens) or 1))
@@ -432,50 +441,32 @@ class FiniteMonoid:
         return bool((np.sort(rows, axis=1) == every).all())
 
     def generating_set(self) -> tuple:
-        """The recorded generator indices, or the greedy set _validate
-        recorded when none were given."""
+        """The recorded generator indices, or the greedy set recorded when
+        none were given."""
         return self.generator_indices
-
-    def _greedy_generators(self) -> tuple:
-        """Add the least element not yet reached until every element is."""
-        gens = []
-        reached = self._generated_by(gens)
-        n = len(self)
-        while len(reached) < n:
-            gens.append(min(set(range(n)).difference(reached)))
-            reached = self._generated_by(gens)
-        return tuple(gens)
-
-    def _generated_by(self, gens) -> list:
-        """The indices x * w for the words w in gens, from x = the identity,
-        breadth first over the generator columns."""
-        columns = self.products(np.arange(len(self)), np.asarray(gens, dtype=np.intp)[:, None])
-        return _reach(columns.tolist(), self.identity_index)[0]
 
     @classmethod
     def from_elements(cls, elements, identity=None, generators=None) -> "FiniteMonoid":
-        """Build a monoid from an explicit closed element set: by _closure
-        within the set, which must reach all of it, from recorded
-        generators; from all |S|^2 products without them."""
+        """Build a monoid from an explicit closed element set by _closure
+        within the set, which must reach all of it.  With recorded
+        generators, from their left products.  Without them, every element
+        is a generator, in canonical order, so the closure's left rows are
+        the whole table, left[k][x] the index of elements[k] * elements[x];
+        the greedy set is read from their columns and its rows are kept."""
         if identity is None:
             identity = elements[0].identity_element()
         members = {e: e for e in elements}  # each element to the caller's object
         identity = members.setdefault(identity, identity)
         check_table_budget(len(members))
-        if generators is not None:
-            monoid = _closure(list(generators), identity, len(members), members)
-            if len(monoid) != len(members):
-                raise ValueError("recorded generators do not generate the monoid")
-            return monoid
-        ordered = sorted(members, key=canonical_key)
-        index = {e: k for k, e in enumerate(ordered)}
-        table = np.empty((len(ordered), len(ordered)), dtype=TABLE_DTYPE)
-        try:
-            for row, a in zip(table, ordered):
-                row[:] = [index[a * x] for x in ordered]
-        except KeyError:
-            raise ValueError("element set is not multiplicatively closed") from None
-        return cls(ordered, table, index[identity])
+        if generators is None:
+            monoid = _closure(sorted(members, key=canonical_key), identity, len(members), members)
+            left, e = monoid._left, monoid.identity_index
+            gens = _greedy_generators(lambda g: left[:, g].tolist(), range(len(left)), e)
+            return cls._from_left_rows(monoid.elements, left[list(gens)], e)
+        monoid = _closure(list(generators), identity, len(members), members)
+        if len(monoid) != len(members):
+            raise ValueError("recorded generators do not generate the monoid")
+        return monoid
 
 
 def check_table_budget(size: int) -> None:
@@ -502,6 +493,21 @@ def _reach(succ, root: int):
                 order.append(u)
                 via.append((v, k))
     return order, via
+
+
+def _greedy_generators(column, candidates, root: int) -> tuple:
+    """The greedy generating set: each candidate, in ascending order, that
+    the ones taken before it do not reach, where column(g)[x] indexes x * g
+    and the set reached is the root's orbit under x -> x * g (_reach).
+    Every candidate taken is reached, as g = root * g, and the set reached
+    only grows, so each one taken is the least candidate not yet reached."""
+    gens, columns, reached = [], [], {root}
+    for g in candidates:
+        if g not in reached:
+            gens.append(g)
+            columns.append(column(g))
+            reached = set(_reach(columns, root)[0])
+    return tuple(gens)
 
 
 def _compose_rows(succ, maps, root: int, root_row) -> np.ndarray:
@@ -566,33 +572,54 @@ def _closure(generators, identity, cap: int, within=None) -> FiniteMonoid:
 
 def _certify_left_rows(rows, generator_rows, left, e: int) -> None:
     """Raise ValueError unless the left rows are those of a monoid with
-    identity e, on the image rows mu(x) = rows[x] of the found set F.
+    identity e, generated by the a_k, on the image rows mu(x) = rows[x] of
+    the found set F and mu(a_k) = generator_rows[k].
 
     Each element family gives mu (its _faithful_rows): a map into partial
     maps of [m], 0 where undefined, that is injective and under which the
-    family's product is composition, mu(x * y) = mu(x) o mu(y).  Checked:
-    (i) mu(e) is the identity row; (ii) the rows of F are pairwise
-    distinct; (iii) mu(left[k][x]) = mu(a_k) o mu(x) for every k and x.
+    family's product is composition, mu(x * y) = mu(x) o mu(y).  mu(e) need
+    not be the identity map: a maximal subgroup's identity is an idempotent
+    of the ambient monoid.  Checked: (i) mu(e) o mu(x) = mu(x) = mu(x) o
+    mu(e) for every x in F; (ii) the rows of F are pairwise distinct; (iii)
+    mu(left[k][x]) = mu(a_k) o mu(x) for every k and x; (iv) mu(a_k) o mu(e)
+    = mu(a_k) for every k.
     Let T be the table _compose_rows builds along the breadth-first tree:
     T[e, y] = y, and T[x, y] = left[k][T[v, y]] for x = left[k][v].  By
     induction on the depth of x, mu(T[x, y]) = mu(x) o mu(y): at x = e by
-    (i), and below, mu(T[x, y]) = mu(a_k) o mu(v) o mu(y) = mu(x) o mu(y)
-    by (iii) twice.  Composition is associative, with identity mu(e), so
-    by (ii) T is associative with identity e, and it is the element
-    product: mu(x * y) = mu(T[x, y]) and mu is injective.  So F is closed
-    under products and is the closure of the generators, and at x = e,
-    (iii) makes left[k][e] = a_k * e = a_k.  The cost is |A| |S| m
+    the left half of (i), and below, mu(T[x, y]) = mu(a_k) o mu(v) o mu(y)
+    = mu(x) o mu(y) by (iii) twice.  Composition is associative, so by (ii)
+    T is: both bracketings of x y z have the row mu(x) o mu(y) o mu(z).
+    T[e, y] = y, and mu(T[x, e]) = mu(x) o mu(e) = mu(x) by (i), so T[x, e]
+    = x by (ii): e is T's identity.  T is the element product, as mu(x * y)
+    = mu(T[x, y]) and mu is injective, so F is closed under products.  At
+    x = e, (iii) and (iv) give mu(left[k][e]) = mu(a_k) o mu(e) = mu(a_k),
+    so left[k][e] = a_k: the generators lie in F and are the ones given.
+    Every x in F is a_k1 * (... * (a_kj * e)) along the tree, so F is the
+    monoid with identity e that the a_k generate.  The cost is |A| |S| m
     lookups, against Light's test's |A| |S|^2.
     """
     width = rows.shape[1]
-    if not np.array_equal(rows[e], np.arange(1, width + 1)):
-        raise ValueError("identity laws fail")
+    step = max(1, TABLE_BLOCK_CELLS // width)
+    unit = rows[e]
+
+    def then(block, a):  # mu(x) o mu(a) for each row mu(x) of block
+        return np.pad(block, ((0, 0), (1, 0)))[:, a]
+
+    def lookup(a):  # mu(a) o mu(x) = lookup(a)[mu(x)]
+        return np.concatenate(([0], a)).astype(rows.dtype)
+
+    on_unit = lookup(unit)
+    for i in range(0, len(rows), step):
+        block = rows[i:i + step]
+        if not (np.array_equal(on_unit[block], block) and np.array_equal(then(block, unit), block)):
+            raise ValueError("identity laws fail")
+    if not np.array_equal(then(generator_rows, unit), generator_rows):
+        raise ValueError("identity laws fail: a generator is not fixed by the identity")
     ranked = rows[np.lexsort(rows.T)]
     if (ranked[1:] == ranked[:-1]).all(axis=1).any():
         raise ValueError("two elements share an image row")
-    step = max(1, TABLE_BLOCK_CELLS // width)
     for a, succ in zip(generator_rows, left):
-        composed = np.concatenate(([0], a)).astype(rows.dtype)
+        composed = lookup(a)
         for i in range(0, len(rows), step):
             if not np.array_equal(composed[rows[i:i + step]], rows[succ[i:i + step]]):
                 raise ValueError("a left product disagrees with the image rows")
@@ -616,13 +643,20 @@ def closure(generators, identity=None, cap: int = DEFAULT_CLOSURE_CAP) -> Finite
 
 
 def product_monoid(*factors: FiniteMonoid) -> FiniteMonoid:
-    """Direct product; elements are tuples, one coordinate per factor.
+    """Direct product; elements are tuples, one coordinate per factor, held
+    as the left Cayley graph of the factors' generators.
 
-    Flat index i has coordinate c_k(i) = (i // stride_k) % |M_k| in factor k,
-    and the product of i and j is the sum of stride_k * t_k[c_k(i), c_k(j)].
-    Each partial sum is the flat index of a tuple, below the order, so the
-    table is summed in its own two-byte cells exactly, a block of rows at a
-    time.
+    Flat index i has coordinate c_k(i) = (i // stride_k) % |M_k| in factor
+    k.  The generators are each factor's generators a, the other
+    coordinates at their identities.  The product is coordinatewise, so
+    such an a of factor k moves coordinate k alone: its left row sends i to
+    i + stride_k * (a * c_k(i) - c_k(i)), read from the factor's products.
+    These rows are exact left products of the direct product, a monoid, so
+    they are its left Cayley graph, and the table _compose_rows builds from
+    them is its product (see _compose_rows).  The generators generate it:
+    (x_1, ..., x_r) is the product of its coordinates embedded one at a
+    time, and each x_k is a word in the generators of M_k.  The identity is
+    the tuple of identities, and a = a * e lies in its row.
     """
     if not factors:
         raise ValueError("need at least one factor")
@@ -637,20 +671,14 @@ def product_monoid(*factors: FiniteMonoid) -> FiniteMonoid:
     elements = [tuple(t) for t in itertools.product(*(m.elements for m in factors))]
 
     flat = np.arange(acc)
-    coords = [(flat // stride) % n for stride, n in zip(strides, sizes)]
-    table = np.zeros((acc, acc), dtype=TABLE_DTYPE)
-    step = max(1, TABLE_BLOCK_CELLS // acc)
-    for i in range(0, acc, step):
-        rows = table[i:i + step]
-        for m, stride, c in zip(factors, strides, coords):
-            part = m.table[np.ix_(c[i:i + step], c)]
-            part *= stride
-            rows += part
+    left = []
+    for m, stride, size in zip(factors, strides, sizes):
+        c = (flat // stride) % size
+        for g in m.generating_set():
+            left.append(flat + stride * (m.products(g, c) - c))
+    left = np.array(left, dtype=TABLE_DTYPE).reshape(-1, acc)
     identity = sum(m.identity_index * s for m, s in zip(factors, strides))
-    # each factor's generators, the other coordinates at their identities
-    gens = [identity + (g - m.identity_index) * stride
-            for m, stride in zip(factors, strides) for g in m.generating_set()]
-    return FiniteMonoid(elements, table, identity, gens)
+    return FiniteMonoid._from_left_rows(elements, left, identity)
 
 
 # -- enumerations of the running examples ----------------------------------

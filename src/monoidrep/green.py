@@ -11,11 +11,14 @@ table here.  Class ids are assigned in order of least contained element, so
 all derived structure is deterministic.  Since the monoids here are finite,
 D coincides with J and is not represented separately.
 
+maximal_subgroup closes G_e, the H-class of an idempotent e and the group
+of units of eMe, as a certified left Cayley graph with identity e.
 lclass_coordinates writes each t in L_e as s_i * g over a transversal {s_i}
-and the maximal subgroup G_e (the Schuetzenberger coordinates induction
-reads) as two integer arrays.  monoid_green caches the structure on the
-monoid, so it is computed once.  apex_labels names each J-class for display
-(J<rank>, or block sizes for the pair monoids).
+and G_e (the Schuetzenberger coordinates induction reads) as two integer
+arrays.  monoid_green caches the structure on the monoid, so it is
+computed once, and maximal_subgroup caches each G_e beside it.
+apex_labels names each J-class for display (J<rank>, or block sizes for
+the pair monoids).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .elements import TABLE_DTYPE, FiniteMonoid, PartialBijection, Transformation
+from .elements import FiniteMonoid, PartialBijection, Transformation, _greedy_generators
 from .lattice import SGLElement
 
 
@@ -130,12 +133,14 @@ def _strong_components(succ):
 def green_structure(monoid: FiniteMonoid):
     """Green classes and J-order from the Cayley graphs of a generating set.
 
-    Let A = monoid.generating_set().  It generates S as a monoid:
-    FiniteMonoid._validate proves this of recorded generators, and the
-    greedy set reaches every element by construction.  So every u in S is
-    a product a_1 ... a_k of generators (k = 0 for the identity), and xS =
-    {x a_1 ... a_k} is exactly the set of nodes reachable from x in the
-    right graph x -> x a.  Hence xS = yS, that is x R y, iff x and y reach
+    Let A = monoid.generating_set().  It generates S as a monoid: the
+    closure's certificate (elements._certify_left_rows) proves this of a
+    monoid closed from A, product_monoid's construction of a direct
+    product, and FiniteMonoid._validate of a table given with recorded
+    generators; a greedy set reaches every element by construction.  So
+    every u in S is a product a_1 ... a_k of generators (k = 0 for the
+    identity), and xS = {x a_1 ... a_k} is exactly the set of nodes
+    reachable from x in the right graph x -> x a.  Hence xS = yS, that is x R y, iff x and y reach
     each other: R-classes are the strongly connected components of the
     right graph.  Dually, Sx is the set reachable in the left graph
     x -> a x, and L-classes are its components.  By associativity, S x S =
@@ -205,6 +210,7 @@ def monoid_green(monoid: FiniteMonoid):
     if cached is None:
         cached = green_structure(monoid)
         monoid._green_cache = cached
+        monoid._subgroup_cache = {}  # maximal_subgroup's, by idempotent
     return cached
 
 
@@ -257,25 +263,34 @@ def eggbox(monoid: FiniteMonoid, classes: GreenClasses, jclass: int) -> Eggbox:
 
 
 def maximal_subgroup(monoid: FiniteMonoid, classes: GreenClasses, e: int) -> FiniteMonoid:
-    """The H-class of the idempotent e as a group with identity e."""
-    if monoid.table[e, e] != e:
+    """The H-class of the idempotent e as a group with identity e: G_e, the
+    group of units of eMe, closed by FiniteMonoid.from_elements within H_e
+    from its greedy generating set, read off the monoid's products.
+
+    Green's theorem (Howie 2.2.5): the H-class of an idempotent is closed
+    under products and is a group with identity e.  The closure refuses a
+    product outside H_e and certifies the rest; a refusal, or a failed
+    group test, proves the classes wrong.  For the classes monoid_green
+    returns, each G_e is closed once and cached beside them.
+    """
+    if monoid.products(e, e) != e:
         raise ValueError("e is not idempotent")
-    members = np.asarray(classes.hclasses[classes.hclass_of[e]], dtype=np.intp)
-    products = monoid.table[np.ix_(members, members)]
-    inside = np.zeros(len(monoid), dtype=bool)
-    inside[members] = True
-    # Green's theorem (Howie 2.2.5): the H-class of an idempotent is closed
-    # under products and is a group with identity e; a product landing
-    # outside it, or a failed group axiom below, proves the classes wrong
-    if not inside[products].all():
-        raise RuntimeError("H-class of an idempotent is not closed")
-    position = np.zeros(len(monoid), dtype=TABLE_DTYPE)
-    position[members] = np.arange(len(members))
-    table = position[products]
-    group = FiniteMonoid([monoid.elements[m] for m in members], table, position[e])
-    if not group.is_group():
-        raise RuntimeError("H-class of e fails the group axioms")
-    return group
+    cached = getattr(monoid, "_green_cache", None)
+    cache = monoid._subgroup_cache if cached is not None and cached[0] is classes else {}
+    if e not in cache:
+        members = classes.hclasses[classes.hclass_of[e]]
+        every = np.arange(len(monoid))
+        gens = _greedy_generators(lambda g: monoid.products(every, g).tolist(), members, e)
+        elements = monoid.elements
+        try:
+            group = FiniteMonoid.from_elements([elements[m] for m in members], elements[e],
+                                               [elements[g] for g in gens])
+        except ValueError as err:
+            raise RuntimeError("H-class of an idempotent is not closed") from err
+        if not group.is_group():
+            raise RuntimeError("H-class of e fails the group axioms")
+        cache[e] = group
+    return cache[e]
 
 
 def transversal(monoid: FiniteMonoid, classes: GreenClasses, e: int) -> Transversal:

@@ -26,7 +26,7 @@ from monoidrep.cli import (
 )
 from monoidrep import cli, cliffmunn, green, lattice, specht
 from monoidrep.cliffmunn import cm_catalog, induce
-from monoidrep.elements import FiniteMonoid, Permutation
+from monoidrep.elements import FiniteMonoid
 from monoidrep.linrep import Representation, parse_representation_payload
 from monoidrep.specht import partitions
 
@@ -47,6 +47,8 @@ GOLDEN_CASES = {
     "rep_i3_induce_j1_1": ["rep", "I:3", "--build", "induce:J1:(1)"],
     "rep_i3_reduce_mapping_j2": ["rep", "I:3", "--build", "reduce:mapping:J2"],
     "rep_sgl_ordperm3_induce_12_1_2": ["rep", "SGL:ordperm:3", "--build", "induce:(1,2):((1),(2))"],
+    # a subgroup S_3 at a non-identity idempotent of a non-inverse monoid
+    "rep_t4_reduce_mapping_j3": ["rep", "T:4", "--build", "reduce:mapping:J3"],
     "eggbox_sgl_ordperm4_graph": ["eggbox", "SGL:ordperm:4", "--format", "graph"],
     # a non-regular closure in T_4: 7 J-classes, 3 without an idempotent
     "eggbox_t4_nonregular_all": ["eggbox", "gens:tests/data/t4_nonregular.gens", "--all"],
@@ -323,25 +325,44 @@ class TestRepCommand:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("spec,builds", [
-        ("S:4", {24: 2}),  # the spec, then S_4 once for all five shapes
+        ("S:4", {24: 1}),  # S_4 once for all five shapes
         ("I:4", {1: 1, 2: 1, 6: 1, 24: 1}),  # one S_m per subgroup degree
     ])
     def test_specht_builds_each_symmetric_group_once(self, monkeypatch, spec, builds):
+        # the symmetric groups specht builds for itself, through _symmetric_group
         monkeypatch.setattr(specht, "_SPECHT_CACHE", {})
         monkeypatch.setattr(specht, "_SYMMETRIC_GROUPS", {})
         sizes = []
-        build = FiniteMonoid.from_elements.__func__
-
-        def counted(cls, *args, **kwargs):
-            m = build(cls, *args, **kwargs)
-            if isinstance(m.elements[0], Permutation):
-                sizes.append(len(m))
-            return m
-
-        monkeypatch.setattr(FiniteMonoid, "from_elements", classmethod(counted))
+        build = specht.symmetric_group
+        monkeypatch.setattr(specht, "symmetric_group", lambda m: sizes.append(math.factorial(m)) or build(m))
         code, _ = invoke(["irreps", spec, "--check"])
         assert code == EXIT_OK
         assert Counter(sizes) == builds
+
+    def test_each_maximal_subgroup_is_closed_once(self, monkeypatch):
+        # 17 subgroup requests over the 5 J-classes of SGL:subsets:4, one
+        # closure per J-class's idempotent
+        calls, closed, inside = [], [], []
+        subgroup, build = cliffmunn.maximal_subgroup, FiniteMonoid.from_elements.__func__
+
+        def requested(*args):
+            calls.append(1)
+            inside.append(1)
+            try:
+                return subgroup(*args)
+            finally:
+                inside.pop()
+
+        def counted(cls, *args, **kwargs):
+            if inside:
+                closed.append(1)
+            return build(cls, *args, **kwargs)
+
+        monkeypatch.setattr(cliffmunn, "maximal_subgroup", requested)
+        monkeypatch.setattr(FiniteMonoid, "from_elements", classmethod(counted))
+        code, _ = invoke(["irreps", "SGL:subsets:4", "--check"])
+        assert code == EXIT_OK
+        assert (len(calls), len(closed)) == (17, 5)
 
     def test_reduce_build(self):
         code, text = invoke(["rep", "I:3", "--build", "reduce:mapping:J2"])
@@ -528,6 +549,28 @@ class TestLeftCayleyGraph:
     def test_structure_commands_compose_no_monoid_table(self, spec, composed, argv):
         proc = fresh_python(_TABLE_PROBE, argv[0], spec, *argv[1:])
         assert json.loads(proc.stdout) == [EXIT_OK, composed, False], proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["irreps", "I:4", "--check"],
+        ["irreps", "SGL:ordperm:3", "--check"],
+        ["irreps", "SGL:partitions:3", "--check"],
+        # S_3 at a non-identity idempotent of a non-inverse monoid
+        ["rep", "T:4", "--build", "reduce:mapping:J3"],
+        # Young subgroups through product_monoid
+        ["rep", "SGL:ordperm:3", "--build", "induce:(1,2):((1),(2))"],
+    ], ids=["irreps_I4", "irreps_ordperm3", "irreps_partitions3", "reduce_T4", "induce_ordperm3"])
+    def test_representation_commands_hand_no_table_to_the_constructor(self, monkeypatch, argv):
+        # every monoid, subgroup and direct product is built as a certified
+        # left Cayley graph: neither the public constructor nor Light's test runs
+        def refused(*args, **kwargs):
+            raise AssertionError("a table was handed to the constructor")
+
+        monkeypatch.setattr(FiniteMonoid, "__init__", refused)
+        monkeypatch.setattr(FiniteMonoid, "_validate", refused)
+        monkeypatch.setattr(specht, "_SPECHT_CACHE", {})
+        monkeypatch.setattr(specht, "_SYMMETRIC_GROUPS", {})
+        code, _ = invoke(argv)
+        assert code == EXIT_OK
 
     @pytest.mark.parametrize("argv", [
         ["irreps", "SGL:ordperm:3", "--check"],

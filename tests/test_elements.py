@@ -269,7 +269,7 @@ class TestClosure:
 
     def test_recorded_generators_generate(self):
         for m in (symmetric_inverse_monoid(3), full_transformation_monoid(3), symmetric_group(4)):
-            reached = m._generated_by(list(m.generator_indices))
+            reached = generated_by(m, m.generator_indices)
             assert len(reached) == len(m)
 
 
@@ -438,11 +438,42 @@ class TestImageTable:
 
     def test_false_identity_raises(self):
         # the constant c1 is a right identity of the constants {c1, c2}, not an
-        # identity, and c2 = c2 * c1 reaches every element; the image row
-        # (1, 1) of c1 is not the identity row, so the identity laws fail
+        # identity, and c2 = c2 * c1 reaches every element; c1 * c2 = c1 is
+        # not c2, so the identity laws fail
         c1, c2 = Transformation([1, 1]), Transformation([2, 2])
         with pytest.raises(ValueError, match="identity laws fail"):
             FiniteMonoid.from_elements([c1, c2], identity=c1, generators=[c2])
+
+    SWAP_12 = PartialBijection(3, [(1, 2), (2, 1)])
+    ID_12 = PartialBijection.partial_identity(3, [1, 2])
+
+    @pytest.mark.parametrize("build", [
+        lambda gens, e: closure(gens, identity=e),
+        lambda gens, e: FiniteMonoid.from_elements([e] + gens, identity=e, generators=gens),
+    ], ids=["closure", "from_elements"])
+    def test_identity_need_not_be_the_family_identity(self, build):
+        # the group {id on {1, 2}, (1 2) on {1, 2}} inside I_3: its identity
+        # is a partial identity, not the identity map of [3]
+        m = build([self.SWAP_12], self.ID_12)
+        assert m.elements == (self.ID_12, self.SWAP_12)
+        assert m.elements[m.identity_index] == self.ID_12
+        assert m.generating_set() == (1,)
+        assert m.is_group()
+        assert np.array_equal(m.table, [[0, 1], [1, 0]])
+
+    @pytest.mark.parametrize("build", [
+        lambda gens, e: closure(gens, identity=e),
+        lambda gens, e: FiniteMonoid.from_elements([e, TestImageTable.SWAP_12], identity=e,
+                                                   generators=gens),
+    ], ids=["closure", "from_elements"])
+    def test_generator_not_fixed_by_the_identity_raises(self, build):
+        # (1 2) on all of [3] composes with the identity on {1, 2} to the swap
+        # on {1, 2}, a group with that identity; but the generator itself is
+        # not fixed by the identity, so it is not in any monoid with it
+        full_swap = Permutation.from_cycle(3, (1, 2)).to_partial_bijection()
+        assert full_swap * self.ID_12 == self.SWAP_12
+        with pytest.raises(ValueError, match="identity laws fail: a generator is not fixed"):
+            build([full_swap], self.ID_12)
 
     def test_is_group(self):
         assert symmetric_group(4).is_group()
@@ -752,14 +783,27 @@ class TestFaithfulCertificate:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), spec=st.sampled_from([("ordered_partitions_zero", 3), ("subsets", 3)]))
     def test_tables_given_to_the_constructor_keep_lights_test(self, data, spec):
+        # a corrupted cell outside the identity's row and column and outside
+        # the generators' columns, which the generation check reads
         m = pair_monoid(spec)
         n, e = len(m), m.identity_index
         others = [k for k in range(n) if k != e]
-        p, q = data.draw(st.sampled_from(others)), data.draw(st.sampled_from(others))
+        p = data.draw(st.sampled_from(others))
+        q = data.draw(st.sampled_from([k for k in others if k not in m.generator_indices]))
         bad = m.table.copy()
         bad[p, q] = data.draw(st.sampled_from([k for k in range(n) if k != bad[p, q]]))
         with pytest.raises(ValueError, match="associativity fails"):
             FiniteMonoid(m.elements, bad, e, m.generator_indices)
+
+    def test_a_corrupted_generator_column_fails_generation(self):
+        # cell (1, 13) of the subsets pairs at n = 3 lies in the column of
+        # generator 13; set to 0, the generators no longer reach every element
+        m = pair_monoid(("subsets", 3))
+        assert 13 in m.generator_indices and m.identity_index not in (1, 13)
+        bad = m.table.copy()
+        bad[1, 13] = 0
+        with pytest.raises(ValueError, match="do not generate"):
+            FiniteMonoid(m.elements, bad, m.identity_index, m.generator_indices)
 
 
 class TestTableBudget:
@@ -814,6 +858,94 @@ def units_of(m):
     return maximal_subgroup(m, monoid_green(m)[0], m.identity_index)
 
 
+def table_subgroup(m, classes, e):
+    """The former maximal_subgroup: the products of H_e gathered from the
+    monoid's table and handed, renumbered, to the constructor."""
+    members = np.asarray(classes.hclasses[classes.hclass_of[e]], dtype=np.intp)
+    position = np.zeros(len(m), dtype=np.intp)
+    position[members] = np.arange(len(members))
+    table = position[m.table[np.ix_(members, members)]]
+    return FiniteMonoid([m.elements[x] for x in members], table, position[e])
+
+
+def block_summed_product(*factors):
+    """The former product_monoid table: stride_k * t_k[c_k(i), c_k(j)]
+    summed over the factors, and its generators."""
+    sizes = [len(m) for m in factors]
+    strides = [math.prod(sizes[k + 1:]) for k in range(len(sizes))]
+    flat = np.arange(math.prod(sizes))
+    table = np.zeros((len(flat), len(flat)), dtype=np.intp)
+    for m, stride, size in zip(factors, strides, sizes):
+        c = (flat // stride) % size
+        table += stride * m.table[np.ix_(c, c)].astype(np.intp)
+    identity = sum(m.identity_index * s for m, s in zip(factors, strides))
+    gens = tuple(identity + (g - m.identity_index) * stride
+                 for m, stride in zip(factors, strides) for g in m.generating_set())
+    return table, identity, gens
+
+
+SMALL_FACTORS = [
+    lambda: symmetric_group(1),
+    lambda: symmetric_group(3),
+    lambda: symmetric_inverse_monoid(2),
+    lambda: full_transformation_monoid(2),
+    lambda: closure([Transformation([2, 2, 3]), Transformation([1, 3, 1])]),
+    lambda: closure([TestImageTable.SWAP_12], identity=TestImageTable.ID_12),
+    lambda: FiniteMonoid(full_transformation_monoid(2).elements, full_transformation_monoid(2).table,
+                         full_transformation_monoid(2).identity_index),  # a given table
+    lambda: pair_monoid(("subsets", 2)),
+]
+
+
+class TestFormerTableRoutes:
+    """The routes that handed tables to the constructor, kept as oracles for
+    the graph-built monoids that replace them."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: symmetric_inverse_monoid(3),
+        lambda: symmetric_inverse_monoid(4),
+        lambda: full_transformation_monoid(3),
+        lambda: full_transformation_monoid(4),
+        *[lambda kind=kind: pair_monoid((kind, 3)) for kind in LATTICE_KINDS],
+    ], ids=["I3", "I4", "T3", "T4", *[f"{kind}3" for kind in LATTICE_KINDS]])
+    def test_maximal_subgroups_match_the_table_route(self, build):
+        m = build()
+        classes = monoid_green(m)[0]
+        for e in m.idempotent_indices():
+            group, old = maximal_subgroup(m, classes, e), table_subgroup(m, classes, e)
+            assert group.elements == old.elements
+            assert group.identity_index == old.identity_index
+            assert np.array_equal(group.table, old.table)
+            assert group.generating_set() == old.generating_set()
+            assert maximal_subgroup(m, classes, e) is group  # closed once
+
+    @settings(max_examples=60, deadline=None)
+    @given(picks=st.lists(st.integers(0, len(SMALL_FACTORS) - 1), min_size=1, max_size=3))
+    def test_product_monoid_matches_the_block_summed_table(self, picks):
+        factors = [SMALL_FACTORS[k]() for k in picks]
+        p = product_monoid(*factors)
+        table, identity, gens = block_summed_product(*factors)
+        assert p.elements == tuple(itertools.product(*(m.elements for m in factors)))
+        assert p.identity_index == identity
+        assert p.generating_set() == gens
+        assert np.array_equal(p.table, table)
+
+    @pytest.mark.parametrize("build", [
+        lambda: (all_permutations(3), None),
+        lambda: (all_partial_bijections(2), None),
+        lambda: (all_transformations(2), None),
+        lambda: (all_transformations(3), None),
+        lambda: (maximal_subgroup_at(make_lattice("subsets", 3)[1], 6).elements, None),
+        lambda: ([TestImageTable.ID_12, TestImageTable.SWAP_12], TestImageTable.ID_12),
+    ], ids=["S3", "I2", "T2", "T3", "pair_subgroup", "partial_identity"])
+    def test_from_elements_records_the_constructors_greedy_set(self, build):
+        els, identity = build()
+        m = FiniteMonoid.from_elements(els, identity)
+        given = FiniteMonoid(m.elements, m.table, m.identity_index)
+        assert m.generating_set() == given.generating_set()
+        assert_matches_reference(m)  # the table and greedy set by Python products
+
+
 class TestTwoByteCells:
     def test_budget_admits_only_two_byte_indices(self):
         assert TABLE_DTYPE == np.uint16
@@ -860,19 +992,26 @@ class TestTwoByteCells:
         assert peak < 2.5 * len(m) ** 2
 
 
+def generated_by(m, gens) -> list:
+    """The indices x * w for the words w in gens, from x = the identity,
+    breadth first over the generator columns read from m's products."""
+    columns = m.products(np.arange(len(m)), np.asarray(gens, dtype=np.intp)[:, None])
+    return elements_module._reach(columns.tolist(), m.identity_index)[0]
+
+
 class TestGreedyGenerators:
     def test_validation_keeps_the_greedy_set(self, monkeypatch):
         t4 = full_transformation_monoid(4)
         calls = []
-        greedy = FiniteMonoid._greedy_generators
-        monkeypatch.setattr(FiniteMonoid, "_greedy_generators",
-                            lambda self: calls.append(1) or greedy(self))
+        greedy = elements_module._greedy_generators
+        monkeypatch.setattr(elements_module, "_greedy_generators",
+                            lambda *args: calls.append(1) or greedy(*args))
         m = FiniteMonoid(t4.elements, t4.table, t4.identity_index)
         assert len(calls) == 1  # recorded at construction
         gens = m.generator_indices
         assert m.generating_set() == gens == m.generating_set()
         assert len(calls) == 1
-        assert len(m._generated_by(gens)) == len(m)
+        assert len(generated_by(m, gens)) == len(m)
 
 
 class TestCycleLink:

@@ -504,7 +504,8 @@ class TestGenerators:
         _, action = make_lattice(kind, 4)
         monoid, _ = sgl_monoid(action)
         assert len(monoid.generator_indices) == count == 1 + len(action.orbits())
-        assert len(monoid._generated_by(list(monoid.generator_indices))) == len(monoid)
+        columns = monoid.products(np.arange(len(monoid)), np.asarray(monoid.generator_indices)[:, None])
+        assert len(elements_module._reach(columns.tolist(), monoid.identity_index)[0]) == len(monoid)
 
     @pytest.mark.parametrize("kind", ["subsets", "set_partitions", "ordered_partitions_zero"])
     @pytest.mark.parametrize("n", [1, 2, 3])
