@@ -421,15 +421,18 @@ def run(argv, out=None) -> int:
 
 
 def main() -> None:
-    # The objects alive at entry (the interpreter, numpy, the package,
-    # elements and cli) live until exit; frozen, they leave every later
-    # collection, the one at interpreter exit included.  The layers a
-    # command loads after entry (lattice, green, ...) are not frozen.
-    # Garbage made by the run is still collected.  Library users and test
-    # processes keep normal collection.
+    # The objects alive at entry (the interpreter, the package, elements
+    # and cli) live until exit; frozen, they leave every later collection,
+    # the one at interpreter exit included.  Garbage made by the run is
+    # still collected.  What the command loaded (lattice and green, and
+    # numpy with the representation layers or a dense table) is frozen
+    # once it returns, so the collection at exit does not walk numpy's
+    # objects either; the run has written and closed its output by then.
+    # Library users and test processes keep normal collection.
     gc.freeze()
     start = time.monotonic()
     code = run(sys.argv[1:])
+    gc.freeze()
     print(f"# elapsed: {time.monotonic() - start:.3f}s", file=sys.stderr)
     sys.exit(code)
 

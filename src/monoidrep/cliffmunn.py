@@ -101,12 +101,12 @@ def apex(big: Representation):
     monoid = big.monoid
     _, poset = monoid_green(monoid)
     support = support_jclasses(big)
-    inside = np.zeros(poset.count, dtype=bool)
-    inside[list(support)] = True
-    if (poset.leq[inside] & ~inside).any():
+    inside = sum(1 << j for j in support)
+    if any(poset.leq[j] & ~inside for j in support):
         raise ApexError("support is not upward closed")
-    below = poset.leq[np.ix_(inside, inside)] & ~np.eye(len(support), dtype=bool)
-    minima = [j for j, lower in zip(support, below.any(axis=0)) if not lower]
+    # j is minimal when no other class of the support lies below it
+    minima = [j for j in support
+              if not any(poset.leq[k] >> j & 1 for k in support if k != j)]
     if len(minima) != 1:
         raise ApexError(
             f"support has {len(minima)} minimal classes; representation is not irreducible"
@@ -134,7 +134,7 @@ def induce_raw(monoid: FiniteMonoid, e: int, group_rep: Representation,
     if trans is None:
         trans = transversal(monoid, classes, e)
     group = group_rep.monoid
-    block, local = lclass_coordinates(monoid, classes, trans)
+    block, local = map(np.asarray, lclass_coordinates(monoid, classes, trans))
     # position in G_e (ascending) -> index in the group rep's own element order
     ge = classes.hclasses[classes.hclass_of[e]]
     to_group = np.array([group.index(monoid.elements[g]) for g in ge])
@@ -538,7 +538,7 @@ def renner_permutohedron_catalog(n: int, with_catalog: bool = None):
     if poset_ok:
         for j1, t1 in enumerate(types):
             for j2, t2 in enumerate(types):
-                if bool(poset.leq[j1, j2]) != composition_leq(t1, t2):
+                if bool(poset.leq[j1] >> j2 & 1) != composition_leq(t1, t2):
                     poset_ok = False
     orders = [len(maximal_subgroup(monoid, classes, idems[0]))
               for idems in classes.jclass_idempotents]

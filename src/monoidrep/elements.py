@@ -4,10 +4,12 @@ Points are 1-based: a degree-n object acts on [n] = {1, ..., n}.
 Composition is right-to-left everywhere: (s * t)(x) = s(t(x)), i.e. t acts
 first.  All element types are immutable values.  Every element of S, I and T
 is one encoding, its image tuple: images[x-1] = s(x), 0 where s is undefined.
-Every monoid is held as its left Cayley graph: one closed from generators
-is certified against the image rows of its elements, and a direct product's
-is written from its factors'.  Its dense table is composed only when
-something reads it.
+Every monoid is held as its left Cayley graph, in Python int lists: one
+closed from generators is certified against the image rows of its elements,
+and a direct product's is written from its factors'.  Products, columns and
+squares are read along the graph's breadth-first tree.  numpy is loaded only
+with the dense table, a uint16 array composed when something reads it, and
+with a table handed to the constructor.
 """
 
 from __future__ import annotations
@@ -15,25 +17,23 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from operator import itemgetter
 
-import numpy as np
-
-# Dense Cayley tables hold TABLE_DTYPE cells; a table of |S|^2 cells may not
-# take more than this many bytes.  T_5 (19.5 MB) fits, I_6 (355 MB) does not.
+# A dense Cayley table, a numpy array, holds two-byte (uint16) cells; a table
+# of |S|^2 cells may not take more than this many bytes.  T_5 (19.5 MB) fits, I_6 (355 MB) does not.
 TABLE_BYTES_BUDGET = 256 * 2**20
-TABLE_DTYPE = np.dtype(np.uint16)
-DEFAULT_CLOSURE_CAP = math.isqrt(TABLE_BYTES_BUDGET // TABLE_DTYPE.itemsize)
-# Every table passes check_table_budget, so it has at most
+TABLE_CELL_BYTES = 2
+DEFAULT_CLOSURE_CAP = math.isqrt(TABLE_BYTES_BUDGET // TABLE_CELL_BYTES)
+# Every monoid passes check_table_budget, so it has at most
 # DEFAULT_CLOSURE_CAP = isqrt(2^27) = 11585 elements, and every cell, an
 # index below that, fits the two-byte cell exactly.  Indexing with cells is
 # exact; a sum, difference or sentinel that may leave 0..n-1 is computed in
 # intp.
-assert DEFAULT_CLOSURE_CAP <= np.iinfo(TABLE_DTYPE).max + 1
+assert DEFAULT_CLOSURE_CAP <= 2 ** (8 * TABLE_CELL_BYTES)
 
-# Light's test and the left-row certificate are checked in blocks of
-# about this many cells, so the temporaries of one block stay small next to
-# the table (128 KB of two-byte cells each) while a block still amortizes
-# numpy's per-call cost
+# Light's test is checked in blocks of about this many cells, so the
+# temporaries of one block stay small next to the table (128 KB of two-byte
+# cells each) while a block still amortizes numpy's per-call cost
 TABLE_BLOCK_CELLS = 65536
 
 
@@ -105,10 +105,10 @@ class _PartialMap:
         return type(self).identity(self.n)
 
     @staticmethod
-    def _faithful_rows(elements) -> np.ndarray:
+    def _faithful_rows(elements) -> list:
         """The image rows of the elements, which _closure certifies against:
         mu(s) = s.images, and mu(s * t) = mu(s) o mu(t) is __mul__ itself."""
-        return np.array([s.images for s in elements], dtype=np.intp)
+        return [s.images for s in elements]
 
 
 class PartialBijection(_PartialMap):
@@ -291,11 +291,13 @@ class FiniteMonoid:
     """An enumerated finite monoid: elements in canonical order, products by
     index.
 
-    Every monoid holds its left Cayley graph: the generators' left rows
-    a_k * x.  products() reads the graph, and the dense table, table[i, j]
-    the index of elements[i] * elements[j] in a TABLE_DTYPE (two-byte)
-    cell, is composed from it on first read and then kept.  So a monoid
-    whose table is never read never holds one.
+    Every monoid holds its left Cayley graph as Python int lists: the
+    generators' left rows left[k][x], the index of a_k * x.  Products,
+    columns, rows and squares are read along the graph's breadth-first tree
+    (_edges), so the structure layers never load numpy.  The dense table,
+    table[i, j] the index of elements[i] * elements[j] in a uint16 numpy
+    array, is composed along the same tree on first read and
+    then kept.  So a monoid whose table is never read never holds one.
 
     The program builds every monoid as a graph: _closure certifies the
     rows it finds against the elements' image rows, and product_monoid
@@ -308,6 +310,8 @@ class FiniteMonoid:
     """
 
     def __init__(self, elements, table, identity_index: int, generator_indices=None):
+        import numpy as np
+
         self.elements = tuple(elements)
         n = len(self.elements)
         check_table_budget(n)
@@ -318,73 +322,109 @@ class FiniteMonoid:
         # into a valid-looking index
         if n and (table.min() < 0 or table.max() >= n):
             raise ValueError("table not closed")
-        self._table = table.astype(TABLE_DTYPE, copy=False)
+        self._table = table.astype(np.uint16, copy=False)
         self.identity_index = int(identity_index)
         self.generator_indices = tuple(generator_indices) if generator_indices is not None else None
         self._index = {e: k for k, e in enumerate(self.elements)}
         if len(self._index) != n:
             raise ValueError("duplicate elements")
         self._validate()
-        self._left = self._table[np.asarray(self.generator_indices, dtype=np.intp)]
+        self._left = self._table[list(self.generator_indices)].tolist()
         self._tree = None
+        self._words = None
 
     @classmethod
-    def _from_left_rows(cls, elements, left, identity_index: int) -> "FiniteMonoid":
+    def _from_left_rows(cls, elements, left, identity_index: int, tree=None) -> "FiniteMonoid":
         """The monoid whose left rows are proved by the caller (_closure's
         certificate, or product_monoid's construction): left[k][x] indexes
-        a_k * x, and a_k = a_k * e is left[k][e]."""
+        a_k * x, and a_k = a_k * e is left[k][e].  tree is _reach(left, e)
+        when the caller has it."""
         monoid = object.__new__(cls)
         monoid.elements = tuple(elements)
         monoid._table = None
         monoid._left = left
-        monoid._tree = None
+        monoid._tree = tree
+        monoid._words = None
         monoid.identity_index = identity_index
-        monoid.generator_indices = tuple(left[:, identity_index].tolist())
+        monoid.generator_indices = tuple(row[identity_index] for row in left)
         monoid._index = {e: k for k, e in enumerate(monoid.elements)}
         return monoid
 
+    def _edges(self):
+        """The breadth-first tree of the left rows (_reach; for a
+        closure-built monoid, the one its certificate walked), as (u, (v, k))
+        with u = a_k * v: each u != e once, after the edge that reaches v."""
+        if self._tree is None:
+            self._tree = _reach(self._left, self.identity_index)
+        order, via = self._tree
+        return zip(itertools.islice(order, 1, None), itertools.islice(via, 1, None))
+
+    def _word(self, x: int) -> tuple:
+        """The left rows that x * y applies to y, root end first: x is
+        a_k1 * (a_k2 * (... * e)) along the tree, so by associativity x * y
+        = a_k1 * (a_k2 * (... * y)), the rows of a_kj, ..., a_k1 in turn."""
+        if self._words is None:
+            words = [()] * len(self.elements)
+            for u, (v, k) in self._edges():
+                words[u] = words[v] + (self._left[k],)
+            self._words = words
+        return self._words[x]
+
     @property
-    def table(self) -> np.ndarray:
-        """The |S| x |S| Cayley table: as given, or composed from the left
-        rows by _compose_rows on first read and kept."""
+    def table(self):
+        """The |S| x |S| Cayley table, a uint16 numpy array: as given, or
+        composed from the left rows on first read and kept.  Row u = a_k * v
+        is left[k] after row v, because (a_k * v) * y = a_k * (v * y), from
+        the identity's row 0..n-1 along the tree (_edges)."""
         if self._table is None:
+            import numpy as np
+
             n = len(self.elements)
-            self._table = _compose_rows(self._left, self._left, self.identity_index,
-                                        np.arange(n, dtype=TABLE_DTYPE))
+            left = np.array(self._left, dtype=np.uint16).reshape(-1, n)
+            table = np.empty((n, n), dtype=np.uint16)
+            table[self.identity_index] = np.arange(n)
+            for u, (v, k) in self._edges():
+                np.take(left[k], table[v], out=table[u])
+            self._table = table
         return self._table
 
-    def products(self, xs, ys) -> np.ndarray:
-        """The indices of xs * ys, elementwise over the broadcast index
-        arrays.  Each x is a_k1 * (a_k2 * (... * e)) along the breadth-first
-        tree of the left rows, so x * y = a_k1 * (a_k2 * (... * y)) by
-        associativity, and the left rows are applied to y from the root's
-        end of the word, one tree level at a time: there are as many steps
-        as the deepest x."""
-        xs, ys = np.broadcast_arrays(np.asarray(xs, dtype=np.intp), np.asarray(ys, dtype=np.intp))
-        if self._tree is None:
-            # the breadth-first tree of the left rows; for a closure-built
-            # monoid, the one its search found, under the canonical labels
-            order, via = _reach(self._left.tolist(), self.identity_index)
-            n, identity_row = len(order), len(self._left)
-            parent = np.full(n, self.identity_index, dtype=TABLE_DTYPE)
-            step = np.full(n, identity_row, dtype=TABLE_DTYPE)  # the root's step
-            parent[order[1:]], step[order[1:]] = np.array(via[1:], dtype=np.intp).reshape(-1, 2).T
-            self._tree = parent, step
-        parent, step = self._tree
-        steps, x = [], xs
-        while True:
-            k = step[x]
-            if (k == len(self._left)).all():
-                break
-            steps.append(k)
-            x = parent[x]
-        maps = np.vstack((self._left, np.arange(len(parent), dtype=TABLE_DTYPE)))
-        out = ys
-        for k in reversed(steps):
-            out = maps[k, out]
-        return out.astype(TABLE_DTYPE)
+    def mul(self, i: int, j: int) -> int:
+        """The index of elements[i] * elements[j], along i's word (_word)."""
+        for row in self._word(i):
+            j = row[j]
+        return j
+
+    def products(self, xs, ys) -> list:
+        """The indices of x * y for the pairs of the index sequences xs, ys."""
+        return [self.mul(x, y) for x, y in zip(xs, ys)]
+
+    def columns(self, targets) -> list:
+        """The column x -> x * a of every a in targets, each a list over all
+        x: the identity's entry is a, and (a_k * v) * a = a_k * (v * a), so
+        the entry of u = a_k * v is left[k] at v's, along the tree."""
+        left = self._left
+        out = []
+        for a in targets:
+            col = [a] * len(self.elements)
+            for u, (v, k) in self._edges():
+                col[u] = left[k][col[v]]
+            out.append(col)
+        return out
+
+    def rows(self, targets) -> list:
+        """The row y -> a * y of every a in targets, each a list over all y:
+        a's word (_word) applied to 0..n-1."""
+        out = []
+        for a in targets:
+            row = list(range(len(self.elements)))
+            for step in self._word(a):
+                row = list(map(step.__getitem__, row))
+            out.append(row)
+        return out
 
     def _validate(self):
+        import numpy as np
+
         n = len(self.elements)
         e = self.identity_index
         t = self._table
@@ -415,16 +455,12 @@ class FiniteMonoid:
     def __len__(self):
         return len(self.elements)
 
-    def mul(self, i: int, j: int) -> int:
-        return int(self.table[i, j])
-
     def index(self, element) -> int:
         return self._index[element]
 
     def idempotent_indices(self) -> tuple:
-        """Indices i with i*i = i, ascending: the squares, by products."""
-        every = np.arange(len(self))
-        return tuple(np.flatnonzero(self.products(every, every) == every).tolist())
+        """Indices i with i*i = i, ascending: the squares, along the tree."""
+        return tuple(x for x in range(len(self.elements)) if self.mul(x, x) == x)
 
     def is_group(self) -> bool:
         """Whether every element has a two-sided inverse: exactly when every
@@ -435,10 +471,8 @@ class FiniteMonoid:
         injectivity gives x*a = e, so a is a unit.  Units are closed under
         products, (ab)^-1 = b^-1 a^-1, and the generators generate S, so
         every element is a unit."""
-        every = np.arange(len(self))
-        gens = np.asarray(self.generating_set(), dtype=np.intp)
-        rows = self.products(gens[:, None], every)
-        return bool((np.sort(rows, axis=1) == every).all())
+        n = len(self.elements)
+        return all(len(set(row)) == n for row in self.rows(self.generating_set()))
 
     def generating_set(self) -> tuple:
         """The recorded generator indices, or the greedy set recorded when
@@ -461,8 +495,8 @@ class FiniteMonoid:
         if generators is None:
             monoid = _closure(sorted(members, key=canonical_key), identity, len(members), members)
             left, e = monoid._left, monoid.identity_index
-            gens = _greedy_generators(lambda g: left[:, g].tolist(), range(len(left)), e)
-            return cls._from_left_rows(monoid.elements, left[list(gens)], e)
+            gens = _greedy_generators(lambda g: [row[g] for row in left], range(len(left)), e)
+            return cls._from_left_rows(monoid.elements, [left[g] for g in gens], e)
         monoid = _closure(list(generators), identity, len(members), members)
         if len(monoid) != len(members):
             raise ValueError("recorded generators do not generate the monoid")
@@ -471,12 +505,20 @@ class FiniteMonoid:
 
 def check_table_budget(size: int) -> None:
     """Raise ClosureCapError if a size x size Cayley table exceeds the budget."""
-    need = size * size * TABLE_DTYPE.itemsize
+    need = size * size * TABLE_CELL_BYTES
     if need > TABLE_BYTES_BUDGET:
         raise ClosureCapError(
             f"a Cayley table of {size} elements needs {need / 2**20:.1f} MiB, "
             f"over the {TABLE_BYTES_BUDGET / 2**20:.0f} MiB table budget"
         )
+
+
+def _bits(mask: int):
+    """The positions of the set bits of an int bitset, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _reach(succ, root: int):
@@ -510,22 +552,18 @@ def _greedy_generators(column, candidates, root: int) -> tuple:
     return tuple(gens)
 
 
-def _compose_rows(succ, maps, root: int, root_row) -> np.ndarray:
-    """rows[u] = maps[k][rows[v]] along the breadth-first tree (_reach) of
-    the edges v -> u = succ[k][v], from rows[root] = root_row.
+def _compose_rows(monoid: FiniteMonoid, maps, root_row) -> list:
+    """rows[u] = maps[k] o rows[v] along the monoid's breadth-first tree
+    (FiniteMonoid._edges: u = a_k * v), from rows[e] = root_row.
 
-    For a monoid S with identity e and generators a_k: succ[k][v] indexes
-    a_k * v, maps[k][y] indexes a_k * y (or the point a_k sends y to, for
-    an action), and root_row is the row of e.  Then rows[u] is the row of
-    u: (a_k * v) * x = a_k * (v * x), because composition is associative,
-    so the row of a_k * v is maps[k] after the row of v.  The edges must
-    reach every node, as the generators of a monoid or group do.
-    """
-    order, via = _reach(succ.tolist(), root)
-    rows = np.empty((len(order), len(root_row)), dtype=maps.dtype)
-    rows[root] = root_row
-    for u, (v, k) in zip(order[1:], via[1:]):
-        np.take(maps[k], rows[v], out=rows[u])
+    For an action of the monoid, with maps[k][y] the point a_k sends y to
+    and root_row the identity's row 0..N-1, rows[u] is the row of u:
+    (a_k * v).y = a_k.(v.y), so the row of a_k * v is maps[k] after the row
+    of v."""
+    rows = [None] * len(monoid)
+    rows[monoid.identity_index] = list(root_row)
+    for u, (v, k) in monoid._edges():
+        rows[u] = list(map(maps[k].__getitem__, rows[v]))
     return rows
 
 
@@ -538,7 +576,7 @@ def _closure(generators, identity, cap: int, within=None) -> FiniteMonoid:
     which is kept in place of the equal product).  The elements are sorted
     canonically, so the search order does not show.  The monoid holds the
     left rows, certified by _certify_left_rows; so the found set is the
-    closure, and its table, composed on demand, is the element product.
+    closure, and its products along the rows are the element product.
     """
     found, index = [identity], {identity: 0}
     left = [[] for _ in generators]
@@ -559,70 +597,78 @@ def _closure(generators, identity, cap: int, within=None) -> FiniteMonoid:
     n = len(found)
     check_table_budget(n)
     order = sorted(range(n), key=lambda i: canonical_key(found[i]))
-    label = np.empty(n, dtype=np.intp)
-    label[order] = np.arange(n)
-    left = label[np.array(left, dtype=np.intp).reshape(-1, n)[:, order]].astype(TABLE_DTYPE)
-    e = int(label[0])
+    label = [0] * n
+    for new, old in enumerate(order):
+        label[old] = new
+    left = [[label[row[old]] for old in order] for row in left]
+    e = label[0]
     elements = [found[i] for i in order]
     rows = type(identity)._faithful_rows(elements + list(generators))
-    rows = rows.astype(np.min_scalar_type(rows.shape[1]), copy=False)
-    _certify_left_rows(rows[:n], rows[n:], left, e)
-    return FiniteMonoid._from_left_rows(elements, left, e)
+    tree = _certify_left_rows(rows[:n], rows[n:], left, e)
+    return FiniteMonoid._from_left_rows(elements, left, e, tree)
 
 
-def _certify_left_rows(rows, generator_rows, left, e: int) -> None:
+def _certify_left_rows(rows, generator_rows, left, e: int):
     """Raise ValueError unless the left rows are those of a monoid with
     identity e, generated by the a_k, on the image rows mu(x) = rows[x] of
-    the found set F and mu(a_k) = generator_rows[k].
+    the found set F and mu(a_k) = generator_rows[k]; return the
+    breadth-first tree of the left rows, _reach(left, e).
 
     Each element family gives mu (its _faithful_rows): a map into partial
     maps of [m], 0 where undefined, that is injective and under which the
     family's product is composition, mu(x * y) = mu(x) o mu(y).  mu(e) need
     not be the identity map: a maximal subgroup's identity is an idempotent
-    of the ambient monoid.  Checked: (i) mu(e) o mu(x) = mu(x) = mu(x) o
-    mu(e) for every x in F; (ii) the rows of F are pairwise distinct; (iii)
-    mu(left[k][x]) = mu(a_k) o mu(x) for every k and x; (iv) mu(a_k) o mu(e)
-    = mu(a_k) for every k.
-    Let T be the table _compose_rows builds along the breadth-first tree:
-    T[e, y] = y, and T[x, y] = left[k][T[v, y]] for x = left[k][v].  By
-    induction on the depth of x, mu(T[x, y]) = mu(x) o mu(y): at x = e by
-    the left half of (i), and below, mu(T[x, y]) = mu(a_k) o mu(v) o mu(y)
-    = mu(x) o mu(y) by (iii) twice.  Composition is associative, so by (ii)
-    T is: both bracketings of x y z have the row mu(x) o mu(y) o mu(z).
-    T[e, y] = y, and mu(T[x, e]) = mu(x) o mu(e) = mu(x) by (i), so T[x, e]
-    = x by (ii): e is T's identity.  T is the element product, as mu(x * y)
-    = mu(T[x, y]) and mu is injective, so F is closed under products.  At
-    x = e, (iii) and (iv) give mu(left[k][e]) = mu(a_k) o mu(e) = mu(a_k),
-    so left[k][e] = a_k: the generators lie in F and are the ones given.
-    Every x in F is a_k1 * (... * (a_kj * e)) along the tree, so F is the
-    monoid with identity e that the a_k generate.  The cost is |A| |S| m
-    lookups, against Light's test's |A| |S|^2.
+    of the ambient monoid.  Checked: (i) mu(e) o mu(e) = mu(e), and mu(e) o
+    mu(a_k) = mu(a_k) for every k; (ii) the rows of F are pairwise
+    distinct; (iii) mu(left[k][x]) = mu(a_k) o mu(x) for every k and x;
+    (iv) mu(a_k) o mu(e) = mu(a_k) for every k; (v) the left rows reach
+    every x in F from e, which holds by construction for _closure, where
+    each x after e was found as left[k][v] for a v found before it.
+    By (v), every x in F is left[k1][... left[kj][e]], so by (iii)
+    mu(x) = mu(a_k1) o ... o mu(a_kj) o mu(e).  Then mu(e) o mu(x) = mu(x)
+    by (i) (its first half when j = 0, its second when j > 0), and
+    mu(x) o mu(e) = mu(x) by (i)'s first half: mu(e) is a two-sided
+    identity on the rows of F.
+    Let T be the table composed along the breadth-first tree: T[e, y] = y,
+    and T[x, y] = left[k][T[v, y]] for x = left[k][v].  By induction on the
+    depth of x, mu(T[x, y]) = mu(x) o mu(y): at x = e as mu(e) o mu(y) =
+    mu(y), and below, mu(T[x, y]) = mu(a_k) o mu(v) o mu(y) = mu(x) o mu(y)
+    by (iii) twice.  Composition is associative, so by (ii) T is: both
+    bracketings of x y z have the row mu(x) o mu(y) o mu(z).  T[e, y] = y,
+    and mu(T[x, e]) = mu(x) o mu(e) = mu(x), so T[x, e] = x by (ii): e is
+    T's identity.  T is the element product, as mu(x * y) = mu(T[x, y]) and
+    mu is injective, so F is closed under products.  At x = e, (iii) and
+    (iv) give mu(left[k][e]) = mu(a_k) o mu(e) = mu(a_k), so left[k][e] =
+    a_k: the generators lie in F and are the ones given.  With (v), F is
+    the monoid with identity e that the a_k generate.  The cost is |A| |S|
+    m lookups for (iii), against Light's test's |A| |S|^2, and |A| m for (i)
+    and (iv).
+
+    Rows are composed as tuples with a leading 0, the image of "undefined":
+    for such rows p, q, the row of mu(p) o mu(q) is p at every entry of q,
+    itemgetter(*q)(p), a tuple as q has at least two entries.
     """
-    width = rows.shape[1]
-    step = max(1, TABLE_BLOCK_CELLS // width)
+    rows = [(0,) + tuple(r) for r in rows]
+    generator_rows = [(0,) + tuple(r) for r in generator_rows]
     unit = rows[e]
 
-    def then(block, a):  # mu(x) o mu(a) for each row mu(x) of block
-        return np.pad(block, ((0, 0), (1, 0)))[:, a]
+    def then(a, x):  # mu(a) o mu(x)
+        return itemgetter(*x)(a)
 
-    def lookup(a):  # mu(a) o mu(x) = lookup(a)[mu(x)]
-        return np.concatenate(([0], a)).astype(rows.dtype)
-
-    on_unit = lookup(unit)
-    for i in range(0, len(rows), step):
-        block = rows[i:i + step]
-        if not (np.array_equal(on_unit[block], block) and np.array_equal(then(block, unit), block)):
-            raise ValueError("identity laws fail")
-    if not np.array_equal(then(generator_rows, unit), generator_rows):
+    if then(unit, unit) != unit:
+        raise ValueError("identity laws fail")
+    if any(then(unit, a) != a or then(a, unit) != a for a in generator_rows):
         raise ValueError("identity laws fail: a generator is not fixed by the identity")
-    ranked = rows[np.lexsort(rows.T)]
-    if (ranked[1:] == ranked[:-1]).all(axis=1).any():
+    if len(set(rows)) != len(rows):
         raise ValueError("two elements share an image row")
+    composers = [itemgetter(*x) for x in rows]  # composers[x](a) = mu(a) o mu(x)
     for a, succ in zip(generator_rows, left):
-        composed = lookup(a)
-        for i in range(0, len(rows), step):
-            if not np.array_equal(composed[rows[i:i + step]], rows[succ[i:i + step]]):
-                raise ValueError("a left product disagrees with the image rows")
+        if [compose(a) for compose in composers] != [rows[u] for u in succ]:
+            raise ValueError("a left product disagrees with the image rows")
+    tree = _reach(left, e)
+    if len(tree[0]) != len(rows):
+        raise ValueError("the left rows do not reach every element")
+    return tree
 
 
 def closure(generators, identity=None, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteMonoid:
@@ -650,10 +696,10 @@ def product_monoid(*factors: FiniteMonoid) -> FiniteMonoid:
     k.  The generators are each factor's generators a, the other
     coordinates at their identities.  The product is coordinatewise, so
     such an a of factor k moves coordinate k alone: its left row sends i to
-    i + stride_k * (a * c_k(i) - c_k(i)), read from the factor's products.
+    i + stride_k * (a * c_k(i) - c_k(i)), read from the factor's rows.
     These rows are exact left products of the direct product, a monoid, so
-    they are its left Cayley graph, and the table _compose_rows builds from
-    them is its product (see _compose_rows).  The generators generate it:
+    they are its left Cayley graph, and the products read along them are
+    its product (see FiniteMonoid._word).  The generators generate it:
     (x_1, ..., x_r) is the product of its coordinates embedded one at a
     time, and each x_k is a word in the generators of M_k.  The identity is
     the tuple of identities, and a = a * e lies in its row.
@@ -670,13 +716,11 @@ def product_monoid(*factors: FiniteMonoid) -> FiniteMonoid:
     check_table_budget(acc)
     elements = [tuple(t) for t in itertools.product(*(m.elements for m in factors))]
 
-    flat = np.arange(acc)
     left = []
     for m, stride, size in zip(factors, strides, sizes):
-        c = (flat // stride) % size
-        for g in m.generating_set():
-            left.append(flat + stride * (m.products(g, c) - c))
-    left = np.array(left, dtype=TABLE_DTYPE).reshape(-1, acc)
+        coordinate = [(i // stride) % size for i in range(acc)]
+        for row in m.rows(m.generating_set()):
+            left.append([i + stride * (row[c] - c) for i, c in enumerate(coordinate)])
     identity = sum(m.identity_index * s for m, s in zip(factors, strides))
     return FiniteMonoid._from_left_rows(elements, left, identity)
 

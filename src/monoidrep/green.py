@@ -5,17 +5,18 @@ L- and R-classes are the strongly connected components of the left and
 right Cayley graphs of the monoid's generating set, and the J-order is
 reachability in the two-sided graph; green_structure holds the proof.  This
 needs O(|S| |A|) memory, for a generating set A: both graphs, and the
-squares that give the idempotents of every J-class, are read through the
-monoid's products(), so a monoid held as its left Cayley graph composes no
-table here.  Class ids are assigned in order of least contained element, so
-all derived structure is deterministic.  Since the monoids here are finite,
+squares that give the idempotents of every J-class, are Python int lists
+read along the monoid's left Cayley graph (its rows, columns and mul), so
+no table is composed and numpy is not loaded here.  The J-order is a
+tuple of int bitsets.  Class ids are assigned in order of least contained
+element, so all derived structure is deterministic.  Since the monoids here are finite,
 D coincides with J and is not represented separately.
 
 maximal_subgroup closes G_e, the H-class of an idempotent e and the group
 of units of eMe, as a certified left Cayley graph with identity e.
 lclass_coordinates writes each t in L_e as s_i * g over a transversal {s_i}
 and G_e (the Schuetzenberger coordinates induction reads) as two integer
-arrays.  monoid_green caches the structure on the monoid, so it is
+lists.  monoid_green caches the structure on the monoid, so it is
 computed once, and maximal_subgroup caches each G_e beside it.
 apex_labels names each J-class for display (J<rank>, or block sizes for
 the pair monoids).
@@ -25,9 +26,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-import numpy as np
-
-from .elements import FiniteMonoid, PartialBijection, Transformation, _greedy_generators
+from .elements import FiniteMonoid, PartialBijection, Transformation, _bits, _greedy_generators
 from .lattice import SGLElement
 
 
@@ -44,18 +43,25 @@ class GreenClasses(NamedTuple):
 
 
 class JPoset(NamedTuple):
-    """Partial order on J-classes; leq[i, j] iff J_i <= J_j."""
+    """Partial order on J-classes: leq[i] is the int bitset of the j with
+    J_i <= J_j, so J_i <= J_j iff leq[i] >> j & 1."""
 
     count: int  # the number of J-classes; shadows tuple.count
-    leq: np.ndarray
+    leq: tuple
     maximum: int
 
     def covers(self):
         """Hasse diagram edges (lower, upper) in row-major order: the strict
-        relations i < j with no k such that i < k < j."""
-        strict = (self.leq & ~np.eye(self.count, dtype=bool)).astype(np.int64)
-        cover = (strict > 0) & ~(strict @ strict > 0)
-        return tuple((int(i), int(j)) for i, j in np.argwhere(cover))
+        relations i < j with no k such that i < k < j, that is, the j
+        strictly above i and not strictly above any k strictly above i."""
+        strict = [up & ~(1 << i) for i, up in enumerate(self.leq)]
+        out = []
+        for i, above in enumerate(strict):
+            through = 0
+            for k in _bits(above):
+                through |= strict[k]
+            out.extend((i, j) for j in _bits(above & ~through))
+        return tuple(out)
 
 
 class Eggbox(NamedTuple):
@@ -148,21 +154,22 @@ def green_structure(monoid: FiniteMonoid):
     kinds of edge, so J_x <= J_y iff x is reachable from y there.
     """
     n = len(monoid)
-    every = np.arange(n)
-    gens = np.asarray(monoid.generating_set(), dtype=np.intp)
-    right = monoid.products(every[:, None], gens)  # right[x, k] = x * a_k
-    left = monoid.products(gens[:, None], every).T  # left[x, k] = a_k * x
+    gens = monoid.generating_set()
+    # right[x] = (x * a_k for every k), left[x] = (a_k * x for every k)
+    right = list(zip(*monoid.columns(gens))) or [()] * n
+    left = list(zip(*monoid.rows(gens))) or [()] * n
 
-    lclass_of, lclasses = _classify(_strong_components(left.tolist()))
-    rclass_of, rclasses = _classify(_strong_components(right.tolist()))
+    lclass_of, lclasses = _classify(_strong_components(left))
+    rclass_of, rclasses = _classify(_strong_components(right))
     hclass_of, hclasses = _classify(list(zip(lclass_of, rclass_of)))
 
     # J = D = L o R = R o L: the D-class of x is the union of the R-classes
     # met by L_x, and L_x meets every R-class in it, so the least R-class id
     # met by L_x is the same for all of D_x and names it
-    least_r = np.full(len(lclasses), n)
-    np.minimum.at(least_r, np.asarray(lclass_of), np.asarray(rclass_of))
-    jclass_of, jclasses = _classify(least_r[np.asarray(lclass_of)].tolist())
+    least_r = [n] * len(lclasses)
+    for lc, rc in zip(lclass_of, rclass_of):
+        least_r[lc] = min(least_r[lc], rc)
+    jclass_of, jclasses = _classify([least_r[lc] for lc in lclass_of])
 
     jclass_idempotents = [[] for _ in jclasses]
     for i in monoid.idempotent_indices():  # ascending, so each list is too
@@ -173,33 +180,40 @@ def green_structure(monoid: FiniteMonoid):
         jclasses, tuple(map(tuple, jclass_idempotents)),
     )
 
-    # J-order: the two-sided graph condensed to J-classes, edge[i, j] when
-    # some x in J_i has x a or a x in J_j, then closed under reachability
-    # one component at a time, each after every component it reaches
+    # J-order: the two-sided graph condensed to J-classes, an edge j -> i
+    # when some x in J_j has x a or a x in J_i, then closed under
+    # reachability one component at a time, each after every component it
+    # reaches, into int bitsets: below[j] holds i iff J_i <= J_j
     count = len(jclasses)
-    jof = np.asarray(jclass_of, dtype=np.intp)
-    edge = np.zeros((count, count), dtype=bool)
-    edge[jof[:, None], jof[right]] = True
-    edge[jof[:, None], jof[left]] = True
-    succ = [np.flatnonzero(row).tolist() for row in edge]
+    succ = [set() for _ in range(count)]
+    for x in range(n):
+        succ[jclass_of[x]].update(jclass_of[y] for y in right[x] + left[x])
+    succ = [sorted(s) for s in succ]
     comp = _strong_components(succ)
     groups = [[] for _ in range(max(comp, default=-1) + 1)]
     for j, c in enumerate(comp):
         groups[c].append(j)
-    below = np.zeros((count, count), dtype=bool)  # below[j, i]: J_i <= J_j
+    below = [0] * count
     for group in groups:  # every class a group reaches is closed before it
-        row = below[[k for j in group for k in succ[j]]].any(axis=0)
-        row[group] = True
-        below[group] = row
-    leq = np.ascontiguousarray(below.T)  # leq[i, j]: J_i <= J_j
+        bits = 0
+        for j in group:
+            bits |= 1 << j
+            for k in succ[j]:
+                bits |= below[k]
+        for j in group:
+            below[j] = bits
+    leq = [0] * count  # leq[i] holds j iff J_i <= J_j
+    for j, bits in enumerate(below):
+        for i in _bits(bits):
+            leq[i] |= 1 << j
     # J_i <= J_j and J_j <= J_i put i and j in one component of the
     # two-sided graph, that is, make them J-related, so i = j; a pair i != j
     # proves the classes wrong
-    if (leq & leq.T & ~np.eye(count, dtype=bool)).any():
+    if any(up & down != 1 << i for i, (up, down) in enumerate(zip(leq, below))):
         raise RuntimeError("J-order is not antisymmetric: Green classes computed wrongly")
-    poset = JPoset(count, leq, jclass_of[monoid.identity_index])
+    poset = JPoset(count, tuple(leq), jclass_of[monoid.identity_index])
     # every s = 1 s 1 is reachable from the identity
-    if not leq[:, poset.maximum].all():
+    if below[poset.maximum] != (1 << count) - 1:
         raise RuntimeError("units' class is not the maximum of the J-order")
     return classes, poset
 
@@ -273,14 +287,13 @@ def maximal_subgroup(monoid: FiniteMonoid, classes: GreenClasses, e: int) -> Fin
     group test, proves the classes wrong.  For the classes monoid_green
     returns, each G_e is closed once and cached beside them.
     """
-    if monoid.products(e, e) != e:
+    if monoid.mul(e, e) != e:
         raise ValueError("e is not idempotent")
     cached = getattr(monoid, "_green_cache", None)
     cache = monoid._subgroup_cache if cached is not None and cached[0] is classes else {}
     if e not in cache:
         members = classes.hclasses[classes.hclass_of[e]]
-        every = np.arange(len(monoid))
-        gens = _greedy_generators(lambda g: monoid.products(every, g).tolist(), members, e)
+        gens = _greedy_generators(lambda g: monoid.columns([g])[0], members, e)
         elements = monoid.elements
         try:
             group = FiniteMonoid.from_elements([elements[m] for m in members], elements[e],
@@ -294,7 +307,7 @@ def maximal_subgroup(monoid: FiniteMonoid, classes: GreenClasses, e: int) -> Fin
 
 
 def transversal(monoid: FiniteMonoid, classes: GreenClasses, e: int) -> Transversal:
-    if monoid.table[e, e] != e:
+    if monoid.mul(e, e) != e:
         raise ValueError("e is not idempotent")
     reps = {}  # H-class id -> representative, in order of least member
     for m in classes.lclasses[classes.lclass_of[e]]:  # ascending
@@ -304,7 +317,7 @@ def transversal(monoid: FiniteMonoid, classes: GreenClasses, e: int) -> Transver
 
 
 def lclass_coordinates(monoid: FiniteMonoid, classes: GreenClasses, trans: Transversal):
-    """Int arrays block, local over all elements with
+    """Int lists block, local over all elements with
     t = reps[block[t]] * G_e[local[t]] for t in L_e and -1 elsewhere, where
     G_e lists the H-class of e ascending, in maximal_subgroup's order.
 
@@ -321,16 +334,16 @@ def lclass_coordinates(monoid: FiniteMonoid, classes: GreenClasses, trans: Trans
     le = classes.lclass_of[e]
     if any(classes.lclass_of[s] != le for s in trans.reps):
         raise ValueError("transversal representative outside the L-class of e")
-    reps = np.asarray(trans.reps, dtype=np.intp)
-    ge = np.asarray(classes.hclasses[classes.hclass_of[e]], dtype=np.intp)
-    products = monoid.table[np.ix_(reps, ge)]  # products[i, g] = s_i * g
-    if not np.array_equal(np.sort(products, axis=None), classes.lclasses[le]):
+    ge = classes.hclasses[classes.hclass_of[e]]
+    products = [[monoid.mul(s, g) for g in ge] for s in trans.reps]  # s_i * g
+    if sorted(t for row in products for t in row) != list(classes.lclasses[le]):
         raise ValueError("the products s_i * g do not list L_e once each: "
                          "not one representative per H-class")
-    block = np.full(len(monoid), -1, dtype=np.intp)
-    local = np.full(len(monoid), -1, dtype=np.intp)
-    block[products] = np.arange(len(reps))[:, None]
-    local[products] = np.arange(len(ge))[None, :]
+    block = [-1] * len(monoid)
+    local = [-1] * len(monoid)
+    for i, row in enumerate(products):
+        for k, t in enumerate(row):
+            block[t], local[t] = i, k
     return block, local
 
 
@@ -340,7 +353,7 @@ def hclass_decompose(monoid: FiniteMonoid, classes: GreenClasses, trans: Transve
     if classes.lclass_of[t] != classes.lclass_of[e]:
         raise ValueError("element is not in the L-class of e")
     block, local = lclass_coordinates(monoid, classes, trans)
-    return int(block[t]), classes.hclasses[classes.hclass_of[e]][local[t]]
+    return block[t], classes.hclasses[classes.hclass_of[e]][local[t]]
 
 
 def jclass_subgroup_iso(monoid: FiniteMonoid, classes: GreenClasses, e: int, f: int, s: int):
@@ -349,28 +362,29 @@ def jclass_subgroup_iso(monoid: FiniteMonoid, classes: GreenClasses, e: int, f: 
     s must lie in the H-class in the column (L-class) of G_e and the row
     (R-class) of G_f; s* is its semigroup inverse there.
     """
-    t = monoid.table
-    if t[e, e] != e or t[f, f] != f:
+    mul = monoid.mul
+    if mul(e, e) != e or mul(f, f) != f:
         raise ValueError("e and f must be idempotent")
     if classes.jclass_of[e] != classes.jclass_of[f]:
         raise ValueError("e and f are not J-related")
     if classes.lclass_of[s] != classes.lclass_of[e] or classes.rclass_of[s] != classes.rclass_of[f]:
         raise ValueError("s is not in the required H-class")
+    (x_s,), (s_x,) = monoid.columns([s]), monoid.rows([s])  # x * s and s * x
+    # x s = e and s x = f, with (s x) s = f s and (x s) x = e x
     stars = [
         x for x in range(len(monoid))
-        if t[x, s] == e and t[s, x] == f
-        and t[t[s, x], s] == s and t[t[x, s], x] == x
+        if x_s[x] == e and s_x[x] == f and mul(f, s) == s and mul(e, x) == x
     ]
     if not stars:
         raise ValueError("no semigroup inverse s* with s*s = e and ss* = f")
     s_star = stars[0]
     ge = classes.hclasses[classes.hclass_of[e]]
     gf = set(classes.hclasses[classes.hclass_of[f]])
-    mapping = {g: int(t[t[s, g], s_star]) for g in ge}
+    mapping = {g: mul(s_x[g], s_star) for g in ge}
     if set(mapping.values()) != gf or len(set(mapping.values())) != len(ge):
         raise RuntimeError("conjugation by s is not a bijection G_e -> G_f")
     for g in ge:
         for h in ge:
-            if mapping[int(t[g, h])] != t[mapping[g], mapping[h]]:
+            if mapping[mul(g, h)] != mul(mapping[g], mapping[h]):
                 raise RuntimeError("conjugation by s is not a homomorphism")
     return mapping, s_star

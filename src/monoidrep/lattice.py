@@ -8,21 +8,26 @@ stabilizer of the down-set of a.  Products follow g_a h_b = (gh) at
 Lattice elements are plain tuples: subsets are sorted point tuples,
 partitions are tuples of sorted blocks, ordered partitions keep their block
 order, and () is the adjoined minimum of the ordered-partition lattice.
+
+Everything here is Python ints and lists, and numpy is not loaded: orders,
+down-sets and up-sets are int bitsets (bit b of leq[a] is a <= b), meets
+and joins are read from them, and the action and coset tables are lists,
+one row per group element or lattice element.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from operator import itemgetter, mul
 from typing import NamedTuple
-
-import numpy as np
 
 from .elements import (
     ClosureCapError,
     FiniteMonoid,
     PartialBijection,
     Permutation,
+    _bits,
     _compose_rows,
     _reach,
     canonical_key,
@@ -40,48 +45,51 @@ class LatticeError(ValueError):
 
 
 class FiniteLattice:
-    """Elements in canonical order with order relation and meet/join tables.
+    """Elements in canonical order with the order relation as int bitsets,
+    and meet and join tables.
 
-    Meets and joins are read from the order matrix in numpy, one row at a
-    time, and validated exhaustively: meet(a, b) is the element of
-    down(a) & down(b) with the largest down-set, accepted only if that
-    down-set is the whole intersection, which is the greatest-lower-bound
-    property; dually for joins.
+    leq[a] is the up-set of a, the bitset of the b with a <= b; leq is
+    given so, and checked reflexive, antisymmetric and transitive.  Meets
+    are read from the down-sets and joins from the up-sets by _BoundRows,
+    and validated exhaustively: meet(a, b) is the element whose down-set is
+    down(a) & down(b), which is the greatest-lower-bound property; dually
+    for joins.  meet[a][b] and join[a][b] are element indices.
     """
 
-    def __init__(self, elements, leq: np.ndarray):
+    def __init__(self, elements, leq):
         self.elements = tuple(elements)
         self.kind = None  # set by make_lattice for the built-ins
         n = len(self.elements)
-        self.leq = np.asarray(leq, dtype=bool)
-        if self.leq.shape != (n, n):
+        self.leq = tuple(leq)
+        if len(self.leq) != n or any(up < 0 or up >> n for up in self.leq):
             raise LatticeError("order relation has wrong shape")
         self._index = {e: k for k, e in enumerate(self.elements)}
-        if not all(self.leq[i, i] for i in range(n)):
+        self._down = [0] * n  # _down[b] holds a iff a <= b
+        for a, up in enumerate(self.leq):
+            for b in _bits(up):
+                self._down[b] |= 1 << a
+        if not all(up >> a & 1 for a, up in enumerate(self.leq)):
             raise LatticeError("order not reflexive")
-        if ((self.leq & self.leq.T) & ~np.eye(n, dtype=bool)).any():
+        if any(up & down != 1 << a for a, (up, down) in enumerate(zip(self.leq, self._down))):
             raise LatticeError("order not antisymmetric")
-        reach = self.leq.copy()
-        for k in range(n):
-            reach |= np.outer(reach[:, k], reach[k, :])
-        if not np.array_equal(reach, self.leq):
+        # a <= b <= c gives a <= c: every up-set holds the up-sets of its members
+        if any(self.leq[b] & ~up for up in self.leq for b in _bits(up)):
             raise LatticeError("order not transitive")
 
-        self.meet = np.empty((n, n), dtype=np.int32)
-        self.join = np.empty((n, n), dtype=np.int32)
-        meets, joins = _BoundRows(self.leq), _BoundRows(self.leq.T)
+        self.meet, self.join = [], []
+        meets, joins = _BoundRows(self._down), _BoundRows(self.leq)
         for a in range(n):
-            self.meet[a], no_meet = meets.row(a)
-            self.join[a], no_join = joins.row(a)
-            bad = no_meet | no_join
-            if bad.any():
-                b = int(bad.argmax())  # the first bad pair, as the pairs are listed row by row
-                kind = "meet" if no_meet[b] else "join"
-                raise LatticeError(
-                    f"no unique {kind} for elements {self.elements[a]!r} and {self.elements[b]!r}"
-                )
-        bottoms = [a for a in range(n) if self.leq[a].all()]
-        tops = [a for a in range(n) if self.leq[:, a].all()]
+            meet, join = meets.row(a), joins.row(a)
+            for b in range(n):  # the first bad pair, as the pairs are listed row by row
+                if meet[b] is None or join[b] is None:
+                    kind = "meet" if meet[b] is None else "join"
+                    raise LatticeError(f"no unique {kind} for elements "
+                                       f"{self.elements[a]!r} and {self.elements[b]!r}")
+            self.meet.append(meet)
+            self.join.append(join)
+        everything = (1 << n) - 1
+        bottoms = [a for a in range(n) if self.leq[a] == everything]
+        tops = [a for a in range(n) if self._down[a] == everything]
         if len(bottoms) != 1 or len(tops) != 1:
             raise LatticeError("lattice must have a unique top and bottom")
         self.bottom = bottoms[0]
@@ -91,50 +99,49 @@ class FiniteLattice:
         return self._index[element]
 
     def down_set(self, a: int) -> tuple:
-        return tuple(np.nonzero(self.leq[:, a])[0].tolist())
+        return tuple(_bits(self._down[a]))
 
     def __len__(self):
         return len(self.elements)
 
 
 class _BoundRows:
-    """Greatest lower bounds read from an order matrix one row a at a time;
-    built on leq.T it gives least upper bounds.
+    """Greatest lower bounds read from the down-sets, int bitsets with bit d
+    of down[c] set iff d <= c; built on the up-sets it gives least upper
+    bounds.
 
     Every lower bound c of a and b has down(c) inside down(a) & down(b), by
-    transitivity.  The glb exists iff that intersection is some element's
-    down-set; that element is then the lower bound with the largest
-    down-set, and the only one of the intersection's size (antisymmetry).
-    So row a scans only the columns of down(a), in order of decreasing
-    down-set size, takes the first lower bound of each b, and accepts it
-    when its down-set has the size of the intersection.
+    transitivity.  If c is the glb, every d in the intersection is a lower
+    bound, so d <= c: down(c) is the whole intersection.  Conversely, if
+    down(c) = down(a) & down(b), then c, in its own down-set, is a lower
+    bound, and every lower bound lies in the intersection, so below c: c is
+    the glb.  Down-sets are distinct by antisymmetry, so the glb of a and b
+    exists iff the intersection is some element's down-set, and is found
+    by one dictionary lookup.
     """
 
-    def __init__(self, leq):
-        self.size = leq.sum(axis=0)  # |down(c)|
-        self.order = np.argsort(-self.size, kind="stable")
-        self.below = leq.T[:, self.order]  # below[b, k]: order[k] <= b
+    def __init__(self, down):
+        self.down = down
+        self.of = {bits: c for c, bits in enumerate(down)}
 
     def row(self, a):
-        """The candidate glb(a, b) for every b, and where it is no glb."""
-        cols = np.flatnonzero(self.below[a])
-        common = self.below[:, cols]  # [b, k]: order[cols[k]] <= a and <= b
-        best = self.order[cols[common.argmax(axis=1)]]
-        return best, self.size[best] != common.sum(axis=1)
+        """glb(a, b) for every b, None where there is none."""
+        get, mine = self.of.get, self.down[a]
+        return [get(mine & other) for other in self.down]
 
 
 class GroupAction:
-    """A permutation group acting on a lattice by poset automorphisms."""
+    """A permutation group acting on a lattice by poset automorphisms;
+    table[g][a] is g.a, one list per group element."""
 
-    def __init__(self, group: FiniteMonoid, lattice: FiniteLattice, table: np.ndarray):
+    def __init__(self, group: FiniteMonoid, lattice: FiniteLattice, table):
         self.group = group
         self.lattice = lattice
-        self.table = np.asarray(table, dtype=np.int32)
+        self.table = [list(row) for row in table]
         ng, nl = len(group), len(lattice)
-        if self.table.shape != (ng, nl):
+        if len(self.table) != ng or any(len(row) != nl for row in self.table):
             raise LatticeError("action table has wrong shape")
-        idx = np.arange(nl, dtype=np.int32)
-        if not np.array_equal(self.table[group.identity_index], idx):
+        if self.table[group.identity_index] != list(range(nl)):
             raise LatticeError("identity does not act trivially")
         # (g*h).a = g.(h.a) for all g and a holds for every h once it holds
         # for the generators h: if it holds for h and k, then
@@ -142,17 +149,26 @@ class GroupAction:
         # = act(g)act(h*k).  So every act(g) is a product of the generators'
         # permutations, and poset automorphisms are closed under composition.
         gens = group.generating_set()
-        for h in gens:
-            if not np.array_equal(self.table[group.table[:, h]], self.table[:, self.table[h]]):
-                raise LatticeError("action is not a homomorphism")
+        for h, times_h in zip(gens, group.columns(gens)):  # times_h[g] = g*h
+            act_h = self.table[h]
+            for g, row in enumerate(self.table):
+                if self.table[times_h[g]] != list(map(row.__getitem__, act_h)):
+                    raise LatticeError("action is not a homomorphism")
+        # each act(g) is then a bijection, act(g^-1) undoing it, and it
+        # keeps the order iff it maps every up-set onto the up-set of the
+        # image: {perm[b] : a <= b} = {c : perm[a] <= c}
         leq = lattice.leq
         for g in gens:
             perm = self.table[g]
-            if not np.array_equal(leq[np.ix_(perm, perm)], leq):
-                raise LatticeError("some group element is not a poset automorphism")
+            for a, up in enumerate(leq):
+                image = 0
+                for b in _bits(up):
+                    image |= 1 << perm[b]
+                if image != leq[perm[a]]:
+                    raise LatticeError("some group element is not a poset automorphism")
 
     def act(self, g: int, a: int) -> int:
-        return int(self.table[g, a])
+        return self.table[g][a]
 
     def orbits(self) -> tuple:
         seen = set()
@@ -160,7 +176,7 @@ class GroupAction:
         for a in range(len(self.lattice)):
             if a in seen:
                 continue
-            orbit = sorted(set(int(x) for x in self.table[:, a]))
+            orbit = sorted({row[a] for row in self.table})
             seen.update(orbit)
             out.append(tuple(orbit))
         return tuple(out)
@@ -175,10 +191,10 @@ class StabilizerPair(NamedTuple):
 
 def stabilizers(action: GroupAction, a: int) -> StabilizerPair:
     group, lat = action.group, action.lattice
-    full = tuple(g for g in range(len(group)) if action.table[g, a] == a)
+    full = tuple(g for g in range(len(group)) if action.table[g][a] == a)
     below = lat.down_set(a)
     pointwise = tuple(
-        g for g in full if all(action.table[g, c] == c for c in below)
+        g for g in full if all(action.table[g][c] == c for c in below)
     )
     inv = _inverses(group)
     pw = set(pointwise)
@@ -190,12 +206,18 @@ def stabilizers(action: GroupAction, a: int) -> StabilizerPair:
 
 
 def _inverses(group: FiniteMonoid) -> tuple:
-    """inv[g] is the index of g's inverse."""
-    unit = group.table == group.identity_index
-    both = unit & unit.T
-    if not both.any(axis=1).all():
+    """inv[g] is the index of g's inverse, along the group's breadth-first
+    tree: in a group (is_group), the y with a_k * y = e in a generator's
+    left row, a permutation, is a_k^-1, and u = a_k * v has the inverse
+    v^-1 * a_k^-1."""
+    if not group.is_group():
         raise ValueError("not a group")
-    return tuple(int(h) for h in both.argmax(axis=1))
+    e = group.identity_index
+    undo = [row.index(e) for row in group.rows(group.generating_set())]
+    inv = [e] * len(group)
+    for u, (v, k) in group._edges():
+        inv[u] = group.mul(inv[v], undo[k])
+    return tuple(inv)
 
 
 # -- built-in lattices -------------------------------------------------------
@@ -233,10 +255,8 @@ def make_lattice(kind: str, n: int):
 
     group = symmetric_group(n)
     index = {a: k for k, a in enumerate(elements)}
-    gen_rows = np.array(
-        [[index[image(group.elements[g], a)] for a in elements] for g in group.generating_set()],
-        dtype=np.int32,
-    ).reshape(-1, len(elements))
+    gen_rows = [[index[image(group.elements[g], a)] for a in elements]
+                for g in group.generating_set()]
     bound = _pair_order_bound(gen_rows)
     try:
         check_table_budget(bound)
@@ -246,22 +266,19 @@ def make_lattice(kind: str, n: int):
     lat.kind = kind
     if kind == "subsets":
         # subsets get their meets and joins from intersection and union, as bitmasks
-        masks = np.array([sum(1 << (x - 1) for x in a) for a in elements], dtype=np.int64)
-        at = np.empty(1 << n, dtype=np.int32)
-        at[masks] = np.arange(len(elements))
-        if not np.array_equal(lat.meet, at[masks[:, None] & masks]):
+        masks = [sum(1 << (x - 1) for x in a) for a in elements]
+        at = {m: k for k, m in enumerate(masks)}
+        if lat.meet != [[at[m & other] for other in masks] for m in masks]:
             raise LatticeError("meet disagrees with intersection")
-        if not np.array_equal(lat.join, at[masks[:, None] | masks]):
+        if lat.join != [[at[m | other] for other in masks] for m in masks]:
             raise LatticeError("join disagrees with union")
     # the |G| x N action table, composed from the generators' rows;
     # GroupAction checks the action law on every row
-    gens = list(group.generating_set())
-    table = _compose_rows(group.table[gens], gen_rows, group.identity_index,
-                          np.arange(len(elements), dtype=np.int32))
+    table = _compose_rows(group, gen_rows, range(len(elements)))
     return lat, GroupAction(group, lat, table)
 
 
-def _pair_order_bound(gen_rows: np.ndarray) -> int:
+def _pair_order_bound(gen_rows) -> int:
     """The sum of |O|^2 over the orbits O of the group on the lattice: a lower
     bound on the order of the pair monoid.
 
@@ -272,11 +289,10 @@ def _pair_order_bound(gen_rows: np.ndarray) -> int:
     each orbit O gives the bound.  Each orbit is the set _reach finds over
     the generators' rows gen_rows[k, a] = a_k . a.
     """
-    rows = gen_rows.tolist()
     seen, total = set(), 0
-    for a in range(gen_rows.shape[1]):
+    for a in range(len(gen_rows[0])):
         if a not in seen:
-            orbit = _reach(rows, a)[0]
+            orbit = _reach(gen_rows, a)[0]
             seen.update(orbit)
             total += len(orbit) ** 2
     return total
@@ -312,9 +328,10 @@ def _ordered_partitions(n):
     return list(rec(points))
 
 
-def _order_relation(kind: str, elements, n: int) -> np.ndarray:
-    """The order leq[a, b] of a built-in lattice, from one relation R_a on
-    the points per element a: a <= b iff R_a is inside R_b.
+def _order_relation(kind: str, elements, n: int) -> list:
+    """The order of a built-in lattice as up-set bitsets, bit b of leq[a]
+    set iff a <= b, from one relation R_a on the points per element a, an
+    int bitset: a <= b iff R_a is inside R_b.
 
     Subsets: R_a = {x : x in a}, and a <= b is a inside b by definition.
 
@@ -338,22 +355,28 @@ def _order_relation(kind: str, elements, n: int) -> np.ndarray:
     h(i) = pos_b(x) <= pos_b(y) = h(j).
     """
     if kind == "subsets":
-        rel = np.zeros((len(elements), n), dtype=bool)
-        for k, a in enumerate(elements):
-            rel[k, [x - 1 for x in a]] = True
+        rel = [sum(1 << (x - 1) for x in a) for a in elements]
     else:
-        # pos[k, x - 1] = the position of the block of element k holding x;
-        # set partitions compare positions for equality only
-        pos = np.zeros((len(elements), n), dtype=np.intp)
-        for k, a in enumerate(elements):
+        # pair (x, y) is bit x * n + y, for points x, y counted from 0; set
+        # partitions compare block positions for equality only
+        same = kind == "set_partitions"
+        rel = []
+        for a in elements:
+            pos = [0] * n  # the position of the block of a holding x + 1
             for i, block in enumerate(a):
-                pos[k, [x - 1 for x in block]] = i
-        compare = np.equal if kind == "set_partitions" else np.less_equal
-        rel = compare(pos[:, :, None], pos[:, None, :]).reshape(len(elements), -1)
-        rel[[k for k, a in enumerate(elements) if a == ()]] = False
-    # missing[a, b] counts the pairs of R_a that R_b lacks
-    missing = rel.astype(np.intp) @ (~rel).astype(np.intp).T
-    return missing == 0
+                for x in block:
+                    pos[x - 1] = i
+            rel.append(0 if a == () else sum(
+                1 << (x * n + y) for x in range(n) for y in range(n)
+                if (pos[x] == pos[y] if same else pos[x] <= pos[y])))
+    out = []
+    for mine in rel:  # a <= b iff R_a has no pair that R_b lacks
+        up = 0
+        for b, other in enumerate(rel):
+            if not mine & ~other:
+                up |= 1 << b
+        out.append(up)
+    return out
 
 
 # -- the inverse monoid of pairs g_a ----------------------------------------
@@ -375,19 +398,23 @@ class SGLContext:
         self.action = action
         self.group = action.group
         self.lattice = action.lattice
-        ng, nl = len(self.group), len(self.lattice)
-        self.ginv = np.array(_inverses(self.group), dtype=np.int32)
+        self.ginv = list(_inverses(self.group))
         self.pointwise = []
-        # rep_table[a, g] = least member of the coset g * pointwise(a)
-        self.rep_table = np.empty((nl, ng), dtype=np.int32)
-        for a in range(nl):
-            below = list(self.lattice.down_set(a))
-            ks = np.flatnonzero((action.table[:, below] == below).all(axis=1))
-            self.pointwise.append(tuple(ks.tolist()))
-            self.rep_table[a] = self.group.table[:, ks].min(axis=1)
+        # rep_table[a][g] = least member of the coset g * pointwise(a).
+        # g K = g' K iff g^-1 g' fixes every d <= a iff g'.d = g.d for
+        # every d <= a, so the coset of g is the g' with g's restriction to
+        # the down-set of a, and its least member the first such g'
+        self.rep_table = []
+        one = self.group.identity_index
+        for a in range(len(self.lattice)):
+            restrict = itemgetter(*self.lattice.down_set(a))
+            first = {}
+            reps = [first.setdefault(restrict(row), g) for g, row in enumerate(action.table)]
+            self.rep_table.append(reps)
+            self.pointwise.append(tuple(g for g, r in enumerate(reps) if r == reps[one]))
 
     def canonical(self, g: int, a: int) -> "SGLElement":
-        return SGLElement(self, int(self.rep_table[a, g]), a)
+        return SGLElement(self, self.rep_table[a][g], a)
 
     def idempotent(self, a: int) -> "SGLElement":
         return self.canonical(self.group.identity_index, a)
@@ -395,7 +422,7 @@ class SGLContext:
     def all_elements(self):
         out = []
         for a in range(len(self.lattice)):
-            for r in sorted(set(int(x) for x in self.rep_table[a])):
+            for r in sorted(set(self.rep_table[a])):
                 out.append(SGLElement(self, r, a))
         return out
 
@@ -428,16 +455,16 @@ class SGLElement:
         ctx = self.context
         if ctx is not other.context:
             raise ValueError("elements from different contexts")
-        c = int(ctx.lattice.meet[ctx.action.table[ctx.ginv[other.g], self.a], other.a])
+        c = ctx.lattice.meet[ctx.action.table[ctx.ginv[other.g]][self.a]][other.a]
         return ctx.canonical(ctx.group.mul(self.g, other.g), c)
 
     def inverse(self) -> "SGLElement":
         """The semigroup inverse (g^-1) at g.a."""
         ctx = self.context
-        return ctx.canonical(int(ctx.ginv[self.g]), self.act_on_a())
+        return ctx.canonical(ctx.ginv[self.g], self.act_on_a())
 
     def act_on_a(self) -> int:
-        return int(self.context.action.table[self.g, self.a])
+        return self.context.action.table[self.g][self.a]
 
     def is_idempotent(self) -> bool:
         return (self * self) == self
@@ -447,15 +474,21 @@ class SGLElement:
         return ctx.canonical(ctx.group.identity_index, ctx.lattice.top)
 
     @staticmethod
-    def _faithful_rows(elements) -> np.ndarray:
+    def _faithful_rows(elements) -> list:
         """mu(g_a) for each pair (see __mul__): point d + 1 goes to g.d + 1
-        for lattice indices d <= a, to 0 elsewhere."""
+        for lattice indices d <= a, to 0 elsewhere, as the product of g's
+        shifted row and the 0/1 row of a's down-set."""
         ctx = elements[0].context
-        g = np.array([x.g for x in elements], dtype=np.intp)
-        a = np.array([x.a for x in elements], dtype=np.intp)
-        rows = ctx.action.table[g]
-        rows += 1
-        rows *= ctx.lattice.leq[:, a].T
+        size = len(ctx.lattice)
+        shifted, inside = {}, {}
+        rows = []
+        for x in elements:
+            if x.g not in shifted:
+                shifted[x.g] = [d + 1 for d in ctx.action.table[x.g]]
+            if x.a not in inside:
+                down = ctx.lattice._down[x.a]
+                inside[x.a] = [down >> d & 1 for d in range(size)]
+            rows.append(tuple(map(mul, shifted[x.g], inside[x.a])))
         return rows
 
     def group_element(self) -> Permutation:
@@ -492,8 +525,7 @@ def sgl_monoid(action: GroupAction):
     ctx = sgl_context(action)
     # one element per distinct coset representative in each row of
     # rep_table, counted before any is built
-    reps = np.sort(ctx.rep_table, axis=1)
-    check_table_budget(len(reps) + int((reps[:, 1:] != reps[:, :-1]).sum()))
+    check_table_budget(sum(len(set(reps)) for reps in ctx.rep_table))
     gens = sorted(_sgl_generators(ctx), key=canonical_key)
     monoid = FiniteMonoid.from_elements(ctx.all_elements(), ctx.idempotent(ctx.lattice.top), gens)
     return monoid, ctx

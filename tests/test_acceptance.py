@@ -135,7 +135,8 @@ def test_criterion_03_subsets_pairs_isomorphic_to_in():
         for field in ("lclasses", "rclasses", "hclasses", "jclasses"):
             assert sorted(map(len, getattr(ca, field))) == sorted(map(len, getattr(cb, field)))
         assert pa.count == pb.count == n + 1
-        assert np.array_equal(np.sort(pa.leq.sum(axis=1)), np.sort(pb.leq.sum(axis=1)))
+        sizes = [sorted(bin(up).count("1") for up in p.leq) for p in (pa, pb)]
+        assert sizes[0] == sizes[1]
     report(3, "restriction map is a table isomorphism; green profiles agree to n=4")
 
 
@@ -206,7 +207,7 @@ def test_criterion_06_reduction_and_apex(i3, t3):
     rank = lambda j: i3.elements[classes.jclasses[j][0]].rank
     assert rank(apx) == 1
     assert {rank(j) for j in support} == {1, 2, 3}
-    assert set(support) == {j for j in range(poset.count) if poset.leq[apx, j]}
+    assert set(support) == {j for j in range(poset.count) if poset.leq[apx] >> j & 1}
     for m in (1, 2, 3):
         e = i3.index(PartialBijection.partial_identity(3, range(1, m + 1)))
         red = reduce_rep(v, e)

@@ -538,8 +538,8 @@ print(json.dumps([code, composed, "numpy.ma" in sys.modules]))
 
 class TestLeftCayleyGraph:
     @pytest.mark.parametrize("spec,composed", [
-        # pair products read the table of the acting group S_4 (24 elements)
-        ("SGL:ordperm:4", [24]),
+        # pair products walk the acting group S_4's graph: no table at all
+        ("SGL:ordperm:4", []),
         ("T:4", []),
         ("S:6", []),
         ("gens:tests/data/i5_file.gens", []),
@@ -580,6 +580,38 @@ class TestLeftCayleyGraph:
         proc = fresh_python(_TABLE_PROBE, *argv)
         code, _, masked = json.loads(proc.stdout)
         assert (code, masked) == (EXIT_OK, False), proc.stderr
+
+
+# Runs one command in a fresh interpreter and prints its exit code and
+# whether numpy was loaded by the time it returned.
+_NUMPY_PROBE = """
+import io, json, sys
+import monoidrep.cli as cli
+code = cli.run(sys.argv[1:], io.StringIO())
+print(json.dumps([code, "numpy" in sys.modules]))
+"""
+
+STRUCTURE_SPECS = ["S:4", "I:4", "T:4", "SGL:subsets:4", "SGL:partitions:4", "SGL:ordperm:4",
+                   "gens:tests/data/i5_file.gens", "gens:tests/data/t4_nonregular.gens",
+                   "gens:tests/data/s3_file.gens"]
+STRUCTURE_COMMANDS = [["order"], ["eggbox", "--all"], ["eggbox", "--format", "graph"]]
+
+
+class TestStructureWithoutNumpy:
+    @pytest.mark.parametrize("spec", STRUCTURE_SPECS)
+    @pytest.mark.parametrize("argv", STRUCTURE_COMMANDS, ids=["order", "eggbox_text", "eggbox_graph"])
+    def test_structure_commands_load_no_numpy(self, spec, argv):
+        proc = fresh_python(_NUMPY_PROBE, argv[0], spec, *argv[1:])
+        assert json.loads(proc.stdout) == [EXIT_OK, False], proc.stderr
+
+    @pytest.mark.parametrize("spec", ["I:6", "T:6", "SGL:ordperm:6"])
+    def test_refusals_load_no_numpy(self, spec):
+        proc = fresh_python(_NUMPY_PROBE, "order", spec)
+        assert json.loads(proc.stdout) == [EXIT_CAP, False], proc.stderr
+
+    def test_representation_commands_still_load_numpy(self):
+        proc = fresh_python(_NUMPY_PROBE, "irreps", "I:2", "--check")
+        assert json.loads(proc.stdout) == [EXIT_OK, True], proc.stderr
 
 
 class TestLayerLoading:

@@ -576,7 +576,7 @@ class TestCatalogs:
             assert apx == en.apex
             # support is the upward interval above the apex
             _, poset = monoid_green(i3)
-            expected = {j for j in range(poset.count) if poset.leq[en.apex, j]}
+            expected = {j for j in range(poset.count) if poset.leq[en.apex] >> j & 1}
             assert set(support) == expected
 
     def test_set_partitions3_catalog(self):
@@ -637,7 +637,7 @@ def oracle_induce_matrices(monoid, e, group_rep):
     classes, _ = monoid_green(monoid)
     trans = transversal(monoid, classes, e)
     group = group_rep.monoid
-    block, local = lclass_coordinates(monoid, classes, trans)
+    block, local = map(np.asarray, lclass_coordinates(monoid, classes, trans))
     ge = classes.hclasses[classes.hclass_of[e]]
     to_group = np.array([group.index(monoid.elements[g]) for g in ge])
     products = monoid.table[:, list(trans.reps)]

@@ -10,7 +10,7 @@ import monoidrep.elements as elements_module
 from monoidrep.elements import (
     DEFAULT_CLOSURE_CAP,
     TABLE_BYTES_BUDGET,
-    TABLE_DTYPE,
+    TABLE_CELL_BYTES,
     ClosureCapError,
     DegreeMismatchError,
     ElementParseError,
@@ -93,7 +93,7 @@ def assert_matches_reference(m, generators=None):
         m.elements, m.elements[m.identity_index], generators
     )
     assert m.elements == elements
-    assert m.table.dtype == TABLE_DTYPE
+    assert m.table.dtype == np.uint16
     assert np.array_equal(m.table, table)
     assert m.identity_index == identity
     assert m.generator_indices == gens
@@ -664,7 +664,7 @@ def certificate_inputs(m):
     elements and of the recorded generators, the left rows and e."""
     gens = [m.elements[g] for g in m.generating_set()]
     rows = type(m.elements[0])._faithful_rows(list(m.elements) + gens)
-    return rows[:len(m)], rows[len(m):], m._left.copy(), m.identity_index
+    return rows[:len(m)], rows[len(m):], [list(row) for row in m._left], m.identity_index
 
 
 class TestLeftCayleyGraph:
@@ -674,25 +674,24 @@ class TestLeftCayleyGraph:
     @staticmethod
     def assert_graph_matches_table(m, seed):
         n = len(m)
-        every = np.arange(n)
-        gens = np.asarray(m.generating_set(), dtype=np.intp)
+        gens = list(m.generating_set())
         if n <= 60:
-            xs, ys = every[:, None], every[None, :]
+            xs, ys = (list(z) for z in zip(*itertools.product(range(n), repeat=2)))
         else:
-            xs, ys = np.random.default_rng(seed).integers(0, n, size=(2, 4000))
+            xs, ys = np.random.default_rng(seed).integers(0, n, size=(2, 4000)).tolist()
         assert m._table is None
         pairs = m.products(xs, ys)
-        right = m.products(every[:, None], gens)
-        left = m.products(gens[:, None], every)
+        right = m.columns(gens)
+        left = m.rows(gens)
         idempotents = m.idempotent_indices()
         group = m.is_group()
         assert m._table is None  # none of them composed the table
         t = m.table
-        assert pairs.dtype == right.dtype == TABLE_DTYPE
-        assert np.array_equal(pairs, t[xs, ys])
-        assert np.array_equal(right, t[:, gens])
-        assert np.array_equal(left, t[gens])
-        assert idempotents == tuple(np.flatnonzero(np.diagonal(t) == every).tolist())
+        assert all(type(x) is int for x in pairs + sum(right, []) + sum(left, []))
+        assert pairs == t[xs, ys].tolist()
+        assert right == t[:, gens].T.tolist()
+        assert left == t[gens].tolist()
+        assert idempotents == tuple(np.flatnonzero(np.diagonal(t) == np.arange(n)).tolist())
         assert group == old_is_group(t, m.identity_index)
 
     @settings(max_examples=80, deadline=None)
@@ -741,9 +740,9 @@ class TestFaithfulCertificate:
     def test_one_corrupted_left_cell(self, data, which):
         rows, gen_rows, left, e = certificate_inputs(self.MONOIDS[which]())
         k = data.draw(st.integers(0, len(left) - 1))
-        x = data.draw(st.integers(0, left.shape[1] - 1))
-        left[k, x] = data.draw(st.sampled_from(
-            [z for z in range(left.shape[1]) if z != left[k, x]]))
+        x = data.draw(st.integers(0, len(left[k]) - 1))
+        left[k][x] = data.draw(st.sampled_from(
+            [z for z in range(len(left[k])) if z != left[k][x]]))
         with pytest.raises(ValueError, match="a left product disagrees"):
             _certify_left_rows(rows, gen_rows, left, e)
 
@@ -752,7 +751,7 @@ class TestFaithfulCertificate:
         # a corrupted cell of the last generator's row, not the first's
         rows, gen_rows, left, e = certificate_inputs(build())
         assert len(left) >= 2
-        left[-1, e] = left[0, e] if left[0, e] != left[-1, e] else (left[-1, e] + 1) % len(rows)
+        left[-1][e] = left[0][e] if left[0][e] != left[-1][e] else (left[-1][e] + 1) % len(rows)
         with pytest.raises(ValueError, match="a left product disagrees"):
             _certify_left_rows(rows, gen_rows, left, e)
 
@@ -763,7 +762,7 @@ class TestFaithfulCertificate:
         others = [k for k in range(len(rows)) if k != e]
         i = data.draw(st.sampled_from(others))
         j = data.draw(st.sampled_from([k for k in range(len(rows)) if k != i]))
-        rows = rows.copy()
+        rows = list(rows)
         rows[i] = rows[j]
         with pytest.raises(ValueError, match="share an image row"):
             _certify_left_rows(rows, gen_rows, left, e)
@@ -775,10 +774,47 @@ class TestFaithfulCertificate:
         other = data.draw(st.sampled_from([k for k in range(len(rows)) if k != e]))
         with pytest.raises(ValueError, match="identity laws fail"):
             _certify_left_rows(rows, gen_rows, left, other)
-        rows = rows.copy()
+        rows = list(rows)
         rows[e] = rows[other]
         with pytest.raises(ValueError, match="identity laws fail"):
             _certify_left_rows(rows, gen_rows, left, e)
+
+    def test_a_non_idempotent_identity_row_is_refused(self):
+        # {id_1, e} generated by id_1 in I_3, with mu(e) swapped to the map
+        # 1 -> 1, 2 -> 3, 3 -> 2: it fixes mu(id_1) on both sides and passes
+        # every other check, but it is no identity, as it is not idempotent
+        m = closure([pb(3, (1, 1))])
+        rows, gen_rows, left, e = certificate_inputs(m)
+        rows = list(rows)
+        rows[e] = (1, 3, 2)
+        with pytest.raises(ValueError, match="identity laws fail"):
+            _certify_left_rows(rows, gen_rows, left, e)
+
+    @pytest.mark.parametrize("generator,members", [
+        # fixed by the identity on {1, 2} on the right only: 1 -> 3
+        (pb(3, (1, 3)), [pb(3, (1, 3)), PartialBijection.zero(3)]),
+        # fixed on the left only: 3 -> 1
+        (pb(3, (3, 1)), [PartialBijection.zero(3)]),
+    ], ids=["right_only", "left_only"])
+    @pytest.mark.parametrize("build", ["closure", "from_elements"])
+    def test_a_generator_fixed_on_one_side_only_is_refused(self, generator, members, build):
+        e = TestImageTable.ID_12
+        with pytest.raises(ValueError, match="identity laws fail: a generator is not fixed"):
+            if build == "closure":
+                closure([generator], identity=e)
+            else:
+                FiniteMonoid.from_elements([e] + members, identity=e, generators=[generator])
+
+    def test_an_unreached_element_is_refused(self):
+        # {e, id_1, 0, id_2} in I_3 with the true left rows of id_1: every
+        # row is exact, but id_2 and 0 are not reached from e
+        e, id1, zero, id2 = (PartialBijection.identity(3), pb(3, (1, 1)),
+                             PartialBijection.zero(3), pb(3, (2, 2)))
+        found = [e, id1, zero, id2]
+        rows = PartialBijection._faithful_rows(found)
+        left = [[found.index(id1 * x) for x in found]]
+        with pytest.raises(ValueError, match="do not reach every element"):
+            _certify_left_rows(rows, PartialBijection._faithful_rows([id1]), left, 0)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), spec=st.sampled_from([("ordered_partitions_zero", 3), ("subsets", 3)]))
@@ -808,17 +844,17 @@ class TestFaithfulCertificate:
 
 class TestTableBudget:
     def test_default_cap_is_the_largest_order_within_budget(self):
-        cell = TABLE_DTYPE.itemsize
+        cell = TABLE_CELL_BYTES
         assert DEFAULT_CLOSURE_CAP ** 2 * cell <= TABLE_BYTES_BUDGET
         assert (DEFAULT_CLOSURE_CAP + 1) ** 2 * cell > TABLE_BYTES_BUDGET
 
     def test_budget_sizes(self):
-        cell = TABLE_DTYPE.itemsize
+        cell = TABLE_CELL_BYTES
         assert 3125 ** 2 * cell <= TABLE_BYTES_BUDGET  # T_5
         assert in_order_formula(6) ** 2 * cell > TABLE_BYTES_BUDGET  # I_6
 
     def test_over_budget_raises_before_building(self, monkeypatch):
-        monkeypatch.setattr(elements_module, "TABLE_BYTES_BUDGET", 24 ** 2 * TABLE_DTYPE.itemsize - 1)
+        monkeypatch.setattr(elements_module, "TABLE_BYTES_BUDGET", 24 ** 2 * TABLE_CELL_BYTES - 1)
         monkeypatch.setattr(elements_module, "_compose_rows", None)  # never reached
         gens = [Permutation.from_cycle(4, (1, 2)), Permutation.from_cycle(4, range(1, 5))]
         with pytest.raises(ClosureCapError, match="table budget"):
@@ -848,7 +884,7 @@ class TestProductMonoid:
         # |S_3 x S_2| = 12; a budget one byte short of its table refuses it
         # before the elements are enumerated
         factors = (symmetric_group(3), symmetric_group(2))
-        monkeypatch.setattr(elements_module, "TABLE_BYTES_BUDGET", 12 ** 2 * TABLE_DTYPE.itemsize - 1)
+        monkeypatch.setattr(elements_module, "TABLE_BYTES_BUDGET", 12 ** 2 * TABLE_CELL_BYTES - 1)
         monkeypatch.setattr(elements_module, "itertools", None)  # never reached
         with pytest.raises(ClosureCapError, match="table budget"):
             product_monoid(*factors)
@@ -948,8 +984,8 @@ class TestFormerTableRoutes:
 
 class TestTwoByteCells:
     def test_budget_admits_only_two_byte_indices(self):
-        assert TABLE_DTYPE == np.uint16
-        assert DEFAULT_CLOSURE_CAP == 11585 <= np.iinfo(TABLE_DTYPE).max + 1
+        assert TABLE_CELL_BYTES == np.dtype(np.uint16).itemsize
+        assert DEFAULT_CLOSURE_CAP == 11585 <= np.iinfo(np.uint16).max + 1
 
     @pytest.mark.parametrize("build", [
         lambda: symmetric_group(4),
@@ -995,8 +1031,7 @@ class TestTwoByteCells:
 def generated_by(m, gens) -> list:
     """The indices x * w for the words w in gens, from x = the identity,
     breadth first over the generator columns read from m's products."""
-    columns = m.products(np.arange(len(m)), np.asarray(gens, dtype=np.intp)[:, None])
-    return elements_module._reach(columns.tolist(), m.identity_index)[0]
+    return elements_module._reach(m.columns(gens), m.identity_index)[0]
 
 
 class TestGreedyGenerators:

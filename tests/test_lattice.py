@@ -35,6 +35,18 @@ from monoidrep.lattice import (
 )
 
 
+def matrix(leq, n=None):
+    """The boolean matrix of up-set bitsets: [a, b] is bit b of leq[a]."""
+    n = len(leq) if n is None else n
+    rows = [[bool(up >> b & 1) for b in range(n)] for up in leq]
+    return np.array(rows, dtype=bool).reshape(-1, n)
+
+
+def bitsets(leq):
+    """The up-set bitsets of a boolean matrix: bit b of row a is [a, b]."""
+    return [sum(1 << b for b, x in enumerate(row) if x) for row in leq]
+
+
 def bell_number(n):
     # independent oracle: B(n+1) = sum C(n,k) B(k)
     b = [1]
@@ -114,25 +126,26 @@ class TestMakeLattice:
         # brute-force glb/lub re-check against the order relation
         lat, _ = make_lattice(kind, n)
         size = len(lat)
+        leq = matrix(lat.leq)
         for a in range(size):
             for b in range(size):
-                m = lat.meet[a, b]
-                assert lat.leq[m, a] and lat.leq[m, b]
+                m = lat.meet[a][b]
+                assert leq[m, a] and leq[m, b]
                 for c in range(size):
-                    if lat.leq[c, a] and lat.leq[c, b]:
-                        assert lat.leq[c, m]
-                j = lat.join[a, b]
-                assert lat.leq[a, j] and lat.leq[b, j]
+                    if leq[c, a] and leq[c, b]:
+                        assert leq[c, m]
+                j = lat.join[a][b]
+                assert leq[a, j] and leq[b, j]
                 for c in range(size):
-                    if lat.leq[a, c] and lat.leq[b, c]:
-                        assert lat.leq[j, c]
+                    if leq[a, c] and leq[b, c]:
+                        assert leq[j, c]
 
     @pytest.mark.parametrize("kind", ["subsets", "set_partitions", "ordered_partitions_zero"])
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_action_is_poset_automorphism(self, kind, n):
         # a <= b iff g.a <= g.b, every g; plus homomorphism and identity laws
         lat, action = make_lattice(kind, n)  # constructor validates; re-check one law
-        leq = lat.leq
+        leq = matrix(lat.leq)
         for g in range(len(action.group)):
             perm = action.table[g]
             assert np.array_equal(leq[np.ix_(perm, perm)], leq)
@@ -145,7 +158,7 @@ class TestMakeLattice:
             for a in orbit:
                 for b in orbit:
                     if a != b:
-                        assert not lat.leq[a, b]
+                        assert not lat.leq[a] >> b & 1
 
 
 ORDER_ORACLES = {
@@ -172,14 +185,16 @@ class TestOrderRelation:
         els = lattice_elements(kind, n)
         leq = ORDER_ORACLES[kind]
         expected = np.array([[leq(a, b) for b in els] for a in els])
-        assert np.array_equal(lattice_module._order_relation(kind, els, n), expected)
+        relation = lattice_module._order_relation(kind, els, n)
+        assert np.array_equal(matrix(relation, len(els)), expected)
 
     @pytest.mark.parametrize("kind", list(ORDER_ORACLES))
     def test_make_lattice_order(self, kind):
         lat, _ = make_lattice(kind, 4)
         assert lat.elements == tuple(lattice_elements(kind, 4))
         leq = ORDER_ORACLES[kind]
-        assert np.array_equal(lat.leq, [[leq(a, b) for b in lat.elements] for a in lat.elements])
+        expected = [[leq(a, b) for b in lat.elements] for a in lat.elements]
+        assert np.array_equal(matrix(lat.leq), expected)
 
 
 def reference_bounds(elements, leq):
@@ -221,7 +236,7 @@ class TestMeetsAndJoins:
                                 ("set_partitions", 5), ("set_partitions", 6)])
     def test_tables_match_the_pairwise_oracle(self, kind, n):
         lat, _ = make_lattice(kind, n)
-        meet, join = reference_bounds(lat.elements, lat.leq)
+        meet, join = reference_bounds(lat.elements, matrix(lat.leq))
         assert np.array_equal(lat.meet, meet)
         assert np.array_equal(lat.join, join)
 
@@ -238,7 +253,7 @@ class TestMeetsAndJoins:
         with pytest.raises(LatticeError, match=message):
             reference_bounds(names, leq)
         with pytest.raises(LatticeError, match=message):
-            FiniteLattice(names, leq)
+            FiniteLattice(names, bitsets(leq))
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(1, 9), data=st.data())
@@ -255,10 +270,10 @@ class TestMeetsAndJoins:
             meet, join = reference_bounds(tuple(range(n)), leq)
         except LatticeError as exc:
             with pytest.raises(LatticeError) as got:
-                FiniteLattice(range(n), leq)
+                FiniteLattice(range(n), bitsets(leq))
             assert str(got.value) == str(exc)
             return
-        lat = FiniteLattice(range(n), leq)
+        lat = FiniteLattice(range(n), bitsets(leq))
         assert np.array_equal(lat.meet, meet) and np.array_equal(lat.join, join)
 
     def test_subsets_check_their_meets_against_intersection(self, monkeypatch):
@@ -337,7 +352,7 @@ class TestCanonicalForm:
             for gi, g in enumerate(group.elements):
                 for hi, h in enumerate(group.elements):
                     rule = all(
-                        action.table[group.mul(int(ctx.ginv[gi]), hi), c] == c
+                        action.table[group.mul(ctx.ginv[gi], hi)][c] == c
                         for c in below
                     )
                     same = ctx.canonical(gi, a) == ctx.canonical(hi, a)
@@ -405,7 +420,7 @@ class TestPairArithmetic:
     def test_table_budget(self, subsets3, monkeypatch):
         # |I_3| = 34 pairs; a budget one byte short of their table refuses it
         monkeypatch.setattr(elements_module, "TABLE_BYTES_BUDGET",
-                            34 ** 2 * elements_module.TABLE_DTYPE.itemsize - 1)
+                            34 ** 2 * elements_module.TABLE_CELL_BYTES - 1)
         with pytest.raises(ClosureCapError, match="table budget"):
             sgl_monoid(subsets3[1])
 
@@ -486,9 +501,9 @@ class TestSGLContext:
         for a in range(len(lat)):
             below = lat.down_set(a)
             ks = tuple(g for g in range(len(group))
-                       if all(action.table[g, c] == c for c in below))
+                       if all(action.table[g][c] == c for c in below))
             assert ctx.pointwise[a] == ks
-            assert ctx.rep_table[a].tolist() == [
+            assert ctx.rep_table[a] == [
                 min(group.mul(g, k) for k in ks) for g in range(len(group))]
 
 
@@ -504,8 +519,8 @@ class TestGenerators:
         _, action = make_lattice(kind, 4)
         monoid, _ = sgl_monoid(action)
         assert len(monoid.generator_indices) == count == 1 + len(action.orbits())
-        columns = monoid.products(np.arange(len(monoid)), np.asarray(monoid.generator_indices)[:, None])
-        assert len(elements_module._reach(columns.tolist(), monoid.identity_index)[0]) == len(monoid)
+        columns = monoid.columns(monoid.generator_indices)
+        assert len(elements_module._reach(columns, monoid.identity_index)[0]) == len(monoid)
 
     @pytest.mark.parametrize("kind", ["subsets", "set_partitions", "ordered_partitions_zero"])
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -525,8 +540,8 @@ class TestGroupAction:
             k for k in range(len(group))
             if k != group.identity_index and k not in group.generating_set()
         )
-        table = action.table.copy()
-        table[g, [1, 2]] = table[g, [2, 1]]
+        table = [list(row) for row in action.table]
+        table[g][1], table[g][2] = table[g][2], table[g][1]
         with pytest.raises(LatticeError, match="not a homomorphism"):
             GroupAction(group, lat, table)
 
@@ -552,8 +567,8 @@ class TestActionTable:
             [lat.index(elementwise_image(kind, g, a)) for a in lat.elements]
             for g in action.group.elements
         ]
-        assert action.table.shape == (math.factorial(n), len(lat))
-        assert np.array_equal(action.table, np.array(expected).reshape(action.table.shape))
+        assert len(action.table) == math.factorial(n)
+        assert action.table == expected
 
 
 def reference_pair_monoid(action):
@@ -567,11 +582,13 @@ def reference_pair_monoid(action):
         eidx[e.a, e.g] = k
     garr = np.array([e.g for e in elements], dtype=np.int32)
     aarr = np.array([e.a for e in elements], dtype=np.int32)
-    hinv = ctx.ginv[garr]
+    hinv = np.asarray(ctx.ginv)[garr]
+    meet, act = np.asarray(ctx.lattice.meet), np.asarray(action.table)
+    rep_table = np.asarray(ctx.rep_table)
     table = np.empty((len(elements), len(elements)), dtype=np.int32)
     for i in range(len(elements)):
-        c = ctx.lattice.meet[action.table[hinv, aarr[i]], aarr]
-        r = ctx.rep_table[c, ctx.group.table[garr[i], garr]]
+        c = meet[act[hinv, aarr[i]], aarr]
+        r = rep_table[c, ctx.group.table[garr[i], garr]]
         table[i] = eidx[c, r]
     identity = int(eidx[ctx.lattice.top, ctx.group.identity_index])
     gens = tuple(sorted(int(eidx[g.a, g.g]) for g in _sgl_generators(ctx)))
