@@ -130,6 +130,9 @@ class InducedRaw(NamedTuple):
 
 def induce_raw(monoid: FiniteMonoid, e: int, group_rep: Representation,
                trans=None) -> InducedRaw:
+    """The block representation on |trans.reps| tagged copies of V: block
+    (J, i) of phi(t) is rho(g) where t s_i = s_J g lies in L_e, else 0.
+    t s_i is read from the column of s_i in the left Cayley graph."""
     classes, _ = monoid_green(monoid)
     if trans is None:
         trans = transversal(monoid, classes, e)
@@ -138,7 +141,7 @@ def induce_raw(monoid: FiniteMonoid, e: int, group_rep: Representation,
     # position in G_e (ascending) -> index in the group rep's own element order
     ge = classes.hclasses[classes.hclass_of[e]]
     to_group = np.array([group.index(monoid.elements[g]) for g in ge])
-    products = monoid.table[:, list(trans.reps)]  # products[t, i] = t s_i
+    products = np.array(monoid.columns(trans.reps)).T  # products[t, i] = t s_i
     big_j = block[products]
     big_g = np.where(big_j >= 0, to_group[local[products]], -1)
     k, dv = len(trans.reps), group_rep.dim

@@ -7,9 +7,10 @@ is one encoding, its image tuple: images[x-1] = s(x), 0 where s is undefined.
 Every monoid is held as its left Cayley graph, in Python int lists: one
 closed from generators is certified against the image rows of its elements,
 and a direct product's is written from its factors'.  Products, columns and
-squares are read along the graph's breadth-first tree.  numpy is loaded only
-with the dense table, a uint16 array composed when something reads it, and
-with a table handed to the constructor.
+squares are read along the graph's breadth-first tree, and so are the group
+actions (_compose_rows) and inverses (_inverses) of every layer.  numpy is
+loaded only with the dense table, which no command reads, and with a table
+handed to the constructor.
 """
 
 from __future__ import annotations
@@ -305,7 +306,8 @@ class FiniteMonoid:
     may have any integer dtype: its cells are checked to lie in 0..n-1
     before it is narrowed, and n is within the table budget, so the
     narrowing is exact; it must pass Light's test, and its generators' rows
-    table[gens] become the graph.  Recorded generator indices must generate
+    table[gens] become the graph.  The identity and recorded generator
+    indices must be integers in 0..n-1, and the generators must generate
     the monoid; with none given, the greedy set is recorded.
     """
 
@@ -318,13 +320,20 @@ class FiniteMonoid:
         table = np.asarray(table)
         if table.shape != (n, n):
             raise ValueError("table shape mismatch")
-        # on the table as given: a narrowing cast would wrap -1 or 65536 + k
-        # into a valid-looking index
+        # on the table as given: a narrowing cast would turn 0.5 into 0, and
+        # wrap -1 or 65536 + k into a valid-looking index
+        if not np.issubdtype(table.dtype, np.integer):
+            raise ValueError("table cells must be integers")
         if n and (table.min() < 0 or table.max() >= n):
             raise ValueError("table not closed")
         self._table = table.astype(np.uint16, copy=False)
+        gens = None if generator_indices is None else tuple(generator_indices)
+        # numpy would read a negative index from the end, int() truncate a float
+        for k in (identity_index, *(gens or ())):
+            if not (isinstance(k, (int, np.integer)) and 0 <= k < n):
+                raise ValueError(f"element index {k!r} is not an integer in 0..{n - 1}")
         self.identity_index = int(identity_index)
-        self.generator_indices = tuple(generator_indices) if generator_indices is not None else None
+        self.generator_indices = None if gens is None else tuple(map(int, gens))
         self._index = {e: k for k, e in enumerate(self.elements)}
         if len(self._index) != n:
             raise ValueError("duplicate elements")
@@ -559,12 +568,28 @@ def _compose_rows(monoid: FiniteMonoid, maps, root_row) -> list:
     For an action of the monoid, with maps[k][y] the point a_k sends y to
     and root_row the identity's row 0..N-1, rows[u] is the row of u:
     (a_k * v).y = a_k.(v.y), so the row of a_k * v is maps[k] after the row
-    of v."""
+    of v; from root_row = (p_i), rows[u][i] is u.p_i.  Every group action
+    in the program, on lattices and on tabloids, is extended so."""
     rows = [None] * len(monoid)
     rows[monoid.identity_index] = list(root_row)
     for u, (v, k) in monoid._edges():
         rows[u] = list(map(maps[k].__getitem__, rows[v]))
     return rows
+
+
+def _inverses(group: FiniteMonoid) -> tuple:
+    """inv[g] is the index of g's inverse, along the group's breadth-first
+    tree: in a group (is_group), the y with a_k * y = e in a generator's
+    left row, a permutation, is a_k^-1, and u = a_k * v has the inverse
+    v^-1 * a_k^-1."""
+    if not group.is_group():
+        raise ValueError("not a group")
+    e = group.identity_index
+    undo = [row.index(e) for row in group.rows(group.generating_set())]
+    inv = [e] * len(group)
+    for u, (v, k) in group._edges():
+        inv[u] = group.mul(inv[v], undo[k])
+    return tuple(inv)
 
 
 def _closure(generators, identity, cap: int, within=None) -> FiniteMonoid:

@@ -29,6 +29,7 @@ from .elements import (
     Permutation,
     _bits,
     _compose_rows,
+    _inverses,
     _reach,
     canonical_key,
     check_table_budget,
@@ -203,21 +204,6 @@ def stabilizers(action: GroupAction, a: int) -> StabilizerPair:
             if group.mul(group.mul(g, k), inv[g]) not in pw:
                 raise RuntimeError("pointwise stabilizer is not normal in the full one")
     return StabilizerPair(full, pointwise)
-
-
-def _inverses(group: FiniteMonoid) -> tuple:
-    """inv[g] is the index of g's inverse, along the group's breadth-first
-    tree: in a group (is_group), the y with a_k * y = e in a generator's
-    left row, a permutation, is a_k^-1, and u = a_k * v has the inverse
-    v^-1 * a_k^-1."""
-    if not group.is_group():
-        raise ValueError("not a group")
-    e = group.identity_index
-    undo = [row.index(e) for row in group.rows(group.generating_set())]
-    inv = [e] * len(group)
-    for u, (v, k) in group._edges():
-        inv[u] = group.mul(inv[v], undo[k])
-    return tuple(inv)
 
 
 # -- built-in lattices -------------------------------------------------------

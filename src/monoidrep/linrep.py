@@ -12,7 +12,8 @@ A Representation is one stack of numerators, shape (|S|, d, d), over one
 denominator: the same encoding with a leading element axis, so every builder
 and reader makes one numpy pass over all elements.  Its constructor proves
 the homomorphism law on every pair of elements from its instances on the
-generators, with one exact numpy check per generator over the numerators.
+generators, with one exact numpy check per generator over the numerators
+and s*a read from the monoid's left Cayley graph.
 """
 
 from __future__ import annotations
@@ -384,14 +385,16 @@ class Representation:
 
         By induction on the length of t as a word in the generators: t = 1
         is rho(1) = I, and if t = t'*a, then rho(s*t) = rho((s*t')*a)
-        = rho(s*t')rho(a) = rho(s)rho(t')rho(a) = rho(s)rho(t).
+        = rho(s*t')rho(a) = rho(s)rho(t')rho(a) = rho(s)rho(t).  s*a is read
+        from a's column of the left Cayley graph (FiniteMonoid.columns).
         """
         num, den, monoid = self.num, self.den, self.monoid
         if not np.array_equal(num[monoid.identity_index], np.eye(self.dim, dtype=object) * den):
             raise VerificationError("identity does not map to the identity matrix")
-        for a in monoid.generating_set():
+        gens = monoid.generating_set()
+        for a, col in zip(gens, monoid.columns(gens)):
             # rho(s)rho(a) = rho(s*a), both sides times den^2
-            bad = (np.matmul(num, num[a]) != num[monoid.table[:, a]] * den).any(axis=(1, 2))
+            bad = (np.matmul(num, num[a]) != num[col] * den).any(axis=(1, 2))
             if bad.any():
                 raise VerificationError(f"homomorphism fails at pair ({int(bad.argmax())}, {a})")
 
@@ -422,18 +425,27 @@ def char_equal(c1, c2) -> bool:
     return tuple(c1) == tuple(c2)
 
 
+def _permutation_stack(rows):
+    """The stack of 0/1 matrices num[s] sending e_b to e_{rows[s][b]}, and
+    e_b to 0 where rows[s][b] is -1: num[s, rows[s][b], b] = 1.  rows is one
+    int list per matrix, each as long as the side of the matrices."""
+    rows = np.array(rows, dtype=np.intp)
+    count, size = rows.shape
+    s, b = np.nonzero(rows >= 0)
+    num = np.zeros((count, size, size), dtype=object)
+    num[s, rows[s, b], b] = 1
+    return num
+
+
 def mapping_rep(monoid: FiniteMonoid) -> Representation:
     """The coordinate-permuting action on v_1..v_n read off the image tuples.
 
     Partial bijections send v_i to v_{s(i)} when defined and kill it
     otherwise; transformations and permutations always send v_i to v_{s(i)}.
     """
-    rows = np.array([el.images for el in monoid.elements])  # s(1), .., s(n), 0 if undefined
-    n = rows.shape[1]
-    s, i = np.nonzero(rows)
-    num = np.zeros((len(rows), n, n), dtype=object)
-    num[s, rows[s, i] - 1, i] = 1
-    return Representation.from_numerators(monoid, num)
+    # s(i) - 1 is the 0-based image of i, and -1 where s(i) = 0 is undefined
+    rows = [[y - 1 for y in el.images] for el in monoid.elements]
+    return Representation.from_numerators(monoid, _permutation_stack(rows))
 
 
 def mapping_rep_by_kind(kind: str, n: int) -> Representation:

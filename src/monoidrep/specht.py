@@ -8,8 +8,9 @@ on positions of the sorted labels.
 A Specht representation is built as the span of the f^lambda standard
 polytabloids, checked exactly (rank and invariance, with the proof in
 specht_rep), and every group element's matrix is read from it by one index
-gather over the tabloid positions; no tabloid matrix of a non-generator is
-built.
+gather over the tabloid positions, composed along the group's left Cayley
+graph from the generators' (elements._compose_rows); no tabloid matrix of a
+non-generator is built, and numpy is not imported here.
 """
 
 from __future__ import annotations
@@ -18,10 +19,8 @@ import itertools
 from math import factorial
 from typing import NamedTuple
 
-import numpy as np
-
-from .elements import FiniteMonoid, symmetric_group
-from .linrep import Representation, Subspace, outer_tensor
+from .elements import FiniteMonoid, _compose_rows, _inverses, symmetric_group
+from .linrep import Representation, Subspace, _permutation_stack, outer_tensor
 
 
 def partitions(n: int) -> tuple:
@@ -194,64 +193,30 @@ def _symmetric_group(m: int) -> FiniteMonoid:
 _SYMMETRIC_GROUPS = {}
 
 
-def _row_codes(basis, labels) -> np.ndarray:
-    """Each tabloid as the row index of every label, labels in sorted order:
-    an (|M|, m) int array."""
-    column = {x: j for j, x in enumerate(labels)}
-    codes = np.empty((len(basis), len(labels)), dtype=np.int64)
-    for k, t in enumerate(basis):
-        for r, row in enumerate(t):
-            codes[k, [column[x] for x in row]] = r
-    return codes
-
-
-def _image_rows(group: FiniteMonoid, indices) -> np.ndarray:
-    """The 0-based image rows of the group elements at indices."""
-    rows = [group.elements[s].images for s in indices]
-    return np.array(rows, dtype=np.int64).reshape(len(rows), -1) - 1
-
-
-def _tabloid_positions(codes, images, rows) -> np.ndarray:
-    """P[s, i] = the position of sigma_s^-1 . t_{rows[i]} in the tabloid basis,
-    for the permutations sigma_s with 0-based image rows images[s].
-
-    sigma . t puts sigma(x) in the row of x, so sigma^-1 . t puts y in the
-    row of sigma(y): its code is codes[k][images[s]], gathered for all s at
-    once, one label position at a time.  A code read as a base-r integer, for r rows, names its tabloid
-    uniquely; each is ranked against the sorted basis codes.
-    """
-    base, m = int(codes.max(initial=0)) + 1, codes.shape[1]
-    if base ** m >= 2 ** 63:
-        raise ValueError(f"tabloid codes of {m} labels in {base} rows overflow int64")
-    weights = base ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    keys = codes @ weights
-    order = np.argsort(keys)
-    chosen = codes[list(rows)]
-    moved = np.zeros((len(images), len(chosen)), dtype=np.int64)
-    for y in range(m):
-        moved += chosen[:, images[:, y]].T * weights[y]
-    return order[np.searchsorted(keys[order], moved)]
-
-
-def _tabloid_matrices(codes, images) -> np.ndarray:
-    """The permutation matrix of each image row on the tabloid basis, stacked:
-    M[s, a, b] = 1 exactly when sigma_s . t_b = t_a, that is when
-    t_b = sigma_s^-1 . t_a."""
-    pos = _tabloid_positions(codes, images, range(len(codes)))
-    count, size = pos.shape
-    num = np.zeros((count, size, size), dtype=object)
-    num[np.arange(count)[:, None], np.arange(size), pos] = 1
-    return num
+def _generator_actions(group: FiniteMonoid, basis, labels) -> list:
+    """rows[k][b] is the position of a_k . t_b in the tabloid basis, for the
+    group's generators a_k, permutations of the sorted label positions:
+    sigma . t puts labels[sigma(i)] in the row of labels[i].  This is a left
+    action, (sigma tau) . t = sigma . (tau . t), so every element's row is
+    composed from these along the group's graph (_compose_rows)."""
+    index = {t: k for k, t in enumerate(basis)}
+    rows = []
+    for g in group.generating_set():
+        move = {x: labels[y - 1] for x, y in zip(labels, group.elements[g].images)}
+        rows.append([index[tabloid_of(tuple(tuple(move[x] for x in row) for row in t))]
+                     for t in basis])
+    return rows
 
 
 def tabloid_module(shape, labels, group: FiniteMonoid = None) -> Representation:
-    """Permutation representation on the tabloid basis."""
+    """Permutation representation on the tabloid basis: sigma sends t_b to
+    sigma . t_b."""
     shape, labels = _check_shape(shape, labels)
     if group is None:
         group = _symmetric_group(len(labels))
-    codes = _row_codes(tabloids(shape, labels), labels)
-    num = _tabloid_matrices(codes, _image_rows(group, range(len(group))))
-    return Representation.from_numerators(group, num)
+    basis = tabloids(shape, labels)
+    rows = _compose_rows(group, _generator_actions(group, basis, labels), range(len(basis)))
+    return Representation.from_numerators(group, _permutation_stack(rows))
 
 
 class SpechtData(NamedTuple):
@@ -280,8 +245,8 @@ def specht_rep(shape, labels=None, group: FiniteMonoid = None) -> SpechtData:
 
     Tabloid matrices are permutations, so restrict's R = M[pivots, :] B^T
     reads R[s][i, c] = B[c, pos(sigma_s^-1 . t_{p_i})]: one gather of B^T
-    at the positions of the pivot tabloids.  from_numerators still proves
-    the homomorphism law.
+    at the positions of the pivot tabloids, composed along the group's
+    graph.  from_numerators still proves the homomorphism law.
 
     Results are cached per (shape, labels); the data is immutable.  Without
     a group, S_m is built once per process and shared across shapes.
@@ -305,10 +270,11 @@ def specht_rep(shape, labels=None, group: FiniteMonoid = None) -> SpechtData:
         raise RuntimeError(
             f"polytabloid span has dimension {sub.dim}, but {expected} standard tableaux"
         )
-    codes = _row_codes(basis, labels)
+    gen_rows = _generator_actions(group, basis, labels)
     # raises ValueError unless the span is invariant under the generators
-    sub.restrict(_tabloid_matrices(codes, _image_rows(group, group.generating_set())))
-    pos = _tabloid_positions(codes, _image_rows(group, range(len(group))), sub.pivots)
+    sub.restrict(_permutation_stack(gen_rows))
+    moved = _compose_rows(group, gen_rows, sub.pivots)  # moved[s][i]: sigma_s . t_{p_i}
+    pos = [moved[g] for g in _inverses(group)]  # pos[s][i]: sigma_s^-1 . t_{p_i}
     rep = Representation.from_numerators(group, sub.num.T[pos], sub.den)
     data = SpechtData(shape, labels, basis, sub, rep)
     if cache_key is not None:

@@ -536,6 +536,20 @@ print(json.dumps([code, composed, "numpy.ma" in sys.modules]))
 """
 
 
+REPRESENTATION_ARGVS = [
+    ["irreps", "I:4", "--check"],
+    ["irreps", "SGL:ordperm:3", "--check"],
+    ["irreps", "SGL:partitions:3", "--check"],
+    # S_3 at a non-identity idempotent of a non-inverse monoid
+    ["rep", "T:4", "--build", "reduce:mapping:J3"],
+    # Young subgroups through product_monoid
+    ["rep", "SGL:ordperm:3", "--build", "induce:(1,2):((1),(2))"],
+    ["rep", "S:6", "--build", "specht:(4,2)"],
+]
+REPRESENTATION_IDS = ["irreps_I4", "irreps_ordperm3", "irreps_partitions3", "reduce_T4",
+                      "induce_ordperm3", "specht_S6"]
+
+
 class TestLeftCayleyGraph:
     @pytest.mark.parametrize("spec,composed", [
         # pair products walk the acting group S_4's graph: no table at all
@@ -550,15 +564,13 @@ class TestLeftCayleyGraph:
         proc = fresh_python(_TABLE_PROBE, argv[0], spec, *argv[1:])
         assert json.loads(proc.stdout) == [EXIT_OK, composed, False], proc.stderr
 
-    @pytest.mark.parametrize("argv", [
-        ["irreps", "I:4", "--check"],
-        ["irreps", "SGL:ordperm:3", "--check"],
-        ["irreps", "SGL:partitions:3", "--check"],
-        # S_3 at a non-identity idempotent of a non-inverse monoid
-        ["rep", "T:4", "--build", "reduce:mapping:J3"],
-        # Young subgroups through product_monoid
-        ["rep", "SGL:ordperm:3", "--build", "induce:(1,2):((1),(2))"],
-    ], ids=["irreps_I4", "irreps_ordperm3", "irreps_partitions3", "reduce_T4", "induce_ordperm3"])
+    @pytest.mark.parametrize("argv", REPRESENTATION_ARGVS, ids=REPRESENTATION_IDS)
+    def test_representation_commands_compose_no_monoid_table(self, argv):
+        # verify and induce_raw read products from the graph's columns
+        proc = fresh_python(_TABLE_PROBE, *argv)
+        assert json.loads(proc.stdout)[:2] == [EXIT_OK, []], proc.stderr
+
+    @pytest.mark.parametrize("argv", REPRESENTATION_ARGVS, ids=REPRESENTATION_IDS)
     def test_representation_commands_hand_no_table_to_the_constructor(self, monkeypatch, argv):
         # every monoid, subgroup and direct product is built as a certified
         # left Cayley graph: neither the public constructor nor Light's test runs

@@ -1017,6 +1017,26 @@ class TestTwoByteCells:
         with pytest.raises(ValueError, match="table not closed"):
             FiniteMonoid(m.elements, bad, m.identity_index, m.generator_indices)
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), m=st.sampled_from(
+        [symmetric_group(3), symmetric_inverse_monoid(2), full_transformation_monoid(2)]))
+    def test_indices_and_cells_that_are_not_elements_are_rejected(self, data, m):
+        # each bad value stands for a valid one: numpy reads k - n as k, and
+        # int() or uint16 truncates k + 0.5 to k; k + n is past the end
+        n, e, gens = len(m), m.identity_index, list(m.generator_indices)
+        shift = data.draw(st.sampled_from([-n, -2 * n, n, 2 * n, 0.5]))
+        table = m.table
+        where = data.draw(st.sampled_from(["identity", "generator", "cell"]))
+        if where == "identity":
+            e += shift
+        elif where == "generator":
+            gens[data.draw(st.integers(0, len(gens) - 1))] += shift
+        else:
+            table = m.table.astype(np.float64)
+            table[data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))] += 0.5
+        with pytest.raises(ValueError, match="element index|cells must be integers"):
+            FiniteMonoid(m.elements, table, e, gens)
+
     def test_full_transformation_monoid_peak_is_the_table(self):
         tracemalloc.start()
         try:

@@ -277,7 +277,10 @@ class TestStandardPolytabloids:
                 assert len(got) == standard_tableaux_count(lam)
 
     @pytest.mark.parametrize("shape,labels", [((2, 1), (1, 2, 3)), ((3, 1, 1), (1, 2, 4, 6, 7)),
-                                              ((2, 2), (5, 6, 7, 8))], ids=str)
+                                              ((2, 2), (5, 6, 7, 8)),
+                                              ((2, 1, 1, 1), (1, 2, 3, 4, 5)),
+                                              ((4, 1, 1), (1, 2, 3, 4, 5, 6)),
+                                              ((3, 2), (2, 3, 5, 8, 13))], ids=str)
     def test_tabloid_module_matches_the_per_element_oracle(self, shape, labels):
         rep = tabloid_module(shape, labels)
         expected = reference_tabloid_matrices(tabloids(shape, labels), labels, rep.monoid)
@@ -312,8 +315,8 @@ class TestStandardPolytabloids:
         delta = data.draw(st.integers(-3, 3).filter(bool))
         group = specht._symmetric_group(n)
         target = standard_tableaux(shape, tuple(range(1, n + 1)))[which]
-        real_polytabloid, real_positions = specht.polytabloid, specht._tabloid_positions
-        gathered = []
+        real_polytabloid, real_compose = specht.polytabloid, specht._compose_rows
+        composed = []
 
         def corrupted(tableau, index):
             vec = list(real_polytabloid(tableau, index))
@@ -321,14 +324,19 @@ class TestStandardPolytabloids:
                 vec[column] += delta
             return tuple(vec)
 
-        def positions(codes, images, rows):
-            gathered.append(len(images))
-            return real_positions(codes, images, rows)
+        def compose(monoid, maps, root_row):
+            composed.append(len(monoid))
+            return real_compose(monoid, maps, root_row)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(specht, "_SPECHT_CACHE", {})
+            mp.setattr(specht, "_compose_rows", compose)
             mp.setattr(specht, "polytabloid", corrupted)
-            mp.setattr(specht, "_tabloid_positions", positions)
             with pytest.raises(ValueError, match="not invariant"):
                 specht_rep(shape)
-        assert gathered == [len(group.generating_set())]
+            # only the generators' tabloid rows were built: no element's row
+            # was composed along the group's graph
+            assert composed == []
+            mp.setattr(specht, "polytabloid", real_polytabloid)
+            specht_rep(shape)
+        assert composed == [len(group)]
