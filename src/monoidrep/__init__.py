@@ -62,7 +62,7 @@ _EXPORTS = {
     "specht": (
         "SpechtData", "column_group", "compositions", "p_count", "partitions",
         "polytabloid", "specht_rep", "standard_tableaux",
-        "standard_tableaux_count", "tabloid_module", "tabloids", "young_tensor",
+        "standard_tableaux_count", "tabloid_module", "tabloids",
     ),
     "cliffmunn": (
         "ApexError", "CatalogEntry", "CatalogError", "InducedRaw", "ReducedRep",

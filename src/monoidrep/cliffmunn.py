@@ -12,12 +12,13 @@ yields the full irreducible catalog.
 
 from __future__ import annotations
 
+import itertools
 from math import factorial, prod
 from typing import NamedTuple
 
 import numpy as np
 
-from .elements import FiniteMonoid, PartialBijection, Permutation, Transformation
+from .elements import FiniteMonoid, PartialBijection, Permutation, Transformation, _compose_rows
 from .green import (
     apex_labels,
     lclass_coordinates,
@@ -38,7 +39,7 @@ from .linrep import (
     rref,
     trivial_rep,
 )
-from .specht import compositions, partitions, young_tensor
+from .specht import _specht_action, compositions, partitions
 
 
 class ApexError(RuntimeError):
@@ -317,53 +318,48 @@ class CatalogEntry(NamedTuple):
         return self.rep.dim
 
 
-def _positions(labels):
-    return {x: i for i, x in enumerate(labels)}
-
-
-def _as_position_perm(mapping, labels) -> Permutation:
-    pos = _positions(labels)
-    images = [0] * len(labels)
-    for x in labels:
-        images[pos[x]] = pos[mapping[x]] + 1
-    return Permutation(images)
-
-
 def _young_irreps(group, blocks, to_label_map):
-    """Irreducibles of a subgroup isomorphic to a product of block symmetric
-    groups: outer tensors of per-block Specht representations.
+    """Irreducibles of a subgroup G acting on its points as the Young
+    subgroup of its blocks: outer tensors of per-block Specht modules.
 
-    to_label_map(element) gives the {label: label} bijection realized by a
-    subgroup element; the transported matrices are re-verified, so a wrong
-    recognizer cannot slip through.
+    to_label_map(element) is the {label: label} map of an element; only the
+    generators' are read.  Checked: (i) |G| = prod b_i!; (ii) each generator
+    keeps every block; (iii) the label rows composed along G's graph are an
+    action, rows[s * a] = rows[s] o move(a) for every s and generator a;
+    (iv) the rows are pairwise distinct.  So s -> rows[s] is a homomorphism,
+    by the induction of Representation.verify, injective by (iv), into
+    prod Sym(b_i) by (ii) and onto it by (i).  Specht modules are absolutely
+    irreducible, so their outer tensors are the product's irreducibles
+    (Serre, Linear Representations of Finite Groups, Thm 10).  Each factor
+    is read on G itself (specht._specht_action), and their per-element
+    kron, the first block major as in linrep.outer_tensor, is verified once.
     """
-    sizes = [len(b) for b in blocks]
-    if len(group) != prod(factorial(s) for s in sizes):
+    if len(group) != prod(factorial(len(b)) for b in blocks):
         raise CatalogError("subgroup does not match the Young product of its blocks")
-    decomp = {}
-    for el in group.elements:
-        mapping = to_label_map(el)
-        parts = []
-        for block in blocks:
-            if any(mapping[x] not in block for x in block):
-                raise CatalogError("subgroup element does not preserve the blocks")
-            parts.append(_as_position_perm({x: mapping[x] for x in block}, block))
-        decomp[el] = parts[0] if len(blocks) == 1 else tuple(parts)
-    if len(set(decomp.values())) != len(group):
+    moves = [to_label_map(group.elements[a]) for a in group.generating_set()]
+    if any(move[x] not in block for move in moves for block in blocks for x in block):
+        raise CatalogError("subgroup element does not preserve the blocks")
+    points = [x for block in blocks for x in block]
+    where = {x: i for i, x in enumerate(points)}
+    maps = [[where[move[x]] for x in points] for move in moves]  # positions of a_k(points)
+    rows = _compose_rows(group, maps, range(len(points)))
+    for step, col in zip(maps, group._generator_columns()):  # col[s] = s * a
+        if any(rows[sa] != list(map(row.__getitem__, step)) for row, sa in zip(rows, col)):
+            raise CatalogError("the generators' label maps are not an action of the subgroup")
+    if len(set(map(tuple, rows))) != len(group):
         raise CatalogError("blockwise decomposition of the subgroup is not faithful")
-    for shapes in _shape_tuples(sizes):
-        rep, _ = young_tensor(shapes, blocks)
-        num = rep.num[[rep.monoid.index(decomp[el]) for el in group.elements]]
-        yield tuple(shapes), Representation.from_numerators(group, num, rep.den)
-
-
-def _shape_tuples(sizes):
-    if not sizes:
-        yield ()
-        return
-    for first in partitions(sizes[0]):
-        for rest in _shape_tuples(sizes[1:]):
-            yield (first,) + rest
+    factors = []  # per block, {shape: (num, den)} of its Specht modules over G
+    for block in blocks:
+        block_moves = [{x: move[x] for x in block} for move in moves]
+        factors.append({lam: _specht_action(group, block_moves, lam, block)
+                        for lam in partitions(len(block))})
+    for shapes in itertools.product(*factors):  # one shape per block, in partitions order
+        (num, den), *rest = (factor[lam] for factor, lam in zip(factors, shapes))
+        for f, d in rest:  # kron(num[s], f[s]) for every s
+            n, dim = len(num), num.shape[1] * f.shape[1]
+            num = (num[:, :, None, :, None] * f[:, None, :, None, :]).reshape(n, dim, dim)
+            den *= d
+        yield shapes, Representation.from_numerators(group, num, den)
 
 
 def _group_irreps(monoid: FiniteMonoid, e: int, group: FiniteMonoid):

@@ -295,7 +295,9 @@ class FiniteMonoid:
     Every monoid holds its left Cayley graph as Python int lists: the
     generators' left rows left[k][x], the index of a_k * x.  Products,
     columns, rows and squares are read along the graph's breadth-first tree
-    (_edges), so the structure layers never load numpy.  The dense table,
+    (_edges), so the structure layers never load numpy.  The generators'
+    columns, the right Cayley graph, are composed on first read and kept
+    (_generator_columns).  The dense table,
     table[i, j] the index of elements[i] * elements[j] in a uint16 numpy
     array, is composed along the same tree on first read and
     then kept.  So a monoid whose table is never read never holds one.
@@ -339,6 +341,7 @@ class FiniteMonoid:
             raise ValueError("duplicate elements")
         self._validate()
         self._left = self._table[list(self.generator_indices)].tolist()
+        self._columns = None
         self._tree = None
         self._words = None
 
@@ -352,6 +355,7 @@ class FiniteMonoid:
         monoid.elements = tuple(elements)
         monoid._table = None
         monoid._left = left
+        monoid._columns = None
         monoid._tree = tree
         monoid._words = None
         monoid.identity_index = identity_index
@@ -420,6 +424,12 @@ class FiniteMonoid:
             out.append(col)
         return out
 
+    def _generator_columns(self) -> list:
+        """columns(generating_set()), the right Cayley graph, kept on first read."""
+        if self._columns is None:
+            self._columns = self.columns(self.generator_indices)
+        return self._columns
+
     def rows(self, targets) -> list:
         """The row y -> a * y of every a in targets, each a list over all y:
         a's word (_word) applied to 0..n-1."""
@@ -481,7 +491,7 @@ class FiniteMonoid:
         products, (ab)^-1 = b^-1 a^-1, and the generators generate S, so
         every element is a unit."""
         n = len(self.elements)
-        return all(len(set(row)) == n for row in self.rows(self.generating_set()))
+        return all(len(set(row)) == n for row in self._left)
 
     def generating_set(self) -> tuple:
         """The recorded generator indices, or the greedy set recorded when
@@ -585,7 +595,7 @@ def _inverses(group: FiniteMonoid) -> tuple:
     if not group.is_group():
         raise ValueError("not a group")
     e = group.identity_index
-    undo = [row.index(e) for row in group.rows(group.generating_set())]
+    undo = [row.index(e) for row in group._left]
     inv = [e] * len(group)
     for u, (v, k) in group._edges():
         inv[u] = group.mul(inv[v], undo[k])
@@ -744,7 +754,7 @@ def product_monoid(*factors: FiniteMonoid) -> FiniteMonoid:
     left = []
     for m, stride, size in zip(factors, strides, sizes):
         coordinate = [(i // stride) % size for i in range(acc)]
-        for row in m.rows(m.generating_set()):
+        for row in m._left:
             left.append([i + stride * (row[c] - c) for i, c in enumerate(coordinate)])
     identity = sum(m.identity_index * s for m, s in zip(factors, strides))
     return FiniteMonoid._from_left_rows(elements, left, identity)

@@ -154,10 +154,10 @@ def green_structure(monoid: FiniteMonoid):
     kinds of edge, so J_x <= J_y iff x is reachable from y there.
     """
     n = len(monoid)
-    gens = monoid.generating_set()
-    # right[x] = (x * a_k for every k), left[x] = (a_k * x for every k)
-    right = list(zip(*monoid.columns(gens))) or [()] * n
-    left = list(zip(*monoid.rows(gens))) or [()] * n
+    # right[x] = (x * a_k for every k), left[x] = (a_k * x for every k); the
+    # columns are not kept (_generator_columns), so the search runs without them
+    right = list(zip(*monoid.columns(monoid.generating_set()))) or [()] * n
+    left = list(zip(*monoid._left)) or [()] * n
 
     lclass_of, lclasses = _classify(_strong_components(left))
     rclass_of, rclasses = _classify(_strong_components(right))

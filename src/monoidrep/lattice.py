@@ -150,7 +150,7 @@ class GroupAction:
         # = act(g)act(h*k).  So every act(g) is a product of the generators'
         # permutations, and poset automorphisms are closed under composition.
         gens = group.generating_set()
-        for h, times_h in zip(gens, group.columns(gens)):  # times_h[g] = g*h
+        for h, times_h in zip(gens, group._generator_columns()):  # times_h[g] = g*h
             act_h = self.table[h]
             for g, row in enumerate(self.table):
                 if self.table[times_h[g]] != list(map(row.__getitem__, act_h)):

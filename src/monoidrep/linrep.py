@@ -25,7 +25,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .elements import FiniteMonoid, product_monoid
+from .elements import TABLE_BYTES_BUDGET, ClosureCapError, FiniteMonoid, product_monoid
 
 
 class VerificationError(RuntimeError):
@@ -386,13 +386,13 @@ class Representation:
         By induction on the length of t as a word in the generators: t = 1
         is rho(1) = I, and if t = t'*a, then rho(s*t) = rho((s*t')*a)
         = rho(s*t')rho(a) = rho(s)rho(t')rho(a) = rho(s)rho(t).  s*a is read
-        from a's column of the left Cayley graph (FiniteMonoid.columns).
+        from a's column, composed along the left Cayley graph once per
+        monoid and kept (FiniteMonoid._generator_columns).
         """
         num, den, monoid = self.num, self.den, self.monoid
         if not np.array_equal(num[monoid.identity_index], np.eye(self.dim, dtype=object) * den):
             raise VerificationError("identity does not map to the identity matrix")
-        gens = monoid.generating_set()
-        for a, col in zip(gens, monoid.columns(gens)):
+        for a, col in zip(monoid.generating_set(), monoid._generator_columns()):
             # rho(s)rho(a) = rho(s*a), both sides times den^2
             bad = (np.matmul(num, num[a]) != num[col] * den).any(axis=(1, 2))
             if bad.any():
@@ -428,9 +428,13 @@ def char_equal(c1, c2) -> bool:
 def _permutation_stack(rows):
     """The stack of 0/1 matrices num[s] sending e_b to e_{rows[s][b]}, and
     e_b to 0 where rows[s][b] is -1: num[s, rows[s][b], b] = 1.  rows is one
-    int list per matrix, each as long as the side of the matrices."""
+    int list per matrix, each as long as the side of the matrices.  A stack
+    whose object cells, 8-byte pointers, exceed the table budget is refused."""
     rows = np.array(rows, dtype=np.intp)
     count, size = rows.shape
+    if count * size * size * 8 > TABLE_BYTES_BUDGET:
+        raise ClosureCapError(f"a stack of {count} matrices of side {size} is over the "
+                              f"{TABLE_BYTES_BUDGET / 2**20:.0f} MiB table budget")
     s, b = np.nonzero(rows >= 0)
     num = np.zeros((count, size, size), dtype=object)
     num[s, rows[s, b], b] = 1

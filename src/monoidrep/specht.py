@@ -1,16 +1,12 @@
 """Integer partitions, Young tableaux/tabloids, and Specht representations.
 
-Labels are arbitrary distinct integers, not just 1..n, so the same machinery
-serves both the plain symmetric-group case and relabelled copies living on
-blocks.  The group acting on a label set is realized as the symmetric group
-on positions of the sorted labels.
-
-A Specht representation is built as the span of the f^lambda standard
-polytabloids, checked exactly (rank and invariance, with the proof in
-specht_rep), and every group element's matrix is read from it by one index
-gather over the tabloid positions, composed along the group's left Cayley
-graph from the generators' (elements._compose_rows); no tabloid matrix of a
-non-generator is built, and numpy is not imported here.
+Labels are arbitrary distinct integers.  S^lambda on a label set is built
+once, for no group in particular (_specht_space, checked exactly with the
+proof there).  A group acting on the labels through its generators' label
+maps reads every element's matrix from it by one index gather, composed
+along the group's left Cayley graph (_specht_action): S_m on the label
+positions (specht_rep), or a Young subgroup block by block
+(cliffmunn._young_irreps).  numpy is not imported here.
 """
 
 from __future__ import annotations
@@ -20,7 +16,7 @@ from math import factorial
 from typing import NamedTuple
 
 from .elements import FiniteMonoid, _compose_rows, _inverses, symmetric_group
-from .linrep import Representation, Subspace, _permutation_stack, outer_tensor
+from .linrep import Representation, Subspace, _permutation_stack
 
 
 def partitions(n: int) -> tuple:
@@ -193,19 +189,19 @@ def _symmetric_group(m: int) -> FiniteMonoid:
 _SYMMETRIC_GROUPS = {}
 
 
-def _generator_actions(group: FiniteMonoid, basis, labels) -> list:
-    """rows[k][b] is the position of a_k . t_b in the tabloid basis, for the
-    group's generators a_k, permutations of the sorted label positions:
-    sigma . t puts labels[sigma(i)] in the row of labels[i].  This is a left
-    action, (sigma tau) . t = sigma . (tau . t), so every element's row is
-    composed from these along the group's graph (_compose_rows)."""
+def _position_moves(group: FiniteMonoid, labels) -> list:
+    """The generators' {label: label} maps: sigma takes labels[i] to labels[sigma(i)]."""
+    return [{x: labels[y - 1] for x, y in zip(labels, group.elements[g].images)}
+            for g in group.generating_set()]
+
+
+def _generator_actions(moves, basis) -> list:
+    """rows[k][b] is the position of move_k . t_b in the tabloid basis, where
+    move . t puts move(x) in the row of x: a left action, so every element's
+    row is composed from its generators' along the group's graph (_compose_rows)."""
     index = {t: k for k, t in enumerate(basis)}
-    rows = []
-    for g in group.generating_set():
-        move = {x: labels[y - 1] for x, y in zip(labels, group.elements[g].images)}
-        rows.append([index[tabloid_of(tuple(tuple(move[x] for x in row) for row in t))]
-                     for t in basis])
-    return rows
+    return [[index[tabloid_of(tuple(tuple(move[x] for x in row) for row in t))] for t in basis]
+            for move in moves]
 
 
 def tabloid_module(shape, labels, group: FiniteMonoid = None) -> Representation:
@@ -215,7 +211,8 @@ def tabloid_module(shape, labels, group: FiniteMonoid = None) -> Representation:
     if group is None:
         group = _symmetric_group(len(labels))
     basis = tabloids(shape, labels)
-    rows = _compose_rows(group, _generator_actions(group, basis, labels), range(len(basis)))
+    maps = _generator_actions(_position_moves(group, labels), basis)
+    rows = _compose_rows(group, maps, range(len(basis)))
     return Representation.from_numerators(group, _permutation_stack(rows))
 
 
@@ -227,81 +224,68 @@ class SpechtData(NamedTuple):
     rep: Representation  # the action in echelon coordinates
 
 
-def specht_rep(shape, labels=None, group: FiniteMonoid = None) -> SpechtData:
-    """The Specht representation S^lambda, spanned by the standard polytabloids.
+def _specht_space(shape, labels) -> tuple:
+    """(tabloids, V), V = S^lambda the span of the standard polytabloids.
 
     By the standard basis theorem (Sagan, The Symmetric Group, 2nd ed.,
     Thm 2.5.2; James, LNM 682) the f^lambda standard polytabloids are a
     basis of S^lambda.  The program checks this exactly instead of relying
-    on it.  Their span V must have rank standard_tableaux_count(shape), and
-    it must be invariant under the group's generators, checked by
-    Subspace.restrict on the generators' tabloid matrices only.  The group
-    has m! distinct permutations of the m label positions, so it is S_m,
-    and V is invariant under all of S_m.  V holds a polytabloid e_t, so it
-    holds every sigma . e_t = e_{sigma t}; every tableau of the shape is
-    some sigma t, so V contains S^lambda.  V is spanned by polytabloids, so
-    V = S^lambda.  Subspace is a reduced echelon form, so V is stored
-    exactly as the span of all polytabloids would be.
-
-    Tabloid matrices are permutations, so restrict's R = M[pivots, :] B^T
-    reads R[s][i, c] = B[c, pos(sigma_s^-1 . t_{p_i})]: one gather of B^T
-    at the positions of the pivot tabloids, composed along the group's
-    graph.  from_numerators still proves the homomorphism law.
-
-    Results are cached per (shape, labels); the data is immutable.  Without
-    a group, S_m is built once per process and shared across shapes.
+    on it.  V must have rank standard_tableaux_count(shape), and it must be
+    invariant under the transposition (l_1 l_2) and the m-cycle
+    (l_1 ... l_m) of the sorted labels, by Subspace.restrict on their two
+    tabloid matrices.  The cycle's powers conjugate (l_1 l_2) to every
+    (l_i l_i+1), and these generate Sym(labels), so V is invariant under it.
+    V holds a polytabloid e_t, so it holds every sigma . e_t = e_{sigma t};
+    every tableau of the shape is some sigma t, so V contains S^lambda, and
+    V is spanned by polytabloids, so V = S^lambda.  Subspace is a reduced
+    echelon form, so V is stored exactly as the span of all polytabloids
+    would be.  Cached per (shape, labels), for any group acting on them.
     """
-    shape = tuple(shape)
-    if labels is None:
-        labels = tuple(range(1, sum(shape) + 1))
     shape, labels = _check_shape(shape, labels)
-    cache_key = (shape, labels) if group is None else None
-    if cache_key in _SPECHT_CACHE:
-        return _SPECHT_CACHE[cache_key]
-    if group is None:
-        group = _symmetric_group(len(labels))
-    if len(group) != factorial(len(labels)):
-        raise ValueError(f"a Specht module needs all of S_{len(labels)}, not {len(group)} elements")
-    basis = tabloids(shape, labels)
-    index = {t: k for k, t in enumerate(basis)}
-    sub = Subspace.span(len(basis), [polytabloid(t, index) for t in standard_tableaux(shape, labels)])
-    expected = standard_tableaux_count(shape)
-    if sub.dim != expected:
-        raise RuntimeError(
-            f"polytabloid span has dimension {sub.dim}, but {expected} standard tableaux"
-        )
-    gen_rows = _generator_actions(group, basis, labels)
-    # raises ValueError unless the span is invariant under the generators
-    sub.restrict(_permutation_stack(gen_rows))
-    moved = _compose_rows(group, gen_rows, sub.pivots)  # moved[s][i]: sigma_s . t_{p_i}
-    pos = [moved[g] for g in _inverses(group)]  # pos[s][i]: sigma_s^-1 . t_{p_i}
-    rep = Representation.from_numerators(group, sub.num.T[pos], sub.den)
-    data = SpechtData(shape, labels, basis, sub, rep)
-    if cache_key is not None:
-        _SPECHT_CACHE[cache_key] = data
-    return data
+    if (shape, labels) not in _SPECHT_CACHE:
+        basis = tabloids(shape, labels)
+        index = {t: k for k, t in enumerate(basis)}
+        sub = Subspace.span(len(basis), [polytabloid(t, index) for t in standard_tableaux(shape, labels)])
+        expected = standard_tableaux_count(shape)
+        if sub.dim != expected:
+            raise RuntimeError(f"polytabloid span has dimension {sub.dim}, "
+                               f"but {expected} standard tableaux")
+        swap = dict(zip(labels, labels[1::-1] + labels[2:]))
+        cycle = dict(zip(labels, labels[1:] + labels[:1]))
+        # raises ValueError unless the span is invariant under both
+        sub.restrict(_permutation_stack(_generator_actions((swap, cycle), basis)))
+        _SPECHT_CACHE[shape, labels] = basis, sub
+    return _SPECHT_CACHE[shape, labels]
 
 
 _SPECHT_CACHE = {}
 
 
-def young_tensor(shapes, blocks):
-    """Outer tensor of Specht factors, one per (shape, label block).
+def _specht_action(group: FiniteMonoid, moves, shape, labels) -> tuple:
+    """(num, den), unverified: S^lambda in _specht_space's echelon
+    coordinates, for a group acting on the labels by its generators' moves.
+    V is invariant under every label permutation, so the action of sigma_s is
+    restrict's R = M[pivots, :] B^T, and M is a permutation: R[s][i, c] =
+    B[c, pos(sigma_s^-1 . t_{p_i})], one gather of B^T at the pivot tabloids'
+    positions, composed along the group's graph."""
+    basis, sub = _specht_space(shape, labels)
+    moved = _compose_rows(group, _generator_actions(moves, basis), sub.pivots)  # sigma_s . t_{p_i}
+    pos = [moved[g] for g in _inverses(group)]  # pos[s][i]: sigma_s^-1 . t_{p_i}
+    return sub.num.T[pos], sub.den
 
-    Returns (Representation over the product of the block symmetric groups,
-    list of per-block SpechtData).
-    """
-    shapes = [tuple(s) for s in shapes]
-    blocks = [tuple(sorted(b)) for b in blocks]
-    if len(shapes) != len(blocks):
-        raise ValueError("one shape per block required")
-    flat = [x for b in blocks for x in b]
-    if len(set(flat)) != len(flat):
-        raise ValueError("blocks must be disjoint")
-    for s, b in zip(shapes, blocks):
-        if sum(s) != len(b):
-            raise ValueError(f"shape {s} does not fit block {b}")
-    datas = [specht_rep(s, b) for s, b in zip(shapes, blocks)]
-    if len(datas) == 1:
-        return datas[0].rep, datas
-    return outer_tensor(*(d.rep for d in datas)), datas
+
+def specht_rep(shape, labels=None, group: FiniteMonoid = None) -> SpechtData:
+    """S^lambda over S_m, the group's permutations of the m sorted label
+    positions; it must have m! elements.  Without a group, S_m is built once
+    per process and shared across shapes."""
+    shape = tuple(shape)
+    if labels is None:
+        labels = tuple(range(1, sum(shape) + 1))
+    shape, labels = _check_shape(shape, labels)
+    if group is None:
+        group = _symmetric_group(len(labels))
+    if len(group) != factorial(len(labels)):
+        raise ValueError(f"a Specht module needs all of S_{len(labels)}, not {len(group)} elements")
+    num, den = _specht_action(group, _position_moves(group, labels), shape, labels)
+    basis, sub = _specht_space(shape, labels)
+    return SpechtData(shape, labels, basis, sub, Representation.from_numerators(group, num, den))

@@ -24,7 +24,7 @@ from monoidrep.cli import (
     parse_label,
     run,
 )
-from monoidrep import cli, cliffmunn, green, lattice, specht
+from monoidrep import cli, cliffmunn, elements, green, lattice, linrep, specht
 from monoidrep.cliffmunn import cm_catalog, induce
 from monoidrep.elements import FiniteMonoid
 from monoidrep.linrep import Representation, parse_representation_payload
@@ -47,6 +47,8 @@ GOLDEN_CASES = {
     "rep_i3_induce_j1_1": ["rep", "I:3", "--build", "induce:J1:(1)"],
     "rep_i3_reduce_mapping_j2": ["rep", "I:3", "--build", "reduce:mapping:J2"],
     "rep_sgl_ordperm3_induce_12_1_2": ["rep", "SGL:ordperm:3", "--build", "induce:(1,2):((1),(2))"],
+    # two blocks with a sign factor: the kron of per-block Specht matrices on G_e
+    "rep_sgl_ordperm3_induce_12_1_11": ["rep", "SGL:ordperm:3", "--build", "induce:(1,2):((1),(1,1))"],
     # a subgroup S_3 at a non-identity idempotent of a non-inverse monoid
     "rep_t4_reduce_mapping_j3": ["rep", "T:4", "--build", "reduce:mapping:J3"],
     "eggbox_sgl_ordperm4_graph": ["eggbox", "SGL:ordperm:4", "--format", "graph"],
@@ -325,8 +327,9 @@ class TestRepCommand:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("spec,builds", [
-        ("S:4", {24: 1}),  # S_4 once for all five shapes
-        ("I:4", {1: 1, 2: 1, 6: 1, 24: 1}),  # one S_m per subgroup degree
+        # a catalog builds its Specht modules on the maximal subgroups
+        ("S:4", {}),
+        ("I:4", {}),
     ])
     def test_specht_builds_each_symmetric_group_once(self, monkeypatch, spec, builds):
         # the symmetric groups specht builds for itself, through _symmetric_group
@@ -338,6 +341,28 @@ class TestRepCommand:
         code, _ = invoke(["irreps", spec, "--check"])
         assert code == EXIT_OK
         assert Counter(sizes) == builds
+
+    @pytest.mark.parametrize("spec", ["SGL:ordperm:3", "I:4"])
+    def test_catalog_verifies_each_subgroup_irreducible_once(self, monkeypatch, spec):
+        # each irreducible of G_e is built on G_e and verified there once:
+        # no S_m, direct product or outer tensor is built beside it
+        monoid = parse_and_build(spec).monoid
+        monkeypatch.setattr(specht, "_SPECHT_CACHE", {})
+        monkeypatch.setattr(specht, "_SYMMETRIC_GROUPS", {})
+
+        def refused(name):
+            def call(*args):
+                raise AssertionError(f"{name} was called")
+            return call
+
+        for module, name in ((specht, "symmetric_group"), (elements, "product_monoid"),
+                             (linrep, "product_monoid"), (linrep, "outer_tensor")):
+            monkeypatch.setattr(module, name, refused(name))
+        verified, verify = [], Representation.verify
+        monkeypatch.setattr(Representation, "verify", lambda self: verified.append(self) or verify(self))
+        catalog = cm_catalog(monoid)
+        on_subgroups = [id(rep) for rep in verified if rep.monoid is not monoid]
+        assert Counter(on_subgroups) == Counter(id(en.group_rep) for en in catalog)
 
     def test_each_maximal_subgroup_is_closed_once(self, monkeypatch):
         # 17 subgroup requests over the 5 J-classes of SGL:subsets:4, one

@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 from fractions import Fraction
 from math import comb, factorial, lcm
@@ -10,6 +11,7 @@ import monoidrep.cliffmunn as cliffmunn_module
 import monoidrep.linrep as linrep_module
 from monoidrep.elements import (
     PartialBijection,
+    Permutation,
     Transformation,
     closure,
     full_transformation_monoid,
@@ -32,6 +34,7 @@ from monoidrep.linrep import (
     mapping_rep,
     mapping_rep_by_kind,
     one_dim_invariant_lines,
+    outer_tensor,
     restrict_rep,
     rref,
     spin,
@@ -41,6 +44,7 @@ from monoidrep.specht import partitions, specht_rep, tabloid_module
 from monoidrep.cliffmunn import (
     ApexError,
     _equivariant_projection,
+    _young_irreps,
     CatalogEntry,
     CatalogError,
     annihilator,
@@ -599,6 +603,47 @@ class TestCatalogs:
     def test_tn_refused(self, t3):
         with pytest.raises(CatalogError):
             cm_catalog(t3)
+
+
+YOUNG_BLOCKS = [(1, 2, 3), (4, 5, 6)]
+SWAP_3_4 = {1: 1, 2: 2, 3: 4, 4: 3, 5: 5, 6: 6}
+
+
+@pytest.fixture(scope="module")
+def s3_by_s3():
+    """S_3 x S_3 inside S_6, closed from block-preserving permutations."""
+    return closure([Permutation.from_cycle(6, c) for c in ((1, 2), (1, 2, 3), (4, 5), (4, 5, 6))])
+
+
+def label_map(s):
+    return dict(enumerate(s.images, 1))
+
+
+class TestYoungIrreps:
+    def test_matches_the_outer_tensor_of_specht_reps(self, s3_by_s3):
+        irreps = dict(_young_irreps(s3_by_s3, YOUNG_BLOCKS, label_map))
+        assert sorted(irreps) == sorted(itertools.product(partitions(3), repeat=2))
+        for (lam, mu), rep in irreps.items():
+            oracle = outer_tensor(specht_rep(lam).rep, specht_rep(mu, (4, 5, 6)).rep)
+            assert rep.den == oracle.den
+            for s, g in enumerate(s3_by_s3.elements):
+                pair = (Permutation(g.images[:3]), Permutation([y - 3 for y in g.images[3:]]))
+                assert np.array_equal(rep.num[s], oracle.num[oracle.monoid.index(pair)])
+
+    @pytest.mark.parametrize("corrupt,message", [
+        # conjugated by (3 4): a faithful action, but (1 2 3) reads as (1 2 4)
+        (lambda s: {SWAP_3_4[x]: SWAP_3_4[y] for x, y in label_map(s).items()},
+         "does not preserve the blocks"),
+        # (1 2) read as the identity: no action of S_3 x S_3 sends (1 2 3) to itself so
+        (lambda s: dict(zip(range(1, 7), range(1, 7))) if s.images == (2, 1, 3, 4, 5, 6)
+         else label_map(s), "not an action"),
+        # the second block copies the first: an action that kills (4 5)
+        (lambda s: {**label_map(s), **{x + 3: s.images[x - 1] + 3 for x in (1, 2, 3)}},
+         "not faithful"),
+    ], ids=["block", "action", "faithful"])
+    def test_a_corrupted_label_map_is_refused(self, s3_by_s3, corrupt, message):
+        with pytest.raises(CatalogError, match=message):
+            list(_young_irreps(s3_by_s3, YOUNG_BLOCKS, corrupt))
 
 
 class TestRenner:

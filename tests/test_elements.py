@@ -982,6 +982,23 @@ class TestFormerTableRoutes:
         assert_matches_reference(m)  # the table and greedy set by Python products
 
 
+class TestStoredGeneratorGraphs:
+    @pytest.mark.parametrize("build", [
+        lambda: symmetric_group(4),
+        lambda: symmetric_inverse_monoid(3),
+        lambda: full_transformation_monoid(3),
+        lambda: product_monoid(symmetric_group(3), symmetric_inverse_monoid(2)),
+        lambda: sgl_monoid(make_lattice("ordered_partitions_zero", 3)[1])[0],
+        lambda: units_of(symmetric_inverse_monoid(3)),
+    ], ids=["S", "I", "T", "product", "pair_monoid", "maximal_subgroup"])
+    def test_the_stored_rows_and_columns_are_the_generators(self, build):
+        m = build()
+        gens = m.generating_set()
+        assert m._left == m.rows(gens)
+        assert m._generator_columns() == m.columns(gens)
+        assert m._generator_columns() is m._generator_columns()  # composed once
+
+
 class TestTwoByteCells:
     def test_budget_admits_only_two_byte_indices(self):
         assert TABLE_CELL_BYTES == np.dtype(np.uint16).itemsize

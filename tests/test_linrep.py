@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from monoidrep.elements import (
+    FiniteMonoid,
     PartialBijection,
     Permutation,
     Transformation,
@@ -192,6 +193,15 @@ class TestVerification:
         assert not all_pairs_homomorphism(rep.monoid, bad)
         with pytest.raises(VerificationError):
             Representation(s3_map.monoid, bad)
+
+    def test_the_generator_columns_are_composed_once_per_monoid(self, monkeypatch):
+        monoid = symmetric_inverse_monoid(3)
+        calls, columns = [], FiniteMonoid.columns
+        monkeypatch.setattr(FiniteMonoid, "columns",
+                            lambda self, targets: calls.append(1) or columns(self, targets))
+        for build in (mapping_rep, trivial_rep, mapping_rep):
+            build(monoid)
+        assert len(calls) == 1
 
 
 class TestSpin:

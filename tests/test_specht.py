@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monoidrep import specht
-from monoidrep.elements import FiniteMonoid, Permutation, symmetric_group
+from monoidrep.elements import ClosureCapError, FiniteMonoid, Permutation, symmetric_group
 from monoidrep.linrep import (
     Representation,
     Subspace,
@@ -28,7 +29,6 @@ from monoidrep.specht import (
     tabloid_module,
     tabloid_of,
     tabloids,
-    young_tensor,
 )
 
 F = Fraction
@@ -180,29 +180,6 @@ class TestSpechtReps:
             specht_rep((2, 1), labels=(1, 2))  # size mismatch
 
 
-class TestYoungTensor:
-    def test_single_factor_is_plain_specht(self):
-        rep, datas = young_tensor([(2, 1)], [(1, 2, 3)])
-        assert rep.dim == 2
-        assert char_equal(rep.character(), specht_rep((2, 1)).rep.character())
-
-    def test_two_trivial_factors(self):
-        rep, _ = young_tensor([(2,), (1,)], [(1, 2), (3,)])
-        assert rep.dim == 1
-        assert len(rep.monoid) == 2
-
-    def test_sign_tensor_trivial_character(self):
-        rep, _ = young_tensor([(1, 1), (2,)], [(1, 2), (3, 4)])
-        g = (Permutation([2, 1]), Permutation([1, 2]))
-        assert rep.character()[rep.monoid.index(g)] == -1
-
-    def test_block_mismatch(self):
-        with pytest.raises(ValueError):
-            young_tensor([(2,), (2,)], [(1, 2), (2, 3)])  # overlapping blocks
-        with pytest.raises(ValueError):
-            young_tensor([(3,)], [(1, 2)])  # size mismatch
-
-
 # -- the all-tableaux oracle: every polytabloid and the whole tabloid stack ----
 
 def all_fillings(shape, labels):
@@ -298,6 +275,22 @@ class TestStandardPolytabloids:
         )
         with pytest.raises(ValueError, match="needs all of S_3"):
             specht_rep((2, 1), group=cyclic)
+
+    def test_the_space_is_shared_by_every_group_on_its_labels(self, monkeypatch):
+        # one polytabloid span per (shape, labels), whatever group reads it
+        monkeypatch.setattr(specht, "_SPECHT_CACHE", {})
+        first = specht_rep((2, 1), (4, 7, 9))
+        again = specht_rep((2, 1), (9, 7, 4), group=symmetric_group(3))
+        assert list(specht._SPECHT_CACHE) == [((2, 1), (4, 7, 9))]
+        assert again.subspace is first.subspace and again.tabloids is first.tabloids
+        assert np.array_equal(again.rep.num, first.rep.num)
+
+    def test_an_oversized_tabloid_stack_is_refused_before_allocation(self):
+        # 720 permutations of 360 tabloids: 746 MB of object cells
+        start = time.perf_counter()
+        with pytest.raises(ClosureCapError, match="over the 256 MiB table budget"):
+            tabloid_module((2, 1, 1, 1, 1), range(1, 7))
+        assert time.perf_counter() - start < 10
 
     # A polytabloid e_t moved by delta * (one tabloid) leaves S^lambda, and the
     # rank stays f^lambda: the moved vector is outside the span of the others.
