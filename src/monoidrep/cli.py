@@ -424,10 +424,10 @@ def main() -> None:
     # The objects alive at entry (the interpreter, the package, elements
     # and cli) live until exit; frozen, they leave every later collection,
     # the one at interpreter exit included.  Garbage made by the run is
-    # still collected.  What the command loaded (lattice and green, and
-    # numpy with the representation layers or a dense table) is frozen
-    # once it returns, so the collection at exit does not walk numpy's
-    # objects either; the run has written and closed its output by then.
+    # still collected.  What the command loaded (the lazy layers, and the
+    # exact stacks and Green classes it built) is frozen once it returns,
+    # so the collection at exit does not walk them either; the run has
+    # written and closed its output by then.
     # Library users and test processes keep normal collection.
     gc.freeze()
     start = time.monotonic()

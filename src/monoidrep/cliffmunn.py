@@ -16,8 +16,6 @@ import itertools
 from math import factorial, prod
 from typing import NamedTuple
 
-import numpy as np
-
 from .elements import FiniteMonoid, PartialBijection, Permutation, Transformation, _compose_rows
 from .green import (
     apex_labels,
@@ -31,6 +29,9 @@ from .linrep import (
     Matrix,
     Representation,
     Subspace,
+    _identity,
+    _kron,
+    _stack,
     commutant_dim,
     commutation_rows,
     find_proper_invariant,
@@ -69,12 +70,12 @@ def reduce_rep(big: Representation, e: int) -> ReducedRep:
     monoid = big.monoid
     classes, _ = monoid_green(monoid)
     group = maximal_subgroup(monoid, classes, e)  # raises unless e is idempotent
-    carrier = rref(Matrix.from_numerators(big.num[e], big.den)).image
+    carrier = rref(Matrix._of(big.num[e], big.den)).image
     if carrier.dim == 0:
         return ReducedRep(e, carrier, group, None)
-    members = list(classes.hclasses[classes.hclass_of[e]])  # the group's elements, in order
-    num, den = carrier.restrict(big.num[members])
-    return ReducedRep(e, carrier, group, Representation.from_numerators(group, num, big.den * den))
+    members = classes.hclasses[classes.hclass_of[e]]  # the group's elements, in order
+    num, den = carrier.restrict([big.num[s] for s in members])
+    return ReducedRep(e, carrier, group, Representation._of(group, num, big.den * den))
 
 
 def support_jclasses(big: Representation) -> tuple:
@@ -85,7 +86,7 @@ def support_jclasses(big: Representation) -> tuple:
     for j, idems in enumerate(classes.jclass_idempotents):
         if not idems:
             raise ApexError(f"J-class {j} carries no idempotent; monoid not regular")
-        flags = {not big.num[i].any() for i in idems}
+        flags = {not any(map(any, big.num[i])) for i in idems}
         if len(flags) != 1:
             raise ApexError(f"idempotents of J-class {j} disagree about eV = 0")
         if not flags.pop():
@@ -126,41 +127,48 @@ class InducedRaw(NamedTuple):
     group: FiniteMonoid
     group_rep: Representation
     rep: Representation
-    block_map: tuple  # (J, G) int arrays (|S|, k): t s_i = s_J g_G; -1 off L_e
+    block_map: tuple  # (J, G), each one k-tuple per element: t s_i = s_J g_G; -1 off L_e
 
 
 def induce_raw(monoid: FiniteMonoid, e: int, group_rep: Representation,
                trans=None) -> InducedRaw:
     """The block representation on |trans.reps| tagged copies of V: block
     (J, i) of phi(t) is rho(g) where t s_i = s_J g lies in L_e, else 0.
-    t s_i is read from the column of s_i in the left Cayley graph."""
+    t s_i is read from the column of s_i in the left Cayley graph, and each
+    phi(t) is written from its row of the (J, G) block map."""
     classes, _ = monoid_green(monoid)
     if trans is None:
         trans = transversal(monoid, classes, e)
     group = group_rep.monoid
-    block, local = map(np.asarray, lclass_coordinates(monoid, classes, trans))
+    block, local = lclass_coordinates(monoid, classes, trans)
     # position in G_e (ascending) -> index in the group rep's own element order
     ge = classes.hclasses[classes.hclass_of[e]]
-    to_group = np.array([group.index(monoid.elements[g]) for g in ge])
-    products = np.array(monoid.columns(trans.reps)).T  # products[t, i] = t s_i
-    big_j = block[products]
-    big_g = np.where(big_j >= 0, to_group[local[products]], -1)
-    k, dv = len(trans.reps), group_rep.dim
-    # block (J, i) of phi(t) is rho(G): rows J*dv.., columns i*dv..
-    num = np.zeros((len(monoid), k, dv, k, dv), dtype=object)
-    t, i = np.nonzero(big_j >= 0)
-    num[t, big_j[t, i], :, i, :] = group_rep.num[big_g[t, i]]
-    num = num.reshape(len(monoid), k * dv, k * dv)
-    rep = Representation.from_numerators(monoid, num, group_rep.den)
+    to_group = [group.index(monoid.elements[g]) for g in ge]
+    products = list(zip(*monoid.columns(trans.reps)))  # products[t][i] = t s_i
+    big_j = tuple(tuple(block[p] for p in row) for row in products)
+    big_g = tuple(tuple(to_group[local[p]] if block[p] >= 0 else -1 for p in row)
+                  for row in products)
+    k, dv, blocks = len(trans.reps), group_rep.dim, group_rep.num
+    zero = (0,) * (k * dv)
+
+    def matrix(t):  # block (J, i) of phi(t) is rho(G): rows J*dv.., columns i*dv..
+        out = {}  # the rows that are not zero
+        for i, (j, g) in enumerate(zip(big_j[t], big_g[t])):
+            if j >= 0:
+                for r, row in enumerate(blocks[g], j * dv):
+                    out.setdefault(r, [0] * (k * dv))[i * dv:(i + 1) * dv] = row
+        return tuple(tuple(out[r]) if r in out else zero for r in range(k * dv))
+
+    rep = Representation._of(monoid, _stack(len(monoid), k * dv, matrix), group_rep.den)
     return InducedRaw(monoid, e, trans.reps, group, group_rep, rep, (big_j, big_g))
 
 
 def annihilator(raw: InducedRaw) -> Subspace:
     """Vectors killed by every element of the R-class of e."""
     classes, _ = monoid_green(raw.monoid)
-    r_members = list(classes.rclasses[classes.rclass_of[raw.idempotent]])
-    stacked = raw.rep.num[r_members].reshape(-1, raw.rep.dim)  # every row of every phi(s)
-    return Subspace.span(raw.rep.dim, stacked).orthogonal_complement()
+    r_members = classes.rclasses[classes.rclass_of[raw.idempotent]]
+    rows = [row for s in r_members for row in raw.rep.num[s]]  # every row of every phi(s)
+    return Subspace._span(raw.rep.dim, rows).orthogonal_complement()
 
 
 def induce(monoid: FiniteMonoid, e: int, group_rep: Representation) -> Representation:
@@ -195,10 +203,12 @@ def semisimple_predicate(monoid: FiniteMonoid, characteristic: int = 0) -> Semis
     classes, _ = monoid_green(monoid)
     if not all(classes.jclass_idempotents):
         return SemisimpleReport("unknown", "monoid is not regular")
-    idems = np.asarray(monoid.idempotent_indices())
-    per_l = np.bincount(np.asarray(classes.lclass_of)[idems], minlength=len(classes.lclasses))
-    per_r = np.bincount(np.asarray(classes.rclass_of)[idems], minlength=len(classes.rclasses))
-    if (per_l != 1).any() or (per_r != 1).any():
+    idems = monoid.idempotent_indices()
+    per_l, per_r = [0] * len(classes.lclasses), [0] * len(classes.rclasses)
+    for e in idems:
+        per_l[classes.lclass_of[e]] += 1
+        per_r[classes.rclass_of[e]] += 1
+    if any(c != 1 for c in per_l + per_r):
         return SemisimpleReport(
             "unknown", "regular but not inverse: no general semisimplicity criterion applies"
         )
@@ -239,20 +249,18 @@ def _equivariant_projection(rep: Representation, sub: Subspace):
     (free unknowns 0) is read off the echelon form; None if it has none.
     """
     d = rep.dim
-    ident = np.eye(d, dtype=object)
+    ident = _identity(d)
     u, f = sub.num, sub.orthogonal_complement().num
-    comm = commutation_rows(rep, rep)
-    aug = np.vstack([
-        np.hstack([comm, np.zeros((len(comm), 1), dtype=object)]),
-        np.hstack([np.kron(ident, u), u.T.reshape(-1, 1)]),
-        np.hstack([np.kron(f, ident), np.zeros((d * len(f), 1), dtype=object)]),
-    ])
-    solved = Subspace.span(d * d + 1, aug)
+    aug = [row + [0] for row in commutation_rows(rep, rep)]
+    aug += [row + (x,) for row, x in zip(_kron(ident, u), itertools.chain.from_iterable(zip(*u)))]
+    aug += [row + (0,) for row in _kron(f, ident)]
+    solved = Subspace._span(d * d + 1, aug)
     if d * d in solved.pivots:
         return None
-    sol = np.zeros(d * d, dtype=object)
-    sol[list(solved.pivots)] = solved.num[:, -1]
-    return Matrix.from_numerators(sol.reshape(d, d), solved.den)
+    sol = [0] * (d * d)
+    for p, row in zip(solved.pivots, solved.num):
+        sol[p] = row[-1]
+    return Matrix._of(tuple(tuple(sol[i:i + d]) for i in range(0, d * d, d)), solved.den)
 
 
 def decompose(rep: Representation, *, catalog=None, seed_order: str = "standard"):
@@ -356,10 +364,9 @@ def _young_irreps(group, blocks, to_label_map):
     for shapes in itertools.product(*factors):  # one shape per block, in partitions order
         (num, den), *rest = (factor[lam] for factor, lam in zip(factors, shapes))
         for f, d in rest:  # kron(num[s], f[s]) for every s
-            n, dim = len(num), num.shape[1] * f.shape[1]
-            num = (num[:, :, None, :, None] * f[:, None, :, None, :]).reshape(n, dim, dim)
+            num = _stack(len(num), len(num[0]) * len(f[0]), lambda s, a=num, b=f: _kron(a[s], b[s]))
             den *= d
-        yield shapes, Representation.from_numerators(group, num, den)
+        yield shapes, Representation._of(group, num, den)
 
 
 def _group_irreps(monoid: FiniteMonoid, e: int, group: FiniteMonoid):
@@ -514,8 +521,8 @@ def renner_permutohedron_catalog(n: int, with_catalog: bool = None):
     """Catalog for the ordered-partition pair monoid plus its J-poset report.
 
     The full catalog is built for n <= 3 by default; at n = 4 the monoid has
-    1801 elements and 23 entries of dimension up to 24, which take tens of
-    seconds, so only the structural report is produced unless a catalog is
+    1801 elements and 23 entries of dimension up to 24, which take about
+    1.5 s; only the structural report is produced there unless a catalog is
     forced.
     """
     from .lattice import make_lattice, sgl_monoid

@@ -1,19 +1,22 @@
 """Exact rational linear algebra and verified monoid representations.
 
-Every exact matrix is stored one way: an object-dtype numpy array of Python
-int numerators over one positive denominator, in lowest terms, so that
-equality and hashing are exact and canonical.  A subspace is its reduced
-echelon basis in the same form.  One fraction-free Gauss-Jordan kernel
-serves every elimination, and no floating point is involved anywhere.
-Fractions appear only at the edges: matrices and vectors are accepted as
-anything Fraction() accepts, and read back through the rows and basis views.
+Every exact matrix is stored one way: a tuple of row tuples of Python int
+numerators over one positive denominator, in lowest terms, so that equality
+and hashing are exact and canonical and no matrix can be written to.  A
+subspace is its reduced echelon basis in the same form.  One fraction-free
+Gauss-Jordan kernel serves every elimination, and no floating point is
+involved anywhere.  Fractions appear only at the edges: matrices and vectors
+are accepted as anything Fraction() accepts, and read back through the rows
+and basis views.  Integer numerators handed to a public constructor pass
+through operator.index once, which takes numpy integers without importing
+numpy, turns bools into 0 and 1, and refuses floats.  numpy is not imported
+here.
 
-A Representation is one stack of numerators, shape (|S|, d, d), over one
-denominator: the same encoding with a leading element axis, so every builder
-and reader makes one numpy pass over all elements.  Its constructor proves
-the homomorphism law on every pair of elements from its instances on the
-generators, with one exact numpy check per generator over the numerators
-and s*a read from the monoid's left Cayley graph.
+A Representation is one tuple of such matrices, one per element, over one
+denominator.  Its constructor proves the homomorphism law on every pair of
+elements from its instances on the generators: each column of rho(s)rho(a)
+is summed over the nonzeros of rho(a) alone, with s*a read from the
+monoid's left Cayley graph.
 """
 
 from __future__ import annotations
@@ -22,34 +25,74 @@ import itertools
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-
-import numpy as np
+from operator import getitem, index, itemgetter, mul
 
 from .elements import TABLE_BYTES_BUDGET, ClosureCapError, FiniteMonoid, product_monoid
+
+_flat = itertools.chain.from_iterable
 
 
 class VerificationError(RuntimeError):
     """A representation failed its homomorphism re-verification."""
 
 
+def _exact_rows(rows) -> tuple:
+    """Integer rows as a tuple of row tuples of Python ints, each entry
+    through operator.index once."""
+    return tuple(tuple(map(index, row)) for row in rows)
+
+
 def _numerators(rows):
-    """Rows of anything Fraction() accepts, as (integer array, common denominator)."""
+    """Rows of anything Fraction() accepts, as (integer rows, common denominator)."""
     rows = [[Fraction(x) for x in row] for row in rows]
     ncols = len(rows[0]) if rows else 0
     if any(len(r) != ncols for r in rows):
         raise ValueError("ragged rows")
     den = lcm(1, *(x.denominator for r in rows for x in r))
-    num = [[x.numerator * (den // x.denominator) for x in r] for r in rows]
-    return np.array(num, dtype=object).reshape(len(rows), ncols), den
+    return tuple(tuple(x.numerator * (den // x.denominator) for x in r) for r in rows), den
+
+
+def _positive(den) -> int:
+    den = index(den)
+    if den <= 0:
+        raise ValueError("the denominator must be positive")
+    return den
 
 
 def _lowest(num, den):
-    """num / den with the common factor of every entry and den divided out."""
-    g = gcd(den, *num.flat)
-    if g > 1:
-        num, den = num // g, den // g
-    num.flags.writeable = False
+    """Integer rows num over den with the common factor of den and every
+    entry divided out."""
+    if den != 1:
+        g = gcd(den, *_flat(num))
+        if g > 1:
+            return tuple(tuple(x // g for x in row) for row in num), den // g
     return num, den
+
+
+def _scaled(rows, k) -> tuple:
+    return rows if k == 1 else tuple(tuple(x * k for x in row) for row in rows)
+
+
+def _identity(n: int, value: int = 1) -> tuple:
+    return tuple(tuple(value if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def _apply(m, v) -> tuple:
+    """The integer matrix m times the column vector v."""
+    return tuple(sum(map(mul, row, v)) for row in m)
+
+
+def _combination(terms, rows, length: int) -> list:
+    """sum of c * rows[k] over the pairs (k, c) of terms, as a list."""
+    out = [0] * length
+    for k, c in terms:
+        out = [x + c * y for x, y in zip(out, rows[k])]
+    return out
+
+
+def _kron(a, b) -> tuple:
+    """The Kronecker product of two integer matrices, a's indices major."""
+    return tuple(tuple(x * y for x in ra for y in rb) for ra in a for rb in b)
 
 
 class Matrix:
@@ -62,9 +105,17 @@ class Matrix:
 
     @classmethod
     def from_numerators(cls, num, den: int = 1) -> "Matrix":
-        """The matrix num / den for an integer array num and a positive den."""
+        """The matrix num / den for integer rows num and a positive den."""
+        num = _exact_rows(num)
+        if len({len(row) for row in num}) > 1:
+            raise ValueError("ragged rows")
+        return cls._of(num, _positive(den))
+
+    @classmethod
+    def _of(cls, num, den: int) -> "Matrix":
+        """num / den for rows already held as tuples of Python ints."""
         m = cls.__new__(cls)
-        m._set(np.asarray(num, dtype=object), den)
+        m._set(num, den)
         return m
 
     def _set(self, num, den):
@@ -77,7 +128,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls.from_numerators(np.eye(n, dtype=object))
+        return cls._of(_identity(n), 1)
 
     @property
     def rows(self) -> tuple:
@@ -86,38 +137,41 @@ class Matrix:
 
     @property
     def nrows(self) -> int:
-        return self.num.shape[0]
+        return len(self.num)
 
     @property
     def ncols(self) -> int:
-        return self.num.shape[1]
+        return len(self.num[0]) if self.num else 0
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        return Matrix.from_numerators(self.num @ other.num, self.den * other.den)
+        cols = tuple(zip(*other.num))
+        num = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.num)
+        return Matrix._of(num, self.den * other.den)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        if self.num.shape != other.num.shape:
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
-        return Matrix.from_numerators(self.num * other.den + other.num * self.den,
-                                      self.den * other.den)
+        p, q = other.den, self.den
+        return Matrix._of(tuple(tuple(x * p + y * q for x, y in zip(r, s))
+                                for r, s in zip(self.num, other.num)), p * q)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + other.scale(-1)
 
     def scale(self, c) -> "Matrix":
         c = Fraction(c)
-        return Matrix.from_numerators(self.num * c.numerator, self.den * c.denominator)
+        return Matrix._of(_scaled(self.num, c.numerator), self.den * c.denominator)
 
     def apply(self, vector) -> tuple:
         """The matrix acting on a column vector, returned as a tuple."""
-        num, den = _numerators([vector])
-        if num.shape[1] != self.ncols:
+        (num,), den = _numerators([vector])
+        if len(num) != self.ncols:
             raise ValueError("vector length mismatch")
-        return tuple(Fraction(x, self.den * den) for x in self.num @ num[0])
+        return tuple(Fraction(x, self.den * den) for x in _apply(self.num, num))
 
     def det(self) -> Fraction:
         """det(N / d) = det(N) / d^n, with det(N) by Bareiss elimination."""
@@ -126,32 +180,34 @@ class Matrix:
         return Fraction(_bareiss(self.num), self.den ** self.nrows)
 
     def __eq__(self, other):
-        return (isinstance(other, Matrix) and self.den == other.den
-                and self.num.shape == other.num.shape and np.array_equal(self.num, other.num))
+        return isinstance(other, Matrix) and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((self.den, self.num.shape, tuple(self.num.flat)))
+        return hash((self.den, self.num))
 
     def __repr__(self):
         return f"Matrix({[[str(x) for x in row] for row in self.rows]})"
 
 
 def _bareiss(num) -> int:
-    """Determinant of a square integer array by fraction-free elimination
+    """Determinant of a square integer matrix by fraction-free elimination
     (Bareiss, Math. Comp. 22, 1968): each step's division by the previous
     pivot is exact, and the last pivot is the determinant up to sign."""
-    a = np.array(num, dtype=object)
+    a = [list(row) for row in num]
+    n = len(a)
     sign, prev = 1, 1
-    for k in range(len(a)):
-        nz = np.flatnonzero(a[k:, k])
-        if not len(nz):
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
             return 0
-        if nz[0]:
-            a[[k, k + nz[0]]] = a[[k + nz[0], k]]
+        if p != k:
+            a[k], a[p] = a[p], a[k]
             sign = -sign
-        a[k + 1:, k + 1:] = (a[k + 1:, k + 1:] * a[k, k]
-                             - np.outer(a[k + 1:, k], a[k, k + 1:])) // prev
-        prev = a[k, k]
+        pivot_row, pivot = a[k][k + 1:], a[k][k]
+        for i in range(k + 1, n):
+            row, lead = a[i], a[i][k]
+            row[k + 1:] = [(x * pivot - lead * y) // prev for x, y in zip(row[k + 1:], pivot_row)]
+        prev = pivot
     return sign * prev
 
 
@@ -160,41 +216,49 @@ def _bareiss(num) -> int:
 def _rref_rows(rows):
     """Reduced row echelon form of a nonempty list of integer rows.
 
-    Fraction-free Gauss-Jordan: clearing column c from row i replaces it by
-    p*row_i - row_i[c]*row_r (p > 0 the pivot entry of row r), and each
-    changed row is divided by the gcd of its entries.  Only the rows with a
-    nonzero in the pivot column change, which keeps sparse systems cheap.
-    Returns (rows, pivots): one primitive integer row per pivot, with a
-    positive pivot entry and zeros in every other pivot column; dividing each
-    row by its pivot entry gives the rational reduced echelon form.
+    Fraction-free Gauss-Jordan, one row at a time.  A row is cleared at each
+    pivot column c found so far, as p*row - row[c]*e with e the row of pivot
+    c and p = e[c] > 0.  If anything is left, its first nonzero column
+    becomes a pivot, its sign is made positive, and that column is cleared
+    from the earlier rows the same way.  Each changed row is divided by the
+    gcd of its entries, and the pass stops once every column is a pivot.
+    Returns (rows, pivots) in pivot order: one primitive integer row per
+    pivot, with a positive pivot entry and zeros in every other pivot column.
+    Dividing each row by its pivot entry gives the rational reduced echelon
+    form, which the span alone determines, so the result does not depend on
+    the order or the number of the rows given.
     """
-    a = _primitive(np.array(rows, dtype=object))
-    nrows, ncols = a.shape
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        nz = np.flatnonzero(a[r:, c])
-        if not len(nz):
-            continue
-        if nz[0]:
-            a[[r, r + nz[0]]] = a[[r + nz[0], r]]
-        if a[r, c] < 0:
-            a[r] = -a[r]
-        hits = np.flatnonzero(a[:, c])
-        hits = hits[hits != r]
-        if len(hits):
-            a[hits] = _primitive(a[hits] * a[r, c] - np.outer(a[hits, c], a[r]))
-        pivots.append(c)
-        r += 1
-        if r == nrows:
+    ncols = len(rows[0])
+    ech = {}  # pivot column -> its row
+    for row in rows:
+        if len(ech) == ncols:
             break
-    return a[:r], tuple(pivots)
+        for c, e in ech.items():
+            q = row[c]
+            if q:
+                p = e[c]
+                row = ([x - q * y for x, y in zip(row, e)] if p == 1
+                       else _primitive([x * p - q * y for x, y in zip(row, e)]))
+        c = next((c for c, x in enumerate(row) if x), None)
+        if c is None:
+            continue
+        row = _primitive(row)
+        if row[c] < 0:
+            row = [-x for x in row]
+        lead = row[c]
+        for pc, e in ech.items():
+            q = e[c]
+            if q:
+                ech[pc] = _primitive([x * lead - q * y for x, y in zip(e, row)])
+        ech[c] = row
+    pivots = sorted(ech)
+    return tuple(tuple(ech[c]) for c in pivots), tuple(pivots)
 
 
-def _primitive(rows):
-    """Each integer row divided by the gcd of its entries; zero rows stay."""
-    g = np.gcd.reduce(rows, axis=1)
-    return rows // np.where(g == 0, 1, g)[:, None]
+def _primitive(row):
+    """An integer row divided by the gcd of its entries; a zero row stays."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 class Subspace:
@@ -215,28 +279,33 @@ class Subspace:
     @classmethod
     def span(cls, ambient: int, rows) -> "Subspace":
         """The span of integer row vectors of length ambient."""
-        if not len(rows):
+        return cls._span(ambient, _exact_rows(rows))
+
+    @classmethod
+    def _span(cls, ambient: int, rows) -> "Subspace":
+        """span for a sequence of rows already held as Python ints."""
+        if not rows:
             return cls.zero(ambient)
-        ech, pivots = _rref_rows(list(rows))
-        lead = ech[np.arange(len(pivots)), list(pivots)]
+        ech, pivots = _rref_rows(rows)
+        lead = [row[p] for row, p in zip(ech, pivots)]
         den = lcm(1, *lead)  # each row over its pivot entry, over one den
-        num, den = _lowest(ech * (den // lead)[:, None], den)
+        num, den = _lowest(tuple(tuple(x * (den // c) for x in row) for row, c in zip(ech, lead)), den)
         return cls(ambient, num, den, pivots)
 
     @classmethod
     def from_vectors(cls, ambient: int, vectors) -> "Subspace":
         num, _ = _numerators(vectors)
-        if len(num) and num.shape[1] != ambient:
+        if num and len(num[0]) != ambient:
             raise ValueError("vector has wrong length")
-        return cls.span(ambient, num)
+        return cls._span(ambient, num)
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
-        return cls(ambient, np.zeros((0, ambient), dtype=object), 1, ())
+        return cls(ambient, (), 1, ())
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
-        return cls(ambient, np.eye(ambient, dtype=object), 1, range(ambient))
+        return cls(ambient, _identity(ambient), 1, range(ambient))
 
     @property
     def dim(self) -> int:
@@ -247,15 +316,23 @@ class Subspace:
         """The echelon basis as a tuple of Fraction vectors."""
         return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.num)
 
-    def reduce(self, rows):
-        """den * (v - v[pivots] B) for each integer row v (the last axis): the
-        remainder of v after clearing its pivot coordinates, zero exactly on
-        the subspace.  The echelon basis B has unit pivot columns, so one
-        product clears all."""
-        return rows * self.den - rows[..., list(self.pivots)] @ self.num
+    def reduce(self, rows) -> list:
+        """The remainder den * v - sum_i v[p_i] b_i of each integer row v,
+        read at the free (non-pivot) columns, one list per row.  The echelon
+        basis rows b_i have unit pivot columns, so the remainder is zero at
+        every pivot column, and it is zero exactly when v lies in the
+        subspace."""
+        den, pivots = self.den, self.pivots
+        cols = tuple(zip(*self.num)) if self.num else ((),) * self.ambient
+        free = [(f, cols[f]) for f in range(self.ambient) if f not in pivots]
+        out = []
+        for v in rows:
+            at = [v[p] for p in pivots]
+            out.append([den * v[f] - sum(map(mul, at, col)) for f, col in free])
+        return out
 
     def contains(self, vector) -> bool:
-        return not self.reduce(_numerators([vector])[0]).any()
+        return not any(self.reduce(_numerators([vector])[0])[0])
 
     def coords(self, vector) -> tuple:
         """Coordinates in the echelon basis; the vector must lie inside."""
@@ -263,34 +340,41 @@ class Subspace:
             raise ValueError("vector is not in the subspace")
         return tuple(Fraction(vector[p]) for p in self.pivots)
 
-    def restrict(self, num):
-        """The action of integer matrices M (any leading shape) on this
-        subspace, in echelon coordinates, as (numerators, den).
+    def restrict(self, mats):
+        """The action of integer matrices M on this subspace, in echelon
+        coordinates, as (tuple of numerators, den), one per M.
 
         The basis rows b_j have unit pivot columns, so a vector w of the
         subspace has coordinates w[pivots], and the action is
-        R = M[pivots, :] B^T (so M / d acts as R's numerators over d * den).
-        The subspace is invariant exactly when M B^T = B^T R for every M;
-        otherwise this raises ValueError.
+        R = M[pivots, :] B^T: R[i, j] = (M b_j)[p_i], and M / d acts as R's
+        numerators over d * den.  The subspace is invariant exactly when
+        den * M b_j = sum_i (M b_j)[p_i] b_i for every j, which is
+        reduce(M b_j) = 0; otherwise this raises ValueError.
         """
-        bt = self.num.T
-        image = num @ bt  # M B^T, over den
-        r = image[..., list(self.pivots), :]
-        image *= self.den  # now over den^2, as B^T R is
-        if (image != bt @ r).any():
-            raise ValueError("subspace is not invariant")
-        return r, self.den
+        terms = [[(k, x) for k, x in enumerate(b) if x] for b in self.num]
+        out = []
+        for m in mats:
+            cols = tuple(zip(*m))
+            images = [_combination(t, cols, self.ambient) for t in terms]  # M b_j, over den
+            if any(map(any, self.reduce(images))):
+                raise ValueError("subspace is not invariant")
+            out.append(tuple(zip(*([w[p] for p in self.pivots] for w in images))))
+        return tuple(out), self.den
 
     def orthogonal_complement(self) -> "Subspace":
         """The vectors x with b . x = 0 for every basis vector b.
 
         One vector per free column f: x[f] = den, x[p_i] = -num[i, f].
         """
-        free = [c for c in range(self.ambient) if c not in self.pivots]
-        vecs = np.zeros((len(free), self.ambient), dtype=object)
-        vecs[np.arange(len(free)), free] = self.den
-        vecs[:, list(self.pivots)] = -self.num[:, free].T
-        return Subspace.span(self.ambient, vecs)
+        vecs = []
+        for f in range(self.ambient):
+            if f not in self.pivots:
+                x = [0] * self.ambient
+                x[f] = self.den
+                for p, b in zip(self.pivots, self.num):
+                    x[p] = -b[f]
+                vecs.append(x)
+        return Subspace._span(self.ambient, vecs)
 
     def intersection(self, other: "Subspace") -> "Subspace":
         """Zassenhaus-style intersection via the kernel of [A^T | -B^T]."""
@@ -298,21 +382,21 @@ class Subspace:
             raise ValueError("ambient mismatch")
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.ambient)
-        both = Subspace.span(self.dim + other.dim, np.hstack([self.num.T, -other.num.T]))
-        ker = both.orthogonal_complement()
-        return Subspace.span(self.ambient, ker.num[:, :self.dim] @ self.num)
+        rows = [col + tuple(-x for x in neg) for col, neg in zip(zip(*self.num), zip(*other.num))]
+        ker = Subspace._span(self.dim + other.dim, rows).orthogonal_complement()
+        return Subspace._span(self.ambient, [_combination(enumerate(k[:self.dim]), self.num, self.ambient)
+                                            for k in ker.num])
 
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and self.ambient == other.ambient
             and self.den == other.den
-            and self.num.shape == other.num.shape
-            and np.array_equal(self.num, other.num)
+            and self.num == other.num
         )
 
     def __hash__(self):
-        return hash((self.ambient, self.den, tuple(self.num.flat)))
+        return hash((self.ambient, self.den, self.num))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of {self.ambient})"
@@ -324,13 +408,13 @@ class RrefResult:
 
     def __init__(self, matrix: Matrix):
         self.matrix = matrix
-        self.row_space = Subspace.span(matrix.ncols, matrix.num)
+        self.row_space = Subspace._span(matrix.ncols, matrix.num)
         self.rank = self.row_space.dim
         self.pivots = self.row_space.pivots
 
     @property
     def echelon(self) -> Matrix:
-        return Matrix.from_numerators(self.row_space.num, self.row_space.den)
+        return Matrix._of(self.row_space.num, self.row_space.den)
 
     @cached_property
     def kernel(self) -> Subspace:
@@ -338,7 +422,7 @@ class RrefResult:
 
     @cached_property
     def image(self) -> Subspace:
-        return Subspace.span(self.matrix.nrows, self.matrix.num.T)
+        return Subspace._span(self.matrix.nrows, tuple(zip(*self.matrix.num)))
 
 
 def rref(matrix: Matrix) -> RrefResult:
@@ -349,34 +433,46 @@ def rref(matrix: Matrix) -> RrefResult:
 
 class Representation:
     """A verified monoid homomorphism into exact rational matrices:
-    rho(s) = num[s] / den, with num a read-only object-dtype stack of Python
-    ints and den positive, in lowest terms with all of num."""
+    rho(s) = num[s] / den, with num a tuple of d x d integer matrices (tuples
+    of row tuples of Python ints), one per element, and den positive, in
+    lowest terms with all of num."""
 
     def __init__(self, monoid: FiniteMonoid, matrices):
         """From one Matrix per element, brought over one denominator."""
         matrices = tuple(matrices)
-        if len({m.num.shape for m in matrices}) > 1:
+        if len({(m.nrows, m.ncols) for m in matrices}) > 1:
             raise ValueError("matrices must be square and of equal size")
         den = lcm(*(m.den for m in matrices))
-        self._set(monoid, np.array([m.num * (den // m.den) for m in matrices], dtype=object), den)
+        self._set(monoid, tuple(_scaled(m.num, den // m.den) for m in matrices), den)
 
     @classmethod
     def from_numerators(cls, monoid: FiniteMonoid, num, den: int = 1) -> "Representation":
-        """s -> num[s] / den, for an integer stack num of shape (|S|, d, d)."""
+        """s -> num[s] / den, for one integer d x d matrix num[s] per element."""
+        return cls._of(monoid, tuple(map(_exact_rows, num)), _positive(den))
+
+    @classmethod
+    def _of(cls, monoid: FiniteMonoid, num, den: int) -> "Representation":
+        """s -> num[s] / den for matrices already held as tuples of Python
+        ints, as every builder here writes them; verified all the same."""
         rep = cls.__new__(cls)
-        rep._set(monoid, np.asarray(num, dtype=object), den)
+        rep._set(monoid, num, den)
         return rep
 
     def _set(self, monoid, num, den):
-        if num.ndim != 3 or len(num) != len(monoid):
+        if len(num) != len(monoid):
             raise ValueError("need one matrix per monoid element")
-        if num.shape[1] != num.shape[2]:
+        d = len(num[0])
+        if set(map(len, num)) | set(map(len, _flat(num))) != {d}:
             raise ValueError("matrices must be square and of equal size")
-        if num.shape[1] == 0:
+        if d == 0:
             raise ValueError("null representations are excluded by convention")
+        if den != 1:
+            g = gcd(den, *_flat(_flat(num)))
+            if g > 1:
+                num, den = tuple(tuple(tuple(x // g for x in row) for row in m) for m in num), den // g
         self.monoid = monoid
-        self.num, self.den = _lowest(num, int(den))
-        self.dim = num.shape[1]
+        self.num, self.den = num, den
+        self.dim = d
         self.verify()
 
     def verify(self):
@@ -388,34 +484,74 @@ class Representation:
         = rho(s*t')rho(a) = rho(s)rho(t')rho(a) = rho(s)rho(t).  s*a is read
         from a's column, composed along the left Cayley graph once per
         monoid and kept (FiniteMonoid._generator_columns).
+
+        Over the numerators the law at (s, a) is num[s] num[a] = den num[s*a],
+        checked column by column: column c of the left side is the sum of
+        v * (column r of num[s]) over the nonzeros v = num[a][r][c] of column
+        c of num[a], so only rho(a)'s nonzeros are read, dense or sparse
+        alike.  A zero column c of num[a] asks for column c of num[s*a] to be
+        zero, and one whose only nonzero is den, in row r (an entry 1 of
+        rho(a)), asks for it to equal column r of num[s]; these columns of a
+        are compared all at once.
+
+        Each column x is held as the integer P(x) = sum_k x_k 2^(w k).  P is
+        linear, and one-to-one on the vectors whose entries lie strictly
+        between -2^(w-1) and 2^(w-1): if P(x) = P(y), the lowest k with
+        x_k != y_k would leave P(x) - P(y) = (x_k - y_k) 2^(w k) modulo
+        2^(w (k+1)), with 0 < |x_k - y_k| < 2^w.  The entries of both sides
+        are at most m * max(den, l) in absolute value, where m bounds the
+        numerators and l the absolute column sums of the generators' matrices,
+        and w is chosen with 2^(w-1) above that, so comparing P values
+        compares the columns exactly.
         """
-        num, den, monoid = self.num, self.den, self.monoid
-        if not np.array_equal(num[monoid.identity_index], np.eye(self.dim, dtype=object) * den):
+        num, den, monoid, d = self.num, self.den, self.monoid, self.dim
+        if num[monoid.identity_index] != _identity(d, den):
             raise VerificationError("identity does not map to the identity matrix")
-        for a, col in zip(monoid.generating_set(), monoid._generator_columns()):
-            # rho(s)rho(a) = rho(s*a), both sides times den^2
-            bad = (np.matmul(num, num[a]) != num[col] * den).any(axis=(1, 2))
-            if bad.any():
-                raise VerificationError(f"homomorphism fails at pair ({int(bad.argmax())}, {a})")
+        gens = monoid.generating_set()
+        plans = [[[(r, v) for r, v in enumerate(col) if v] for col in zip(*num[a])] for a in gens]
+        m = max(map(abs, _flat(_flat(num))))
+        l = max([den] + [sum(abs(v) for _, v in terms) for plan in plans for terms in plan])
+        w = (m * l).bit_length() + 1
+        powers = [1 << (w * k) for k in range(d)]
+        # packed[s][c] = P(column c of num[s]); packed[s][d] = 0 stands for a zero column
+        packed = [[sum(map(mul, col, powers)) for col in zip(*x)] + [0] for x in num]
+        for a, col, plan in zip(gens, monoid._generator_columns(), plans):
+            copies, sums = [], []  # (r, c): column c of num[s]num[a]/den is column r of num[s]
+            for c, terms in enumerate(plan):
+                if not terms or len(terms) == 1 and terms[0][1] == den:
+                    copies.append((terms[0][0] if terms else d, c))
+                else:
+                    sums.append((c, terms))
+            rs, cs = zip(*copies, (d, d))  # the extra pair keeps each getter's result a tuple
+            take_r, take_c = itemgetter(*rs), itemgetter(*cs)
+            for s, sa in enumerate(col):
+                here, there = packed[s], packed[sa]
+                if take_r(here) != take_c(there) or sums and any(
+                        sum([v * here[r] for r, v in terms]) != den * there[c] for c, terms in sums):
+                    raise VerificationError(f"homomorphism fails at pair ({s}, {a})")
 
     @property
     def matrices(self) -> tuple:
         """rho(s) for every element index s, as Matrix objects."""
-        return tuple(Matrix.from_numerators(m, self.den) for m in self.num)
+        return tuple(Matrix._of(m, self.den) for m in self.num)
 
     def matrix_of(self, element) -> Matrix:
-        return Matrix.from_numerators(self.num[self.monoid.index(element)], self.den)
+        return Matrix._of(self.num[self.monoid.index(element)], self.den)
+
+    def _traces(self) -> list:
+        diagonal = range(self.dim)
+        return [sum(map(getitem, m, diagonal)) for m in self.num]
 
     def character(self) -> tuple:
-        return tuple(Fraction(t, self.den) for t in np.trace(self.num, axis1=1, axis2=2))
+        return tuple(Fraction(t, self.den) for t in self._traces())
 
     def character_key(self) -> tuple:
         """The character as (den, integer traces) in lowest terms: equal keys
         iff equal characters, since den / gcd(den, traces) is the least
         common denominator of the traces / den."""
-        traces = np.trace(self.num, axis1=1, axis2=2)
+        traces = self._traces()
         g = gcd(self.den, *traces)
-        return self.den // g, tuple(traces // g)
+        return self.den // g, tuple(t // g for t in traces)
 
     def __repr__(self):
         return f"Representation(dim={self.dim}, |S|={len(self.monoid)})"
@@ -425,20 +561,31 @@ def char_equal(c1, c2) -> bool:
     return tuple(c1) == tuple(c2)
 
 
-def _permutation_stack(rows):
-    """The stack of 0/1 matrices num[s] sending e_b to e_{rows[s][b]}, and
-    e_b to 0 where rows[s][b] is -1: num[s, rows[s][b], b] = 1.  rows is one
-    int list per matrix, each as long as the side of the matrices.  A stack
-    whose object cells, 8-byte pointers, exceed the table budget is refused."""
-    rows = np.array(rows, dtype=np.intp)
-    count, size = rows.shape
+def _stack(count: int, size: int, matrix) -> tuple:
+    """(matrix(0), ..., matrix(count - 1)), each a size x size tuple of row
+    tuples: the one writer of representation stacks.  A stack whose cells,
+    one 8-byte pointer each, exceed the table budget is refused before any
+    matrix is written."""
     if count * size * size * 8 > TABLE_BYTES_BUDGET:
         raise ClosureCapError(f"a stack of {count} matrices of side {size} is over the "
                               f"{TABLE_BYTES_BUDGET / 2**20:.0f} MiB table budget")
-    s, b = np.nonzero(rows >= 0)
-    num = np.zeros((count, size, size), dtype=object)
-    num[s, rows[s, b], b] = 1
-    return num
+    return tuple(map(matrix, range(count)))
+
+
+def _permutation_stack(rows) -> tuple:
+    """The stack of 0/1 matrices num[s] sending e_b to e_{rows[s][b]}, and
+    e_b to 0 where rows[s][b] is -1: num[s][rows[s][b]][b] = 1.  rows is one
+    int list per matrix, each as long as the side of the matrices."""
+    size = len(rows[0]) if rows else 0
+
+    def matrix(s):
+        out = [[0] * size for _ in range(size)]
+        for b, y in enumerate(rows[s]):
+            if y >= 0:
+                out[y][b] = 1
+        return tuple(map(tuple, out))
+
+    return _stack(len(rows), size, matrix)
 
 
 def mapping_rep(monoid: FiniteMonoid) -> Representation:
@@ -449,7 +596,7 @@ def mapping_rep(monoid: FiniteMonoid) -> Representation:
     """
     # s(i) - 1 is the 0-based image of i, and -1 where s(i) = 0 is undefined
     rows = [[y - 1 for y in el.images] for el in monoid.elements]
-    return Representation.from_numerators(monoid, _permutation_stack(rows))
+    return Representation._of(monoid, _permutation_stack(rows), 1)
 
 
 def mapping_rep_by_kind(kind: str, n: int) -> Representation:
@@ -466,7 +613,7 @@ def mapping_rep_by_kind(kind: str, n: int) -> Representation:
 
 
 def trivial_rep(monoid: FiniteMonoid) -> Representation:
-    return Representation.from_numerators(monoid, np.ones((len(monoid), 1, 1), dtype=object))
+    return Representation._of(monoid, (((1,),),) * len(monoid), 1)
 
 
 def spin(rep: Representation, seeds) -> Subspace:
@@ -474,29 +621,29 @@ def spin(rep: Representation, seeds) -> Subspace:
     return _spin(rep, Subspace.from_vectors(rep.dim, seeds))
 
 
+def _generator_images(rep: Representation, sub: Subspace) -> list:
+    """phi(g) v for every generator g, then every basis row v of sub."""
+    return [_apply(rep.num[g], v) for g in rep.monoid.generating_set() for v in sub.num]
+
+
 def _spin(rep: Representation, sub: Subspace) -> Subspace:
     """The least invariant subspace containing sub."""
-    gens = [rep.num[g].T for g in rep.monoid.generating_set()]
-    while gens:
-        images = np.vstack([sub.num @ g for g in gens])  # rows (phi(g) v)^T
-        new = images[(sub.reduce(images) != 0).any(axis=1)]
-        if not len(new):
-            break
-        sub = Subspace.span(rep.dim, np.vstack([sub.num, new]))
-    return sub
+    while True:
+        images = _generator_images(rep, sub)
+        new = [w for w, rest in zip(images, sub.reduce(images)) if any(rest)]
+        if not new:
+            return sub
+        sub = Subspace._span(rep.dim, sub.num + tuple(new))
 
 
 def is_invariant(rep: Representation, sub: Subspace) -> bool:
-    return not any(
-        sub.reduce(sub.num @ rep.num[g].T).any()
-        for g in rep.monoid.generating_set()
-    )
+    return not any(map(any, sub.reduce(_generator_images(rep, sub))))
 
 
 def restrict_rep(rep: Representation, sub: Subspace) -> Representation:
     """The action on an invariant subspace, in its echelon-basis coordinates."""
     num, den = sub.restrict(rep.num)
-    return Representation.from_numerators(rep.monoid, num, rep.den * den)
+    return Representation._of(rep.monoid, num, rep.den * den)
 
 
 def quotient_rep(rep: Representation, sub: Subspace) -> Representation:
@@ -506,45 +653,59 @@ def quotient_rep(rep: Representation, sub: Subspace) -> Representation:
     if sub.dim == rep.dim:
         raise ValueError("quotient by the whole space would be a null representation")
     comp = [c for c in range(rep.dim) if c not in sub.pivots]
-    cols = sub.reduce(np.swapaxes(rep.num, 1, 2))  # cols[s, c]: column c of phi(s), reduced
-    num = np.swapaxes(cols[:, comp][:, :, comp], 1, 2)
-    return Representation.from_numerators(rep.monoid, num, rep.den * sub.den)
+    num = []
+    for m in rep.num:
+        cols = tuple(zip(*m))
+        # reduced[j][i]: column comp[j] of phi(s), reduced, at row comp[i]
+        reduced = sub.reduce([cols[c] for c in comp])
+        num.append(tuple(zip(*reduced)))
+    return Representation._of(rep.monoid, tuple(num), rep.den * sub.den)
 
 
 def direct_sum(a: Representation, b: Representation) -> Representation:
     if a.monoid is not b.monoid and a.monoid.elements != b.monoid.elements:
         raise ValueError("representations are over different monoids")
-    d = a.dim + b.dim
-    num = np.zeros((len(a.num), d, d), dtype=object)
-    num[:, :a.dim, :a.dim] = a.num * b.den
-    num[:, a.dim:, a.dim:] = b.num * a.den
-    return Representation.from_numerators(a.monoid, num, a.den * b.den)
+    right, left = (0,) * b.dim, (0,) * a.dim
+
+    def matrix(s):
+        return (tuple(tuple(x * b.den for x in row) + right for row in a.num[s])
+                + tuple(left + tuple(x * a.den for x in row) for row in b.num[s]))
+
+    num = _stack(len(a.num), a.dim + b.dim, matrix)
+    return Representation._of(a.monoid, num, a.den * b.den)
 
 
-def commutation_rows(rep_v: Representation, rep_u: Representation):
+def commutation_rows(rep_v: Representation, rep_u: Representation) -> list:
     """Integer coefficient rows of X phi_V(g) = phi_U(g) X over the generators g.
 
     X is du x dv, flattened row-major (vec X[i*dv + k] = X[i][k]).  In that
     flattening vec(XA − BX) = (I⊗Aᵀ − B⊗I)·vec X, with I of size du on the
     left and dv on the right, so each generator contributes the du*dv rows of
-    that matrix for A = phi_V(g), B = phi_U(g), times both denominators.
-    Generators suffice: X that commutes past phi(s) and phi(t) commutes past
+    that matrix for A = phi_V(g), B = phi_U(g), times both denominators: row
+    (i, k) holds A[k'][k] at (i, k') and -B[i][i'] at (i', k).  Generators
+    suffice: X that commutes past phi(s) and phi(t) commutes past
     phi(s t) = phi(s) phi(t).
     """
     if rep_v.monoid is not rep_u.monoid and rep_v.monoid.elements != rep_u.monoid.elements:
         raise ValueError("representations are over different monoids")
     dv, du = rep_v.dim, rep_u.dim
-    iu, iv = np.eye(du, dtype=object), np.eye(dv, dtype=object)
-    rows = [np.zeros((0, du * dv), dtype=object)]
+    rows = []
     for g in rep_v.monoid.generating_set():
-        rows.append(np.kron(iu, rep_v.num[g].T) * rep_u.den - np.kron(rep_u.num[g], iv) * rep_v.den)
-    return np.vstack(rows)
+        a, b = rep_v.num[g], rep_u.num[g]
+        for i in range(du):
+            for k in range(dv):
+                row = [0] * (du * dv)
+                row[i * dv:(i + 1) * dv] = [x[k] * rep_u.den for x in a]
+                for j, y in enumerate(b[i]):
+                    row[j * dv + k] -= y * rep_v.den
+                rows.append(row)
+    return rows
 
 
 def intertwiner_space(rep_v: Representation, rep_u: Representation) -> Subspace:
     """Matrices X with X phi_V(s) = phi_U(s) X, flattened row-major."""
-    rows = commutation_rows(rep_v, rep_u)
-    return Subspace.span(rows.shape[1], rows).orthogonal_complement()
+    ambient = rep_v.dim * rep_u.dim
+    return Subspace._span(ambient, commutation_rows(rep_v, rep_u)).orthogonal_complement()
 
 
 def commutant_dim(rep: Representation) -> int:
@@ -562,7 +723,7 @@ def one_dim_invariant_lines(rep: Representation):
     (scalar assignment, eigenspace) pairs with nonzero eigenspace; the union
     of the eigenspaces carries every invariant line.
     """
-    gens = [Matrix.from_numerators(rep.num[g], rep.den) for g in rep.monoid.generating_set()]
+    gens = [Matrix._of(rep.num[g], rep.den) for g in rep.monoid.generating_set()]
     ident = Matrix.identity(rep.dim)
     cands = []
     for m in gens:
@@ -603,17 +764,18 @@ def find_proper_invariant(rep: Representation, seed_order: str = "standard"):
         return None
     lines = [v for _, space in one_dim_invariant_lines(rep) for v in space.num]
     if lines:
-        return Subspace.span(d, [lines[-1] if seed_order == "reversed" else lines[0]])
-    ident = np.eye(d, dtype=object)
+        return Subspace._span(d, [lines[-1] if seed_order == "reversed" else lines[0]])
     seeds = []
     for m in rep.num:  # the kernel of phi(s) - lam I is that of num[s] - lam den I
         for lam in (-1, 0, 1):
-            seeds.extend(Subspace.span(d, m - ident * (lam * rep.den)).orthogonal_complement().num)
-    seeds.extend(ident)
+            shift = lam * rep.den
+            shifted = [[x - shift if i == j else x for j, x in enumerate(row)] for i, row in enumerate(m)]
+            seeds.extend(Subspace._span(d, shifted).orthogonal_complement().num)
+    seeds.extend(_identity(d))
     if seed_order == "reversed":
         seeds.reverse()
     for seed in seeds:
-        sub = _spin(rep, Subspace.span(d, [seed]))
+        sub = _spin(rep, Subspace._span(d, [seed]))
         if 0 < sub.dim < d:
             return sub
     return None
@@ -651,9 +813,9 @@ def iso_test(rep_v: Representation, rep_u: Representation, *, certified_semisimp
     d = rep_v.dim
     small = hom.dim and 5 ** hom.dim <= 4000
     coeffs = itertools.product((-2, -1, 0, 1, 2), repeat=hom.dim) if small else ()
-    combos = (np.array(c, dtype=object) @ hom.num for c in coeffs if any(c))
+    combos = (_combination(enumerate(c), hom.num, d * d) for c in coeffs if any(c))
     for vec in itertools.chain(hom.num, combos):
-        x = Matrix.from_numerators(vec.reshape(d, d), hom.den)
+        x = Matrix._of(tuple(tuple(vec[i:i + d]) for i in range(0, d * d, d)), hom.den)
         if rref(x).rank == d:
             return ("iso", x)
     if certified_semisimple:
@@ -667,8 +829,12 @@ def exterior_power(rep: Representation, p: int) -> Representation:
     if not 0 <= p <= d:
         raise ValueError(f"exterior power degree must be in 0..{d}")
     basis = list(itertools.combinations(range(d), p))
-    num = [[[_bareiss(m[np.ix_(i, j)]) for j in basis] for i in basis] for m in rep.num]
-    return Representation.from_numerators(rep.monoid, num, rep.den ** p)
+
+    def matrix(s):
+        m = rep.num[s]
+        return tuple(tuple(_bareiss([[m[r][c] for c in j] for r in i]) for j in basis) for i in basis)
+
+    return Representation._of(rep.monoid, _stack(len(rep.num), len(basis), matrix), rep.den ** p)
 
 
 def outer_tensor(*reps: Representation) -> Representation:
@@ -677,11 +843,12 @@ def outer_tensor(*reps: Representation) -> Representation:
         raise ValueError("need at least one factor")
     monoid = product_monoid(*(r.monoid for r in reps))
     num, den = reps[0].num, reps[0].den
-    for r in reps[1:]:  # kron(A[s], B[t]), s major as in product_monoid's element order
-        n, d = len(num) * len(r.num), len(num[0]) * r.dim
-        num = (num[:, None, :, None, :, None] * r.num[None, :, None, :, None, :]).reshape(n, d, d)
+    for r in reps[1:]:  # kron(A[s], B[t]) at s * |B| + t, s major as in product_monoid
+        n = len(r.num)
+        num = _stack(len(num) * n, len(num[0]) * r.dim,
+                     lambda k, a=num, b=r.num: _kron(a[k // n], b[k % n]))
         den *= r.den
-    return Representation.from_numerators(monoid, num, den)
+    return Representation._of(monoid, num, den)
 
 
 # -- structured-text serialization -------------------------------------------

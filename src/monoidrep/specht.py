@@ -3,10 +3,11 @@
 Labels are arbitrary distinct integers.  S^lambda on a label set is built
 once, for no group in particular (_specht_space, checked exactly with the
 proof there).  A group acting on the labels through its generators' label
-maps reads every element's matrix from it by one index gather, composed
-along the group's left Cayley graph (_specht_action): S_m on the label
-positions (specht_rep), or a Young subgroup block by block
-(cliffmunn._young_irreps).  numpy is not imported here.
+maps reads every element's matrix from it by one lookup per basis vector
+among the span's columns, composed along the group's left Cayley graph
+(_specht_action): S_m on the label positions (specht_rep), or a Young
+subgroup block by block (cliffmunn._young_irreps).  numpy is not imported
+here.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from math import factorial
 from typing import NamedTuple
 
 from .elements import FiniteMonoid, _compose_rows, _inverses, symmetric_group
-from .linrep import Representation, Subspace, _permutation_stack
+from .linrep import Representation, Subspace, _permutation_stack, _stack
 
 
 def partitions(n: int) -> tuple:
@@ -213,7 +214,7 @@ def tabloid_module(shape, labels, group: FiniteMonoid = None) -> Representation:
     basis = tabloids(shape, labels)
     maps = _generator_actions(_position_moves(group, labels), basis)
     rows = _compose_rows(group, maps, range(len(basis)))
-    return Representation.from_numerators(group, _permutation_stack(rows))
+    return Representation._of(group, _permutation_stack(rows), 1)
 
 
 class SpechtData(NamedTuple):
@@ -265,13 +266,15 @@ def _specht_action(group: FiniteMonoid, moves, shape, labels) -> tuple:
     """(num, den), unverified: S^lambda in _specht_space's echelon
     coordinates, for a group acting on the labels by its generators' moves.
     V is invariant under every label permutation, so the action of sigma_s is
-    restrict's R = M[pivots, :] B^T, and M is a permutation: R[s][i, c] =
-    B[c, pos(sigma_s^-1 . t_{p_i})], one gather of B^T at the pivot tabloids'
-    positions, composed along the group's graph."""
+    restrict's R = M[pivots, :] B^T, and M is a permutation: row i of R[s]
+    is column pos(sigma_s^-1 . t_{p_i}) of B, one lookup per row among B's
+    columns at the pivot tabloids' positions, composed along the group's
+    graph."""
     basis, sub = _specht_space(shape, labels)
     moved = _compose_rows(group, _generator_actions(moves, basis), sub.pivots)  # sigma_s . t_{p_i}
     pos = [moved[g] for g in _inverses(group)]  # pos[s][i]: sigma_s^-1 . t_{p_i}
-    return sub.num.T[pos], sub.den
+    cols = tuple(zip(*sub.num))  # cols[b]: column b of B
+    return _stack(len(pos), sub.dim, lambda s: tuple(map(cols.__getitem__, pos[s]))), sub.den
 
 
 def specht_rep(shape, labels=None, group: FiniteMonoid = None) -> SpechtData:
@@ -288,4 +291,4 @@ def specht_rep(shape, labels=None, group: FiniteMonoid = None) -> SpechtData:
         raise ValueError(f"a Specht module needs all of S_{len(labels)}, not {len(group)} elements")
     num, den = _specht_action(group, _position_moves(group, labels), shape, labels)
     basis, sub = _specht_space(shape, labels)
-    return SpechtData(shape, labels, basis, sub, Representation.from_numerators(group, num, den))
+    return SpechtData(shape, labels, basis, sub, Representation._of(group, num, den))

@@ -434,7 +434,7 @@ class TestRepCommand:
         header, labels, mats = parse_representation_payload(payload)
         assert header["elements"] == "34"
         assert labels[0] == "0"  # the zero map
-        assert not mats[0].num.any()
+        assert not any(map(any, mats[0].num))
 
 
 class TestLabelCodec:
@@ -646,9 +646,16 @@ class TestStructureWithoutNumpy:
         proc = fresh_python(_NUMPY_PROBE, "order", spec)
         assert json.loads(proc.stdout) == [EXIT_CAP, False], proc.stderr
 
-    def test_representation_commands_still_load_numpy(self):
-        proc = fresh_python(_NUMPY_PROBE, "irreps", "I:2", "--check")
-        assert json.loads(proc.stdout) == [EXIT_OK, True], proc.stderr
+    @pytest.mark.parametrize("argv", [
+        ["irreps", "I:4", "--check"],
+        ["irreps", "SGL:ordperm:3", "--check"],
+        ["rep", "S:6", "--build", "specht:(4,2)"],
+        ["rep", "I:4", "--build", "induce:J2:(1,1)"],
+        ["rep", "T:4", "--build", "reduce:mapping:J3"],
+    ], ids=["irreps_I4", "irreps_ordperm3", "specht_S6", "induce_I4", "reduce_T4"])
+    def test_representation_commands_load_no_numpy(self, argv):
+        proc = fresh_python(_NUMPY_PROBE, *argv)
+        assert json.loads(proc.stdout) == [EXIT_OK, False], proc.stderr
 
 
 class TestLayerLoading:

@@ -1,15 +1,15 @@
 import itertools
 from collections import Counter
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import monoidrep.cliffmunn as cliffmunn_module
 import monoidrep.linrep as linrep_module
 from monoidrep.elements import (
+    ClosureCapError,
     PartialBijection,
     Permutation,
     Transformation,
@@ -64,6 +64,10 @@ from monoidrep.cliffmunn import (
 )
 
 F = Fraction
+
+
+def nonzero(matrix):
+    return any(map(any, matrix.num))
 
 
 @pytest.fixture(scope="module")
@@ -264,9 +268,9 @@ class TestInduceExamples:
         assert rep.dim == 2
         for k, el in enumerate(i3.elements):
             if el in units:
-                assert rep.matrices[k].num.any()
+                assert nonzero(rep.matrices[k])
             else:
-                assert not rep.matrices[k].num.any()
+                assert not nonzero(rep.matrices[k])
 
     def test_transversal_independence(self, i3):
         classes, _ = monoid_green(i3)
@@ -314,7 +318,7 @@ class TestInduceSGL:
         rep = induce(monoid, e, trivial_rep(g))
         for k, el in enumerate(monoid.elements):
             if len(el.lattice_element()) < 2:
-                assert not rep.matrices[k].num.any()
+                assert not nonzero(rep.matrices[k])
 
     def test_higher_partial_identities_fix_blocks(self, subsets3):
         lat, action, monoid, ctx = subsets3
@@ -327,7 +331,7 @@ class TestInduceSGL:
         mat = rep.matrices[idc]
         # fixes the {1}- and {3}-blocks, kills the {2}-block
         diag = [mat.rows[i][i] for i in range(3)]
-        assert diag.count(F(1)) == 2 and mat.num.any()
+        assert diag.count(F(1)) == 2 and nonzero(mat)
 
 
 class TestSemisimplePredicate:
@@ -628,7 +632,7 @@ class TestYoungIrreps:
             assert rep.den == oracle.den
             for s, g in enumerate(s3_by_s3.elements):
                 pair = (Permutation(g.images[:3]), Permutation([y - 3 for y in g.images[3:]]))
-                assert np.array_equal(rep.num[s], oracle.num[oracle.monoid.index(pair)])
+                assert rep.num[s] == oracle.num[oracle.monoid.index(pair)]
 
     @pytest.mark.parametrize("corrupt,message", [
         # conjugated by (3 4): a faithful action, but (1 2 3) reads as (1 2 4)
@@ -677,25 +681,26 @@ class TestRenner:
 
 
 def oracle_induce_matrices(monoid, e, group_rep):
-    """The dense induction of the Matrix-list encoding: blocks over one common
-    denominator, split into one Matrix per element."""
+    """The dense induction of the Matrix-list encoding, one element and one
+    product t s_i at a time: block (J, i) of phi(t) is rho(g) where
+    t s_i = s_J g lies in L_e."""
     classes, _ = monoid_green(monoid)
     trans = transversal(monoid, classes, e)
     group = group_rep.monoid
-    block, local = map(np.asarray, lclass_coordinates(monoid, classes, trans))
+    block, local = lclass_coordinates(monoid, classes, trans)
     ge = classes.hclasses[classes.hclass_of[e]]
-    to_group = np.array([group.index(monoid.elements[g]) for g in ge])
-    products = monoid.table[:, list(trans.reps)]
-    big_j = block[products]
-    big_g = np.where(big_j >= 0, to_group[local[products]], -1)
     k, dv = len(trans.reps), group_rep.dim
-    den = lcm(*(m.den for m in group_rep.matrices))
-    blocks = np.array([m.num * (den // m.den) for m in group_rep.matrices])
-    num = np.zeros((len(monoid), k, dv, k, dv), dtype=object)
-    t, i = np.nonzero(big_j >= 0)
-    num[t, big_j[t, i], :, i, :] = blocks[big_g[t, i]]
-    num = num.reshape(len(monoid), k * dv, k * dv)
-    return [Matrix.from_numerators(x, den) for x in num]
+    mats = []
+    for t in range(len(monoid)):
+        rows = [[F(0)] * (k * dv) for _ in range(k * dv)]
+        for i, s in enumerate(trans.reps):
+            p = monoid.mul(t, s)
+            if block[p] >= 0:
+                g = group_rep.matrices[group.index(monoid.elements[ge[local[p]]])].rows
+                for r in range(dv):
+                    rows[block[p] * dv + r][i * dv:(i + 1) * dv] = g[r]
+        mats.append(Matrix(rows))
+    return mats
 
 
 def regular_rep(group, scale):
@@ -706,7 +711,7 @@ def regular_rep(group, scale):
     d_inv = Matrix([[1 / scale[i] if i == j else 0 for j in range(n)] for i in range(n)])
     mats = []
     for g in range(n):
-        perm = [[1 if group.table[g, h] == r else 0 for h in range(n)] for r in range(n)]
+        perm = [[1 if group.mul(g, h) == r else 0 for h in range(n)] for r in range(n)]
         mats.append(d * Matrix(perm) * d_inv)
     return Representation(group, mats)
 
@@ -730,6 +735,33 @@ class TestInduceStack:
         group_rep = regular_rep(group, scale)
         raw = induce_raw(monoid, e, group_rep)
         assert raw.rep.matrices == tuple(oracle_induce_matrices(monoid, e, group_rep))
+
+    @pytest.mark.parametrize("inputs,cells", [
+        # I_3 at a rank-1 idempotent: 34 matrices of side 3
+        (lambda: (induce_raw, symmetric_inverse_monoid(3), 1, trivial_rep(maximal_subgroup(
+            symmetric_inverse_monoid(3), monoid_green(symmetric_inverse_monoid(3))[0], 1))),
+         34 * 3 * 3),
+        # S_3 x S_2: 12 matrices of side 2
+        (lambda: (outer_tensor, specht_rep((2, 1)).rep, specht_rep((2,), (4, 5)).rep), 12 * 2 * 2),
+    ], ids=["induce_raw", "outer_tensor"])
+    def test_stacks_over_the_budget_are_refused_before_any_matrix_is_written(
+            self, monkeypatch, inputs, cells):
+        build, *args = inputs()
+        written, stack = [], linrep_module._stack
+
+        def counting(count, size, matrix):
+            return stack(count, size, lambda s: written.append(s) or matrix(s))
+
+        monkeypatch.setattr(linrep_module, "_stack", counting)
+        monkeypatch.setattr(cliffmunn_module, "_stack", counting)
+        monkeypatch.setattr(linrep_module, "TABLE_BYTES_BUDGET", cells * 8 - 1)
+        with pytest.raises(ClosureCapError, match="table budget"):
+            build(*args)
+        assert written == []
+        monkeypatch.setattr(linrep_module, "TABLE_BYTES_BUDGET", cells * 8)
+        result = build(*args)  # a stack of exactly the budget is written
+        rep = getattr(result, "rep", result)
+        assert len(written) == len(rep.monoid) and len(rep.monoid) * rep.dim ** 2 == cells
 
     def test_equal_characters_over_other_denominators_are_rejected(self, monkeypatch):
         # the regular representation of S_2 and a conjugate of it over den 2

@@ -3,7 +3,6 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -110,7 +109,7 @@ class TestMappingReps:
         assert m.apply((1, -1, 0)) == (F(-1), F(1), F(0))
 
     def test_in_zero_map_is_zero_matrix(self, i3_map):
-        assert not i3_map.matrix_of(PartialBijection.zero(3)).num.any()
+        assert not any(map(any, i3_map.matrix_of(PartialBijection.zero(3)).num))
 
     def test_tn_constant_sends_u_to_nv1(self, t3_map):
         m = t3_map.matrix_of(Transformation([1, 1, 1]))
@@ -627,7 +626,7 @@ class TestExactKernel:
         assert hash(half) == hash(Matrix([[F(1, 2), F(2, 2)]]))
         doubled = Matrix([[2, 4]]).scale(F(1, 4))
         assert doubled == half and hash(doubled) == hash(half)
-        assert (doubled.den, list(doubled.num.flat)) == (2, [1, 2])
+        assert (doubled.den, doubled.num) == (2, ((1, 2),))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(1, 4), m=st.integers(1, 4),
@@ -637,8 +636,8 @@ class TestExactKernel:
         scaled = a * Matrix.identity(m).scale(k) * Matrix.identity(m).scale(F(1, k))
         for b in (a.scale(k).scale(F(1, k)), scaled, Matrix(a.rows)):
             assert b == a and hash(b) == hash(a)
-            assert b.den == a.den and np.array_equal(b.num, a.num)
-        assert math.gcd(a.den, *a.num.flat) == 1 and a.den > 0
+            assert b.den == a.den and b.num == a.num
+        assert math.gcd(a.den, *itertools.chain(*a.num)) == 1 and a.den > 0
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), n=st.integers(1, 4), kind=st.sampled_from(["random", "image", "kernel"]))
@@ -653,9 +652,9 @@ class TestExactKernel:
         invariant = len(oracle_rref(basis + images)[1]) == sub.dim
         if not invariant:
             with pytest.raises(ValueError):
-                sub.restrict(m.num)
+                sub.restrict([m.num])
             return
-        num, den = sub.restrict(m.num)
+        (num,), den = sub.restrict([m.num])
         r = Matrix.from_numerators(num, m.den * den)
         bt = [list(col) for col in zip(*basis)] if basis else [[] for _ in range(n)]
         assert oracle_product(bt, r.rows) == oracle_product(m.rows, bt)
@@ -664,7 +663,7 @@ class TestExactKernel:
         line = Subspace.from_vectors(3, [(1, 0, 0)])
         swap = s3_map.matrix_of(Permutation([2, 1, 3]))
         with pytest.raises(ValueError, match="not invariant"):
-            line.restrict(swap.num)
+            line.restrict([swap.num])
         with pytest.raises(ValueError, match="not invariant"):
             restrict_rep(s3_map, line)
 
@@ -690,17 +689,19 @@ class TestVerifyDenominators:
 # -- the per-element builders of the Matrix-list encoding, kept as oracles ---
 
 def oracle_kron(a, b):
-    return Matrix.from_numerators(np.kron(a.num, b.num), a.den * b.den)
+    rows = [[x * y for x in ra for y in rb] for ra in a.rows for rb in b.rows]
+    return Matrix(rows)
 
 
 def oracle_restrict(sub, m):
-    """One matrix acting on an invariant subspace, in echelon coordinates."""
-    bt = sub.num.T
-    image = m.num @ bt
-    r = image[list(sub.pivots)]
-    if (image * sub.den != bt @ r).any():
+    """One matrix acting on an invariant subspace, in echelon coordinates:
+    R = M[pivots, :] B^T, with M B^T = B^T R over Fractions."""
+    bt = [list(col) for col in zip(*sub.basis)] if sub.dim else [[] for _ in range(sub.ambient)]
+    image = oracle_product(m.rows, bt)
+    r = [image[p] for p in sub.pivots]
+    if image != oracle_product(bt, r):
         raise ValueError("subspace is not invariant")
-    return Matrix.from_numerators(r, m.den * sub.den)
+    return Matrix(r) if r else Matrix.from_numerators((), 1)
 
 
 def oracle_restrict_rep(rep, sub):
@@ -711,18 +712,17 @@ def oracle_quotient_rep(rep, sub):
     comp = [c for c in range(rep.dim) if c not in sub.pivots]
     mats = []
     for m in rep.matrices:
-        cols = m.num.T
-        reduced = (cols * sub.den - cols[:, list(sub.pivots)] @ sub.num).T
-        mats.append(Matrix.from_numerators(reduced[np.ix_(comp, comp)], m.den * sub.den))
+        # column c minus its pivot coordinates times the basis
+        cols = [[x - sum((col[p] * b[k] for p, b in zip(sub.pivots, sub.basis)), F(0))
+                 for k, x in enumerate(col)] for col in zip(*m.rows)]
+        mats.append(Matrix([[cols[c][r] for c in comp] for r in comp]))
     return mats
 
 
 def oracle_direct_sum(a, b):
-    upper = np.zeros((a.dim, b.dim), dtype=object)
     return [
-        Matrix.from_numerators(
-            np.block([[ma.num * mb.den, upper], [upper.T, mb.num * ma.den]]), ma.den * mb.den
-        )
+        Matrix([list(row) + [0] * b.dim for row in ma.rows]
+               + [[0] * a.dim + list(row) for row in mb.rows])
         for ma, mb in zip(a.matrices, b.matrices)
     ]
 
@@ -745,7 +745,7 @@ def oracle_outer_tensor(*reps):
 
 
 def oracle_character(rep):
-    return tuple(Fraction(int(np.trace(m.num)), m.den) for m in rep.matrices)
+    return tuple(sum((m.rows[i][i] for i in range(m.nrows)), F(0)) for m in rep.matrices)
 
 
 def unitriangular_inverse(u):
@@ -800,9 +800,10 @@ class TestStackEncoding:
     def test_matrix_list_constructor_matches_numerators(self, data):
         rep = data.draw(stack_reps())
         assert rep.matrices == tuple(Matrix(m.rows) for m in rep.matrices)
-        assert math.gcd(rep.den, *rep.num.flat) == 1 and rep.den > 0
-        again = Representation.from_numerators(rep.monoid, rep.num * 3, rep.den * 3)
-        assert again.den == rep.den and np.array_equal(again.num, rep.num)
+        assert math.gcd(rep.den, *itertools.chain(*itertools.chain(*rep.num))) == 1 and rep.den > 0
+        tripled = [[[3 * x for x in row] for row in m] for m in rep.num]
+        again = Representation.from_numerators(rep.monoid, tripled, rep.den * 3)
+        assert again.den == rep.den and again.num == rep.num
         assert all(rep.matrix_of(el) == m for el, m in zip(rep.monoid.elements, rep.matrices))
 
     @settings(max_examples=60, deadline=None)
@@ -866,22 +867,138 @@ class TestStackEncoding:
             Representation.from_numerators(rep.monoid, rep.num, den)
         k = data.draw(st.integers(0, len(rep.monoid) - 1))
         r, c = data.draw(st.integers(0, rep.dim - 1)), data.draw(st.integers(0, rep.dim - 1))
-        num = np.array(rep.num)
-        num[k, r, c] += data.draw(st.integers(-3, 3).filter(bool))
+        num = [[list(row) for row in m] for m in rep.num]
+        num[k][r][c] += data.draw(st.integers(-3, 3).filter(bool))
         if all_pairs_homomorphism(rep.monoid, [Matrix.from_numerators(m, rep.den) for m in num]):
             Representation.from_numerators(rep.monoid, num, rep.den)  # e.g. trivial made sign
         else:
             with pytest.raises(VerificationError):
                 Representation.from_numerators(rep.monoid, num, rep.den)
 
+    def test_bool_numerators_become_ints(self):
+        m = Matrix.from_numerators([[True, False]])
+        assert m.num == ((1, 0),) and {type(x) for x in m.num[0]} == {int}
+        rep = Representation.from_numerators(symmetric_group(2), [[[True]], [[True]]])
+        assert {type(x) for mat in rep.num for row in mat for x in row} == {int}
+        text = serialize_representation(rep, monoid_label="S:2")
+        assert "True" not in text and text.splitlines()[-1] == "1"
+
+    def test_float_numerators_are_refused(self):
+        with pytest.raises(TypeError):
+            Matrix.from_numerators([[1.0, 0]])
+        with pytest.raises(TypeError):
+            Representation.from_numerators(symmetric_group(2), [[[1.0]], [[1]]])
+        with pytest.raises(TypeError):
+            Representation.from_numerators(symmetric_group(2), [[[1]], [[1]]], 1.0)
+
     def test_shapes_are_checked(self, s3_map):
         with pytest.raises(ValueError, match="one matrix per monoid element"):
             Representation.from_numerators(s3_map.monoid, s3_map.num[1:])
         with pytest.raises(ValueError, match="square"):
-            Representation.from_numerators(s3_map.monoid, s3_map.num[:, :2, :])
+            Representation.from_numerators(s3_map.monoid, [m[:2] for m in s3_map.num])
         with pytest.raises(ValueError, match="null"):
-            Representation.from_numerators(s3_map.monoid, s3_map.num[:, :0, :0])
+            Representation.from_numerators(s3_map.monoid, [() for m in s3_map.num])
 
     def test_stack_is_read_only(self, s3_map):
-        with pytest.raises(ValueError):
-            s3_map.num[0, 0, 0] = 5
+        with pytest.raises(TypeError):
+            s3_map.num[0][0][0] = 5
+        with pytest.raises(TypeError):
+            s3_map.num[0][0] = (5, 0, 0)
+
+
+# -- verify through the generators' nonzeros ---------------------------------
+
+@st.composite
+def monomial_reps(draw, bases=STACK_BASES[:5]):
+    """A (partial) permutation representation conjugated by a random rational
+    diagonal matrix: every generator column holds at most one nonzero, and
+    its numerator is seldom the denominator."""
+    rep = draw(st.sampled_from(bases))
+    diag = [draw(st.fractions(-4, 4, max_denominator=5).filter(bool)) for _ in range(rep.dim)]
+    d = Matrix([[diag[i] if i == j else 0 for j in range(rep.dim)] for i in range(rep.dim)])
+    d_inv = Matrix([[1 / diag[i] if i == j else 0 for j in range(rep.dim)] for i in range(rep.dim)])
+    return Representation(rep.monoid, [d * m * d_inv for m in rep.matrices])
+
+
+def corrupted(rep, data):
+    """rep's numerators with one entry changed, and whether they still make a
+    homomorphism by the all-pairs oracle."""
+    k = data.draw(st.integers(0, len(rep.monoid) - 1))
+    r, c = data.draw(st.integers(0, rep.dim - 1)), data.draw(st.integers(0, rep.dim - 1))
+    num = [[list(row) for row in m] for m in rep.num]
+    num[k][r][c] = data.draw(st.sampled_from([-num[k][r][c], num[k][r][c] + rep.den,
+                                              num[k][r][c] * 2, 0]).filter(lambda x: x != num[k][r][c]))
+    ok = all_pairs_homomorphism(rep.monoid, [Matrix.from_numerators(m, rep.den) for m in num])
+    return num, ok
+
+
+class TestVerifyColumns:
+    """Each column of rho(s)rho(a) is summed over the nonzeros of rho(a):
+    single nonzeros of any value, zero columns, every generator's own
+    column and wide entries are judged like the all-pairs oracle (dense
+    columns over a den: TestStackEncoding)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_monomial_columns_with_scaled_entries(self, data):
+        rep = data.draw(monomial_reps())
+        assert all_pairs_homomorphism(rep.monoid, rep.matrices)
+        num, ok = corrupted(rep, data)
+        if ok:
+            Representation.from_numerators(rep.monoid, num, rep.den)
+        else:
+            with pytest.raises(VerificationError):
+                Representation.from_numerators(rep.monoid, num, rep.den)
+
+    def test_sign_columns(self):
+        # the sign of S_3: each generator column is one nonzero, -1 at a
+        # transposition; one transposition's value flipped to 1 is no
+        # homomorphism, and neither is the sign read as the trivial value
+        sign = specht_rep((1, 1, 1)).rep
+        monoid = sign.monoid
+        odd = [k for k in range(len(monoid)) if sign.num[k] == ((-1,),)]
+        assert len(odd) == 3 and Representation.from_numerators(monoid, sign.num).num == sign.num
+        for k in odd:
+            num = [((1,),) if j == k else m for j, m in enumerate(sign.num)]
+            with pytest.raises(VerificationError):
+                Representation.from_numerators(monoid, num)
+
+    def test_each_generator_reads_its_own_column(self):
+        # I_3's generators have distinct columns; their matrices exchanged in
+        # the mapping representation are no homomorphism
+        rep = mapping_rep(symmetric_inverse_monoid(3))
+        monoid = rep.monoid
+        gens = monoid.generating_set()
+        assert len(set(map(tuple, monoid._generator_columns()))) == len(gens)
+        for g, h in itertools.combinations(gens, 2):
+            num = list(rep.num)
+            num[g], num[h] = num[h], num[g]
+            assert not all_pairs_homomorphism(monoid, [Matrix.from_numerators(m) for m in num])
+            with pytest.raises(VerificationError):
+                Representation.from_numerators(monoid, num)
+
+    def test_packed_columns_keep_every_entry_apart(self):
+        # for [[1, 1], [0, 0]] every entry and column sum is 1, so the packed
+        # fields are as narrow as they get; its square is itself, not I
+        group = symmetric_group(2)
+        num = [((1, 1), (0, 0))] * 2
+        num[group.identity_index] = ((1, 0), (0, 1))
+        with pytest.raises(VerificationError):
+            Representation.from_numerators(group, num)
+
+    def test_large_entries_are_compared_exactly(self):
+        # entries far apart in size share one packed integer per column;
+        # an error of one in the smallest entry is still caught
+        big = 2 ** 200
+        d = Matrix([[big, 0, 0], [0, 1, 0], [0, 0, 3]])
+        d_inv = Matrix([[F(1, big), 0, 0], [0, 1, 0], [0, 0, F(1, 3)]])
+        base = mapping_rep(symmetric_group(3))
+        rep = Representation(base.monoid, [d * m * d_inv for m in base.matrices])
+        for k in range(len(rep.monoid)):
+            for r in range(3):
+                for c in range(3):
+                    if rep.num[k][r][c]:
+                        num = [[list(row) for row in m] for m in rep.num]
+                        num[k][r][c] += 1
+                        with pytest.raises(VerificationError):
+                            Representation.from_numerators(rep.monoid, num, rep.den)

@@ -1,10 +1,15 @@
-"""The numpy routines that the structure layers replaced by Python int lists
-and bitsets, kept as oracles: the order relation of the built-in lattices
+"""The numpy routines that the structure and representation layers replaced
+by Python ints, kept as oracles: the order relation of the built-in lattices
 by matrix product, meets and joins by bound rows over the order matrix, the
 J-order closed over a boolean matrix with its covers from strict @ strict,
-and the left-row certificate over numpy image rows."""
+the left-row certificate over numpy image rows; and, over object-dtype
+stacks, the matmul homomorphism check, fraction-free Gauss-Jordan with
+primitive rows, the Bareiss determinant, restriction to an invariant
+subspace, and the induced stack written by fancy indexing."""
 
 import itertools
+from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -18,8 +23,32 @@ from monoidrep.elements import (
     _certify_left_rows,
     closure,
 )
-from monoidrep.green import _strong_components, green_structure
+from monoidrep.cliffmunn import induce_raw
+from monoidrep.elements import (
+    full_transformation_monoid,
+    symmetric_group,
+    symmetric_inverse_monoid,
+)
+from monoidrep.green import (
+    _strong_components,
+    green_structure,
+    lclass_coordinates,
+    maximal_subgroup,
+    monoid_green,
+    transversal,
+)
 from monoidrep.lattice import LATTICE_KINDS, FiniteLattice, LatticeError, make_lattice, sgl_monoid
+from monoidrep.linrep import (
+    Matrix,
+    Representation,
+    Subspace,
+    VerificationError,
+    _bareiss,
+    _rref_rows,
+    mapping_rep,
+    rref,
+)
+from monoidrep.specht import specht_rep
 
 BLOCK = 65536
 
@@ -144,6 +173,115 @@ def numpy_certify_left_rows(rows, generator_rows, left, e):
         for i in range(0, len(rows), step):
             if not np.array_equal(composed[rows[i:i + step]], rows[succ[i:i + step]]):
                 raise ValueError("a left product disagrees with the image rows")
+
+
+def numpy_primitive(rows):
+    """Each integer row divided by the gcd of its entries; zero rows stay."""
+    g = np.gcd.reduce(rows, axis=1)
+    return rows // np.where(g == 0, 1, g)[:, None]
+
+
+def numpy_rref_rows(rows):
+    """Fraction-free Gauss-Jordan over a whole object array: the rows with a
+    nonzero in the pivot column are cleared at once."""
+    a = numpy_primitive(np.array(rows, dtype=object))
+    nrows, ncols = a.shape
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        nz = np.flatnonzero(a[r:, c])
+        if not len(nz):
+            continue
+        if nz[0]:
+            a[[r, r + nz[0]]] = a[[r + nz[0], r]]
+        if a[r, c] < 0:
+            a[r] = -a[r]
+        hits = np.flatnonzero(a[:, c])
+        hits = hits[hits != r]
+        if len(hits):
+            a[hits] = numpy_primitive(a[hits] * a[r, c] - np.outer(a[hits, c], a[r]))
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return a[:r], tuple(pivots)
+
+
+def numpy_span(rows):
+    """(numerators, den, pivots) of the span: each echelon row over its
+    pivot entry, over one den, in lowest terms."""
+    ech, pivots = numpy_rref_rows(rows)
+    lead = ech[np.arange(len(pivots)), list(pivots)]
+    den = lcm(1, *lead)
+    num = ech * (den // lead)[:, None]
+    g = gcd(den, *num.flat)
+    return tuples(num // g), den // g, pivots
+
+
+def numpy_bareiss(num):
+    a = np.array(num, dtype=object)
+    sign, prev = 1, 1
+    for k in range(len(a)):
+        nz = np.flatnonzero(a[k:, k])
+        if not len(nz):
+            return 0
+        if nz[0]:
+            a[[k, k + nz[0]]] = a[[k + nz[0], k]]
+            sign = -sign
+        a[k + 1:, k + 1:] = (a[k + 1:, k + 1:] * a[k, k]
+                             - np.outer(a[k + 1:, k], a[k, k + 1:])) // prev
+        prev = a[k, k]
+    return sign * prev
+
+
+def numpy_restrict(sub, stack):
+    """R = M[pivots, :] B^T for a stack of integer matrices M, over sub.den;
+    ValueError unless M B^T den = B^T R for every M."""
+    bt = np.array(sub.num, dtype=object).reshape(sub.dim, sub.ambient).T
+    image = np.array(stack, dtype=object) @ bt
+    r = image[..., list(sub.pivots), :]
+    image *= sub.den
+    if (image != bt @ r).any():
+        raise ValueError("subspace is not invariant")
+    return tuples(r), sub.den
+
+
+def numpy_verifies(rep):
+    """rho(1) = I and num[s] num[a] = den num[s*a] for every s and generator
+    a, by one object matmul per generator."""
+    num, den, monoid = np.array(rep.num, dtype=object), rep.den, rep.monoid
+    if not np.array_equal(num[monoid.identity_index], np.eye(rep.dim, dtype=object) * den):
+        return False
+    for a, col in zip(monoid.generating_set(), monoid._generator_columns()):
+        if (np.matmul(num, num[a]) != num[col] * den).any():
+            return False
+    return True
+
+
+def numpy_induce_stack(monoid, e, group_rep):
+    """(numerators, den) of induce_raw's stack, written by one fancy-index
+    assignment from the block map, in lowest terms."""
+    classes, _ = monoid_green(monoid)
+    trans = transversal(monoid, classes, e)
+    group = group_rep.monoid
+    block, local = map(np.asarray, lclass_coordinates(monoid, classes, trans))
+    ge = classes.hclasses[classes.hclass_of[e]]
+    to_group = np.array([group.index(monoid.elements[g]) for g in ge])
+    products = np.array(monoid.columns(trans.reps)).T
+    big_j = block[products]
+    big_g = np.where(big_j >= 0, to_group[local[products]], -1)
+    k, dv = len(trans.reps), group_rep.dim
+    num = np.zeros((len(monoid), k, dv, k, dv), dtype=object)
+    t, i = np.nonzero(big_j >= 0)
+    num[t, big_j[t, i], :, i, :] = np.array(group_rep.num, dtype=object)[big_g[t, i]]
+    num = num.reshape(len(monoid), k * dv, k * dv)
+    g = gcd(group_rep.den, *num.flat)
+    return tuples(num // g), group_rep.den // g
+
+
+def tuples(a):
+    """An object array as nested tuples of Python ints."""
+    return tuple(map(tuples, a)) if getattr(a, "ndim", 0) else int(a)
 
 
 # -- inputs ----------------------------------------------------------------------
@@ -293,3 +431,124 @@ class TestCertificateOracle:
                 wrong = (rows, gen_rows, left, other)
                 assert not accepts(_certify_left_rows, wrong)
                 assert not accepts(numpy_certify_left_rows, wrong)
+
+
+# -- the representation layers ----------------------------------------------------
+
+def integer_rows(max_rows=6, max_cols=6):
+    """Integer rows with negative entries, often with zero rows."""
+    return st.integers(1, max_cols).flatmap(lambda n: st.lists(
+        st.one_of(st.just([0] * n), st.lists(st.integers(-4, 4), min_size=n, max_size=n)),
+        min_size=1, max_size=max_rows))
+
+
+REP_BASES = [
+    mapping_rep(symmetric_inverse_monoid(2)),
+    mapping_rep(symmetric_inverse_monoid(3)),
+    mapping_rep(full_transformation_monoid(3)),
+    mapping_rep(symmetric_group(3)),
+    specht_rep((2, 1)).rep,
+    specht_rep((2, 2)).rep,
+]
+
+
+@st.composite
+def conjugated_reps(draw):
+    """A small representation conjugated by D U, D diagonal and U upper
+    unitriangular with rational entries: dense matrices over a den > 1."""
+    rep = draw(st.sampled_from(REP_BASES))
+    n = rep.dim
+    diag = [draw(st.fractions(-3, 3, max_denominator=4).filter(bool)) for _ in range(n)]
+    upper = {(i, j): draw(st.sampled_from([0, 0, 1, -1, Fraction(1, 2)]))
+             for i in range(n) for j in range(i + 1, n)}
+    u = Matrix([[1 if i == j else upper.get((i, j), 0) for j in range(n)] for i in range(n)])
+    step, u_inv, power = Matrix.identity(n) - u, Matrix.identity(n), Matrix.identity(n)
+    for _ in range(n):
+        power = power * step
+        u_inv = u_inv + power
+    d = Matrix([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    d_inv = Matrix([[1 / diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    return Representation(rep.monoid, [d * u * m * u_inv * d_inv for m in rep.matrices])
+
+
+INDUCE_MONOIDS = [
+    symmetric_inverse_monoid(3),
+    sgl_monoid(make_lattice("subsets", 3)[1])[0],
+    sgl_monoid(make_lattice("ordered_partitions_zero", 3)[1])[0],
+]
+
+
+class TestExactLinearAlgebraOracles:
+    @settings(max_examples=150, deadline=None)
+    @given(rows=integer_rows())
+    def test_rref_rows_are_the_numpy_rows(self, rows):
+        ech, pivots = _rref_rows(rows)
+        expected, expected_pivots = numpy_rref_rows(rows)
+        assert (ech, pivots) == (tuples(expected), expected_pivots)
+        sub = Subspace.span(len(rows[0]), rows)
+        assert (sub.num, sub.den, sub.pivots) == numpy_span(rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 5))
+    def test_bareiss_is_the_numpy_determinant(self, data, n):
+        rows = data.draw(st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+                                  min_size=n, max_size=n))
+        assert _bareiss(rows) == numpy_bareiss(np.array(rows, dtype=object).reshape(n, n))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 5), kind=st.sampled_from(["image", "kernel", "random"]))
+    def test_restrict_is_the_numpy_restriction(self, data, n, kind):
+        square = st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
+        m = data.draw(square)
+        if kind == "random":
+            sub = Subspace.span(n, data.draw(integer_rows(n, n).filter(lambda r: len(r[0]) == n)))
+        else:
+            sub = getattr(rref(Matrix.from_numerators(m)), kind)
+        stack = [m, [[sum(x * y for x, y in zip(row, col)) for col in zip(*m)] for row in m]]
+        try:
+            expected = numpy_restrict(sub, stack)
+        except ValueError:
+            with pytest.raises(ValueError, match="not invariant"):
+                sub.restrict(stack)
+            return
+        assert sub.restrict(stack) == expected
+
+
+class TestRepresentationOracles:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), rep=conjugated_reps())
+    def test_verify_agrees_with_the_matmul_check(self, data, rep):
+        k = data.draw(st.integers(0, len(rep.monoid) - 1))
+        r, c = data.draw(st.integers(0, rep.dim - 1)), data.draw(st.integers(0, rep.dim - 1))
+        num = [[list(row) for row in m] for m in rep.num]
+        num[k][r][c] += data.draw(st.integers(-2, 2))
+        corrupted = Representation.__new__(Representation)
+        corrupted.monoid, corrupted.num, corrupted.den, corrupted.dim = rep.monoid, num, rep.den, rep.dim
+        if numpy_verifies(corrupted):
+            Representation.from_numerators(rep.monoid, num, rep.den)
+        else:
+            with pytest.raises(VerificationError):
+                Representation.from_numerators(rep.monoid, num, rep.den)
+
+    def test_numpy_integers_are_taken_as_python_ints(self):
+        m = Matrix.from_numerators(np.array([[1, -2], [0, 3]], dtype=np.int64), np.int32(2))
+        assert (m.num, m.den) == (((1, -2), (0, 3)), 2)
+        assert {type(x) for row in m.num for x in row} | {type(m.den)} == {int}
+        group = symmetric_group(2)
+        rep = Representation.from_numerators(group, np.ones((2, 1, 1), dtype=np.int8))
+        assert rep.num == (((1,),), ((1,),)) and type(rep.num[0][0][0]) is int
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), monoid=st.sampled_from(INDUCE_MONOIDS))
+    def test_induce_raw_is_the_fancy_index_stack(self, data, monoid):
+        e = data.draw(st.sampled_from(monoid.idempotent_indices()))
+        group = maximal_subgroup(monoid, monoid_green(monoid)[0], e)
+        n = len(group)
+        scale = [data.draw(st.fractions(-3, 3, max_denominator=4).filter(bool)) for _ in range(n)]
+        d = Matrix([[scale[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        d_inv = Matrix([[1 / scale[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        regular = [Matrix([[1 if group.mul(g, h) == r else 0 for h in range(n)] for r in range(n)])
+                   for g in range(n)]
+        group_rep = Representation(group, [d * m * d_inv for m in regular])
+        raw = induce_raw(monoid, e, group_rep)
+        assert (raw.rep.num, raw.rep.den) == numpy_induce_stack(monoid, e, group_rep)

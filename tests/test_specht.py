@@ -3,7 +3,6 @@ import time
 from fractions import Fraction
 from math import factorial
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -206,13 +205,16 @@ def reference_tabloid_matrices(basis, labels, group):
     """The permutation matrix of every group element on the tabloid basis,
     one element at a time, moving every label of every tabloid."""
     index = {t: k for k, t in enumerate(basis)}
-    num = np.zeros((len(group), len(basis), len(basis)), dtype=object)
-    for s, g in enumerate(group.elements):
+    num = []
+    for g in group.elements:
         mapping = {labels[i]: labels[g.apply(i + 1) - 1] for i in range(len(labels))}
         moved = [index[tabloid_of(tuple(tuple(mapping[x] for x in row) for row in t))]
                  for t in basis]
-        num[s, moved, range(len(basis))] = 1
-    return num
+        m = [[0] * len(basis) for _ in basis]
+        for b, y in enumerate(moved):
+            m[y][b] = 1
+        num.append(tuple(map(tuple, m)))
+    return tuple(num)
 
 
 def reference_specht(shape, labels, group):
@@ -241,7 +243,7 @@ class TestStandardPolytabloids:
         sub, rep = reference_specht(shape, labels, data.rep.monoid)
         assert data.subspace == sub and data.subspace.pivots == sub.pivots
         assert data.rep.den == rep.den
-        assert np.array_equal(data.rep.num, rep.num)
+        assert data.rep.num == rep.num
         assert data.tabloids == tabloids(shape, labels)
 
     @pytest.mark.parametrize("n", range(1, 7))
@@ -261,13 +263,13 @@ class TestStandardPolytabloids:
     def test_tabloid_module_matches_the_per_element_oracle(self, shape, labels):
         rep = tabloid_module(shape, labels)
         expected = reference_tabloid_matrices(tabloids(shape, labels), labels, rep.monoid)
-        assert np.array_equal(rep.num, expected)
+        assert rep.num == expected
 
     def test_uses_the_given_group(self):
         group = symmetric_group(4)
         data = specht_rep((2, 1, 1), group=group)
         assert data.rep.monoid is group
-        assert np.array_equal(data.rep.num, specht_rep((2, 1, 1)).rep.num)
+        assert data.rep.num == specht_rep((2, 1, 1)).rep.num
 
     def test_refuses_a_proper_subgroup(self):
         cyclic = FiniteMonoid.from_elements(
@@ -283,7 +285,7 @@ class TestStandardPolytabloids:
         again = specht_rep((2, 1), (9, 7, 4), group=symmetric_group(3))
         assert list(specht._SPECHT_CACHE) == [((2, 1), (4, 7, 9))]
         assert again.subspace is first.subspace and again.tabloids is first.tabloids
-        assert np.array_equal(again.rep.num, first.rep.num)
+        assert again.rep.num == first.rep.num
 
     def test_an_oversized_tabloid_stack_is_refused_before_allocation(self):
         # 720 permutations of 360 tabloids: 746 MB of object cells
