@@ -55,7 +55,7 @@ _EXPORTS = {
         "Matrix", "Representation", "RrefResult", "Subspace",
         "VerificationError", "char_equal", "commutant_dim", "direct_sum",
         "exterior_power", "intertwiner_space", "is_irreducible", "iso_test",
-        "mapping_rep", "mapping_rep_by_kind", "one_dim_invariant_lines",
+        "mapping_rep", "one_dim_invariant_lines",
         "outer_tensor", "parse_representation_payload", "quotient_rep",
         "restrict_rep", "rref", "serialize_representation", "spin", "trivial_rep",
     ),

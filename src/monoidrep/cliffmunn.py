@@ -24,7 +24,6 @@ from .green import (
     monoid_green,
     transversal,
 )
-from .lattice import SGLElement
 from .linrep import (
     Matrix,
     Representation,
@@ -383,7 +382,13 @@ def _group_irreps(monoid: FiniteMonoid, e: int, group: FiniteMonoid):
     if isinstance(el, (PartialBijection, Permutation)):
         blocks = [tuple(x for x, y in enumerate(el.images, 1) if y)]
         label_map = lambda s: dict(enumerate(s.images, 1))
-    elif isinstance(el, SGLElement):
+    else:
+        from .lattice import SGLElement  # pair monoids only: S, I and T never load it
+
+        if not isinstance(el, SGLElement):
+            raise CatalogError(
+                f"unrecognized maximal subgroup structure at element type {type(el).__name__}"
+            )
         a = el.lattice_element()
         kind = getattr(el.context.lattice, "kind", None)
         if a == ():
@@ -408,10 +413,6 @@ def _group_irreps(monoid: FiniteMonoid, e: int, group: FiniteMonoid):
         def label_map(x):
             g = x.group_element()
             return {p: g.apply(p) for p in pts}
-    else:
-        raise CatalogError(
-            f"unrecognized maximal subgroup structure at element type {type(el).__name__}"
-        )
     if not blocks[0]:
         yield (), trivial_rep(group)
         return

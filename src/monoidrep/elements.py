@@ -9,8 +9,7 @@ closed from generators is certified against the image rows of its elements,
 and a direct product's is written from its factors'.  Products, columns and
 squares are read along the graph's breadth-first tree, and so are the group
 actions (_compose_rows) and inverses (_inverses) of every layer.  numpy is
-loaded only with the dense table, which no command reads, and with a table
-handed to the constructor.
+loaded only with the dense table, which no command reads.
 """
 
 from __future__ import annotations
@@ -31,11 +30,6 @@ DEFAULT_CLOSURE_CAP = math.isqrt(TABLE_BYTES_BUDGET // TABLE_CELL_BYTES)
 # exact; a sum, difference or sentinel that may leave 0..n-1 is computed in
 # intp.
 assert DEFAULT_CLOSURE_CAP <= 2 ** (8 * TABLE_CELL_BYTES)
-
-# Light's test is checked in blocks of about this many cells, so the
-# temporaries of one block stay small next to the table (128 KB of two-byte
-# cells each) while a block still amortizes numpy's per-call cost
-TABLE_BLOCK_CELLS = 65536
 
 
 class DegreeMismatchError(ValueError):
@@ -302,61 +296,24 @@ class FiniteMonoid:
     array, is composed along the same tree on first read and
     then kept.  So a monoid whose table is never read never holds one.
 
-    The program builds every monoid as a graph: _closure certifies the
-    rows it finds against the elements' image rows, and product_monoid
-    writes its rows from its factors'.  A table given to the constructor
-    may have any integer dtype: its cells are checked to lie in 0..n-1
-    before it is narrowed, and n is within the table budget, so the
-    narrowing is exact; it must pass Light's test, and its generators' rows
-    table[gens] become the graph.  The identity and recorded generator
-    indices must be integers in 0..n-1, and the generators must generate
-    the monoid; with none given, the greedy set is recorded.
+    A monoid comes into being only as a graph, by _from_left_rows:
+    _closure certifies the rows it finds against the elements' image rows
+    (_validate), and product_monoid writes its rows from its factors'.
+    FiniteMonoid(...) takes no arguments, so no table handed in from
+    outside is ever mistaken for left rows.
     """
 
-    def __init__(self, elements, table, identity_index: int, generator_indices=None):
-        import numpy as np
-
-        self.elements = tuple(elements)
-        n = len(self.elements)
-        check_table_budget(n)
-        table = np.asarray(table)
-        if table.shape != (n, n):
-            raise ValueError("table shape mismatch")
-        # on the table as given: a narrowing cast would turn 0.5 into 0, and
-        # wrap -1 or 65536 + k into a valid-looking index
-        if not np.issubdtype(table.dtype, np.integer):
-            raise ValueError("table cells must be integers")
-        if n and (table.min() < 0 or table.max() >= n):
-            raise ValueError("table not closed")
-        self._table = table.astype(np.uint16, copy=False)
-        gens = None if generator_indices is None else tuple(generator_indices)
-        # numpy would read a negative index from the end, int() truncate a float
-        for k in (identity_index, *(gens or ())):
-            if not (isinstance(k, (int, np.integer)) and 0 <= k < n):
-                raise ValueError(f"element index {k!r} is not an integer in 0..{n - 1}")
-        self.identity_index = int(identity_index)
-        self.generator_indices = None if gens is None else tuple(map(int, gens))
-        self._index = {e: k for k, e in enumerate(self.elements)}
-        if len(self._index) != n:
-            raise ValueError("duplicate elements")
-        self._validate()
-        self._left = self._table[list(self.generator_indices)].tolist()
-        self._columns = None
-        self._tree = None
-        self._words = None
-
     @classmethod
-    def _from_left_rows(cls, elements, left, identity_index: int, tree=None) -> "FiniteMonoid":
-        """The monoid whose left rows are proved by the caller (_closure's
-        certificate, or product_monoid's construction): left[k][x] indexes
-        a_k * x, and a_k = a_k * e is left[k][e].  tree is _reach(left, e)
-        when the caller has it."""
+    def _from_left_rows(cls, elements, left, identity_index: int) -> "FiniteMonoid":
+        """The monoid whose left rows are proved by _validate, which
+        _closure calls on it, or by product_monoid's construction:
+        left[k][x] indexes a_k * x, and a_k = a_k * e is left[k][e]."""
         monoid = object.__new__(cls)
         monoid.elements = tuple(elements)
         monoid._table = None
         monoid._left = left
         monoid._columns = None
-        monoid._tree = tree
+        monoid._tree = None
         monoid._words = None
         monoid.identity_index = identity_index
         monoid.generator_indices = tuple(row[identity_index] for row in left)
@@ -385,8 +342,8 @@ class FiniteMonoid:
 
     @property
     def table(self):
-        """The |S| x |S| Cayley table, a uint16 numpy array: as given, or
-        composed from the left rows on first read and kept.  Row u = a_k * v
+        """The |S| x |S| Cayley table, a uint16 numpy array, composed from
+        the left rows on first read and kept.  Row u = a_k * v
         is left[k] after row v, because (a_k * v) * y = a_k * (v * y), from
         the identity's row 0..n-1 along the tree (_edges)."""
         if self._table is None:
@@ -441,35 +398,69 @@ class FiniteMonoid:
             out.append(row)
         return out
 
-    def _validate(self):
-        import numpy as np
+    def _validate(self, rows, generator_rows) -> None:
+        """Raise ValueError unless the left rows left = self._left are those
+        of a monoid with identity e = self.identity_index, generated by the
+        a_k, on the image rows mu(x) = rows[x] of the found set F and mu(a_k)
+        = generator_rows[k]; keep the breadth-first tree of the left rows,
+        _reach(left, e), as the tree _edges walks.
 
-        n = len(self.elements)
-        e = self.identity_index
-        t = self._table
-        idx = np.arange(n)
-        if not (np.array_equal(t[e], idx) and np.array_equal(t[:, e], idx)):
+        Each element family gives mu (its _faithful_rows): a map into partial
+        maps of [m], 0 where undefined, that is injective and under which the
+        family's product is composition, mu(x * y) = mu(x) o mu(y).  mu(e) need
+        not be the identity map: a maximal subgroup's identity is an idempotent
+        of the ambient monoid.  Checked: (i) mu(e) o mu(e) = mu(e), and mu(e) o
+        mu(a_k) = mu(a_k) for every k; (ii) the rows of F are pairwise
+        distinct; (iii) mu(left[k][x]) = mu(a_k) o mu(x) for every k and x;
+        (iv) mu(a_k) o mu(e) = mu(a_k) for every k; (v) the left rows reach
+        every x in F from e, which holds by construction for _closure, where
+        each x after e was found as left[k][v] for a v found before it.
+        By (v), every x in F is left[k1][... left[kj][e]], so by (iii) mu(x) =
+        mu(a_k1) o ... o mu(a_kj) o mu(e).  Then mu(e) o mu(x) = mu(x) by (i)
+        (its first half when j = 0, its second when j > 0), and mu(x) o mu(e) =
+        mu(x) by (i)'s first half: mu(e) is a two-sided identity on the rows of
+        F.
+        Let T be the table composed along the breadth-first tree: T[e, y] = y,
+        and T[x, y] = left[k][T[v, y]] for x = left[k][v].  By induction on the
+        depth of x, mu(T[x, y]) = mu(x) o mu(y): at x = e as mu(e) o mu(y) =
+        mu(y), and below, mu(T[x, y]) = mu(a_k) o mu(v) o mu(y) = mu(x) o mu(y)
+        by (iii) twice.  Composition is associative, so by (ii) T is: both
+        bracketings of x y z have the row mu(x) o mu(y) o mu(z).  T[e, y] = y,
+        and mu(T[x, e]) = mu(x) o mu(e) = mu(x), so T[x, e] = x by (ii): e is
+        T's identity.  T is the element product, as mu(x * y) = mu(T[x, y]) and
+        mu is injective, so F is closed under products.  At x = e, (iii) and
+        (iv) give mu(left[k][e]) = mu(a_k) o mu(e) = mu(a_k), so left[k][e] =
+        a_k: the generators lie in F and are the ones given.  With (v), F is
+        the monoid with identity e that the a_k generate.  The cost is |A| |S|
+        m lookups for (iii), against Light's test's |A| |S|^2, and |A| m for
+        (i) and (iv).
+
+        Rows are composed as tuples with a leading 0, the image of "undefined":
+        for such rows p, q, the row of mu(p) o mu(q) is p at every entry of q,
+        itemgetter(*q)(p), a tuple as q has at least two entries.
+        """
+        left, e = self._left, self.identity_index
+        rows = [(0,) + tuple(r) for r in rows]
+        generator_rows = [(0,) + tuple(r) for r in generator_rows]
+        unit = rows[e]
+
+        def then(a, x):  # mu(a) o mu(x)
+            return itemgetter(*x)(a)
+
+        if then(unit, unit) != unit:
             raise ValueError("identity laws fail")
-
-        def column(g):  # column(g)[x] indexes x * g
-            return t[:, g].tolist()
-
-        if self.generator_indices is None:
-            self.generator_indices = _greedy_generators(column, range(n), e)
-        elif len(_reach([column(g) for g in self.generator_indices], e)[0]) != n:
-            raise ValueError("recorded generators do not generate the monoid")
-        # Light's test (Clifford & Preston I, 1.2): (x*a)*y = x*(a*y) for every
-        # generator a and all x, y.  The elements a passing it include the
-        # identity and the generators, and they are closed under products:
-        # for a, b passing, (x*ab)*y = ((x*a)*b)*y = (x*a)*(b*y)
-        # = x*(a*(b*y)) = x*((ab)*y).  So every element passes.
-        gens = np.asarray(self.generator_indices, dtype=np.intp)
-        right = t[gens]  # right[k, y] = a_k*y
-        step = max(1, TABLE_BLOCK_CELLS // (n * len(gens) or 1))
-        for i in range(0, n, step):
-            block = t[i:i + step]
-            if not np.array_equal(t[block[:, gens]], np.take(block, right, axis=1)):
-                raise ValueError("associativity fails")
+        if any(then(unit, a) != a or then(a, unit) != a for a in generator_rows):
+            raise ValueError("identity laws fail: a generator is not fixed by the identity")
+        if len(set(rows)) != len(rows):
+            raise ValueError("two elements share an image row")
+        composers = [itemgetter(*x) for x in rows]  # composers[x](a) = mu(a) o mu(x)
+        for a, succ in zip(generator_rows, left):
+            if [compose(a) for compose in composers] != [rows[u] for u in succ]:
+                raise ValueError("a left product disagrees with the image rows")
+        tree = _reach(left, e)
+        if len(tree[0]) != len(rows):
+            raise ValueError("the left rows do not reach every element")
+        self._tree = tree
 
     def __len__(self):
         return len(self.elements)
@@ -610,7 +601,7 @@ def _closure(generators, identity, cap: int, within=None) -> FiniteMonoid:
     within (when given: a dict from each element to the caller's object,
     which is kept in place of the equal product).  The elements are sorted
     canonically, so the search order does not show.  The monoid holds the
-    left rows, certified by _certify_left_rows; so the found set is the
+    left rows, certified by its _validate; so the found set is the
     closure, and its products along the rows are the element product.
     """
     found, index = [identity], {identity: 0}
@@ -636,74 +627,10 @@ def _closure(generators, identity, cap: int, within=None) -> FiniteMonoid:
     for new, old in enumerate(order):
         label[old] = new
     left = [[label[row[old]] for old in order] for row in left]
-    e = label[0]
-    elements = [found[i] for i in order]
-    rows = type(identity)._faithful_rows(elements + list(generators))
-    tree = _certify_left_rows(rows[:n], rows[n:], left, e)
-    return FiniteMonoid._from_left_rows(elements, left, e, tree)
-
-
-def _certify_left_rows(rows, generator_rows, left, e: int):
-    """Raise ValueError unless the left rows are those of a monoid with
-    identity e, generated by the a_k, on the image rows mu(x) = rows[x] of
-    the found set F and mu(a_k) = generator_rows[k]; return the
-    breadth-first tree of the left rows, _reach(left, e).
-
-    Each element family gives mu (its _faithful_rows): a map into partial
-    maps of [m], 0 where undefined, that is injective and under which the
-    family's product is composition, mu(x * y) = mu(x) o mu(y).  mu(e) need
-    not be the identity map: a maximal subgroup's identity is an idempotent
-    of the ambient monoid.  Checked: (i) mu(e) o mu(e) = mu(e), and mu(e) o
-    mu(a_k) = mu(a_k) for every k; (ii) the rows of F are pairwise
-    distinct; (iii) mu(left[k][x]) = mu(a_k) o mu(x) for every k and x;
-    (iv) mu(a_k) o mu(e) = mu(a_k) for every k; (v) the left rows reach
-    every x in F from e, which holds by construction for _closure, where
-    each x after e was found as left[k][v] for a v found before it.
-    By (v), every x in F is left[k1][... left[kj][e]], so by (iii)
-    mu(x) = mu(a_k1) o ... o mu(a_kj) o mu(e).  Then mu(e) o mu(x) = mu(x)
-    by (i) (its first half when j = 0, its second when j > 0), and
-    mu(x) o mu(e) = mu(x) by (i)'s first half: mu(e) is a two-sided
-    identity on the rows of F.
-    Let T be the table composed along the breadth-first tree: T[e, y] = y,
-    and T[x, y] = left[k][T[v, y]] for x = left[k][v].  By induction on the
-    depth of x, mu(T[x, y]) = mu(x) o mu(y): at x = e as mu(e) o mu(y) =
-    mu(y), and below, mu(T[x, y]) = mu(a_k) o mu(v) o mu(y) = mu(x) o mu(y)
-    by (iii) twice.  Composition is associative, so by (ii) T is: both
-    bracketings of x y z have the row mu(x) o mu(y) o mu(z).  T[e, y] = y,
-    and mu(T[x, e]) = mu(x) o mu(e) = mu(x), so T[x, e] = x by (ii): e is
-    T's identity.  T is the element product, as mu(x * y) = mu(T[x, y]) and
-    mu is injective, so F is closed under products.  At x = e, (iii) and
-    (iv) give mu(left[k][e]) = mu(a_k) o mu(e) = mu(a_k), so left[k][e] =
-    a_k: the generators lie in F and are the ones given.  With (v), F is
-    the monoid with identity e that the a_k generate.  The cost is |A| |S|
-    m lookups for (iii), against Light's test's |A| |S|^2, and |A| m for (i)
-    and (iv).
-
-    Rows are composed as tuples with a leading 0, the image of "undefined":
-    for such rows p, q, the row of mu(p) o mu(q) is p at every entry of q,
-    itemgetter(*q)(p), a tuple as q has at least two entries.
-    """
-    rows = [(0,) + tuple(r) for r in rows]
-    generator_rows = [(0,) + tuple(r) for r in generator_rows]
-    unit = rows[e]
-
-    def then(a, x):  # mu(a) o mu(x)
-        return itemgetter(*x)(a)
-
-    if then(unit, unit) != unit:
-        raise ValueError("identity laws fail")
-    if any(then(unit, a) != a or then(a, unit) != a for a in generator_rows):
-        raise ValueError("identity laws fail: a generator is not fixed by the identity")
-    if len(set(rows)) != len(rows):
-        raise ValueError("two elements share an image row")
-    composers = [itemgetter(*x) for x in rows]  # composers[x](a) = mu(a) o mu(x)
-    for a, succ in zip(generator_rows, left):
-        if [compose(a) for compose in composers] != [rows[u] for u in succ]:
-            raise ValueError("a left product disagrees with the image rows")
-    tree = _reach(left, e)
-    if len(tree[0]) != len(rows):
-        raise ValueError("the left rows do not reach every element")
-    return tree
+    monoid = FiniteMonoid._from_left_rows([found[i] for i in order], left, label[0])
+    rows = type(identity)._faithful_rows(list(monoid.elements) + list(generators))
+    monoid._validate(rows[:n], rows[n:])
+    return monoid
 
 
 def closure(generators, identity=None, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteMonoid:

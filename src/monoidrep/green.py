@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .elements import FiniteMonoid, PartialBijection, Transformation, _bits, _greedy_generators
-from .lattice import SGLElement
 
 
 class GreenClasses(NamedTuple):
@@ -140,10 +139,9 @@ def green_structure(monoid: FiniteMonoid):
     """Green classes and J-order from the Cayley graphs of a generating set.
 
     Let A = monoid.generating_set().  It generates S as a monoid: the
-    closure's certificate (elements._certify_left_rows) proves this of a
-    monoid closed from A, product_monoid's construction of a direct
-    product, and FiniteMonoid._validate of a table given with recorded
-    generators; a greedy set reaches every element by construction.  So
+    closure's certificate (FiniteMonoid._validate) proves this of a monoid
+    closed from A, and product_monoid's construction of a direct product;
+    a greedy set reaches every element by construction.  So
     every u in S is a product a_1 ... a_k of generators (k = 0 for the
     identity), and xS = {x a_1 ... a_k} is exactly the set of nodes
     reachable from x in the right graph x -> x a.  Hence xS = yS, that is x R y, iff x and y reach
@@ -241,7 +239,10 @@ def apex_labels(monoid: FiniteMonoid) -> tuple:
         el = monoid.elements[members[0]]
         if isinstance(el, (PartialBijection, Transformation)):
             labels.append(f"J{el.rank}")
-        elif not isinstance(el, SGLElement):
+            continue
+        from .lattice import SGLElement  # pair monoids only: S, I and T never load it
+
+        if not isinstance(el, SGLElement):
             labels.append(f"J{j}")
         elif el.context.lattice.kind == "subsets":
             labels.append(f"J{len(el.lattice_element())}")

@@ -599,19 +599,6 @@ def mapping_rep(monoid: FiniteMonoid) -> Representation:
     return Representation._of(monoid, _permutation_stack(rows), 1)
 
 
-def mapping_rep_by_kind(kind: str, n: int) -> Representation:
-    from .elements import full_transformation_monoid, symmetric_group, symmetric_inverse_monoid
-
-    builders = {
-        "Sn": symmetric_group,
-        "In": symmetric_inverse_monoid,
-        "Tn": full_transformation_monoid,
-    }
-    if kind not in builders:
-        raise ValueError(f"unknown kind {kind!r}")
-    return mapping_rep(builders[kind](n))
-
-
 def trivial_rep(monoid: FiniteMonoid) -> Representation:
     return Representation._of(monoid, (((1,),),) * len(monoid), 1)
 

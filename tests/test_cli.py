@@ -596,18 +596,31 @@ class TestLeftCayleyGraph:
         assert json.loads(proc.stdout)[:2] == [EXIT_OK, []], proc.stderr
 
     @pytest.mark.parametrize("argv", REPRESENTATION_ARGVS, ids=REPRESENTATION_IDS)
-    def test_representation_commands_hand_no_table_to_the_constructor(self, monkeypatch, argv):
-        # every monoid, subgroup and direct product is built as a certified
-        # left Cayley graph: neither the public constructor nor Light's test runs
-        def refused(*args, **kwargs):
-            raise AssertionError("a table was handed to the constructor")
+    def test_representation_commands_certify_each_closure_once(self, monkeypatch, argv):
+        # every monoid, subgroup and element set is closed by _closure, which
+        # certifies its left rows by one _validate call on the monoid it
+        # returns; direct products are written from their factors' rows
+        closure, validate = elements._closure, FiniteMonoid._validate
+        validated, certified = [], []
 
-        monkeypatch.setattr(FiniteMonoid, "__init__", refused)
-        monkeypatch.setattr(FiniteMonoid, "_validate", refused)
+        def counted_validate(monoid, *args):
+            validated.append(monoid)
+            return validate(monoid, *args)
+
+        def counted_closure(*args, **kwargs):
+            start = len(validated)
+            monoid = closure(*args, **kwargs)
+            certified.append(validated[start:] == [monoid])
+            return monoid
+
+        monkeypatch.setattr(elements, "_closure", counted_closure)
+        monkeypatch.setattr(FiniteMonoid, "_validate", counted_validate)
         monkeypatch.setattr(specht, "_SPECHT_CACHE", {})
         monkeypatch.setattr(specht, "_SYMMETRIC_GROUPS", {})
         code, _ = invoke(argv)
         assert code == EXIT_OK
+        assert certified and all(certified)
+        assert len(validated) == len(certified)
 
     @pytest.mark.parametrize("argv", [
         ["irreps", "SGL:ordperm:3", "--check"],
@@ -662,8 +675,10 @@ class TestLayerLoading:
     @pytest.mark.parametrize("argv,ran", [
         (["order", "S:5"], []),
         (["order", "SGL:ordperm:3"], ["lattice"]),
-        (["eggbox", "S:4"], ["lattice", "green"]),  # green labels SGL classes too
-        (["irreps", "I:3", "--check"], list(LAZY_LAYERS)),
+        # a spec with no pair monoid never loads lattice
+        (["eggbox", "S:4"], ["green"]),
+        (["irreps", "I:3", "--check"], list(LAZY_LAYERS[1:])),
+        (["rep", "I:4", "--build", "induce:J2:(1,1)"], list(LAZY_LAYERS[1:])),
     ])
     def test_a_command_runs_only_the_layers_it_calls(self, argv, ran):
         proc = fresh_python(_LOAD_PROBE, *argv)

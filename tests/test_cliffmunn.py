@@ -32,7 +32,6 @@ from monoidrep.linrep import (
     is_irreducible,
     iso_test,
     mapping_rep,
-    mapping_rep_by_kind,
     one_dim_invariant_lines,
     outer_tensor,
     restrict_rep,
@@ -381,7 +380,7 @@ class TestNonSemisimplicityWitness:
 class TestDecompose:
     def test_sn_mapping_splits_into_trivial_and_reflectional(self):
         for n in (2, 3, 4):
-            v = mapping_rep_by_kind("Sn", n)
+            v = mapping_rep(symmetric_group(n))
             factors = decompose(v)
             assert sorted(f.dim for f in factors) == [1, n - 1]
             triv = next(f for f in factors if f.dim == 1)
@@ -425,7 +424,7 @@ class TestEquivariantProjection:
     )
     def test_projection_laws(self, case, i3, i3_map):
         if case.startswith("s3"):
-            rep = mapping_rep_by_kind("Sn", 3)
+            rep = mapping_rep(symmetric_group(3))
             vecs = [(1, 1, 1)] if case == "s3_fixed_line" else [(1, -1, 0), (0, 1, -1)]
             sub = Subspace.from_vectors(3, vecs)
         elif case == "refl_double":

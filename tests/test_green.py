@@ -505,7 +505,7 @@ def monoids_with_or_without_generators(draw):
     so that green_structure walks the greedy generating set."""
     m = draw(small_monoids())
     if draw(st.booleans()):
-        m = FiniteMonoid(m.elements, m.table, m.identity_index)
+        m = FiniteMonoid.from_elements(m.elements, m.elements[m.identity_index])
     return m
 
 
@@ -530,7 +530,7 @@ class TestCayleyGraphClasses:
 
     def test_monoid_without_recorded_generators(self):
         t3 = full_transformation_monoid(3)
-        m = FiniteMonoid(t3.elements, t3.table, t3.identity_index)
+        m = FiniteMonoid.from_elements(t3.elements, t3.elements[t3.identity_index])
         gens = m.generator_indices
         assert gens is not None  # the greedy set, recorded at construction
         assert_matches_oracle(m)

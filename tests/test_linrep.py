@@ -30,7 +30,6 @@ from monoidrep.linrep import (
     is_irreducible,
     iso_test,
     mapping_rep,
-    mapping_rep_by_kind,
     one_dim_invariant_lines,
     outer_tensor,
     parse_representation_payload,
@@ -48,17 +47,17 @@ F = Fraction
 
 @pytest.fixture(scope="module")
 def s3_map():
-    return mapping_rep_by_kind("Sn", 3)
+    return mapping_rep(symmetric_group(3))
 
 
 @pytest.fixture(scope="module")
 def i3_map():
-    return mapping_rep_by_kind("In", 3)
+    return mapping_rep(symmetric_inverse_monoid(3))
 
 
 @pytest.fixture(scope="module")
 def t3_map():
-    return mapping_rep_by_kind("Tn", 3)
+    return mapping_rep(full_transformation_monoid(3))
 
 
 class TestRref:
@@ -322,7 +321,7 @@ class TestCommutant:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_sn_mapping_two_blocks(self, n):
-        assert commutant_dim(mapping_rep_by_kind("Sn", n)) == 2
+        assert commutant_dim(mapping_rep(symmetric_group(n))) == 2
 
     def test_i3_mapping_irreducible(self, i3_map):
         assert commutant_dim(i3_map) == 1
@@ -350,9 +349,9 @@ class TestInvariantLines:
         assert len(lines) == 1 and lines[0][1].dim == 1
 
     @pytest.mark.parametrize("build", [
-        lambda: mapping_rep_by_kind("Sn", 3),
-        lambda: mapping_rep_by_kind("In", 3),
-        lambda: mapping_rep_by_kind("Tn", 3),
+        lambda: mapping_rep(symmetric_group(3)),
+        lambda: mapping_rep(symmetric_inverse_monoid(3)),
+        lambda: mapping_rep(full_transformation_monoid(3)),
         lambda: specht_rep((2, 1)).rep,
     ])
     def test_completeness_against_grid_oracle(self, build):
