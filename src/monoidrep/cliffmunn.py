@@ -13,7 +13,7 @@ yields the full irreducible catalog.
 from __future__ import annotations
 
 import itertools
-from math import factorial, prod
+from math import factorial, gcd, prod
 from typing import NamedTuple
 
 from .elements import FiniteMonoid, PartialBijection, Permutation, Transformation, _compose_rows
@@ -129,24 +129,33 @@ class InducedRaw(NamedTuple):
     block_map: tuple  # (J, G), each one k-tuple per element: t s_i = s_J g_G; -1 off L_e
 
 
-def induce_raw(monoid: FiniteMonoid, e: int, group_rep: Representation,
-               trans=None) -> InducedRaw:
-    """The block representation on |trans.reps| tagged copies of V: block
-    (J, i) of phi(t) is rho(g) where t s_i = s_J g lies in L_e, else 0.
-    t s_i is read from the column of s_i in the left Cayley graph, and each
-    phi(t) is written from its row of the (J, G) block map."""
-    classes, _ = monoid_green(monoid)
-    if trans is None:
-        trans = transversal(monoid, classes, e)
-    group = group_rep.monoid
+def _block_map(monoid: FiniteMonoid, classes, trans, group: FiniteMonoid) -> tuple:
+    """(J, G), one k-tuple each per element t: t s_i = s_J g where t s_i
+    lies in L_e, with J = J[t][i] and g at index G[t][i] in group's own
+    element order, and J = G = -1 where it does not.  t s_i is read from the
+    column of s_i in the left Cayley graph."""
     block, local = lclass_coordinates(monoid, classes, trans)
-    # position in G_e (ascending) -> index in the group rep's own element order
-    ge = classes.hclasses[classes.hclass_of[e]]
+    # position in G_e (ascending) -> index in the group's own element order
+    ge = classes.hclasses[classes.hclass_of[trans.idempotent]]
     to_group = [group.index(monoid.elements[g]) for g in ge]
     products = list(zip(*monoid.columns(trans.reps)))  # products[t][i] = t s_i
     big_j = tuple(tuple(block[p] for p in row) for row in products)
     big_g = tuple(tuple(to_group[local[p]] if block[p] >= 0 else -1 for p in row)
                   for row in products)
+    return big_j, big_g
+
+
+def induce_raw(monoid: FiniteMonoid, e: int, group_rep: Representation,
+               trans=None) -> InducedRaw:
+    """The block representation on |trans.reps| tagged copies of V: block
+    (J, i) of phi(t) is rho(g) where t s_i = s_J g lies in L_e, else 0.
+    Each phi(t) is written from its row of the (J, G) block map
+    (_block_map, which cm_roundtrip_check reads too)."""
+    classes, _ = monoid_green(monoid)
+    if trans is None:
+        trans = transversal(monoid, classes, e)
+    group = group_rep.monoid
+    big_j, big_g = _block_map(monoid, classes, trans, group)
     k, dv, blocks = len(trans.reps), group_rep.dim, group_rep.num
     zero = (0,) * (k * dv)
 
@@ -466,7 +475,8 @@ def cm_catalog(monoid: FiniteMonoid) -> tuple:
 
 def cm_roundtrip_check(monoid: FiniteMonoid, entry: CatalogEntry) -> bool:
     """reduce(induce(V)) iso V and induce(reduce(W)) iso W, decided by
-    characters; ValueError unless the monoid is certified semisimple.
+    characters; ValueError for an entry over another monoid, or unless the
+    monoid is certified semisimple.
 
     In characteristic 0 the characters of the simple modules of a
     semisimple algebra are linearly independent, so a module's character
@@ -474,7 +484,31 @@ def cm_roundtrip_check(monoid: FiniteMonoid, entry: CatalogEntry) -> bool:
     with equal characters are isomorphic.  Down: V and reduce(W) are
     modules of Q G_e, which is semisimple by Maschke.  Up: W and
     induce(reduce(W)) are modules of Q S, semisimple by the certificate.
+
+    The up half builds no induced module.  With V' = reduce(W) and the
+    (J, G) block map of e, the character of induce(V') is
+    chi(t) = sum of chi_V'(G[t,i]) over the blocks i with J[t,i] = i:
+    (1) Column block i of the raw phi(t) holds rho(G[t,i]) in row block
+        J[t,i] alone, or nothing where t s_i is off L_e, so diagonal block i
+        is rho(G[t,i]) exactly when J[t,i] = i, and zero otherwise.
+    (2) Under the certificate induce returns the raw module: its
+        R_e-annihilator is 0.  The certificate is granted only when every
+        L- and R-class holds one idempotent, so S is inverse (Howie, Thm
+        5.1.1), and x lies in L_e iff x^-1 x = e.  For a representative
+        s_i, r = s_i^-1 lies in R_e, as r r^-1 = s_i^-1 s_i = e, and
+        r s_i = e, which the transversal represents by e itself.  For
+        j != i, (r s_j)^-1 r s_j = s_j^-1 f_i s_j with f_i = s_i s_i^-1;
+        this idempotent is at most e, and equal to e only if
+        f_j = s_j e s_j^-1 = f_i f_j, that is f_j <= f_i.  But f_i != f_j
+        lie in distinct R-classes of the D-class of e, and D-related
+        idempotents of a finite monoid are incomparable, so r s_j is off
+        L_e.  Hence phi(r) is the identity at block (block of e, i) and
+        zero elsewhere, and a vector killed by all of R_e is zero in every
+        block i.
+    (3) Equal characters then decide W iso induce(V'), as above.
     """
+    if entry.rep.monoid is not monoid and entry.rep.monoid.elements != monoid.elements:
+        raise ValueError("representations are over different monoids")
     cert = semisimple_predicate(monoid)
     if cert.status != "semisimple":
         raise ValueError(f"round trips are decided by characters only for a "
@@ -484,9 +518,16 @@ def cm_roundtrip_check(monoid: FiniteMonoid, entry: CatalogEntry) -> bool:
         return False
     if red.rep.monoid.elements != entry.group_rep.monoid.elements:
         raise ValueError("representations are over different monoids")
-    back = induce(monoid, entry.idempotent, red.rep)
-    return all(v.dim == u.dim and v.character_key() == u.character_key()
-               for v, u in ((red.rep, entry.group_rep), (back, entry.rep)))
+    den, chi = red.rep.character_key()
+    if red.rep.dim != entry.group_rep.dim or (den, chi) != entry.group_rep.character_key():
+        return False
+    classes, _ = monoid_green(monoid)
+    trans = transversal(monoid, classes, entry.idempotent)
+    big_j, big_g = _block_map(monoid, classes, trans, red.rep.monoid)
+    traces = [sum(chi[g] for i, (j, g) in enumerate(zip(js, gs)) if j == i)
+              for js, gs in zip(big_j, big_g)]
+    common = gcd(den, *traces)
+    return entry.rep.character_key() == (den // common, tuple(t // common for t in traces))
 
 
 # -- the permutohedron Renner monoid -----------------------------------------

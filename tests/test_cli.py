@@ -58,6 +58,8 @@ GOLDEN_CASES = {
     "eggbox_i5_file_all": ["eggbox", "gens:tests/data/i5_file.gens", "--all"],
     "rep_s5_specht_221": ["rep", "S:5", "--build", "specht:(2,2,1)"],
     "irreps_s5_check": ["irreps", "S:5", "--check"],
+    # the largest checked catalog: 19 entries over I_5's 1546 elements
+    "irreps_i5_check": ["irreps", "I:5", "--check"],
     "irreps_s6": ["irreps", "S:6"],
     # the largest transformation table, and 2471 pairs through sgl_monoid and sgl_order
     "eggbox_t5_all": ["eggbox", "T:5", "--all"],
@@ -254,6 +256,26 @@ class TestIrrepsCommand:
         assert f"sum_dim_sq: {math.factorial(n)}" in text
         assert "check_complete: yes" in text
         assert f"check_roundtrips: {count}/{count}" in text
+
+    @pytest.mark.parametrize("spec,entries", [("I:4", 12), ("SGL:ordperm:3", 9)])
+    def test_check_induces_each_entry_once(self, spec, entries, monkeypatch):
+        # the catalog induces each entry; the round trips induce nothing
+        real, calls = cliffmunn.induce, []
+        monkeypatch.setattr(cliffmunn, "induce", lambda *args: calls.append(args) or real(*args))
+        code, text = invoke(["irreps", spec, "--check"])
+        assert code == EXIT_OK
+        assert f"check_roundtrips: {entries}/{entries}" in text
+        assert len(calls) == entries
+
+    def test_roundtrips_pass_without_induce(self, monkeypatch):
+        monoid = elements.symmetric_inverse_monoid(4)
+        catalog = cm_catalog(monoid)
+
+        def refuse(*args):
+            raise AssertionError("a round trip induced")
+
+        monkeypatch.setattr(cliffmunn, "induce", refuse)
+        assert all(cliffmunn.cm_roundtrip_check(monoid, en) for en in catalog)
 
     def test_roundtrip_failure_exits_4(self, monkeypatch):
         monkeypatch.setattr(cliffmunn, "cm_roundtrip_check", lambda m, e: False)

@@ -542,6 +542,45 @@ class TestCatalogs:
         assert swapped
         assert not any(cm_roundtrip_check(monoid, en) for en in swapped)
 
+    @pytest.mark.parametrize("build", [
+        lambda: symmetric_inverse_monoid(3),
+        lambda: sgl_monoid(make_lattice("subsets", 3)[1])[0],
+    ], ids=["I3", "subsets3"])
+    def test_roundtrip_refuses_a_summand_the_idempotent_kills(self, build):
+        # W = Ind(V) + U with e U = 0 reduces to V at e, so only the up half
+        # can refuse it: one entry per catalog rep b that kills a's idempotent
+        monoid = build()
+        catalog = cm_catalog(monoid)
+        padded = [a._replace(rep=direct_sum(a.rep, b.rep)) for a in catalog for b in catalog
+                  if not any(map(any, b.rep.num[a.idempotent]))]
+        assert len(padded) == 17
+        assert not any(cm_roundtrip_check(monoid, en) for en in padded)
+
+    @pytest.mark.parametrize("build", [
+        lambda: symmetric_inverse_monoid(3),
+        lambda: sgl_monoid(make_lattice("subsets", 3)[1])[0],
+    ], ids=["I3", "subsets3"])
+    def test_roundtrip_refuses_the_zero_class_rep_at_the_units(self, build):
+        # the zero class's rep sends every element to 1; at the units entry of
+        # the trivial shape it reduces to that entry's trivial group rep and
+        # has its dimension 1, but not its character, which is 0 off the units
+        monoid = build()
+        catalog = cm_catalog(monoid)
+        zero = next(en.rep for en in catalog if en.label == ())
+        assert all(m == ((zero.den,),) for m in zero.num)
+        units = next(en for en in catalog
+                     if en.idempotent == monoid.identity_index and en.label == (3,))
+        assert cm_roundtrip_check(monoid, units)
+        assert not cm_roundtrip_check(monoid, units._replace(rep=zero))
+
+    def test_roundtrip_refuses_an_entry_over_another_monoid(self, i3_catalog):
+        # SGL:subsets:3 has I_3's 34 elements, but not I_3's elements
+        subsets3 = sgl_monoid(make_lattice("subsets", 3)[1])[0]
+        assert len(subsets3) == 34
+        for en in i3_catalog:
+            with pytest.raises(ValueError, match="over different monoids"):
+                cm_roundtrip_check(subsets3, en)
+
     def test_roundtrip_needs_a_semisimple_certificate(self, t3):
         # T_3 is regular but not inverse: its certificate is "unknown"
         e = t3.identity_index
