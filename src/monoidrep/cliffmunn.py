@@ -133,16 +133,22 @@ def _block_map(monoid: FiniteMonoid, classes, trans, group: FiniteMonoid) -> tup
     """(J, G), one k-tuple each per element t: t s_i = s_J g where t s_i
     lies in L_e, with J = J[t][i] and g at index G[t][i] in group's own
     element order, and J = G = -1 where it does not.  t s_i is read from the
-    column of s_i in the left Cayley graph."""
-    block, local = lclass_coordinates(monoid, classes, trans)
-    # position in G_e (ascending) -> index in the group's own element order
-    ge = classes.hclasses[classes.hclass_of[trans.idempotent]]
-    to_group = [group.index(monoid.elements[g]) for g in ge]
-    products = list(zip(*monoid.columns(trans.reps)))  # products[t][i] = t s_i
-    big_j = tuple(tuple(block[p] for p in row) for row in products)
-    big_g = tuple(tuple(to_group[local[p]] if block[p] >= 0 else -1 for p in row)
-                  for row in products)
-    return big_j, big_g
+    column of s_i in the left Cayley graph.  For the classes monoid_green
+    returns, each map is computed once and cached beside them, by the
+    transversal and the group it was computed for."""
+    cached = getattr(monoid, "_green_cache", None)
+    cache = monoid._block_map_cache if cached is not None and cached[0] is classes else {}
+    if (trans, group) not in cache:
+        block, local = lclass_coordinates(monoid, classes, trans)
+        # position in G_e (ascending) -> index in the group's own element order
+        ge = classes.hclasses[classes.hclass_of[trans.idempotent]]
+        to_group = [group.index(monoid.elements[g]) for g in ge]
+        products = list(zip(*monoid.columns(trans.reps)))  # products[t][i] = t s_i
+        big_j = tuple(tuple(block[p] for p in row) for row in products)
+        big_g = tuple(tuple(to_group[local[p]] if block[p] >= 0 else -1 for p in row)
+                      for row in products)
+        cache[trans, group] = big_j, big_g
+    return cache[trans, group]
 
 
 def induce_raw(monoid: FiniteMonoid, e: int, group_rep: Representation,
@@ -205,10 +211,19 @@ def semisimple_predicate(monoid: FiniteMonoid, characteristic: int = 0) -> Semis
     idempotent.  A monoid is inverse, each element having exactly one
     inverse, iff every L-class and every R-class holds exactly one idempotent
     (Howie, Thm 5.1.1).  An inverse monoid with one idempotent is a group.
+    The report is computed once per characteristic and cached beside the
+    Green classes.
     """
     if characteristic < 0 or characteristic == 1:
         raise ValueError("characteristic must be 0 or a prime")
     classes, _ = monoid_green(monoid)
+    cache = monoid._semisimple_cache
+    if characteristic not in cache:
+        cache[characteristic] = _semisimple_report(monoid, classes, characteristic)
+    return cache[characteristic]
+
+
+def _semisimple_report(monoid: FiniteMonoid, classes, characteristic: int) -> SemisimpleReport:
     if not all(classes.jclass_idempotents):
         return SemisimpleReport("unknown", "monoid is not regular")
     idems = monoid.idempotent_indices()

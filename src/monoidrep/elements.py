@@ -15,21 +15,14 @@ loaded only with the dense table, which no command reads.
 from __future__ import annotations
 
 import itertools
-import math
 import re
 from operator import itemgetter
 
-# A dense Cayley table, a numpy array, holds two-byte (uint16) cells; a table
-# of |S|^2 cells may not take more than this many bytes.  T_5 (19.5 MB) fits, I_6 (355 MB) does not.
-TABLE_BYTES_BUDGET = 256 * 2**20
-TABLE_CELL_BYTES = 2
-DEFAULT_CLOSURE_CAP = math.isqrt(TABLE_BYTES_BUDGET // TABLE_CELL_BYTES)
-# Every monoid passes check_table_budget, so it has at most
-# DEFAULT_CLOSURE_CAP = isqrt(2^27) = 11585 elements, and every cell, an
-# index below that, fits the two-byte cell exactly.  Indexing with cells is
-# exact; a sum, difference or sentinel that may leave 0..n-1 is computed in
-# intp.
-assert DEFAULT_CLOSURE_CAP <= 2 ** (8 * TABLE_CELL_BYTES)
+# What one build may allocate where its memory grows with the input: certificate
+# rows, a representation stack or a Cayley table, each checked first (check_budget).
+BUILD_BYTES_BUDGET = 256 * 2**20
+ROW_CELL_BYTES = 116  # one certificate row cell at a build's peak (row_bytes)
+DEFAULT_CLOSURE_CAP = 6**6  # |T_6|: any generating set of degree <= 6 closes within it
 
 
 class DegreeMismatchError(ValueError):
@@ -37,8 +30,8 @@ class DegreeMismatchError(ValueError):
 
 
 class ClosureCapError(RuntimeError):
-    """Raised when a closure run exceeds its element cap, or a Cayley table
-    would exceed the table byte budget."""
+    """Raised when a closure run exceeds its element cap, or a build would
+    allocate more than BUILD_BYTES_BUDGET bytes (check_budget)."""
 
 
 class ElementParseError(ValueError):
@@ -345,11 +338,13 @@ class FiniteMonoid:
         """The |S| x |S| Cayley table, a uint16 numpy array, composed from
         the left rows on first read and kept.  Row u = a_k * v
         is left[k] after row v, because (a_k * v) * y = a_k * (v * y), from
-        the identity's row 0..n-1 along the tree (_edges)."""
+        the identity's row 0..n-1 along the tree (_edges).  Within the
+        budget it has at most 11585 rows, so every index fits uint16."""
         if self._table is None:
+            n = len(self.elements)
+            check_budget(n * n * 2, f"a Cayley table of {n} elements")
             import numpy as np
 
-            n = len(self.elements)
             left = np.array(self._left, dtype=np.uint16).reshape(-1, n)
             table = np.empty((n, n), dtype=np.uint16)
             table[self.identity_index] = np.arange(n)
@@ -501,7 +496,6 @@ class FiniteMonoid:
             identity = elements[0].identity_element()
         members = {e: e for e in elements}  # each element to the caller's object
         identity = members.setdefault(identity, identity)
-        check_table_budget(len(members))
         if generators is None:
             monoid = _closure(sorted(members, key=canonical_key), identity, len(members), members)
             left, e = monoid._left, monoid.identity_index
@@ -513,14 +507,22 @@ class FiniteMonoid:
         return monoid
 
 
-def check_table_budget(size: int) -> None:
-    """Raise ClosureCapError if a size x size Cayley table exceeds the budget."""
-    need = size * size * TABLE_CELL_BYTES
-    if need > TABLE_BYTES_BUDGET:
-        raise ClosureCapError(
-            f"a Cayley table of {size} elements needs {need / 2**20:.1f} MiB, "
-            f"over the {TABLE_BYTES_BUDGET / 2**20:.0f} MiB table budget"
-        )
+def check_budget(need: int, what: str) -> None:
+    """Raise ClosureCapError if what needs more than BUILD_BYTES_BUDGET bytes."""
+    if need > BUILD_BYTES_BUDGET:
+        raise ClosureCapError(f"{what} would take {need / 2**20:.1f} MiB, over the "
+                              f"{BUILD_BYTES_BUDGET / 2**20:.0f} MiB build budget")
+
+
+def row_bytes(width: int) -> int:
+    """One element's cost at its build's peak: the width + 1 cells of its
+    faithful row as _validate holds it, at ROW_CELL_BYTES each.  Whole
+    builds, spec to certified monoid, peak under tracemalloc at 115.2 B a
+    cell for I:6 (7 cells an element), 114.6 for T:6, 37.8 for
+    SGL:partitions:5 (53), 35.6 for SGL:subsets:6 (65), 34.3 for
+    SGL:ordperm:4 (77) and 27.8 for SGL:partitions:6 (204; 298.7 MB): an
+    element costs more than its cells.  The price is the largest, I_6's."""
+    return (width + 1) * ROW_CELL_BYTES
 
 
 def _bits(mask: int):
@@ -597,13 +599,16 @@ def _closure(generators, identity, cap: int, within=None) -> FiniteMonoid:
     """The monoid generated by the generators a_k, found breadth first from
     the identity e by the |S| * |A| left products a_k * x, recorded in
     left[k][x] as each x is found.  Raises ClosureCapError past cap
-    elements, and "not multiplicatively closed" for a product outside
+    elements, or past the most whose rows _validate certifies fit the
+    budget (row_bytes), and "not multiplicatively closed" for a product outside
     within (when given: a dict from each element to the caller's object,
     which is kept in place of the equal product).  The elements are sorted
     canonically, so the search order does not show.  The monoid holds the
     left rows, certified by its _validate; so the found set is the
     closure, and its products along the rows are the element product.
     """
+    width = len(type(identity)._faithful_rows([identity])[0])
+    cap = min(cap, BUILD_BYTES_BUDGET // row_bytes(width))
     found, index = [identity], {identity: 0}
     left = [[] for _ in generators]
     for x in found:  # found grows behind the loop: a queue
@@ -621,7 +626,6 @@ def _closure(generators, identity, cap: int, within=None) -> FiniteMonoid:
                 found.append(p)
             row.append(k)
     n = len(found)
-    check_table_budget(n)
     order = sorted(range(n), key=lambda i: canonical_key(found[i]))
     label = [0] * n
     for new, old in enumerate(order):
@@ -639,8 +643,7 @@ def closure(generators, identity=None, cap: int = DEFAULT_CLOSURE_CAP) -> Finite
 
     The result is deterministic: elements are re-sorted into canonical order
     before the left rows are stored, so two runs on the same generators give
-    identical monoids.  The default cap is the largest order whose table fits
-    TABLE_BYTES_BUDGET.
+    identical monoids.
     """
     generators = list(generators)
     if not generators:
@@ -675,7 +678,6 @@ def product_monoid(*factors: FiniteMonoid) -> FiniteMonoid:
         strides.append(acc)
         acc *= s
     strides.reverse()
-    check_table_budget(acc)
     elements = [tuple(t) for t in itertools.product(*(m.elements for m in factors))]
 
     left = []

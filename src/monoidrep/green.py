@@ -223,6 +223,8 @@ def monoid_green(monoid: FiniteMonoid):
         cached = green_structure(monoid)
         monoid._green_cache = cached
         monoid._subgroup_cache = {}  # maximal_subgroup's, by idempotent
+        monoid._block_map_cache = {}  # cliffmunn._block_map's, by transversal and group
+        monoid._semisimple_cache = {}  # cliffmunn.semisimple_predicate's, by characteristic
     return cached
 
 

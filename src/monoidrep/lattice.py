@@ -23,7 +23,6 @@ from operator import itemgetter, mul
 from typing import NamedTuple
 
 from .elements import (
-    ClosureCapError,
     FiniteMonoid,
     PartialBijection,
     Permutation,
@@ -32,7 +31,8 @@ from .elements import (
     _inverses,
     _reach,
     canonical_key,
-    check_table_budget,
+    check_budget,
+    row_bytes,
     symmetric_group,
 )
 
@@ -210,8 +210,8 @@ def stabilizers(action: GroupAction, a: int) -> StabilizerPair:
 
 def make_lattice(kind: str, n: int):
     """One of the built-in lattices with its symmetric-group action; refused
-    (ClosureCapError) before its O(N^2) order when its pair monoid would
-    overflow the table budget."""
+    (ClosureCapError) before its O(N^2) order when the certificate rows of
+    its pair monoid, N points wide, would overflow the build budget."""
     if n < 1 or n > DESK_DEGREE_CAP:
         raise LatticeError(f"degree must be in 1..{DESK_DEGREE_CAP}")
     if kind == "subsets":
@@ -244,10 +244,8 @@ def make_lattice(kind: str, n: int):
     gen_rows = [[index[image(group.elements[g], a)] for a in elements]
                 for g in group.generating_set()]
     bound = _pair_order_bound(gen_rows)
-    try:
-        check_table_budget(bound)
-    except ClosureCapError as exc:
-        raise ClosureCapError(f"the pair monoid has at least {bound} elements: {exc}") from None
+    check_budget(bound * row_bytes(len(elements)),
+                 f"the pair monoid has at least {bound} elements, whose certificate rows")
     lat = FiniteLattice(elements, _order_relation(kind, elements, n))
     lat.kind = kind
     if kind == "subsets":
@@ -511,7 +509,8 @@ def sgl_monoid(action: GroupAction):
     ctx = sgl_context(action)
     # one element per distinct coset representative in each row of
     # rep_table, counted before any is built
-    check_table_budget(sum(len(set(reps)) for reps in ctx.rep_table))
+    count = sum(len(set(reps)) for reps in ctx.rep_table)
+    check_budget(count * row_bytes(len(ctx.lattice)), f"the certificate rows of {count} pairs")
     gens = sorted(_sgl_generators(ctx), key=canonical_key)
     monoid = FiniteMonoid.from_elements(ctx.all_elements(), ctx.idempotent(ctx.lattice.top), gens)
     return monoid, ctx

@@ -27,7 +27,7 @@ from functools import cached_property
 from math import gcd, lcm
 from operator import getitem, index, itemgetter, mul
 
-from .elements import TABLE_BYTES_BUDGET, ClosureCapError, FiniteMonoid, product_monoid
+from .elements import FiniteMonoid, check_budget, product_monoid
 
 _flat = itertools.chain.from_iterable
 
@@ -564,11 +564,9 @@ def char_equal(c1, c2) -> bool:
 def _stack(count: int, size: int, matrix) -> tuple:
     """(matrix(0), ..., matrix(count - 1)), each a size x size tuple of row
     tuples: the one writer of representation stacks.  A stack whose cells,
-    one 8-byte pointer each, exceed the table budget is refused before any
+    one 8-byte pointer each, exceed the build budget is refused before any
     matrix is written."""
-    if count * size * size * 8 > TABLE_BYTES_BUDGET:
-        raise ClosureCapError(f"a stack of {count} matrices of side {size} is over the "
-                              f"{TABLE_BYTES_BUDGET / 2**20:.0f} MiB table budget")
+    check_budget(count * size * size * 8, f"a stack of {count} matrices of side {size}")
     return tuple(map(matrix, range(count)))
 
 

@@ -154,31 +154,37 @@ class TestSpecParsing:
         assert text == ""
         assert "holds no idempotent" in capsys.readouterr().err
 
-    def test_closure_cap_exit_3(self, tmp_path):
-        # I_7 has 130922 elements, beyond the default closure cap; note the
-        # explicit fixed points: a cycle omitting a point leaves it undefined
+    @pytest.mark.parametrize("text", [
+        # I_7 has 130922 elements; note the explicit fixed points: a cycle
+        # omitting a point leaves it undefined
+        "I 7\n(1,2)(3)(4)(5)(6)(7)\n(1,2,3,4,5,6,7)\n(1)(2)(3)(4)(5)(6)\n",
+        # T_7 has 823543
+        "T 7\n[2,3,4,5,6,7,1]\n[2,1,3,4,5,6,7]\n[1,1,3,4,5,6,7]\n",
+    ], ids=["I7", "T7"])
+    def test_closure_cap_exit_3(self, tmp_path, text):
+        # both close beyond the default closure cap of 6^6, and stop there
         path = tmp_path / "gens.txt"
-        path.write_text(
-            "I 7\n"
-            "(1,2)(3)(4)(5)(6)(7)\n"
-            "(1,2,3,4,5,6,7)\n"
-            "(1)(2)(3)(4)(5)(6)\n"
-        )
+        path.write_text(text)
+        start = time.monotonic()
         code, _ = invoke(["order", f"gens:{path}"])
         assert code == EXIT_CAP
+        assert time.monotonic() - start < 10
 
-    @pytest.mark.parametrize("spec,mib", [
-        ("I:6", "338.8"), ("T:6", "4151.9"), ("SGL:ordperm:6", "4019742.1"),
-    ])
-    def test_table_budget_exit_3(self, spec, mib, capsys):
-        # the dense two-byte tables would take 0.36 GB and 4.4 GB, and
-        # SGL:ordperm:6 at least 4 TB; all are refused before the table is
-        # allocated
+    @pytest.mark.parametrize("spec,need", [
+        ("SGL:partitions:6", "the certificate rows of 52666 pairs would take 1188.6 MiB"),
+        ("SGL:ordperm:5", "has at least 32952 elements, whose certificate rows would take 1979.4 MiB"),
+        ("SGL:ordperm:6",
+         "has at least 1451724 elements, whose certificate rows would take 752405.1 MiB"),
+    ], ids=["SGL:partitions:6", "SGL:ordperm:5", "SGL:ordperm:6"])
+    def test_build_budget_exit_3(self, spec, need, capsys):
+        # the certificate rows of 52666 pairs of 203 lattice points, and of at
+        # least 32952 of 542 and 1451724 of 4683, are refused before a pair
+        # is built; SGL:ordperm:5 and 6 before the lattice order
         start = time.monotonic()
         code, _ = invoke(["order", spec])
         assert code == EXIT_CAP
         assert time.monotonic() - start < 20
-        assert f"needs {mib} MiB, over the 256 MiB table budget" in capsys.readouterr().err
+        assert f"{need}, over the 256 MiB build budget" in capsys.readouterr().err
 
 
     @pytest.mark.parametrize("spec,bound", [("SGL:ordperm:5", 32952), ("SGL:ordperm:6", 1451724)])
@@ -205,6 +211,48 @@ class TestSpecParsing:
         assert code == EXIT_OK
         assert "young_index_total: 131" in text
         assert calls == {"make_lattice": 1, "sgl_order": 1}
+
+
+def stirling2(n, k):
+    """S(n, k), the partitions of n points into k blocks."""
+    if n == k:
+        return 1
+    if k == 0 or k > n:
+        return 0
+    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+
+
+class TestDegreeSix:
+    def test_orders(self):
+        # |I_6| = sum of C(6,k)^2 k!, the partial bijections of rank k, and |T_6| = 6^6
+        rook = sum(math.comb(6, k) ** 2 * math.factorial(k) for k in range(7))
+        for spec, order in (("I:6", rook), ("T:6", 6 ** 6)):
+            code, text = invoke(["order", spec])
+            assert code == EXIT_OK
+            assert f"order: {order}\n" in text
+        assert rook == 13327
+
+    def test_t6_jclasses_are_the_ranks(self):
+        # rank k: C(6,k) images, S(6,k) kernels and k! bijections between
+        # them, with the symmetric group S_k at each idempotent
+        code, text = invoke(["eggbox", "T:6", "--format", "graph"])
+        assert code == EXIT_OK
+        nodes = [ln for ln in text.splitlines() if ln.startswith("node ")]
+        assert nodes == [
+            f"node J{k} size={math.comb(6, k) * stirling2(6, k) * math.factorial(k)} "
+            f"subgroup={math.factorial(k)}"
+            for k in range(1, 7)
+        ]
+
+    def test_subset_pairs_agree_with_the_formula(self):
+        # the subset pairs of degree 6 are I_6
+        code, text = invoke(["order", "SGL:subsets:6"])
+        assert code == EXIT_OK
+        assert "order: 13327\n" in text and "agreement: yes\n" in text
+
+    def test_t6_has_no_catalog(self):
+        code, _ = invoke(["irreps", "T:6"])
+        assert code == EXIT_PARSE
 
 
 class TestEggboxOptions:
@@ -676,7 +724,7 @@ class TestStructureWithoutNumpy:
         proc = fresh_python(_NUMPY_PROBE, argv[0], spec, *argv[1:])
         assert json.loads(proc.stdout) == [EXIT_OK, False], proc.stderr
 
-    @pytest.mark.parametrize("spec", ["I:6", "T:6", "SGL:ordperm:6"])
+    @pytest.mark.parametrize("spec", ["SGL:partitions:6", "SGL:ordperm:5", "SGL:ordperm:6"])
     def test_refusals_load_no_numpy(self, spec):
         proc = fresh_python(_NUMPY_PROBE, "order", spec)
         assert json.loads(proc.stdout) == [EXIT_CAP, False], proc.stderr

@@ -1,3 +1,4 @@
+import io
 import itertools
 from collections import Counter
 from fractions import Fraction
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import monoidrep.cliffmunn as cliffmunn_module
+import monoidrep.elements as elements_module
 import monoidrep.linrep as linrep_module
+from monoidrep.cli import run
 from monoidrep.elements import (
     ClosureCapError,
     PartialBijection,
@@ -288,6 +291,8 @@ class TestInduceExamples:
         perturbed = Transversal(e, tuple(new_reps), base.hclass_ids)
         raw2 = induce_raw(i3, e, trivial_rep(g), trans=perturbed)
         assert raw2.transversal != raw1.transversal
+        # each transversal reads its own block map, not the cached one of another
+        assert raw2.block_map != raw1.block_map
         assert iso_test(raw1.rep, raw2.rep, certified_semisimple=True)[0] == "iso"
 
 
@@ -792,11 +797,11 @@ class TestInduceStack:
 
         monkeypatch.setattr(linrep_module, "_stack", counting)
         monkeypatch.setattr(cliffmunn_module, "_stack", counting)
-        monkeypatch.setattr(linrep_module, "TABLE_BYTES_BUDGET", cells * 8 - 1)
-        with pytest.raises(ClosureCapError, match="table budget"):
+        monkeypatch.setattr(elements_module, "BUILD_BYTES_BUDGET", cells * 8 - 1)
+        with pytest.raises(ClosureCapError, match="build budget"):
             build(*args)
         assert written == []
-        monkeypatch.setattr(linrep_module, "TABLE_BYTES_BUDGET", cells * 8)
+        monkeypatch.setattr(elements_module, "BUILD_BYTES_BUDGET", cells * 8)
         result = build(*args)  # a stack of exactly the budget is written
         rep = getattr(result, "rep", result)
         assert len(written) == len(rep.monoid) and len(rep.monoid) * rep.dim ** 2 == cells
@@ -811,3 +816,23 @@ class TestInduceStack:
         monkeypatch.setattr(cliffmunn_module, "_group_irreps", twice)
         with pytest.raises(CatalogError, match="entries 0 and 1 have equal characters"):
             cm_catalog(symmetric_group(2))
+
+
+class TestPerMonoidCaches:
+    def _run_counted(self, monkeypatch, name):
+        calls = []
+        real = getattr(cliffmunn_module, name)
+        monkeypatch.setattr(cliffmunn_module, name, lambda *args: calls.append(args) or real(*args))
+        assert run(["irreps", "I:4", "--check"], out=io.StringIO()) == 0
+        return calls
+
+    def test_one_block_map_per_jclass(self, monkeypatch):
+        # 12 entries over I_4's 5 J-classes, each induced and round-tripped;
+        # lclass_coordinates runs once per block map computed
+        idempotents = [trans.idempotent for _, _, trans in
+                       self._run_counted(monkeypatch, "lclass_coordinates")]
+        assert len(idempotents) == len(set(idempotents)) == 5
+
+    def test_one_semisimplicity_certificate_per_monoid(self, monkeypatch):
+        # cm_catalog and the 12 round trips share one report
+        assert len(self._run_counted(monkeypatch, "_semisimple_report")) == 1

@@ -8,9 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 import monoidrep.elements as elements_module
 from monoidrep.elements import (
+    BUILD_BYTES_BUDGET,
     DEFAULT_CLOSURE_CAP,
-    TABLE_BYTES_BUDGET,
-    TABLE_CELL_BYTES,
     ClosureCapError,
     DegreeMismatchError,
     ElementParseError,
@@ -27,6 +26,7 @@ from monoidrep.elements import (
     cycle_link_parse,
     full_transformation_monoid,
     product_monoid,
+    row_bytes,
     symmetric_group,
     symmetric_inverse_monoid,
 )
@@ -777,23 +777,34 @@ class TestFaithfulCertificate:
             validate(rows, PartialBijection._faithful_rows([id1]), left, 0)
 
 
-class TestTableBudget:
-    def test_default_cap_is_the_largest_order_within_budget(self):
-        cell = TABLE_CELL_BYTES
-        assert DEFAULT_CLOSURE_CAP ** 2 * cell <= TABLE_BYTES_BUDGET
-        assert (DEFAULT_CLOSURE_CAP + 1) ** 2 * cell > TABLE_BYTES_BUDGET
+class TestBuildBudget:
+    def test_default_cap_admits_every_closure_of_degree_6(self):
+        # a degree-6 generating set closes within T_6 or I_6, and the
+        # certificate rows of the cap's elements fit the budget
+        assert DEFAULT_CLOSURE_CAP == 6 ** 6 > in_order_formula(6)
+        assert DEFAULT_CLOSURE_CAP * row_bytes(6) <= BUILD_BYTES_BUDGET
 
     def test_budget_sizes(self):
-        cell = TABLE_CELL_BYTES
-        assert 3125 ** 2 * cell <= TABLE_BYTES_BUDGET  # T_5
-        assert in_order_formula(6) ** 2 * cell > TABLE_BYTES_BUDGET  # I_6
+        assert in_order_formula(6) * row_bytes(6) <= BUILD_BYTES_BUDGET  # I_6
+        assert 6 ** 6 * row_bytes(6) <= BUILD_BYTES_BUDGET  # T_6
+        assert 13327 * row_bytes(64) <= BUILD_BYTES_BUDGET  # SGL:subsets:6
+        assert 52666 * row_bytes(203) > BUILD_BYTES_BUDGET  # SGL:partitions:6
+        assert 32952 * row_bytes(542) > BUILD_BYTES_BUDGET  # SGL:ordperm:5, its orbit bound
 
-    def test_over_budget_raises_before_building(self, monkeypatch):
-        monkeypatch.setattr(elements_module, "TABLE_BYTES_BUDGET", 24 ** 2 * TABLE_CELL_BYTES - 1)
-        monkeypatch.setattr(elements_module, "_compose_rows", None)  # never reached
+    def test_over_budget_raises_before_the_rows_are_built(self, monkeypatch):
+        # the 24 elements of S_4, rows of 4 points: one byte short stops the
+        # search at 23, before _validate builds a row
         gens = [Permutation.from_cycle(4, (1, 2)), Permutation.from_cycle(4, range(1, 5))]
-        with pytest.raises(ClosureCapError, match="table budget"):
+        monkeypatch.setattr(elements_module, "BUILD_BYTES_BUDGET", 24 * row_bytes(4) - 1)
+        monkeypatch.setattr(FiniteMonoid, "_validate", None)  # never reached
+        with pytest.raises(ClosureCapError, match="cap of 23 elements"):
             FiniteMonoid.from_elements(all_permutations(4), generators=gens)
+        with pytest.raises(ClosureCapError, match="cap of 23 elements"):
+            closure(gens, cap=100)
+        monkeypatch.undo()
+        monkeypatch.setattr(elements_module, "BUILD_BYTES_BUDGET", 24 * row_bytes(4))
+        assert len(FiniteMonoid.from_elements(all_permutations(4), generators=gens)) == 24
+        assert len(closure(gens, cap=24)) == 24
 
 
 def product_reference(*factors):
@@ -815,14 +826,16 @@ class TestProductMonoid:
         e = p.elements[p.identity_index]
         assert e == tuple(m.elements[m.identity_index] for m in factors)
 
-    def test_over_budget_raises_before_building(self, monkeypatch):
-        # |S_3 x S_2| = 12; a budget one byte short of its table refuses it
-        # before the elements are enumerated
-        factors = (symmetric_group(3), symmetric_group(2))
-        monkeypatch.setattr(elements_module, "TABLE_BYTES_BUDGET", 12 ** 2 * TABLE_CELL_BYTES - 1)
-        monkeypatch.setattr(elements_module, "itertools", None)  # never reached
-        with pytest.raises(ClosureCapError, match="table budget"):
-            product_monoid(*factors)
+    def test_a_table_over_the_budget_is_refused_before_numpy_allocates_it(self, monkeypatch):
+        # |S_3 x S_2| = 12; a budget one byte short of its two-byte table
+        # refuses the table, not the monoid
+        p = product_monoid(symmetric_group(3), symmetric_group(2))
+        monkeypatch.setattr(elements_module, "BUILD_BYTES_BUDGET", 12 ** 2 * 2 - 1)
+        with pytest.raises(ClosureCapError, match="Cayley table of 12 elements .* build budget"):
+            p.table
+        assert p._table is None
+        monkeypatch.setattr(elements_module, "BUILD_BYTES_BUDGET", 12 ** 2 * 2)
+        assert np.array_equal(p.table, product_reference(symmetric_group(3), symmetric_group(2)))
 
 
 def units_of(m):
@@ -959,8 +972,11 @@ class TestTwoByteCells:
                    "pair_subgroup", "maximal_subgroup", "greedy"]
 
     def test_budget_admits_only_two_byte_indices(self):
-        assert TABLE_CELL_BYTES == np.dtype(np.uint16).itemsize
-        assert DEFAULT_CLOSURE_CAP == 11585 <= np.iinfo(np.uint16).max + 1
+        # the largest table the budget admits has 11585 rows, each index a uint16
+        assert math.isqrt(BUILD_BYTES_BUDGET // np.dtype(np.uint16).itemsize) == 11585
+        assert 11585 <= np.iinfo(np.uint16).max + 1
+        with pytest.raises(ClosureCapError, match="Cayley table of 14400 elements"):
+            product_monoid(symmetric_group(5), symmetric_group(5)).table
 
     @pytest.mark.parametrize("build", BUILDERS, ids=BUILDER_IDS)
     def test_every_builder_allocates_two_byte_cells(self, build):

@@ -417,12 +417,17 @@ class TestPairArithmetic:
         assert len(m) == 1801
         assert peak < 2.5 * len(m) ** 2
 
-    def test_table_budget(self, subsets3, monkeypatch):
-        # |I_3| = 34 pairs; a budget one byte short of their table refuses it
-        monkeypatch.setattr(elements_module, "TABLE_BYTES_BUDGET",
-                            34 ** 2 * elements_module.TABLE_CELL_BYTES - 1)
-        with pytest.raises(ClosureCapError, match="table budget"):
+    def test_certificate_budget(self, subsets3, monkeypatch):
+        # |I_3| = 34 pairs with rows of 8 lattice points; a budget one byte
+        # short of their certificate rows refuses them before any is built
+        need = 34 * elements_module.row_bytes(8)
+        monkeypatch.setattr(elements_module, "BUILD_BYTES_BUDGET", need - 1)
+        monkeypatch.setattr(lattice_module, "FiniteMonoid", None)  # never reached
+        with pytest.raises(ClosureCapError, match="certificate rows of 34 pairs"):
             sgl_monoid(subsets3[1])
+        monkeypatch.undo()
+        monkeypatch.setattr(elements_module, "BUILD_BYTES_BUDGET", need)
+        assert len(sgl_monoid(subsets3[1])[0]) == 34
 
 
 class TestOrder:

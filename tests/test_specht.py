@@ -290,7 +290,7 @@ class TestStandardPolytabloids:
     def test_an_oversized_tabloid_stack_is_refused_before_allocation(self):
         # 720 permutations of 360 tabloids: 746 MB of object cells
         start = time.perf_counter()
-        with pytest.raises(ClosureCapError, match="over the 256 MiB table budget"):
+        with pytest.raises(ClosureCapError, match="over the 256 MiB build budget"):
             tabloid_module((2, 1, 1, 1, 1), range(1, 7))
         assert time.perf_counter() - start < 10
 
