@@ -71,7 +71,7 @@ def parse_and_build(spec_text: str) -> BuiltMonoid:
 
 def _build_from_file(spec_text: str, path: str) -> BuiltMonoid:
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+        lines = [ln for ln in map(str.strip, fh) if ln and not ln.startswith("#")]
     if not lines:
         raise SpecError("empty generator file")
     head = lines[0].split()
@@ -81,10 +81,9 @@ def _build_from_file(spec_text: str, path: str) -> BuiltMonoid:
     gens = []
     for ln in lines[1:]:
         if kind == "T":
-            body = ln.strip()
-            if not (body.startswith("[") and body.endswith("]")):
+            if not (ln.startswith("[") and ln.endswith("]")):
                 raise SpecError(f"bad transformation {ln!r}")
-            t = elements.Transformation(int(tok) for tok in body[1:-1].split(","))
+            t = elements.Transformation(int(tok) for tok in ln[1:-1].split(","))
             if t.n != n:
                 raise SpecError(f"{ln!r} has degree {t.n}, not the header's {n}")
             gens.append(t)

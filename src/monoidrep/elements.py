@@ -5,16 +5,18 @@ Composition is right-to-left everywhere: (s * t)(x) = s(t(x)), i.e. t acts
 first.  All element types are immutable values.  Every element of S, I and T
 is one encoding, its image tuple: images[x-1] = s(x), 0 where s is undefined.
 Every monoid is held as its left Cayley graph, in Python int lists: one
-closed from generators is certified against the image rows of its elements,
-and a direct product's is written from its factors'.  Products, columns and
-squares are read along the graph's breadth-first tree, and so are the group
-actions (_compose_rows) and inverses (_inverses) of every layer.  numpy is
-loaded only with the dense table, which no command reads.
+closed from generators, as S_n, I_n and T_n are, is certified against the
+image rows of its elements, and a direct product's is written from its
+factors'.  Products, columns and squares are read along the graph's
+breadth-first tree, and so are the group actions (_compose_rows) and
+inverses (_inverses) of every layer.  numpy is loaded only with the dense
+table, which no command reads.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from operator import itemgetter
 
@@ -689,7 +691,7 @@ def product_monoid(*factors: FiniteMonoid) -> FiniteMonoid:
     return FiniteMonoid._from_left_rows(elements, left, identity)
 
 
-# -- enumerations of the running examples ----------------------------------
+# -- the running examples: element sets in canonical order, read by no construction
 
 def all_partial_bijections(n: int):
     out = []
@@ -715,38 +717,48 @@ def all_permutations(n: int):
     )
 
 
+def _exact_closure(generators, identity, order: int) -> FiniteMonoid:
+    """The closure F of the generators of P = S_n, I_n, T_n or a pair monoid
+    (_closure, certified by _validate), checked to have P's order.  F lies in
+    P by type: products of permutations, of partial bijections or of
+    transformations of [n] are again such (_PartialMap.__mul__), and products
+    of canonical pairs are canonical pairs (SGLContext.canonical).  A subset
+    of a finite set as large as the set is the set, so |F| = |P| gives F = P.
+    Another count is a fault of the program, not of its input: RuntimeError.
+    The search stops at the cap |P|, which F cannot pass."""
+    monoid = _closure(sorted(generators, key=canonical_key), identity, order)
+    if len(monoid) != order:
+        raise RuntimeError(f"the generators close to {len(monoid)} elements, not {order}")
+    return monoid
+
+
+def _cycles(n: int) -> set:
+    """(1 2) and (1 2 ... n): one permutation at n = 2, none below."""
+    if n < 2:
+        return set()
+    return {Permutation.from_cycle(n, (1, 2)), Permutation.from_cycle(n, range(1, n + 1))}
+
+
 def symmetric_inverse_monoid(n: int) -> FiniteMonoid:
-    """I_n, fully enumerated, with a standard small generating set recorded."""
-    gens = {PartialBijection.partial_identity(n, range(1, n))}
-    if n >= 2:
-        gens.add(Permutation.from_cycle(n, (1, 2)).to_partial_bijection())
-        gens.add(Permutation.from_cycle(n, range(1, n + 1)).to_partial_bijection())
-    return FiniteMonoid.from_elements(
-        all_partial_bijections(n), generators=sorted(gens, key=canonical_key)
-    )
+    """I_n, the closure of _cycles(n) and the partial identity on [n - 1], of
+    order the sum over k of C(n, k)^2 k! (_exact_closure)."""
+    gens = {c.to_partial_bijection() for c in _cycles(n)}
+    gens.add(PartialBijection.partial_identity(n, range(1, n)))
+    order = sum(math.comb(n, k) ** 2 * math.factorial(k) for k in range(n + 1))
+    return _exact_closure(gens, PartialBijection.identity(n), order)
 
 
 def full_transformation_monoid(n: int) -> FiniteMonoid:
-    """T_n, fully enumerated."""
-    gens = {Transformation.identity(1)} if n < 2 else {
-        Permutation.from_cycle(n, (1, 2)),
-        Permutation.from_cycle(n, range(1, n + 1)),
-        Transformation([1, 1] + list(range(3, n + 1))),
-    }
-    return FiniteMonoid.from_elements(
-        all_transformations(n), generators=sorted(gens, key=canonical_key)
-    )
+    """T_n, the closure of _cycles(n) and [1, 1, 3, ..., n], of order n^n
+    (_exact_closure); at n = 1 that map is [1], the identity."""
+    merge = Transformation([1, 1, *range(3, n + 1)][:n])
+    return _exact_closure(_cycles(n) | {merge}, Transformation.identity(n), n ** n)
 
 
 def symmetric_group(n: int) -> FiniteMonoid:
-    """S_n as a FiniteMonoid of Permutations."""
-    gens = {Permutation.identity(n)} if n < 2 else {
-        Permutation.from_cycle(n, (1, 2)),
-        Permutation.from_cycle(n, range(1, n + 1)),
-    }
-    return FiniteMonoid.from_elements(
-        all_permutations(n), generators=sorted(gens, key=canonical_key)
-    )
+    """S_n, the closure of _cycles(n), of order n! (_exact_closure)."""
+    one = Permutation.identity(n)
+    return _exact_closure(_cycles(n) or {one}, one, math.factorial(n))
 
 
 # -- cycle-link text form for partial bijections ----------------------------

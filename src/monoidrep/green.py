@@ -93,12 +93,12 @@ def _classify(keys):
     return tuple(of), tuple(tuple(m) for m in members)
 
 
-def _strong_components(succ):
-    """Strongly connected components of the graph x -> succ[x], by Tarjan's
-    algorithm with an explicit stack in place of recursion.  Returns the
-    component of every node; components are numbered in the order Tarjan
-    closes them, which puts each after every component it reaches."""
-    n = len(succ)
+def _strong_components(steps, n: int):
+    """Strongly connected components of the graph on 0..n-1 with an edge
+    v -> step[v] for each step in steps (int lists, as _reach walks), by
+    Tarjan's algorithm with an explicit stack in place of recursion.  Returns
+    the component of every node, numbered in the order Tarjan closes them,
+    which puts each after every component it reaches."""
     order = [-1] * n  # visiting order, -1 while unvisited
     low = [0] * n
     comp = [-1] * n  # -1 while unassigned, that is, on the stack once visited
@@ -109,15 +109,16 @@ def _strong_components(succ):
         order[root] = low[root] = visited
         visited += 1
         stack.append(root)
-        path = [(root, iter(succ[root]))]
+        path = [(root, iter(steps))]
         while path:
             v, edges = path[-1]
-            for w in edges:
+            for step in edges:
+                w = step[v]
                 if order[w] < 0:
                     order[w] = low[w] = visited
                     visited += 1
                     stack.append(w)
-                    path.append((w, iter(succ[w])))
+                    path.append((w, iter(steps)))
                     break
                 if comp[w] < 0 and order[w] < low[v]:
                     low[v] = order[w]
@@ -152,13 +153,11 @@ def green_structure(monoid: FiniteMonoid):
     kinds of edge, so J_x <= J_y iff x is reachable from y there.
     """
     n = len(monoid)
-    # right[x] = (x * a_k for every k), left[x] = (a_k * x for every k); the
-    # columns are not kept (_generator_columns), so the search runs without them
-    right = list(zip(*monoid.columns(monoid.generating_set()))) or [()] * n
-    left = list(zip(*monoid._left)) or [()] * n
+    # right[k][x] = x * a_k, the kept columns, and left[k][x] = a_k * x
+    right, left = monoid._generator_columns(), monoid._left
 
-    lclass_of, lclasses = _classify(_strong_components(left))
-    rclass_of, rclasses = _classify(_strong_components(right))
+    lclass_of, lclasses = _classify(_strong_components(left, n))
+    rclass_of, rclasses = _classify(_strong_components(right, n))
     hclass_of, hclasses = _classify(list(zip(lclass_of, rclass_of)))
 
     # J = D = L o R = R o L: the D-class of x is the union of the R-classes
@@ -183,11 +182,12 @@ def green_structure(monoid: FiniteMonoid):
     # reachability one component at a time, each after every component it
     # reaches, into int bitsets: below[j] holds i iff J_i <= J_j
     count = len(jclasses)
-    succ = [set() for _ in range(count)]
-    for x in range(n):
-        succ[jclass_of[x]].update(jclass_of[y] for y in right[x] + left[x])
-    succ = [sorted(s) for s in succ]
-    comp = _strong_components(succ)
+    edges = set().union(*(zip(jclass_of, map(jclass_of.__getitem__, step)) for step in right + left))
+    succ = [[j] for j in range(count)]  # a self-loop first: it joins no component
+    for j, i in sorted(edges):
+        succ[j].append(i)
+    width = max(map(len, succ))  # as steps, each list repeats up to the longest
+    comp = _strong_components([[s[k % len(s)] for s in succ] for k in range(width)], count)
     groups = [[] for _ in range(max(comp, default=-1) + 1)]
     for j, c in enumerate(comp):
         groups[c].append(j)

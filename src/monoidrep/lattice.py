@@ -28,6 +28,7 @@ from .elements import (
     Permutation,
     _bits,
     _compose_rows,
+    _exact_closure,
     _inverses,
     _reach,
     canonical_key,
@@ -403,13 +404,6 @@ class SGLContext:
     def idempotent(self, a: int) -> "SGLElement":
         return self.canonical(self.group.identity_index, a)
 
-    def all_elements(self):
-        out = []
-        for a in range(len(self.lattice)):
-            for r in sorted(set(self.rep_table[a])):
-                out.append(SGLElement(self, r, a))
-        return out
-
 
 class SGLElement:
     """A canonical pair g_a; g is stored as a group index."""
@@ -504,16 +498,14 @@ def sgl_canonical(context: SGLContext, g: Permutation, a: int) -> SGLElement:
 
 
 def sgl_monoid(action: GroupAction):
-    """The full pair monoid as a FiniteMonoid, built from its generators'
-    left products."""
+    """The full pair monoid as a FiniteMonoid: the closure of _sgl_generators,
+    checked to have one element per canonical pair (elements._exact_closure)."""
     ctx = sgl_context(action)
-    # one element per distinct coset representative in each row of
-    # rep_table, counted before any is built
+    # one canonical pair per distinct coset representative of each lattice element
     count = sum(len(set(reps)) for reps in ctx.rep_table)
     check_budget(count * row_bytes(len(ctx.lattice)), f"the certificate rows of {count} pairs")
     gens = sorted(_sgl_generators(ctx), key=canonical_key)
-    monoid = FiniteMonoid.from_elements(ctx.all_elements(), ctx.idempotent(ctx.lattice.top), gens)
-    return monoid, ctx
+    return _exact_closure(gens, ctx.idempotent(ctx.lattice.top), count), ctx
 
 
 def _sgl_generators(ctx: SGLContext):
@@ -521,7 +513,7 @@ def _sgl_generators(ctx: SGLContext):
 
     The units g_top and the orbit representatives' idempotents generate every
     other idempotent, since e_{g.a} = g_top * e_a * (g^-1)_top; sgl_monoid's
-    from_elements proves that they generate the whole pair set.  The
+    count proves that they generate the whole pair set.  The
     identity is left out: it is the idempotent of the top's orbit {top},
     and g_top for any g that acts trivially.
     """
@@ -546,13 +538,10 @@ def sgl_order(action: GroupAction, monoid: FiniteMonoid = None) -> SGLOrderRepor
     """Order both by the stabilizer-index formula and by enumeration.
 
     The enumeration is the order of the pair monoid that sgl_monoid(action)
-    builds (pass it as monoid, or it is built here).  That is the order of
-    the closure of the recorded generators (the units' generators and one
-    idempotent per orbit) under products.  from_elements built the monoid
-    on the canonical pair set P, identity included, by elements._closure,
-    which refused every product outside P, reached all of P, and proves
-    that the set it reaches is the closure.  So the closure is P, and no
-    product is needed here.  The formula total is compared with its order.
+    builds (pass it as monoid, or it is built here): the closure of the
+    units' generators and one idempotent per orbit, which sgl_monoid counts
+    against the canonical pairs, so no product is needed here.  The formula
+    total, the sum of the indices [G : K_a], is compared with it.
     """
     ctx = sgl_context(action)
     if monoid is None:

@@ -17,6 +17,7 @@ from monoidrep.cli import (
     EXIT_CAP,
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_VERIFY,
     SpecError,
     _build_rep,
     fmt_label,
@@ -67,6 +68,11 @@ GOLDEN_CASES = {
     # the benchmark's largest monoid, 1801 pairs, by both structure commands
     "order_sgl_ordperm4": ["order", "SGL:ordperm:4"],
     "eggbox_sgl_ordperm4_all": ["eggbox", "SGL:ordperm:4", "--all"],
+    # degree 6: the 46656 transformations and 13327 partial bijections, each
+    # closed from its generators, and the subset pairs, which are I_6
+    "eggbox_t6_all": ["eggbox", "T:6", "--all"],
+    "eggbox_i6_all": ["eggbox", "I:6", "--all"],
+    "order_sgl_subsets6": ["order", "SGL:subsets:6"],
 }
 
 
@@ -106,6 +112,15 @@ class TestSpecParsing:
         code, text = invoke(["order", f"gens:{path}"])
         assert code == EXIT_OK
         assert "order: 7" in text
+
+    def test_gens_file_comment_lines(self, tmp_path):
+        # a line whose text starts with '#' once stripped is a comment,
+        # indented or not
+        path = tmp_path / "gens.txt"
+        path.write_text("# the cyclic group C_3 in I_3\nI 3\n  # note\n(1,2,3)\n\t# end\n")
+        code, text = invoke(["order", f"gens:{path}"])
+        assert code == EXIT_OK
+        assert "order: 3\n" in text
 
     def test_gens_file_transformations(self, tmp_path):
         path = tmp_path / "gens.txt"
@@ -253,6 +268,27 @@ class TestDegreeSix:
     def test_t6_has_no_catalog(self):
         code, _ = invoke(["irreps", "T:6"])
         assert code == EXIT_PARSE
+
+
+class TestBuiltInCounts:
+    """A built-in monoid is the closure of its generators, counted against
+    its order: a deficient generating set is a fault of the program (exit 4)."""
+
+    def test_a_missing_generator_exits_4(self, monkeypatch):
+        # T_4 without its rank-3 generator closes to S_4 only
+        closure = elements._closure
+        monkeypatch.setattr(elements, "_closure", lambda gens, *args: closure(gens[1:], *args))
+        assert invoke(["order", "T:4"])[0] == EXIT_VERIFY
+
+    def test_a_missing_orbit_idempotent_exits_4(self, monkeypatch):
+        # the pairs of SGL:subsets:4 without the idempotent at {1,2,3} miss its J-class
+        generators = lattice._sgl_generators
+
+        def without_coatom(ctx):
+            return [x for x in generators(ctx) if x.lattice_element() != (1, 2, 3)]
+
+        monkeypatch.setattr(lattice, "_sgl_generators", without_coatom)
+        assert invoke(["order", "SGL:subsets:4"])[0] == EXIT_VERIFY
 
 
 class TestEggboxOptions:
@@ -691,6 +727,27 @@ class TestLeftCayleyGraph:
         assert code == EXIT_OK
         assert certified and all(certified)
         assert len(validated) == len(certified)
+
+    def test_generator_columns_are_composed_once_per_monoid(self, monkeypatch):
+        # green_structure reads the right Cayley graph that verify, the
+        # actions and the Specht modules read: each monoid composes it once
+        columns, composed = FiniteMonoid.columns, []
+
+        def counted(monoid, targets):
+            targets = list(targets)
+            if targets == list(monoid.generator_indices):
+                composed.append(monoid)
+            return columns(monoid, targets)
+
+        monkeypatch.setattr(FiniteMonoid, "columns", counted)
+        monkeypatch.setattr(specht, "_SPECHT_CACHE", {})
+        monkeypatch.setattr(specht, "_SYMMETRIC_GROUPS", {})
+        built = parse_and_build("I:4")
+        monkeypatch.setattr(cli, "parse_and_build", lambda spec: built)
+        code, _ = invoke(["irreps", "I:4", "--check"])
+        assert code == EXIT_OK
+        assert built.monoid in composed
+        assert len({id(m) for m in composed}) == len(composed)
 
     @pytest.mark.parametrize("argv", [
         ["irreps", "SGL:ordperm:3", "--check"],

@@ -304,6 +304,64 @@ class TestFiniteMonoid:
         assert els[0] == PartialBijection.zero(3)
 
 
+BUILT_INS = {"S": symmetric_group, "I": symmetric_inverse_monoid, "T": full_transformation_monoid}
+
+
+def enumerated_build(kind, n):
+    """S_n, I_n or T_n from its enumerated element set: the elements in
+    canonical order, the indices of the standard generators (1 2) and
+    (1 2 ... n), with the partial identity on [n - 1] for I_n and the map
+    [1, 1, 3, ..., n] for T_n (the identity for S_1 and T_1), and their
+    left rows, one product a * x looked up per cell."""
+    elements = {"S": all_permutations, "I": all_partial_bijections,
+                "T": all_transformations}[kind](n)
+    by_images = {x.images: k for k, x in enumerate(elements)}
+    images = {(2, 1, *range(3, n + 1)), (*range(2, n + 1), 1)} if n >= 2 else set()
+    if kind == "I":
+        images.add((*range(1, n), 0))
+    if kind == "T":
+        images.add((1, 1, *range(3, n + 1))[:n])
+    gens = sorted(by_images[x] for x in images or {tuple(range(1, n + 1))})
+    left = [[by_images[(elements[g] * x).images] for x in elements] for g in gens]
+    return tuple(elements), left, tuple(gens)
+
+
+class TestBuiltIns:
+    """S_n, I_n and T_n are the closures of their standard generators,
+    counted against their orders; no element set is enumerated."""
+
+    @pytest.mark.parametrize("kind,n", [(kind, n) for kind in "SIT" for n in range(1, 6)])
+    def test_matches_the_enumeration(self, kind, n):
+        m = BUILT_INS[kind](n)
+        elements, left, gens = enumerated_build(kind, n)
+        assert m.elements == elements
+        assert [type(x) for x in m.elements] == [type(x) for x in elements]
+        assert m._left == left
+        assert m.generator_indices == gens
+        assert m.elements[m.identity_index] == elements[0].identity_element()
+
+    def test_built_without_from_elements_or_an_enumeration(self, monkeypatch):
+        def refused(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"{name} was called")
+            return call
+
+        for name in ("all_permutations", "all_partial_bijections", "all_transformations"):
+            monkeypatch.setattr(elements_module, name, refused(name))
+        monkeypatch.setattr(FiniteMonoid, "from_elements", refused("from_elements"))
+        orders = [len(build(5)) for build in BUILT_INS.values()]
+        orders.append(len(sgl_monoid(make_lattice("ordered_partitions_zero", 4)[1])[0]))
+        assert orders == [120, 1546, 3125, 1801]
+
+    def test_a_missing_generator_fails_the_count(self, monkeypatch):
+        # T_5 without its rank-4 generator, the least, closes to S_5 only
+        closure = elements_module._closure
+        monkeypatch.setattr(elements_module, "_closure",
+                            lambda gens, *args: closure(gens[1:], *args))
+        with pytest.raises(RuntimeError, match="close to 120 elements, not 3125"):
+            full_transformation_monoid(5)
+
+
 class TestMonoidLaws:
     def test_every_left_cell_corruption_of_i4_is_rejected(self):
         # no sampling above 200 elements: the certificate reads each of

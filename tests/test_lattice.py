@@ -527,6 +527,19 @@ class TestGenerators:
         columns = monoid.columns(monoid.generator_indices)
         assert len(elements_module._reach(columns, monoid.identity_index)[0]) == len(monoid)
 
+    def test_a_missing_orbit_idempotent_fails_the_count(self, monkeypatch):
+        # no product of the other generators reaches the idempotent at the
+        # coatom {1,2,3}, so the closure misses the J-class of 3-sets
+        _, action = make_lattice("subsets", 4)
+        ctx = sgl_context(action)
+        coatom = ctx.idempotent(ctx.lattice.index((1, 2, 3)))
+        gens = _sgl_generators(ctx)
+        assert coatom in gens
+        monkeypatch.setattr(lattice_module, "_sgl_generators",
+                            lambda ctx: [x for x in gens if x != coatom])
+        with pytest.raises(RuntimeError, match="not 209"):
+            sgl_monoid(action)
+
     @pytest.mark.parametrize("kind", ["subsets", "set_partitions", "ordered_partitions_zero"])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_identity_is_not_a_generator(self, kind, n):
@@ -576,12 +589,27 @@ class TestActionTable:
         assert action.table == expected
 
 
+def reference_pairs(action):
+    """The canonical pairs g_a, enumerated: for each lattice element a, the
+    least group element of each class of those that act alike on the
+    down-set of a (one coset of its pointwise stabilizer)."""
+    ctx = sgl_context(action)
+    pairs = []
+    for a in range(len(ctx.lattice)):
+        below = ctx.lattice.down_set(a)
+        least = {}
+        for g, row in enumerate(action.table):
+            least.setdefault(tuple(row[d] for d in below), g)
+        pairs.extend(SGLElement(ctx, g, a) for g in least.values())
+    return sorted(pairs, key=lambda e: e.key())
+
+
 def reference_pair_monoid(action):
     """The pair monoid's table by the vectorized pair formula, one row at a
     time: (g_a)(h_b) = (gh) at (h^-1 . a) meet b, reduced to its coset's
     least representative, and looked up in an (a, g) -> index array."""
     ctx = sgl_context(action)
-    elements = sorted(ctx.all_elements(), key=lambda e: e.key())
+    elements = reference_pairs(action)
     eidx = np.full((len(ctx.lattice), len(ctx.group)), -1, dtype=np.int32)
     for k, e in enumerate(elements):
         eidx[e.a, e.g] = k
@@ -616,6 +644,8 @@ class TestPairMonoidTable:
         assert np.array_equal(monoid.table, table)
         assert monoid.identity_index == identity
         assert monoid.generator_indices == gens
+        # the left rows the closure found are the generators' rows of the table
+        assert monoid._left == table[list(gens)].tolist()
 
 
 class TestGreenCompatibility:

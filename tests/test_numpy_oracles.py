@@ -30,7 +30,6 @@ from monoidrep.elements import (
     symmetric_inverse_monoid,
 )
 from monoidrep.green import (
-    _strong_components,
     green_structure,
     lclass_coordinates,
     maximal_subgroup,
@@ -113,27 +112,20 @@ def numpy_bounds(elements, leq):
 
 def numpy_jorder(m, jclass_of):
     """leq[i, j] iff J_i <= J_j: the two-sided graph of the generators,
-    condensed to J-classes in a boolean matrix and closed under
-    reachability one strongly connected component at a time."""
+    condensed to J-classes in a boolean matrix, made reflexive and closed
+    under reachability by Warshall's algorithm.  reach[j, i] holds iff J_j
+    reaches J_i, that is, iff J_i <= J_j."""
     t = m.table
     gens = list(m.generating_set())
     right, left = t[:, gens], t[gens].T
     count = max(jclass_of) + 1
     jof = np.asarray(jclass_of, dtype=np.intp)
-    edge = np.zeros((count, count), dtype=bool)
-    edge[jof[:, None], jof[right]] = True
-    edge[jof[:, None], jof[left]] = True
-    succ = [np.flatnonzero(row).tolist() for row in edge]
-    comp = _strong_components(succ)
-    groups = [[] for _ in range(max(comp) + 1)]
-    for j, c in enumerate(comp):
-        groups[c].append(j)
-    below = np.zeros((count, count), dtype=bool)
-    for group in groups:
-        row = below[[k for j in group for k in succ[j]]].any(axis=0)
-        row[group] = True
-        below[group] = row
-    return np.ascontiguousarray(below.T)
+    reach = np.eye(count, dtype=bool)
+    reach[jof[:, None], jof[right]] = True
+    reach[jof[:, None], jof[left]] = True
+    for k in range(count):
+        reach |= np.outer(reach[:, k], reach[k])
+    return np.ascontiguousarray(reach.T)
 
 
 def numpy_covers(leq):
