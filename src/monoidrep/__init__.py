@@ -48,8 +48,8 @@ _EXPORTS = {
     "lattice": (
         "FiniteLattice", "GroupAction", "LatticeError", "SGLContext",
         "SGLElement", "sgl_context", "StabilizerPair", "make_lattice",
-        "maximal_subgroup_at", "partition_lattice_report", "sgl_canonical",
-        "sgl_monoid", "sgl_order", "stabilizers", "subsets_to_partial_bijection",
+        "partition_lattice_report", "sgl_canonical", "sgl_monoid", "sgl_order",
+        "stabilizers", "subsets_to_partial_bijection",
     ),
     "linrep": (
         "Matrix", "Representation", "RrefResult", "Subspace",

@@ -5,9 +5,10 @@ Composition is right-to-left everywhere: (s * t)(x) = s(t(x)), i.e. t acts
 first.  All element types are immutable values.  Every element of S, I and T
 is one encoding, its image tuple: images[x-1] = s(x), 0 where s is undefined.
 Every monoid is held as its left Cayley graph, in Python int lists: one
-closed from generators, as S_n, I_n and T_n are, is certified against the
-image rows of its elements, and a direct product's is written from its
-factors'.  Products, columns and squares are read along the graph's
+closed from generators, as S_n, I_n and T_n are, is searched on the image
+rows of its elements, each left product composed once as a row and an
+element made only when its row is new, and a direct product's is written
+from its factors'.  Products, columns and squares are read along the graph's
 breadth-first tree, and so are the group actions (_compose_rows) and
 inverses (_inverses) of every layer.  numpy is loaded only with the dense
 table, which no command reads.
@@ -96,7 +97,7 @@ class _PartialMap:
 
     @staticmethod
     def _faithful_rows(elements) -> list:
-        """The image rows of the elements, which _closure certifies against:
+        """The image rows of the elements, on which _closure searches:
         mu(s) = s.images, and mu(s * t) = mu(s) o mu(t) is __mul__ itself."""
         return [s.images for s in elements]
 
@@ -292,16 +293,17 @@ class FiniteMonoid:
     then kept.  So a monoid whose table is never read never holds one.
 
     A monoid comes into being only as a graph, by _from_left_rows:
-    _closure certifies the rows it finds against the elements' image rows
-    (_validate), and product_monoid writes its rows from its factors'.
+    _closure finds the rows on the elements' image rows and certifies what
+    its search does not give by construction (_validate), and
+    product_monoid writes its rows from its factors'.
     FiniteMonoid(...) takes no arguments, so no table handed in from
     outside is ever mistaken for left rows.
     """
 
     @classmethod
     def _from_left_rows(cls, elements, left, identity_index: int) -> "FiniteMonoid":
-        """The monoid whose left rows are proved by _validate, which
-        _closure calls on it, or by product_monoid's construction:
+        """The monoid whose left rows are proved by _closure's search and
+        the _validate it calls on it, or by product_monoid's construction:
         left[k][x] indexes a_k * x, and a_k = a_k * e is left[k][e]."""
         monoid = object.__new__(cls)
         monoid.elements = tuple(elements)
@@ -317,7 +319,7 @@ class FiniteMonoid:
 
     def _edges(self):
         """The breadth-first tree of the left rows (_reach; for a
-        closure-built monoid, the one its certificate walked), as (u, (v, k))
+        closure-built monoid, the one its search walked), as (u, (v, k))
         with u = a_k * v: each u != e once, after the edge that reaches v."""
         if self._tree is None:
             self._tree = _reach(self._left, self.identity_index)
@@ -396,50 +398,48 @@ class FiniteMonoid:
         return out
 
     def _validate(self, rows, generator_rows) -> None:
-        """Raise ValueError unless the left rows left = self._left are those
-        of a monoid with identity e = self.identity_index, generated by the
-        a_k, on the image rows mu(x) = rows[x] of the found set F and mu(a_k)
-        = generator_rows[k]; keep the breadth-first tree of the left rows,
-        _reach(left, e), as the tree _edges walks.
+        """Raise ValueError unless the left rows left = self._left, found by
+        _closure on the rows R(x) = rows[x] from e = self.identity_index, are
+        those of the monoid with identity e that the a_k generate, with
+        mu(a_k) = generator_rows[k].  Rows carry a leading 0, the image of
+        "undefined", and for such rows p, q the row of p o q is
+        itemgetter(*q)(p).
 
         Each element family gives mu (its _faithful_rows): a map into partial
         maps of [m], 0 where undefined, that is injective and under which the
         family's product is composition, mu(x * y) = mu(x) o mu(y).  mu(e) need
         not be the identity map: a maximal subgroup's identity is an idempotent
-        of the ambient monoid.  Checked: (i) mu(e) o mu(e) = mu(e), and mu(e) o
-        mu(a_k) = mu(a_k) for every k; (ii) the rows of F are pairwise
-        distinct; (iii) mu(left[k][x]) = mu(a_k) o mu(x) for every k and x;
-        (iv) mu(a_k) o mu(e) = mu(a_k) for every k; (v) the left rows reach
-        every x in F from e, which holds by construction for _closure, where
-        each x after e was found as left[k][v] for a v found before it.
-        By (v), every x in F is left[k1][... left[kj][e]], so by (iii) mu(x) =
-        mu(a_k1) o ... o mu(a_kj) o mu(e).  Then mu(e) o mu(x) = mu(x) by (i)
-        (its first half when j = 0, its second when j > 0), and mu(x) o mu(e) =
-        mu(x) by (i)'s first half: mu(e) is a two-sided identity on the rows of
+        of the ambient monoid.  The search gives by construction: (ii) the rows
+        of the found set F are pairwise distinct, as they are dict keys; (iii)
+        R(left[k][x]) = mu(a_k) o R(x) for every k and x, as left[k][x] is
+        the index of that composed row; (v) the left rows reach every x in F
+        from e, as each x after e was found as left[k][v] for a v found before
+        it; and R(e) = mu(e).  Checked here: (i) mu(e) o mu(e) = mu(e), and
+        mu(e) o mu(a_k) = mu(a_k) for every k; (iv) mu(a_k) o mu(e) = mu(a_k)
+        for every k; (vi) R(x) = mu(x) for every x in F, each element's own
+        row.
+        By (v), every x in F is left[k1][... left[kj][e]], so by (iii) R(x) =
+        mu(a_k1) o ... o mu(a_kj) o mu(e).  Then mu(e) o R(x) = R(x) by (i)
+        (its first half when j = 0, its second when j > 0), and R(x) o mu(e) =
+        R(x) by (i)'s first half: mu(e) is a two-sided identity on the rows of
         F.
         Let T be the table composed along the breadth-first tree: T[e, y] = y,
         and T[x, y] = left[k][T[v, y]] for x = left[k][v].  By induction on the
-        depth of x, mu(T[x, y]) = mu(x) o mu(y): at x = e as mu(e) o mu(y) =
-        mu(y), and below, mu(T[x, y]) = mu(a_k) o mu(v) o mu(y) = mu(x) o mu(y)
-        by (iii) twice.  Composition is associative, so by (ii) T is: both
-        bracketings of x y z have the row mu(x) o mu(y) o mu(z).  T[e, y] = y,
-        and mu(T[x, e]) = mu(x) o mu(e) = mu(x), so T[x, e] = x by (ii): e is
-        T's identity.  T is the element product, as mu(x * y) = mu(T[x, y]) and
-        mu is injective, so F is closed under products.  At x = e, (iii) and
-        (iv) give mu(left[k][e]) = mu(a_k) o mu(e) = mu(a_k), so left[k][e] =
-        a_k: the generators lie in F and are the ones given.  With (v), F is
-        the monoid with identity e that the a_k generate.  The cost is |A| |S|
-        m lookups for (iii), against Light's test's |A| |S|^2, and |A| m for
-        (i) and (iv).
-
-        Rows are composed as tuples with a leading 0, the image of "undefined":
-        for such rows p, q, the row of mu(p) o mu(q) is p at every entry of q,
-        itemgetter(*q)(p), a tuple as q has at least two entries.
+        depth of x, R(T[x, y]) = R(x) o R(y): at x = e as mu(e) o R(y) = R(y),
+        and below, R(T[x, y]) = mu(a_k) o R(v) o R(y) = R(x) o R(y) by (iii)
+        twice.  Composition is associative, so by (ii) T is: both bracketings
+        of x y z have the row R(x) o R(y) o R(z).  T[e, y] = y, and R(T[x, e])
+        = R(x) o mu(e) = R(x), so T[x, e] = x by (ii): the rows, closed under
+        composition by the mu(a_k), form a monoid with identity mu(e).  By
+        (vi), mu(x * y) = mu(x) o mu(y) = R(T[x, y]) = mu(T[x, y]), and mu is
+        injective, so T is the element product and F is closed under products.
+        At x = e, (iii) and (iv) give R(left[k][e]) = mu(a_k) o mu(e) =
+        mu(a_k), so left[k][e] = a_k by (vi): the generators lie in F and are
+        the ones given.  With (v), F is the monoid with identity e that the
+        a_k generate.  The cost is |A| m lookups for (i) and (iv) and |S| m
+        for (vi): the search composed each of the |A| |S| left products once.
         """
-        left, e = self._left, self.identity_index
-        rows = [(0,) + tuple(r) for r in rows]
-        generator_rows = [(0,) + tuple(r) for r in generator_rows]
-        unit = rows[e]
+        unit = rows[self.identity_index]
 
         def then(a, x):  # mu(a) o mu(x)
             return itemgetter(*x)(a)
@@ -448,16 +448,9 @@ class FiniteMonoid:
             raise ValueError("identity laws fail")
         if any(then(unit, a) != a or then(a, unit) != a for a in generator_rows):
             raise ValueError("identity laws fail: a generator is not fixed by the identity")
-        if len(set(rows)) != len(rows):
-            raise ValueError("two elements share an image row")
-        composers = [itemgetter(*x) for x in rows]  # composers[x](a) = mu(a) o mu(x)
-        for a, succ in zip(generator_rows, left):
-            if [compose(a) for compose in composers] != [rows[u] for u in succ]:
-                raise ValueError("a left product disagrees with the image rows")
-        tree = _reach(left, e)
-        if len(tree[0]) != len(rows):
-            raise ValueError("the left rows do not reach every element")
-        self._tree = tree
+        own = type(self.elements[0])._faithful_rows(self.elements)
+        if any(r[1:] != m for r, m in zip(rows, own)):
+            raise ValueError("an element's image row is not the row it was found at")
 
     def __len__(self):
         return len(self.elements)
@@ -487,22 +480,12 @@ class FiniteMonoid:
         return self.generator_indices
 
     @classmethod
-    def from_elements(cls, elements, identity=None, generators=None) -> "FiniteMonoid":
-        """Build a monoid from an explicit closed element set by _closure
-        within the set, which must reach all of it.  With recorded
-        generators, from their left products.  Without them, every element
-        is a generator, in canonical order, so the closure's left rows are
-        the whole table, left[k][x] the index of elements[k] * elements[x];
-        the greedy set is read from their columns and its rows are kept."""
-        if identity is None:
-            identity = elements[0].identity_element()
+    def from_elements(cls, elements, identity, generators) -> "FiniteMonoid":
+        """The monoid of an explicit closed element set with this identity:
+        the closure of the recorded generators within the set (_closure),
+        which must reach all of it."""
         members = {e: e for e in elements}  # each element to the caller's object
         identity = members.setdefault(identity, identity)
-        if generators is None:
-            monoid = _closure(sorted(members, key=canonical_key), identity, len(members), members)
-            left, e = monoid._left, monoid.identity_index
-            gens = _greedy_generators(lambda g: [row[g] for row in left], range(len(left)), e)
-            return cls._from_left_rows(monoid.elements, [left[g] for g in gens], e)
         monoid = _closure(list(generators), identity, len(members), members)
         if len(monoid) != len(members):
             raise ValueError("recorded generators do not generate the monoid")
@@ -517,13 +500,14 @@ def check_budget(need: int, what: str) -> None:
 
 
 def row_bytes(width: int) -> int:
-    """One element's cost at its build's peak: the width + 1 cells of its
-    faithful row as _validate holds it, at ROW_CELL_BYTES each.  Whole
-    builds, spec to certified monoid, peak under tracemalloc at 115.2 B a
-    cell for I:6 (7 cells an element), 114.6 for T:6, 37.8 for
-    SGL:partitions:5 (53), 35.6 for SGL:subsets:6 (65), 34.3 for
-    SGL:ordperm:4 (77) and 27.8 for SGL:partitions:6 (204; 298.7 MB): an
-    element costs more than its cells.  The price is the largest, I_6's."""
+    """One element's cost at its build's peak: the width + 1 cells of the
+    faithful row _closure searches on, at ROW_CELL_BYTES each.  Whole
+    builds, spec to certified monoid, peak under tracemalloc at 79.4 B a
+    cell for I:6 (7 cells an element), 73.3 for T:6, 26.8 for
+    SGL:partitions:5 (53), 24.9 for SGL:subsets:6 (65), 23.9 for
+    SGL:ordperm:4 (77) and 18.9 for SGL:partitions:6 (204; 202.6 MB): an
+    element costs more than its cells.  The price is I_6's peak when
+    elements were searched as objects, 115.2 B, above every one of these."""
     return (width + 1) * ROW_CELL_BYTES
 
 
@@ -599,34 +583,43 @@ def _inverses(group: FiniteMonoid) -> tuple:
 
 def _closure(generators, identity, cap: int, within=None) -> FiniteMonoid:
     """The monoid generated by the generators a_k, found breadth first from
-    the identity e by the |S| * |A| left products a_k * x, recorded in
-    left[k][x] as each x is found.  Raises ClosureCapError past cap
-    elements, or past the most whose rows _validate certifies fit the
-    budget (row_bytes), and "not multiplicatively closed" for a product outside
-    within (when given: a dict from each element to the caller's object,
-    which is kept in place of the equal product).  The elements are sorted
-    canonically, so the search order does not show.  The monoid holds the
-    left rows, certified by its _validate; so the found set is the
-    closure, and its products along the rows are the element product.
+    the identity e on the faithful rows (_faithful_rows) with a leading 0:
+    the row of a_k * x is mu(a_k) o mu(x), itemgetter(*mu(x))(mu(a_k)), a
+    tuple as mu(x) has at least two entries, looked up among the rows found
+    and recorded in left[k][x].  An element is made only for a new row, as
+    a_k * x of the x it was found from: |S| - 1 element products.  Raises
+    ClosureCapError past cap elements, or past the most whose rows fit the
+    budget (row_bytes), and "not multiplicatively closed" for a product
+    outside within (when given: a dict from each element to the caller's
+    object, which is kept in place of the equal product).  The elements are
+    sorted canonically, so the search order does not show.  _validate
+    certifies what the search does not give by construction; so the found
+    set is the closure, and its products along the left rows are the
+    element product.
     """
-    width = len(type(identity)._faithful_rows([identity])[0])
-    cap = min(cap, BUILD_BYTES_BUDGET // row_bytes(width))
-    found, index = [identity], {identity: 0}
+    family = type(identity)
+    unit, *generator_rows = [(0, *r) for r in family._faithful_rows([identity, *generators])]
+    cap = min(cap, BUILD_BYTES_BUDGET // row_bytes(len(unit) - 1))
+    found, rows, index = [identity], [unit], {unit: 0}
     left = [[] for _ in generators]
-    for x in found:  # found grows behind the loop: a queue
-        for row, a in zip(left, generators):
-            p = a * x
+    for x, row in zip(found, rows):  # both grow behind the loop: a queue
+        compose = itemgetter(*row)  # compose(mu(a)) = mu(a) o mu(x)
+        for succ, a, a_row in zip(left, generators, generator_rows):
+            p = compose(a_row)
             k = index.get(p)
             if k is None:
+                y = a * x
                 if within is not None:
-                    if p not in within:
+                    if y not in within:
                         raise ValueError("element set is not multiplicatively closed")
-                    p = within[p]
+                    y = within[y]
                 if len(found) == cap:
                     raise ClosureCapError(f"closure exceeded cap of {cap} elements")
                 k = index[p] = len(found)
-                found.append(p)
-            row.append(k)
+                found.append(y)
+                rows.append(p)
+            succ.append(k)
+    del index  # the search dict goes before the sort and the certificate allocate
     n = len(found)
     order = sorted(range(n), key=lambda i: canonical_key(found[i]))
     label = [0] * n
@@ -634,14 +627,14 @@ def _closure(generators, identity, cap: int, within=None) -> FiniteMonoid:
         label[old] = new
     left = [[label[row[old]] for old in order] for row in left]
     monoid = FiniteMonoid._from_left_rows([found[i] for i in order], left, label[0])
-    rows = type(identity)._faithful_rows(list(monoid.elements) + list(generators))
-    monoid._validate(rows[:n], rows[n:])
+    monoid._validate([rows[i] for i in order], generator_rows)
     return monoid
 
 
 def closure(generators, identity=None, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteMonoid:
-    """Breadth-first product closure of a generator list (_closure), whose
-    element family gives its faithful image rows (_faithful_rows).
+    """Breadth-first product closure of a generator list (_closure),
+    searched on the faithful image rows its element family gives
+    (_faithful_rows), with one element product per element found.
 
     The result is deterministic: elements are re-sorted into canonical order
     before the left rows are stored, so two runs on the same generators give
@@ -719,7 +712,8 @@ def all_permutations(n: int):
 
 def _exact_closure(generators, identity, order: int) -> FiniteMonoid:
     """The closure F of the generators of P = S_n, I_n, T_n or a pair monoid
-    (_closure, certified by _validate), checked to have P's order.  F lies in
+    (_closure: found on the faithful rows, certified by _validate), checked
+    to have P's order.  F lies in
     P by type: products of permutations, of partial bijections or of
     transformations of [n] are again such (_PartialMap.__mul__), and products
     of canonical pairs are canonical pairs (SGLContext.canonical).  A subset

@@ -140,9 +140,10 @@ def green_structure(monoid: FiniteMonoid):
     """Green classes and J-order from the Cayley graphs of a generating set.
 
     Let A = monoid.generating_set().  It generates S as a monoid: the
-    closure's certificate (FiniteMonoid._validate) proves this of a monoid
-    closed from A, and product_monoid's construction of a direct product;
-    a greedy set reaches every element by construction.  So
+    closure's breadth-first search reaches every element of a monoid closed
+    from A along A's left rows, which FiniteMonoid._validate proves are the
+    element product, and product_monoid's construction proves it of a
+    direct product.  So
     every u in S is a product a_1 ... a_k of generators (k = 0 for the
     identity), and xS = {x a_1 ... a_k} is exactly the set of nodes
     reachable from x in the right graph x -> x a.  Hence xS = yS, that is x R y, iff x and y reach

@@ -562,16 +562,6 @@ def sgl_order(action: GroupAction, monoid: FiniteMonoid = None) -> SGLOrderRepor
     return SGLOrderReport(formula, enumerated, breakdown)
 
 
-def maximal_subgroup_at(action: GroupAction, a: int) -> FiniteMonoid:
-    """The group of pairs g_a with g.a = a, one element per coset."""
-    ctx = sgl_context(action)
-    stab = stabilizers(action, a)
-    members = sorted(
-        {ctx.canonical(g, a) for g in stab.full}, key=lambda e: e.key()
-    )
-    return FiniteMonoid.from_elements(members, identity=ctx.idempotent(a))
-
-
 def subsets_to_partial_bijection(element: SGLElement) -> PartialBijection:
     """The restriction map g_a -> g|_a realizing the subsets monoid inside I_n."""
     g = element.group_element()

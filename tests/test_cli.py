@@ -821,6 +821,18 @@ class TestLayerLoading:
         proc = fresh_python(probe)
         assert proc.stdout.split() == ["True", "True"], proc.stderr
 
+    def test_the_tracer_installs_after_the_cli_import(self):
+        # perfbench's tracer wraps the methods and kernels its EXTRA names,
+        # FiniteMonoid._validate among them, and install() raises on a name
+        # that is gone
+        probe = ("import sys, monoidrep.cli\n"
+                 "sys.path.insert(0, 'perfbench')\n"
+                 "import tracer\n"
+                 "tracer.install()\n"
+                 "print('installed')")
+        proc = fresh_python(probe)
+        assert proc.returncode == 0 and proc.stdout.split() == ["installed"], proc.stderr
+
     def test_public_names_are_the_layers_objects(self):
         for name in monoidrep.__all__:
             layer = importlib.import_module(f"monoidrep.{monoidrep._LAYER_OF[name]}")

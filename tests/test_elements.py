@@ -31,7 +31,8 @@ from monoidrep.elements import (
     symmetric_inverse_monoid,
 )
 from monoidrep.green import maximal_subgroup, monoid_green
-from monoidrep.lattice import LATTICE_KINDS, make_lattice, maximal_subgroup_at, sgl_monoid
+from monoidrep.lattice import LATTICE_KINDS, SGLElement, make_lattice, sgl_monoid
+from oracles import certificate_inputs, certify_left_rows, greedy_from_elements, maximal_subgroup_at
 
 
 def pb(n, *pairs):
@@ -73,7 +74,7 @@ def reference_closure(generators):
 
 
 def generated_outcome(generators, members):
-    """What from_elements(members, generators=...) must do, found breadth
+    """What from_elements(members, e, generators) must do, found breadth
     first from the identity by left products: the error it raises, or None
     when the generators reach exactly the closed set members."""
     reached = {generators[0].identity_element()}
@@ -255,16 +256,27 @@ class TestClosure:
         with pytest.raises(ClosureCapError):
             closure(gens, cap=33)
 
-    def test_i_file_closure_takes_one_left_product_per_element_and_generator(self, monkeypatch):
+    def test_i_file_closure_makes_one_element_product_per_element_found(self, monkeypatch):
         gens = [cycle_link_parse(t, 5) for t in I_FILE_GENS]
         products = []
         mul = PartialBijection.__mul__
         monkeypatch.setattr(PartialBijection, "__mul__", lambda a, b: products.append(1) or mul(a, b))
         m = closure(gens)
-        # a_k * x for the 631 elements x and 3 generators a_k; the identity
-        # laws are read off the image rows, with no product
+        # the 631 * 3 left products are composed as image rows; an element
+        # is made, as one product, only for each of the 630 rows found after
+        # the identity's
         assert len(m) == 631
-        assert len(products) == 631 * 3
+        assert len(products) == 630
+
+    def test_pair_closure_makes_one_pair_product_per_pair_found(self, monkeypatch):
+        # SGL:ordperm:4 has 1801 pairs and 10 generators: 1800 products, where
+        # multiplying every generator into every pair took 18010
+        products = []
+        mul = SGLElement.__mul__
+        monkeypatch.setattr(SGLElement, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+        m = pair_monoid(("ordered_partitions_zero", 4))
+        assert (len(m), len(m.generator_indices)) == (1801, 10)
+        assert len(products) == 1800
 
     def test_recorded_generators_generate(self):
         for m in (symmetric_inverse_monoid(3), full_transformation_monoid(3), symmetric_group(4)):
@@ -373,7 +385,7 @@ class TestMonoidLaws:
             bad = [list(row) for row in left]
             bad[k][x] = (bad[k][x] + 1) % n
             with pytest.raises(ValueError, match="a left product disagrees"):
-                validate(rows, gen_rows, bad, e)
+                certify_left_rows(rows, gen_rows, bad, e)
 
 
 # the generator-file shapes of the benchmark's structure workload
@@ -390,7 +402,7 @@ class TestImageTable:
     def test_full_monoids_match_elementwise_build(self, family, n):
         els = family(n)
         gens = els[::-1]  # recorded generators must generate the monoid
-        m = FiniteMonoid.from_elements(els, generators=gens)
+        m = FiniteMonoid.from_elements(els, els[0].identity_element(), gens)
         assert m.elements == tuple(els)
         assert_matches_reference(m, gens)
 
@@ -401,7 +413,7 @@ class TestImageTable:
         els = family(3)
         one = els[0].identity_element()
         gens = [g * one for g in els[::-1]]  # equal copies, not the members
-        m = FiniteMonoid.from_elements(els, generators=gens)
+        m = FiniteMonoid.from_elements(els, one, gens)
         mine = {e: e for e in els}
         assert all(x is mine[x] for x in m.elements)
 
@@ -428,20 +440,21 @@ class TestImageTable:
             assert m.elements[m.table[i, j]] == m.elements[i] * m.elements[j]
 
     def test_non_closed_set_raises(self):
+        cycle = Transformation([2, 3, 1])
         with pytest.raises(ValueError, match="not multiplicatively closed"):
-            FiniteMonoid.from_elements([Transformation([2, 3, 1])])
+            FiniteMonoid.from_elements([cycle], Transformation.identity(3), [cycle])
 
     def test_non_generating_generators_raise(self):
         # the units of I_3 are closed under products, but reach only themselves
         units = [Permutation.from_cycle(3, (1, 2)).to_partial_bijection(),
                  Permutation.from_cycle(3, (1, 2, 3)).to_partial_bijection()]
         with pytest.raises(ValueError, match="do not generate"):
-            FiniteMonoid.from_elements(all_partial_bijections(3), generators=units)
+            FiniteMonoid.from_elements(all_partial_bijections(3), PartialBijection.identity(3), units)
 
     def test_generator_outside_the_set_raises(self):
         outside = Transformation([1, 1, 1])
         with pytest.raises(ValueError, match="not multiplicatively closed"):
-            FiniteMonoid.from_elements(all_permutations(3), generators=[outside])
+            FiniteMonoid.from_elements(all_permutations(3), Permutation.identity(3), [outside])
 
     def test_false_identity_raises(self):
         # the constant c1 is a right identity of the constants {c1, c2}, not an
@@ -607,10 +620,10 @@ class TestImageTableProperties:
         subset = data.draw(st.lists(st.sampled_from(universe), min_size=1, unique=True))
         members = set(subset) | {subset[0].identity_element()}
         if all(a * b in members for a in members for b in members):
-            assert_matches_reference(FiniteMonoid.from_elements(subset))
+            assert_matches_reference(greedy_from_elements(subset))
         else:
             with pytest.raises(ValueError, match="not multiplicatively closed"):
-                FiniteMonoid.from_elements(subset)
+                greedy_from_elements(subset)
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), kind=st.sampled_from("SIT"), n=st.integers(1, 3))
@@ -628,10 +641,10 @@ class TestImageTableProperties:
                 subset += data.draw(st.lists(st.sampled_from(universe), min_size=1))
         outcome = generated_outcome(gens, set(subset) | {identity})
         if outcome is None:
-            assert_matches_reference(FiniteMonoid.from_elements(subset, generators=gens), gens)
+            assert_matches_reference(FiniteMonoid.from_elements(subset, identity, gens), gens)
         else:
             with pytest.raises(ValueError, match=outcome):
-                FiniteMonoid.from_elements(subset, generators=gens)
+                FiniteMonoid.from_elements(subset, identity, gens)
 
     def test_unreached_elements_report_do_not_generate(self):
         # {e, (1,2)} generated by (1,2), plus the unreached [1,2], whose
@@ -642,7 +655,7 @@ class TestImageTableProperties:
         assert swap * link not in members
         assert generated_outcome([swap], set(members)) == "do not generate"
         with pytest.raises(ValueError, match="do not generate"):
-            FiniteMonoid.from_elements(members, generators=[swap])
+            FiniteMonoid.from_elements(members, PartialBijection.identity(2), [swap])
 
 
 def old_is_group(table, e):
@@ -664,22 +677,6 @@ PAIR_SPECS = [(kind, n) for kind in LATTICE_KINDS for n in range(1, 5)]
 
 def pair_monoid(spec):
     return sgl_monoid(make_lattice(*spec)[1])[0]
-
-
-def certificate_inputs(m):
-    """What _closure certifies m's left rows against: the image rows of the
-    elements and of the recorded generators, the left rows and e."""
-    gens = [m.elements[g] for g in m.generating_set()]
-    rows = type(m.elements[0])._faithful_rows(list(m.elements) + gens)
-    return rows[:len(m)], rows[len(m):], [list(row) for row in m._left], m.identity_index
-
-
-def validate(rows, generator_rows, left, e):
-    """FiniteMonoid._validate on the monoid that holds the left rows with
-    identity e, as _closure calls it; the certificate reads no element."""
-    monoid = FiniteMonoid._from_left_rows(range(len(rows)), left, e)
-    monoid._validate(rows, generator_rows)
-    return monoid
 
 
 class TestLeftCayleyGraph:
@@ -725,7 +722,7 @@ class TestLeftCayleyGraph:
         (lambda: pair_monoid(("subsets", 2)), False),
         (lambda: closure([PartialBijection.identity(3)]), True),
         (lambda: units_of(symmetric_inverse_monoid(3)), True),  # a given table
-        (lambda: FiniteMonoid.from_elements(all_transformations(2)), False),
+        (lambda: greedy_from_elements(all_transformations(2)), False),
     ], ids=["S", "I", "T", "pairs", "trivial", "units", "given_table"])
     def test_is_group(self, build, group):
         m = build()
@@ -734,7 +731,7 @@ class TestLeftCayleyGraph:
 
 
 class TestFaithfulCertificate:
-    """FiniteMonoid._validate against corrupted inputs: each mutant raises."""
+    """The reference certificate against corrupted inputs: each mutant raises."""
 
     MONOIDS = [
         lambda: symmetric_group(4),
@@ -749,9 +746,10 @@ class TestFaithfulCertificate:
     @pytest.mark.parametrize("build", MONOIDS, ids=IDS)
     def test_built_monoids_pass(self, build):
         m = build()
-        rows, gen_rows, left, e = certificate_inputs(m)
         # the tree the certificate walked is the one the products read
-        assert validate(rows, gen_rows, left, e)._tree == elements_module._reach(m._left, e)
+        tree = certify_left_rows(*certificate_inputs(m))
+        list(m._edges())
+        assert m._tree == tree
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), which=st.integers(0, len(MONOIDS) - 1))
@@ -762,7 +760,7 @@ class TestFaithfulCertificate:
         left[k][x] = data.draw(st.sampled_from(
             [z for z in range(len(left[k])) if z != left[k][x]]))
         with pytest.raises(ValueError, match="a left product disagrees"):
-            validate(rows, gen_rows, left, e)
+            certify_left_rows(rows, gen_rows, left, e)
 
     @pytest.mark.parametrize("build", MONOIDS, ids=IDS)
     def test_every_generator_is_checked(self, build):
@@ -771,7 +769,7 @@ class TestFaithfulCertificate:
         assert len(left) >= 2
         left[-1][e] = left[0][e] if left[0][e] != left[-1][e] else (left[-1][e] + 1) % len(rows)
         with pytest.raises(ValueError, match="a left product disagrees"):
-            validate(rows, gen_rows, left, e)
+            certify_left_rows(rows, gen_rows, left, e)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), which=st.integers(0, len(MONOIDS) - 1))
@@ -783,7 +781,7 @@ class TestFaithfulCertificate:
         rows = list(rows)
         rows[i] = rows[j]
         with pytest.raises(ValueError, match="share an image row"):
-            validate(rows, gen_rows, left, e)
+            certify_left_rows(rows, gen_rows, left, e)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), which=st.integers(0, len(MONOIDS) - 1))
@@ -791,11 +789,11 @@ class TestFaithfulCertificate:
         rows, gen_rows, left, e = certificate_inputs(self.MONOIDS[which]())
         other = data.draw(st.sampled_from([k for k in range(len(rows)) if k != e]))
         with pytest.raises(ValueError, match="identity laws fail"):
-            validate(rows, gen_rows, left, other)
+            certify_left_rows(rows, gen_rows, left, other)
         rows = list(rows)
         rows[e] = rows[other]
         with pytest.raises(ValueError, match="identity laws fail"):
-            validate(rows, gen_rows, left, e)
+            certify_left_rows(rows, gen_rows, left, e)
 
     def test_a_non_idempotent_identity_row_is_refused(self):
         # {id_1, e} generated by id_1 in I_3, with mu(e) swapped to the map
@@ -806,7 +804,7 @@ class TestFaithfulCertificate:
         rows = list(rows)
         rows[e] = (1, 3, 2)
         with pytest.raises(ValueError, match="identity laws fail"):
-            validate(rows, gen_rows, left, e)
+            certify_left_rows(rows, gen_rows, left, e)
 
     @pytest.mark.parametrize("generator,members", [
         # fixed by the identity on {1, 2} on the right only: 1 -> 3
@@ -832,7 +830,91 @@ class TestFaithfulCertificate:
         rows = PartialBijection._faithful_rows(found)
         left = [[found.index(id1 * x) for x in found]]
         with pytest.raises(ValueError, match="do not reach every element"):
-            validate(rows, PartialBijection._faithful_rows([id1]), left, 0)
+            certify_left_rows(rows, PartialBijection._faithful_rows([id1]), left, 0)
+
+
+def subgroups(m):
+    """The maximal subgroup at every idempotent of m, each with that
+    idempotent as its identity."""
+    classes = monoid_green(m)[0]
+    return [maximal_subgroup(m, classes, e) for e in m.idempotent_indices()]
+
+
+class TestSearchCertificate:
+    """The closure composes each left product once, as a row, and _validate
+    checks what the search does not give by construction.  Its left rows
+    pass the reference certificate, which composes every one of them again,
+    and corrupting what _validate checks is refused."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(gens=_generator_sets())
+    def test_generated_monoids_pass_the_reference(self, gens):
+        certify_left_rows(*certificate_inputs(closure(gens)))
+
+    @pytest.mark.parametrize("spec", PAIR_SPECS, ids=lambda s: f"{s[0]}:{s[1]}")
+    def test_pair_monoids_pass_the_reference(self, spec):
+        certify_left_rows(*certificate_inputs(pair_monoid(spec)))
+
+    @pytest.mark.parametrize("build", [
+        lambda: [closure([TestImageTable.SWAP_12], identity=TestImageTable.ID_12)],
+        lambda: subgroups(symmetric_inverse_monoid(3)),
+        lambda: subgroups(full_transformation_monoid(3)),
+        lambda: subgroups(pair_monoid(("ordered_partitions_zero", 3))),
+    ], ids=["swap_on_12", "I3", "T3", "ordperm3"])
+    def test_subgroups_pass_the_reference(self, build):
+        # identities that are idempotents, not the identity map
+        groups = build()
+        assert any(g.elements[g.identity_index] != g.elements[0].identity_element()
+                   for g in groups)
+        for group in groups:
+            certify_left_rows(*certificate_inputs(group))
+
+    @pytest.mark.parametrize("which", [1, 2, 317, 630])
+    def test_a_wrong_element_product_is_refused(self, monkeypatch, which):
+        # the which-th element made is the identity, not a_k * x: its own row
+        # is not the row it was found at (vi)
+        gens = [cycle_link_parse(t, 5) for t in I_FILE_GENS]
+        made, mul = [], PartialBijection.__mul__
+
+        def wrong(a, b):
+            made.append(1)
+            return PartialBijection.identity(5) if len(made) == which else mul(a, b)
+
+        monkeypatch.setattr(PartialBijection, "__mul__", wrong)
+        with pytest.raises(ValueError, match="image row is not the row it was found at"):
+            closure(gens)
+
+    @pytest.mark.parametrize("which", [1, 50])
+    def test_a_wrong_pair_product_is_refused(self, monkeypatch, which):
+        _, action = make_lattice("ordered_partitions_zero", 3)
+        made, mul = [], SGLElement.__mul__
+
+        def wrong(a, b):
+            made.append(1)
+            product = mul(a, b)
+            return product.identity_element() if len(made) == which else product
+
+        monkeypatch.setattr(SGLElement, "__mul__", wrong)
+        with pytest.raises(ValueError, match="image row is not the row it was found at"):
+            sgl_monoid(action)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), which=st.integers(0, len(TestFaithfulCertificate.MONOIDS) - 1))
+    def test_a_wrong_identity_is_refused(self, data, which):
+        # each of these generating sets holds a unit other than e, so no
+        # other element is an identity for it: (i) or (iv) fails
+        m = TestFaithfulCertificate.MONOIDS[which]()
+        gens = [m.elements[g] for g in m.generating_set()]
+        other = data.draw(st.sampled_from([x for x in m.elements
+                                           if x != m.elements[m.identity_index]]))
+        with pytest.raises(ValueError, match="identity laws fail"):
+            closure(gens, identity=other)
+
+    def test_a_non_idempotent_identity_is_refused(self):
+        # 1 -> 1, 2 -> 3, 3 -> 2 fixes id_1 on both sides, and each element
+        # made has its row, but it is no identity, as it is not idempotent (i)
+        with pytest.raises(ValueError, match="^identity laws fail$"):
+            closure([pb(3, (1, 1))], identity=pb(3, (1, 1), (2, 3), (3, 2)))
 
 
 class TestBuildBudget:
@@ -851,17 +933,17 @@ class TestBuildBudget:
 
     def test_over_budget_raises_before_the_rows_are_built(self, monkeypatch):
         # the 24 elements of S_4, rows of 4 points: one byte short stops the
-        # search at 23, before _validate builds a row
+        # search at 23, before _validate runs
         gens = [Permutation.from_cycle(4, (1, 2)), Permutation.from_cycle(4, range(1, 5))]
         monkeypatch.setattr(elements_module, "BUILD_BYTES_BUDGET", 24 * row_bytes(4) - 1)
         monkeypatch.setattr(FiniteMonoid, "_validate", None)  # never reached
         with pytest.raises(ClosureCapError, match="cap of 23 elements"):
-            FiniteMonoid.from_elements(all_permutations(4), generators=gens)
+            FiniteMonoid.from_elements(all_permutations(4), Permutation.identity(4), gens)
         with pytest.raises(ClosureCapError, match="cap of 23 elements"):
             closure(gens, cap=100)
         monkeypatch.undo()
         monkeypatch.setattr(elements_module, "BUILD_BYTES_BUDGET", 24 * row_bytes(4))
-        assert len(FiniteMonoid.from_elements(all_permutations(4), generators=gens)) == 24
+        assert len(FiniteMonoid.from_elements(all_permutations(4), Permutation.identity(4), gens)) == 24
         assert len(closure(gens, cap=24)) == 24
 
 
@@ -902,12 +984,12 @@ def units_of(m):
 
 def table_subgroup(m, classes, e):
     """The former maximal_subgroup: H_e with its greedy generating set, built
-    from its elements (from_elements), whose table is the products of H_e
+    from its elements (greedy_from_elements), whose table is the products of H_e
     gathered from the monoid's table and renumbered."""
     members = np.asarray(classes.hclasses[classes.hclass_of[e]], dtype=np.intp)
     position = np.zeros(len(m), dtype=np.intp)
     position[members] = np.arange(len(members))
-    group = FiniteMonoid.from_elements([m.elements[x] for x in members], m.elements[e])
+    group = greedy_from_elements([m.elements[x] for x in members], m.elements[e])
     assert group.identity_index == position[e]
     assert np.array_equal(group.table, position[m.table[np.ix_(members, members)]])
     return group
@@ -931,7 +1013,7 @@ def block_summed_product(*factors):
 
 def greedy_rebuild(m):
     """m built again from its elements alone, with the greedy generating set."""
-    return FiniteMonoid.from_elements(m.elements, m.elements[m.identity_index])
+    return greedy_from_elements(m.elements, m.elements[m.identity_index])
 
 
 SMALL_FACTORS = [
@@ -989,7 +1071,7 @@ class TestFormerTableRoutes:
     ], ids=["S3", "I2", "T2", "T3", "pair_subgroup", "partial_identity"])
     def test_from_elements_records_the_constructors_greedy_set(self, build):
         els, identity = build()
-        m = FiniteMonoid.from_elements(els, identity)
+        m = greedy_from_elements(els, identity)
         given = greedy_rebuild(m)
         assert m.generating_set() == given.generating_set()
         assert_matches_reference(m)  # the table and greedy set by Python products

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from monoidrep.cliffmunn import semisimple_predicate, SemisimpleReport
 from monoidrep.elements import (
-    FiniteMonoid,
     PartialBijection,
     Transformation,
     closure,
@@ -30,6 +29,7 @@ from monoidrep.green import (
     transversal,
 )
 from monoidrep.lattice import make_lattice, sgl_monoid
+from oracles import greedy_from_elements
 
 
 @pytest.fixture(scope="module")
@@ -505,7 +505,7 @@ def monoids_with_or_without_generators(draw):
     so that green_structure walks the greedy generating set."""
     m = draw(small_monoids())
     if draw(st.booleans()):
-        m = FiniteMonoid.from_elements(m.elements, m.elements[m.identity_index])
+        m = greedy_from_elements(m.elements, m.elements[m.identity_index])
     return m
 
 
@@ -530,7 +530,7 @@ class TestCayleyGraphClasses:
 
     def test_monoid_without_recorded_generators(self):
         t3 = full_transformation_monoid(3)
-        m = FiniteMonoid.from_elements(t3.elements, t3.elements[t3.identity_index])
+        m = greedy_from_elements(t3.elements, t3.elements[t3.identity_index])
         gens = m.generator_indices
         assert gens is not None  # the greedy set, recorded at construction
         assert_matches_oracle(m)

@@ -25,7 +25,6 @@ from monoidrep.lattice import (
     _sgl_generators,
     sgl_context,
     make_lattice,
-    maximal_subgroup_at,
     partition_lattice_report,
     sgl_canonical,
     sgl_monoid,
@@ -33,6 +32,7 @@ from monoidrep.lattice import (
     stabilizers,
     subsets_to_partial_bijection,
 )
+from oracles import maximal_subgroup_at
 
 
 def matrix(leq, n=None):

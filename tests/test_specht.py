@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monoidrep import specht
-from monoidrep.elements import ClosureCapError, FiniteMonoid, Permutation, symmetric_group
+from monoidrep.elements import ClosureCapError, Permutation, closure, symmetric_group
 from monoidrep.linrep import (
     Representation,
     Subspace,
@@ -272,9 +272,7 @@ class TestStandardPolytabloids:
         assert data.rep.num == specht_rep((2, 1, 1)).rep.num
 
     def test_refuses_a_proper_subgroup(self):
-        cyclic = FiniteMonoid.from_elements(
-            [Permutation([1, 2, 3]), Permutation([2, 3, 1]), Permutation([3, 1, 2])]
-        )
+        cyclic = closure([Permutation([2, 3, 1])])
         with pytest.raises(ValueError, match="needs all of S_3"):
             specht_rep((2, 1), group=cyclic)
 
