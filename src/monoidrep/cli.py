@@ -37,7 +37,6 @@ class BuiltMonoid(NamedTuple):
     kind: str  # "S" | "I" | "T" | "SGL" | "gens"
     monoid: elements.FiniteMonoid
     context: object = None  # SGLContext for SGL specs
-    lattice_kind: str = None
 
 
 def parse_and_build(spec_text: str) -> BuiltMonoid:
@@ -61,7 +60,7 @@ def parse_and_build(spec_text: str) -> BuiltMonoid:
             n = int(parts[2])
             _, action = lattice.make_lattice(_SGL_KINDS[parts[1]], n)
             monoid, ctx = lattice.sgl_monoid(action)
-            return BuiltMonoid(spec_text, "SGL", monoid, ctx, _SGL_KINDS[parts[1]])
+            return BuiltMonoid(spec_text, "SGL", monoid, ctx)
         if parts[0] == "gens" and len(parts) >= 2:
             return _build_from_file(spec_text, spec_text.split(":", 1)[1])
     except (ValueError, SpecError) as exc:
@@ -97,30 +96,7 @@ def _build_from_file(spec_text: str, path: str) -> BuiltMonoid:
     return BuiltMonoid(spec_text, kind, elements.closure(gens))
 
 
-# -- element and label text ---------------------------------------------------
-
-def lattice_text(kind: str, value) -> str:
-    if value == ():
-        return "0" if kind == "ordered_partitions_zero" else "{}"
-    if kind == "subsets":
-        return "{" + ",".join(str(x) for x in value) + "}"
-    blocks = ",".join("{" + ",".join(str(x) for x in b) + "}" for b in value)
-    if kind == "set_partitions":
-        return "{" + blocks + "}"
-    return "(" + blocks + ")"
-
-
-def element_text(el) -> str:
-    if isinstance(el, elements.PartialBijection):
-        return elements.cycle_link_format(el)
-    if isinstance(el, elements.Transformation):
-        return str(el)
-    if isinstance(el, lattice.SGLElement):
-        g = elements.cycle_link_format(el.group_element().to_partial_bijection())
-        kind = getattr(el.context.lattice, "kind", None)
-        return f"{g}@{lattice_text(kind, el.lattice_element())}"
-    return str(el)
-
+# -- label text ----------------------------------------------------------------
 
 def fmt_partition(p) -> str:
     return "(" + ",".join(str(x) for x in p) + ")"
@@ -192,9 +168,10 @@ def cmd_order(built: BuiltMonoid, out) -> int:
             f"agreement: {'yes' if report.agree else 'no'}",
             "breakdown:",
         ]
+        lat = built.context.lattice
         for value, count in report.breakdown:
-            lines.append(f"  {lattice_text(built.lattice_kind, value)}: {count}")
-        if built.lattice_kind == "set_partitions":
+            lines.append(f"  {lat.text(value)}: {count}")
+        if lat.kind == "set_partitions":
             p = lattice.partition_lattice_report(built.context.action, report)
             lines.append(f"young_index_total: {p.young_formula_value}")
             lines.append(
@@ -333,9 +310,7 @@ def cmd_rep(built: BuiltMonoid, build: str, out_path, out) -> int:
     # the Representation constructor has proved the homomorphism law on
     # these immutable matrices, which are the ones written below
     rep, carrier_monoid = _build_rep(built, build)
-    payload = linrep.serialize_representation(
-        rep, monoid_label=built.spec, element_text=element_text
-    )
+    payload = linrep.serialize_representation(rep, monoid_label=built.spec)
     lines = [
         f"command: rep",
         f"spec: {built.spec}",

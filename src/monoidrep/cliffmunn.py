@@ -16,7 +16,7 @@ import itertools
 from math import factorial, gcd, prod
 from typing import NamedTuple
 
-from .elements import FiniteMonoid, PartialBijection, Permutation, Transformation, _compose_rows
+from .elements import FiniteMonoid, _compose_rows
 from .green import (
     apex_labels,
     lclass_coordinates,
@@ -69,7 +69,7 @@ def reduce_rep(big: Representation, e: int) -> ReducedRep:
     monoid = big.monoid
     classes, _ = monoid_green(monoid)
     group = maximal_subgroup(monoid, classes, e)  # raises unless e is idempotent
-    carrier = rref(Matrix._of(big.num[e], big.den)).image
+    carrier = Subspace._span(big.dim, tuple(zip(*big.num[e])))  # the columns of phi(e)
     if carrier.dim == 0:
         return ReducedRep(e, carrier, group, None)
     members = classes.hclasses[classes.hclass_of[e]]  # the group's elements, in order
@@ -394,54 +394,28 @@ def _young_irreps(group, blocks, to_label_map):
 
 def _group_irreps(monoid: FiniteMonoid, e: int, group: FiniteMonoid):
     """(label, verified Representation over the subgroup) for every
-    irreducible of the recognized subgroup structure.
-
-    A symmetric group is the one-block case of a Young product; its
-    irreducibles are labelled by the bare shape.  Zero classes (empty domain,
-    empty lattice element) carry the trivial group and contribute the single
-    empty-label entry.
+    irreducible of G_e, the Young subgroup of the blocks the idempotent
+    names (young_blocks, young_move), labelled by one shape per block or by
+    the bare shape (labels_per_block).  No points (the zero classes) or,
+    with labels per block, a trivial group below its blocks (the partition
+    lattice's collapse) give the single empty-label entry.
     """
     el = monoid.elements[e]
-    symmetric = True  # one block, labelled by the bare shape
-    if isinstance(el, (PartialBijection, Permutation)):
-        blocks = [tuple(x for x, y in enumerate(el.images, 1) if y)]
-        label_map = lambda s: dict(enumerate(s.images, 1))
-    else:
-        from .lattice import SGLElement  # pair monoids only: S, I and T never load it
-
-        if not isinstance(el, SGLElement):
-            raise CatalogError(
-                f"unrecognized maximal subgroup structure at element type {type(el).__name__}"
-            )
-        a = el.lattice_element()
-        kind = getattr(el.context.lattice, "kind", None)
-        if a == ():
-            if len(group) != 1:
-                raise CatalogError("zero class with a nontrivial subgroup")
-            yield (), trivial_rep(group)
-            return
-        if kind == "subsets":
-            blocks = [a]
-        elif kind in ("ordered_partitions_zero", "set_partitions"):
-            blocks = [tuple(b) for b in a]
-            symmetric = False
-            if len(group) == 1 and prod(factorial(len(b)) for b in blocks) != 1:
-                # the definitional subgroup collapsed below its block
-                # structure (partition lattice); serve its one irreducible
-                yield (), trivial_rep(group)
-                return
-        else:
-            raise CatalogError(f"unrecognized lattice kind {kind!r}")
-        pts = tuple(x for b in blocks for x in b)
-
-        def label_map(x):
-            g = x.group_element()
-            return {p: g.apply(p) for p in pts}
-    if not blocks[0]:
+    if not hasattr(el, "young_blocks"):
+        raise CatalogError(
+            f"unrecognized maximal subgroup structure at element type {type(el).__name__}"
+        )
+    blocks, per_block = el.young_blocks(), el.labels_per_block()
+    if not any(blocks):
+        if len(group) != 1:
+            raise CatalogError("zero class with a nontrivial subgroup")
         yield (), trivial_rep(group)
         return
-    for shapes, rep in _young_irreps(group, blocks, label_map):
-        yield (shapes[0] if symmetric else shapes), rep
+    if per_block and len(group) == 1 and prod(factorial(len(b)) for b in blocks) != 1:
+        yield (), trivial_rep(group)
+        return
+    for shapes, rep in _young_irreps(group, blocks, el.young_move):
+        yield (shapes if per_block else shapes[0]), rep
 
 
 def jclass_irreps(monoid: FiniteMonoid, j: int):
@@ -459,13 +433,9 @@ def jclass_irreps(monoid: FiniteMonoid, j: int):
 
 def cm_catalog(monoid: FiniteMonoid) -> tuple:
     """One catalog entry per (J-class, subgroup irreducible), for inverse
-    monoids with recognized subgroup structure."""
-    sample = monoid.elements[0]
-    if isinstance(sample, Transformation) and not isinstance(sample, Permutation):
-        raise CatalogError(
-            "the catalog construction covers inverse monoids; full transformation "
-            "monoids are not semisimple and have no catalog here"
-        )
+    monoids with recognized subgroup structure; a monoid whose elements
+    name no Young blocks, T_n among them, is refused at its first J-class
+    (_group_irreps)."""
     cert = semisimple_predicate(monoid, 0)
     labels = apex_labels(monoid)
     entries = []
@@ -574,28 +544,23 @@ class RennerReport(NamedTuple):
     young_orders_match: bool
 
 
-def renner_permutohedron_catalog(n: int, with_catalog: bool = None):
-    """Catalog for the ordered-partition pair monoid plus its J-poset report.
+def renner_permutohedron_catalog(monoid: FiniteMonoid, with_catalog: bool = None):
+    """(catalog, J-poset report) of the ordered-partition pair monoid, the
+    sgl_monoid of lattice.make_lattice("ordered_partitions_zero", n).  The
+    type of a J-class is the block sizes of its idempotents (young_blocks).
 
     The full catalog is built for n <= 3 by default; at n = 4 the monoid has
     1801 elements and 23 entries of dimension up to 24, which take about
     1.5 s; only the structural report is produced there unless a catalog is
     forced.
     """
-    from .lattice import make_lattice, sgl_monoid
-
-    if n > 4:
-        raise ValueError("desk scale stops at n = 4")
+    n = monoid.elements[0].group_element().n
     if with_catalog is None:
         with_catalog = n <= 3
-    lat, action = make_lattice("ordered_partitions_zero", n)
-    monoid, ctx = sgl_monoid(action)
     catalog = cm_catalog(monoid) if with_catalog else None
     classes, poset = monoid_green(monoid)
-    types = []
-    for members in classes.jclasses:
-        a = monoid.elements[members[0]].lattice_element()
-        types.append(tuple(len(b) for b in a))
+    types = [tuple(len(b) for b in monoid.elements[idems[0]].young_blocks())
+             for idems in classes.jclass_idempotents]
     expected = set(compositions(n)) | {()}
     poset_ok = set(types) == expected and len(types) == len(expected)
     if poset_ok:
@@ -606,5 +571,4 @@ def renner_permutohedron_catalog(n: int, with_catalog: bool = None):
     orders = [len(maximal_subgroup(monoid, classes, idems[0]))
               for idems in classes.jclass_idempotents]
     young_ok = orders == [prod(factorial(p) for p in t) for t in types]
-    report = RennerReport(n, len(monoid), tuple(types), poset_ok, young_ok)
-    return monoid, catalog, report
+    return catalog, RennerReport(n, len(monoid), tuple(types), poset_ok, young_ok)

@@ -84,6 +84,10 @@ class _PartialMap:
         row = (0,) + self.images
         return cls._unchecked(tuple([row[y] for y in other.images]))
 
+    def apex_label(self) -> str:
+        """The name of s's J-class: J<rank>, as rank decides J in S, I and T."""
+        return f"J{self.rank}"
+
     def is_idempotent(self) -> bool:
         """Whether s fixes every point of its image, which is s * s = s: if
         s(y) = y for every y = s(x), each s(x) lies in the domain and
@@ -102,7 +106,27 @@ class _PartialMap:
         return [s.images for s in elements]
 
 
-class PartialBijection(_PartialMap):
+class _Injective:
+    """The maximal subgroup G_e at an idempotent e of S or I, as cliffmunn
+    reads it: e is the identity on its domain, the one block G_e permutes,
+    and irreducibles are labelled by their bare shape.  The other
+    transformations have none of this: T_n is not semisimple, and cliffmunn
+    refuses its subgroups."""
+
+    __slots__ = ()
+
+    def young_blocks(self) -> tuple:
+        return (tuple(x for x, y in enumerate(self.images, 1) if y),)
+
+    def labels_per_block(self) -> bool:
+        return False
+
+    def young_move(self, s) -> dict:
+        """Where the element s of G_e sends each point."""
+        return dict(enumerate(s.images, 1))
+
+
+class PartialBijection(_Injective, _PartialMap):
     """A partial bijection of [n]: a bijection X -> Y with X, Y subsets of [n].
 
     Its image tuple has distinct nonzero entries.  The empty domain gives
@@ -231,7 +255,7 @@ class Transformation(_PartialMap):
         return "[" + ",".join(str(x) for x in self.images) + "]"
 
 
-class Permutation(Transformation):
+class Permutation(_Injective, Transformation):
     """A Transformation whose images are a bijection of [n]."""
 
     __slots__ = ()
@@ -314,7 +338,7 @@ class FiniteMonoid:
         monoid._words = None
         monoid.identity_index = identity_index
         monoid.generator_indices = tuple(row[identity_index] for row in left)
-        monoid._index = {e: k for k, e in enumerate(monoid.elements)}
+        monoid._index = None
         return monoid
 
     def _edges(self):
@@ -456,6 +480,9 @@ class FiniteMonoid:
         return len(self.elements)
 
     def index(self, element) -> int:
+        """The position of element, from a dict built on the first call."""
+        if self._index is None:
+            self._index = {e: k for k, e in enumerate(self.elements)}
         return self._index[element]
 
     def idempotent_indices(self) -> tuple:

@@ -18,15 +18,15 @@ lclass_coordinates writes each t in L_e as s_i * g over a transversal {s_i}
 and G_e (the Schuetzenberger coordinates induction reads) as two integer
 lists.  monoid_green caches the structure on the monoid, so it is
 computed once, and maximal_subgroup caches each G_e beside it.
-apex_labels names each J-class for display (J<rank>, or block sizes for
-the pair monoids).
+apex_labels names each J-class for display, as its elements name
+themselves (apex_label: J<rank>, or block sizes for the pair monoids).
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .elements import FiniteMonoid, PartialBijection, Transformation, _bits, _greedy_generators
+from .elements import FiniteMonoid, _bits, _greedy_generators
 
 
 class GreenClasses(NamedTuple):
@@ -234,28 +234,14 @@ def idempotents(monoid: FiniteMonoid) -> tuple:
 
 
 def apex_labels(monoid: FiniteMonoid) -> tuple:
-    """The display label of every J-class, by J-class id: J<rank> for S, I
-    and T, J<size> for subset pairs, the block sizes for partition pairs."""
+    """The display label of every J-class, by J-class id: its least
+    element's apex_label(), or J<id> for elements that name none (the
+    tuples of a direct product)."""
     classes, _ = monoid_green(monoid)
     labels = []
     for j, members in enumerate(classes.jclasses):
-        el = monoid.elements[members[0]]
-        if isinstance(el, (PartialBijection, Transformation)):
-            labels.append(f"J{el.rank}")
-            continue
-        from .lattice import SGLElement  # pair monoids only: S, I and T never load it
-
-        if not isinstance(el, SGLElement):
-            labels.append(f"J{j}")
-        elif el.context.lattice.kind == "subsets":
-            labels.append(f"J{len(el.lattice_element())}")
-        elif el.lattice_element() == ():
-            labels.append("0")
-        else:
-            sizes = [len(b) for b in el.lattice_element()]
-            if el.context.lattice.kind == "set_partitions":
-                sizes.sort(reverse=True)
-            labels.append("(" + ",".join(str(x) for x in sizes) + ")")
+        label = getattr(monoid.elements[members[0]], "apex_label", None)
+        labels.append(f"J{j}" if label is None else label())
     return tuple(labels)
 
 

@@ -103,6 +103,19 @@ class FiniteLattice:
     def down_set(self, a: int) -> tuple:
         return tuple(_bits(self._down[a]))
 
+    def text(self, value) -> str:
+        """The printed form of a lattice element: {1,2} for a subset,
+        {{1},{2,3}} for a set partition, ({1},{2,3}) for an ordered one, and
+        0 for the adjoined minimum of the ordered partitions."""
+        if value == ():
+            return "0" if self.kind == "ordered_partitions_zero" else "{}"
+        if self.kind == "subsets":
+            return "{" + ",".join(str(x) for x in value) + "}"
+        blocks = ",".join("{" + ",".join(str(x) for x in b) + "}" for b in value)
+        if self.kind == "set_partitions":
+            return "{" + blocks + "}"
+        return "(" + blocks + ")"
+
     def __len__(self):
         return len(self.elements)
 
@@ -469,6 +482,33 @@ class SGLElement:
             rows.append(tuple(map(mul, shifted[x.g], inside[x.a])))
         return rows
 
+    def apex_label(self) -> str:
+        """The J-class of g_a, named by the orbit of a: J<size> for a
+        subset, 0 for the adjoined minimum, else the block sizes (largest
+        first for a set partition)."""
+        kind, a = self.context.lattice.kind, self.lattice_element()
+        if kind == "subsets":
+            return f"J{len(a)}"
+        sizes = [len(b) for b in a]
+        if kind == "set_partitions":
+            sizes.sort(reverse=True)
+        return "(" + ",".join(map(str, sizes)) + ")" if a else "0"
+
+    def young_blocks(self) -> tuple:
+        """At an idempotent e_a, the blocks of the Young subgroup that G_e
+        is checked to be (cliffmunn._young_irreps): a subset is one block, a
+        partition its blocks.  Labels hold one shape per block but for
+        subsets (labels_per_block)."""
+        a = self.lattice_element()
+        return (a,) if self.context.lattice.kind == "subsets" else a
+
+    def labels_per_block(self) -> bool:
+        return self.context.lattice.kind != "subsets"
+
+    def young_move(self, s: "SGLElement") -> dict:
+        """Where the element s = g_a of G_e sends each point: as g does."""
+        return dict(enumerate(s.group_element().images, 1))
+
     def group_element(self) -> Permutation:
         return self.context.group.elements[self.g]
 
@@ -491,6 +531,11 @@ class SGLElement:
 
     def __repr__(self):
         return f"SGL(g={self.context.group.elements[self.g]}, a={self.lattice_element()})"
+
+    def __str__(self):
+        """g in cycle-link form, @, and a as its lattice prints it."""
+        g = self.group_element().to_partial_bijection()
+        return f"{g}@{self.context.lattice.text(self.lattice_element())}"
 
 
 def sgl_canonical(context: SGLContext, g: Permutation, a: int) -> SGLElement:

@@ -838,18 +838,19 @@ def outer_tensor(*reps: Representation) -> Representation:
 
 # -- structured-text serialization -------------------------------------------
 
-def serialize_representation(rep: Representation, *, monoid_label: str, element_text=str) -> str:
-    """Line-oriented wire form: header, then per element a label line and
-    row-major matrix lines with entries as p/q strings."""
+def serialize_representation(rep: Representation, *, monoid_label: str) -> str:
+    """Line-oriented wire form: header, then per element a label line (str
+    of the element) and row-major matrix lines with entries as p/q strings,
+    each distinct numerator's text made once."""
     lines = [
         f"monoid: {monoid_label}",
         f"elements: {len(rep.monoid)}",
         f"dim: {rep.dim}",
     ]
+    text = {x: _ratio_text(x, rep.den) for x in set(_flat(_flat(rep.num)))}.__getitem__
     for k, el in enumerate(rep.monoid.elements):
-        lines.append(f"element {k} {element_text(el)}")
-        for row in rep.num[k]:
-            lines.append(" ".join(_ratio_text(x, rep.den) for x in row))
+        lines.append(f"element {k} {el}")
+        lines.extend(" ".join(map(text, row)) for row in rep.num[k])
     return "\n".join(lines) + "\n"
 
 

@@ -79,7 +79,8 @@ def i3_catalog(i3):
 
 @pytest.fixture(scope="module")
 def renner3():
-    return renner_permutohedron_catalog(3)
+    monoid, _ = sgl_monoid(make_lattice("ordered_partitions_zero", 3)[1])
+    return (monoid, *renner_permutohedron_catalog(monoid))
 
 
 def test_criterion_01_orders_by_enumeration():

@@ -73,6 +73,19 @@ GOLDEN_CASES = {
     "eggbox_t6_all": ["eggbox", "T:6", "--all"],
     "eggbox_i6_all": ["eggbox", "I:6", "--all"],
     "order_sgl_subsets6": ["order", "SGL:subsets:6"],
+    # set-partition text, and the FLAG on the Young-index sum
+    "order_sgl_partitions4": ["order", "SGL:partitions:4"],
+    # pair-monoid J-class labels: J<size> for subsets, sorted block sizes for partitions
+    "eggbox_sgl_subsets4_all": ["eggbox", "SGL:subsets:4", "--all"],
+    "eggbox_sgl_partitions4_all": ["eggbox", "SGL:partitions:4", "--all"],
+    # subset pairs label their irreducibles by one bare shape
+    "irreps_sgl_subsets4_check": ["irreps", "SGL:subsets:4", "--check"],
+    # the collapsed subgroup at (2,1) serves one () entry
+    "irreps_sgl_partitions3_check": ["irreps", "SGL:partitions:3", "--check"],
+    # subset-pair payload text, g@{...}
+    "rep_sgl_subsets3_induce_j2_11": ["rep", "SGL:subsets:3", "--build", "induce:J2:(1,1)"],
+    # the adjoined zero class of the ordered partitions, and its payload text g@0
+    "rep_sgl_ordperm3_induce_0": ["rep", "SGL:ordperm:3", "--build", "induce:0:()"],
 }
 
 
@@ -324,6 +337,11 @@ class TestIrrepsCommand:
     def test_tn_refused_exit_2(self):
         code, _ = invoke(["irreps", "T:3"])
         assert code == EXIT_PARSE
+
+    def test_tn_refusal_loads_no_representation_layer(self):
+        # the spec kind refuses T before any catalog code runs
+        proc = fresh_python(_LOAD_PROBE, "irreps", "T:3")
+        assert json.loads(proc.stdout) == [EXIT_PARSE, [], False], proc.stderr
 
     def test_subsets_matches_i3(self):
         code, text = invoke(["irreps", "SGL:subsets:3", "--check"])
@@ -796,6 +814,23 @@ class TestStructureWithoutNumpy:
     def test_representation_commands_load_no_numpy(self, argv):
         proc = fresh_python(_NUMPY_PROBE, *argv)
         assert json.loads(proc.stdout) == [EXIT_OK, False], proc.stderr
+
+    @pytest.mark.parametrize("spec", STRUCTURE_SPECS)
+    def test_structure_commands_build_no_element_index(self, spec, monkeypatch):
+        # FiniteMonoid.index builds its dict on first read; order and eggbox
+        # never read it
+        monkeypatch.chdir(GOLDEN_DIR.parent.parent)
+        built = []
+        real = FiniteMonoid._from_left_rows.__func__
+
+        def spy(cls, *args):
+            built.append(real(cls, *args))
+            return built[-1]
+
+        monkeypatch.setattr(FiniteMonoid, "_from_left_rows", classmethod(spy))
+        for argv in STRUCTURE_COMMANDS:
+            assert invoke([argv[0], spec, *argv[1:]])[0] == EXIT_OK
+        assert built and all(m._index is None for m in built)
 
 
 class TestLayerLoading:

@@ -57,6 +57,7 @@ from monoidrep.cliffmunn import (
     decompose,
     induce,
     induce_raw,
+    jclass_irreps,
     monoid_green,
     reduce_rep,
     renner_permutohedron_catalog,
@@ -99,7 +100,8 @@ def i3_catalog(i3):
 
 @pytest.fixture(scope="module")
 def renner3():
-    return renner_permutohedron_catalog(3)
+    monoid, _ = sgl_monoid(make_lattice("ordered_partitions_zero", 3)[1])
+    return (monoid, *renner_permutohedron_catalog(monoid))
 
 
 def rank_of_class(monoid, classes, j):
@@ -137,6 +139,15 @@ class TestReduce:
         assert len(red.group) == 6
         for el in red.group.elements:
             assert red.rep.matrix_of(el) == i3_map.matrix_of(el)
+
+    def test_carrier_is_the_image_of_phi_e(self):
+        # the column span of phi(e) is the image the echelon form gives
+        i4 = symmetric_inverse_monoid(4)
+        for big in [mapping_rep(i4)] + [en.rep for en in cm_catalog(i4)]:
+            for e in i4.idempotent_indices():
+                image = rref(Matrix._of(big.num[e], big.den)).image
+                carrier = reduce_rep(big, e).carrier
+                assert (carrier.num, carrier.den, carrier.pivots) == (image.num, image.den, image.pivots)
 
     def test_requires_idempotent(self, i3, i3_map):
         with pytest.raises(ValueError):
@@ -651,6 +662,15 @@ class TestCatalogs:
         with pytest.raises(CatalogError):
             cm_catalog(t3)
 
+    def test_tn_subgroups_are_not_served(self, t3):
+        # a maximal subgroup of T_3 permutes the image of its idempotent, but
+        # transformations name no Young blocks: every J-class is refused
+        classes, _ = monoid_green(t3)
+        for j in range(len(classes.jclasses)):
+            with pytest.raises(CatalogError, match="unrecognized maximal subgroup structure "
+                                                   "at element type Transformation$"):
+                list(jclass_irreps(t3, j))
+
 
 YOUNG_BLOCKS = [(1, 2, 3), (4, 5, 6)]
 SWAP_3_4 = {1: 1, 2: 2, 3: 4, 4: 3, 5: 5, 6: 6}
@@ -707,7 +727,8 @@ class TestRenner:
             assert cm_roundtrip_check(monoid, en)
 
     def test_n4_structure_report(self):
-        monoid, cat, report = renner_permutohedron_catalog(4)
+        monoid, _ = sgl_monoid(make_lattice("ordered_partitions_zero", 4)[1])
+        cat, report = renner_permutohedron_catalog(monoid)
         assert cat is None
         assert report.order == 1801
         assert len(report.jclass_types) == 9

@@ -203,6 +203,40 @@ class TestTransformation:
         assert Permutation([2, 3, 1]).sign() == 1
 
 
+YOUNG_ANSWERS = ("young_blocks", "labels_per_block", "young_move")
+
+
+class TestFamilyAnswers:
+    @pytest.mark.parametrize("build", [symmetric_group, symmetric_inverse_monoid,
+                                       full_transformation_monoid])
+    def test_apex_label_is_the_rank(self, build):
+        m = build(3)
+        assert all(el.apex_label() == f"J{el.rank}" for el in m.elements)
+
+    @pytest.mark.parametrize("build", [symmetric_group, symmetric_inverse_monoid])
+    def test_an_idempotent_names_its_domain_as_one_block(self, build):
+        m = build(3)
+        classes, _ = monoid_green(m)
+        for e in m.idempotent_indices():
+            el = m.elements[e]
+            domain = tuple(x for x in range(1, 4) if el.images[x - 1])
+            assert el.young_blocks() == (domain,)
+            assert el.labels_per_block() is False
+            for s in maximal_subgroup(m, classes, e).elements:
+                move = el.young_move(s)
+                assert {x: move[x] for x in domain} == {x: s.images[x - 1] for x in domain}
+
+    def test_transformations_name_no_young_blocks(self):
+        # a subgroup of T_n permutes the image of its idempotent, which is
+        # not the set of points a rank-deficient idempotent fixes as a
+        # partial identity; the answers stay off every plain transformation
+        for el in full_transformation_monoid(3).elements:
+            assert type(el) is Transformation
+            assert not any(hasattr(el, name) for name in YOUNG_ANSWERS)
+        assert all(hasattr(Permutation.identity(3), name) for name in YOUNG_ANSWERS)
+        assert all(hasattr(PartialBijection.zero(3), name) for name in YOUNG_ANSWERS)
+
+
 class TestClosure:
     def test_i2_from_generators(self):
         # brute force: all partial bijections of [2]
@@ -299,6 +333,12 @@ class TestFiniteMonoid:
         m = symmetric_group(3)
         with pytest.raises(TypeError):
             FiniteMonoid(m.elements, m.table, m.identity_index)
+
+    def test_the_element_index_is_built_on_first_read(self):
+        m = symmetric_inverse_monoid(3)
+        assert m._index is None
+        assert [m.index(el) for el in m.elements] == list(range(len(m)))
+        assert m._index is not None
 
     def test_product_monoid(self):
         p = product_monoid(symmetric_group(3), symmetric_group(2))

@@ -11,6 +11,7 @@ from monoidrep.elements import (
     Transformation,
     closure,
     full_transformation_monoid,
+    product_monoid,
     symmetric_group,
     symmetric_inverse_monoid,
 )
@@ -18,6 +19,7 @@ from monoidrep.green import (
     GreenClasses,
     JPoset,
     Transversal,
+    apex_labels,
     eggbox,
     green_structure,
     hclass_decompose,
@@ -117,6 +119,13 @@ class TestClasses:
             for a in range(poset.count):
                 for b in range(poset.count):
                     assert bool(poset.leq[a] >> b & 1) == (rank_of[a] <= rank_of[b])
+
+
+class TestApexLabels:
+    def test_tuples_take_their_class_id(self):
+        # a direct product's elements name no J-class
+        m = product_monoid(symmetric_inverse_monoid(1), symmetric_inverse_monoid(1))
+        assert apex_labels(m) == ("J0", "J1", "J2", "J3")
 
 
 class TestEggbox:

@@ -359,6 +359,54 @@ class TestCanonicalForm:
                     assert rule == same
 
 
+class TestPairText:
+    @pytest.mark.parametrize("kind,value,text", [
+        ("subsets", (), "{}"),
+        ("subsets", (1, 3), "{1,3}"),
+        ("set_partitions", ((1,), (2, 3)), "{{1},{2,3}}"),
+        ("ordered_partitions_zero", (), "0"),
+        ("ordered_partitions_zero", ((2, 3), (1,)), "({2,3},{1})"),
+    ])
+    def test_lattice_text(self, kind, value, text):
+        lat, action = make_lattice(kind, 3)
+        assert lat.text(value) == text
+        # a pair prints its group element in cycle-link form, then its lattice element
+        ctx = sgl_context(action)
+        pair = ctx.canonical(action.group.index(Permutation([2, 3, 1])), lat.index(value))
+        assert str(pair) == f"{pair.group_element().to_partial_bijection()}@{text}"
+
+    @pytest.mark.parametrize("kind,value,label", [
+        ("subsets", (), "J0"),
+        ("subsets", (1, 3), "J2"),
+        ("set_partitions", ((1,), (2, 3)), "(2,1)"),
+        ("set_partitions", ((1, 2, 3),), "(3)"),
+        ("ordered_partitions_zero", (), "0"),
+        ("ordered_partitions_zero", ((1,), (2, 3)), "(1,2)"),
+    ])
+    def test_apex_label(self, kind, value, label):
+        lat, action = make_lattice(kind, 3)
+        ctx = sgl_context(action)
+        for g in range(len(action.group)):  # the label is read off a alone
+            assert ctx.canonical(g, lat.index(value)).apex_label() == label
+
+    @pytest.mark.parametrize("kind,value,blocks,per_block", [
+        ("subsets", (), ((),), False),
+        ("subsets", (1, 3), ((1, 3),), False),
+        ("set_partitions", ((1,), (2, 3)), ((1,), (2, 3)), True),
+        ("ordered_partitions_zero", (), (), True),
+        ("ordered_partitions_zero", ((2, 3), (1,)), ((2, 3), (1,)), True),
+    ])
+    def test_young_answers_at_an_idempotent(self, kind, value, blocks, per_block):
+        lat, action = make_lattice(kind, 3)
+        ctx = sgl_context(action)
+        e = ctx.idempotent(lat.index(value))
+        assert e.young_blocks() == blocks
+        assert e.labels_per_block() is per_block
+        s = ctx.canonical(action.group.index(Permutation([2, 1, 3])), lat.index(value))
+        move = e.young_move(s)
+        assert all(move[p] == s.group_element().apply(p) for b in blocks for p in b)
+
+
 class TestPairArithmetic:
     def test_units_multiply_as_group(self, subsets3):
         lat, action = subsets3
