@@ -36,31 +36,28 @@ _EXPORTS = {
         "ClosureCapError", "DegreeMismatchError", "ElementParseError",
         "FiniteMonoid", "PartialBijection", "Permutation", "Transformation",
         "closure", "cycle_link_format", "cycle_link_parse",
-        "full_transformation_monoid", "product_monoid", "symmetric_group",
-        "symmetric_inverse_monoid",
+        "full_transformation_monoid", "symmetric_group", "symmetric_inverse_monoid",
     ),
     "green": (
         "Eggbox", "GreenClasses", "JPoset", "Transversal", "apex_labels",
-        "eggbox", "green_structure", "hclass_decompose", "idempotents",
-        "jclass_subgroup_iso", "lclass_coordinates", "maximal_subgroup",
-        "monoid_green", "transversal",
+        "eggbox", "green_structure", "hclass_decompose", "lclass_coordinates",
+        "maximal_subgroup", "monoid_green", "transversal",
     ),
     "lattice": (
         "FiniteLattice", "GroupAction", "LatticeError", "SGLContext",
-        "SGLElement", "sgl_context", "StabilizerPair", "make_lattice",
-        "partition_lattice_report", "sgl_canonical", "sgl_monoid", "sgl_order",
-        "stabilizers", "subsets_to_partial_bijection",
+        "SGLElement", "sgl_context", "make_lattice", "partition_lattice_report",
+        "sgl_monoid", "sgl_order", "subsets_to_partial_bijection",
     ),
     "linrep": (
         "Matrix", "Representation", "RrefResult", "Subspace",
         "VerificationError", "char_equal", "commutant_dim", "direct_sum",
-        "exterior_power", "intertwiner_space", "is_irreducible", "iso_test",
-        "mapping_rep", "one_dim_invariant_lines",
-        "outer_tensor", "parse_representation_payload", "quotient_rep",
-        "restrict_rep", "rref", "serialize_representation", "spin", "trivial_rep",
+        "exterior_power", "intertwiner_space", "is_irreducible",
+        "mapping_rep", "one_dim_invariant_lines", "parse_representation_payload",
+        "quotient_rep", "restrict_rep", "rref", "serialize_representation", "spin",
+        "trivial_rep",
     ),
     "specht": (
-        "SpechtData", "column_group", "compositions", "p_count", "partitions",
+        "SpechtData", "column_group", "compositions", "partitions",
         "polytabloid", "specht_rep", "standard_tableaux",
         "standard_tableaux_count", "tabloid_module", "tabloids",
     ),

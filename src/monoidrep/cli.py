@@ -177,10 +177,7 @@ def cmd_order(built: BuiltMonoid, out) -> int:
             lines.append(
                 f"young_index_agreement: {'yes' if p.matches_young_formula else 'no'}"
             )
-            if not p.matches_young_formula:
-                lines.append(
-                    "FLAG: definitional order differs from the Young-subgroup index sum"
-                )
+            lines += p.flags()
     print("\n".join(lines), file=out)
     return EXIT_OK
 

@@ -129,26 +129,24 @@ class InducedRaw(NamedTuple):
     block_map: tuple  # (J, G), each one k-tuple per element: t s_i = s_J g_G; -1 off L_e
 
 
-def _block_map(monoid: FiniteMonoid, classes, trans, group: FiniteMonoid) -> tuple:
+def _block_map(monoid: FiniteMonoid, classes, trans) -> tuple:
     """(J, G), one k-tuple each per element t: t s_i = s_J g where t s_i
-    lies in L_e, with J = J[t][i] and g at index G[t][i] in group's own
-    element order, and J = G = -1 where it does not.  t s_i is read from the
-    column of s_i in the left Cayley graph.  For the classes monoid_green
-    returns, each map is computed once and cached beside them, by the
-    transversal and the group it was computed for."""
+    lies in L_e, with J = J[t][i] and g at index G[t][i] of G_e, and
+    J = G = -1 where it does not.  t s_i is read from the column of s_i in
+    the left Cayley graph.  G[t][i] is the position of g in the H-class of
+    e, ascending (lclass_coordinates), and that is its index in
+    maximal_subgroup: the closure sorts G_e's elements canonically, as the
+    ambient monoid's are sorted.  For the classes monoid_green returns, each
+    map is computed once and cached beside them, by its transversal."""
     cached = getattr(monoid, "_green_cache", None)
     cache = monoid._block_map_cache if cached is not None and cached[0] is classes else {}
-    if (trans, group) not in cache:
+    if trans not in cache:
         block, local = lclass_coordinates(monoid, classes, trans)
-        # position in G_e (ascending) -> index in the group's own element order
-        ge = classes.hclasses[classes.hclass_of[trans.idempotent]]
-        to_group = [group.index(monoid.elements[g]) for g in ge]
         products = list(zip(*monoid.columns(trans.reps)))  # products[t][i] = t s_i
         big_j = tuple(tuple(block[p] for p in row) for row in products)
-        big_g = tuple(tuple(to_group[local[p]] if block[p] >= 0 else -1 for p in row)
-                      for row in products)
-        cache[trans, group] = big_j, big_g
-    return cache[trans, group]
+        big_g = tuple(tuple(local[p] for p in row) for row in products)
+        cache[trans] = big_j, big_g
+    return cache[trans]
 
 
 def induce_raw(monoid: FiniteMonoid, e: int, group_rep: Representation,
@@ -156,12 +154,17 @@ def induce_raw(monoid: FiniteMonoid, e: int, group_rep: Representation,
     """The block representation on |trans.reps| tagged copies of V: block
     (J, i) of phi(t) is rho(g) where t s_i = s_J g lies in L_e, else 0.
     Each phi(t) is written from its row of the (J, G) block map
-    (_block_map, which cm_roundtrip_check reads too)."""
+    (_block_map, which cm_roundtrip_check reads too), whose g indexes G_e
+    as maximal_subgroup orders it: ValueError for a group_rep over another
+    group."""
     classes, _ = monoid_green(monoid)
     if trans is None:
         trans = transversal(monoid, classes, e)
     group = group_rep.monoid
-    big_j, big_g = _block_map(monoid, classes, trans, group)
+    members = classes.hclasses[classes.hclass_of[e]]
+    if group.elements != tuple(monoid.elements[x] for x in members):
+        raise ValueError("group_rep is not a representation of the maximal subgroup at e")
+    big_j, big_g = _block_map(monoid, classes, trans)
     k, dv, blocks = len(trans.reps), group_rep.dim, group_rep.num
     zero = (0,) * (k * dv)
 
@@ -286,12 +289,9 @@ def _equivariant_projection(rep: Representation, sub: Subspace):
     return Matrix._of(tuple(tuple(sol[i:i + d]) for i in range(0, d * d, d)), solved.den)
 
 
-def decompose(rep: Representation, *, catalog=None, seed_order: str = "standard"):
-    """Split into irreducible factors; only valid with a semisimple certificate.
-
-    Returns the factors as representations, or as catalog entries matched by
-    character when a catalog is supplied.
-    """
+def decompose(rep: Representation, *, seed_order: str = "standard"):
+    """Split into irreducible factors, returned as representations; only
+    valid with a semisimple certificate."""
     cert = semisimple_predicate(rep.monoid, 0)
     if cert.status != "semisimple":
         raise ValueError(f"decompose requires a semisimple certificate: {cert.reason}")
@@ -320,17 +320,7 @@ def decompose(rep: Representation, *, catalog=None, seed_order: str = "standard"
         split(restrict_rep(v, complement))
 
     split(rep)
-    if catalog is None:
-        return tuple(factors)
-    return tuple(match_by_character(f, catalog) for f in factors)
-
-
-def match_by_character(rep: Representation, catalog) -> "CatalogEntry":
-    key = rep.character_key()
-    hits = [en for en in catalog if en.rep.character_key() == key]
-    if len(hits) != 1:
-        raise CatalogError(f"{len(hits)} catalog entries share the factor's character")
-    return hits[0]
+    return tuple(factors)
 
 
 # -- the Clifford-Munn catalogs ----------------------------------------------
@@ -363,7 +353,7 @@ def _young_irreps(group, blocks, to_label_map):
     irreducible, so their outer tensors are the product's irreducibles
     (Serre, Linear Representations of Finite Groups, Thm 10).  Each factor
     is read on G itself (specht._specht_action), and their per-element
-    kron, the first block major as in linrep.outer_tensor, is verified once.
+    kron, the first block's factor outermost, is verified once.
     """
     if len(group) != prod(factorial(len(b)) for b in blocks):
         raise CatalogError("subgroup does not match the Young product of its blocks")
@@ -508,7 +498,7 @@ def cm_roundtrip_check(monoid: FiniteMonoid, entry: CatalogEntry) -> bool:
         return False
     classes, _ = monoid_green(monoid)
     trans = transversal(monoid, classes, entry.idempotent)
-    big_j, big_g = _block_map(monoid, classes, trans, red.rep.monoid)
+    big_j, big_g = _block_map(monoid, classes, trans)
     traces = [sum(chi[g] for i, (j, g) in enumerate(zip(js, gs)) if j == i)
               for js, gs in zip(big_j, big_g)]
     common = gcd(den, *traces)

@@ -4,13 +4,12 @@ Points are 1-based: a degree-n object acts on [n] = {1, ..., n}.
 Composition is right-to-left everywhere: (s * t)(x) = s(t(x)), i.e. t acts
 first.  All element types are immutable values.  Every element of S, I and T
 is one encoding, its image tuple: images[x-1] = s(x), 0 where s is undefined.
-Every monoid is held as its left Cayley graph, in Python int lists: one
-closed from generators, as S_n, I_n and T_n are, is searched on the image
-rows of its elements, each left product composed once as a row and an
-element made only when its row is new, and a direct product's is written
-from its factors'.  Products, columns and squares are read along the graph's
-breadth-first tree, and so are the group actions (_compose_rows) and
-inverses (_inverses) of every layer.  numpy is loaded only with the dense
+Every monoid is held as its left Cayley graph, in Python int lists, closed
+from generators, as S_n, I_n and T_n are: it is searched on the image rows
+of its elements, each left product composed once as a row and an element
+made only when its row is new.  Products, columns and squares are read
+along the graph's breadth-first tree, and so are the group actions
+(_compose_rows) and inverses (_inverses) of every layer.  numpy is loaded only with the dense
 table, which no command reads.
 """
 
@@ -229,9 +228,6 @@ class Transformation(_PartialMap):
             raise ValueError(f"point out of range 1..{self.n}: {x}")
         return self.images[x - 1]
 
-    def image_set(self) -> tuple:
-        return tuple(sorted(set(self.images)))
-
     def kernel(self) -> tuple:
         """The fibers of the map, as a sorted tuple of sorted tuples."""
         fibers = {}
@@ -297,8 +293,6 @@ def canonical_key(x):
     """Sort key giving the canonical element order used for monoid tables."""
     if hasattr(x, "key"):
         return x.key()
-    if isinstance(x, tuple):
-        return tuple(canonical_key(c) for c in x)
     raise TypeError(f"no canonical order for {type(x).__name__}")
 
 
@@ -308,7 +302,7 @@ class FiniteMonoid:
 
     Every monoid holds its left Cayley graph as Python int lists: the
     generators' left rows left[k][x], the index of a_k * x.  Products,
-    columns, rows and squares are read along the graph's breadth-first tree
+    columns and squares are read along the graph's breadth-first tree
     (_edges), so the structure layers never load numpy.  The generators'
     columns, the right Cayley graph, are composed on first read and kept
     (_generator_columns).  The dense table,
@@ -318,8 +312,7 @@ class FiniteMonoid:
 
     A monoid comes into being only as a graph, by _from_left_rows:
     _closure finds the rows on the elements' image rows and certifies what
-    its search does not give by construction (_validate), and
-    product_monoid writes its rows from its factors'.
+    its search does not give by construction (_validate).
     FiniteMonoid(...) takes no arguments, so no table handed in from
     outside is ever mistaken for left rows.
     """
@@ -327,8 +320,8 @@ class FiniteMonoid:
     @classmethod
     def _from_left_rows(cls, elements, left, identity_index: int) -> "FiniteMonoid":
         """The monoid whose left rows are proved by _closure's search and
-        the _validate it calls on it, or by product_monoid's construction:
-        left[k][x] indexes a_k * x, and a_k = a_k * e is left[k][e]."""
+        the _validate it calls on it: left[k][x] indexes a_k * x, and
+        a_k = a_k * e is left[k][e]."""
         monoid = object.__new__(cls)
         monoid.elements = tuple(elements)
         monoid._table = None
@@ -387,10 +380,6 @@ class FiniteMonoid:
             j = row[j]
         return j
 
-    def products(self, xs, ys) -> list:
-        """The indices of x * y for the pairs of the index sequences xs, ys."""
-        return [self.mul(x, y) for x, y in zip(xs, ys)]
-
     def columns(self, targets) -> list:
         """The column x -> x * a of every a in targets, each a list over all
         x: the identity's entry is a, and (a_k * v) * a = a_k * (v * a), so
@@ -409,17 +398,6 @@ class FiniteMonoid:
         if self._columns is None:
             self._columns = self.columns(self.generator_indices)
         return self._columns
-
-    def rows(self, targets) -> list:
-        """The row y -> a * y of every a in targets, each a list over all y:
-        a's word (_word) applied to 0..n-1."""
-        out = []
-        for a in targets:
-            row = list(range(len(self.elements)))
-            for step in self._word(a):
-                row = list(map(step.__getitem__, row))
-            out.append(row)
-        return out
 
     def _validate(self, rows, generator_rows) -> None:
         """Raise ValueError unless the left rows left = self._left, found by
@@ -675,42 +653,6 @@ def closure(generators, identity=None, cap: int = DEFAULT_CLOSURE_CAP) -> Finite
     return _closure(generators, identity, cap)
 
 
-def product_monoid(*factors: FiniteMonoid) -> FiniteMonoid:
-    """Direct product; elements are tuples, one coordinate per factor, held
-    as the left Cayley graph of the factors' generators.
-
-    Flat index i has coordinate c_k(i) = (i // stride_k) % |M_k| in factor
-    k.  The generators are each factor's generators a, the other
-    coordinates at their identities.  The product is coordinatewise, so
-    such an a of factor k moves coordinate k alone: its left row sends i to
-    i + stride_k * (a * c_k(i) - c_k(i)), read from the factor's rows.
-    These rows are exact left products of the direct product, a monoid, so
-    they are its left Cayley graph, and the products read along them are
-    its product (see FiniteMonoid._word).  The generators generate it:
-    (x_1, ..., x_r) is the product of its coordinates embedded one at a
-    time, and each x_k is a word in the generators of M_k.  The identity is
-    the tuple of identities, and a = a * e lies in its row.
-    """
-    if not factors:
-        raise ValueError("need at least one factor")
-    sizes = [len(m) for m in factors]
-    strides = []
-    acc = 1
-    for s in reversed(sizes):
-        strides.append(acc)
-        acc *= s
-    strides.reverse()
-    elements = [tuple(t) for t in itertools.product(*(m.elements for m in factors))]
-
-    left = []
-    for m, stride, size in zip(factors, strides, sizes):
-        coordinate = [(i // stride) % size for i in range(acc)]
-        for row in m._left:
-            left.append([i + stride * (row[c] - c) for i, c in enumerate(coordinate)])
-    identity = sum(m.identity_index * s for m, s in zip(factors, strides))
-    return FiniteMonoid._from_left_rows(elements, left, identity)
-
-
 # -- the running examples: element sets in canonical order, read by no construction
 
 def all_partial_bijections(n: int):
@@ -721,20 +663,6 @@ def all_partial_bijections(n: int):
             for img in itertools.permutations(points, m):
                 out.append(PartialBijection(n, zip(dom, img)))
     return sorted(out, key=canonical_key)
-
-
-def all_transformations(n: int):
-    return sorted(
-        (Transformation(images) for images in itertools.product(range(1, n + 1), repeat=n)),
-        key=canonical_key,
-    )
-
-
-def all_permutations(n: int):
-    return sorted(
-        (Permutation(images) for images in itertools.permutations(range(1, n + 1))),
-        key=canonical_key,
-    )
 
 
 def _exact_closure(generators, identity, order: int) -> FiniteMonoid:

@@ -6,7 +6,7 @@ right Cayley graphs of the monoid's generating set, and the J-order is
 reachability in the two-sided graph; green_structure holds the proof.  This
 needs O(|S| |A|) memory, for a generating set A: both graphs, and the
 squares that give the idempotents of every J-class, are Python int lists
-read along the monoid's left Cayley graph (its rows, columns and mul), so
+read along the monoid's left Cayley graph (its columns and mul), so
 no table is composed and numpy is not loaded here.  The J-order is a
 tuple of int bitsets.  Class ids are assigned in order of least contained
 element, so all derived structure is deterministic.  Since the monoids here are finite,
@@ -18,8 +18,8 @@ lclass_coordinates writes each t in L_e as s_i * g over a transversal {s_i}
 and G_e (the Schuetzenberger coordinates induction reads) as two integer
 lists.  monoid_green caches the structure on the monoid, so it is
 computed once, and maximal_subgroup caches each G_e beside it.
-apex_labels names each J-class for display, as its elements name
-themselves (apex_label: J<rank>, or block sizes for the pair monoids).
+apex_labels names each J-class for display by its least element's
+apex_label(): J<rank>, or block sizes for the pair monoids.
 """
 
 from __future__ import annotations
@@ -142,11 +142,9 @@ def green_structure(monoid: FiniteMonoid):
     Let A = monoid.generating_set().  It generates S as a monoid: the
     closure's breadth-first search reaches every element of a monoid closed
     from A along A's left rows, which FiniteMonoid._validate proves are the
-    element product, and product_monoid's construction proves it of a
-    direct product.  So
-    every u in S is a product a_1 ... a_k of generators (k = 0 for the
-    identity), and xS = {x a_1 ... a_k} is exactly the set of nodes
-    reachable from x in the right graph x -> x a.  Hence xS = yS, that is x R y, iff x and y reach
+    element product.  So every u in S is a product a_1 ... a_k of
+    generators (k = 0 for the identity), and xS = {x a_1 ... a_k} is
+    exactly the set of nodes reachable from x in the right graph x -> x a.  Hence xS = yS, that is x R y, iff x and y reach
     each other: R-classes are the strongly connected components of the
     right graph.  Dually, Sx is the set reachable in the left graph
     x -> a x, and L-classes are its components.  By associativity, S x S =
@@ -224,25 +222,16 @@ def monoid_green(monoid: FiniteMonoid):
         cached = green_structure(monoid)
         monoid._green_cache = cached
         monoid._subgroup_cache = {}  # maximal_subgroup's, by idempotent
-        monoid._block_map_cache = {}  # cliffmunn._block_map's, by transversal and group
+        monoid._block_map_cache = {}  # cliffmunn._block_map's, by transversal
         monoid._semisimple_cache = {}  # cliffmunn.semisimple_predicate's, by characteristic
     return cached
 
 
-def idempotents(monoid: FiniteMonoid) -> tuple:
-    return monoid.idempotent_indices()
-
-
 def apex_labels(monoid: FiniteMonoid) -> tuple:
     """The display label of every J-class, by J-class id: its least
-    element's apex_label(), or J<id> for elements that name none (the
-    tuples of a direct product)."""
+    element's apex_label()."""
     classes, _ = monoid_green(monoid)
-    labels = []
-    for j, members in enumerate(classes.jclasses):
-        label = getattr(monoid.elements[members[0]], "apex_label", None)
-        labels.append(f"J{j}" if label is None else label())
-    return tuple(labels)
+    return tuple(monoid.elements[members[0]].apex_label() for members in classes.jclasses)
 
 
 def eggbox(monoid: FiniteMonoid, classes: GreenClasses, jclass: int) -> Eggbox:
@@ -344,37 +333,3 @@ def hclass_decompose(monoid: FiniteMonoid, classes: GreenClasses, trans: Transve
         raise ValueError("element is not in the L-class of e")
     block, local = lclass_coordinates(monoid, classes, trans)
     return block[t], classes.hclasses[classes.hclass_of[e]][local[t]]
-
-
-def jclass_subgroup_iso(monoid: FiniteMonoid, classes: GreenClasses, e: int, f: int, s: int):
-    """The isomorphism G_e -> G_f through g -> s g s*, as an index map.
-
-    s must lie in the H-class in the column (L-class) of G_e and the row
-    (R-class) of G_f; s* is its semigroup inverse there.
-    """
-    mul = monoid.mul
-    if mul(e, e) != e or mul(f, f) != f:
-        raise ValueError("e and f must be idempotent")
-    if classes.jclass_of[e] != classes.jclass_of[f]:
-        raise ValueError("e and f are not J-related")
-    if classes.lclass_of[s] != classes.lclass_of[e] or classes.rclass_of[s] != classes.rclass_of[f]:
-        raise ValueError("s is not in the required H-class")
-    (x_s,), (s_x,) = monoid.columns([s]), monoid.rows([s])  # x * s and s * x
-    # x s = e and s x = f, with (s x) s = f s and (x s) x = e x
-    stars = [
-        x for x in range(len(monoid))
-        if x_s[x] == e and s_x[x] == f and mul(f, s) == s and mul(e, x) == x
-    ]
-    if not stars:
-        raise ValueError("no semigroup inverse s* with s*s = e and ss* = f")
-    s_star = stars[0]
-    ge = classes.hclasses[classes.hclass_of[e]]
-    gf = set(classes.hclasses[classes.hclass_of[f]])
-    mapping = {g: mul(s_x[g], s_star) for g in ge}
-    if set(mapping.values()) != gf or len(set(mapping.values())) != len(ge):
-        raise RuntimeError("conjugation by s is not a bijection G_e -> G_f")
-    for g in ge:
-        for h in ge:
-            if mapping[mul(g, h)] != mul(mapping[g], mapping[h]):
-                raise RuntimeError("conjugation by s is not a homomorphism")
-    return mapping, s_star

@@ -197,29 +197,6 @@ class GroupAction:
         return tuple(out)
 
 
-class StabilizerPair(NamedTuple):
-    """Full and pointwise stabilizers of a lattice element, as index tuples."""
-
-    full: tuple
-    pointwise: tuple
-
-
-def stabilizers(action: GroupAction, a: int) -> StabilizerPair:
-    group, lat = action.group, action.lattice
-    full = tuple(g for g in range(len(group)) if action.table[g][a] == a)
-    below = lat.down_set(a)
-    pointwise = tuple(
-        g for g in full if all(action.table[g][c] == c for c in below)
-    )
-    inv = _inverses(group)
-    pw = set(pointwise)
-    for g in full:
-        for k in pointwise:
-            if group.mul(group.mul(g, k), inv[g]) not in pw:
-                raise RuntimeError("pointwise stabilizer is not normal in the full one")
-    return StabilizerPair(full, pointwise)
-
-
 # -- built-in lattices -------------------------------------------------------
 
 def make_lattice(kind: str, n: int):
@@ -538,10 +515,6 @@ class SGLElement:
         return f"{g}@{self.context.lattice.text(self.lattice_element())}"
 
 
-def sgl_canonical(context: SGLContext, g: Permutation, a: int) -> SGLElement:
-    return context.canonical(context.group.index(g), a)
-
-
 def sgl_monoid(action: GroupAction):
     """The full pair monoid as a FiniteMonoid: the closure of _sgl_generators,
     checked to have one element per canonical pair (elements._exact_closure)."""
@@ -629,16 +602,18 @@ class PartitionLatticeReport(NamedTuple):
     def matches_young_formula(self) -> bool:
         return self.definitional_order == self.young_formula_value
 
+    def flags(self) -> list:
+        """The FLAG line when the two orders differ, else nothing."""
+        if self.matches_young_formula:
+            return []
+        return ["FLAG: definitional order differs from the Young-subgroup index sum"]
+
     def flag_lines(self):
-        lines = [
+        return [
             f"definitional order: {self.definitional_order}",
             f"young index formula: {self.young_formula_value}",
+            *self.flags(),
         ]
-        if not self.matches_young_formula:
-            lines.append(
-                "FLAG: definitional order differs from the Young-subgroup index sum"
-            )
-        return lines
 
 
 def partition_lattice_report(action: GroupAction, order: SGLOrderReport) -> PartitionLatticeReport:

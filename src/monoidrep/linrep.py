@@ -27,7 +27,7 @@ from functools import cached_property
 from math import gcd, lcm
 from operator import getitem, index, itemgetter, mul
 
-from .elements import FiniteMonoid, check_budget, product_monoid
+from .elements import FiniteMonoid, check_budget
 
 _flat = itertools.chain.from_iterable
 
@@ -172,12 +172,6 @@ class Matrix:
         if len(num) != self.ncols:
             raise ValueError("vector length mismatch")
         return tuple(Fraction(x, self.den * den) for x in _apply(self.num, num))
-
-    def det(self) -> Fraction:
-        """det(N / d) = det(N) / d^n, with det(N) by Bareiss elimination."""
-        if self.nrows != self.ncols:
-            raise ValueError("determinant of a non-square matrix")
-        return Fraction(_bareiss(self.num), self.den ** self.nrows)
 
     def __eq__(self, other):
         return isinstance(other, Matrix) and self.den == other.den and self.num == other.num
@@ -404,10 +398,9 @@ class Subspace:
 
 class RrefResult:
     """The reduced row echelon form of a matrix, with its rank and pivots;
-    the kernel and the image are computed on first use."""
+    the kernel is computed on first use."""
 
     def __init__(self, matrix: Matrix):
-        self.matrix = matrix
         self.row_space = Subspace._span(matrix.ncols, matrix.num)
         self.rank = self.row_space.dim
         self.pivots = self.row_space.pivots
@@ -419,10 +412,6 @@ class RrefResult:
     @cached_property
     def kernel(self) -> Subspace:
         return self.row_space.orthogonal_complement()
-
-    @cached_property
-    def image(self) -> Subspace:
-        return Subspace._span(self.matrix.nrows, tuple(zip(*self.matrix.num)))
 
 
 def rref(matrix: Matrix) -> RrefResult:
@@ -534,9 +523,6 @@ class Representation:
     def matrices(self) -> tuple:
         """rho(s) for every element index s, as Matrix objects."""
         return tuple(Matrix._of(m, self.den) for m in self.num)
-
-    def matrix_of(self, element) -> Matrix:
-        return Matrix._of(self.num[self.monoid.index(element)], self.den)
 
     def _traces(self) -> list:
         diagonal = range(self.dim)
@@ -788,26 +774,6 @@ def is_irreducible(rep: Representation, certificate: str, *, certified_semisimpl
     return ("undetermined", None) if sub is None else ("no", sub)
 
 
-def iso_test(rep_v: Representation, rep_u: Representation, *, certified_semisimple: bool = False):
-    """("iso", witness) / ("not_iso", None) / ("undetermined", None)."""
-    if rep_v.dim != rep_u.dim:
-        return ("not_iso", None)
-    if rep_v.character_key() != rep_u.character_key():
-        return ("not_iso", None)
-    hom = intertwiner_space(rep_v, rep_u)
-    d = rep_v.dim
-    small = hom.dim and 5 ** hom.dim <= 4000
-    coeffs = itertools.product((-2, -1, 0, 1, 2), repeat=hom.dim) if small else ()
-    combos = (_combination(enumerate(c), hom.num, d * d) for c in coeffs if any(c))
-    for vec in itertools.chain(hom.num, combos):
-        x = Matrix._of(tuple(tuple(vec[i:i + d]) for i in range(0, d * d, d)), hom.den)
-        if rref(x).rank == d:
-            return ("iso", x)
-    if certified_semisimple:
-        return ("iso", None)
-    return ("undetermined", None)
-
-
 def exterior_power(rep: Representation, p: int) -> Representation:
     """Matrices of minors on the canonical ordered basis of p-subsets."""
     d = rep.dim
@@ -820,20 +786,6 @@ def exterior_power(rep: Representation, p: int) -> Representation:
         return tuple(tuple(_bareiss([[m[r][c] for c in j] for r in i]) for j in basis) for i in basis)
 
     return Representation._of(rep.monoid, _stack(len(rep.num), len(basis), matrix), rep.den ** p)
-
-
-def outer_tensor(*reps: Representation) -> Representation:
-    """Tensor product representation of the direct-product monoid."""
-    if not reps:
-        raise ValueError("need at least one factor")
-    monoid = product_monoid(*(r.monoid for r in reps))
-    num, den = reps[0].num, reps[0].den
-    for r in reps[1:]:  # kron(A[s], B[t]) at s * |B| + t, s major as in product_monoid
-        n = len(r.num)
-        num = _stack(len(num) * n, len(num[0]) * r.dim,
-                     lambda k, a=num, b=r.num: _kron(a[k // n], b[k % n]))
-        den *= r.den
-    return Representation._of(monoid, num, den)
 
 
 # -- structured-text serialization -------------------------------------------

@@ -36,19 +36,6 @@ def partitions(n: int) -> tuple:
     return tuple(rec(n, n))
 
 
-def p_count(n: int) -> int:
-    """Number of partitions of n, cross-checked against the generating function."""
-    count = len(partitions(n))
-    # coefficient of x^n in prod_{k>=1} 1/(1-x^k), truncated at degree n
-    series = [1] + [0] * n
-    for k in range(1, n + 1):
-        for d in range(k, n + 1):
-            series[d] += series[d - k]
-    if series[n] != count:
-        raise RuntimeError(f"partition count {count} disagrees with generating function {series[n]}")
-    return count
-
-
 def compositions(n: int) -> tuple:
     """All compositions of n (ordered tuples of positive parts)."""
     out = []

@@ -1,14 +1,38 @@
 """Reference routines shared by the test modules, each a former program path
-that no command calls: the left-row certificate that re-composes every
-left product, the build of a monoid from its elements alone with the
-greedy generating set, and the maximal subgroup of a pair monoid read off
-the stabilizer of one lattice element."""
+that no command calls, kept as an oracle for the path that replaced it or
+for a fact the program relies on:
 
+- certify_left_rows, the left-row certificate that re-composes every left
+  product, and certificate_inputs, what it reads of a monoid;
+- greedy_from_elements, the build of a monoid from its elements alone with
+  the greedy generating set;
+- all_permutations and all_transformations, S_n and T_n enumerated;
+- element_rows, the row y -> a * y of an element, read along its word;
+- jclass_subgroup_iso, the isomorphism G_e -> G_f between the maximal
+  subgroups of one J-class, which lets a catalog read one idempotent per
+  J-class;
+- stabilizers and maximal_subgroup_at, the maximal subgroup of a pair monoid
+  read off the stabilizer of one lattice element;
+- product_monoid and outer_tensor, the direct product as a left Cayley
+  graph and the outer tensor of representations over it, the oracle for
+  the per-block kron of cliffmunn._young_irreps.
+"""
+
+import itertools
 from operator import itemgetter
+from typing import NamedTuple
 
 import monoidrep.elements as elements_module
-from monoidrep.elements import FiniteMonoid, canonical_key
-from monoidrep.lattice import sgl_context, stabilizers
+import monoidrep.linrep as linrep_module
+from monoidrep.elements import (
+    FiniteMonoid,
+    Permutation,
+    Transformation,
+    _inverses,
+    canonical_key,
+)
+from monoidrep.lattice import GroupAction, sgl_context
+from monoidrep.linrep import Representation, _kron
 
 
 def certify_left_rows(rows, generator_rows, left, e):
@@ -70,9 +94,144 @@ def greedy_from_elements(elements, identity=None):
     return FiniteMonoid._from_left_rows(monoid.elements, [left[g] for g in gens], e)
 
 
+def all_transformations(n):
+    return sorted(
+        (Transformation(images) for images in itertools.product(range(1, n + 1), repeat=n)),
+        key=canonical_key,
+    )
+
+
+def all_permutations(n):
+    return sorted(
+        (Permutation(images) for images in itertools.permutations(range(1, n + 1))),
+        key=canonical_key,
+    )
+
+
+def element_rows(monoid, targets):
+    """The row y -> a * y of every a in targets, each a list over all y:
+    a's word (FiniteMonoid._word) applied to 0..n-1."""
+    out = []
+    for a in targets:
+        row = list(range(len(monoid)))
+        for step in monoid._word(a):
+            row = list(map(step.__getitem__, row))
+        out.append(row)
+    return out
+
+
+def jclass_subgroup_iso(monoid, classes, e, f, s):
+    """The isomorphism G_e -> G_f through g -> s g s*, as an index map.
+
+    s must lie in the H-class in the column (L-class) of G_e and the row
+    (R-class) of G_f; s* is its semigroup inverse there.
+    """
+    mul = monoid.mul
+    if mul(e, e) != e or mul(f, f) != f:
+        raise ValueError("e and f must be idempotent")
+    if classes.jclass_of[e] != classes.jclass_of[f]:
+        raise ValueError("e and f are not J-related")
+    if classes.lclass_of[s] != classes.lclass_of[e] or classes.rclass_of[s] != classes.rclass_of[f]:
+        raise ValueError("s is not in the required H-class")
+    (x_s,), (s_x,) = monoid.columns([s]), element_rows(monoid, [s])  # x * s and s * x
+    # x s = e and s x = f, with (s x) s = f s and (x s) x = e x
+    stars = [
+        x for x in range(len(monoid))
+        if x_s[x] == e and s_x[x] == f and mul(f, s) == s and mul(e, x) == x
+    ]
+    if not stars:
+        raise ValueError("no semigroup inverse s* with s*s = e and ss* = f")
+    s_star = stars[0]
+    ge = classes.hclasses[classes.hclass_of[e]]
+    gf = set(classes.hclasses[classes.hclass_of[f]])
+    mapping = {g: mul(s_x[g], s_star) for g in ge}
+    if set(mapping.values()) != gf or len(set(mapping.values())) != len(ge):
+        raise RuntimeError("conjugation by s is not a bijection G_e -> G_f")
+    for g in ge:
+        for h in ge:
+            if mapping[mul(g, h)] != mul(mapping[g], mapping[h]):
+                raise RuntimeError("conjugation by s is not a homomorphism")
+    return mapping, s_star
+
+
+class StabilizerPair(NamedTuple):
+    """Full and pointwise stabilizers of a lattice element, as index tuples."""
+
+    full: tuple
+    pointwise: tuple
+
+
+def stabilizers(action: GroupAction, a: int) -> StabilizerPair:
+    group, lat = action.group, action.lattice
+    full = tuple(g for g in range(len(group)) if action.table[g][a] == a)
+    below = lat.down_set(a)
+    pointwise = tuple(
+        g for g in full if all(action.table[g][c] == c for c in below)
+    )
+    inv = _inverses(group)
+    pw = set(pointwise)
+    for g in full:
+        for k in pointwise:
+            if group.mul(group.mul(g, k), inv[g]) not in pw:
+                raise RuntimeError("pointwise stabilizer is not normal in the full one")
+    return StabilizerPair(full, pointwise)
+
+
 def maximal_subgroup_at(action, a):
     """The group of pairs g_a with g.a = a, one element per coset."""
     ctx = sgl_context(action)
     members = sorted({ctx.canonical(g, a) for g in stabilizers(action, a).full},
                      key=lambda x: x.key())
     return greedy_from_elements(members, ctx.idempotent(a))
+
+
+def product_monoid(*factors):
+    """Direct product; elements are tuples, one coordinate per factor, held
+    as the left Cayley graph of the factors' generators.
+
+    Flat index i has coordinate c_k(i) = (i // stride_k) % |M_k| in factor
+    k.  The generators are each factor's generators a, the other
+    coordinates at their identities.  The product is coordinatewise, so
+    such an a of factor k moves coordinate k alone: its left row sends i to
+    i + stride_k * (a * c_k(i) - c_k(i)), read from the factor's rows.
+    These rows are exact left products of the direct product, a monoid, so
+    they are its left Cayley graph, and the products read along them are
+    its product (see FiniteMonoid._word).  The generators generate it:
+    (x_1, ..., x_r) is the product of its coordinates embedded one at a
+    time, and each x_k is a word in the generators of M_k.  The identity is
+    the tuple of identities, and a = a * e lies in its row.
+    """
+    if not factors:
+        raise ValueError("need at least one factor")
+    sizes = [len(m) for m in factors]
+    strides = []
+    acc = 1
+    for s in reversed(sizes):
+        strides.append(acc)
+        acc *= s
+    strides.reverse()
+    elements = [tuple(t) for t in itertools.product(*(m.elements for m in factors))]
+
+    left = []
+    for m, stride, size in zip(factors, strides, sizes):
+        coordinate = [(i // stride) % size for i in range(acc)]
+        for row in m._left:
+            left.append([i + stride * (row[c] - c) for i, c in enumerate(coordinate)])
+    identity = sum(m.identity_index * s for m, s in zip(factors, strides))
+    return FiniteMonoid._from_left_rows(elements, left, identity)
+
+
+def outer_tensor(*reps):
+    """Tensor product representation of the direct-product monoid."""
+    if not reps:
+        raise ValueError("need at least one factor")
+    monoid = product_monoid(*(r.monoid for r in reps))
+    num, den = reps[0].num, reps[0].den
+    # _stack is read from linrep at each call, so a test that wraps it there
+    # counts these writes too
+    for r in reps[1:]:  # kron(A[s], B[t]) at s * |B| + t, s major as in product_monoid
+        n = len(r.num)
+        num = linrep_module._stack(len(num) * n, len(num[0]) * r.dim,
+                                   lambda k, a=num, b=r.num: _kron(a[k // n], b[k % n]))
+        den *= r.den
+    return Representation._of(monoid, num, den)

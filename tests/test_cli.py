@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 import time
@@ -25,7 +26,7 @@ from monoidrep.cli import (
     parse_label,
     run,
 )
-from monoidrep import cli, cliffmunn, elements, green, lattice, linrep, specht
+from monoidrep import cli, cliffmunn, elements, green, lattice, specht
 from monoidrep.cliffmunn import cm_catalog, induce
 from monoidrep.elements import FiniteMonoid
 from monoidrep.linrep import Representation, parse_representation_payload
@@ -102,6 +103,31 @@ def test_golden(name, monkeypatch):
     assert code == EXIT_OK
     expected = (GOLDEN_DIR / f"{name}.txt").read_text()
     assert text == expected
+
+
+WORKFLOW = GOLDEN_DIR.parent.parent / ".github" / "workflows" / "tests.yml"
+# goldens the workflow diffs but tier-1 does not run, for their time
+TIMED_GOLDENS = {"irreps_i6_check"}
+
+
+def workflow_goldens():
+    """{golden name: monoidrep argv} for each workflow line that pipes a
+    monoidrep command into diff against a golden file."""
+    cases = {}
+    for line in WORKFLOW.read_text().splitlines():
+        command, bar, target = line.partition("| diff - tests/golden/")
+        if bar:
+            argv = shlex.split(command)
+            cases[target.strip().removesuffix(".txt")] = argv[argv.index("monoidrep") + 1:]
+    return cases
+
+
+def test_the_workflow_diffs_every_golden_case():
+    diffed = workflow_goldens()
+    assert all((GOLDEN_DIR / f"{name}.txt").is_file() for name in diffed)
+    assert set(diffed) - set(GOLDEN_CASES) == TIMED_GOLDENS
+    assert set(GOLDEN_CASES) <= set(diffed)
+    assert all(diffed[name] == argv for name, argv in GOLDEN_CASES.items())
 
 
 def test_reports_are_deterministic():
@@ -469,7 +495,8 @@ class TestRepCommand:
     @pytest.mark.parametrize("spec", ["SGL:ordperm:3", "I:4"])
     def test_catalog_verifies_each_subgroup_irreducible_once(self, monkeypatch, spec):
         # each irreducible of G_e is built on G_e and verified there once:
-        # no S_m, direct product or outer tensor is built beside it
+        # no S_m is built beside it (direct products and outer tensors are
+        # test oracles only)
         monoid = parse_and_build(spec).monoid
         monkeypatch.setattr(specht, "_SPECHT_CACHE", {})
         monkeypatch.setattr(specht, "_SYMMETRIC_GROUPS", {})
@@ -479,9 +506,7 @@ class TestRepCommand:
                 raise AssertionError(f"{name} was called")
             return call
 
-        for module, name in ((specht, "symmetric_group"), (elements, "product_monoid"),
-                             (linrep, "product_monoid"), (linrep, "outer_tensor")):
-            monkeypatch.setattr(module, name, refused(name))
+        monkeypatch.setattr(specht, "symmetric_group", refused("symmetric_group"))
         verified, verify = [], Representation.verify
         monkeypatch.setattr(Representation, "verify", lambda self: verified.append(self) or verify(self))
         catalog = cm_catalog(monoid)
@@ -595,7 +620,7 @@ RECORD_TYPES = (
     green.GreenClasses, green.JPoset, green.Eggbox, green.Transversal,
     cliffmunn.CatalogEntry, cliffmunn.InducedRaw, cliffmunn.ReducedRep,
     cliffmunn.SemisimpleReport, cliffmunn.RennerReport,
-    lattice.StabilizerPair, lattice.SGLOrderReport, lattice.PartitionLatticeReport,
+    lattice.SGLOrderReport, lattice.PartitionLatticeReport,
     specht.SpechtData, cli.BuiltMonoid,
 )
 
@@ -691,7 +716,7 @@ REPRESENTATION_ARGVS = [
     ["irreps", "SGL:partitions:3", "--check"],
     # S_3 at a non-identity idempotent of a non-inverse monoid
     ["rep", "T:4", "--build", "reduce:mapping:J3"],
-    # Young subgroups through product_monoid
+    # a Young subgroup's irreducibles: per-block Specht modules, kron'd on G_e
     ["rep", "SGL:ordperm:3", "--build", "induce:(1,2):((1),(2))"],
     ["rep", "S:6", "--build", "specht:(4,2)"],
 ]

@@ -11,7 +11,6 @@ from monoidrep.elements import (
     Transformation,
     closure,
     full_transformation_monoid,
-    product_monoid,
     symmetric_group,
     symmetric_inverse_monoid,
 )
@@ -19,19 +18,16 @@ from monoidrep.green import (
     GreenClasses,
     JPoset,
     Transversal,
-    apex_labels,
     eggbox,
     green_structure,
     hclass_decompose,
-    idempotents,
-    jclass_subgroup_iso,
     lclass_coordinates,
     maximal_subgroup,
     monoid_green,
     transversal,
 )
 from monoidrep.lattice import make_lattice, sgl_monoid
-from oracles import greedy_from_elements
+from oracles import greedy_from_elements, jclass_subgroup_iso
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +104,7 @@ class TestClasses:
                     els[a].kernel() == els[b].kernel()
                 )
                 assert (classes.rclass_of[a] == classes.rclass_of[b]) == (
-                    els[a].image_set() == els[b].image_set()
+                    set(els[a].images) == set(els[b].images)
                 )
 
     def test_in_jposet_is_the_rank_chain(self):
@@ -119,13 +115,6 @@ class TestClasses:
             for a in range(poset.count):
                 for b in range(poset.count):
                     assert bool(poset.leq[a] >> b & 1) == (rank_of[a] <= rank_of[b])
-
-
-class TestApexLabels:
-    def test_tuples_take_their_class_id(self):
-        # a direct product's elements name no J-class
-        m = product_monoid(symmetric_inverse_monoid(1), symmetric_inverse_monoid(1))
-        assert apex_labels(m) == ("J0", "J1", "J2", "J3")
 
 
 class TestEggbox:
@@ -209,6 +198,25 @@ class TestSubgroups:
         with pytest.raises(ValueError):
             maximal_subgroup(m, classes, s)
 
+    @pytest.mark.parametrize("build", [
+        lambda: symmetric_group(4),
+        lambda: symmetric_inverse_monoid(4),
+        lambda: full_transformation_monoid(4),
+        lambda: symmetric_inverse_monoid(5),
+        lambda: sgl_monoid(make_lattice("subsets", 3)[1])[0],
+        lambda: sgl_monoid(make_lattice("ordered_partitions_zero", 3)[1])[0],
+        lambda: sgl_monoid(make_lattice("ordered_partitions_zero", 4)[1])[0],
+        lambda: sgl_monoid(make_lattice("set_partitions", 4)[1])[0],
+    ], ids=["S4", "I4", "T4", "I5", "subsets3", "ordperm3", "ordperm4", "partitions4"])
+    def test_elements_are_the_hclass_in_ambient_order(self, build):
+        # G_e's element k is the k-th member of H_e, ascending: the index
+        # lclass_coordinates, cliffmunn._block_map and reduce_rep read G_e by
+        m = build()
+        classes, _ = monoid_green(m)
+        for e in m.idempotent_indices():
+            members = classes.hclasses[classes.hclass_of[e]]
+            assert maximal_subgroup(m, classes, e).elements == tuple(m.elements[x] for x in members)
+
 
 class TestTransversal:
     def test_e_represents_itself(self, i3):
@@ -232,7 +240,7 @@ class TestTransversal:
         for n in (2, 3):
             m = symmetric_inverse_monoid(n)
             classes, _ = green_structure(m)
-            for e in idempotents(m):
+            for e in m.idempotent_indices():
                 tr = transversal(m, classes, e)
                 ge = classes.hclasses[classes.hclass_of[e]]
                 for t in classes.lclasses[classes.lclass_of[e]]:
@@ -248,7 +256,7 @@ class TestTransversal:
 
     def test_t3_decomposition_unique(self, t3):
         m, classes, _ = t3
-        for e in idempotents(m):
+        for e in m.idempotent_indices():
             tr = transversal(m, classes, e)
             for t in classes.lclasses[classes.lclass_of[e]]:
                 i, g = hclass_decompose(m, classes, tr, t)
