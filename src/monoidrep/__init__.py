@@ -49,12 +49,11 @@ _EXPORTS = {
         "sgl_monoid", "sgl_order", "subsets_to_partial_bijection",
     ),
     "linrep": (
-        "Matrix", "Representation", "RrefResult", "Subspace",
-        "VerificationError", "char_equal", "commutant_dim", "direct_sum",
-        "exterior_power", "intertwiner_space", "is_irreducible",
-        "mapping_rep", "one_dim_invariant_lines", "parse_representation_payload",
-        "quotient_rep", "restrict_rep", "rref", "serialize_representation", "spin",
-        "trivial_rep",
+        "Representation", "Subspace", "VerificationError", "char_equal",
+        "commutant_dim", "direct_sum", "exterior_power", "intertwiner_space",
+        "is_irreducible", "mapping_rep", "one_dim_invariant_lines",
+        "parse_representation_payload", "quotient_rep", "restrict_rep",
+        "serialize_representation", "spin", "trivial_rep",
     ),
     "specht": (
         "SpechtData", "column_group", "compositions", "partitions",

@@ -25,7 +25,6 @@ from .green import (
     transversal,
 )
 from .linrep import (
-    Matrix,
     Representation,
     Subspace,
     _identity,
@@ -36,7 +35,6 @@ from .linrep import (
     find_proper_invariant,
     quotient_rep,
     restrict_rep,
-    rref,
     trivial_rep,
 )
 from .specht import _specht_action, compositions, partitions
@@ -272,7 +270,8 @@ def _equivariant_projection(rep: Representation, sub: Subspace):
     every phi(g); p u = u for the basis rows u of sub, one row kron(e_i, u)
     per coordinate i; and f p = 0 for the rows f of sub's orthogonal
     complement, one row kron(f, e_j) per coordinate j.  Its least solution
-    (free unknowns 0) is read off the echelon form; None if it has none.
+    (free unknowns 0) is read off the echelon form, as integer rows over
+    one denominator (num, den); None if it has none.
     """
     d = rep.dim
     ident = _identity(d)
@@ -286,7 +285,7 @@ def _equivariant_projection(rep: Representation, sub: Subspace):
     sol = [0] * (d * d)
     for p, row in zip(solved.pivots, solved.num):
         sol[p] = row[-1]
-    return Matrix._of(tuple(tuple(sol[i:i + d]) for i in range(0, d * d, d)), solved.den)
+    return tuple(tuple(sol[i:i + d]) for i in range(0, d * d, d)), solved.den
 
 
 def decompose(rep: Representation, *, seed_order: str = "standard"):
@@ -313,7 +312,7 @@ def decompose(rep: Representation, *, seed_order: str = "standard"):
                 "no equivariant projection onto an invariant subspace; "
                 "this contradicts the semisimplicity certificate"
             )
-        complement = rref(p).kernel
+        complement = Subspace._span(v.dim, p[0]).orthogonal_complement()
         if complement.dim + sub.dim != v.dim:
             raise RuntimeError("projection kernel has the wrong dimension")
         split(restrict_rep(v, sub))

@@ -480,8 +480,7 @@ class FiniteMonoid:
         return all(len(set(row)) == n for row in self._left)
 
     def generating_set(self) -> tuple:
-        """The recorded generator indices, or the greedy set recorded when
-        none were given."""
+        """The indices of the generators the monoid was closed from."""
         return self.generator_indices
 
     @classmethod

@@ -182,9 +182,6 @@ class GroupAction:
                 if image != leq[perm[a]]:
                     raise LatticeError("some group element is not a poset automorphism")
 
-    def act(self, g: int, a: int) -> int:
-        return self.table[g][a]
-
     def orbits(self) -> tuple:
         seen = set()
         out = []
@@ -433,9 +430,6 @@ class SGLElement:
 
     def act_on_a(self) -> int:
         return self.context.action.table[self.g][self.a]
-
-    def is_idempotent(self) -> bool:
-        return (self * self) == self
 
     def identity_element(self) -> "SGLElement":
         ctx = self.context

@@ -1,16 +1,18 @@
 """Exact rational linear algebra and verified monoid representations.
 
-Every exact matrix is stored one way: a tuple of row tuples of Python int
+Every exact matrix is held one way: a tuple of row tuples of Python int
 numerators over one positive denominator, in lowest terms, so that equality
 and hashing are exact and canonical and no matrix can be written to.  A
-subspace is its reduced echelon basis in the same form.  One fraction-free
-Gauss-Jordan kernel serves every elimination, and no floating point is
-involved anywhere.  Fractions appear only at the edges: matrices and vectors
-are accepted as anything Fraction() accepts, and read back through the rows
-and basis views.  Integer numerators handed to a public constructor pass
-through operator.index once, which takes numpy integers without importing
-numpy, turns bools into 0 and 1, and refuses floats.  numpy is not imported
-here.
+representation's stack, a subspace's reduced echelon basis, an action
+restricted to a subspace and a parsed payload are all in this form, and the
+private helpers here (_apply, _product, _kron, _eigenspace) read and write
+it.  One fraction-free Gauss-Jordan kernel serves every elimination, and no
+floating point is involved anywhere.  Fractions appear only at the edges:
+vectors are accepted as anything Fraction() accepts (Subspace.from_vectors,
+contains, coords), and a basis is read back through the basis view.
+Integer numerators handed to a public constructor pass through
+operator.index once, which takes numpy integers without importing numpy,
+turns bools into 0 and 1, and refuses floats.  numpy is not imported here.
 
 A Representation is one tuple of such matrices, one per element, over one
 denominator.  Its constructor proves the homomorphism law on every pair of
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from operator import getitem, index, itemgetter, mul
 
@@ -69,10 +70,6 @@ def _lowest(num, den):
     return num, den
 
 
-def _scaled(rows, k) -> tuple:
-    return rows if k == 1 else tuple(tuple(x * k for x in row) for row in rows)
-
-
 def _identity(n: int, value: int = 1) -> tuple:
     return tuple(tuple(value if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -90,97 +87,15 @@ def _combination(terms, rows, length: int) -> list:
     return out
 
 
+def _product(a, b) -> tuple:
+    """The product of two integer matrices."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+
+
 def _kron(a, b) -> tuple:
     """The Kronecker product of two integer matrices, a's indices major."""
     return tuple(tuple(x * y for x in ra for y in rb) for ra in a for rb in b)
-
-
-class Matrix:
-    """An immutable exact-rational matrix: num / den in lowest terms."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, rows):
-        self._set(*_numerators(rows))
-
-    @classmethod
-    def from_numerators(cls, num, den: int = 1) -> "Matrix":
-        """The matrix num / den for integer rows num and a positive den."""
-        num = _exact_rows(num)
-        if len({len(row) for row in num}) > 1:
-            raise ValueError("ragged rows")
-        return cls._of(num, _positive(den))
-
-    @classmethod
-    def _of(cls, num, den: int) -> "Matrix":
-        """num / den for rows already held as tuples of Python ints."""
-        m = cls.__new__(cls)
-        m._set(num, den)
-        return m
-
-    def _set(self, num, den):
-        num, den = _lowest(num, den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls._of(_identity(n), 1)
-
-    @property
-    def rows(self) -> tuple:
-        """The entries as a tuple of Fraction rows."""
-        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.num)
-
-    @property
-    def nrows(self) -> int:
-        return len(self.num)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.num[0]) if self.num else 0
-
-    def __mul__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        cols = tuple(zip(*other.num))
-        num = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.num)
-        return Matrix._of(num, self.den * other.den)
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        p, q = other.den, self.den
-        return Matrix._of(tuple(tuple(x * p + y * q for x, y in zip(r, s))
-                                for r, s in zip(self.num, other.num)), p * q)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "Matrix":
-        c = Fraction(c)
-        return Matrix._of(_scaled(self.num, c.numerator), self.den * c.denominator)
-
-    def apply(self, vector) -> tuple:
-        """The matrix acting on a column vector, returned as a tuple."""
-        (num,), den = _numerators([vector])
-        if len(num) != self.ncols:
-            raise ValueError("vector length mismatch")
-        return tuple(Fraction(x, self.den * den) for x in _apply(self.num, num))
-
-    def __eq__(self, other):
-        return isinstance(other, Matrix) and self.den == other.den and self.num == other.num
-
-    def __hash__(self):
-        return hash((self.den, self.num))
-
-    def __repr__(self):
-        return f"Matrix({[[str(x) for x in row] for row in self.rows]})"
 
 
 def _bareiss(num) -> int:
@@ -396,28 +311,6 @@ class Subspace:
         return f"Subspace(dim={self.dim} of {self.ambient})"
 
 
-class RrefResult:
-    """The reduced row echelon form of a matrix, with its rank and pivots;
-    the kernel is computed on first use."""
-
-    def __init__(self, matrix: Matrix):
-        self.row_space = Subspace._span(matrix.ncols, matrix.num)
-        self.rank = self.row_space.dim
-        self.pivots = self.row_space.pivots
-
-    @property
-    def echelon(self) -> Matrix:
-        return Matrix._of(self.row_space.num, self.row_space.den)
-
-    @cached_property
-    def kernel(self) -> Subspace:
-        return self.row_space.orthogonal_complement()
-
-
-def rref(matrix: Matrix) -> RrefResult:
-    return RrefResult(matrix)
-
-
 # -- representations ---------------------------------------------------------
 
 class Representation:
@@ -425,14 +318,6 @@ class Representation:
     rho(s) = num[s] / den, with num a tuple of d x d integer matrices (tuples
     of row tuples of Python ints), one per element, and den positive, in
     lowest terms with all of num."""
-
-    def __init__(self, monoid: FiniteMonoid, matrices):
-        """From one Matrix per element, brought over one denominator."""
-        matrices = tuple(matrices)
-        if len({(m.nrows, m.ncols) for m in matrices}) > 1:
-            raise ValueError("matrices must be square and of equal size")
-        den = lcm(*(m.den for m in matrices))
-        self._set(monoid, tuple(_scaled(m.num, den // m.den) for m in matrices), den)
 
     @classmethod
     def from_numerators(cls, monoid: FiniteMonoid, num, den: int = 1) -> "Representation":
@@ -518,11 +403,6 @@ class Representation:
                 if take_r(here) != take_c(there) or sums and any(
                         sum([v * here[r] for r, v in terms]) != den * there[c] for c, terms in sums):
                     raise VerificationError(f"homomorphism fails at pair ({s}, {a})")
-
-    @property
-    def matrices(self) -> tuple:
-        """rho(s) for every element index s, as Matrix objects."""
-        return tuple(Matrix._of(m, self.den) for m in self.num)
 
     def _traces(self) -> list:
         diagonal = range(self.dim)
@@ -684,6 +564,14 @@ def commutant_dim(rep: Representation) -> int:
     return intertwiner_space(rep, rep).dim
 
 
+def _eigenspace(m, den: int, lam: int) -> Subspace:
+    """The eigenspace of m / den for the eigenvalue lam, for integer rows m:
+    the kernel of m / den - lam I is that of m - lam den I."""
+    shift = lam * den
+    shifted = [[x - shift if i == j else x for j, x in enumerate(row)] for i, row in enumerate(m)]
+    return Subspace._span(len(m), shifted).orthogonal_complement()
+
+
 def one_dim_invariant_lines(rep: Representation):
     """All simultaneous eigenvector subspaces with monoid-consistent scalars.
 
@@ -694,29 +582,29 @@ def one_dim_invariant_lines(rep: Representation):
     (scalar assignment, eigenspace) pairs with nonzero eigenspace; the union
     of the eigenspaces carries every invariant line.
     """
-    gens = [Matrix._of(rep.num[g], rep.den) for g in rep.monoid.generating_set()]
-    ident = Matrix.identity(rep.dim)
-    cands = []
-    for m in gens:
-        if rref(m).rank == rep.dim:
-            cands.append((1, -1))
-        elif m * m == m:
-            cands.append((0, 1))
+    d, den = rep.dim, rep.den
+    eigenspaces = []  # per generator, (c(g), eigenspace) for each candidate c(g)
+    for g in rep.monoid.generating_set():
+        m = rep.num[g]
+        if Subspace._span(d, m).dim == d:
+            cands = (1, -1)
+        elif _product(m, m) == tuple(tuple(den * x for x in row) for row in m):
+            cands = (0, 1)
         else:
-            cands.append((0, 1, -1))
+            cands = (0, 1, -1)
+        eigenspaces.append([(lam, _eigenspace(m, den, lam)) for lam in cands])
     found = []
 
     def descend(k, space, scalars):
         if space.dim == 0:
             return
-        if k == len(gens):
+        if k == len(eigenspaces):
             found.append((tuple(scalars), space))
             return
-        for lam in cands[k]:
-            eig = rref(gens[k] - ident.scale(lam)).kernel
+        for lam, eig in eigenspaces[k]:
             descend(k + 1, space.intersection(eig), scalars + [lam])
 
-    descend(0, Subspace.full(rep.dim), [])
+    descend(0, Subspace.full(d), [])
     return tuple(found)
 
 
@@ -737,11 +625,9 @@ def find_proper_invariant(rep: Representation, seed_order: str = "standard"):
     if lines:
         return Subspace._span(d, [lines[-1] if seed_order == "reversed" else lines[0]])
     seeds = []
-    for m in rep.num:  # the kernel of phi(s) - lam I is that of num[s] - lam den I
+    for m in rep.num:
         for lam in (-1, 0, 1):
-            shift = lam * rep.den
-            shifted = [[x - shift if i == j else x for j, x in enumerate(row)] for i, row in enumerate(m)]
-            seeds.extend(Subspace._span(d, shifted).orthogonal_complement().num)
+            seeds.extend(_eigenspace(m, rep.den, lam).num)
     seeds.extend(_identity(d))
     if seed_order == "reversed":
         seeds.reverse()
@@ -820,7 +706,9 @@ def _ratio_text(x: int, den: int) -> str:
 def parse_representation_payload(text: str):
     """Inverse of serialize_representation, up to the element objects.
 
-    Returns (header dict, element label list, matrices).
+    Returns (header dict, element label list, num, den): one integer matrix
+    per element over one positive denominator, in lowest terms with all of
+    num, as a Representation holds its stack.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     header = {}
@@ -831,16 +719,14 @@ def parse_representation_payload(text: str):
         pos += 1
     count = int(header["elements"])
     dim = int(header["dim"])
-    labels, matrices = [], []
+    labels, rows = [], []
     for _ in range(count):
         tag, idx, label = lines[pos].split(" ", 2)
         if tag != "element" or int(idx) != len(labels):
             raise ValueError(f"bad element header line: {lines[pos]!r}")
-        pos += 1
-        rows = []
-        for _ in range(dim):
-            rows.append([Fraction(tok) for tok in lines[pos].split()])
-            pos += 1
+        rows.extend(ln.split() for ln in lines[pos + 1:pos + 1 + dim])
+        pos += 1 + dim
         labels.append(label)
-        matrices.append(Matrix(rows))
-    return header, labels, matrices
+    # the least common denominator of reduced fractions leaves no common factor
+    flat, den = _numerators(rows)
+    return header, labels, tuple(flat[k:k + dim] for k in range(0, len(flat), dim)), den

@@ -15,10 +15,17 @@ for a fact the program relies on:
   read off the stabilizer of one lattice element;
 - product_monoid and outer_tensor, the direct product as a left Cayley
   graph and the outer tensor of representations over it, the oracle for
-  the per-block kron of cliffmunn._young_irreps.
+  the per-block kron of cliffmunn._young_irreps;
+- exact matrices as tuples of Fraction rows (fraction_rows,
+  fraction_matrices, numerators, from_fractions, oracle_product,
+  oracle_apply, diagonal, unitriangular_inverse), the tests' own
+  arithmetic beside the program's one encoding of integer rows over one
+  denominator.
 """
 
 import itertools
+from fractions import Fraction
+from math import lcm
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -235,3 +242,67 @@ def outer_tensor(*reps):
                                    lambda k, a=num, b=r.num: _kron(a[k // n], b[k % n]))
         den *= r.den
     return Representation._of(monoid, num, den)
+
+
+# -- exact matrices as Fraction rows -----------------------------------------
+
+def fraction_rows(rows, den=1):
+    """rows / den as a tuple of Fraction row tuples; rows may hold anything
+    Fraction() accepts."""
+    return tuple(tuple(Fraction(x) / den for x in row) for row in rows)
+
+
+def fraction_matrices(rep):
+    """rho(s) for every element index s, as Fraction rows."""
+    return tuple(fraction_rows(m, rep.den) for m in rep.num)
+
+
+def numerators(rows):
+    """Rows of anything Fraction() accepts as (integer row tuples, den), den
+    the least common denominator of the entries."""
+    rows = fraction_rows(rows)
+    den = lcm(1, *(x.denominator for row in rows for x in row))
+    return tuple(tuple(int(x * den) for x in row) for row in rows), den
+
+
+def from_fractions(monoid, mats):
+    """The Representation s -> mats[s], one square matrix of anything
+    Fraction() accepts per element, brought over one common denominator."""
+    flat, den = numerators([row for m in mats for row in m])
+    d = len(mats[0])
+    return Representation.from_numerators(
+        monoid, [flat[k:k + d] for k in range(0, len(flat), d)], den)
+
+
+def oracle_product(*mats):
+    """The product of matrices of anything Fraction() accepts, left to
+    right, as Fraction rows."""
+    out = fraction_rows(mats[0])
+    for b in mats[1:]:
+        cols = tuple(zip(*b))
+        out = tuple(tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in cols)
+                    for row in out)
+    return out
+
+
+def oracle_apply(m, v):
+    """The matrix m acting on the column vector v, as a tuple of Fractions."""
+    return tuple(sum((Fraction(x) * y for x, y in zip(row, v)), Fraction(0)) for row in m)
+
+
+def diagonal(values):
+    """The diagonal matrix with the given entries, as Fraction rows."""
+    n = len(values)
+    return fraction_rows([[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def unitriangular_inverse(u):
+    """(I + N)^-1 = I - N + N^2 - ... for a strictly upper triangular N."""
+    n = len(u)
+    ident = diagonal([1] * n)
+    step = fraction_rows([[(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(u)])  # -N
+    inv, power = ident, ident
+    for _ in range(n):
+        power = oracle_product(power, step)
+        inv = tuple(tuple(x + y for x, y in zip(r, q)) for r, q in zip(inv, power))
+    return inv

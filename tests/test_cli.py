@@ -418,9 +418,9 @@ class TestRepCommand:
         code, text = invoke(["rep", "T:3", "--build", "mapping", "--out", str(out)])
         assert code == EXIT_OK
         assert f"out: {out}" in text
-        header, labels, mats = parse_representation_payload(out.read_text())
+        header, labels, num, den = parse_representation_payload(out.read_text())
         assert header["dim"] == "3"
-        assert len(mats) == 27
+        assert len(num) == 27
 
     def test_unknown_build_exit_2(self):
         code, _ = invoke(["rep", "T:3", "--build", "nonsense"])
@@ -580,10 +580,10 @@ class TestRepCommand:
     def test_payload_roundtrip(self):
         code, text = invoke(["rep", "I:3", "--build", "induce:J1:(1)"])
         payload = text.split("payload:\n", 1)[1]
-        header, labels, mats = parse_representation_payload(payload)
+        header, labels, num, den = parse_representation_payload(payload)
         assert header["elements"] == "34"
         assert labels[0] == "0"  # the zero map
-        assert not any(map(any, mats[0].num))
+        assert not any(map(any, num[0]))
 
 
 class TestLabelCodec:

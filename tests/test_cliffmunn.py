@@ -24,7 +24,6 @@ from monoidrep.elements import (
 from monoidrep.green import lclass_coordinates, maximal_subgroup, transversal, Transversal
 from monoidrep.lattice import make_lattice, sgl_monoid
 from monoidrep.linrep import (
-    Matrix,
     Representation,
     Subspace,
     char_equal,
@@ -62,19 +61,28 @@ from monoidrep.cliffmunn import (
     semisimple_predicate,
     support_jclasses,
 )
-from oracles import outer_tensor
+from oracles import (
+    diagonal,
+    fraction_matrices,
+    fraction_rows,
+    from_fractions,
+    oracle_apply,
+    oracle_product,
+    outer_tensor,
+)
 
 F = Fraction
 
 
-def nonzero(matrix):
-    return any(map(any, matrix.num))
+def nonzero(num):
+    return any(map(any, num))
 
 
 def image_of(matrix):
-    """The span of the matrix applied to each unit vector."""
-    units = [[int(i == j) for i in range(matrix.ncols)] for j in range(matrix.ncols)]
-    return Subspace.from_vectors(matrix.nrows, [matrix.apply(u) for u in units])
+    """The span of the matrix, as Fraction rows, applied to each unit vector."""
+    ncols = len(matrix[0])
+    units = [[int(i == j) for i in range(ncols)] for j in range(ncols)]
+    return Subspace.from_vectors(len(matrix), [oracle_apply(matrix, u) for u in units])
 
 
 @pytest.fixture(scope="module")
@@ -142,14 +150,14 @@ class TestReduce:
         assert red.rep.dim == 3
         assert len(red.group) == 6
         for el in red.group.elements:
-            assert red.rep.matrices[red.group.index(el)] == i3_map.matrices[i3.index(el)]
+            assert fraction_matrices(red.rep)[red.group.index(el)] == fraction_matrices(i3_map)[i3.index(el)]
 
     def test_carrier_is_the_image_of_phi_e(self):
         # the column span of phi(e) is its image, phi(e) applied to every vector
         i4 = symmetric_inverse_monoid(4)
         for big in [mapping_rep(i4)] + [en.rep for en in cm_catalog(i4)]:
             for e in i4.idempotent_indices():
-                image = image_of(Matrix._of(big.num[e], big.den))
+                image = image_of(fraction_rows(big.num[e], big.den))
                 carrier = reduce_rep(big, e).carrier
                 assert (carrier.num, carrier.den, carrier.pivots) == (image.num, image.den, image.pivots)
 
@@ -275,8 +283,8 @@ class TestInduceExamples:
                 for el in group.elements:
                     perm_images = [el.apply(x) for x in range(1, m + 1)]
                     from monoidrep.elements import Permutation
-                    mats.append(sd.rep.matrices[sym.index(Permutation(perm_images))])
-                grp_rep = Representation(group, mats)
+                    mats.append(sd.rep.num[sym.index(Permutation(perm_images))])
+                grp_rep = Representation.from_numerators(group, mats, sd.rep.den)
                 rep = induce(i3, e, grp_rep)
                 assert rep.dim == comb(3, m) * sd.rep.dim
 
@@ -290,14 +298,14 @@ class TestInduceExamples:
         mats = []
         for el in group.elements:
             from monoidrep.elements import Permutation
-            mats.append(refl.rep.matrices[sym.index(Permutation([el.apply(x) for x in (1, 2, 3)]))])
-        rep = induce(i3, e, Representation(group, mats))
+            mats.append(refl.rep.num[sym.index(Permutation([el.apply(x) for x in (1, 2, 3)]))])
+        rep = induce(i3, e, Representation.from_numerators(group, mats, refl.rep.den))
         assert rep.dim == 2
         for k, el in enumerate(i3.elements):
             if el in units:
-                assert nonzero(rep.matrices[k])
+                assert nonzero(rep.num[k])
             else:
-                assert not nonzero(rep.matrices[k])
+                assert not nonzero(rep.num[k])
 
     def test_transversal_independence(self, i3):
         classes, _ = monoid_green(i3)
@@ -349,7 +357,7 @@ class TestInduceSGL:
         rep = induce(monoid, e, trivial_rep(g))
         for k, el in enumerate(monoid.elements):
             if len(el.lattice_element()) < 2:
-                assert not nonzero(rep.matrices[k])
+                assert not nonzero(rep.num[k])
 
     def test_higher_partial_identities_fix_blocks(self, subsets3):
         lat, action, monoid, ctx = subsets3
@@ -359,10 +367,10 @@ class TestInduceSGL:
         g = maximal_subgroup(monoid, classes, e)
         rep = induce(monoid, e, trivial_rep(g))
         idc = monoid.index(ctx.idempotent(lat.index((1, 3))))
-        mat = rep.matrices[idc]
+        mat = fraction_matrices(rep)[idc]
         # fixes the {1}- and {3}-blocks, kills the {2}-block
-        diag = [mat.rows[i][i] for i in range(3)]
-        assert diag.count(F(1)) == 2 and nonzero(mat)
+        diag = [mat[i][i] for i in range(3)]
+        assert diag.count(F(1)) == 2 and nonzero(rep.num[idc])
 
 
 class TestSemisimplePredicate:
@@ -463,10 +471,12 @@ class TestEquivariantProjection:
             sub = Subspace.from_vectors(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)])
         p = _equivariant_projection(rep, sub)
         assert p is not None
-        assert p * p == p
-        assert all(p * m == m * p for m in rep.matrices)  # every element, not just generators
+        p = fraction_rows(*p)
+        assert oracle_product(p, p) == p
+        # every element, not just generators
+        assert all(oracle_product(p, m) == oracle_product(m, p) for m in fraction_matrices(rep))
         assert image_of(p) == sub
-        assert all(p.apply(u) == u for u in sub.basis)
+        assert all(oracle_apply(p, u) == u for u in sub.basis)
 
 
 class TestInvariantSearch:
@@ -500,6 +510,20 @@ class TestInvariantSearch:
             assert [f.dim for f in factors] == [2, 2]
             assert all(char_equal(f.character(), refl.character()) for f in factors)
 
+    def test_decompose_over_a_basis_that_is_not_orthogonal(self):
+        # the complement is the kernel of the equivariant projection: the
+        # orthogonal complement of the fixed line is not invariant here
+        base = mapping_rep(symmetric_group(3))
+        p, p_inv = ((1, 1, 0), (0, 1, 0), (0, 0, 2)), ((1, -1, 0), (0, 1, 0), (0, 0, F(1, 2)))
+        rep = from_fractions(base.monoid, [oracle_product(p, m, p_inv) for m in fraction_matrices(base)])
+        fixed = Subspace.span(3, [(2, 1, 2)])  # P (1, 1, 1)
+        assert is_invariant(rep, fixed) and not is_invariant(rep, fixed.orthogonal_complement())
+        for order in ("standard", "reversed"):
+            factors = decompose(rep, seed_order=order)
+            assert sorted(f.dim for f in factors) == [1, 2]
+            assert all(c == 1 for f in factors if f.dim == 1 for c in f.character())
+            assert tuple(map(sum, zip(*(f.character() for f in factors)))) == base.character()
+
 
 class TestEquation22Property:
     def test_sum_of_translates_is_invariant(self, i3, i3_map):
@@ -509,20 +533,21 @@ class TestEquation22Property:
         big = direct_sum(i3_map, i3_map)
         e = i3.index(PartialBijection.partial_identity(3, [1]))
         trans = transversal(i3, classes, e)
-        phi_e = big.matrices[e]
+        mats = fraction_matrices(big)
+        phi_e = mats[e]
         carrier = image_of(phi_e)
         assert carrier.dim == 2
         diag = [v for v in carrier.basis]
         seed = tuple(a + b for a, b in zip(diag[0], diag[1]))  # a diagonal vector
         vectors = []
         for s in trans.reps:
-            m = big.matrices[s] * phi_e
-            vectors.append(m.apply(seed))
+            m = oracle_product(mats[s], phi_e)
+            vectors.append(oracle_apply(m, seed))
         u = Subspace.from_vectors(big.dim, vectors)
         assert 0 < u.dim < big.dim
-        for m in big.matrices:
+        for m in mats:
             for v in u.basis:
-                assert u.contains(m.apply(v))
+                assert u.contains(oracle_apply(m, v))
 
 
 class TestCatalogs:
@@ -756,25 +781,26 @@ class TestRenner:
 
 
 def oracle_induce_matrices(monoid, e, group_rep):
-    """The dense induction of the Matrix-list encoding, one element and one
-    product t s_i at a time: block (J, i) of phi(t) is rho(g) where
-    t s_i = s_J g lies in L_e."""
+    """The dense induction over Fraction rows, one element and one product
+    t s_i at a time: block (J, i) of phi(t) is rho(g) where t s_i = s_J g
+    lies in L_e."""
     classes, _ = monoid_green(monoid)
     trans = transversal(monoid, classes, e)
     group = group_rep.monoid
     block, local = lclass_coordinates(monoid, classes, trans)
     ge = classes.hclasses[classes.hclass_of[e]]
     k, dv = len(trans.reps), group_rep.dim
+    group_mats = fraction_matrices(group_rep)
     mats = []
     for t in range(len(monoid)):
         rows = [[F(0)] * (k * dv) for _ in range(k * dv)]
         for i, s in enumerate(trans.reps):
             p = monoid.mul(t, s)
             if block[p] >= 0:
-                g = group_rep.matrices[group.index(monoid.elements[ge[local[p]]])].rows
+                g = group_mats[group.index(monoid.elements[ge[local[p]]])]
                 for r in range(dv):
                     rows[block[p] * dv + r][i * dv:(i + 1) * dv] = g[r]
-        mats.append(Matrix(rows))
+        mats.append(fraction_rows(rows))
     return mats
 
 
@@ -782,13 +808,12 @@ def regular_rep(group, scale):
     """The regular representation of a group, conjugated by diag(scale) so
     that its matrices carry different denominators."""
     n = len(group)
-    d = Matrix([[scale[i] if i == j else 0 for j in range(n)] for i in range(n)])
-    d_inv = Matrix([[1 / scale[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    d, d_inv = diagonal(scale), diagonal([1 / F(x) for x in scale])
     mats = []
     for g in range(n):
         perm = [[1 if group.mul(g, h) == r else 0 for h in range(n)] for r in range(n)]
-        mats.append(d * Matrix(perm) * d_inv)
-    return Representation(group, mats)
+        mats.append(oracle_product(d, perm, d_inv))
+    return from_fractions(group, mats)
 
 
 INDUCE_MONOIDS = [
@@ -809,7 +834,7 @@ class TestInduceStack:
                  for _ in range(len(group))]
         group_rep = regular_rep(group, scale)
         raw = induce_raw(monoid, e, group_rep)
-        assert raw.rep.matrices == tuple(oracle_induce_matrices(monoid, e, group_rep))
+        assert fraction_matrices(raw.rep) == tuple(oracle_induce_matrices(monoid, e, group_rep))
 
     @pytest.mark.parametrize("inputs,cells", [
         # I_3 at a rank-1 idempotent: 34 matrices of side 3

@@ -16,7 +16,6 @@ from monoidrep.elements import (
     symmetric_inverse_monoid,
 )
 from monoidrep.linrep import (
-    Matrix,
     Representation,
     Subspace,
     VerificationError,
@@ -34,13 +33,23 @@ from monoidrep.linrep import (
     parse_representation_payload,
     quotient_rep,
     restrict_rep,
-    rref,
     serialize_representation,
     spin,
     trivial_rep,
 )
 from monoidrep.specht import specht_rep
-from oracles import jclass_subgroup_iso, outer_tensor
+from oracles import (
+    diagonal,
+    fraction_matrices,
+    fraction_rows,
+    from_fractions,
+    jclass_subgroup_iso,
+    numerators,
+    oracle_apply,
+    oracle_product,
+    outer_tensor,
+    unitriangular_inverse,
+)
 
 F = Fraction
 
@@ -61,77 +70,82 @@ def t3_map():
 
 
 class TestRref:
+    """The row space of a matrix is its echelon form, and the kernel that
+    row space's orthogonal complement."""
+
     def test_identity(self):
-        r = rref(Matrix.identity(3))
-        assert r.rank == 3
-        assert r.kernel.dim == 0
+        r = Subspace.span(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        assert r.dim == 3
+        assert r.orthogonal_complement().dim == 0
 
     def test_all_ones(self):
-        r = rref(Matrix([[1, 1, 1]] * 3))
-        assert r.rank == 1
-        assert r.kernel.dim == 2
+        r = Subspace.span(3, [[1, 1, 1]] * 3)
+        kernel = r.orthogonal_complement()
+        assert r.dim == 1
+        assert kernel.dim == 2
         # the kernel is the plane x1 + x2 + x3 = 0
-        assert r.kernel.contains((1, -1, 0))
-        assert r.kernel.contains((0, 1, -1))
-        assert not r.kernel.contains((1, 0, 0))
+        assert kernel.contains((1, -1, 0))
+        assert kernel.contains((0, 1, -1))
+        assert not kernel.contains((1, 0, 0))
 
     def test_t3_idempotent_rank(self, t3_map):
-        m = t3_map.matrices[t3_map.monoid.index(Transformation([1, 1, 3]))]
-        assert rref(m).rank == 2
+        m = t3_map.num[t3_map.monoid.index(Transformation([1, 1, 3]))]
+        assert Subspace.span(3, m).dim == 2
 
     def test_idempotence(self):
-        m = Matrix([[2, 4, 1], [0, 0, 3], [2, 4, 4]])
-        once = rref(m).echelon
-        assert rref(once).echelon == once
+        once = Subspace.span(3, [[2, 4, 1], [0, 0, 3], [2, 4, 4]])
+        assert Subspace.span(3, once.num) == once
 
     def test_rank_of_product_bounded(self):
         rng = random.Random(7)
         for _ in range(25):
-            a = Matrix([[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)] for _ in range(3)])
-            b = Matrix([[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)] for _ in range(3)])
-            assert rref(a * b).rank <= min(rref(a).rank, rref(b).rank)
+            a = [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)] for _ in range(3)]
+            b = [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)] for _ in range(3)]
+            rank = [Subspace.from_vectors(3, m).dim for m in (oracle_product(a, b), a, b)]
+            assert rank[0] <= min(rank[1:])
 
     def test_rank_nullity(self):
-        m = Matrix([[1, 2, 3, 4], [2, 4, 6, 8]])
-        r = rref(m)
-        assert r.rank + r.kernel.dim == 4
+        r = Subspace.span(4, [[1, 2, 3, 4], [2, 4, 6, 8]])
+        assert r.dim + r.orthogonal_complement().dim == 4
 
 
 class TestMappingReps:
     def test_sn_transposition_is_reflection(self, s3_map):
         from monoidrep.elements import Permutation
-        m = s3_map.matrices[s3_map.monoid.index(Permutation([2, 1, 3]))]
-        assert m == Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+        k = s3_map.monoid.index(Permutation([2, 1, 3]))
+        m = fraction_matrices(s3_map)[k]
+        assert (s3_map.num[k], s3_map.den) == (((0, 1, 0), (1, 0, 0), (0, 0, 1)), 1)
         # fixes the mirror x1 = x2, negates the normal direction
-        assert m.apply((1, 1, 0)) == (F(1), F(1), F(0))
-        assert m.apply((1, -1, 0)) == (F(-1), F(1), F(0))
+        assert oracle_apply(m, (1, 1, 0)) == (F(1), F(1), F(0))
+        assert oracle_apply(m, (1, -1, 0)) == (F(-1), F(1), F(0))
 
     def test_in_zero_map_is_zero_matrix(self, i3_map):
-        assert not any(map(any, i3_map.matrices[i3_map.monoid.index(PartialBijection.zero(3))].num))
+        assert not any(map(any, i3_map.num[i3_map.monoid.index(PartialBijection.zero(3))]))
 
     def test_tn_constant_sends_u_to_nv1(self, t3_map):
-        m = t3_map.matrices[t3_map.monoid.index(Transformation([1, 1, 1]))]
-        assert m.apply((1, 1, 1)) == (F(3), F(0), F(0))
+        m = fraction_matrices(t3_map)[t3_map.monoid.index(Transformation([1, 1, 1]))]
+        assert oracle_apply(m, (1, 1, 1)) == (F(3), F(0), F(0))
 
     def test_verification_catches_corruption(self, s3_map):
-        mats = list(s3_map.matrices)
-        k = (s3_map.monoid.identity_index + 1) % len(mats)
-        mats[k] = Matrix.identity(3).scale(2)
+        num = list(s3_map.num)
+        k = (s3_map.monoid.identity_index + 1) % len(num)
+        num[k] = ((2, 0, 0), (0, 2, 0), (0, 0, 2))
         with pytest.raises(VerificationError):
-            Representation(s3_map.monoid, mats)
+            Representation.from_numerators(s3_map.monoid, num, s3_map.den)
 
     def test_identity_must_map_to_identity(self, s3_map):
-        mats = list(s3_map.matrices)
-        mats[s3_map.monoid.identity_index] = Matrix.identity(3).scale(2)
+        num = list(s3_map.num)
+        num[s3_map.monoid.identity_index] = ((2, 0, 0), (0, 2, 0), (0, 0, 2))
         with pytest.raises(VerificationError):
-            Representation(s3_map.monoid, mats)
+            Representation.from_numerators(s3_map.monoid, num, s3_map.den)
 
 
 def all_pairs_homomorphism(monoid, mats):
-    """The exhaustive oracle: rho(1) = I and rho(s)rho(t) = rho(s*t) on all pairs."""
+    """The exhaustive oracle on Fraction rows: rho(1) = I and
+    rho(s)rho(t) = rho(s*t) on all pairs."""
     n = len(monoid)
-    return mats[monoid.identity_index] == Matrix.identity(mats[0].nrows) and all(
-        mats[i] * mats[j] == mats[monoid.mul(i, j)] for i in range(n) for j in range(n)
+    return mats[monoid.identity_index] == diagonal([1] * len(mats[0])) and all(
+        oracle_product(mats[i], mats[j]) == mats[monoid.mul(i, j)] for i in range(n) for j in range(n)
     )
 
 
@@ -143,9 +157,9 @@ SMALL_REPS = [
 
 
 def with_entry(m, r, c, value):
-    rows = [list(row) for row in m.rows]
+    rows = [list(row) for row in m]
     rows[r][c] = value
-    return Matrix(rows)
+    return fraction_rows(rows)
 
 
 class TestVerification:
@@ -155,11 +169,11 @@ class TestVerification:
         k = data.draw(st.integers(0, len(rep.monoid) - 1))
         r, c = data.draw(st.integers(0, rep.dim - 1)), data.draw(st.integers(0, rep.dim - 1))
         delta = data.draw(st.fractions(-3, 3).filter(bool))
-        mats = list(rep.matrices)
-        mats[k] = with_entry(mats[k], r, c, mats[k].rows[r][c] + delta)
+        mats = list(fraction_matrices(rep))
+        mats[k] = with_entry(mats[k], r, c, mats[k][r][c] + delta)
         assert not all_pairs_homomorphism(rep.monoid, mats)
         with pytest.raises(VerificationError):
-            Representation(rep.monoid, mats)
+            from_fractions(rep.monoid, mats)
 
     def test_every_generator_is_checked(self):
         # rho is 1 on every coset {s, s*t} of the first generator t but one,
@@ -168,28 +182,27 @@ class TestVerification:
         m = symmetric_group(3)
         t = m.generating_set()[0]
         c = next(k for k in range(len(m)) if k not in (m.identity_index, t))
-        mats = [Matrix([[0 if k in (c, m.mul(c, t)) else 1]]) for k in range(len(m))]
-        assert all(mats[s] * mats[t] == mats[m.mul(s, t)] for s in range(len(m)))
+        mats = [fraction_rows([[0 if k in (c, m.mul(c, t)) else 1]]) for k in range(len(m))]
+        assert all(oracle_product(mats[s], mats[t]) == mats[m.mul(s, t)] for s in range(len(m)))
         assert not all_pairs_homomorphism(m, mats)
         with pytest.raises(VerificationError):
-            Representation(m, mats)
+            from_fractions(m, mats)
 
     def test_entries_beyond_int64(self, s3_map):
-        d = Matrix([[2**70, 0, 0], [0, 1, 0], [0, 0, 1]])
-        d_inv = Matrix([[F(1, 2**70), 0, 0], [0, 1, 0], [0, 0, 1]])
-        mats = [d * m * d_inv for m in s3_map.matrices]
-        assert max(abs(x) for m in mats for row in m.rows for x in row) == 2**70
-        rep = Representation(s3_map.monoid, mats)
-        assert all_pairs_homomorphism(rep.monoid, rep.matrices)
+        d, d_inv = diagonal([2**70, 1, 1]), diagonal([F(1, 2**70), 1, 1])
+        mats = [oracle_product(d, m, d_inv) for m in fraction_matrices(s3_map)]
+        assert max(abs(x) for m in mats for row in m for x in row) == 2**70
+        rep = from_fractions(s3_map.monoid, mats)
+        assert all_pairs_homomorphism(rep.monoid, fraction_matrices(rep))
         k, r, c = next(
             (k, r, c) for k, m in enumerate(mats) for r in range(3) for c in range(3)
-            if m.rows[r][c] == 2**70
+            if m[r][c] == 2**70
         )
         bad = list(mats)
-        bad[k] = with_entry(mats[k], r, c, mats[k].rows[r][c] + 1)
+        bad[k] = with_entry(mats[k], r, c, mats[k][r][c] + 1)
         assert not all_pairs_homomorphism(rep.monoid, bad)
         with pytest.raises(VerificationError):
-            Representation(s3_map.monoid, bad)
+            from_fractions(s3_map.monoid, bad)
 
     def test_the_generator_columns_are_composed_once_per_monoid(self, monkeypatch):
         monoid = symmetric_inverse_monoid(3)
@@ -223,16 +236,16 @@ class TestSpin:
 
     def test_output_invariant_and_minimal(self, t3_map):
         w = spin(t3_map, [(1, -1, 0)])
-        for m in t3_map.matrices:
+        for m in fraction_matrices(t3_map):
             for v in w.basis:
-                assert w.contains(m.apply(v))
+                assert w.contains(oracle_apply(m, v))
         # minimality: no proper subspace containing the seed is invariant
         for drop in range(w.dim):
             kept = [b for k, b in enumerate(w.basis) if k != drop]
             smaller = Subspace.from_vectors(3, kept)
             closed = all(
-                smaller.contains(m.apply(v))
-                for m in t3_map.matrices for v in smaller.basis
+                smaller.contains(oracle_apply(m, v))
+                for m in fraction_matrices(t3_map) for v in smaller.basis
             )
             has_seed = smaller.contains((1, -1, 0))
             assert not (closed and has_seed)
@@ -363,8 +376,20 @@ class TestInvariantLines:
             if all(x == 0 for x in vec):
                 continue
             line = Subspace.from_vectors(rep.dim, [vec])
-            if all(line.contains(m.apply(vec)) for m in rep.matrices):
+            if all(line.contains(oracle_apply(m, vec)) for m in fraction_matrices(rep)):
                 assert any(space.contains(vec) for _, space in found)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_lines_follow_a_change_of_basis(self, data):
+        # P rho P^-1, over a den that is seldom 1, has the eigenspaces P E of
+        # rho, found under the same scalars in the same order
+        base = data.draw(st.sampled_from(STACK_BASES))
+        p, p_inv = data.draw(conjugators(base.dim))
+        rep = from_fractions(base.monoid, [oracle_product(p, m, p_inv) for m in fraction_matrices(base)])
+        moved = tuple((scalars, Subspace.from_vectors(base.dim, [oracle_apply(p, v) for v in space.basis]))
+                      for scalars, space in one_dim_invariant_lines(base))
+        assert one_dim_invariant_lines(rep) == moved
 
 
 class TestIrreducibility:
@@ -408,10 +433,11 @@ class TestIsoTest:
         classes, _ = green_structure(m)
         s = m.index(PartialBijection(3, [(1, 1), (2, 3)]))
         mapping, _ = jclass_subgroup_iso(m, classes, e, f, s)
-        transported = Representation(
+        transported = Representation.from_numerators(
             red_e.group,
-            [red_f.rep.matrices[red_f.group.index(m.elements[mapping[m.index(el)]])]
+            [red_f.rep.num[red_f.group.index(m.elements[mapping[m.index(el)]])]
              for el in red_e.group.elements],
+            red_f.rep.den,
         )
         # Q G_e is semisimple (Maschke): equal characters decide isomorphism
         assert red_e.rep.character_key() == transported.character_key()
@@ -445,19 +471,19 @@ class TestTensorConstructions:
 class TestSerialization:
     def test_roundtrip(self, t3_map):
         text = serialize_representation(t3_map, monoid_label="T:3")
-        header, labels, mats = parse_representation_payload(text)
+        header, labels, num, den = parse_representation_payload(text)
         assert header["monoid"] == "T:3"
         assert header["dim"] == "3"
-        assert len(mats) == 27
-        assert tuple(mats) == t3_map.matrices
+        assert len(num) == 27
+        assert (num, den) == (t3_map.num, t3_map.den)
         assert labels[0] == str(t3_map.monoid.elements[0])
 
     def test_rational_entries(self):
         refl = specht_rep((2, 1)).rep
         u = spin(refl, [(1, F(1, 2))])  # force some fractions through coords
         text = serialize_representation(refl, monoid_label="S:3")
-        _, _, mats = parse_representation_payload(text)
-        assert tuple(mats) == refl.matrices
+        _, _, num, den = parse_representation_payload(text)
+        assert (num, den) == (refl.num, refl.den)
 
     @settings(max_examples=300, deadline=None)
     @given(x=st.one_of(st.just(0), st.integers(-2**80, 2**80)),
@@ -521,11 +547,6 @@ def oracle_kernel(rows, ncols):
     return oracle_rref(vecs)[0]
 
 
-def oracle_product(a, b):
-    cols = list(zip(*b))
-    return [[sum((x * y for x, y in zip(row, col)), F(0)) for col in cols] for row in a]
-
-
 def oracle_det(rows):
     rows = [[F(x) for x in row] for row in rows]
     n = len(rows)
@@ -564,46 +585,30 @@ def rational_rows(nrows, ncols):
                     min_size=nrows, max_size=nrows)
 
 
-def column_span(m):
-    """The image of m, spanned by its columns as reduce_rep spans phi(e)'s."""
-    return Subspace._span(m.nrows, tuple(zip(*m.num)))
-
-
-def as_fractions(rows):
-    return tuple(tuple(F(x) for x in row) for row in rows)
+def column_span(num):
+    """The image of the integer rows num, spanned by their columns as
+    reduce_rep spans phi(e)'s."""
+    return Subspace._span(len(num), tuple(zip(*num)))
 
 
 class TestExactKernel:
     @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), n=st.integers(1, 4), k=st.integers(1, 4), m=st.integers(1, 4))
-    def test_product_and_sum_match_oracle(self, data, n, k, m):
-        a = data.draw(rational_rows(n, k))
-        a2 = data.draw(rational_rows(n, k))
-        b = data.draw(rational_rows(k, m))
-        assert Matrix(a) * Matrix(b) == Matrix(oracle_product(a, b))
-        assert (Matrix(a) * Matrix(b)).rows == as_fractions(oracle_product(a, b))
-        assert (Matrix(a) + Matrix(a2)).rows == as_fractions(
-            [[F(x) + F(y) for x, y in zip(r, s)] for r, s in zip(a, a2)])
-        assert (Matrix(a) - Matrix(a2)).rows == as_fractions(
-            [[F(x) - F(y) for x, y in zip(r, s)] for r, s in zip(a, a2)])
-
-    @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(0, 5))
     def test_det_matches_oracle(self, data, n):
         a = data.draw(rational_rows(n, n))
-        m = Matrix(a)
-        assert F(_bareiss(m.num), m.den ** n) == oracle_det(a)
+        num, den = numerators(a)
+        assert F(_bareiss(num), den ** n) == oracle_det(a)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(1, 5), m=st.integers(1, 5))
     def test_rref_kernel_image_match_oracle(self, data, n, m):
         a = data.draw(rational_rows(n, m))
-        r = rref(Matrix(a))
+        r = Subspace.from_vectors(m, a)
         ech, pivots = oracle_rref(a)
-        assert r.echelon.rows == ech
-        assert r.pivots == pivots and r.rank == len(pivots)
-        assert r.kernel.basis == oracle_kernel(a, m)
-        assert column_span(Matrix(a)).basis == oracle_rref(list(zip(*a)))[0]
+        assert r.basis == ech
+        assert r.pivots == pivots and r.dim == len(pivots)
+        assert r.orthogonal_complement().basis == oracle_kernel(a, m)
+        assert column_span(numerators(a)[0]).basis == oracle_rref(list(zip(*a)))[0]
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(1, 5))
@@ -614,117 +619,98 @@ class TestExactKernel:
         assert u.basis == oracle_rref(a)[0]
         assert u.intersection(w).basis == oracle_intersection(u.basis, w.basis, n)
 
-    def test_equal_matrices_are_identical(self):
-        half = Matrix([[F(2, 4), 1]])
-        assert half == Matrix([[F(1, 2), F(2, 2)]])
-        assert hash(half) == hash(Matrix([[F(1, 2), F(2, 2)]]))
-        doubled = Matrix([[2, 4]]).scale(F(1, 4))
-        assert doubled == half and hash(doubled) == hash(half)
-        assert (doubled.den, doubled.num) == (2, ((1, 2),))
-
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), n=st.integers(1, 4), m=st.integers(1, 4),
-           k=st.integers(-6, 6).filter(bool))
-    def test_lowest_terms_are_canonical(self, data, n, m, k):
-        a = Matrix(data.draw(rational_rows(n, m)))
-        scaled = a * Matrix.identity(m).scale(k) * Matrix.identity(m).scale(F(1, k))
-        for b in (a.scale(k).scale(F(1, k)), scaled, Matrix(a.rows)):
-            assert b == a and hash(b) == hash(a)
-            assert b.den == a.den and b.num == a.num
-        assert math.gcd(a.den, *itertools.chain(*a.num)) == 1 and a.den > 0
-
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), n=st.integers(1, 4), kind=st.sampled_from(["random", "image", "kernel"]))
     def test_restrict_acts_on_invariant_subspaces_only(self, data, n, kind):
-        m = Matrix(data.draw(rational_rows(n, n)))
+        a = data.draw(rational_rows(n, n))
+        m, m_den = numerators(a)
         if kind == "random":
             sub = Subspace.from_vectors(n, data.draw(rational_rows(data.draw(st.integers(0, n)), n)))
         elif kind == "image":
             sub = column_span(m)
         else:
-            sub = rref(m).kernel
+            sub = Subspace._span(n, m).orthogonal_complement()
         basis = [list(b) for b in sub.basis]
-        images = [m.apply(b) for b in basis]
+        images = [oracle_apply(a, b) for b in basis]
         invariant = len(oracle_rref(basis + images)[1]) == sub.dim
         if not invariant:
             with pytest.raises(ValueError):
-                sub.restrict([m.num])
+                sub.restrict([m])
             return
-        (num,), den = sub.restrict([m.num])
-        r = Matrix.from_numerators(num, m.den * den)
+        (num,), den = sub.restrict([m])
+        r = fraction_rows(num, m_den * den)
         bt = [list(col) for col in zip(*basis)] if basis else [[] for _ in range(n)]
-        assert oracle_product(bt, r.rows) == oracle_product(m.rows, bt)
+        assert oracle_product(bt, r) == oracle_product(a, bt)
 
     def test_restrict_rejects_a_line_moved_off_itself(self, s3_map):
         line = Subspace.from_vectors(3, [(1, 0, 0)])
-        swap = s3_map.matrices[s3_map.monoid.index(Permutation([2, 1, 3]))]
+        swap = s3_map.num[s3_map.monoid.index(Permutation([2, 1, 3]))]
         with pytest.raises(ValueError, match="not invariant"):
-            line.restrict([swap.num])
+            line.restrict([swap])
         with pytest.raises(ValueError, match="not invariant"):
             restrict_rep(s3_map, line)
 
 
 class TestVerifyDenominators:
     def test_mixed_denominators_verify(self, s3_map):
-        d = Matrix([[2, 0, 0], [0, 1, 0], [0, 0, 1]])
-        d_inv = Matrix([[F(1, 2), 0, 0], [0, 1, 0], [0, 0, 1]])
-        mats = [d * m * d_inv for m in s3_map.matrices]
-        assert len({m.den for m in mats}) == 2
-        rep = Representation(s3_map.monoid, mats)
-        assert all_pairs_homomorphism(rep.monoid, rep.matrices)
+        d, d_inv = diagonal([2, 1, 1]), diagonal([F(1, 2), 1, 1])
+        mats = [oracle_product(d, m, d_inv) for m in fraction_matrices(s3_map)]
+        assert len({numerators(m)[1] for m in mats}) == 2
+        rep = from_fractions(s3_map.monoid, mats)
+        assert all_pairs_homomorphism(rep.monoid, fraction_matrices(rep))
 
     def test_rescaled_numerators_are_rejected(self, s3_map):
         # same numerators over a different denominator: not a homomorphism
         e = s3_map.monoid.identity_index
-        mats = [m if k == e else m.scale(F(1, 2)) for k, m in enumerate(s3_map.matrices)]
+        mats = [m if k == e else fraction_rows(m, 2) for k, m in enumerate(fraction_matrices(s3_map))]
         assert not all_pairs_homomorphism(s3_map.monoid, mats)
         with pytest.raises(VerificationError):
-            Representation(s3_map.monoid, mats)
+            from_fractions(s3_map.monoid, mats)
 
 
-# -- the per-element builders of the Matrix-list encoding, kept as oracles ---
+# -- per-element builders over Fraction rows, kept as oracles ----------------
 
 def oracle_kron(a, b):
-    rows = [[x * y for x in ra for y in rb] for ra in a.rows for rb in b.rows]
-    return Matrix(rows)
+    return tuple(tuple(x * y for x in ra for y in rb) for ra in a for rb in b)
 
 
 def oracle_restrict(sub, m):
     """One matrix acting on an invariant subspace, in echelon coordinates:
     R = M[pivots, :] B^T, with M B^T = B^T R over Fractions."""
     bt = [list(col) for col in zip(*sub.basis)] if sub.dim else [[] for _ in range(sub.ambient)]
-    image = oracle_product(m.rows, bt)
-    r = [image[p] for p in sub.pivots]
+    image = oracle_product(m, bt)
+    r = tuple(image[p] for p in sub.pivots)
     if image != oracle_product(bt, r):
         raise ValueError("subspace is not invariant")
-    return Matrix(r) if r else Matrix.from_numerators((), 1)
+    return r
 
 
 def oracle_restrict_rep(rep, sub):
-    return [oracle_restrict(sub, m) for m in rep.matrices]
+    return [oracle_restrict(sub, m) for m in fraction_matrices(rep)]
 
 
 def oracle_quotient_rep(rep, sub):
     comp = [c for c in range(rep.dim) if c not in sub.pivots]
     mats = []
-    for m in rep.matrices:
+    for m in fraction_matrices(rep):
         # column c minus its pivot coordinates times the basis
         cols = [[x - sum((col[p] * b[k] for p, b in zip(sub.pivots, sub.basis)), F(0))
-                 for k, x in enumerate(col)] for col in zip(*m.rows)]
-        mats.append(Matrix([[cols[c][r] for c in comp] for r in comp]))
+                 for k, x in enumerate(col)] for col in zip(*m)]
+        mats.append(fraction_rows([[cols[c][r] for c in comp] for r in comp]))
     return mats
 
 
 def oracle_direct_sum(a, b):
     return [
-        Matrix([list(row) + [0] * b.dim for row in ma.rows]
-               + [[0] * a.dim + list(row) for row in mb.rows])
-        for ma, mb in zip(a.matrices, b.matrices)
+        fraction_rows([list(row) + [0] * b.dim for row in ma]
+                      + [[0] * a.dim + list(row) for row in mb])
+        for ma, mb in zip(fraction_matrices(a), fraction_matrices(b))
     ]
 
 
 def oracle_outer_tensor(*reps):
     sizes = [len(r.monoid) for r in reps]
+    matrices = [fraction_matrices(r) for r in reps]
     mats = []
     for flat in range(math.prod(sizes)):
         coords = []
@@ -733,41 +719,28 @@ def oracle_outer_tensor(*reps):
             coords.append(rem % s)
             rem //= s
         coords.reverse()
-        m = reps[0].matrices[coords[0]]
-        for r, c in zip(reps[1:], coords[1:]):
-            m = oracle_kron(m, r.matrices[c])
+        m = matrices[0][coords[0]]
+        for r, c in zip(matrices[1:], coords[1:]):
+            m = oracle_kron(m, r[c])
         mats.append(m)
     return mats
 
 
 def oracle_character(rep):
-    return tuple(sum((m.rows[i][i] for i in range(m.nrows)), F(0)) for m in rep.matrices)
-
-
-def unitriangular_inverse(u):
-    """(I + N)^-1 = I - N + N^2 - ... for a strictly upper triangular N."""
-    n = u.nrows
-    ident = Matrix.identity(n)
-    step = ident - u  # -N
-    inv, power = ident, ident
-    for _ in range(n):
-        power = power * step
-        inv = inv + power
-    return inv
+    return tuple(sum((m[i][i] for i in range(len(m))), F(0)) for m in fraction_matrices(rep))
 
 
 @st.composite
 def conjugators(draw, n):
     """(P, P^-1) with P = D U: D diagonal, U unitriangular, rational entries."""
     diag = [draw(st.fractions(-4, 4, max_denominator=5).filter(bool)) for _ in range(n)]
-    d = Matrix([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
-    d_inv = Matrix([[1 / diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
-    u = Matrix([
+    d, d_inv = diagonal(diag), diagonal([1 / x for x in diag])
+    u = fraction_rows([
         [1 if i == j else (draw(st.fractions(-2, 2, max_denominator=3)) if j > i else 0)
          for j in range(n)]
         for i in range(n)
     ])
-    return d * u, unitriangular_inverse(u) * d_inv
+    return oracle_product(d, u), oracle_product(unitriangular_inverse(u), d_inv)
 
 
 STACK_BASES = [
@@ -787,20 +760,23 @@ def stack_reps(draw, bases=STACK_BASES):
     matrices carry different denominators."""
     rep = draw(st.sampled_from(bases))
     p, p_inv = draw(conjugators(rep.dim))
-    return Representation(rep.monoid, [p * m * p_inv for m in rep.matrices])
+    return from_fractions(rep.monoid, [oracle_product(p, m, p_inv) for m in fraction_matrices(rep)])
 
 
 class TestStackEncoding:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
-    def test_matrix_list_constructor_matches_numerators(self, data):
-        rep = data.draw(stack_reps())
-        assert rep.matrices == tuple(Matrix(m.rows) for m in rep.matrices)
+    def test_one_denominator_holds_the_fraction_matrices(self, data):
+        base = data.draw(st.sampled_from(STACK_BASES))
+        p, p_inv = data.draw(conjugators(base.dim))
+        mats = tuple(oracle_product(p, m, p_inv) for m in fraction_matrices(base))
+        rep = from_fractions(base.monoid, mats)
+        assert fraction_matrices(rep) == mats
         assert math.gcd(rep.den, *itertools.chain(*itertools.chain(*rep.num))) == 1 and rep.den > 0
         tripled = [[[3 * x for x in row] for row in m] for m in rep.num]
         again = Representation.from_numerators(rep.monoid, tripled, rep.den * 3)
         assert again.den == rep.den and again.num == rep.num
-        assert all(rep.matrices[rep.monoid.index(el)] == m for el, m in zip(rep.monoid.elements, rep.matrices))
+        assert all(mats[rep.monoid.index(el)] == m for el, m in zip(rep.monoid.elements, mats))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -809,8 +785,8 @@ class TestStackEncoding:
         rep = direct_sum(a, data.draw(stack_reps([r for r in STACK_BASES if r.monoid is a.monoid])))
         seed = data.draw(rational_rows(1, a.dim).filter(lambda rows: any(rows[0])))
         sub = spin(rep, [seed[0] + [0] * (rep.dim - a.dim)])  # inside the first summand
-        assert restrict_rep(rep, sub).matrices == tuple(oracle_restrict_rep(rep, sub))
-        assert quotient_rep(rep, sub).matrices == tuple(oracle_quotient_rep(rep, sub))
+        assert fraction_matrices(restrict_rep(rep, sub)) == tuple(oracle_restrict_rep(rep, sub))
+        assert fraction_matrices(quotient_rep(rep, sub)) == tuple(oracle_quotient_rep(rep, sub))
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -824,7 +800,7 @@ class TestStackEncoding:
             with pytest.raises(ValueError, match="not invariant"):
                 restrict_rep(rep, sub)
             return
-        assert restrict_rep(rep, sub).matrices == tuple(expected)
+        assert fraction_matrices(restrict_rep(rep, sub)) == tuple(expected)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -832,7 +808,7 @@ class TestStackEncoding:
         a = data.draw(stack_reps())
         b = data.draw(stack_reps([r for r in STACK_BASES if r.monoid is a.monoid]))
         total = direct_sum(a, b)
-        assert total.matrices == tuple(oracle_direct_sum(a, b))
+        assert fraction_matrices(total) == tuple(oracle_direct_sum(a, b))
         assert total.character() == oracle_character(total)
         assert a.character() == oracle_character(a)
 
@@ -852,7 +828,7 @@ class TestStackEncoding:
     def test_outer_tensor_matches_per_element_oracle(self, data):
         groups = [r for r in STACK_BASES if len(r.monoid) <= 6]
         reps = [data.draw(stack_reps(groups)) for _ in range(data.draw(st.integers(1, 3)))]
-        assert outer_tensor(*reps).matrices == tuple(oracle_outer_tensor(*reps))
+        assert fraction_matrices(outer_tensor(*reps)) == tuple(oracle_outer_tensor(*reps))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -865,15 +841,15 @@ class TestStackEncoding:
         r, c = data.draw(st.integers(0, rep.dim - 1)), data.draw(st.integers(0, rep.dim - 1))
         num = [[list(row) for row in m] for m in rep.num]
         num[k][r][c] += data.draw(st.integers(-3, 3).filter(bool))
-        if all_pairs_homomorphism(rep.monoid, [Matrix.from_numerators(m, rep.den) for m in num]):
+        if all_pairs_homomorphism(rep.monoid, [fraction_rows(m, rep.den) for m in num]):
             Representation.from_numerators(rep.monoid, num, rep.den)  # e.g. trivial made sign
         else:
             with pytest.raises(VerificationError):
                 Representation.from_numerators(rep.monoid, num, rep.den)
 
     def test_bool_numerators_become_ints(self):
-        m = Matrix.from_numerators([[True, False]])
-        assert m.num == ((1, 0),) and {type(x) for x in m.num[0]} == {int}
+        sub = Subspace.span(2, [[True, False]])
+        assert sub.num == ((1, 0),) and {type(x) for x in sub.num[0]} == {int}
         rep = Representation.from_numerators(symmetric_group(2), [[[True]], [[True]]])
         assert {type(x) for mat in rep.num for row in mat for x in row} == {int}
         text = serialize_representation(rep, monoid_label="S:2")
@@ -881,7 +857,7 @@ class TestStackEncoding:
 
     def test_float_numerators_are_refused(self):
         with pytest.raises(TypeError):
-            Matrix.from_numerators([[1.0, 0]])
+            Subspace.span(2, [[1.0, 0]])
         with pytest.raises(TypeError):
             Representation.from_numerators(symmetric_group(2), [[[1.0]], [[1]]])
         with pytest.raises(TypeError):
@@ -911,9 +887,8 @@ def monomial_reps(draw, bases=STACK_BASES[:5]):
     its numerator is seldom the denominator."""
     rep = draw(st.sampled_from(bases))
     diag = [draw(st.fractions(-4, 4, max_denominator=5).filter(bool)) for _ in range(rep.dim)]
-    d = Matrix([[diag[i] if i == j else 0 for j in range(rep.dim)] for i in range(rep.dim)])
-    d_inv = Matrix([[1 / diag[i] if i == j else 0 for j in range(rep.dim)] for i in range(rep.dim)])
-    return Representation(rep.monoid, [d * m * d_inv for m in rep.matrices])
+    d, d_inv = diagonal(diag), diagonal([1 / x for x in diag])
+    return from_fractions(rep.monoid, [oracle_product(d, m, d_inv) for m in fraction_matrices(rep)])
 
 
 def corrupted(rep, data):
@@ -924,7 +899,7 @@ def corrupted(rep, data):
     num = [[list(row) for row in m] for m in rep.num]
     num[k][r][c] = data.draw(st.sampled_from([-num[k][r][c], num[k][r][c] + rep.den,
                                               num[k][r][c] * 2, 0]).filter(lambda x: x != num[k][r][c]))
-    ok = all_pairs_homomorphism(rep.monoid, [Matrix.from_numerators(m, rep.den) for m in num])
+    ok = all_pairs_homomorphism(rep.monoid, [fraction_rows(m, rep.den) for m in num])
     return num, ok
 
 
@@ -938,7 +913,7 @@ class TestVerifyColumns:
     @given(data=st.data())
     def test_monomial_columns_with_scaled_entries(self, data):
         rep = data.draw(monomial_reps())
-        assert all_pairs_homomorphism(rep.monoid, rep.matrices)
+        assert all_pairs_homomorphism(rep.monoid, fraction_matrices(rep))
         num, ok = corrupted(rep, data)
         if ok:
             Representation.from_numerators(rep.monoid, num, rep.den)
@@ -969,7 +944,7 @@ class TestVerifyColumns:
         for g, h in itertools.combinations(gens, 2):
             num = list(rep.num)
             num[g], num[h] = num[h], num[g]
-            assert not all_pairs_homomorphism(monoid, [Matrix.from_numerators(m) for m in num])
+            assert not all_pairs_homomorphism(monoid, [fraction_rows(m) for m in num])
             with pytest.raises(VerificationError):
                 Representation.from_numerators(monoid, num)
 
@@ -986,10 +961,9 @@ class TestVerifyColumns:
         # entries far apart in size share one packed integer per column;
         # an error of one in the smallest entry is still caught
         big = 2 ** 200
-        d = Matrix([[big, 0, 0], [0, 1, 0], [0, 0, 3]])
-        d_inv = Matrix([[F(1, big), 0, 0], [0, 1, 0], [0, 0, F(1, 3)]])
+        d, d_inv = diagonal([big, 1, 3]), diagonal([F(1, big), 1, F(1, 3)])
         base = mapping_rep(symmetric_group(3))
-        rep = Representation(base.monoid, [d * m * d_inv for m in base.matrices])
+        rep = from_fractions(base.monoid, [oracle_product(d, m, d_inv) for m in fraction_matrices(base)])
         for k in range(len(rep.monoid)):
             for r in range(3):
                 for c in range(3):

@@ -37,17 +37,24 @@ from monoidrep.green import (
 )
 from monoidrep.lattice import LATTICE_KINDS, FiniteLattice, LatticeError, make_lattice, sgl_monoid
 from monoidrep.linrep import (
-    Matrix,
     Representation,
     Subspace,
     VerificationError,
     _bareiss,
     _rref_rows,
     mapping_rep,
-    rref,
 )
 from monoidrep.specht import specht_rep
-from oracles import certificate_inputs, certify_left_rows
+from oracles import (
+    certificate_inputs,
+    certify_left_rows,
+    diagonal,
+    fraction_matrices,
+    fraction_rows,
+    from_fractions,
+    oracle_product,
+    unitriangular_inverse,
+)
 
 BLOCK = 65536
 
@@ -447,14 +454,10 @@ def conjugated_reps(draw):
     diag = [draw(st.fractions(-3, 3, max_denominator=4).filter(bool)) for _ in range(n)]
     upper = {(i, j): draw(st.sampled_from([0, 0, 1, -1, Fraction(1, 2)]))
              for i in range(n) for j in range(i + 1, n)}
-    u = Matrix([[1 if i == j else upper.get((i, j), 0) for j in range(n)] for i in range(n)])
-    step, u_inv, power = Matrix.identity(n) - u, Matrix.identity(n), Matrix.identity(n)
-    for _ in range(n):
-        power = power * step
-        u_inv = u_inv + power
-    d = Matrix([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
-    d_inv = Matrix([[1 / diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
-    return Representation(rep.monoid, [d * u * m * u_inv * d_inv for m in rep.matrices])
+    u = fraction_rows([[1 if i == j else upper.get((i, j), 0) for j in range(n)] for i in range(n)])
+    p = oracle_product(diagonal(diag), u)
+    p_inv = oracle_product(unitriangular_inverse(u), diagonal([1 / x for x in diag]))
+    return from_fractions(rep.monoid, [oracle_product(p, m, p_inv) for m in fraction_matrices(rep)])
 
 
 INDUCE_MONOIDS = [
@@ -491,7 +494,7 @@ class TestExactLinearAlgebraOracles:
         elif kind == "image":
             sub = Subspace.span(n, list(zip(*m)))  # the columns, as reduce_rep spans phi(e)'s
         else:
-            sub = rref(Matrix.from_numerators(m)).kernel
+            sub = Subspace.span(n, m).orthogonal_complement()
         stack = [m, [[sum(x * y for x, y in zip(row, col)) for col in zip(*m)] for row in m]]
         try:
             expected = numpy_restrict(sub, stack)
@@ -519,12 +522,13 @@ class TestRepresentationOracles:
                 Representation.from_numerators(rep.monoid, num, rep.den)
 
     def test_numpy_integers_are_taken_as_python_ints(self):
-        m = Matrix.from_numerators(np.array([[1, -2], [0, 3]], dtype=np.int64), np.int32(2))
-        assert (m.num, m.den) == (((1, -2), (0, 3)), 2)
-        assert {type(x) for row in m.num for x in row} | {type(m.den)} == {int}
+        sub = Subspace.span(3, np.array([[1, -2, 0], [0, 3, 1]], dtype=np.int64))
+        assert (sub.num, sub.den) == (((3, 0, 2), (0, 3, 1)), 3)
+        assert {type(x) for row in sub.num for x in row} | {type(sub.den)} == {int}
         group = symmetric_group(2)
-        rep = Representation.from_numerators(group, np.ones((2, 1, 1), dtype=np.int8))
+        rep = Representation.from_numerators(group, 2 * np.ones((2, 1, 1), dtype=np.int8), np.int32(2))
         assert rep.num == (((1,),), ((1,),)) and type(rep.num[0][0][0]) is int
+        assert rep.den == 1 and type(rep.den) is int
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), monoid=st.sampled_from(INDUCE_MONOIDS))
@@ -533,10 +537,9 @@ class TestRepresentationOracles:
         group = maximal_subgroup(monoid, monoid_green(monoid)[0], e)
         n = len(group)
         scale = [data.draw(st.fractions(-3, 3, max_denominator=4).filter(bool)) for _ in range(n)]
-        d = Matrix([[scale[i] if i == j else 0 for j in range(n)] for i in range(n)])
-        d_inv = Matrix([[1 / scale[i] if i == j else 0 for j in range(n)] for i in range(n)])
-        regular = [Matrix([[1 if group.mul(g, h) == r else 0 for h in range(n)] for r in range(n)])
+        d, d_inv = diagonal(scale), diagonal([1 / x for x in scale])
+        regular = [[[1 if group.mul(g, h) == r else 0 for h in range(n)] for r in range(n)]
                    for g in range(n)]
-        group_rep = Representation(group, [d * m * d_inv for m in regular])
+        group_rep = from_fractions(group, [oracle_product(d, m, d_inv) for m in regular])
         raw = induce_raw(monoid, e, group_rep)
         assert (raw.rep.num, raw.rep.den) == numpy_induce_stack(monoid, e, group_rep)
