@@ -52,8 +52,8 @@ _EXPORTS = {
         "Representation", "Subspace", "VerificationError", "char_equal",
         "commutant_dim", "direct_sum", "exterior_power", "intertwiner_space",
         "is_irreducible", "mapping_rep", "one_dim_invariant_lines",
-        "parse_representation_payload", "quotient_rep", "restrict_rep",
-        "serialize_representation", "spin", "trivial_rep",
+        "quotient_rep", "restrict_rep", "serialize_representation", "spin",
+        "trivial_rep",
     ),
     "specht": (
         "SpechtData", "column_group", "compositions", "partitions",

@@ -182,19 +182,21 @@ def cmd_order(built: BuiltMonoid, out) -> int:
     return EXIT_OK
 
 
+def _subgroup_order(classes, j: int) -> int:
+    """The order of the maximal subgroups at J-class j, all isomorphic: the
+    H-class of its first idempotent, or 0 when it holds none."""
+    idems = classes.jclass_idempotents[j]
+    return len(classes.hclasses[classes.hclass_of[idems[0]]]) if idems else 0
+
+
 def _eggbox_lines(built: BuiltMonoid, j: int, labels):
     monoid = built.monoid
     classes, _ = green.monoid_green(monoid)
     box = green.eggbox(monoid, classes, j)
     size = len(classes.jclasses[j])
-    subgroup = max(
-        (len(cell) for row, irow in zip(box.grid, box.idempotent_cells)
-         for cell, flag in zip(row, irow) if flag),
-        default=0,
-    )
     lines = [
         f"jclass {labels[j]}: size {size}, rows {len(box.row_rclasses)}, "
-        f"cols {len(box.col_lclasses)}, subgroup order {subgroup}"
+        f"cols {len(box.col_lclasses)}, subgroup order {_subgroup_order(classes, j)}"
     ]
     for row, irow in zip(box.grid, box.idempotent_cells):
         cells = [("*" if flag else "") + str(len(cell)) for cell, flag in zip(row, irow)]
@@ -213,10 +215,8 @@ def cmd_eggbox(built: BuiltMonoid, jtext, fmt, out) -> int:
              f"jclasses: {len(labels)}"]
     if fmt == "graph":
         for j in range(len(labels)):
-            size = len(classes.jclasses[j])
-            idems = classes.jclass_idempotents[j]
-            sub = len(classes.hclasses[classes.hclass_of[idems[0]]]) if idems else 0
-            lines.append(f"node {labels[j]} size={size} subgroup={sub}")
+            lines.append(f"node {labels[j]} size={len(classes.jclasses[j])} "
+                         f"subgroup={_subgroup_order(classes, j)}")
         for low, high in poset.covers():
             lines.append(f"edge {labels[low]} {labels[high]}")
     else:

@@ -533,20 +533,17 @@ class RennerReport(NamedTuple):
     young_orders_match: bool
 
 
-def renner_permutohedron_catalog(monoid: FiniteMonoid, with_catalog: bool = None):
+def renner_permutohedron_catalog(monoid: FiniteMonoid):
     """(catalog, J-poset report) of the ordered-partition pair monoid, the
     sgl_monoid of lattice.make_lattice("ordered_partitions_zero", n).  The
     type of a J-class is the block sizes of its idempotents (young_blocks).
 
-    The full catalog is built for n <= 3 by default; at n = 4 the monoid has
-    1801 elements and 23 entries of dimension up to 24, which take about
-    1.5 s; only the structural report is produced there unless a catalog is
-    forced.
+    The catalog is built for n <= 3 and is None above: at n = 4 the monoid
+    has 1801 elements and 23 entries of dimension up to 24, which
+    `irreps SGL:ordperm:4` builds.
     """
     n = monoid.elements[0].group_element().n
-    if with_catalog is None:
-        with_catalog = n <= 3
-    catalog = cm_catalog(monoid) if with_catalog else None
+    catalog = cm_catalog(monoid) if n <= 3 else None
     classes, poset = monoid_green(monoid)
     types = [tuple(len(b) for b in monoid.elements[idems[0]].young_blocks())
              for idems in classes.jclass_idempotents]

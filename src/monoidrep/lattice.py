@@ -11,8 +11,8 @@ order, and () is the adjoined minimum of the ordered-partition lattice.
 
 Everything here is Python ints and lists, and numpy is not loaded: orders,
 down-sets and up-sets are int bitsets (bit b of leq[a] is a <= b), meets
-and joins are read from them, and the action and coset tables are lists,
-one row per group element or lattice element.
+are read from them, and the action and coset tables are lists, one row per
+group element or lattice element.
 """
 
 from __future__ import annotations
@@ -48,14 +48,26 @@ class LatticeError(ValueError):
 
 class FiniteLattice:
     """Elements in canonical order with the order relation as int bitsets,
-    and meet and join tables.
+    and the meet table.
 
     leq[a] is the up-set of a, the bitset of the b with a <= b; leq is
-    given so, and checked reflexive, antisymmetric and transitive.  Meets
-    are read from the down-sets and joins from the up-sets by _BoundRows,
-    and validated exhaustively: meet(a, b) is the element whose down-set is
-    down(a) & down(b), which is the greatest-lower-bound property; dually
-    for joins.  meet[a][b] and join[a][b] are element indices.
+    given so, and checked reflexive, antisymmetric and transitive.  Then
+    every pair must have a meet, meet[a][b] an element index, and there
+    must be a top.
+
+    Meets are read from the down-sets.  Every lower bound c of a and b has
+    down(c) inside down(a) & down(b), by transitivity.  If c is the glb,
+    every d in the intersection is a lower bound, so d <= c: down(c) is the
+    whole intersection.  Conversely, if down(c) = down(a) & down(b), then c
+    is a lower bound, and every lower bound lies in the intersection, so
+    below c: c is the glb.  Down-sets are distinct by antisymmetry, so the
+    glb exists iff the intersection is some element's down-set.
+
+    Meets and a top make a lattice, so no join is stored or checked: in a
+    finite poset, the upper bounds of a and b are a nonempty set (the top
+    is one); their meet u lies below each of them and, as a and b are
+    lower bounds of all of them, above a and b, so u is the join.  The
+    bottom is the meet of all elements, the one whose up-set is all.
     """
 
     def __init__(self, elements, leq):
@@ -78,24 +90,20 @@ class FiniteLattice:
         if any(self.leq[b] & ~up for up in self.leq for b in _bits(up)):
             raise LatticeError("order not transitive")
 
-        self.meet, self.join = [], []
-        meets, joins = _BoundRows(self._down), _BoundRows(self.leq)
-        for a in range(n):
-            meet, join = meets.row(a), joins.row(a)
-            for b in range(n):  # the first bad pair, as the pairs are listed row by row
-                if meet[b] is None or join[b] is None:
-                    kind = "meet" if meet[b] is None else "join"
-                    raise LatticeError(f"no unique {kind} for elements "
-                                       f"{self.elements[a]!r} and {self.elements[b]!r}")
-            self.meet.append(meet)
-            self.join.append(join)
+        self.meet = []
+        of = {bits: c for c, bits in enumerate(self._down)}.get
+        for a, mine in enumerate(self._down):
+            row = [of(mine & other) for other in self._down]
+            if None in row:  # the first bad pair, as the pairs are listed row by row
+                b = row.index(None)
+                raise LatticeError(f"no unique meet for elements "
+                                   f"{self.elements[a]!r} and {self.elements[b]!r}")
+            self.meet.append(row)
         everything = (1 << n) - 1
-        bottoms = [a for a in range(n) if self.leq[a] == everything]
-        tops = [a for a in range(n) if self._down[a] == everything]
-        if len(bottoms) != 1 or len(tops) != 1:
-            raise LatticeError("lattice must have a unique top and bottom")
-        self.bottom = bottoms[0]
-        self.top = tops[0]
+        if everything not in self._down:
+            raise LatticeError("lattice must have a top")
+        self.top = self._down.index(everything)
+        self.bottom = self.leq.index(everything)
 
     def index(self, element) -> int:
         return self._index[element]
@@ -118,31 +126,6 @@ class FiniteLattice:
 
     def __len__(self):
         return len(self.elements)
-
-
-class _BoundRows:
-    """Greatest lower bounds read from the down-sets, int bitsets with bit d
-    of down[c] set iff d <= c; built on the up-sets it gives least upper
-    bounds.
-
-    Every lower bound c of a and b has down(c) inside down(a) & down(b), by
-    transitivity.  If c is the glb, every d in the intersection is a lower
-    bound, so d <= c: down(c) is the whole intersection.  Conversely, if
-    down(c) = down(a) & down(b), then c, in its own down-set, is a lower
-    bound, and every lower bound lies in the intersection, so below c: c is
-    the glb.  Down-sets are distinct by antisymmetry, so the glb of a and b
-    exists iff the intersection is some element's down-set, and is found
-    by one dictionary lookup.
-    """
-
-    def __init__(self, down):
-        self.down = down
-        self.of = {bits: c for c, bits in enumerate(down)}
-
-    def row(self, a):
-        """glb(a, b) for every b, None where there is none."""
-        get, mine = self.of.get, self.down[a]
-        return [get(mine & other) for other in self.down]
 
 
 class GroupAction:
@@ -183,15 +166,8 @@ class GroupAction:
                     raise LatticeError("some group element is not a poset automorphism")
 
     def orbits(self) -> tuple:
-        seen = set()
-        out = []
-        for a in range(len(self.lattice)):
-            if a in seen:
-                continue
-            orbit = sorted({row[a] for row in self.table})
-            seen.update(orbit)
-            out.append(tuple(orbit))
-        return tuple(out)
+        """The orbits of the group on the lattice (_orbits)."""
+        return _orbits([self.table[g] for g in self.group.generating_set()])
 
 
 # -- built-in lattices -------------------------------------------------------
@@ -199,7 +175,9 @@ class GroupAction:
 def make_lattice(kind: str, n: int):
     """One of the built-in lattices with its symmetric-group action; refused
     (ClosureCapError) before its O(N^2) order when the certificate rows of
-    its pair monoid, N points wide, would overflow the build budget."""
+    its pair monoid, N points wide, would overflow the build budget.  The
+    order is _order_relation's, proved there to be the definition, and
+    FiniteLattice certifies the meets in it (for subsets, intersections)."""
     if n < 1 or n > DESK_DEGREE_CAP:
         raise LatticeError(f"degree must be in 1..{DESK_DEGREE_CAP}")
     if kind == "subsets":
@@ -236,14 +214,6 @@ def make_lattice(kind: str, n: int):
                  f"the pair monoid has at least {bound} elements, whose certificate rows")
     lat = FiniteLattice(elements, _order_relation(kind, elements, n))
     lat.kind = kind
-    if kind == "subsets":
-        # subsets get their meets and joins from intersection and union, as bitmasks
-        masks = [sum(1 << (x - 1) for x in a) for a in elements]
-        at = {m: k for k, m in enumerate(masks)}
-        if lat.meet != [[at[m & other] for other in masks] for m in masks]:
-            raise LatticeError("meet disagrees with intersection")
-        if lat.join != [[at[m | other] for other in masks] for m in masks]:
-            raise LatticeError("join disagrees with union")
     # the |G| x N action table, composed from the generators' rows;
     # GroupAction checks the action law on every row
     table = _compose_rows(group, gen_rows, range(len(elements)))
@@ -258,16 +228,22 @@ def _pair_order_bound(gen_rows) -> int:
     of the down-set of a, so its order is the sum over a of [G : K_a].  K_a
     fixes a, which lies in its own down-set, so K_a is inside Stab(a) and
     [G : K_a] >= [G : Stab(a)] = |G.a|; summing |O| over the |O| elements of
-    each orbit O gives the bound.  Each orbit is the set _reach finds over
-    the generators' rows gen_rows[k, a] = a_k . a.
+    each orbit O gives the bound.
     """
-    seen, total = set(), 0
+    return sum(len(orbit) ** 2 for orbit in _orbits(gen_rows))
+
+
+def _orbits(gen_rows) -> tuple:
+    """The orbits of a group on the lattice as sorted tuples, in order of
+    least element, each the set _reach finds over the generators' rows
+    gen_rows[k][a] = a_k . a (in a finite group, inverses are powers)."""
+    seen, out = set(), []
     for a in range(len(gen_rows[0])):
         if a not in seen:
-            orbit = _reach(gen_rows, a)[0]
+            orbit = tuple(sorted(_reach(gen_rows, a)[0]))
             seen.update(orbit)
-            total += len(orbit) ** 2
-    return total
+            out.append(orbit)
+    return tuple(out)
 
 
 def _set_partitions(n):

@@ -3,14 +3,15 @@
 Every exact matrix is held one way: a tuple of row tuples of Python int
 numerators over one positive denominator, in lowest terms, so that equality
 and hashing are exact and canonical and no matrix can be written to.  A
-representation's stack, a subspace's reduced echelon basis, an action
-restricted to a subspace and a parsed payload are all in this form, and the
-private helpers here (_apply, _product, _kron, _eigenspace) read and write
-it.  One fraction-free Gauss-Jordan kernel serves every elimination, and no
+representation's stack, a subspace's reduced echelon basis and an action
+restricted to a subspace are all in this form, and the private helpers here
+(_apply, _kron, _shifted, _eigenspace) read and write it.  One
+fraction-free Gauss-Jordan kernel serves every elimination, and no
 floating point is involved anywhere.  Fractions appear only at the edges:
 vectors are accepted as anything Fraction() accepts (Subspace.from_vectors,
-contains, coords), and a basis is read back through the basis view.
-Integer numerators handed to a public constructor pass through
+contains, coords), and a basis or a character is read back as Fractions;
+fractions is imported only by the functions that make one, so no command
+loads it.  Integer numerators handed to a public constructor pass through
 operator.index once, which takes numpy integers without importing numpy,
 turns bools into 0 and 1, and refuses floats.  numpy is not imported here.
 
@@ -24,7 +25,6 @@ monoid's left Cayley graph.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import gcd, lcm
 from operator import getitem, index, itemgetter, mul
 
@@ -45,6 +45,7 @@ def _exact_rows(rows) -> tuple:
 
 def _numerators(rows):
     """Rows of anything Fraction() accepts, as (integer rows, common denominator)."""
+    from fractions import Fraction
     rows = [[Fraction(x) for x in row] for row in rows]
     ncols = len(rows[0]) if rows else 0
     if any(len(r) != ncols for r in rows):
@@ -85,12 +86,6 @@ def _combination(terms, rows, length: int) -> list:
     for k, c in terms:
         out = [x + c * y for x, y in zip(out, rows[k])]
     return out
-
-
-def _product(a, b) -> tuple:
-    """The product of two integer matrices."""
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def _kron(a, b) -> tuple:
@@ -212,10 +207,6 @@ class Subspace:
     def zero(cls, ambient: int) -> "Subspace":
         return cls(ambient, (), 1, ())
 
-    @classmethod
-    def full(cls, ambient: int) -> "Subspace":
-        return cls(ambient, _identity(ambient), 1, range(ambient))
-
     @property
     def dim(self) -> int:
         return len(self.pivots)
@@ -223,6 +214,7 @@ class Subspace:
     @property
     def basis(self) -> tuple:
         """The echelon basis as a tuple of Fraction vectors."""
+        from fractions import Fraction
         return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.num)
 
     def reduce(self, rows) -> list:
@@ -245,6 +237,7 @@ class Subspace:
 
     def coords(self, vector) -> tuple:
         """Coordinates in the echelon basis; the vector must lie inside."""
+        from fractions import Fraction
         if not self.contains(vector):
             raise ValueError("vector is not in the subspace")
         return tuple(Fraction(vector[p]) for p in self.pivots)
@@ -284,17 +277,6 @@ class Subspace:
                     x[p] = -b[f]
                 vecs.append(x)
         return Subspace._span(self.ambient, vecs)
-
-    def intersection(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus-style intersection via the kernel of [A^T | -B^T]."""
-        if self.ambient != other.ambient:
-            raise ValueError("ambient mismatch")
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.ambient)
-        rows = [col + tuple(-x for x in neg) for col, neg in zip(zip(*self.num), zip(*other.num))]
-        ker = Subspace._span(self.dim + other.dim, rows).orthogonal_complement()
-        return Subspace._span(self.ambient, [_combination(enumerate(k[:self.dim]), self.num, self.ambient)
-                                            for k in ker.num])
 
     def __eq__(self, other):
         return (
@@ -409,6 +391,7 @@ class Representation:
         return [sum(map(getitem, m, diagonal)) for m in self.num]
 
     def character(self) -> tuple:
+        from fractions import Fraction
         return tuple(Fraction(t, self.den) for t in self._traces())
 
     def character_key(self) -> tuple:
@@ -564,12 +547,16 @@ def commutant_dim(rep: Representation) -> int:
     return intertwiner_space(rep, rep).dim
 
 
-def _eigenspace(m, den: int, lam: int) -> Subspace:
-    """The eigenspace of m / den for the eigenvalue lam, for integer rows m:
-    the kernel of m / den - lam I is that of m - lam den I."""
+def _shifted(m, den: int, lam: int) -> tuple:
+    """The integer rows of m - lam den I, whose kernel is the eigenspace of
+    m / den for the eigenvalue lam."""
     shift = lam * den
-    shifted = [[x - shift if i == j else x for j, x in enumerate(row)] for i, row in enumerate(m)]
-    return Subspace._span(len(m), shifted).orthogonal_complement()
+    return tuple([x - shift if i == j else x for j, x in enumerate(row)] for i, row in enumerate(m))
+
+
+def _eigenspace(m, den: int, lam: int) -> Subspace:
+    """The eigenspace of m / den for the eigenvalue lam, for integer rows m."""
+    return Subspace._span(len(m), _shifted(m, den, lam)).orthogonal_complement()
 
 
 def one_dim_invariant_lines(rep: Representation):
@@ -577,34 +564,31 @@ def one_dim_invariant_lines(rep: Representation):
 
     A line spanned by v is invariant iff every generator g acts on v by a
     scalar c(g); multiplicativity over a finite monoid forces c(g) to be 0 or
-    a rational root of unity, so c(g) is searched over {0, 1, -1}, trimmed to
-    {0, 1} for idempotent matrices and {1, -1} for invertible ones.  Returns
-    (scalar assignment, eigenspace) pairs with nonzero eigenspace; the union
-    of the eigenspaces carries every invariant line.
+    a rational root of unity, so c(g) is searched over (0, 1, -1), one
+    generator after another.  The kernel of stacked rows is the intersection
+    of their kernels, so a search node holds the echelon span of the shifted
+    rows m - c(g) den I chosen so far (_shifted), and its simultaneous
+    eigenspace is that span's orthogonal complement; a zero space is pruned.
+    Returns the (scalar assignment, eigenspace) pairs with nonzero
+    eigenspace in search order; their union carries every invariant line.
     """
     d, den = rep.dim, rep.den
-    eigenspaces = []  # per generator, (c(g), eigenspace) for each candidate c(g)
-    for g in rep.monoid.generating_set():
-        m = rep.num[g]
-        if Subspace._span(d, m).dim == d:
-            cands = (1, -1)
-        elif _product(m, m) == tuple(tuple(den * x for x in row) for row in m):
-            cands = (0, 1)
-        else:
-            cands = (0, 1, -1)
-        eigenspaces.append([(lam, _eigenspace(m, den, lam)) for lam in cands])
+    shifts = [[(lam, _shifted(rep.num[g], den, lam)) for lam in (0, 1, -1)]
+              for g in rep.monoid.generating_set()]
     found = []
 
-    def descend(k, space, scalars):
+    def descend(k, rows, scalars):
+        span = Subspace._span(d, rows)
+        space = span.orthogonal_complement()
         if space.dim == 0:
             return
-        if k == len(eigenspaces):
+        if k == len(shifts):
             found.append((tuple(scalars), space))
             return
-        for lam, eig in eigenspaces[k]:
-            descend(k + 1, space.intersection(eig), scalars + [lam])
+        for lam, shifted in shifts[k]:
+            descend(k + 1, span.num + shifted, scalars + [lam])
 
-    descend(0, Subspace.full(d), [])
+    descend(0, (), [])
     return tuple(found)
 
 
@@ -701,32 +685,3 @@ def _ratio_text(x: int, den: int) -> str:
     if g == den:
         return str(x // g)
     return f"{x // g}/{den // g}"
-
-
-def parse_representation_payload(text: str):
-    """Inverse of serialize_representation, up to the element objects.
-
-    Returns (header dict, element label list, num, den): one integer matrix
-    per element over one positive denominator, in lowest terms with all of
-    num, as a Representation holds its stack.
-    """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = {}
-    pos = 0
-    while pos < len(lines) and not lines[pos].startswith("element "):
-        key, _, value = lines[pos].partition(":")
-        header[key.strip()] = value.strip()
-        pos += 1
-    count = int(header["elements"])
-    dim = int(header["dim"])
-    labels, rows = [], []
-    for _ in range(count):
-        tag, idx, label = lines[pos].split(" ", 2)
-        if tag != "element" or int(idx) != len(labels):
-            raise ValueError(f"bad element header line: {lines[pos]!r}")
-        rows.extend(ln.split() for ln in lines[pos + 1:pos + 1 + dim])
-        pos += 1 + dim
-        labels.append(label)
-    # the least common denominator of reduced fractions leaves no common factor
-    flat, den = _numerators(rows)
-    return header, labels, tuple(flat[k:k + dim] for k in range(0, len(flat), dim)), den

@@ -192,12 +192,11 @@ def _generator_actions(moves, basis) -> list:
             for move in moves]
 
 
-def tabloid_module(shape, labels, group: FiniteMonoid = None) -> Representation:
-    """Permutation representation on the tabloid basis: sigma sends t_b to
-    sigma . t_b."""
+def tabloid_module(shape, labels) -> Representation:
+    """Permutation representation of S_m, m = len(labels), on the tabloid
+    basis: sigma sends t_b to sigma . t_b."""
     shape, labels = _check_shape(shape, labels)
-    if group is None:
-        group = _symmetric_group(len(labels))
+    group = _symmetric_group(len(labels))
     basis = tabloids(shape, labels)
     maps = _generator_actions(_position_moves(group, labels), basis)
     rows = _compose_rows(group, maps, range(len(basis)))

@@ -32,6 +32,8 @@ ROOT = Path(__file__).resolve().parent.parent
 LINREP = "src/monoidrep/linrep.py"
 CLIFFMUNN = "src/monoidrep/cliffmunn.py"
 ELEMENTS = "src/monoidrep/elements.py"
+LATTICE = "src/monoidrep/lattice.py"
+GREEN = "src/monoidrep/green.py"
 
 
 class Mutant(NamedTuple):
@@ -59,9 +61,10 @@ MUTANTS = (
            "for i in range(0, d * d, d)), solved.den",
            "for i in range(0, d * d, d)), 1",
            "tests/test_cliffmunn.py::TestEquivariantProjection::test_projection_laws[s3_sum_zero]"),
-    # the payload parser reading each element's header line as a matrix row
-    Mutant("payload-rows-shifted", LINREP,
-           "        pos += 1 + dim\n", "        pos += dim\n",
+    # the payload writer putting each element's matrix rows in reverse
+    Mutant("payload-rows-reversed", LINREP,
+           "lines.extend(\" \".join(map(text, row)) for row in rep.num[k])",
+           "lines.extend(\" \".join(map(text, row)) for row in rep.num[k][::-1])",
            "tests/test_linrep.py::TestSerialization::test_roundtrip"),
     # two catalog entries of I_n exchange their labels (2) and (1,1)
     Mutant("catalog-labels-swapped", CLIFFMUNN,
@@ -91,6 +94,47 @@ MUTANTS = (
     Mutant("closure-count-check-dropped", ELEMENTS,
            "    if len(monoid) != order:\n", "    if False:\n",
            "tests/test_elements.py::TestBuiltIns::test_a_missing_generator_fails_the_count"),
+    # two labels of one J-class of the ordered-partition pair monoid swapped
+    Mutant("ordered-partition-labels-swapped", CLIFFMUNN,
+           "        yield (shapes if per_block else shapes[0]), rep\n",
+           "        yield ({((2,), (1,)): ((1, 1), (1,)), ((1, 1), (1,)): ((2,), (1,))}.get(shapes, shapes)"
+           " if per_block else shapes[0]), rep\n",
+           "tests/test_rook_characters.py::test_ordered_partition_pair_monoid_catalog_is_the_orbit_sum[3]"),
+    # a lattice accepted with a pair that has no meet
+    Mutant("lattice-meet-check-skipped", LATTICE,
+           "            if None in row:", "            if False:",
+           "tests/test_lattice.py::TestMeetsAndJoins::test_two_minimal_upper_bounds_have_no_join"),
+    # a lattice accepted without a top, where joins may be missing
+    Mutant("lattice-top-check-skipped", LATTICE,
+           "        if everything not in self._down:\n", "        if False:\n",
+           "tests/test_lattice.py::TestMeetsAndJoins::test_meets_without_a_top_are_refused"),
+    # orbits walked along the first generator's row alone
+    Mutant("orbits-first-generator-only", LATTICE,
+           "_reach(gen_rows, a)", "_reach(gen_rows[:1], a)",
+           "tests/test_lattice.py::TestMakeLattice::test_orbits_are_read_off_the_whole_table[3-subsets]"),
+    # an invariant-line search node that forgets the rows chosen before it
+    Mutant("invariant-lines-drop-earlier-rows", LINREP,
+           "descend(k + 1, span.num + shifted, scalars + [lam])",
+           "descend(k + 1, shifted, scalars + [lam])",
+           "tests/test_linrep.py::TestInvariantLines::test_t3_has_none"),
+    # the ordered-partition relation with < for <=
+    Mutant("order-relation-strict", LATTICE,
+           "else pos[x] <= pos[y]", "else pos[x] < pos[y]",
+           "tests/test_lattice.py::TestOrderRelation::"
+           "test_relation_inclusion_is_the_order[2-ordered_partitions_zero]"),
+    # the J-poset's covers without the transitive reduction
+    Mutant("covers-not-reduced", GREEN,
+           "_bits(above & ~through)", "_bits(above)",
+           "tests/test_numpy_oracles.py::TestJOrderOracles::test_pair_monoids[subsets-2]"),
+    # the J-order read off the direct edges, not closed under reachability
+    Mutant("jorder-not-closed", GREEN,
+           "                bits |= below[k]\n", "                bits |= 1 << k\n",
+           "tests/test_green.py::TestClasses::test_in_jposet_is_the_rank_chain"),
+    # green_structure composing the right Cayley graph again
+    Mutant("green-composes-its-own-columns", GREEN,
+           "right, left = monoid._generator_columns(), monoid._left",
+           "right, left = monoid.columns(monoid.generator_indices), monoid._left",
+           "tests/test_cli.py::TestLeftCayleyGraph::test_generator_columns_are_composed_once_per_monoid"),
 )
 
 

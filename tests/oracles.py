@@ -13,6 +13,8 @@ for a fact the program relies on:
   J-class;
 - stabilizers and maximal_subgroup_at, the maximal subgroup of a pair monoid
   read off the stabilizer of one lattice element;
+- joins_from_meets, the join table a lattice no longer keeps, derived from
+  its meets and top;
 - product_monoid and outer_tensor, the direct product as a left Cayley
   graph and the outer tensor of representations over it, the oracle for
   the per-block kron of cliffmunn._young_irreps;
@@ -20,7 +22,9 @@ for a fact the program relies on:
   fraction_matrices, numerators, from_fractions, oracle_product,
   oracle_apply, diagonal, unitriangular_inverse), the tests' own
   arithmetic beside the program's one encoding of integer rows over one
-  denominator.
+  denominator;
+- parse_representation_payload, the reader of the payloads that `rep`
+  writes, which no command reads back.
 """
 
 import itertools
@@ -184,6 +188,26 @@ def stabilizers(action: GroupAction, a: int) -> StabilizerPair:
     return StabilizerPair(full, pointwise)
 
 
+def joins_from_meets(lat):
+    """join[a][b] for a FiniteLattice, as the meet of the upper bounds of a
+    and b, folded from the top: the join whenever every pair has a meet and
+    a top exists (FiniteLattice's docstring), which the tests check against
+    least upper bounds read off the order."""
+    meet, top = lat.meet, lat.top
+    out = []
+    for up in lat.leq:
+        row = []
+        for other in lat.leq:
+            common, j = up & other, top
+            while common:  # each upper bound c, lowest bit first
+                low = common & -common
+                j = meet[j][low.bit_length() - 1]
+                common ^= low
+            row.append(j)
+        out.append(row)
+    return out
+
+
 def maximal_subgroup_at(action, a):
     """The group of pairs g_a with g.a = a, one element per coset."""
     ctx = sgl_context(action)
@@ -306,3 +330,34 @@ def unitriangular_inverse(u):
         power = oracle_product(power, step)
         inv = tuple(tuple(x + y for x, y in zip(r, q)) for r, q in zip(inv, power))
     return inv
+
+
+# -- payloads ----------------------------------------------------------------
+
+def parse_representation_payload(text: str):
+    """Inverse of serialize_representation, up to the element objects.
+
+    Returns (header dict, element label list, num, den): one integer matrix
+    per element over one positive denominator, in lowest terms with all of
+    num, as a Representation holds its stack.
+    """
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    header = {}
+    pos = 0
+    while pos < len(lines) and not lines[pos].startswith("element "):
+        key, _, value = lines[pos].partition(":")
+        header[key.strip()] = value.strip()
+        pos += 1
+    count = int(header["elements"])
+    dim = int(header["dim"])
+    labels, rows = [], []
+    for _ in range(count):
+        tag, idx, label = lines[pos].split(" ", 2)
+        if tag != "element" or int(idx) != len(labels):
+            raise ValueError(f"bad element header line: {lines[pos]!r}")
+        rows.extend(ln.split() for ln in lines[pos + 1:pos + 1 + dim])
+        pos += 1 + dim
+        labels.append(label)
+    # the least common denominator of reduced fractions leaves no common factor
+    flat, den = numerators(rows)
+    return header, labels, tuple(flat[k:k + dim] for k in range(0, len(flat), dim)), den

@@ -29,8 +29,9 @@ from monoidrep.cli import (
 from monoidrep import cli, cliffmunn, elements, green, lattice, specht
 from monoidrep.cliffmunn import cm_catalog, induce
 from monoidrep.elements import FiniteMonoid
-from monoidrep.linrep import Representation, parse_representation_payload
+from monoidrep.linrep import Representation
 from monoidrep.specht import partitions
+from oracles import parse_representation_payload
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -803,13 +804,15 @@ class TestLeftCayleyGraph:
 
 
 # Runs one command in a fresh interpreter and prints its exit code and
-# whether numpy was loaded by the time it returned.
+# whether numpy (fractions, for _FRACTIONS_PROBE) was loaded by the time it
+# returned.
 _NUMPY_PROBE = """
 import io, json, sys
 import monoidrep.cli as cli
 code = cli.run(sys.argv[1:], io.StringIO())
 print(json.dumps([code, "numpy" in sys.modules]))
 """
+_FRACTIONS_PROBE = _NUMPY_PROBE.replace('"numpy"', '"fractions"')
 
 STRUCTURE_SPECS = ["S:4", "I:4", "T:4", "SGL:subsets:4", "SGL:partitions:4", "SGL:ordperm:4",
                    "gens:tests/data/i5_file.gens", "gens:tests/data/t4_nonregular.gens",
@@ -869,8 +872,17 @@ class TestLayerLoading:
     ])
     def test_a_command_runs_only_the_layers_it_calls(self, argv, ran):
         proc = fresh_python(_LOAD_PROBE, *argv)
-        # fractions is imported by linrep alone
-        assert json.loads(proc.stdout) == [EXIT_OK, ran, "linrep" in ran], proc.stderr
+        # no command makes a Fraction, so none imports fractions
+        assert json.loads(proc.stdout) == [EXIT_OK, ran, False], proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["irreps", "I:3", "--check"],
+        ["rep", "S:5", "--build", "specht:(2,2,1)"],
+    ], ids=["irreps_I3", "specht_S5"])
+    def test_representation_commands_import_no_fractions(self, argv):
+        # linrep imports fractions only inside the functions that make a Fraction
+        proc = fresh_python(_FRACTIONS_PROBE, *argv)
+        assert json.loads(proc.stdout) == [EXIT_OK, False], proc.stderr
 
     def test_every_layer_is_registered_at_import(self):
         # perfbench's tracer reads each layer's namespace right after

@@ -30,7 +30,7 @@ from monoidrep.lattice import (
     sgl_order,
     subsets_to_partial_bijection,
 )
-from oracles import maximal_subgroup_at, stabilizers
+from oracles import joins_from_meets, maximal_subgroup_at, stabilizers
 
 
 def canonical(ctx, g, a):
@@ -126,10 +126,13 @@ class TestMakeLattice:
         ("subsets", 3), ("set_partitions", 3), ("ordered_partitions_zero", 3),
     ])
     def test_meets_and_joins_are_bounds(self, kind, n):
-        # brute-force glb/lub re-check against the order relation
+        # brute-force glb/lub re-check against the order relation; the
+        # joins are the meets of the upper bounds, which the lattice keeps
+        # no table of
         lat, _ = make_lattice(kind, n)
         size = len(lat)
         leq = matrix(lat.leq)
+        joins = joins_from_meets(lat)
         for a in range(size):
             for b in range(size):
                 m = lat.meet[a][b]
@@ -137,7 +140,7 @@ class TestMakeLattice:
                 for c in range(size):
                     if leq[c, a] and leq[c, b]:
                         assert leq[c, m]
-                j = lat.join[a][b]
+                j = joins[a][b]
                 assert leq[a, j] and leq[b, j]
                 for c in range(size):
                     if leq[a, c] and leq[b, c]:
@@ -152,6 +155,20 @@ class TestMakeLattice:
         for g in range(len(action.group)):
             perm = action.table[g]
             assert np.array_equal(leq[np.ix_(perm, perm)], leq)
+
+    @pytest.mark.parametrize("kind", ["subsets", "set_partitions", "ordered_partitions_zero"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_orbits_are_read_off_the_whole_table(self, kind, n):
+        # the orbit of a is {g.a : g in G}, read here from every row of the
+        # action table, where the program walks the generators' rows
+        lat, action = make_lattice(kind, n)
+        expected, seen = [], set()
+        for a in range(len(lat)):
+            if a not in seen:
+                orbit = tuple(sorted({row[a] for row in action.table}))
+                seen.update(orbit)
+                expected.append(orbit)
+        assert action.orbits() == tuple(expected)
 
     @pytest.mark.parametrize("kind", ["subsets", "set_partitions", "ordered_partitions_zero"])
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -203,7 +220,8 @@ class TestOrderRelation:
 def reference_bounds(elements, leq):
     """Oracle: meet and join tables by down-set/up-set bitmask intersection,
     one (a, b) pair at a time, meet before join; raises LatticeError on the
-    first pair without a unique bound."""
+    first pair without a unique bound.  This is the rule FiniteLattice
+    checked before it kept meets alone."""
     n = len(elements)
     down = [int.from_bytes(np.packbits(leq[:, a]).tobytes(), "big") for a in range(n)]
     up = [int.from_bytes(np.packbits(leq[a, :]).tobytes(), "big") for a in range(n)]
@@ -226,6 +244,29 @@ def reference_bounds(elements, leq):
     return meet, join
 
 
+def reference_refusal(elements, leq):
+    """Oracle: FiniteLattice's refusal of an order matrix, or None where it
+    accepts: the first pair, row by row, whose lower bounds have no
+    greatest element, and then a missing top."""
+    n = len(elements)
+    for a in range(n):
+        for b in range(n):
+            lower = [c for c in range(n) if leq[c, a] and leq[c, b]]
+            if not any(all(leq[d, c] for d in lower) for c in lower):
+                return f"no unique meet for elements {elements[a]!r} and {elements[b]!r}"
+    if not any(leq[:, t].all() for t in range(n)):
+        return "lattice must have a top"
+    return None
+
+
+def poset(names, covers):
+    """The order matrix generated by the covering pairs (x, y), x < y."""
+    leq = np.eye(len(names), dtype=bool)
+    for x, y in covers:
+        leq[names.index(x), names.index(y)] = True
+    return transitive_closure(leq)
+
+
 def transitive_closure(leq):
     reach = leq.copy()
     for k in range(len(reach)):
@@ -241,21 +282,31 @@ class TestMeetsAndJoins:
         lat, _ = make_lattice(kind, n)
         meet, join = reference_bounds(lat.elements, matrix(lat.leq))
         assert np.array_equal(lat.meet, meet)
-        assert np.array_equal(lat.join, join)
+        # the theorem: the meet of the upper bounds is the join
+        assert np.array_equal(joins_from_meets(lat), join)
+        assert lat.leq[lat.bottom] == (1 << len(lat)) - 1
 
     def test_two_minimal_upper_bounds_have_no_join(self):
-        # 0 < a, b < c, d < 1: a and b have two minimal upper bounds
+        # 0 < a, b < c, d < 1: a and b have two minimal upper bounds, and
+        # c and d two maximal lower bounds
         names = ("0", "a", "b", "c", "d", "1")
-        covers = [("0", "a"), ("0", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"),
-                  ("c", "1"), ("d", "1")]
-        leq = np.eye(len(names), dtype=bool)
-        for x, y in covers:
-            leq[names.index(x), names.index(y)] = True
-        leq = transitive_closure(leq)
-        message = "no unique join for elements 'a' and 'b'"
-        with pytest.raises(LatticeError, match=message):
+        leq = poset(names, [("0", "a"), ("0", "b"), ("a", "c"), ("a", "d"), ("b", "c"),
+                            ("b", "d"), ("c", "1"), ("d", "1")])
+        with pytest.raises(LatticeError, match="no unique join for elements 'a' and 'b'"):
             reference_bounds(names, leq)
+        message = "no unique meet for elements 'c' and 'd'"
+        assert reference_refusal(names, leq) == message
         with pytest.raises(LatticeError, match=message):
+            FiniteLattice(names, bitsets(leq))
+
+    def test_meets_without_a_top_are_refused(self):
+        # 0 < a, b: every pair has a meet, but a and b have no upper bound
+        names = ("0", "a", "b")
+        leq = poset(names, [("0", "a"), ("0", "b")])
+        with pytest.raises(LatticeError, match="no unique join for elements 'a' and 'b'"):
+            reference_bounds(names, leq)
+        assert reference_refusal(names, leq) == "lattice must have a top"
+        with pytest.raises(LatticeError, match="lattice must have a top"):
             FiniteLattice(names, bitsets(leq))
 
     @settings(max_examples=150, deadline=None)
@@ -269,25 +320,19 @@ class TestMeetsAndJoins:
         if data.draw(st.booleans()):  # bounded: 0 is the bottom and n - 1 the top
             leq[0, :] = leq[:, n - 1] = True
         leq = transitive_closure(leq)
+        # meets and a top are refused exactly where meets and joins are
+        refusal = reference_refusal(tuple(range(n)), leq)
         try:
             meet, join = reference_bounds(tuple(range(n)), leq)
-        except LatticeError as exc:
+        except LatticeError:
+            assert refusal is not None
             with pytest.raises(LatticeError) as got:
                 FiniteLattice(range(n), bitsets(leq))
-            assert str(got.value) == str(exc)
+            assert str(got.value) == refusal
             return
+        assert refusal is None
         lat = FiniteLattice(range(n), bitsets(leq))
-        assert np.array_equal(lat.meet, meet) and np.array_equal(lat.join, join)
-
-    def test_subsets_check_their_meets_against_intersection(self, monkeypatch):
-        class Swapped(FiniteLattice):
-            def __init__(self, elements, leq):
-                super().__init__(elements, leq)
-                self.meet, self.join = self.join, self.meet
-
-        monkeypatch.setattr(lattice_module, "FiniteLattice", Swapped)
-        with pytest.raises(LatticeError, match="meet disagrees with intersection"):
-            make_lattice("subsets", 2)
+        assert np.array_equal(lat.meet, meet) and np.array_equal(joins_from_meets(lat), join)
 
 
 class TestStabilizers:

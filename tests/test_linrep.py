@@ -30,7 +30,6 @@ from monoidrep.linrep import (
     is_irreducible,
     mapping_rep,
     one_dim_invariant_lines,
-    parse_representation_payload,
     quotient_rep,
     restrict_rep,
     serialize_representation,
@@ -48,6 +47,7 @@ from oracles import (
     oracle_apply,
     oracle_product,
     outer_tensor,
+    parse_representation_payload,
     unitriangular_inverse,
 )
 
@@ -259,7 +259,7 @@ class TestQuotient:
 
     def test_by_whole_space_rejected(self, s3_map):
         with pytest.raises(ValueError):
-            quotient_rep(s3_map, Subspace.full(3))
+            quotient_rep(s3_map, Subspace.span(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
 
     def test_by_noninvariant_rejected(self, s3_map):
         with pytest.raises(ValueError):
@@ -343,6 +343,14 @@ class TestCommutant:
         assert commutant_dim(direct_sum(refl, refl)) == 4
 
 
+LINE_BUILDS = [
+    lambda: mapping_rep(symmetric_group(3)),
+    lambda: mapping_rep(symmetric_inverse_monoid(3)),
+    lambda: mapping_rep(full_transformation_monoid(3)),
+    lambda: specht_rep((2, 1)).rep,
+]
+
+
 class TestInvariantLines:
     def test_t3_has_none(self, t3_map):
         assert one_dim_invariant_lines(t3_map) == ()
@@ -360,12 +368,7 @@ class TestInvariantLines:
         lines = one_dim_invariant_lines(t)
         assert len(lines) == 1 and lines[0][1].dim == 1
 
-    @pytest.mark.parametrize("build", [
-        lambda: mapping_rep(symmetric_group(3)),
-        lambda: mapping_rep(symmetric_inverse_monoid(3)),
-        lambda: mapping_rep(full_transformation_monoid(3)),
-        lambda: specht_rep((2, 1)).rep,
-    ])
+    @pytest.mark.parametrize("build", LINE_BUILDS)
     def test_completeness_against_grid_oracle(self, build):
         # every invariant line found by brute rational grid search lies in
         # one of the reported eigenspaces
@@ -378,6 +381,23 @@ class TestInvariantLines:
             line = Subspace.from_vectors(rep.dim, [vec])
             if all(line.contains(oracle_apply(m, vec)) for m in fraction_matrices(rep)):
                 assert any(space.contains(vec) for _, space in found)
+
+    @pytest.mark.parametrize("build", LINE_BUILDS)
+    def test_every_scalar_choice_against_the_stacked_kernel_oracle(self, build):
+        # the lines are, in order, every choice of c(g) in (0, 1, -1) per
+        # generator whose simultaneous eigenspace, the kernel of the
+        # stacked rho(g) - c(g) I, is nonzero
+        rep = build()
+        mats = fraction_matrices(rep)
+        gens = [mats[g] for g in rep.monoid.generating_set()]
+        expected = []
+        for scalars in itertools.product((0, 1, -1), repeat=len(gens)):
+            stacked = [[x - c * (i == j) for j, x in enumerate(row)]
+                       for m, c in zip(gens, scalars) for i, row in enumerate(m)]
+            kernel = oracle_kernel(stacked, rep.dim)
+            if kernel:
+                expected.append((scalars, kernel))
+        assert [(scalars, space.basis) for scalars, space in one_dim_invariant_lines(rep)] == expected
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
@@ -612,12 +632,13 @@ class TestExactKernel:
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(1, 5))
-    def test_intersection_matches_oracle(self, data, n):
+    def test_kernel_of_stacked_rows_is_the_intersection(self, data, n):
+        # one_dim_invariant_lines intersects eigenspaces as the kernel of
+        # the shifted rows stacked
         a = data.draw(rational_rows(data.draw(st.integers(0, n)), n))
         b = data.draw(rational_rows(data.draw(st.integers(0, n)), n))
-        u, w = Subspace.from_vectors(n, a), Subspace.from_vectors(n, b)
-        assert u.basis == oracle_rref(a)[0]
-        assert u.intersection(w).basis == oracle_intersection(u.basis, w.basis, n)
+        stacked = Subspace.from_vectors(n, a + b).orthogonal_complement()
+        assert stacked.basis == oracle_intersection(oracle_kernel(a, n), oracle_kernel(b, n), n)
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), n=st.integers(1, 4), kind=st.sampled_from(["random", "image", "kernel"]))

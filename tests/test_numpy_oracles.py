@@ -52,6 +52,7 @@ from oracles import (
     fraction_matrices,
     fraction_rows,
     from_fractions,
+    joins_from_meets,
     oracle_product,
     unitriangular_inverse,
 )
@@ -99,7 +100,8 @@ class NumpyBoundRows:
 
 def numpy_bounds(elements, leq):
     """The meet and join tables, and bottom and top, as FiniteLattice read
-    them from the order matrix in numpy; raises on the first bad pair."""
+    them from the order matrix in numpy before it kept meets alone; raises
+    on the first bad pair."""
     n = len(elements)
     meet = np.empty((n, n), dtype=np.int32)
     join = np.empty((n, n), dtype=np.int32)
@@ -115,6 +117,21 @@ def numpy_bounds(elements, leq):
     bottoms = [a for a in range(n) if leq[a].all()]
     tops = [a for a in range(n) if leq[:, a].all()]
     return meet, join, bottoms, tops
+
+
+def numpy_refusal(elements, leq):
+    """FiniteLattice's refusal of the order matrix, read in numpy, or None
+    where it accepts: the first pair without a meet, row by row, and then a
+    missing top."""
+    meets = NumpyBoundRows(leq)
+    for a in range(len(elements)):
+        _, no_meet = meets.row(a)
+        if no_meet.any():
+            b = int(no_meet.argmax())
+            return f"no unique meet for elements {elements[a]!r} and {elements[b]!r}"
+    if not leq.all(axis=0).any():
+        return "lattice must have a top"
+    return None
 
 
 def numpy_jorder(m, jclass_of):
@@ -343,7 +360,7 @@ class TestLatticeOracles:
         els = lattice_elements(kind, n)
         lat = FiniteLattice(els, lattice_module._order_relation(kind, els, n))
         meet, join, bottoms, tops = numpy_bounds(lat.elements, matrix(lat.leq))
-        assert np.array_equal(lat.meet, meet) and np.array_equal(lat.join, join)
+        assert np.array_equal(lat.meet, meet) and np.array_equal(joins_from_meets(lat), join)
         assert [lat.bottom] == bottoms and [lat.top] == tops
 
     @settings(max_examples=100, deadline=None)
@@ -358,15 +375,19 @@ class TestLatticeOracles:
         for k in range(n):
             leq |= np.outer(leq[:, k], leq[k, :])
         up = [sum(1 << b for b in range(n) if leq[a, b]) for a in range(n)]
+        # meets and a top are refused exactly where meets and joins are
+        refusal = numpy_refusal(tuple(range(n)), leq)
         try:
             meet, join, _, _ = numpy_bounds(tuple(range(n)), leq)
-        except LatticeError as exc:
+        except LatticeError:
+            assert refusal is not None
             with pytest.raises(LatticeError) as got:
                 FiniteLattice(range(n), up)
-            assert str(got.value) == str(exc)
+            assert str(got.value) == refusal
             return
+        assert refusal is None
         lat = FiniteLattice(range(n), up)
-        assert np.array_equal(lat.meet, meet) and np.array_equal(lat.join, join)
+        assert np.array_equal(lat.meet, meet) and np.array_equal(joins_from_meets(lat), join)
 
 
 class TestJOrderOracles:

@@ -12,11 +12,23 @@ chi^lambda is computed here by the Murnaghan-Nakayama rule on beta-sets, so
 the oracle reads nothing of the program's Specht modules, inductions or
 catalogs.  Every catalog entry of I_n and of the subsets pair monoid (read
 into I_n through g_a -> g|_a) is matched by its J-class and label.
+
+The ordered-partition pair monoid is checked by the same kind of sum,
+with no Möbius inversion (Steinberg, "Möbius functions and semigroup
+representation theory", JCTA 113, 2006, treats inverse monoids at large): the
+entry at the idempotent e_a with labels (lambda_1, ..., lambda_k), one per
+block of a in block order, has at g_b the character
+
+    sum of prod_i chi^{lambda_i}(the cycle type of g on block i of c)
+
+over the c in the S_n-orbit of a with c <= b and g.c = c, where g.c keeps
+the block order; the adjoined minimum's entry is 1 everywhere.  c <= b and
+g.c are read from the tuples themselves.
 """
 
 import itertools
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -130,3 +142,66 @@ def test_rook_monoid_catalog_is_solomons(n):
 def test_subsets_pair_monoid_catalog_is_solomons(n):
     monoid, _ = sgl_monoid(make_lattice("subsets", n)[1])
     assert_catalog_is_solomons(monoid, lambda el: subsets_to_partial_bijection(el).images)
+
+
+def compositions_of(n):
+    """The ordered block sizes of the ordered partitions of n points."""
+    if n == 0:
+        return [()]
+    return [(first,) + rest for first in range(1, n + 1) for rest in compositions_of(n - first)]
+
+
+def with_sizes(points, sizes):
+    """The ordered partitions of points with these block sizes, in order:
+    the S_n-orbit of any one of them."""
+    if not sizes:
+        yield ()
+        return
+    for block in itertools.combinations(points, sizes[0]):
+        rest = [x for x in points if x not in block]
+        for tail in with_sizes(rest, sizes[1:]):
+            yield (block,) + tail
+
+
+def ordered_leq(c, b):
+    """c <= b: () is below everything; otherwise every block of c lies in
+    a block of b, and the blocks of b holding c's blocks never go back."""
+    if c == ():
+        return True
+    if b == ():
+        return False
+    home = {x: i for i, block in enumerate(b) for x in block}
+    homes = [home[block[0]] for block in c]
+    return (all(home[x] == h for block, h in zip(c, homes) for x in block)
+            and homes == sorted(homes))
+
+
+def ordered_partition_character(a, shapes, images, b):
+    """The oracle character at g_b, g with these images, of the entry at e_a
+    labelled shapes, one shape per block of a."""
+    if a == ():
+        return 1
+    total = 0
+    for c in with_sizes(sorted(x for block in a for x in block), [len(block) for block in a]):
+        if ordered_leq(c, b) and all({images[x - 1] for x in block} == set(block) for block in c):
+            total += prod(mn_character(shape, cycle_type(images, block))
+                          for shape, block in zip(shapes, c))
+    return total
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_ordered_partition_pair_monoid_catalog_is_the_orbit_sum(n):
+    monoid, _ = sgl_monoid(make_lattice("ordered_partitions_zero", n)[1])
+    entries = cm_catalog(monoid)
+    keys = [(en.apex_label, en.label) for en in entries]
+    expected = [("0", ())] + [
+        ("(" + ",".join(map(str, sizes)) + ")", shapes)
+        for sizes in compositions_of(n)
+        for shapes in itertools.product(*(partitions_of(k) for k in sizes))]
+    assert sorted(keys) == sorted(expected)
+    at = [(el.group_element().images, el.lattice_element()) for el in monoid.elements]
+    for en in entries:
+        a = monoid.elements[en.idempotent].lattice_element()
+        assert en.rep.character() == tuple(
+            ordered_partition_character(a, en.label, images, b) for images, b in at), \
+            (en.apex_label, en.label)
