@@ -9,8 +9,8 @@ from generators, as S_n, I_n and T_n are: it is searched on the image rows
 of its elements, each left product composed once as a row and an element
 made only when its row is new.  Products, columns and squares are read
 along the graph's breadth-first tree, and so are the group actions
-(_compose_rows) and inverses (_inverses) of every layer.  numpy is loaded only with the dense
-table, which no command reads.
+(_compose_rows) and inverses (_inverses) of every layer.  The dense table,
+which no command reads, is a standard-library buffer of two-byte cells.
 """
 
 from __future__ import annotations
@@ -303,12 +303,11 @@ class FiniteMonoid:
     Every monoid holds its left Cayley graph as Python int lists: the
     generators' left rows left[k][x], the index of a_k * x.  Products,
     columns and squares are read along the graph's breadth-first tree
-    (_edges), so the structure layers never load numpy.  The generators'
-    columns, the right Cayley graph, are composed on first read and kept
-    (_generator_columns).  The dense table,
-    table[i, j] the index of elements[i] * elements[j] in a uint16 numpy
-    array, is composed along the same tree on first read and
-    then kept.  So a monoid whose table is never read never holds one.
+    (_edges).  The generators' columns, the right Cayley graph, are
+    composed on first read and kept (_generator_columns).  The dense table,
+    table[i, j] the index of elements[i] * elements[j] in two-byte cells,
+    is composed along the same tree on first read and then kept.  So a
+    monoid whose table is never read never holds one.
 
     A monoid comes into being only as a graph, by _from_left_rows:
     _closure finds the rows on the elements' image rows and certifies what
@@ -356,22 +355,24 @@ class FiniteMonoid:
 
     @property
     def table(self):
-        """The |S| x |S| Cayley table, a uint16 numpy array, composed from
-        the left rows on first read and kept.  Row u = a_k * v
-        is left[k] after row v, because (a_k * v) * y = a_k * (v * y), from
-        the identity's row 0..n-1 along the tree (_edges).  Within the
-        budget it has at most 11585 rows, so every index fits uint16."""
+        """The |S| x |S| Cayley table: a read-only memoryview of uint16 cells
+        (format "H", nbytes 2|S|^2), table[i, j]; np.asarray(table) is a
+        zero-copy uint16 array.  Composed on first read and kept: row u =
+        a_k * v is left[k] after row v, as (a_k * v) * y = a_k * (v * y), from
+        the identity's row 0..n-1 along the tree (_edges).  Within the budget
+        it has at most 11585 rows, so every index fits two bytes."""
         if self._table is None:
+            from array import array
+
             n = len(self.elements)
             check_budget(n * n * 2, f"a Cayley table of {n} elements")
-            import numpy as np
-
-            left = np.array(self._left, dtype=np.uint16).reshape(-1, n)
-            table = np.empty((n, n), dtype=np.uint16)
-            table[self.identity_index] = np.arange(n)
-            for u, (v, k) in self._edges():
-                np.take(left[k], table[v], out=table[u])
-            self._table = table
+            cells = memoryview(array("H", [0]) * (n * n))
+            e = self.identity_index
+            cells[e * n:(e + 1) * n] = array("H", range(n))
+            for u, (v, k) in self._edges():  # n >= 2 here, so itemgetter gives a tuple
+                row = itemgetter(*cells[v * n:(v + 1) * n])(self._left[k])
+                cells[u * n:(u + 1) * n] = array("H", row)
+            self._table = cells.cast("B").cast("H", (n, n)).toreadonly()
         return self._table
 
     def mul(self, i: int, j: int) -> int:

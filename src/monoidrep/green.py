@@ -7,10 +7,10 @@ reachability in the two-sided graph; green_structure holds the proof.  This
 needs O(|S| |A|) memory, for a generating set A: both graphs, and the
 squares that give the idempotents of every J-class, are Python int lists
 read along the monoid's left Cayley graph (its columns and mul), so
-no table is composed and numpy is not loaded here.  The J-order is a
-tuple of int bitsets.  Class ids are assigned in order of least contained
-element, so all derived structure is deterministic.  Since the monoids here are finite,
-D coincides with J and is not represented separately.
+no table is composed.  The J-order is a tuple of int bitsets.  Class ids
+are assigned in order of least contained element, so all derived
+structure is deterministic.  Since the monoids here are finite, D
+coincides with J and is not represented separately.
 
 maximal_subgroup closes G_e, the H-class of an idempotent e and the group
 of units of eMe, as a certified left Cayley graph with identity e.

@@ -9,10 +9,10 @@ Lattice elements are plain tuples: subsets are sorted point tuples,
 partitions are tuples of sorted blocks, ordered partitions keep their block
 order, and () is the adjoined minimum of the ordered-partition lattice.
 
-Everything here is Python ints and lists, and numpy is not loaded: orders,
-down-sets and up-sets are int bitsets (bit b of leq[a] is a <= b), meets
-are read from them, and the action and coset tables are lists, one row per
-group element or lattice element.
+Everything here is Python ints and lists: orders, down-sets and up-sets
+are int bitsets (bit b of leq[a] is a <= b), meets are read from them, and
+the action and coset tables are lists, one row per group element or
+lattice element.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ contains, coords), and a basis or a character is read back as Fractions;
 fractions is imported only by the functions that make one, so no command
 loads it.  Integer numerators handed to a public constructor pass through
 operator.index once, which takes numpy integers without importing numpy,
-turns bools into 0 and 1, and refuses floats.  numpy is not imported here.
+turns bools into 0 and 1, and refuses floats.
 
 A Representation is one tuple of such matrices, one per element, over one
 denominator.  Its constructor proves the homomorphism law on every pair of

@@ -6,8 +6,7 @@ proof there).  A group acting on the labels through its generators' label
 maps reads every element's matrix from it by one lookup per basis vector
 among the span's columns, composed along the group's left Cayley graph
 (_specht_action): S_m on the label positions (specht_rep), or a Young
-subgroup block by block (cliffmunn._young_irreps).  numpy is not imported
-here.
+subgroup block by block (cliffmunn._young_irreps).
 """
 
 from __future__ import annotations

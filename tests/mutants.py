@@ -8,8 +8,10 @@ mutant into the copy, runs only that row's node and puts the file back.
 
 A row fails when its old text is not found exactly once, when the mutated
 file does not compile, or when its node passes on the mutant.  A node that
-fails, or whose module no longer imports (a mutant that rejects the valid
-representations a module builds at import), has caught the mutant.
+fails, whose module no longer imports (a mutant that rejects the valid
+representations a module builds at import), or that pytest no longer finds
+has caught the mutant (verdict): the unchanged copy has shown that the node
+exists and passes.
 
     python tests/mutants.py            # every row
     python tests/mutants.py -k budget  # the rows whose name contains "budget"
@@ -135,6 +137,19 @@ MUTANTS = (
            "right, left = monoid._generator_columns(), monoid._left",
            "right, left = monoid.columns(monoid.generator_indices), monoid._left",
            "tests/test_cli.py::TestLeftCayleyGraph::test_generator_columns_are_composed_once_per_monoid"),
+    # a Cayley table one byte over the budget admitted
+    Mutant("table-budget-off-by-one", ELEMENTS,
+           "check_budget(n * n * 2,", "check_budget(n * n * 2 - 1,",
+           "tests/test_elements.py::TestProductMonoid::"
+           "test_a_table_over_the_budget_is_refused_before_any_cell_is_written"),
+    # each table row gathered from its own unwritten row, not its parent's
+    Mutant("table-row-from-itself", ELEMENTS,
+           "itemgetter(*cells[v * n:(v + 1) * n])", "itemgetter(*cells[u * n:(u + 1) * n])",
+           "tests/test_elements.py::TestImageTable::test_full_monoids_match_elementwise_build[all_permutations-3]"),
+    # a table whose cells can be written
+    Mutant("table-writable", ELEMENTS,
+           '.cast("H", (n, n)).toreadonly()', '.cast("H", (n, n))',
+           "tests/test_cli.py::test_goldens_and_the_table_need_no_numpy"),
 )
 
 
@@ -148,6 +163,15 @@ def _pytest(checkout: Path, nodes, timeout: int) -> int:
                               stderr=subprocess.DEVNULL, timeout=timeout).returncode
     except subprocess.TimeoutExpired:
         return -1
+
+
+def verdict(code: int) -> str:
+    """What a mutant's node exit code says: 1, the node failed; 2, its module
+    no longer imports; 4, pytest no longer finds the node, which collected on
+    the unchanged copy.  0, the node passed; any other code, an error."""
+    if code in (1, 2, 4):
+        return "caught"
+    return "SURVIVED" if code == 0 else f"error {code}"
 
 
 def run(mutants, timeout: int = 600) -> list:
@@ -177,11 +201,10 @@ def run(mutants, timeout: int = 600) -> list:
                 code = _pytest(checkout, [m.node], timeout)
             finally:
                 target.write_text(text)
-            # 1: the node failed; 2: its module failed to import
-            verdict = "caught" if code in (1, 2) else "SURVIVED" if code == 0 else f"error {code}"
-            print(f"{verdict:9} {m.name}", flush=True)
-            if verdict != "caught":
-                problems.append(f"{m.name}: {verdict} ({m.node})")
+            said = verdict(code)
+            print(f"{said:9} {m.name}", flush=True)
+            if said != "caught":
+                problems.append(f"{m.name}: {said} ({m.node})")
     return problems
 
 

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import shlex
 import subprocess
 import sys
@@ -106,6 +107,40 @@ def test_golden(name, monkeypatch):
     assert text == expected
 
 
+# Runs every argv of the JSON object in argv[1] in one fresh interpreter
+# where importing numpy fails, then reads the Cayley table of I_3 and tries
+# to write one of its cells.
+_NO_NUMPY_PROBE = """
+import io, json, sys
+sys.modules["numpy"] = None  # import numpy now raises ImportError
+import monoidrep.cli as cli
+from monoidrep.elements import symmetric_inverse_monoid
+runs = {}
+for name, argv in json.loads(sys.argv[1]).items():
+    out = io.StringIO()
+    runs[name] = [cli.run(argv, out), out.getvalue()]
+m = symmetric_inverse_monoid(3)
+t, n = m.table, len(m)
+products = all(t[i, j] == m.mul(i, j) for i in range(n) for j in range(n))
+try:
+    t[0, 0] = t[0, 1]
+    written = "written"
+except TypeError:
+    written = "TypeError"
+print(json.dumps([runs, products, written]))
+"""
+
+
+def test_goldens_and_the_table_need_no_numpy():
+    proc = fresh_python(_NO_NUMPY_PROBE, json.dumps(GOLDEN_CASES))
+    assert proc.returncode == 0, proc.stderr
+    runs, products, written = json.loads(proc.stdout)
+    for name in GOLDEN_CASES:
+        assert runs[name] == [EXIT_OK, (GOLDEN_DIR / f"{name}.txt").read_text()], name
+    assert products
+    assert written == "TypeError"
+
+
 WORKFLOW = GOLDEN_DIR.parent.parent / ".github" / "workflows" / "tests.yml"
 # goldens the workflow diffs but tier-1 does not run, for their time
 TIMED_GOLDENS = {"irreps_i6_check"}
@@ -129,6 +164,36 @@ def test_the_workflow_diffs_every_golden_case():
     assert set(diffed) - set(GOLDEN_CASES) == TIMED_GOLDENS
     assert set(GOLDEN_CASES) <= set(diffed)
     assert all(diffed[name] == argv for name, argv in GOLDEN_CASES.items())
+
+
+def workflow_checks():
+    """The workflow's other checked lines: ([(argv, exit code)], [(argv, line)])
+    for each `code=0; [timeout N] monoidrep ARGS [> /dev/null] || code=$?`
+    followed by `test "$code" -eq K`, and each `monoidrep ARGS | grep -x "LINE"`."""
+    lines = [line.strip() for line in WORKFLOW.read_text().splitlines()]
+    codes, greps = [], []
+    for line, after in zip(lines, lines[1:]):
+        if line.endswith("|| code=$?"):
+            run = re.fullmatch(r"code=0; (?:timeout \d+ )?monoidrep (.+?)(?: > /dev/null)? \|\| code=\$\?", line)
+            test = re.fullmatch(r'test "\$code" -eq (\d+)', after)
+            assert run and test, (line, after)
+            codes.append((shlex.split(run[1]), int(test[1])))
+        elif "| grep -x " in line:
+            command, _, text = line.partition(" | grep -x ")
+            argv = shlex.split(command)
+            greps.append((argv[argv.index("monoidrep") + 1:], *shlex.split(text)))
+    return codes, greps
+
+
+def test_the_workflow_exit_codes_and_greps_are_the_programs(monkeypatch):
+    monkeypatch.chdir(GOLDEN_DIR.parent.parent)  # generator-file paths are repo-relative
+    codes, greps = workflow_checks()
+    assert codes and greps
+    for argv, expected in codes:
+        assert invoke(argv)[0] == expected, argv
+    for argv, line in greps:
+        code, text = invoke(argv)
+        assert code == EXIT_OK and line in text.splitlines(), argv
 
 
 def test_reports_are_deterministic():

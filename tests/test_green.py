@@ -350,7 +350,7 @@ def reference_semisimple_predicate(monoid, characteristic):
     """The status from each element's number of inverses, counted over all
     pairs: none for some element means not regular, exactly one for every
     element means inverse."""
-    t = monoid.table
+    t = np.asarray(monoid.table)
     n = len(monoid)
     idx = np.arange(n)
     counts = np.array([
@@ -400,7 +400,7 @@ class TestGreenLayer:
     @given(m=small_monoids())
     def test_jclasses_are_the_equal_two_sided_ideals(self, m):
         classes, _ = monoid_green(m)
-        t = m.table
+        t = np.asarray(m.table)
         ideals = np.zeros((len(m), len(m)), dtype=bool)
         for x in range(len(m)):
             ideals[x, t[t[:, x], :]] = True  # S x S
@@ -494,7 +494,7 @@ def reference_green_structure(m):
     """Green classes and J-order from principal-ideal membership bitsets:
     x L y iff Sx = Sy, x R y iff xS = yS, and J_i <= J_j iff the
     representative of J_i lies in S r_j S, all read off the whole table."""
-    n, t = len(m), m.table
+    n, t = len(m), np.asarray(m.table)
     lmem = np.zeros((n, n), dtype=bool)  # lmem[s, x]: x in Ss
     lmem[np.arange(n)[None, :], t] = True
     rmem = np.zeros((n, n), dtype=bool)  # rmem[s, x]: x in sS

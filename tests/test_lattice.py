@@ -713,11 +713,11 @@ def reference_pair_monoid(action):
     aarr = np.array([e.a for e in elements], dtype=np.int32)
     hinv = np.asarray(ctx.ginv)[garr]
     meet, act = np.asarray(ctx.lattice.meet), np.asarray(action.table)
-    rep_table = np.asarray(ctx.rep_table)
+    rep_table, gtable = np.asarray(ctx.rep_table), np.asarray(ctx.group.table)
     table = np.empty((len(elements), len(elements)), dtype=np.int32)
     for i in range(len(elements)):
         c = meet[act[hinv, aarr[i]], aarr]
-        r = rep_table[c, ctx.group.table[garr[i], garr]]
+        r = rep_table[c, gtable[garr[i], garr]]
         table[i] = eidx[c, r]
     identity = int(eidx[ctx.lattice.top, ctx.group.identity_index])
     gens = tuple(sorted(int(eidx[g.a, g.g]) for g in _sgl_generators(ctx)))

@@ -133,12 +133,12 @@ def assert_catalog_is_solomons(monoid, images_of):
             (en.apex_label, en.label)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_rook_monoid_catalog_is_solomons(n):
     assert_catalog_is_solomons(symmetric_inverse_monoid(n), lambda el: el.images)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_subsets_pair_monoid_catalog_is_solomons(n):
     monoid, _ = sgl_monoid(make_lattice("subsets", n)[1])
     assert_catalog_is_solomons(monoid, lambda el: subsets_to_partial_bijection(el).images)
