@@ -149,7 +149,7 @@ def resolve_jclass(built: BuiltMonoid, text: str) -> int:
     labels = green.apex_labels(built.monoid)
     if text in labels:
         return labels.index(text)
-    if text == "constants" and built.kind == "T":
+    if text == "constants" and built.kind == "T" and "J1" in labels:
         return labels.index("J1")
     if text.isdigit() and f"J{text}" in labels:
         return labels.index(f"J{text}")

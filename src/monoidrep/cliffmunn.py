@@ -227,7 +227,7 @@ def semisimple_predicate(monoid: FiniteMonoid, characteristic: int = 0) -> Semis
 def _semisimple_report(monoid: FiniteMonoid, classes, characteristic: int) -> SemisimpleReport:
     if not all(classes.jclass_idempotents):
         return SemisimpleReport("unknown", "monoid is not regular")
-    idems = monoid.idempotent_indices()
+    idems = [e for here in classes.jclass_idempotents for e in here]
     per_l, per_r = [0] * len(classes.lclasses), [0] * len(classes.rclasses)
     for e in idems:
         per_l[classes.lclass_of[e]] += 1

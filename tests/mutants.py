@@ -149,7 +149,11 @@ MUTANTS = (
     # a table whose cells can be written
     Mutant("table-writable", ELEMENTS,
            '.cast("H", (n, n)).toreadonly()', '.cast("H", (n, n))',
-           "tests/test_cli.py::test_goldens_and_the_table_need_no_numpy"),
+           "tests/test_elements.py::TestTwoByteCells::test_the_table_is_the_products_and_read_only"),
+    # a command path that imports numpy
+    Mutant("eggbox-imports-numpy", GREEN,
+           "    members = classes.jclasses[jclass]\n", "    import numpy\n    members = classes.jclasses[jclass]\n",
+           "tests/test_cli.py::test_no_module_imports_numpy"),
 )
 
 

@@ -1,3 +1,4 @@
+import ast
 import gc
 import importlib
 import io
@@ -5,7 +6,6 @@ import json
 import math
 import os
 import pathlib
-import re
 import shlex
 import subprocess
 import sys
@@ -32,64 +32,10 @@ from monoidrep.cliffmunn import cm_catalog, induce
 from monoidrep.elements import FiniteMonoid
 from monoidrep.linrep import Representation
 from monoidrep.specht import partitions
+from cli_cases import (
+    EXIT_CASES, GOLDEN_CASES, GOLDEN_DIR, LINE_CASES, TIMED_GOLDEN_CASES, failures,
+)
 from oracles import parse_representation_payload
-
-GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
-
-GOLDEN_CASES = {
-    "order_i3": ["order", "I:3"],
-    "order_sgl_ordperm3": ["order", "SGL:ordperm:3"],
-    "order_s1": ["order", "S:1"],
-    "eggbox_i3_all": ["eggbox", "I:3", "--all"],
-    "eggbox_t3_constants": ["eggbox", "T:3", "--jclass", "constants"],
-    "eggbox_s3": ["eggbox", "S:3"],
-    "irreps_i3_check": ["irreps", "I:3", "--check"],
-    "irreps_sgl_ordperm3_check": ["irreps", "SGL:ordperm:3", "--check"],
-    "irreps_i1": ["irreps", "I:1"],
-    "rep_t3_mapping": ["rep", "T:3", "--build", "mapping"],
-    "rep_s4_specht_211": ["rep", "S:4", "--build", "specht:(2,1,1)"],
-    "rep_i3_induce_j1_1": ["rep", "I:3", "--build", "induce:J1:(1)"],
-    "rep_i3_reduce_mapping_j2": ["rep", "I:3", "--build", "reduce:mapping:J2"],
-    "rep_sgl_ordperm3_induce_12_1_2": ["rep", "SGL:ordperm:3", "--build", "induce:(1,2):((1),(2))"],
-    # two blocks with a sign factor: the kron of per-block Specht matrices on G_e
-    "rep_sgl_ordperm3_induce_12_1_11": ["rep", "SGL:ordperm:3", "--build", "induce:(1,2):((1),(1,1))"],
-    # a subgroup S_3 at a non-identity idempotent of a non-inverse monoid
-    "rep_t4_reduce_mapping_j3": ["rep", "T:4", "--build", "reduce:mapping:J3"],
-    "eggbox_sgl_ordperm4_graph": ["eggbox", "SGL:ordperm:4", "--format", "graph"],
-    # a non-regular closure in T_4: 7 J-classes, 3 without an idempotent
-    "eggbox_t4_nonregular_all": ["eggbox", "gens:tests/data/t4_nonregular.gens", "--all"],
-    # the benchmark's I-kind generator file: 631 elements, 6 J-classes
-    "eggbox_i5_file_all": ["eggbox", "gens:tests/data/i5_file.gens", "--all"],
-    "rep_s5_specht_221": ["rep", "S:5", "--build", "specht:(2,2,1)"],
-    "irreps_s5_check": ["irreps", "S:5", "--check"],
-    # the largest checked catalog: 19 entries over I_5's 1546 elements
-    "irreps_i5_check": ["irreps", "I:5", "--check"],
-    "irreps_s6": ["irreps", "S:6"],
-    # the largest transformation table, and 2471 pairs through sgl_monoid and sgl_order
-    "eggbox_t5_all": ["eggbox", "T:5", "--all"],
-    "order_sgl_partitions5": ["order", "SGL:partitions:5"],
-    # the benchmark's largest monoid, 1801 pairs, by both structure commands
-    "order_sgl_ordperm4": ["order", "SGL:ordperm:4"],
-    "eggbox_sgl_ordperm4_all": ["eggbox", "SGL:ordperm:4", "--all"],
-    # degree 6: the 46656 transformations and 13327 partial bijections, each
-    # closed from its generators, and the subset pairs, which are I_6
-    "eggbox_t6_all": ["eggbox", "T:6", "--all"],
-    "eggbox_i6_all": ["eggbox", "I:6", "--all"],
-    "order_sgl_subsets6": ["order", "SGL:subsets:6"],
-    # set-partition text, and the FLAG on the Young-index sum
-    "order_sgl_partitions4": ["order", "SGL:partitions:4"],
-    # pair-monoid J-class labels: J<size> for subsets, sorted block sizes for partitions
-    "eggbox_sgl_subsets4_all": ["eggbox", "SGL:subsets:4", "--all"],
-    "eggbox_sgl_partitions4_all": ["eggbox", "SGL:partitions:4", "--all"],
-    # subset pairs label their irreducibles by one bare shape
-    "irreps_sgl_subsets4_check": ["irreps", "SGL:subsets:4", "--check"],
-    # the collapsed subgroup at (2,1) serves one () entry
-    "irreps_sgl_partitions3_check": ["irreps", "SGL:partitions:3", "--check"],
-    # subset-pair payload text, g@{...}
-    "rep_sgl_subsets3_induce_j2_11": ["rep", "SGL:subsets:3", "--build", "induce:J2:(1,1)"],
-    # the adjoined zero class of the ordered partitions, and its payload text g@0
-    "rep_sgl_ordperm3_induce_0": ["rep", "SGL:ordperm:3", "--build", "induce:0:()"],
-}
 
 
 def invoke(argv):
@@ -107,93 +53,64 @@ def test_golden(name, monkeypatch):
     assert text == expected
 
 
-# Runs every argv of the JSON object in argv[1] in one fresh interpreter
-# where importing numpy fails, then reads the Cayley table of I_3 and tries
-# to write one of its cells.
-_NO_NUMPY_PROBE = """
-import io, json, sys
-sys.modules["numpy"] = None  # import numpy now raises ImportError
-import monoidrep.cli as cli
-from monoidrep.elements import symmetric_inverse_monoid
-runs = {}
-for name, argv in json.loads(sys.argv[1]).items():
-    out = io.StringIO()
-    runs[name] = [cli.run(argv, out), out.getvalue()]
-m = symmetric_inverse_monoid(3)
-t, n = m.table, len(m)
-products = all(t[i, j] == m.mul(i, j) for i in range(n) for j in range(n))
-try:
-    t[0, 0] = t[0, 1]
-    written = "written"
-except TypeError:
-    written = "TypeError"
-print(json.dumps([runs, products, written]))
-"""
+@pytest.mark.parametrize("argv,expected", EXIT_CASES, ids=[shlex.join(argv) for argv, _ in EXIT_CASES])
+def test_exit_code(argv, expected, monkeypatch):
+    monkeypatch.chdir(GOLDEN_DIR.parent.parent)
+    assert invoke(argv)[0] == expected
 
 
-def test_goldens_and_the_table_need_no_numpy():
-    proc = fresh_python(_NO_NUMPY_PROBE, json.dumps(GOLDEN_CASES))
-    assert proc.returncode == 0, proc.stderr
-    runs, products, written = json.loads(proc.stdout)
-    for name in GOLDEN_CASES:
-        assert runs[name] == [EXIT_OK, (GOLDEN_DIR / f"{name}.txt").read_text()], name
-    assert products
-    assert written == "TypeError"
+@pytest.mark.parametrize("argv,line", LINE_CASES, ids=[shlex.join(argv) for argv, _ in LINE_CASES])
+def test_checked_line(argv, line, monkeypatch):
+    monkeypatch.chdir(GOLDEN_DIR.parent.parent)
+    code, text = invoke(argv)
+    assert code == EXIT_OK and line in text.splitlines()
 
 
-WORKFLOW = GOLDEN_DIR.parent.parent / ".github" / "workflows" / "tests.yml"
-# goldens the workflow diffs but tier-1 does not run, for their time
-TIMED_GOLDENS = {"irreps_i6_check"}
+def test_every_golden_file_is_a_case():
+    on_disk = {path.stem for path in GOLDEN_DIR.glob("*.txt")}
+    assert on_disk == set(GOLDEN_CASES) | set(TIMED_GOLDEN_CASES)
+    assert not set(GOLDEN_CASES) & set(TIMED_GOLDEN_CASES)
 
 
-def workflow_goldens():
-    """{golden name: monoidrep argv} for each workflow line that pipes a
-    monoidrep command into diff against a golden file."""
-    cases = {}
-    for line in WORKFLOW.read_text().splitlines():
-        command, bar, target = line.partition("| diff - tests/golden/")
-        if bar:
-            argv = shlex.split(command)
-            cases[target.strip().removesuffix(".txt")] = argv[argv.index("monoidrep") + 1:]
-    return cases
+def right_answers():
+    """A stand-in for the installed command, {argv: (exit code, stdout)},
+    that answers every case right."""
+    answers = {tuple(argv): (EXIT_OK, (GOLDEN_DIR / f"{name}.txt").read_bytes())
+               for name, argv in {**GOLDEN_CASES, **TIMED_GOLDEN_CASES}.items()}
+    answers.update({tuple(argv): (code, b"") for argv, code in EXIT_CASES})
+    answers.update({tuple(argv): (EXIT_OK, f"x\n{line}\n".encode()) for argv, line in LINE_CASES})
+    return answers
 
 
-def test_the_workflow_diffs_every_golden_case():
-    diffed = workflow_goldens()
-    assert all((GOLDEN_DIR / f"{name}.txt").is_file() for name in diffed)
-    assert set(diffed) - set(GOLDEN_CASES) == TIMED_GOLDENS
-    assert set(GOLDEN_CASES) <= set(diffed)
-    assert all(diffed[name] == argv for name, argv in GOLDEN_CASES.items())
+def test_the_runner_names_each_failure():
+    answers = right_answers()
+    assert failures(lambda argv: answers[tuple(argv)]) == []
+    # one golden byte and one exit code changed
+    code, text = answers[("order", "I:3")]
+    answers[("order", "I:3")] = code, text.replace(b"34", b"35")
+    answers[("order", "gens:tests")] = (EXIT_CAP, b"")
+    assert [line.split(":")[0] for line in failures(lambda argv: answers[tuple(argv)])] == [
+        "order_i3", "monoidrep order gens"]
 
 
-def workflow_checks():
-    """The workflow's other checked lines: ([(argv, exit code)], [(argv, line)])
-    for each `code=0; [timeout N] monoidrep ARGS [> /dev/null] || code=$?`
-    followed by `test "$code" -eq K`, and each `monoidrep ARGS | grep -x "LINE"`."""
-    lines = [line.strip() for line in WORKFLOW.read_text().splitlines()]
-    codes, greps = [], []
-    for line, after in zip(lines, lines[1:]):
-        if line.endswith("|| code=$?"):
-            run = re.fullmatch(r"code=0; (?:timeout \d+ )?monoidrep (.+?)(?: > /dev/null)? \|\| code=\$\?", line)
-            test = re.fullmatch(r'test "\$code" -eq (\d+)', after)
-            assert run and test, (line, after)
-            codes.append((shlex.split(run[1]), int(test[1])))
-        elif "| grep -x " in line:
-            command, _, text = line.partition(" | grep -x ")
-            argv = shlex.split(command)
-            greps.append((argv[argv.index("monoidrep") + 1:], *shlex.split(text)))
-    return codes, greps
+# (name the runner reports, argv, the wrong answer) for every case: a golden
+# one byte short, an exit code one off, a checked line missing
+RUNNER_MUTANTS = (
+    [(name, argv, "byte") for name, argv in {**GOLDEN_CASES, **TIMED_GOLDEN_CASES}.items()]
+    + [(f"monoidrep {shlex.join(argv)}", argv, "code") for argv, _ in EXIT_CASES]
+    + [(f"monoidrep {shlex.join(argv)}", argv, "line") for argv, _ in LINE_CASES])
 
 
-def test_the_workflow_exit_codes_and_greps_are_the_programs(monkeypatch):
-    monkeypatch.chdir(GOLDEN_DIR.parent.parent)  # generator-file paths are repo-relative
-    codes, greps = workflow_checks()
-    assert codes and greps
-    for argv, expected in codes:
-        assert invoke(argv)[0] == expected, argv
-    for argv, line in greps:
-        code, text = invoke(argv)
-        assert code == EXIT_OK and line in text.splitlines(), argv
+@pytest.mark.parametrize("name,argv,wrong", RUNNER_MUTANTS, ids=[m[0] for m in RUNNER_MUTANTS])
+def test_the_runner_checks_every_case(name, argv, wrong):
+    # the installed-entry-point step runs no case the runner skips: each
+    # case, answered wrong alone, is the one failure named
+    answers = right_answers()
+    code, out = answers[tuple(argv)]
+    answers[tuple(argv)] = {"byte": (code, out[:-1]), "code": (code + 1, out),
+                            "line": (code, b"x\n")}[wrong]
+    found = failures(lambda argv: answers[tuple(argv)])
+    assert len(found) == 1 and found[0].startswith(f"{name}: ")
 
 
 def test_reports_are_deterministic():
@@ -406,6 +323,13 @@ class TestEggboxOptions:
     def test_unknown_jclass_exit_2(self):
         code, _ = invoke(["eggbox", "I:3", "--jclass", "J9"])
         assert code == EXIT_PARSE
+
+    def test_constants_without_a_constant_map_exit_2(self, capsys):
+        # the 3-cycle closes to C_3 in T_3: one J-class, J3, and no constants
+        code, text = invoke(["eggbox", f"gens:{GOLDEN_DIR.parent / 'data' / 't3_cycle.gens'}",
+                             "--jclass", "constants"])
+        assert (code, text) == (EXIT_PARSE, "")
+        assert "no J-class 'constants'; available: J3" in capsys.readouterr().err
 
     def test_numeric_jclass(self):
         code, text = invoke(["eggbox", "I:3", "--jclass", "2"])
@@ -760,7 +684,7 @@ print(json.dumps([code, ran, "fractions" in sys.modules]))
 
 
 # Runs one command in a fresh interpreter and prints the order of every
-# monoid whose table it composed, and whether numpy.ma was loaded.
+# monoid whose table it composed.
 _TABLE_PROBE = """
 import io, json, sys
 import monoidrep.cli as cli
@@ -772,7 +696,7 @@ def read(monoid):
     return table.fget(monoid)
 FiniteMonoid.table = property(read)
 code = cli.run(sys.argv[1:], io.StringIO())
-print(json.dumps([code, composed, "numpy.ma" in sys.modules]))
+print(json.dumps([code, composed]))
 """
 
 
@@ -802,13 +726,13 @@ class TestLeftCayleyGraph:
                              ids=["order", "eggbox_text", "eggbox_graph"])
     def test_structure_commands_compose_no_monoid_table(self, spec, composed, argv):
         proc = fresh_python(_TABLE_PROBE, argv[0], spec, *argv[1:])
-        assert json.loads(proc.stdout) == [EXIT_OK, composed, False], proc.stderr
+        assert json.loads(proc.stdout) == [EXIT_OK, composed], proc.stderr
 
     @pytest.mark.parametrize("argv", REPRESENTATION_ARGVS, ids=REPRESENTATION_IDS)
     def test_representation_commands_compose_no_monoid_table(self, argv):
         # verify and induce_raw read products from the graph's columns
         proc = fresh_python(_TABLE_PROBE, *argv)
-        assert json.loads(proc.stdout)[:2] == [EXIT_OK, []], proc.stderr
+        assert json.loads(proc.stdout) == [EXIT_OK, []], proc.stderr
 
     @pytest.mark.parametrize("argv", REPRESENTATION_ARGVS, ids=REPRESENTATION_IDS)
     def test_representation_commands_certify_each_closure_once(self, monkeypatch, argv):
@@ -858,26 +782,15 @@ class TestLeftCayleyGraph:
         assert built.monoid in composed
         assert len({id(m) for m in composed}) == len(composed)
 
-    @pytest.mark.parametrize("argv", [
-        ["irreps", "SGL:ordperm:3", "--check"],
-        ["rep", "S:4", "--build", "specht:(2,1,1)"],
-    ], ids=["irreps", "rep"])
-    def test_representation_commands_leave_numpy_ma_unloaded(self, argv):
-        proc = fresh_python(_TABLE_PROBE, *argv)
-        code, _, masked = json.loads(proc.stdout)
-        assert (code, masked) == (EXIT_OK, False), proc.stderr
-
 
 # Runs one command in a fresh interpreter and prints its exit code and
-# whether numpy (fractions, for _FRACTIONS_PROBE) was loaded by the time it
-# returned.
-_NUMPY_PROBE = """
+# whether fractions was loaded by the time it returned.
+_FRACTIONS_PROBE = """
 import io, json, sys
 import monoidrep.cli as cli
 code = cli.run(sys.argv[1:], io.StringIO())
-print(json.dumps([code, "numpy" in sys.modules]))
+print(json.dumps([code, "fractions" in sys.modules]))
 """
-_FRACTIONS_PROBE = _NUMPY_PROBE.replace('"numpy"', '"fractions"')
 
 STRUCTURE_SPECS = ["S:4", "I:4", "T:4", "SGL:subsets:4", "SGL:partitions:4", "SGL:ordperm:4",
                    "gens:tests/data/i5_file.gens", "gens:tests/data/t4_nonregular.gens",
@@ -885,29 +798,7 @@ STRUCTURE_SPECS = ["S:4", "I:4", "T:4", "SGL:subsets:4", "SGL:partitions:4", "SG
 STRUCTURE_COMMANDS = [["order"], ["eggbox", "--all"], ["eggbox", "--format", "graph"]]
 
 
-class TestStructureWithoutNumpy:
-    @pytest.mark.parametrize("spec", STRUCTURE_SPECS)
-    @pytest.mark.parametrize("argv", STRUCTURE_COMMANDS, ids=["order", "eggbox_text", "eggbox_graph"])
-    def test_structure_commands_load_no_numpy(self, spec, argv):
-        proc = fresh_python(_NUMPY_PROBE, argv[0], spec, *argv[1:])
-        assert json.loads(proc.stdout) == [EXIT_OK, False], proc.stderr
-
-    @pytest.mark.parametrize("spec", ["SGL:partitions:6", "SGL:ordperm:5", "SGL:ordperm:6"])
-    def test_refusals_load_no_numpy(self, spec):
-        proc = fresh_python(_NUMPY_PROBE, "order", spec)
-        assert json.loads(proc.stdout) == [EXIT_CAP, False], proc.stderr
-
-    @pytest.mark.parametrize("argv", [
-        ["irreps", "I:4", "--check"],
-        ["irreps", "SGL:ordperm:3", "--check"],
-        ["rep", "S:6", "--build", "specht:(4,2)"],
-        ["rep", "I:4", "--build", "induce:J2:(1,1)"],
-        ["rep", "T:4", "--build", "reduce:mapping:J3"],
-    ], ids=["irreps_I4", "irreps_ordperm3", "specht_S6", "induce_I4", "reduce_T4"])
-    def test_representation_commands_load_no_numpy(self, argv):
-        proc = fresh_python(_NUMPY_PROBE, *argv)
-        assert json.loads(proc.stdout) == [EXIT_OK, False], proc.stderr
-
+class TestStructureCommands:
     @pytest.mark.parametrize("spec", STRUCTURE_SPECS)
     def test_structure_commands_build_no_element_index(self, spec, monkeypatch):
         # FiniteMonoid.index builds its dict on first read; order and eggbox
@@ -924,6 +815,33 @@ class TestStructureWithoutNumpy:
         for argv in STRUCTURE_COMMANDS:
             assert invoke([argv[0], spec, *argv[1:]])[0] == EXIT_OK
         assert built and all(m._index is None for m in built)
+
+
+IMPORT_CALLS = {"__import__", "import_module", "find_spec"}
+
+
+def test_no_module_imports_numpy():
+    # the static guard for every command, present or future: no import
+    # statement under src/monoidrep, at module level or inside a function,
+    # and no string handed to an import call names numpy
+    paths = sorted(pathlib.Path(monoidrep.__file__).parent.rglob("*.py"))
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Call) and getattr(
+                    node.func, "id", getattr(node.func, "attr", None)) in IMPORT_CALLS:
+                names = [arg.value for arg in node.args
+                         if isinstance(arg, ast.Constant) and isinstance(arg.value, str)]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.partition(".")[0] == "numpy"]
+    assert len(paths) >= len(LAYERS) + 1  # the layers and __init__
+    assert found == []
 
 
 class TestLayerLoading:

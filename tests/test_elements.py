@@ -1165,6 +1165,13 @@ class TestTwoByteCells:
         with pytest.raises(ClosureCapError, match="Cayley table of 14400 elements"):
             product_monoid(symmetric_group(5), symmetric_group(5)).table
 
+    def test_the_table_is_the_products_and_read_only(self):
+        m = symmetric_inverse_monoid(3)
+        t, n = m.table, len(m)
+        assert all(t[i, j] == m.mul(i, j) for i in range(n) for j in range(n))
+        with pytest.raises(TypeError):
+            t[0, 0] = t[0, 1]
+
     @pytest.mark.parametrize("build", BUILDERS, ids=BUILDER_IDS)
     def test_every_builder_allocates_two_byte_cells(self, build):
         m = build()
